@@ -1,10 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough ops for a small residual MLP rolled out over action
-segments and squared-distance losses on its endpoints: linear maps,
-bias adds, tanh, concatenation, subtraction, squared norms, and scalar
-combination. Graphs are built eagerly; ``backward`` walks the tape in
-reverse topological order and accumulates vector-Jacobian products.
+segments and squared-distance losses on its endpoints: one fused node
+per residual-MLP step (a vector or a batch of columns), subtraction,
+squared norms, and scalar combination. Graphs are built eagerly;
+``backward`` walks the tape in reverse topological order, calls each
+node's vector-Jacobian product once, and accumulates the results into
+its parents (backpropagation through time for an unrolled rollout).
 """
 
 from __future__ import annotations
@@ -17,12 +19,18 @@ class NonFiniteGraphError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "parents", "vjps")
+    """A graph node: its value, its parents, and ``vjp(g)``, which maps the
+    gradient of the node to a tuple of contributions aligned with
+    ``parents``. ``pre`` holds pre-activations that ``backward`` also checks
+    for finiteness (a saturated tanh hides an overflow in its input)."""
 
-    def __init__(self, value, parents=(), vjps=()):
+    __slots__ = ("value", "grad", "parents", "vjp", "pre")
+
+    def __init__(self, value, parents=(), vjp=None, pre=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents
-        self.vjps = vjps
+        self.vjp = vjp
+        self.pre = pre
         self.grad = None
 
     @property
@@ -33,70 +41,57 @@ class Tensor:
         """A new leaf with the same value; gradient flow stops here."""
         return Tensor(self.value.copy())
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
 
 def constant(value) -> Tensor:
     return Tensor(value)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
+    return Tensor(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.value - b.value, (a, b), (lambda g: g, lambda g: -g))
+    return Tensor(a.value - b.value, (a, b), lambda g: (g, -g))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    return Tensor(a.value * c, (a,), (lambda g: g * c,))
-
-
-def matmul(w: Tensor, x: Tensor) -> Tensor:
-    """w @ x for a 2D weight and a 1D or 2D operand."""
-    wv, xv = w.value, x.value
-    if xv.ndim == 1:
-        vjp_w = lambda g: np.outer(g, xv)
-        vjp_x = lambda g: wv.T @ g
-    else:
-        vjp_w = lambda g: g @ xv.T
-        vjp_x = lambda g: wv.T @ g
-    return Tensor(wv @ xv, (w, x), (vjp_w, vjp_x))
-
-
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a 1D bias to a vector or to every column of a matrix."""
-    if x.value.ndim == 2:
-        return Tensor(
-            x.value + b.value[:, None],
-            (x, b),
-            (lambda g: g, lambda g: g.sum(axis=1)),
-        )
-    return Tensor(x.value + b.value, (x, b), (lambda g: g, lambda g: g))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.value)
-    return Tensor(out, (a,), (lambda g: g * (1.0 - out * out),))
-
-
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two 1D vectors, or two matrices along their first axis."""
-    n = a.value.shape[0]
-    return Tensor(
-        np.concatenate([a.value, b.value], axis=0),
-        (a, b),
-        (lambda g: g[:n], lambda g: g[n:]),
-    )
+    return Tensor(a.value * c, (a,), lambda g: (g * c,))
 
 
 def sumsq(a: Tensor) -> Tensor:
     """Sum of squared entries, as a scalar tensor."""
-    return Tensor(np.sum(a.value * a.value), (a,), (lambda g: 2.0 * g * a.value,))
+    return Tensor(np.sum(a.value * a.value), (a,), lambda g: (2.0 * g * a.value,))
+
+
+def residual_mlp(z: Tensor, extra: np.ndarray, weights) -> Tensor:
+    """One residual step ``z + w2 @ tanh(w1 @ [z; extra] + b1) + b2``.
+
+    ``z`` is a ``(d,)`` vector with a ``(k,)`` constant ``extra``, or a
+    ``(d, B)`` batch of columns with a ``(k, B)`` ``extra``. ``weights`` is
+    ``(w1, b1, w2, b2)`` as tensors; the node's parents are ``z`` followed
+    by the four weights. The backward pass reuses the cached input,
+    pre-activation and hidden activation.
+    """
+    w1, b1, w2, b2 = weights
+    zv, w1v, w2v = z.value, w1.value, w2.value
+    batch = zv.ndim == 2
+    b1v, b2v = (b1.value[:, None], b2.value[:, None]) if batch else (b1.value, b2.value)
+    d = zv.shape[0]
+    x = np.concatenate([zv, extra], axis=0)
+    pre = w1v @ x + b1v
+    h = np.tanh(pre)
+    # z is added last, to (w2 @ h) + b2: reassociating the sum moves the
+    # loss curves and checkpoints in their last bits
+    out = zv + ((w2v @ h) + b2v)
+
+    def vjp(g):
+        g_pre = (w2v.T @ g) * (1.0 - h * h)
+        g_z = g + (w1v.T @ g_pre)[:d]
+        if batch:
+            return g_z, g_pre @ x.T, g_pre.sum(axis=1), g @ h.T, g.sum(axis=1)
+        return g_z, g_pre[:, None] * x, g_pre, g[:, None] * h, g
+
+    return Tensor(out, (z, w1, b1, w2, b2), vjp, pre)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -122,21 +117,22 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(node) into ``grad`` for every node in the graph.
 
     The loss must be scalar. Raises NonFiniteGraphError if any recorded
-    intermediate is NaN or infinite.
+    value or pre-activation is NaN or infinite.
     """
     if loss.value.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")
     order = _topo_order(loss)
     for node in order:
-        if not np.all(np.isfinite(node.value)):
+        if not np.isfinite(node.value).all() or (
+            node.pre is not None and not np.isfinite(node.pre).all()
+        ):
             raise NonFiniteGraphError("non-finite intermediate value in recorded graph")
         node.grad = None
     loss.grad = np.asarray(1.0)
     for node in reversed(order):
-        if node.grad is None:
+        if node.grad is None or node.vjp is None:
             continue
-        for parent, vjp in zip(node.parents, node.vjps):
-            contrib = vjp(node.grad)
+        for parent, contrib in zip(node.parents, node.vjp(node.grad)):
             if parent.grad is None:
                 parent.grad = np.array(contrib, dtype=np.float64, copy=True)
             else:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .latent import pose_features
 from .models import Trajectory, WorldModel, rollout, write_trajectory_jsonl, read_trajectory_jsonl
 from .se2 import Pose2
 from .segments import ActionIncrement, ActionSegment
@@ -72,7 +73,12 @@ class TrajectoryRecord:
 
 
 class Dataset:
-    """In-memory collection of equal-length trajectory records."""
+    """In-memory collection of equal-length trajectory records.
+
+    ``features`` holds every pose's (x, y, cos theta, sin theta) as an
+    (N, T+1, 4) array and ``actions`` every increment as an (N, T, 3)
+    array, so training batches are gathered by index instead of per pose.
+    """
 
     def __init__(self, records: list[TrajectoryRecord]):
         if not records:
@@ -82,6 +88,8 @@ class Dataset:
             raise ValueError(f"trajectories must share one length, got {sorted(lengths)}")
         self.records = records
         self.length = lengths.pop()
+        self.features = np.array([[pose_features(p) for p in r.poses] for r in records])
+        self.actions = np.array([[(a.dx, a.dy, a.dtheta) for a in r.actions] for r in records])
 
     def __len__(self) -> int:
         return len(self.records)

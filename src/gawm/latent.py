@@ -43,6 +43,10 @@ class FeatureEncoder:
     seed: int
     obs_noise_sigma: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.obs_noise_sigma) and self.obs_noise_sigma >= 0.0):
+            raise ValueError(f"obs_noise_sigma must be finite and >= 0, got {self.obs_noise_sigma}")
+
     @property
     def latent_dim(self) -> int:
         return self.projection.shape[0]
@@ -56,8 +60,6 @@ def make_encoder(latent_dim: int, seed: int, obs_noise_sigma: float = 0.0) -> Fe
     """
     if latent_dim < 4:
         raise ValueError(f"latent_dim must be >= 4, got {latent_dim}")
-    if obs_noise_sigma < 0.0:
-        raise ValueError(f"obs_noise_sigma must be >= 0, got {obs_noise_sigma}")
     rng = np.random.Generator(np.random.PCG64(seed))
     while True:
         projection = rng.normal(0.0, 0.5, size=(latent_dim, 4))
@@ -188,11 +190,8 @@ def latent_rollout_endpoint(z0: np.ndarray, u: ActionSegment, net: DynamicsNet) 
 
 
 def net_step_graph(z: ag.Tensor, action: ActionIncrement, weights) -> ag.Tensor:
-    """Recorded counterpart of net_step for gradient computation."""
-    w1, b1, w2, b2 = weights
-    x = ag.concat(z, ag.constant(action.as_array()))
-    h = ag.tanh(ag.bias_add(ag.matmul(w1, x), b1))
-    return ag.add(z, ag.bias_add(ag.matmul(w2, h), b2))
+    """Recorded counterpart of net_step for gradient computation: one tape node."""
+    return ag.residual_mlp(z, action.as_array(), weights)
 
 
 def rollout_endpoint_graph(z0: ag.Tensor, u: ActionSegment, weights) -> ag.Tensor:

@@ -102,8 +102,8 @@ class ViolationConfig:
         if self.noise_sigma < 0.0 or not math.isfinite(self.noise_sigma):
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         gp, gm = self.asym_gain
-        if gp <= 0.0 or gm <= 0.0:
-            raise ValueError(f"asym_gain components must be > 0, got {self.asym_gain}")
+        if not all(math.isfinite(g) and g > 0.0 for g in (gp, gm)):
+            raise ValueError(f"asym_gain components must be finite and > 0, got {self.asym_gain}")
 
     def is_stochastic(self) -> bool:
         return self.noise_sigma > 0.0

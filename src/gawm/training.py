@@ -21,7 +21,6 @@ from .data import Dataset
 from .latent import (
     DynamicsNet,
     FeatureEncoder,
-    encode,
     make_dynamics_net,
     net_step_graph,
     pose_features,
@@ -30,7 +29,6 @@ from .latent import (
 from .models import exact_step
 from .se2 import Pose2
 from .segments import (
-    ActionIncrement,
     ActionSegment,
     DirichletParams,
     make_compatibility_segment,
@@ -165,30 +163,34 @@ def make_optimizer(run: TrainRunConfig, n_params: int):
 
 @dataclass(frozen=True)
 class Batch:
-    """Transitions for the prediction loss plus one anchor for constraint synthesis."""
+    """Transitions for the prediction loss, as (trajectory, time) index
+    arrays into ``dataset``, plus one anchor for constraint synthesis."""
 
-    transitions: tuple[tuple[Pose2, ActionIncrement, Pose2], ...]
-    start_pose: Pose2
+    dataset: Dataset
+    idx: np.ndarray
+    ts: np.ndarray
+    anchor_i: int
+    anchor_t: int
     base_segment: ActionSegment
+
+    @property
+    def start_pose(self) -> Pose2:
+        return self.dataset.start_pose(self.anchor_i, self.anchor_t)
 
 
 def sample_batch(dataset: Dataset, batch_size: int, max_span: int, rng: np.random.Generator) -> Batch:
     idx = rng.integers(0, len(dataset), size=batch_size)
     ts = rng.integers(0, dataset.length, size=batch_size)
-    transitions = tuple(dataset.transition(int(i), int(t)) for i, t in zip(idx, ts))
     span = int(rng.integers(1, max_span + 1))
     anchor_t = int(rng.integers(0, dataset.length - span + 1))
     anchor_i = int(idx[0])
-    return Batch(
-        transitions=transitions,
-        start_pose=dataset.start_pose(anchor_i, anchor_t),
-        base_segment=dataset.segment(anchor_i, anchor_t, span),
-    )
+    return Batch(dataset, idx, ts, anchor_i, anchor_t, dataset.segment(anchor_i, anchor_t, span))
 
 
-def _encode_columns(poses, encoder: FeatureEncoder, rng: np.random.Generator | None) -> np.ndarray:
-    cols = np.stack([pose_features(p) for p in poses], axis=1)
-    z = encoder.projection @ cols
+def _encode_columns(features: np.ndarray, encoder: FeatureEncoder,
+                    rng: np.random.Generator | None) -> np.ndarray:
+    """Encode (4, B) feature columns, plus seeded observation noise."""
+    z = encoder.projection @ features
     if encoder.obs_noise_sigma > 0.0:
         if rng is None:
             raise ValueError("observation noise requires a random generator")
@@ -196,28 +198,29 @@ def _encode_columns(poses, encoder: FeatureEncoder, rng: np.random.Generator | N
     return z
 
 
+def batch_columns(batch: Batch, encoder: FeatureEncoder, rng: np.random.Generator | None):
+    """(z_in, actions, z_next) columns of a batch; noise is drawn for z_in, then z_next."""
+    features, actions = batch.dataset.features, batch.dataset.actions
+    z_in = _encode_columns(features[batch.idx, batch.ts].T, encoder, rng)
+    z_next = _encode_columns(features[batch.idx, batch.ts + 1].T, encoder, rng)
+    return z_in, actions[batch.idx, batch.ts].T, z_next
+
+
 def prediction_loss_graph(weights, z_in: np.ndarray, actions: np.ndarray, z_next: np.ndarray) -> ag.Tensor:
     """Mean squared latent one-step prediction error over a batch of columns."""
-    w1, b1, w2, b2 = weights
-    n = z_in.shape[1]
-    x = ag.constant(np.concatenate([z_in, actions], axis=0))
-    h = ag.tanh(ag.bias_add(ag.matmul(w1, x), b1))
-    z_pred = ag.add(ag.constant(z_in), ag.bias_add(ag.matmul(w2, h), b2))
-    return ag.scale(ag.sumsq(ag.sub(z_pred, ag.constant(z_next))), 1.0 / n)
-
-
-def _batch_columns(transitions, encoder, rng):
-    if len(transitions) == 0:
-        raise ValueError("prediction loss needs a non-empty batch")
-    z_in = _encode_columns([t[0] for t in transitions], encoder, rng)
-    z_next = _encode_columns([t[2] for t in transitions], encoder, rng)
-    actions = np.stack([t[1].as_array() for t in transitions], axis=1)
-    return z_in, actions, z_next
+    z_pred = ag.residual_mlp(ag.constant(z_in), actions, weights)
+    return ag.scale(ag.sumsq(ag.sub(z_pred, ag.constant(z_next))), 1.0 / z_in.shape[1])
 
 
 def prediction_loss(net: DynamicsNet, encoder: FeatureEncoder, transitions,
                     rng: np.random.Generator | None = None) -> float:
-    z_in, actions, z_next = _batch_columns(transitions, encoder, rng)
+    """Prediction loss on (pose, action, next pose) transitions."""
+    if len(transitions) == 0:
+        raise ValueError("prediction loss needs a non-empty batch")
+    poses_in, actions, poses_next = zip(*transitions)
+    z_in = _encode_columns(np.stack([pose_features(p) for p in poses_in], axis=1), encoder, rng)
+    z_next = _encode_columns(np.stack([pose_features(p) for p in poses_next], axis=1), encoder, rng)
+    actions = np.stack([a.as_array() for a in actions], axis=1)
     return float(prediction_loss_graph(net.param_tensors(), z_in, actions, z_next).value)
 
 
@@ -275,31 +278,6 @@ def ga_loss_graph(weights, z_t: np.ndarray, base_segment: ActionSegment, cfg: GA
     raise ValueError(f"unknown constraint: {active!r}")
 
 
-def ga_losses(net: DynamicsNet, z_t: np.ndarray, base_segment: ActionSegment,
-              cfg: GALossConfig, rng: np.random.Generator, *,
-              active: str | None = None, start_pose: Pose2 | None = None,
-              encoder: FeatureEncoder | None = None) -> GALossValues:
-    """Evaluate the sampled (or forced) consistency loss for one batch.
-
-    The active constraint type is drawn uniformly from all three,
-    independent of the per-constraint weights; a zero-weighted draw
-    simply contributes nothing to the objective.
-    """
-    if active is None:
-        active = CONSTRAINTS[int(rng.integers(0, len(CONSTRAINTS)))]
-    loss = ga_loss_graph(
-        net.param_tensors(), z_t, base_segment, cfg, active, dirichlet_rng=rng,
-        start_pose=start_pose, encoder=encoder,
-    )
-    value = float(loss.value)
-    return GALossValues(
-        active_constraint=active,
-        l_id=value if active == CONSTRAINT_ID else None,
-        l_inv=value if active == CONSTRAINT_INV else None,
-        l_comp=value if active == CONSTRAINT_COMP else None,
-    )
-
-
 @dataclass
 class TrainStreams:
     """Independent seeded generators, one per source of randomness.
@@ -324,16 +302,14 @@ class TrainStreams:
 
 
 def train_step(net: DynamicsNet, encoder: FeatureEncoder, cfg: GALossConfig,
-               run: TrainRunConfig, batch: Batch, optimizer, streams: TrainStreams) -> GALossValues:
+               batch: Batch, optimizer, streams: TrainStreams) -> GALossValues:
     """One optimizer update on the per-batch objective; returns the losses."""
-    z_in, actions, z_next = _batch_columns(
-        batch.transitions, encoder, streams.noise if encoder.obs_noise_sigma > 0.0 else None
-    )
+    z_in, actions, z_next = batch_columns(batch, encoder, streams.noise)
     weights = net.param_tensors()
     pred = prediction_loss_graph(weights, z_in, actions, z_next)
 
     active = CONSTRAINTS[int(streams.constraint.integers(0, len(CONSTRAINTS)))]
-    z_t = encoder.projection @ pose_features(batch.start_pose)
+    z_t = encoder.projection @ batch.dataset.features[batch.anchor_i, batch.anchor_t]
     ga = ga_loss_graph(
         weights, z_t, batch.base_segment, cfg, active, dirichlet_rng=streams.dirichlet,
         start_pose=batch.start_pose, encoder=encoder,
@@ -387,7 +363,7 @@ def train(run: TrainRunConfig, cfg: GALossConfig, dataset: Dataset,
     for step in range(run.steps):
         batch = sample_batch(dataset, run.batch_size, cfg.max_span, streams.batch)
         try:
-            values = train_step(net, encoder, cfg, run, batch, optimizer, streams)
+            values = train_step(net, encoder, cfg, batch, optimizer, streams)
         except ag.NonFiniteGraphError as exc:
             raise NonFiniteLossError(f"non-finite loss at step {step}") from exc
         l_ga = values.active_value()

@@ -283,15 +283,18 @@ def test_criterion_6_gradient_correctness():
         assert checked == 100
 
         # detach truncation: gradient is exactly zero upstream of the marker
-        upstream = ag.Tensor(rng.normal(size=(d, d)))
-        anchor = ag.matmul(upstream, ag.constant(rng.normal(size=d))).detach()
+        upstream = make_dynamics_net(d, h, 656565).param_tensors()
+        anchor = ag.residual_mlp(
+            ag.constant(rng.normal(size=d)), rng.normal(size=3), upstream
+        ).detach()
         weights = net.param_tensors()
         from gawm.latent import rollout_endpoint_graph
 
         end = rollout_endpoint_graph(anchor, base, weights)
         ag.backward(ag.sumsq(ag.sub(end, anchor)))
-        assert upstream.grad is None
-        assert np.array_equal(ag.grad_or_zeros(upstream), np.zeros((d, d)))
+        for u in upstream:
+            assert u.grad is None
+            assert np.array_equal(ag.grad_or_zeros(u), np.zeros(u.shape))
 
 
 @pytest.fixture(scope="module")

@@ -24,47 +24,80 @@ def test_sumsq_quadratic_gradient():
     assert np.allclose(z.grad, 2.0 * (z.value - const.value))
 
 
-def test_matmul_vector_grads():
-    w = ag.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    x = ag.Tensor(np.array([0.5, -1.0]))
-    loss = ag.sumsq(ag.matmul(w, x))
-    ag.backward(loss)
-    y = w.value @ x.value
-    assert np.allclose(w.grad, np.outer(2 * y, x.value))
-    assert np.allclose(x.grad, w.value.T @ (2 * y))
+def _mlp_weights(rng, d, k, h):
+    return tuple(ag.Tensor(rng.normal(size=shape))
+                 for shape in ((h, d + k), (h,), (d, h), (d,)))
 
 
-def test_matmul_matrix_and_bias_broadcast():
-    rng = np.random.Generator(np.random.PCG64(0))
-    w = ag.Tensor(rng.normal(size=(3, 4)))
-    x = ag.constant(rng.normal(size=(4, 5)))
-    b = ag.Tensor(rng.normal(size=3))
-    loss = ag.sumsq(ag.bias_add(ag.matmul(w, x), b))
-    ag.backward(loss)
-    y = w.value @ x.value + b.value[:, None]
-    assert np.allclose(b.grad, (2 * y).sum(axis=1))
-    assert np.allclose(w.grad, (2 * y) @ x.value.T)
+def _check_residual_mlp_grads(z0, extra, rng):
+    d, k, h = z0.shape[0], extra.shape[0], 5
+    w0 = [w.value for w in _mlp_weights(rng, d, k, h)]
+    target = rng.normal(size=z0.shape)
+    sizes = [z0.size] + [w.size for w in w0]
+    vec = np.concatenate([z0.ravel()] + [w.ravel() for w in w0])
 
+    def unpack(v):
+        parts = np.split(v, np.cumsum(sizes)[:-1])
+        return [p.reshape(a.shape) for p, a in zip(parts, [z0] + w0)]
 
-def test_tanh_and_concat_finite_difference():
-    rng = np.random.Generator(np.random.PCG64(1))
-    x0 = rng.normal(size=4)
-    y0 = rng.normal(size=3)
+    def f(v):
+        z, *ws = (ag.Tensor(a) for a in unpack(v))
+        return float(ag.sumsq(ag.sub(ag.residual_mlp(z, extra, ws), ag.constant(target))).value)
 
-    def f(vec):
-        x = ag.Tensor(vec[:4])
-        y = ag.Tensor(vec[4:])
-        return float(ag.sumsq(ag.tanh(ag.concat(x, y))).value)
+    z, *ws = (ag.Tensor(a) for a in unpack(vec))
+    out = ag.residual_mlp(z, extra, ws)
+    # one node whose parents are z and the four weights
+    assert out.parents == (z, *ws)
+    w1, b1, w2, b2 = w0
+    x = np.concatenate([z0, extra], axis=0)
+    bias1 = b1 if z0.ndim == 1 else b1[:, None]
+    bias2 = b2 if z0.ndim == 1 else b2[:, None]
+    assert np.array_equal(out.value, z0 + ((w2 @ np.tanh(w1 @ x + bias1)) + bias2))
 
-    x = ag.Tensor(x0)
-    y = ag.Tensor(y0)
-    loss = ag.sumsq(ag.tanh(ag.concat(x, y)))
-    ag.backward(loss)
-    grads = np.concatenate([x.grad, y.grad])
-    vec = np.concatenate([x0, y0])
-    for i in range(7):
+    ag.backward(ag.sumsq(ag.sub(out, ag.constant(target))))
+    grads = np.concatenate([t.grad.ravel() for t in (z, *ws)])
+    for i in range(vec.size):
         fd = central_difference(f, vec, i)
-        assert abs(fd - grads[i]) <= 1e-6 * max(1.0, abs(fd))
+        assert abs(fd - grads[i]) <= 1e-6 * max(1.0, abs(fd)), i
+
+
+def test_residual_mlp_vector_finite_difference():
+    rng = np.random.Generator(np.random.PCG64(0))
+    _check_residual_mlp_grads(rng.normal(size=4), rng.normal(size=3), rng)
+
+
+def test_residual_mlp_column_batch_finite_difference():
+    rng = np.random.Generator(np.random.PCG64(1))
+    _check_residual_mlp_grads(rng.normal(size=(4, 6)), rng.normal(size=(3, 6)), rng)
+
+
+def test_residual_mlp_batch_grads_sum_the_per_column_grads():
+    # bias gradients reduce over columns; weight gradients add up per column
+    rng = np.random.Generator(np.random.PCG64(2))
+    z0, extra = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
+    weights = _mlp_weights(rng, 4, 3, 5)
+    ag.backward(ag.sumsq(ag.residual_mlp(ag.constant(z0), extra, weights)))
+    batch_grads = [w.grad.copy() for w in weights]
+    per_column = [np.zeros_like(w.value) for w in weights]
+    for j in range(3):
+        z = ag.Tensor(z0[:, j])
+        ag.backward(ag.sumsq(ag.residual_mlp(z, extra[:, j], weights)))
+        for acc, w in zip(per_column, weights):
+            acc += w.grad
+    for g, acc in zip(batch_grads, per_column):
+        assert np.allclose(g, acc, rtol=1e-12, atol=1e-12)
+
+
+def test_residual_mlp_pre_activation_overflow_rejected():
+    # tanh saturates to a finite output, but its input overflowed
+    d, k, h = 2, 3, 2
+    w1 = ag.Tensor(np.full((h, d + k), 1e308))
+    weights = (w1, ag.Tensor(np.zeros(h)), ag.Tensor(np.full((d, h), 0.5)), ag.Tensor(np.zeros(d)))
+    with np.errstate(over="ignore"):
+        out = ag.residual_mlp(ag.Tensor(np.ones(d)), np.ones(k), weights)
+    assert np.all(np.isfinite(out.value)) and not np.all(np.isfinite(out.pre))
+    with pytest.raises(ag.NonFiniteGraphError):
+        ag.backward(ag.sumsq(out))
 
 
 def test_shared_subgraph_accumulates():

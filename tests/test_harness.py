@@ -113,6 +113,14 @@ def test_parse_model_ref_named_forms():
     assert model.cfg.noise_sigma == 0.01 and model.cfg.saturation_scale == 2.0
 
 
+def test_parse_model_ref_rejects_non_finite_gains():
+    for ref in ("asym:nan,1", "asym:1,nan", "asym:inf,1", "asym:1,-inf", "asym:0,1"):
+        with pytest.raises(ValueError, match="asym_gain"):
+            parse_model_ref(ref)
+    with pytest.raises(ValueError, match="asym_gain"):
+        parse_model_ref('perturbed:{"asym_gain": [NaN, 1.0]}')
+
+
 def test_parse_model_ref_unknown():
     with pytest.raises(UnknownModelRefError):
         parse_model_ref("nonsense")

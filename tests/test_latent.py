@@ -6,6 +6,7 @@ import pytest
 from gawm import autograd as ag
 from gawm.latent import (
     DynamicsNet,
+    FeatureEncoder,
     HeadingUndefinedError,
     LearnedWorldModel,
     decode,
@@ -36,6 +37,16 @@ def test_encoder_shapes_and_conditioning():
     assert np.linalg.cond(enc.projection) <= 1e6
     with pytest.raises(ValueError):
         make_encoder(3, 0)
+
+
+def test_encoder_rejects_bad_obs_noise():
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            make_encoder(8, 0, obs_noise_sigma=sigma)
+        with pytest.raises(ValueError):
+            FeatureEncoder(np.eye(4), 0, obs_noise_sigma=sigma)
+        with pytest.raises(ValueError):
+            LearnedWorldModel(make_encoder(8, 0), DynamicsNet(8, 4)).with_obs_noise(sigma)
 
 
 def test_encode_plugs_in_features():

@@ -10,7 +10,6 @@ from gawm.models import ExactModel
 from gawm.se2 import Pose2
 from gawm.segments import ActionIncrement, ActionSegment, DirichletParams
 from gawm.training import (
-    Batch,
     CONSTRAINT_COMP,
     CONSTRAINT_ID,
     CONSTRAINT_INV,
@@ -23,8 +22,8 @@ from gawm.training import (
     TEACHER_FORCED,
     TrainRunConfig,
     TrainStreams,
+    batch_columns,
     ga_loss_graph,
-    ga_losses,
     make_optimizer,
     prediction_loss,
     prediction_loss_graph,
@@ -78,22 +77,26 @@ def test_prediction_loss_rejects_empty(encoder):
         prediction_loss(DynamicsNet(8, 4), encoder, [])
 
 
+def _ga_value(net, z_t, seg, cfg, active, rng):
+    loss = ga_loss_graph(net.param_tensors(), z_t, seg, cfg, active, dirichlet_rng=rng)
+    assert loss.value.shape == ()
+    return float(loss.value)
+
+
 def test_ga_losses_zero_net_all_constraints(encoder):
     net = DynamicsNet(8, 4)
     z_t = _rng(1).normal(size=8)
     seg = ActionSegment([ActionIncrement(0.1, 0, 0.05), ActionIncrement(0.2, -0.1, 0)])
     cfg = GALossConfig(max_span=4)
     for c in CONSTRAINTS:
-        values = ga_losses(net, z_t, seg, cfg, _rng(2), active=c)
-        assert values.active_value() == 0.0
+        assert _ga_value(net, z_t, seg, cfg, c, _rng(2)) == 0.0
 
 
 def test_ga_losses_comp_length_one_is_exactly_zero(encoder):
     net = make_dynamics_net(8, 16, 3)
     z_t = _rng(4).normal(size=8)
     seg = ActionSegment([ActionIncrement(0.3, -0.2, 0.1)])
-    values = ga_losses(net, z_t, seg, GALossConfig(), _rng(5), active=CONSTRAINT_COMP)
-    assert values.l_comp == 0.0
+    assert _ga_value(net, z_t, seg, GALossConfig(), CONSTRAINT_COMP, _rng(5)) == 0.0
 
 
 def test_ga_losses_id_matches_hand_unrolled_oracle():
@@ -111,25 +114,34 @@ def test_ga_losses_id_matches_hand_unrolled_oracle():
     expected = float(np.sum((z - z_t) ** 2))
 
     seg = ActionSegment([ActionIncrement(0.5, 0, 0), ActionIncrement(0, 0.5, 0)])
-    values = ga_losses(net, z_t, seg, GALossConfig(), _rng(8), active=CONSTRAINT_ID)
-    assert values.l_id == pytest.approx(expected, rel=1e-12)
+    value = _ga_value(net, z_t, seg, GALossConfig(), CONSTRAINT_ID, _rng(8))
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
-def test_ga_losses_reports_inactive_as_none():
-    net = DynamicsNet(4, 2)
-    values = ga_losses(
-        net, np.zeros(4), ActionSegment([ActionIncrement(0.1, 0, 0)]),
-        GALossConfig(), _rng(9), active=CONSTRAINT_INV,
-    )
-    assert values.l_inv is not None
-    assert values.l_id is None and values.l_comp is None and values.l_pred is None
+def test_ga_losses_reports_inactive_as_none(dataset, encoder):
+    net = make_dynamics_net(8, 8, 33)
+    run = TrainRunConfig(steps=1, batch_size=4, learning_rate=0.0)
+    streams = TrainStreams.from_seed(34)
+    seen = set()
+    for _ in range(12):
+        batch = sample_batch(dataset, 4, 4, streams.batch)
+        values = train_step(net, encoder, GALossConfig(), batch,
+                            make_optimizer(run, net.params.size), streams)
+        seen.add(values.active_constraint)
+        fields = {CONSTRAINT_ID: values.l_id, CONSTRAINT_INV: values.l_inv,
+                  CONSTRAINT_COMP: values.l_comp}
+        assert values.l_pred is not None
+        assert fields.pop(values.active_constraint) is not None
+        assert all(v is None for v in fields.values())
+    assert seen == set(CONSTRAINTS)
 
 
 def test_ga_losses_rejects_overlong_segment():
     net = DynamicsNet(4, 2)
     seg = ActionSegment([ActionIncrement(0.1, 0, 0)] * 5)
-    with pytest.raises(ValueError):
-        ga_losses(net, np.zeros(4), seg, GALossConfig(max_span=4), _rng(0))
+    for c in CONSTRAINTS:
+        with pytest.raises(ValueError):
+            _ga_value(net, np.zeros(4), seg, GALossConfig(max_span=4), c, _rng(0))
 
 
 def test_ga_loss_gradient_matches_finite_difference():
@@ -156,20 +168,22 @@ def test_ga_loss_gradient_matches_finite_difference():
 
 def test_detached_anchor_blocks_upstream_gradient():
     # parameters that only influence the anchor latent receive zero gradient
-    upstream = ag.Tensor(_rng(14).normal(size=(4, 4)))
-    z_raw = ag.matmul(upstream, ag.constant(_rng(15).normal(size=4)))
-    anchor = z_raw.detach()
-
-    net = make_dynamics_net(4, 6, 16)
-    weights = net.param_tensors()
     from gawm.latent import rollout_endpoint_graph
 
     seg = ActionSegment([ActionIncrement(0.1, 0, 0)] * 2)
-    end = rollout_endpoint_graph(anchor, seg, weights)
-    loss = ag.sumsq(ag.sub(end, anchor))
-    ag.backward(loss)
-    assert upstream.grad is None
-    assert np.any(net.pack_grads(weights) != 0.0)
+    net = make_dynamics_net(4, 6, 16)
+    for detach in (False, True):
+        upstream = make_dynamics_net(4, 6, 14).param_tensors()
+        z_raw = ag.residual_mlp(ag.constant(_rng(15).normal(size=4)), np.ones(3), upstream)
+        anchor = z_raw.detach() if detach else z_raw
+        weights = net.param_tensors()
+        end = rollout_endpoint_graph(anchor, seg, weights)
+        ag.backward(ag.sumsq(ag.sub(end, ag.constant(np.zeros(4)))))
+        assert np.any(net.pack_grads(weights) != 0.0)
+        if detach:
+            assert all(u.grad is None for u in upstream)
+        else:  # control: without the marker the upstream weights do get gradient
+            assert all(np.any(u.grad != 0.0) for u in upstream)
 
 
 def test_free_running_and_teacher_forced_differ_on_inverse(encoder):
@@ -239,14 +253,11 @@ def test_train_step_lambda_zero_equals_pure_prediction(dataset, encoder):
     batch, streams = _one_batch(dataset, encoder)
 
     net_a = make_dynamics_net(8, 8, 30)
-    train_step(net_a, encoder, GALossConfig(lambda_ga=0.0), run, batch,
-               SgdOptimizer(0.05), streams)
+    train_step(net_a, encoder, GALossConfig(lambda_ga=0.0), batch, SgdOptimizer(0.05), streams)
 
     net_b = make_dynamics_net(8, 8, 30)
     weights = net_b.param_tensors()
-    from gawm.training import _batch_columns
-
-    z_in, acts, z_next = _batch_columns(batch.transitions, encoder, None)
+    z_in, acts, z_next = batch_columns(batch, encoder, None)
     pred = prediction_loss_graph(weights, z_in, acts, z_next)
     ag.backward(pred)
     net_b.params -= 0.05 * net_b.pack_grads(weights)
@@ -259,7 +270,7 @@ def test_train_step_zero_learning_rate_reports_but_does_not_move(dataset, encode
     batch, streams = _one_batch(dataset, encoder)
     net = make_dynamics_net(8, 8, 31)
     before = net.params.copy()
-    values = train_step(net, encoder, GALossConfig(), run, batch,
+    values = train_step(net, encoder, GALossConfig(), batch,
                         make_optimizer(run, net.params.size), streams)
     assert np.array_equal(net.params, before)
     assert values.l_pred is not None and values.l_pred > 0.0
@@ -292,8 +303,37 @@ def test_train_single_step_equals_one_train_step(dataset, encoder):
     net = make_net(encoder.latent_dim, run.hidden_dim, init_ss)
     streams = TrainStreams.from_seed(44)
     batch = sample_batch(dataset, run.batch_size, cfg.max_span, streams.batch)
-    train_step(net, encoder, cfg, run, batch, make_optimizer(run, net.params.size), streams)
+    train_step(net, encoder, cfg, batch, make_optimizer(run, net.params.size), streams)
     assert np.array_equal(result.net.params, net.params)
+
+
+def test_batch_columns_equal_per_pose_encoding(dataset, encoder):
+    streams = TrainStreams.from_seed(46)
+    for _ in range(5):
+        batch = sample_batch(dataset, 8, 4, streams.batch)
+        z_in, actions, z_next = batch_columns(batch, encoder, None)
+        transitions = [dataset.transition(int(i), int(t)) for i, t in zip(batch.idx, batch.ts)]
+        assert np.array_equal(z_in, encoder.projection @ np.stack(
+            [pose_features(s) for s, _, _ in transitions], axis=1))
+        assert np.array_equal(z_next, encoder.projection @ np.stack(
+            [pose_features(s2) for _, _, s2 in transitions], axis=1))
+        assert np.array_equal(actions, np.stack([a.as_array() for _, a, _ in transitions], axis=1))
+        assert np.array_equal(encoder.projection @ dataset.features[batch.anchor_i, batch.anchor_t],
+                              encoder.projection @ pose_features(batch.start_pose))
+        assert batch.base_segment == dataset.segment(batch.anchor_i, batch.anchor_t,
+                                                     len(batch.base_segment))
+
+
+def test_batch_columns_draw_noise_for_inputs_then_targets(dataset):
+    noisy = make_encoder(8, 200, obs_noise_sigma=0.1)
+    batch = sample_batch(dataset, 8, 4, _rng(47))
+    z_in, _, z_next = batch_columns(batch, noisy, _rng(48))
+    clean_in, _, clean_next = batch_columns(batch, make_encoder(8, 200), None)
+    draws = _rng(48)
+    assert np.array_equal(z_in, clean_in + draws.normal(0.0, 0.1, size=(8, 8)))
+    assert np.array_equal(z_next, clean_next + draws.normal(0.0, 0.1, size=(8, 8)))
+    with pytest.raises(ValueError):
+        batch_columns(batch, noisy, None)
 
 
 def test_sample_batch_spans_stay_in_range(dataset):
@@ -326,11 +366,10 @@ def test_stochastic_objective_matches_full_objective(dataset, encoder):
     for _ in range(1000):
         batch = sample_batch(dataset, 4, cfg.max_span, streams.batch)
         z_t = encoder.projection @ pose_features(batch.start_pose)
-        l_pred = prediction_loss(net, encoder, batch.transitions)
-        per_constraint = {}
-        for c in CONSTRAINTS:
-            values = ga_losses(net, z_t, batch.base_segment, cfg, _rng(40), active=c)
-            per_constraint[c] = values.active_value()
+        l_pred = float(prediction_loss_graph(net.param_tensors(), *batch_columns(batch, encoder, None)).value)
+        per_constraint = {
+            c: _ga_value(net, z_t, batch.base_segment, cfg, c, _rng(40)) for c in CONSTRAINTS
+        }
         mean_sampled = np.mean(
             [l_pred + cfg.lambda_ga * cfg.constraint_weight(c) * per_constraint[c] for c in CONSTRAINTS]
         )
