@@ -7,6 +7,9 @@ squared norms, and scalar combination. Graphs are built eagerly;
 ``backward`` walks the tape in reverse topological order, calls each
 node's vector-Jacobian product once, and accumulates the results into
 its parents (backpropagation through time for an unrolled rollout).
+
+Training computes the same gradients in closed form (``gawm.training``);
+the tape is the reference the tests compare them against.
 """
 
 from __future__ import annotations

@@ -48,8 +48,7 @@ def main():
 @config_option
 @seed_option
 @out_option
-@threads_option
-def gen_data(config_path, seed, out, threads):
+def gen_data(config_path, seed, out):
     """Generate a synthetic trajectory dataset."""
     try:
         cfg = _resolve_config(config_path, seed, out)
@@ -63,8 +62,7 @@ def gen_data(config_path, seed, out, threads):
 @config_option
 @seed_option
 @out_option
-@threads_option
-def train(config_path, seed, out, threads):
+def train(config_path, seed, out):
     """Train the latent dynamics model."""
     try:
         cfg = _resolve_config(config_path, seed, out)
@@ -79,8 +77,7 @@ def train(config_path, seed, out, threads):
 @config_option
 @seed_option
 @out_option
-@threads_option
-def probe(model_ref, config_path, seed, out, threads):
+def probe(model_ref, config_path, seed, out):
     """Run the consistency probe grid against MODEL_REF."""
     try:
         cfg = _resolve_config(config_path, seed, out)
@@ -98,8 +95,7 @@ def probe(model_ref, config_path, seed, out, threads):
 @config_option
 @seed_option
 @out_option
-@threads_option
-def gar(model_ref, config_path, seed, out, threads):
+def gar(model_ref, config_path, seed, out):
     """Run the rollout-dispersion evaluation against MODEL_REF."""
     try:
         cfg = _resolve_config(config_path, seed, out)

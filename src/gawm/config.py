@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -56,6 +57,12 @@ class EncoderConfig:
     seed: int | None = None  # None: derived from the master seed
 
 
+def check_eval_noise(sigma: float) -> None:
+    """Evaluation observation noise must be finite and >= 0."""
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"eval_noise_sigma must be finite and >= 0, got {sigma}")
+
+
 @dataclass(frozen=True)
 class ProbeSuiteConfig:
     identity_lengths: tuple[int, ...] = (1, 3, 5)
@@ -72,6 +79,9 @@ class ProbeSuiteConfig:
     alpha_rot: float = 1.0
     dirichlet_concentration: float = 1.0
 
+    def __post_init__(self):
+        check_eval_noise(self.eval_noise_sigma)
+
 
 @dataclass(frozen=True)
 class GarSuiteConfig:
@@ -83,6 +93,9 @@ class GarSuiteConfig:
     )
     eval_noise_sigma: float = 0.05
     alpha_rot: float = 1.0
+
+    def __post_init__(self):
+        check_eval_noise(self.eval_noise_sigma)
 
 
 @dataclass(frozen=True)

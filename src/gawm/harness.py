@@ -29,6 +29,7 @@ from .config import (
     STAGE_TRAIN,
     ExperimentConfig,
     TOOL_VERSION,
+    check_eval_noise,
     save_config,
     stage_seed,
 )
@@ -77,8 +78,9 @@ def parse_model_ref(ref: str, eval_noise_sigma: float = 0.0) -> tuple[WorldModel
     Named forms: "exact", "drift:DX,DY,DTH", "noise:SIGMA", "sat:C",
     "asym:GP,GM", or "perturbed:{json}" for combined injectors. Anything
     ending in .json is loaded as a checkpoint and wrapped with the given
-    evaluation observation noise.
+    evaluation observation noise, which must be finite and >= 0.
     """
+    check_eval_noise(eval_noise_sigma)
     if ref == "exact":
         return ExactModel(), "exact"
     if ref.startswith("drift:"):
@@ -211,31 +213,42 @@ def _load_train_dataset(cfg: ExperimentConfig, out_dir: Path) -> Dataset:
 
 
 def _held_out_prediction_loss(cfg: ExperimentConfig, net, encoder) -> float:
-    """Deterministic post-training prediction loss on freshly generated transitions."""
+    """Deterministic post-training prediction loss on freshly generated transitions.
+
+    With observation noise, the encodings draw from their own stream of
+    the eval stage seed. Record i is generated from spawn key (i,); the
+    noise stream's two-word key can never be one of those.
+    """
+    seed = stage_seed(cfg.seed, STAGE_EVAL)
     model, _ = parse_model_ref(cfg.dataset.model)
     records = generate_records(
         model, 32, cfg.dataset.length, cfg.dataset.action_dist,
-        stage_seed(cfg.seed, STAGE_EVAL), start_pos_sigma=cfg.dataset.start_pos_sigma,
+        seed, start_pos_sigma=cfg.dataset.start_pos_sigma,
     )
     transitions = [
         (rec.poses[t], rec.actions[t], rec.poses[t + 1])
         for rec in records
         for t in range(0, len(rec.actions), 4)
     ]
-    return prediction_loss(net, encoder, transitions)
+    noise = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0, 1))))
+    return prediction_loss(net, encoder, transitions, noise)
 
 
-def cmd_train(cfg: ExperimentConfig, label: str | None = None) -> Path:
+def cmd_train(cfg: ExperimentConfig, label: str | None = None,
+              dataset: Dataset | None = None) -> Path:
     """Train from the configured dataset; write checkpoint, loss curve, manifest.
 
     When the run names an init checkpoint it fine-tunes those parameters
-    (the checkpoint's encoder must match the configured one).
+    (the checkpoint's encoder must match the configured one). A caller
+    that already holds the configured dataset can pass it in ``dataset``
+    instead of having it loaded again.
     """
     t0 = time.perf_counter()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _new_manifest(cfg)
-    dataset = _load_train_dataset(cfg, out_dir)
+    if dataset is None:
+        dataset = _load_train_dataset(cfg, out_dir)
     encoder = make_encoder(
         cfg.encoder.latent_dim, _encoder_seed(cfg), cfg.encoder.obs_noise_sigma
     )
@@ -377,11 +390,15 @@ def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, Experiment
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def run_sweep_point(args: tuple[str, dict]) -> dict:
-    """Train and evaluate one grid point; returns its consolidated row."""
+def run_sweep_point(args: tuple[str, dict], dataset: Dataset | None = None) -> dict:
+    """Train and evaluate one grid point; returns its consolidated row.
+
+    ``dataset`` is the point's training dataset when the caller has it
+    loaded already; worker processes load it from disk.
+    """
     label, cfg_dict = args
     cfg = ExperimentConfig.from_dict(cfg_dict)
-    ckpt = cmd_train(cfg, label=label)
+    ckpt = cmd_train(cfg, label=label, dataset=dataset)
     gac = cmd_probe(cfg, str(ckpt))
     gar = cmd_gar(cfg, str(ckpt))
     with open(Path(cfg.out_dir) / "train_metrics.json") as f:
@@ -405,7 +422,8 @@ def run_sweep_point(args: tuple[str, dict]) -> dict:
 def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]:
     """Train and evaluate every grid point on one axis, then consolidate.
 
-    Grid points share the dataset generated from the base config. When a
+    Grid points share the dataset generated from the base config, which
+    is loaded once for the pretrain and the in-process points. When a
     pretrain run is configured, one base model is trained first and every
     grid point fine-tunes it. Rows are written in grid order regardless
     of worker scheduling.
@@ -417,6 +435,7 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     data_dir = _dataset_dir(out_dir)
     if not data_dir.is_dir():
         cmd_gen_data(cfg)
+    dataset = load_dataset(data_dir)
     base_ckpt = None
     if cfg.pretrain is not None:
         base_cfg = replace(
@@ -426,7 +445,7 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
             ga=replace(cfg.ga, lambda_ga=0.0),
             pretrain=None,
         )
-        base_ckpt = cmd_train(base_cfg, label="pretrain")
+        base_ckpt = cmd_train(base_cfg, label="pretrain", dataset=dataset)
     points = []
     for label, point_cfg in sweep_points(cfg, axis):
         point_train = replace(
@@ -444,7 +463,7 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(run_sweep_point, points))
     else:
-        rows = [run_sweep_point(p) for p in points]
+        rows = [run_sweep_point(p, dataset) for p in points]
 
     table_path = out_dir / f"ablation_{axis}.csv"
     fields = ["label", "delta_id", "delta_inv", "delta_comp", "e_gac"]

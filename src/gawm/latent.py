@@ -129,7 +129,8 @@ class DynamicsNet:
         d, h = latent_dim, hidden_dim
         return (d + 3) * h + h + h * d + d
 
-    def _views(self, params: np.ndarray):
+    def views(self, params: np.ndarray):
+        """(w1, b1, w2, b2) as views into a vector in the parameter layout."""
         d, h = self.latent_dim, self.hidden_dim
         i0 = (d + 3) * h
         i1 = i0 + h
@@ -141,7 +142,7 @@ class DynamicsNet:
         return w1, b1, w2, b2
 
     def weights(self):
-        return self._views(self.params)
+        return self.views(self.params)
 
     def param_tensors(self) -> tuple[ag.Tensor, ag.Tensor, ag.Tensor, ag.Tensor]:
         """Fresh graph leaves for one recorded forward pass."""

@@ -7,6 +7,10 @@ objective therefore matches the full three-term objective at one third
 of the global weight, and zero-weighted constraints simply contribute
 nothing when drawn. Gradients flow only through the sampled local
 rollout; the anchor latent is a detached constant.
+
+Training computes the gradient in closed form, by backpropagation
+through time over the unrolled residual MLP. The ``*_graph`` functions
+record the same objective on the autograd tape, as its reference.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .latent import (
     DynamicsNet,
     FeatureEncoder,
     make_dynamics_net,
-    net_step_graph,
     pose_features,
     rollout_endpoint_graph,
 )
@@ -145,14 +148,29 @@ class AdamOptimizer:
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
+        self._s1 = np.empty(n_params)
+        self._s2 = np.empty(n_params)
 
     def update(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """In place, in the operation order of
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+        ``p -= (lr*m_hat) / (sqrt(v_hat)+eps)``, so results are bit-identical."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        s1, s2 = self._s1, self._s2
+        self.m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=s1)
+        self.m += s1
+        self.v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=s1)
+        s1 *= grad
+        self.v += s1
+        np.divide(self.m, 1.0 - self.beta1 ** self.t, out=s1)
+        s1 *= self.learning_rate
+        np.divide(self.v, 1.0 - self.beta2 ** self.t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        params -= s1
 
 
 def make_optimizer(run: TrainRunConfig, n_params: int):
@@ -206,8 +224,32 @@ def batch_columns(batch: Batch, encoder: FeatureEncoder, rng: np.random.Generato
     return z_in, actions[batch.idx, batch.ts].T, z_next
 
 
+def _mlp_forward(z: np.ndarray, extra: np.ndarray, weights):
+    """One residual step on a (d,) vector or a (d, B) batch of columns.
+
+    Returns the output and the (x, pre, h) cache the backward pass reuses.
+    The sum keeps the association ``z + ((w2 @ h) + b2)`` of the recorded
+    step: reassociating it moves loss curves and checkpoints in their last
+    bits.
+    """
+    w1, b1, w2, b2 = weights
+    if z.ndim == 2:
+        b1, b2 = b1[:, None], b2[:, None]
+    x = np.concatenate([z, extra], axis=0)
+    pre = w1 @ x + b1
+    h = np.tanh(pre)
+    return z + ((w2 @ h) + b2), (x, pre, h)
+
+
+def _prediction_forward(weights, z_in: np.ndarray, actions: np.ndarray, z_next: np.ndarray):
+    """Mean squared one-step prediction error, the residual and the step cache."""
+    z_pred, cache = _mlp_forward(z_in, actions, weights)
+    diff = z_pred - z_next
+    return float(np.sum(diff * diff) * (1.0 / z_in.shape[1])), diff, cache
+
+
 def prediction_loss_graph(weights, z_in: np.ndarray, actions: np.ndarray, z_next: np.ndarray) -> ag.Tensor:
-    """Mean squared latent one-step prediction error over a batch of columns."""
+    """Recorded prediction loss over a batch of columns (the gradient reference)."""
     z_pred = ag.residual_mlp(ag.constant(z_in), actions, weights)
     return ag.scale(ag.sumsq(ag.sub(z_pred, ag.constant(z_next))), 1.0 / z_in.shape[1])
 
@@ -221,61 +263,145 @@ def prediction_loss(net: DynamicsNet, encoder: FeatureEncoder, transitions,
     z_in = _encode_columns(np.stack([pose_features(p) for p in poses_in], axis=1), encoder, rng)
     z_next = _encode_columns(np.stack([pose_features(p) for p in poses_next], axis=1), encoder, rng)
     actions = np.stack([a.as_array() for a in actions], axis=1)
-    return float(prediction_loss_graph(net.param_tensors(), z_in, actions, z_next).value)
+    return _prediction_forward(net.weights(), z_in, actions, z_next)[0]
 
 
-def _teacher_forced_endpoint(weights, z_t: ag.Tensor, segment: ActionSegment,
-                             start_pose: Pose2, encoder: FeatureEncoder) -> ag.Tensor:
-    """Endpoint with intermediate latents snapped to exact-simulator states.
+def _constraint_segments(base_segment: ActionSegment, cfg: GALossConfig, active: str,
+                         dirichlet_rng: np.random.Generator | None) -> list[ActionSegment]:
+    """Rollout segments of the active constraint: one whose endpoint is
+    compared with the anchor (identity, inverse), or two whose endpoints
+    are compared with each other (composition)."""
+    if not 1 <= len(base_segment) <= cfg.max_span:
+        raise ValueError(
+            f"base segment length {len(base_segment)} outside [1, {cfg.max_span}]"
+        )
+    if active == CONSTRAINT_ID:
+        return [make_identity_segment(len(base_segment))]
+    if active == CONSTRAINT_INV:
+        return [make_inverse_segment(base_segment)]
+    if active == CONSTRAINT_COMP:
+        u_b = make_compatibility_segment(base_segment, cfg.dirichlet, rng=dirichlet_rng)
+        return [base_segment, u_b]
+    raise ValueError(f"unknown constraint: {active!r}")
 
-    Reference states are noiseless encodings of the exact rigid-motion
-    rollout of the segment, standing in for ground-truth context.
+
+def _rollout_plan(segment: ActionSegment, cfg: GALossConfig, start_pose: Pose2 | None,
+                  encoder: FeatureEncoder | None) -> tuple[np.ndarray | None, ActionSegment]:
+    """The network steps a rollout endpoint depends on: (first input, actions).
+
+    A first input of None means the anchor latent. Free-running rolls the
+    whole segment from the anchor. Teacher forcing snaps every later
+    step's input to the noiseless encoding of the exact rigid-motion
+    state, which stands in for ground-truth context, so only the last
+    step reaches the endpoint.
     """
-    z = z_t
-    state = start_pose
-    for i, a in enumerate(segment):
-        if i > 0:
-            z_in = ag.constant(encoder.projection @ pose_features(state))
-        else:
-            z_in = z
-        z = net_step_graph(z_in, a, weights)
-        state = exact_step(state, a)
-    return z
-
-
-def _endpoint(weights, z_t: ag.Tensor, segment: ActionSegment, cfg: GALossConfig,
-              start_pose: Pose2 | None, encoder: FeatureEncoder | None) -> ag.Tensor:
     if cfg.mode == FREE_RUNNING:
-        return rollout_endpoint_graph(z_t, segment, weights)
+        return None, segment
     if start_pose is None or encoder is None:
         raise ValueError("teacher-forced mode needs the anchor pose and the encoder")
-    return _teacher_forced_endpoint(weights, z_t, segment, start_pose, encoder)
+    if len(segment) == 1:
+        return None, segment
+    state = start_pose
+    for a in segment[:-1]:
+        state = exact_step(state, a)
+    return encoder.projection @ pose_features(state), segment[-1:]
 
 
 def ga_loss_graph(weights, z_t: np.ndarray, base_segment: ActionSegment, cfg: GALossConfig,
                   active: str, dirichlet_rng: np.random.Generator | None = None, *,
                   start_pose: Pose2 | None = None,
                   encoder: FeatureEncoder | None = None) -> ag.Tensor:
-    """Recorded graph of the active consistency loss from a detached anchor latent."""
-    if not 1 <= len(base_segment) <= cfg.max_span:
-        raise ValueError(
-            f"base segment length {len(base_segment)} outside [1, {cfg.max_span}]"
-        )
+    """Recorded active consistency loss from a detached anchor latent (the
+    gradient reference)."""
     anchor = ag.constant(z_t)
-    if active == CONSTRAINT_ID:
-        seg = make_identity_segment(len(base_segment))
-        end = _endpoint(weights, anchor, seg, cfg, start_pose, encoder)
-        return ag.sumsq(ag.sub(end, anchor))
-    if active == CONSTRAINT_INV:
-        seg = make_inverse_segment(base_segment)
-        end = _endpoint(weights, anchor, seg, cfg, start_pose, encoder)
-        return ag.sumsq(ag.sub(end, anchor))
-    if active == CONSTRAINT_COMP:
-        u_b = make_compatibility_segment(base_segment, cfg.dirichlet, rng=dirichlet_rng)
-        end_a = _endpoint(weights, anchor, base_segment, cfg, start_pose, encoder)
-        end_b = _endpoint(weights, anchor, u_b, cfg, start_pose, encoder)
-        return ag.sumsq(ag.sub(end_a, end_b))
-    raise ValueError(f"unknown constraint: {active!r}")
+    ends = []
+    for seg in _constraint_segments(base_segment, cfg, active, dirichlet_rng):
+        z_in, steps = _rollout_plan(seg, cfg, start_pose, encoder)
+        z = anchor if z_in is None else ag.constant(z_in)
+        ends.append(rollout_endpoint_graph(z, steps, weights))
+    return ag.sumsq(ag.sub(ends[0], ends[1] if len(ends) == 2 else anchor))
+
+
+def _rollout_vjp(g: np.ndarray, caches, weights, grads) -> None:
+    """Add one rollout chain's weight gradients to ``grads``, last step
+    first (the order the tape accumulates them in); the chain's first
+    input is a constant, so no gradient leaves it."""
+    w1, _, w2, _ = weights
+    gw1, gb1, gw2, gb2 = grads
+    d = g.shape[0]
+    for i in range(len(caches) - 1, -1, -1):
+        x, _, h = caches[i]
+        g_pre = (w2.T @ g) * (1.0 - h * h)
+        gw1 += g_pre[:, None] * x
+        gb1 += g_pre
+        gw2 += g[:, None] * h
+        gb2 += g
+        if i:
+            g = g + (w1.T @ g_pre)[:d]
+
+
+def objective_grad(net: DynamicsNet, columns, z_t: np.ndarray, base_segment: ActionSegment,
+                   cfg: GALossConfig, active: str,
+                   dirichlet_rng: np.random.Generator | None = None, *,
+                   start_pose: Pose2 | None = None,
+                   encoder: FeatureEncoder | None = None) -> tuple[float, float, np.ndarray]:
+    """(l_pred, l_ga, flat gradient) of ``l_pred + lambda_ga * w_active * l_ga``.
+
+    Closed-form backpropagation through time: the forward pass caches
+    (x, pre, h) for the prediction batch and for every rollout step the
+    endpoint depends on, and the backward pass reuses them. Each weight
+    gradient is summed in the recorded tape's order (prediction first,
+    then each rollout chain from its last step back), so the result is
+    bit-identical to ``prediction_loss_graph`` plus ``ga_loss_graph``
+    through ``autograd.backward``. A rollout whose weight is zero still
+    runs forward, for its loss value, but adds nothing to the gradient.
+
+    Raises NonFiniteLossError where the tape raises NonFiniteGraphError.
+    Checking both loss scalars and every pre-activation is enough: a
+    non-finite step output reaches the next pre-activation or a loss, a
+    non-finite weight or input reaches a pre-activation or an output, and
+    a pre-activation must be checked itself because tanh saturates an
+    overflow to a finite value.
+    """
+    weights = net.weights()
+    w2 = weights[2]
+    l_pred, diff, cache = _prediction_forward(weights, *columns)
+    pres = [cache[1]]
+    chains, ends = [], []
+    for seg in _constraint_segments(base_segment, cfg, active, dirichlet_rng):
+        z, steps = _rollout_plan(seg, cfg, start_pose, encoder)
+        z = z_t if z is None else z
+        caches = []
+        for a in steps:
+            z, step_cache = _mlp_forward(z, a.as_array(), weights)
+            caches.append(step_cache)
+            pres.append(step_cache[1])
+        chains.append(caches)
+        ends.append(z)
+    end_diff = ends[0] - (ends[1] if len(ends) == 2 else z_t)
+    l_ga = float(np.sum(end_diff * end_diff))
+    weight = cfg.lambda_ga * cfg.constraint_weight(active)
+    losses_finite = math.isfinite(l_pred) and math.isfinite(l_ga) and math.isfinite(
+        l_pred + weight * l_ga)
+    if not (losses_finite and all(np.isfinite(p).all() for p in pres)):
+        raise NonFiniteLossError("non-finite loss or pre-activation")
+
+    grad = np.empty_like(net.params)
+    grads = net.views(grad)
+    gw1, gb1, gw2, gb2 = grads
+    x, _, h = cache
+    g = (2.0 * (1.0 / diff.shape[1])) * diff
+    g_pre = (w2.T @ g) * (1.0 - h * h)
+    gw1[...] = g_pre @ x.T
+    gb1[...] = g_pre.sum(axis=1)
+    gw2[...] = g @ h.T
+    gb2[...] = g.sum(axis=1)
+    if weight != 0.0:
+        g = (2.0 * weight) * end_diff
+        _rollout_vjp(g, chains[0], weights, grads)
+        if len(chains) == 2:
+            _rollout_vjp(-g, chains[1], weights, grads)
+    return l_pred, l_ga, grad
 
 
 @dataclass
@@ -304,24 +430,17 @@ class TrainStreams:
 def train_step(net: DynamicsNet, encoder: FeatureEncoder, cfg: GALossConfig,
                batch: Batch, optimizer, streams: TrainStreams) -> GALossValues:
     """One optimizer update on the per-batch objective; returns the losses."""
-    z_in, actions, z_next = batch_columns(batch, encoder, streams.noise)
-    weights = net.param_tensors()
-    pred = prediction_loss_graph(weights, z_in, actions, z_next)
-
+    columns = batch_columns(batch, encoder, streams.noise)
     active = CONSTRAINTS[int(streams.constraint.integers(0, len(CONSTRAINTS)))]
     z_t = encoder.projection @ batch.dataset.features[batch.anchor_i, batch.anchor_t]
-    ga = ga_loss_graph(
-        weights, z_t, batch.base_segment, cfg, active, dirichlet_rng=streams.dirichlet,
+    l_pred, value, grad = objective_grad(
+        net, columns, z_t, batch.base_segment, cfg, active, dirichlet_rng=streams.dirichlet,
         start_pose=batch.start_pose, encoder=encoder,
     )
-    total = ag.add(pred, ag.scale(ga, cfg.lambda_ga * cfg.constraint_weight(active)))
-    ag.backward(total)
-    optimizer.update(net.params, net.pack_grads(weights))
-
-    value = float(ga.value)
+    optimizer.update(net.params, grad)
     return GALossValues(
         active_constraint=active,
-        l_pred=float(pred.value),
+        l_pred=l_pred,
         l_id=value if active == CONSTRAINT_ID else None,
         l_inv=value if active == CONSTRAINT_INV else None,
         l_comp=value if active == CONSTRAINT_COMP else None,
@@ -364,7 +483,7 @@ def train(run: TrainRunConfig, cfg: GALossConfig, dataset: Dataset,
         batch = sample_batch(dataset, run.batch_size, cfg.max_span, streams.batch)
         try:
             values = train_step(net, encoder, cfg, batch, optimizer, streams)
-        except ag.NonFiniteGraphError as exc:
+        except NonFiniteLossError as exc:
             raise NonFiniteLossError(f"non-finite loss at step {step}") from exc
         l_ga = values.active_value()
         total = values.l_pred + cfg.lambda_ga * cfg.constraint_weight(values.active_constraint) * l_ga

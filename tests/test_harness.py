@@ -319,6 +319,28 @@ def test_cli_probe_and_errors(tmp_path):
     assert err["type"] == "UnknownModelRefError"
 
 
+def test_cli_rejects_bad_eval_noise_with_typed_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    d = tiny_config(tmp_path / "cli_noise").to_dict()
+    d["gar"]["eval_noise_sigma"] = -1.0
+    cfg_path.write_text(json.dumps(d))
+    bad = CliRunner().invoke(cli_main, ["gar", "exact", "--config", str(cfg_path)])
+    assert bad.exit_code == 1
+    err = json.loads(bad.output.strip().splitlines()[-1])
+    assert err["type"] == "ValueError"
+    assert "eval_noise_sigma" in err["error"]
+
+
+def test_threads_only_on_ablate(tmp_path):
+    runner = CliRunner()
+    for cmd in (["gen-data"], ["train"], ["probe", "exact"], ["gar", "exact"]):
+        result = runner.invoke(cli_main, cmd + ["--threads", "2", "--out", str(tmp_path / "t")])
+        assert result.exit_code == 2, cmd
+        assert "No such option" in result.output
+    assert not (tmp_path / "t").exists()
+    assert "--threads" in runner.invoke(cli_main, ["ablate", "--help"]).output
+
+
 def test_cli_seed_and_out_overrides(tmp_path):
     runner = CliRunner()
     out = tmp_path / "cli_out"
@@ -335,6 +357,41 @@ def test_learned_model_eval_noise_wrapping(trained_run):
     assert model.encoder.obs_noise_sigma == 0.1
     model0, _ = parse_model_ref(str(ckpt))
     assert model0.encoder.obs_noise_sigma == 0.0
+
+
+@pytest.mark.parametrize("sigma", (math.nan, math.inf, -1.0))
+def test_parse_model_ref_rejects_bad_eval_noise(trained_run, sigma):
+    _cfg, ckpt = trained_run
+    for ref in (str(ckpt), "exact"):
+        with pytest.raises(ValueError, match="eval_noise_sigma"):
+            parse_model_ref(ref, eval_noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", (math.nan, math.inf, -1.0))
+def test_suite_configs_reject_bad_eval_noise(sigma):
+    with pytest.raises(ValueError, match="eval_noise_sigma"):
+        ProbeSuiteConfig(eval_noise_sigma=sigma)
+    with pytest.raises(ValueError, match="eval_noise_sigma"):
+        GarSuiteConfig(eval_noise_sigma=sigma)
+    assert ProbeSuiteConfig(eval_noise_sigma=0.0).eval_noise_sigma == 0.0
+
+
+def test_train_with_observation_noise_writes_and_reproduces(tmp_path):
+    def run(name):
+        cfg = replace(tiny_config(tmp_path / name, steps=6),
+                      encoder=EncoderConfig(latent_dim=8, obs_noise_sigma=0.01))
+        cmd_gen_data(cfg)
+        return Path(cfg.out_dir), cmd_train(cfg)
+
+    out1, ckpt1 = run("noisy_a")
+    out2, ckpt2 = run("noisy_b")
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert sorted(manifest["stages"]["train"]["paths"]) == sorted(
+        str(out1 / name) for name in ("checkpoint.json", "loss_curve.csv", "train_metrics.json"))
+    metrics = json.loads((out1 / "train_metrics.json").read_text())
+    assert math.isfinite(metrics["eval_prediction_loss"]) and metrics["eval_prediction_loss"] > 0.0
+    for name in ("checkpoint.json", "loss_curve.csv", "train_metrics.json"):
+        assert file_sha256(out1 / name) == file_sha256(out2 / name), name
 
 
 def test_finetune_from_checkpoint(trained_run, tmp_path):
@@ -367,10 +424,21 @@ def test_finetune_rejects_mismatched_encoder(trained_run, tmp_path):
         cmd_train(bad)
 
 
-def test_ablate_with_pretrain_shares_base(tmp_path):
+def test_ablate_with_pretrain_shares_base(tmp_path, monkeypatch):
+    import gawm.harness as harness
+
+    loads = []
+
+    def counting_load(path):
+        loads.append(str(path))
+        return load_dataset(path)
+
+    monkeypatch.setattr(harness, "load_dataset", counting_load)
     cfg = tiny_config(tmp_path / "pre_ablate", steps=6)
     cfg = replace(cfg, pretrain=replace(cfg.train, steps=10))
     rows = cmd_ablate(cfg, "constraints")
+    # one load serves the pretrain and all five in-process grid points
+    assert loads == [str(Path(cfg.out_dir) / "dataset")]
     base_ckpt = Path(cfg.out_dir) / "base" / "checkpoint.json"
     assert base_ckpt.exists()
     resolved = json.loads(

@@ -9,7 +9,10 @@ from gawm.latent import DynamicsNet, make_decoder, make_dynamics_net, make_encod
 from gawm.models import ExactModel
 from gawm.se2 import Pose2
 from gawm.segments import ActionIncrement, ActionSegment, DirichletParams
+from gawm import training
 from gawm.training import (
+    AdamOptimizer,
+    Batch,
     CONSTRAINT_COMP,
     CONSTRAINT_ID,
     CONSTRAINT_INV,
@@ -25,6 +28,7 @@ from gawm.training import (
     batch_columns,
     ga_loss_graph,
     make_optimizer,
+    objective_grad,
     prediction_loss,
     prediction_loss_graph,
     sample_batch,
@@ -203,6 +207,32 @@ def test_free_running_and_teacher_forced_differ_on_inverse(encoder):
         ag.backward(loss)
         grads[mode] = net.pack_grads(weights)
     assert not np.allclose(grads[FREE_RUNNING], grads[TEACHER_FORCED])
+
+
+def test_teacher_forced_loss_matches_exact_state_oracle(encoder):
+    # every step after the first starts from the noiseless encoding of the
+    # exact simulator's state, so the endpoint is the last step from there
+    from gawm.latent import net_step
+    from gawm.segments import make_inverse_segment
+
+    net = make_dynamics_net(8, 16, 19)
+    start = Pose2(0.4, -0.3, 0.8)
+    z_t = encoder.projection @ pose_features(start)
+    base = ActionSegment([ActionIncrement(0.2, 0.05, 0.3), ActionIncrement(0.15, -0.05, -0.2)])
+    cycle = make_inverse_segment(base)
+    state = start
+    for a in cycle[:-1]:
+        state = ExactModel().step(state, a, None)
+    end = net_step(encoder.projection @ pose_features(state), cycle[-1], net)
+    expected = float(np.sum((end - z_t) ** 2))
+
+    cfg = GALossConfig(mode=TEACHER_FORCED)
+    context = dict(start_pose=start, encoder=encoder)
+    graph = ga_loss_graph(net.param_tensors(), z_t, base, cfg, CONSTRAINT_INV, **context)
+    assert float(graph.value) == pytest.approx(expected, rel=1e-12)
+    columns = (z_t[:, None], np.zeros((3, 1)), z_t[:, None])
+    _, l_ga, _ = objective_grad(net, columns, z_t, base, cfg, CONSTRAINT_INV, **context)
+    assert l_ga == pytest.approx(expected, rel=1e-12)
 
 
 def test_teacher_forced_requires_anchor_pose():
@@ -396,3 +426,129 @@ def test_adam_and_sgd_update_shapes():
         opt.update(params, np.array([1.0, -1.0, 0.5, 0.0]))
         assert params.shape == (4,)
         assert not np.array_equal(params, np.ones(4))
+
+
+def _tape_train_step(net, encoder, cfg, batch, optimizer, streams):
+    """The training step as the recorded tape computes it (the reference)."""
+    z_in, actions, z_next = batch_columns(batch, encoder, streams.noise)
+    weights = net.param_tensors()
+    pred = prediction_loss_graph(weights, z_in, actions, z_next)
+    active = CONSTRAINTS[int(streams.constraint.integers(0, len(CONSTRAINTS)))]
+    z_t = encoder.projection @ batch.dataset.features[batch.anchor_i, batch.anchor_t]
+    ga = ga_loss_graph(weights, z_t, batch.base_segment, cfg, active,
+                       dirichlet_rng=streams.dirichlet, start_pose=batch.start_pose,
+                       encoder=encoder)
+    ag.backward(ag.add(pred, ag.scale(ga, cfg.lambda_ga * cfg.constraint_weight(active))))
+    optimizer.update(net.params, net.pack_grads(weights))
+    value = float(ga.value)
+    return GALossValues(active, float(pred.value),
+                        *(value if active == c else None for c in CONSTRAINTS))
+
+
+@pytest.mark.parametrize("noise", (0.0, 0.05))
+@pytest.mark.parametrize("mode", (FREE_RUNNING, TEACHER_FORCED))
+@pytest.mark.parametrize("active", CONSTRAINTS)
+def test_closed_form_gradient_equals_tape_bit_for_bit(dataset, active, mode, noise):
+    enc = make_encoder(8, 200, obs_noise_sigma=noise)
+    net = make_dynamics_net(8, 16, 60, w1_gain=3.0)
+    cfg = GALossConfig(lambda_ga=0.7, lambda_inv=1.3, mode=mode)
+    rng = _rng(61)
+    spans = set()
+    for k in range(12):
+        batch = sample_batch(dataset, 8, cfg.max_span, rng)
+        spans.add(len(batch.base_segment))
+        columns = batch_columns(batch, enc, _rng(100 + k))
+        z_t = enc.projection @ pose_features(batch.start_pose)
+        context = dict(start_pose=batch.start_pose, encoder=enc)
+
+        weights = net.param_tensors()
+        pred = prediction_loss_graph(weights, *columns)
+        ga = ga_loss_graph(weights, z_t, batch.base_segment, cfg, active,
+                           dirichlet_rng=_rng(200 + k), **context)
+        ag.backward(ag.add(pred, ag.scale(ga, cfg.lambda_ga * cfg.constraint_weight(active))))
+
+        l_pred, l_ga, grad = objective_grad(net, columns, z_t, batch.base_segment, cfg, active,
+                                            dirichlet_rng=_rng(200 + k), **context)
+        assert l_pred == float(pred.value) and l_ga == float(ga.value)
+        assert np.array_equal(grad, net.pack_grads(weights))
+        assert np.any(grad != 0.0)
+    assert spans == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("mode", (FREE_RUNNING, TEACHER_FORCED))
+@pytest.mark.parametrize("cfg_kwargs", (
+    dict(),
+    dict(lambda_ga=0.0),
+    dict(lambda_inv=0.0, lambda_comp=0.0),
+    dict(lambda_id=0.0, lambda_inv=0.0),
+))
+def test_training_equals_tape_reference_byte_for_byte(dataset, monkeypatch, mode, cfg_kwargs):
+    # zero-weighted rollouts are skipped in the backward pass; params and
+    # loss rows must still equal the tape, which backpropagates them
+    enc = make_encoder(8, 200, obs_noise_sigma=0.02)
+    cfg = GALossConfig(mode=mode, **cfg_kwargs)
+    run = TrainRunConfig(steps=40, batch_size=8, learning_rate=3e-3, seed=62,
+                         hidden_dim=16, init_w1_gain=3.0)
+    closed = train(run, cfg, dataset, enc)
+    monkeypatch.setattr(training, "train_step", _tape_train_step)
+    tape = train(run, cfg, dataset, enc)
+    assert closed.net.params.tobytes() == tape.net.params.tobytes()
+    assert closed.rows == tape.rows
+    assert any(r.l_ga > 0.0 for r in closed.rows)
+
+
+def test_in_place_adam_equals_the_textbook_formula():
+    rng = _rng(63)
+    n = 50
+    opt = AdamOptimizer(1e-3, n)
+    params = rng.normal(size=n)
+    ref_params, m, v = params.copy(), np.zeros(n), np.zeros(n)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-3
+    for t in range(1, 101):
+        grad = rng.normal(size=n) * 10.0 ** rng.integers(-6, 3)
+        grad[t % n] = 0.0
+        opt.update(params, grad)
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        ref_params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert params.tobytes() == ref_params.tobytes(), t
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+
+
+@pytest.fixture(scope="module")
+def far_dataset():
+    # trajectory 0 lives near the origin, trajectory 1 at about 1e10
+    near = generate_records(ExactModel(), 1, 8, ActionDistribution(), seed=64)
+    far = generate_records(ExactModel(), 1, 8, ActionDistribution(), seed=65,
+                           start_pos_sigma=1e10)
+    return Dataset(near + far)
+
+
+@pytest.mark.parametrize("where", ("prediction", "rollout"))
+def test_train_rejects_pre_activation_overflow(far_dataset, monkeypatch, where):
+    # a huge input weight on the first latent makes the far trajectory's
+    # pre-activations overflow to +-inf, while tanh keeps every output, and
+    # so every loss, finite
+    enc = make_encoder(8, 200)
+    net = make_dynamics_net(8, 8, 66)
+    net.weights()[0][:, 0] = 1e305
+    pred_i, anchor_i = (1, 0) if where == "prediction" else (0, 1)
+    batch = Batch(far_dataset, np.full(4, pred_i), np.arange(4), anchor_i, 2,
+                  far_dataset.segment(anchor_i, 2, 3))
+    cfg = GALossConfig()
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_t = enc.projection @ pose_features(batch.start_pose)
+        weights = net.param_tensors()
+        pred = prediction_loss_graph(weights, *batch_columns(batch, enc, None))
+        ga = ga_loss_graph(weights, z_t, batch.base_segment, cfg, CONSTRAINT_INV)
+        total = ag.add(pred, ag.scale(ga, 1.0))
+        assert np.isfinite(total.value)
+        with pytest.raises(ag.NonFiniteGraphError):
+            ag.backward(total)
+
+        monkeypatch.setattr(training, "sample_batch", lambda *args: batch)
+        run = TrainRunConfig(steps=3, batch_size=4, seed=67)
+        with pytest.raises(NonFiniteLossError, match="step 0"):
+            train(run, cfg, far_dataset, enc, initial_net=net)
