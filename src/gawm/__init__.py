@@ -19,6 +19,8 @@ from .models import (
     exact_step,
     perturbed_step,
     rollout,
+    rollout_batch,
+    step_batch,
 )
 from .metrics import (
     EvalSequence,

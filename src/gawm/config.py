@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .data import ActionDistribution
@@ -98,6 +98,19 @@ class GarSuiteConfig:
         check_eval_noise(self.eval_noise_sigma)
 
 
+def _section(d: dict, cls, path: str) -> dict:
+    """A copy of config section ``d``, whose keys must all be fields of ``cls``."""
+    names = {f.name for f in fields(cls)}
+    for key in d:
+        if key not in names:
+            raise ValueError(f"unknown config key: {path}{key}")
+    return dict(d)
+
+
+def _action_dist(d: dict, path: str) -> ActionDistribution:
+    return ActionDistribution.from_dict(_section(d, ActionDistribution, path))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
@@ -120,35 +133,39 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        ga = dict(d.get("ga", {}))
+        """Build a config from its dict form; a key that names no field, at
+        any level, raises ValueError with the key's dotted path."""
+        d = _section(d, ExperimentConfig, "")
+        ga = _section(d.get("ga", {}), GALossConfig, "ga.")
         if "dirichlet" in ga:
-            ga["dirichlet"] = DirichletParams(**ga["dirichlet"])
-        probes = dict(d.get("probes", {}))
+            ga["dirichlet"] = DirichletParams(**_section(ga["dirichlet"], DirichletParams, "ga.dirichlet."))
+        probes = _section(d.get("probes", {}), ProbeSuiteConfig, "probes.")
         if "action_dist" in probes:
-            probes["action_dist"] = ActionDistribution.from_dict(probes["action_dist"])
+            probes["action_dist"] = _action_dist(probes["action_dist"], "probes.action_dist.")
         for key in ("identity_lengths", "inverse_lengths", "composition_lengths"):
             if key in probes:
                 probes[key] = tuple(probes[key])
-        gar = dict(d.get("gar", {}))
+        gar = _section(d.get("gar", {}), GarSuiteConfig, "gar.")
         if "action_dist" in gar:
-            gar["action_dist"] = ActionDistribution.from_dict(gar["action_dist"])
+            gar["action_dist"] = _action_dist(gar["action_dist"], "gar.action_dist.")
         if "horizons" in gar:
             gar["horizons"] = tuple(gar["horizons"])
-        dataset = dict(d.get("dataset", {}))
+        dataset = _section(d.get("dataset", {}), DatasetConfig, "dataset.")
         if "action_dist" in dataset:
-            dataset["action_dist"] = ActionDistribution.from_dict(dataset["action_dist"])
+            dataset["action_dist"] = _action_dist(dataset["action_dist"], "dataset.action_dist.")
+        train = _section(d.get("train", {}), TrainRunConfig, "train.")
         pretrain = d.get("pretrain")
         return ExperimentConfig(
             seed=int(d.get("seed", 0)),
             out_dir=str(d.get("out_dir", "runs/default")),
             dataset=DatasetConfig(**dataset),
-            encoder=EncoderConfig(**d.get("encoder", {})),
-            train=TrainRunConfig(**({"steps": 5000} | dict(d.get("train", {})))),
+            encoder=EncoderConfig(**_section(d.get("encoder", {}), EncoderConfig, "encoder.")),
+            train=TrainRunConfig(**({"steps": 5000} | train)),
             ga=GALossConfig(**ga),
             probes=ProbeSuiteConfig(**probes),
             gar=GarSuiteConfig(**gar),
-            pretrain=None if pretrain is None else TrainRunConfig(**pretrain),
+            pretrain=None if pretrain is None else TrainRunConfig(
+                **_section(pretrain, TrainRunConfig, "pretrain.")),
         )
 
     def config_hash(self) -> str:

@@ -2,8 +2,8 @@
 
 Each stage is a plain function from a resolved config to files on disk,
 so tests can drive them directly and sweep grid points can run in
-worker processes. The run manifest is written atomically at the end of
-a stage; an interrupted run leaves no manifest.
+worker processes. Each stage adds its entry to the run manifest
+atomically when it ends; an interrupted stage leaves no entry.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -126,31 +126,63 @@ def model_is_deterministic(model: WorldModel) -> bool:
     return False
 
 
-@dataclass
-class _ManifestBuilder:
-    config_hash: str
-    stages: dict
-
-    def add(self, name: str, paths: list[str], wall_clock_s: float) -> None:
-        self.stages[name] = {"paths": sorted(paths), "wall_clock_s": wall_clock_s}
-
-    def write(self, out_dir: Path) -> Path:
-        payload = {
-            "tool_version": TOOL_VERSION,
-            "config_hash": self.config_hash,
-            "stages": self.stages,
-        }
-        target = out_dir / "manifest.json"
-        tmp = out_dir / "manifest.json.tmp"
-        with open(tmp, "w") as f:
-            json.dump(payload, f, sort_keys=True, indent=2)
-            f.write("\n")
-        os.replace(tmp, target)
-        return target
+def _manifest_payload(out_dir: Path) -> dict | None:
+    try:
+        with open(out_dir / "manifest.json") as f:
+            return json.load(f)
+    except FileNotFoundError:
+        return None
 
 
-def _new_manifest(cfg: ExperimentConfig) -> _ManifestBuilder:
-    return _ManifestBuilder(config_hash=cfg.config_hash(), stages={})
+def _write_manifest(out_dir: Path, config_hash: str, stages: dict) -> None:
+    payload = {"tool_version": TOOL_VERSION, "config_hash": config_hash, "stages": stages}
+    target = out_dir / "manifest.json"
+    tmp = out_dir / "manifest.json.tmp"
+    with open(tmp, "w") as f:
+        json.dump(payload, f, sort_keys=True, indent=2)
+        f.write("\n")
+    os.replace(tmp, target)
+
+
+class _Stage:
+    """One stage's entry in the run manifest of ``cfg.out_dir``.
+
+    The manifest keeps the stages that ran in the directory under one
+    config hash. Opening a stage removes what would go stale once it
+    starts overwriting files: its own earlier entry, or the whole
+    manifest if another config wrote it. An interrupted run therefore
+    leaves no entry for files it did not finish. ``finish`` adds the
+    stage's entry next to the others.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, name: str):
+        self.t0 = time.perf_counter()
+        self.name = name
+        self.config_hash = cfg.config_hash()
+        self.out_dir = Path(cfg.out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        payload = _manifest_payload(self.out_dir)
+        if payload is None:
+            return
+        if payload["config_hash"] != self.config_hash:
+            os.remove(self.out_dir / "manifest.json")
+        elif name in payload["stages"]:
+            del payload["stages"][name]
+            _write_manifest(self.out_dir, self.config_hash, payload["stages"])
+
+    def finish(self, paths: list, **counts: int) -> None:
+        """Record the stage's outputs and wall time, plus each count with
+        its rate over that time (``<count>_per_s``)."""
+        wall = time.perf_counter() - self.t0
+        entry = {"paths": sorted(str(p) for p in paths), "wall_clock_s": wall}
+        for key, value in counts.items():
+            entry[key] = value
+            entry[f"{key}_per_s"] = value / wall
+        payload = _manifest_payload(self.out_dir)
+        stages = {} if payload is None or payload["config_hash"] != self.config_hash \
+            else payload["stages"]
+        stages[self.name] = entry
+        _write_manifest(self.out_dir, self.config_hash, stages)
 
 
 def _dataset_dir(out_dir: Path) -> Path:
@@ -182,10 +214,8 @@ def probe_grid_from_config(cfg: ExperimentConfig) -> list[ProbeConfig]:
 
 def cmd_gen_data(cfg: ExperimentConfig) -> Path:
     """Generate the training dataset under <out_dir>/dataset."""
-    t0 = time.perf_counter()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(cfg)
+    stage = _Stage(cfg, "gen-data")
+    out_dir = stage.out_dir
     model, model_name = parse_model_ref(cfg.dataset.model)
     seed = cfg.dataset.seed if cfg.dataset.seed is not None else stage_seed(cfg.seed, STAGE_DATASET)
     records = generate_records(
@@ -195,8 +225,7 @@ def cmd_gen_data(cfg: ExperimentConfig) -> Path:
     data_dir = _dataset_dir(out_dir)
     write_dataset(data_dir, records, {"seed": seed, "model": model_name})
     save_config(out_dir / "resolved_config.json", cfg)
-    manifest.add("gen-data", [str(data_dir)], time.perf_counter() - t0)
-    manifest.write(out_dir)
+    stage.finish([data_dir])
     return data_dir
 
 
@@ -243,23 +272,21 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
     that already holds the configured dataset can pass it in ``dataset``
     instead of having it loaded again.
     """
-    t0 = time.perf_counter()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(cfg)
+    stage = _Stage(cfg, "train")
+    out_dir = stage.out_dir
     if dataset is None:
         dataset = _load_train_dataset(cfg, out_dir)
     encoder = make_encoder(
         cfg.encoder.latent_dim, _encoder_seed(cfg), cfg.encoder.obs_noise_sigma
     )
     initial_net = None
-    stage = STAGE_TRAIN
+    seed_stage = STAGE_TRAIN
     if cfg.train.init_checkpoint is not None:
         initial_net, ckpt_encoder, _meta = load_checkpoint(cfg.train.init_checkpoint)
         if not np.array_equal(ckpt_encoder.projection, encoder.projection):
             raise ValueError("init checkpoint was trained with a different encoder")
-        stage = STAGE_FINETUNE
-    run = replace(cfg.train, seed=stage_seed(cfg.seed, stage))
+        seed_stage = STAGE_FINETUNE
+    run = replace(cfg.train, seed=stage_seed(cfg.seed, seed_stage))
     result = train(run, cfg.ga, dataset, encoder, initial_net=initial_net)
 
     eval_loss = _held_out_prediction_loss(cfg, result.net, encoder)
@@ -286,18 +313,14 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
         )
         f.write("\n")
     save_config(out_dir / "resolved_config.json", cfg)
-    manifest.add("train", [str(ckpt_path), str(curve_path), str(metrics_path)],
-                 time.perf_counter() - t0)
-    manifest.write(out_dir)
+    stage.finish([ckpt_path, curve_path, metrics_path])
     return ckpt_path
 
 
 def cmd_probe(cfg: ExperimentConfig, model_ref: str):
     """Run the consistency probe grid against a model reference."""
-    t0 = time.perf_counter()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(cfg)
+    stage = _Stage(cfg, "probe")
+    out_dir = stage.out_dir
     model, model_name = parse_model_ref(model_ref, cfg.probes.eval_noise_sigma)
     seed = stage_seed(cfg.seed, STAGE_PROBE)
     sequences = make_eval_sequences(
@@ -319,17 +342,15 @@ def cmd_probe(cfg: ExperimentConfig, model_ref: str):
     write_gac_summary_csv(paths["summary"], report, model_name)
     write_gac_gnuplot(paths["gnuplot"], report)
     save_config(out_dir / "resolved_config.json", cfg)
-    manifest.add("probe", [str(p) for p in paths.values()], time.perf_counter() - t0)
-    manifest.write(out_dir)
+    stage.finish(list(paths.values()),
+                 probe_instances=sum(r.n_instances for r in report.per_config))
     return report
 
 
 def cmd_gar(cfg: ExperimentConfig, model_ref: str):
     """Run the rollout-dispersion evaluation against a model reference."""
-    t0 = time.perf_counter()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(cfg)
+    stage = _Stage(cfg, "gar")
+    out_dir = stage.out_dir
     model, model_name = parse_model_ref(model_ref, cfg.gar.eval_noise_sigma)
     seed = stage_seed(cfg.seed, STAGE_GAR)
     sequences = make_eval_sequences(
@@ -345,8 +366,7 @@ def cmd_gar(cfg: ExperimentConfig, model_ref: str):
     write_gar_json(json_path, report, model_name)
     write_gar_csv(csv_path, report, model_name)
     save_config(out_dir / "resolved_config.json", cfg)
-    manifest.add("gar", [str(json_path), str(csv_path)], time.perf_counter() - t0)
-    manifest.write(out_dir)
+    stage.finish([json_path, csv_path], rollouts=len(sequences) * cfg.gar.n_rollouts)
     return report
 
 
@@ -428,10 +448,8 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     grid point fine-tunes it. Rows are written in grid order regardless
     of worker scheduling.
     """
-    t0 = time.perf_counter()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(cfg)
+    stage = _Stage(cfg, f"ablate-{axis}")
+    out_dir = stage.out_dir
     data_dir = _dataset_dir(out_dir)
     if not data_dir.is_dir():
         cmd_gen_data(cfg)
@@ -485,8 +503,7 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
         json.dump(sweep_manifest, f, sort_keys=True, indent=2)
         f.write("\n")
     save_config(out_dir / "resolved_config.json", cfg)
-    manifest.add(f"ablate-{axis}", [str(table_path)], time.perf_counter() - t0)
-    manifest.write(out_dir)
+    stage.finish([table_path])
     return rows
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .se2 import Pose2
+from .models import Trajectory
+from .se2 import Pose2, check_finite_poses, pose_array, wrap_angles
 from .segments import ActionIncrement, ActionSegment
 
 CHECKPOINT_VERSION = "gawm-checkpoint-1"
@@ -190,6 +191,41 @@ def latent_rollout_endpoint(z0: np.ndarray, u: ActionSegment, net: DynamicsNet) 
     return z
 
 
+# The array forms below give each row exactly the per-pose result. They use
+# stacked matrix-vector products, np.matmul(w, x[:, :, None]), which round
+# like the per-pose ``w @ x``; a matrix-matrix product ``x @ w.T`` does not.
+
+
+def _encode_rows(poses: np.ndarray, encoder: FeatureEncoder) -> np.ndarray:
+    """Noiseless ``encode`` of (B, 3) pose rows, as (B, d) latents."""
+    theta = poses[:, 0]
+    features = np.stack([poses[:, 1], poses[:, 2], np.cos(theta), np.sin(theta)], axis=1)
+    return np.matmul(encoder.projection, features[:, :, None])[:, :, 0]
+
+
+def _net_rows(z: np.ndarray, actions: np.ndarray, net: DynamicsNet) -> np.ndarray:
+    """``net_step`` of (B, d) latents under (B, 3) actions."""
+    w1, b1, w2, b2 = net.weights()
+    x = np.concatenate([z, actions], axis=1)
+    h = np.tanh(np.matmul(w1, x[:, :, None])[:, :, 0] + b1)
+    return z + np.matmul(w2, h[:, :, None])[:, :, 0] + b2
+
+
+def _decode_rows(z: np.ndarray, decoder: FeatureDecoder) -> np.ndarray:
+    """``decode`` of (..., d) latents into (..., 3) pose rows, with its checks."""
+    f = np.matmul(decoder.pinv, z[..., None])[..., 0]
+    if np.any((f[..., 2] == 0.0) & (f[..., 3] == 0.0)):
+        raise HeadingUndefinedError("heading features are both zero")
+    # math.atan2 per element: np.arctan2 rounds differently
+    theta = [math.atan2(s, c) for c, s in zip(f[..., 2].ravel().tolist(), f[..., 3].ravel().tolist())]
+    poses = np.empty(f.shape[:-1] + (3,))
+    poses[..., 0] = np.reshape(theta, f.shape[:-1])
+    poses[..., 1:] = f[..., :2]
+    check_finite_poses(poses)
+    poses[..., 0] = wrap_angles(poses[..., 0])
+    return poses
+
+
 def net_step_graph(z: ag.Tensor, action: ActionIncrement, weights) -> ag.Tensor:
     """Recorded counterpart of net_step for gradient computation: one tape node."""
     return ag.residual_mlp(z, action.as_array(), weights)
@@ -233,18 +269,41 @@ class LearnedWorldModel:
         z = encode(state, self.encoder, rng)
         return decode(net_step(z, action, self.net), self.decoder)
 
-    def sample_trajectory(self, start: Pose2, actions, rng: np.random.Generator):
-        from .models import Trajectory
-
+    def step_batch(self, states: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
+        """``step`` on (B, 3) states and (B, 3) actions, row b drawing from rngs[b]."""
+        z = _encode_rows(states, self.encoder)
         sigma = self.encoder.obs_noise_sigma
-        z = encode(start, self.encoder, rng)
-        poses = [start]
-        for a in actions:
+        if sigma > 0.0:
+            z = z + np.stack([rng.normal(0.0, sigma, size=z.shape[1]) for rng in rngs])
+        return _decode_rows(_net_rows(z, actions, self.net), self.decoder)
+
+    def rollout_batch(self, starts: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
+        """The native rollout of (B, T, 3) actions from (B, 3) starts, as (B, T+1, 3) poses.
+
+        Row b draws its start encoding's noise and then one noise vector
+        per step from rngs[b], as one block.
+        """
+        b, t = actions.shape[:2]
+        sigma = self.encoder.obs_noise_sigma
+        z = _encode_rows(starts, self.encoder)
+        if sigma > 0.0:
+            noise = np.stack([rng.normal(0.0, sigma, size=(t + 1, z.shape[1])) for rng in rngs])
+            z = z + noise[:, 0]
+        latents = np.empty((b, t, z.shape[1]))
+        for i in range(t):
             if sigma > 0.0:
-                z = z + rng.normal(0.0, sigma, size=z.shape)
-            z = net_step(z, a, self.net)
-            poses.append(decode(z, self.decoder))
-        return Trajectory(poses)
+                z = z + noise[:, i + 1]
+            z = _net_rows(z, actions[:, i], self.net)
+            latents[:, i] = z
+        poses = np.empty((b, t + 1, 3))
+        poses[:, 0] = starts
+        poses[:, 1:] = _decode_rows(latents, self.decoder)
+        return poses
+
+    def sample_trajectory(self, start: Pose2, actions, rng: np.random.Generator) -> Trajectory:
+        """One row of ``rollout_batch``, as a trajectory."""
+        poses = self.rollout_batch(pose_array([start]), ActionSegment(actions).to_array()[None], [rng])
+        return Trajectory.from_array(poses[0])
 
     def with_obs_noise(self, sigma: float) -> "LearnedWorldModel":
         enc = FeatureEncoder(

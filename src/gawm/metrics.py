@@ -19,16 +19,24 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .models import Trajectory, WorldModel, rollout
-from .se2 import DistanceParams, Pose2, state_distance
+from .models import WorldModel, rollout_batch, step_batch
+from .se2 import (
+    DistanceParams,
+    Pose2,
+    check_finite_poses,
+    pose_array,
+    state_distances,
+    wrap_angles,
+)
 from .segments import (
     ActionSegment,
     DirichletParams,
-    ZERO_INCREMENT,
     make_compatibility_segment,
     make_inverse_segment,
 )
@@ -118,16 +126,28 @@ def _probe_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _branch_endpoint(model: WorldModel, state: Pose2, segment: ActionSegment,
-                     rng: np.random.Generator) -> Pose2:
-    """Endpoint of a probe branch, using the model's native rollout when it
-    has one (so the probe measures the model's own generation process)."""
-    sampler = getattr(model, "sample_trajectory", None)
-    if sampler is not None:
-        return sampler(state, segment, rng)[-1]
-    for a in segment:
-        state = model.step(state, a, rng)
-    return state
+class _Generators(Sequence):
+    """One generator per row, row i's derived from ``seed`` and ``keys[i]``.
+
+    Each is built on first use and then kept. A model that draws no
+    noise never builds one, which saves their construction time and
+    keeps a batch of rows from holding a generator each.
+    """
+
+    def __init__(self, seed: int, keys: list[tuple[int, ...]]):
+        self._seed = seed
+        self._keys = keys
+        self._built: dict[int, np.random.Generator] = {}
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i: int) -> np.random.Generator:
+        i = range(len(self._keys))[i]
+        rng = self._built.get(i)
+        if rng is None:
+            rng = self._built[i] = _probe_rng(self._seed, *self._keys[i])
+        return rng
 
 
 def identity_positions(n_actions: int, k: int) -> tuple[int, ...]:
@@ -152,29 +172,7 @@ def probe_identity(model: WorldModel, sequences, cfg: ProbeConfig,
     each pause window. The stream continues from the pause endpoint."""
     if cfg.kind != KIND_IDENTITY:
         raise ValueError(f"expected an identity config, got {cfg.kind!r}")
-    errors = []
-    positions_used: tuple[int, ...] = ()
-    for s_idx, seq in enumerate(sequences):
-        n = len(seq.actions)
-        positions = cfg.start_indices or identity_positions(n, cfg.k)
-        if any(p < 0 or p > n for p in positions):
-            raise ValueError(f"insertion offsets {positions} out of range for {n} actions")
-        positions_used = tuple(positions)
-        pos = sorted(positions)
-        pause_segment = ActionSegment([ZERO_INCREMENT] * cfg.l)
-        stream_rng = _probe_rng(seed, _KIND_CODE[cfg.kind], cfg.k, cfg.l, s_idx, 0)
-        state = seq.start
-        pi = 0
-        for i in range(n + 1):
-            while pi < len(pos) and pos[pi] == i:
-                pause_rng = _probe_rng(seed, _KIND_CODE[cfg.kind], cfg.k, cfg.l, s_idx, 1 + pi)
-                before = state
-                state = _branch_endpoint(model, state, pause_segment, pause_rng)
-                errors.append(state_distance(state, before, dist))
-                pi += 1
-            if i < n:
-                state = model.step(state, seq.actions[i], stream_rng)
-    return _probe_result(cfg, errors, positions_used)
+    return _walk_probe(model, sequences, cfg, dist, seed)
 
 
 def probe_inverse(model: WorldModel, sequences, cfg: ProbeConfig,
@@ -184,28 +182,7 @@ def probe_inverse(model: WorldModel, sequences, cfg: ProbeConfig,
     unaffected by the branches."""
     if cfg.kind != KIND_INVERSE:
         raise ValueError(f"expected an inverse config, got {cfg.kind!r}")
-    errors = []
-    positions_used: tuple[int, ...] = ()
-    for s_idx, seq in enumerate(sequences):
-        n = len(seq.actions)
-        positions = cfg.start_indices or window_positions(n, cfg.l, cfg.k)
-        if any(p < 0 or p + cfg.l > n for p in positions):
-            raise ValueError(f"window starts {positions} out of range for {n} actions")
-        positions_used = tuple(positions)
-        pos_set = sorted(positions)
-        stream_rng = _probe_rng(seed, _KIND_CODE[cfg.kind], cfg.k, cfg.l, s_idx, 0)
-        state = seq.start
-        for i in range(n + 1):
-            for inst, p in enumerate(pos_set):
-                if p != i:
-                    continue
-                cycle = make_inverse_segment(seq.actions[p : p + cfg.l])
-                branch_rng = _probe_rng(seed, _KIND_CODE[cfg.kind], cfg.k, cfg.l, s_idx, 1 + inst)
-                branch = _branch_endpoint(model, state, cycle, branch_rng)
-                errors.append(state_distance(branch, state, dist))
-            if i < n:
-                state = model.step(state, seq.actions[i], stream_rng)
-    return _probe_result(cfg, errors, positions_used)
+    return _walk_probe(model, sequences, cfg, dist, seed)
 
 
 def probe_composition(model: WorldModel, sequences, cfg: ProbeConfig,
@@ -216,39 +193,90 @@ def probe_composition(model: WorldModel, sequences, cfg: ProbeConfig,
     the endpoint mismatch."""
     if cfg.kind != KIND_COMPOSITION:
         raise ValueError(f"expected a composition config, got {cfg.kind!r}")
-    dirichlet = DirichletParams(concentration=concentration, seed=seed)
-    errors = []
-    positions_used: tuple[int, ...] = ()
-    for s_idx, seq in enumerate(sequences):
-        n = len(seq.actions)
-        positions = cfg.start_indices or window_positions(n, cfg.l, 1)
+    return _walk_probe(model, sequences, cfg, dist, seed, concentration)
+
+
+def _probe_positions(cfg: ProbeConfig, n: int) -> tuple[int, ...]:
+    """Probe positions for a stream of n actions, checked against it."""
+    if cfg.kind == KIND_IDENTITY:
+        positions = cfg.start_indices or identity_positions(n, cfg.k)
+        if any(p < 0 or p > n for p in positions):
+            raise ValueError(f"insertion offsets {positions} out of range for {n} actions")
+    else:
+        positions = cfg.start_indices or window_positions(n, cfg.l, cfg.k)
         if any(p < 0 or p + cfg.l > n for p in positions):
             raise ValueError(f"window starts {positions} out of range for {n} actions")
-        positions_used = tuple(positions)
-        pos_set = sorted(positions)
-        stream_rng = _probe_rng(seed, _KIND_CODE[cfg.kind], cfg.k, cfg.l, s_idx, 0)
-        state = seq.start
-        for i in range(n + 1):
-            for inst, p in enumerate(pos_set):
-                if p != i:
-                    continue
-                u_a = seq.actions[p : p + cfg.l]
-                weights_rng = _probe_rng(seed, _KIND_CODE[cfg.kind], cfg.k, cfg.l, s_idx, 1 + 3 * inst)
-                u_b = make_compatibility_segment(u_a, dirichlet, rng=weights_rng)
-                rng_a = _probe_rng(seed, _KIND_CODE[cfg.kind], cfg.k, cfg.l, s_idx, 2 + 3 * inst)
-                rng_b = _probe_rng(seed, _KIND_CODE[cfg.kind], cfg.k, cfg.l, s_idx, 3 + 3 * inst)
-                end_a = _branch_endpoint(model, state, u_a, rng_a)
-                end_b = _branch_endpoint(model, state, u_b, rng_b)
-                errors.append(state_distance(end_a, end_b, dist))
-            if i < n:
-                state = model.step(state, seq.actions[i], stream_rng)
-    return _probe_result(cfg, errors, positions_used)
+    return tuple(positions)
+
+
+def _walk_probe(model: WorldModel, sequences, cfg: ProbeConfig, dist: DistanceParams,
+                seed: int, concentration: float = 1.0) -> ProbeResult:
+    """Walk every sequence's action stream in lockstep and branch probes off it.
+
+    Row s is sequence s. Its stream steps through the model's step, batched
+    over the rows, drawing from the generator keyed (kind, k, l, s, 0). At
+    its j-th probe position (in sorted order) a row branches with
+    generators keyed 1 + j (identity, inverse) or 1 + 3j for the Dirichlet
+    weights and 2 + 3j, 3 + 3j for the two windows (composition). Every
+    branch segment runs as one batched rollout over the rows that probe
+    there. Errors come out in sequence order, then position order. Every
+    stream runs to its last action, as in per-pose evaluation, so an
+    invalid pose anywhere along it raises.
+    """
+    if not sequences:
+        return _probe_result(cfg, [], ())
+    key = (_KIND_CODE[cfg.kind], cfg.k, cfg.l)
+    lengths = np.array([len(seq.actions) for seq in sequences])
+    positions = [_probe_positions(cfg, n) for n in lengths.tolist()]
+    order = np.array([sorted(p) for p in positions])
+    actions = np.zeros((len(sequences), int(lengths.max()), 3))
+    for s, seq in enumerate(sequences):
+        actions[s, : len(seq.actions)] = seq.actions.to_array()
+    dirichlet = DirichletParams(concentration=concentration, seed=seed)
+    stream_rngs = _Generators(seed, [(*key, s, 0) for s in range(len(sequences))])
+    states = pose_array([seq.start for seq in sequences])
+    errors = np.empty(order.shape)
+
+    def branch_ends(rows, segments, slot):
+        rngs = _Generators(seed, [(*key, s, slot) for s in rows.tolist()])
+        return rollout_batch(model, states[rows], segments, rngs)[:, -1]
+
+    events = sorted({(p, j) for row in order.tolist() for j, p in enumerate(row)})
+    i = 0
+    for p, j in events + [(actions.shape[1], None)]:
+        while i < p:
+            rows = np.flatnonzero(lengths > i)
+            rngs = stream_rngs if len(rows) == len(sequences) else [stream_rngs[s] for s in rows]
+            states[rows] = step_batch(model, states[rows], actions[rows, i], rngs)
+            i += 1
+        if j is None:
+            break
+        rows = np.flatnonzero(order[:, j] == p)
+        if cfg.kind == KIND_IDENTITY:
+            end = branch_ends(rows, np.zeros((len(rows), cfg.l, 3)), 1 + j)
+            errors[rows, j] = state_distances(end, states[rows], dist)
+            states[rows] = end
+            continue
+        windows = [sequences[s].actions[p : p + cfg.l] for s in rows.tolist()]
+        if cfg.kind == KIND_INVERSE:
+            cycles = np.stack([make_inverse_segment(u).to_array() for u in windows])
+            errors[rows, j] = state_distances(branch_ends(rows, cycles, 1 + j), states[rows], dist)
+        else:
+            recomposed = np.stack([
+                make_compatibility_segment(u, dirichlet, rng=_probe_rng(seed, *key, s, 1 + 3 * j))
+                .to_array()
+                for s, u in zip(rows.tolist(), windows)
+            ])
+            end_a = branch_ends(rows, actions[rows, p : p + cfg.l], 2 + 3 * j)
+            end_b = branch_ends(rows, recomposed, 3 + 3 * j)
+            errors[rows, j] = state_distances(end_a, end_b, dist)
+    return _probe_result(cfg, errors.ravel(), positions[-1])
 
 
 def _probe_result(cfg: ProbeConfig, errors, positions) -> ProbeResult:
-    if not errors:
+    if len(errors) == 0:
         raise ValueError(f"probe {cfg.kind} (k={cfg.k}, l={cfg.l}) produced no instances")
-    arr = np.array(errors)
+    arr = np.asarray(errors)
     return ProbeResult(
         kind=cfg.kind,
         k=cfg.k,
@@ -322,71 +350,76 @@ def evaluate_gac(model: WorldModel, sequences, grid, dist: DistanceParams,
     return aggregate_gac(results)
 
 
-def align_trajectory(traj: Trajectory, reference: Trajectory) -> Trajectory:
-    """Apply the rigid transform that best fits traj's positions to the
-    reference in the least-squares sense (closed form, no scale)."""
-    if len(traj) != len(reference):
-        raise ValueError(f"trajectory lengths differ: {len(traj)} vs {len(reference)}")
-    if len(traj) < 2:
+def align_trajectory(poses: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Move each trajectory in ``poses`` (an (N, 3) pose array, or a stack
+    of them) by the rigid transform that best fits its positions to the
+    (N, 3) reference's in the least-squares sense (closed form, no scale)."""
+    if poses.shape[-2] != reference.shape[0]:
+        raise ValueError(f"trajectory lengths differ: {poses.shape[-2]} vs {reference.shape[0]}")
+    if reference.shape[0] < 2:
         raise ValueError("alignment needs at least two poses")
-    p = traj.positions()
-    q = reference.positions()
-    mu_p = p.mean(axis=0)
+    batch = poses.reshape(-1, *reference.shape)
+    p = batch[:, :, 1:]
+    q = reference[:, 1:]
+    mu_p = p.mean(axis=1)
     mu_q = q.mean(axis=0)
-    pc = p - mu_p
+    pc = p - mu_p[:, None]
     qc = q - mu_q
-    dot = float(np.sum(pc * qc))
-    cross = float(np.sum(pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0]))
-    phi = math.atan2(cross, dot)
-    c, s = math.cos(phi), math.sin(phi)
-    rot = np.array([[c, -s], [s, c]])
-    t = mu_q - rot @ mu_p
-    moved = p @ rot.T + t
-    poses = [
-        Pose2(theta=pose.theta + phi, x=float(xy[0]), y=float(xy[1]))
-        for pose, xy in zip(traj, moved)
-    ]
-    return Trajectory(poses)
+    dot = np.sum(pc * qc, axis=(1, 2))
+    cross = np.sum(pc[:, :, 0] * qc[:, 1] - pc[:, :, 1] * qc[:, 0], axis=1)
+    phi = [math.atan2(c, d) for c, d in zip(cross.tolist(), dot.tolist())]
+    rot = np.array([[[math.cos(f), -math.sin(f)], [math.sin(f), math.cos(f)]] for f in phi])
+    t = mu_q - np.matmul(rot, mu_p[:, :, None])[:, :, 0]
+    moved = np.empty_like(batch)
+    moved[:, :, 0] = batch[:, :, 0] + np.array(phi)[:, None]
+    moved[:, :, 1:] = np.matmul(p, rot.transpose(0, 2, 1)) + t[:, None]
+    check_finite_poses(moved)
+    moved[:, :, 0] = wrap_angles(moved[:, :, 0])
+    return moved.reshape(poses.shape)
 
 
-def gar_error(trajectories, dist: DistanceParams, aligned: bool) -> float:
+def gar_error(rollouts, dist: DistanceParams, aligned: bool) -> float:
     """Mean pairwise, time-averaged state distance over repeated rollouts.
 
-    The shared start pose is excluded from the time average. With the
+    ``rollouts`` is an (R, T+1, 3) pose array, or R trajectories. The
+    shared start pose is excluded from the time average. With the
     aligned flag, every trajectory is first rigidly aligned to the first
     one; since alignment fits positions only while the distance also
     carries a heading term, the raw value is kept whenever the fitted
     transforms fail to reduce the total, so removing drift can never add
     error.
     """
-    n = len(trajectories)
+    n = len(rollouts)
     if n < 2:
         raise ValueError(f"dispersion needs at least 2 rollouts, got {n}")
-    lengths = {len(t) for t in trajectories}
-    if len(lengths) != 1:
-        raise ValueError(f"rollouts must share one length, got {sorted(lengths)}")
-    horizon = lengths.pop() - 1
-    if horizon < 1:
+    if isinstance(rollouts, np.ndarray):
+        poses = rollouts
+        check_finite_poses(poses)
+    else:
+        lengths = {len(t) for t in rollouts}
+        if len(lengths) != 1:
+            raise ValueError(f"rollouts must share one length, got {sorted(lengths)}")
+        poses = np.stack([t.as_array() for t in rollouts])
+    if poses.shape[1] < 2:
         raise ValueError("rollouts must contain at least one step")
-    raw = _pairwise_mean_distance(trajectories, dist)
+    raw = _pairwise_mean_distance(poses, dist)
     if not aligned:
         return raw
-    moved = [trajectories[0]] + [
-        align_trajectory(t, trajectories[0]) for t in trajectories[1:]
-    ]
+    moved = poses.copy()
+    moved[1:] = align_trajectory(poses[1:], poses[0])
     return min(_pairwise_mean_distance(moved, dist), raw)
 
 
-def _pairwise_mean_distance(trajectories, dist: DistanceParams) -> float:
-    n = len(trajectories)
-    pos = np.stack([t.positions()[1:] for t in trajectories])
-    head = np.stack([t.headings()[1:] for t in trajectories])
+def _pairwise_mean_distance(poses: np.ndarray, dist: DistanceParams) -> float:
+    n = poses.shape[0]
+    i, j = np.array(list(combinations(range(n), 2))).T  # the order of an i < j double loop
+    pos = poses[:, 1:, 1:]
+    head = poses[:, 1:, 0]
+    d_pos = np.linalg.norm(pos[i] - pos[j], axis=2)
+    d_head = np.abs(_wrap_array(head[i] - head[j]))
     total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d_pos = np.linalg.norm(pos[i] - pos[j], axis=1)
-            d_head = np.abs(_wrap_array(head[i] - head[j]))
-            total += float(np.mean(d_pos + dist.alpha_rot * d_head))
+    for pair_mean in np.mean(d_pos + dist.alpha_rot * d_head, axis=1).tolist():
+        total += pair_mean
     return 2.0 * total / (n * (n - 1))
 
 
@@ -399,17 +432,13 @@ def evaluate_gar(model: WorldModel, sequences, horizons, n_rollouts: int,
                  dist: DistanceParams, seed: int, note: str | None = None) -> GarReport:
     """Repeated seeded rollouts per sequence, truncated to each horizon.
 
-    Models exposing a native ``sample_trajectory`` (their own rollout
-    process) are sampled through it; anything else is stepped through the
-    generic rollout. Sequences must cover the largest horizon; rollout i
+    A sequence's rollouts run as one ``rollout_batch``, the model's native
+    rollout process. Sequences must cover the largest horizon; rollout i
     of a sequence uses a generator derived from (seed, sequence, i), so
     the suite is reproducible and worker-order independent.
     """
     if n_rollouts < 2:
         raise ValueError(f"n_rollouts must be >= 2, got {n_rollouts}")
-    sampler = getattr(model, "sample_trajectory", None)
-    if sampler is None:
-        sampler = lambda start, actions, rng: rollout(model, start, actions, rng)
     horizons = sorted(horizons)
     t_max = horizons[-1]
     per_horizon: dict[int, dict[str, list[float]]] = {
@@ -420,14 +449,14 @@ def evaluate_gar(model: WorldModel, sequences, horizons, n_rollouts: int,
             raise ValueError(
                 f"sequence {s_idx} has {len(seq.actions)} actions, needs >= {t_max}"
             )
-        full = [
-            sampler(seq.start, seq.actions[:t_max], _probe_rng(seed, 3, s_idx, i))
-            for i in range(n_rollouts)
-        ]
+        starts = np.repeat(pose_array([seq.start]), n_rollouts, axis=0)
+        actions = np.repeat(seq.actions[:t_max].to_array()[None], n_rollouts, axis=0)
+        rngs = _Generators(seed, [(3, s_idx, i) for i in range(n_rollouts)])
+        full = rollout_batch(model, starts, actions, rngs)
         for h in horizons:
-            trajs = [Trajectory(t.poses[: h + 1]) for t in full]
-            per_horizon[h]["nonaligned"].append(gar_error(trajs, dist, aligned=False))
-            per_horizon[h]["aligned"].append(gar_error(trajs, dist, aligned=True))
+            poses = full[:, : h + 1]
+            per_horizon[h]["nonaligned"].append(gar_error(poses, dist, aligned=False))
+            per_horizon[h]["aligned"].append(gar_error(poses, dist, aligned=True))
     entries = []
     for h in horizons:
         al = np.array(per_horizon[h]["aligned"])

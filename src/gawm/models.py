@@ -17,12 +17,18 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .se2 import Pose2, se2_compose
+from .se2 import Pose2, check_finite_poses, pose_array, se2_compose, wrap_angles
 from .segments import ActionIncrement, ActionSegment, ZERO_INCREMENT
 
 
 class WorldModel(Protocol):
-    """Anything that advances a pose by one action under a seeded noise source."""
+    """Anything that advances a pose by one action under a seeded noise source.
+
+    A model may also define ``step_batch`` and ``rollout_batch``, the array
+    forms of its step and of its rollout with the signatures of the
+    module-level functions of the same names; those functions use them
+    when present.
+    """
 
     def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
         ...
@@ -48,13 +54,13 @@ class Trajectory:
     def __iter__(self):
         return iter(self.poses)
 
-    def positions(self) -> np.ndarray:
-        """(T+1, 2) array of xy positions."""
-        return np.array([[p.x, p.y] for p in self.poses])
+    def as_array(self) -> np.ndarray:
+        """(T+1, 3) array of ``[theta, x, y]`` rows."""
+        return pose_array(self.poses)
 
-    def headings(self) -> np.ndarray:
-        """(T+1,) array of headings."""
-        return np.array([p.theta for p in self.poses])
+    @staticmethod
+    def from_array(poses: np.ndarray) -> "Trajectory":
+        return Trajectory([Pose2(*row) for row in poses.tolist()])
 
 
 def increment_pose(action: ActionIncrement) -> Pose2:
@@ -67,13 +73,65 @@ def exact_step(state: Pose2, action: ActionIncrement) -> Pose2:
     return se2_compose(state, increment_pose(action))
 
 
-class ExactModel:
+def _apply_increments(starts: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """Poses reached from (B, 3) starts by applying (B, T, 3) realized body-frame
+    increments ``[dx, dy, dtheta]`` in turn, as a (B, T+1, 3) array.
+
+    Row by row this is the per-pose update of ``exact_step`` and
+    ``perturbed_step``, bit for bit. Headings advance step by step through
+    ``wrap_angles``. Each position is the running sum
+    ``(x + c*dx) - s*dy`` (and ``(y + s*dx) + c*dy``), taken by a
+    sequential accumulate over the interleaved terms, which keeps the
+    per-step association.
+    """
+    b, t = increments.shape[:2]
+    theta = np.empty((b, t + 1))
+    theta[:, 0] = starts[:, 0]
+    for i in range(t):
+        theta[:, i + 1] = wrap_angles(theta[:, i] + increments[:, i, 2])
+    c = np.cos(theta[:, :-1])
+    s = np.sin(theta[:, :-1])
+    dx = increments[:, :, 0]
+    dy = increments[:, :, 1]
+    terms = np.empty((2, b, 2 * t + 1))
+    terms[:, :, 0] = starts[:, 1:].T
+    terms[0, :, 1::2] = c * dx
+    terms[0, :, 2::2] = -(s * dy)
+    terms[1, :, 1::2] = s * dx
+    terms[1, :, 2::2] = c * dy
+    xy = np.add.accumulate(terms, axis=2)[:, :, ::2]
+    poses = np.empty((b, t + 1, 3))
+    poses[:, :, 0] = theta
+    poses[:, :, 1] = xy[0]
+    poses[:, :, 2] = xy[1]
+    check_finite_poses(poses)
+    return poses
+
+
+class _IncrementModel:
+    """Array forms of step and rollout for a model whose step applies a
+    realized increment exactly; ``_realize`` maps (B, T, 3) actions and
+    one generator per row to the realized increments."""
+
+    def rollout_batch(self, starts: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
+        return _apply_increments(starts, self._realize(actions, rngs))
+
+    def step_batch(self, states: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
+        return self.rollout_batch(states, actions[:, None], rngs)[:, 1]
+
+
+class ExactModel(_IncrementModel):
     """Deterministic simulator whose step is exact rigid-motion composition."""
 
     name = "exact"
 
     def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
         return exact_step(state, action)
+
+    def _realize(self, actions: np.ndarray, rngs) -> np.ndarray:
+        increments = np.array(actions, dtype=np.float64)
+        increments[..., 2] = wrap_angles(increments[..., 2])  # as increment_pose does
+        return increments
 
 
 @dataclass(frozen=True)
@@ -166,8 +224,26 @@ def perturbed_step(
     )
 
 
+def realized_increments(actions: np.ndarray, cfg: ViolationConfig) -> np.ndarray:
+    """The noiseless realized increment of ``perturbed_step`` for (..., 3)
+    ``[dx, dy, dtheta]`` rows, equal to it element by element.
+
+    Saturation calls ``math.tanh`` per element, because ``np.tanh`` rounds
+    differently.
+    """
+    increments = np.array(actions, dtype=np.float64)
+    c = cfg.saturation_scale
+    if c is not None:
+        scaled = (increments / c).ravel().tolist()
+        increments = c * np.array([math.tanh(v) for v in scaled]).reshape(increments.shape)
+    xy = increments[..., :2]
+    xy *= np.where(xy >= 0.0, *cfg.asym_gain)
+    increments += (cfg.drift_bias.dx, cfg.drift_bias.dy, cfg.drift_bias.dtheta)
+    return increments
+
+
 @dataclass(frozen=True)
-class PerturbedModel:
+class PerturbedModel(_IncrementModel):
     """Simulator with configurable, oracle-checkable violations."""
 
     cfg: ViolationConfig = field(default_factory=ViolationConfig)
@@ -175,6 +251,15 @@ class PerturbedModel:
 
     def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
         return perturbed_step(state, action, self.cfg, rng)
+
+    def _realize(self, actions: np.ndarray, rngs) -> np.ndarray:
+        increments = realized_increments(actions, self.cfg)
+        sigma = self.cfg.noise_sigma
+        if sigma > 0.0:
+            # one block per row draws what a step-by-step rollout draws, in order
+            increments += np.stack([rng.normal(0.0, sigma, size=increments.shape[1:])
+                                    for rng in rngs])
+        return increments
 
 
 def rollout(
@@ -192,6 +277,40 @@ def rollout(
         state = model.step(state, a, rng)
         poses.append(state)
     return Trajectory(poses)
+
+
+def step_batch(model: WorldModel, states: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
+    """Array form of ``model.step``: (B, 3) ``[theta, x, y]`` states, (B, 3)
+    ``[dx, dy, dtheta]`` actions and one generator per row give the (B, 3)
+    next states. Models without their own ``step_batch`` step row by row."""
+    native = getattr(model, "step_batch", None)
+    if native is not None:
+        return native(states, actions, rngs)
+    return pose_array([
+        model.step(Pose2(*state), ActionIncrement(*action), rng)
+        for state, action, rng in zip(states.tolist(), actions.tolist(), rngs)
+    ])
+
+
+def rollout_batch(model: WorldModel, starts: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
+    """The model's native rollout of B action rows, as (B, T+1, 3) poses.
+
+    ``starts`` is (B, 3) ``[theta, x, y]``, ``actions`` is (B, T, 3)
+    ``[dx, dy, dtheta]``, and row b draws only from ``rngs[b]``. A model's
+    own ``rollout_batch`` runs all rows at once; otherwise each row goes
+    through the model's ``sample_trajectory``, or through ``rollout`` if
+    it has none.
+    """
+    native = getattr(model, "rollout_batch", None)
+    if native is not None:
+        return native(starts, actions, rngs)
+    sampler = getattr(model, "sample_trajectory", None)
+    rows = []
+    for start, row, rng in zip(starts.tolist(), actions.tolist(), rngs):
+        pose, segment = Pose2(*start), ActionSegment.from_json(row)
+        traj = sampler(pose, segment, rng) if sampler is not None else rollout(model, pose, segment, rng)
+        rows.append(traj.as_array())
+    return np.stack(rows)
 
 
 def write_trajectory_jsonl(path, traj: Trajectory, header: dict) -> None:

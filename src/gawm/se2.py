@@ -6,12 +6,18 @@ matrix representation is redundant in the plane and only appears in
 test oracles. All functions here are pure and allocation-light so they
 can serve as the ground truth for every consistency check in the
 package.
+
+Batched code holds poses as float64 arrays whose last axis is
+``[theta, x, y]``, the field order of ``Pose2``. The array forms below
+compute exactly what their per-pose counterparts compute, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,6 +32,16 @@ def wrap_angle(theta: float) -> float:
         return theta
     w = (theta + math.pi) % TWO_PI - math.pi
     return math.pi if w == -math.pi else w
+
+
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """Array form of ``wrap_angle``: equal to it element by element."""
+    inside = (theta > -math.pi) & (theta <= math.pi)
+    if inside.all():
+        return theta
+    w = np.mod(theta + math.pi, TWO_PI) - math.pi
+    w[w == -math.pi] = math.pi
+    return np.where(inside, theta, w)
 
 
 @dataclass(frozen=True)
@@ -51,6 +67,18 @@ class Pose2:
     @staticmethod
     def from_dict(d: dict) -> "Pose2":
         return Pose2(theta=float(d["theta"]), x=float(d["x"]), y=float(d["y"]))
+
+
+def pose_array(poses) -> np.ndarray:
+    """(N, 3) array of ``[theta, x, y]`` rows for a sequence of poses."""
+    return np.array([(p.theta, p.x, p.y) for p in poses], dtype=np.float64).reshape(-1, 3)
+
+
+def check_finite_poses(poses: np.ndarray) -> None:
+    """Reject a pose array holding a non-finite component, as ``Pose2`` does."""
+    finite = np.isfinite(poses).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"Pose2 components must be finite, got {tuple(poses[~finite][0].tolist())}")
 
 
 @dataclass(frozen=True)
@@ -100,3 +128,11 @@ def state_distance(s1: Pose2, s2: Pose2, params: DistanceParams = DistanceParams
     dx = s1.x - s2.x
     dy = s1.y - s2.y
     return math.hypot(dx, dy) + params.alpha_rot * abs(wrap_angle(s1.theta - s2.theta))
+
+
+def state_distances(a: np.ndarray, b: np.ndarray,
+                    params: DistanceParams = DistanceParams()) -> np.ndarray:
+    """``state_distance`` between matching rows of two (B, 3) pose arrays."""
+    d = a - b
+    hypot = [math.hypot(dx, dy) for dx, dy in zip(d[:, 1].tolist(), d[:, 2].tolist())]
+    return np.array(hypot) + params.alpha_rot * np.abs(wrap_angles(d[:, 0]))

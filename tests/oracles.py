@@ -164,3 +164,160 @@ def oracle_probe_composition(sequences, l, alpha, weight_fn, **inj) -> float:
             if i < n:
                 m = oracle_step_matrix(m, actions[i], **inj)
     return float(np.mean(errors))
+
+
+# --- per-pose reference for the batched evaluation path ---------------------
+#
+# evaluate_gac and evaluate_gar as they ran one Pose2 at a time: every
+# stream step through model.step, every branch and GAR rollout through a
+# per-pose rollout, and the GAR distances over per-trajectory arrays. The
+# batched metrics must reproduce these reports exactly (==).
+
+
+def per_pose_rollout(model, start: Pose2, actions, rng) -> list[Pose2]:
+    """The model's native rollout, one pose at a time; the learned model
+    carries its latent without re-encoding, as its native rollout does."""
+    from gawm.latent import LearnedWorldModel, decode, encode, net_step
+    from gawm.models import rollout
+
+    if isinstance(model, LearnedWorldModel):
+        sigma = model.encoder.obs_noise_sigma
+        z = encode(start, model.encoder, rng)
+        poses = [start]
+        for a in actions:
+            if sigma > 0.0:
+                z = z + rng.normal(0.0, sigma, size=z.shape)
+            z = net_step(z, a, model.net)
+            poses.append(decode(z, model.decoder))
+        return poses
+    sampler = getattr(model, "sample_trajectory", None)
+    if sampler is not None:
+        return list(sampler(start, actions, rng))
+    return list(rollout(model, start, actions, rng))
+
+
+def reference_probe(model, sequences, cfg, dist, seed, concentration=1.0):
+    from gawm.metrics import (
+        KIND_COMPOSITION, KIND_IDENTITY, ProbeResult, _probe_rng, identity_positions,
+        window_positions,
+    )
+    from gawm.se2 import state_distance
+    from gawm.segments import (
+        ActionSegment, DirichletParams, ZERO_INCREMENT, make_compatibility_segment,
+        make_inverse_segment,
+    )
+
+    code = {"identity": 0, "inverse": 1, "composition": 2}[cfg.kind]
+
+    def rng(s, slot):
+        return _probe_rng(seed, code, cfg.k, cfg.l, s, slot)
+
+    dirichlet = DirichletParams(concentration=concentration, seed=seed)
+    errors = []
+    positions = ()
+    for s, seq in enumerate(sequences):
+        n = len(seq.actions)
+        if cfg.kind == KIND_IDENTITY:
+            positions = cfg.start_indices or identity_positions(n, cfg.k)
+        else:
+            positions = cfg.start_indices or window_positions(n, cfg.l, cfg.k)
+        stream = rng(s, 0)
+        state = seq.start
+        for i in range(n + 1):
+            for j, p in enumerate(sorted(positions)):
+                if p != i:
+                    continue
+                if cfg.kind == KIND_IDENTITY:
+                    pause = ActionSegment([ZERO_INCREMENT] * cfg.l)
+                    end = per_pose_rollout(model, state, pause, rng(s, 1 + j))[-1]
+                    errors.append(state_distance(end, state, dist))
+                    state = end
+                elif cfg.kind == KIND_COMPOSITION:
+                    u_a = seq.actions[p : p + cfg.l]
+                    u_b = make_compatibility_segment(u_a, dirichlet, rng=rng(s, 1 + 3 * j))
+                    end_a = per_pose_rollout(model, state, u_a, rng(s, 2 + 3 * j))[-1]
+                    end_b = per_pose_rollout(model, state, u_b, rng(s, 3 + 3 * j))[-1]
+                    errors.append(state_distance(end_a, end_b, dist))
+                else:
+                    cycle = make_inverse_segment(seq.actions[p : p + cfg.l])
+                    end = per_pose_rollout(model, state, cycle, rng(s, 1 + j))[-1]
+                    errors.append(state_distance(end, state, dist))
+            if i < n:
+                state = model.step(state, seq.actions[i], stream)
+    arr = np.array(errors)
+    return ProbeResult(cfg.kind, cfg.k, cfg.l, float(arr.mean()), float(arr.std()),
+                       len(errors), tuple(positions))
+
+
+def reference_gac(model, sequences, grid, dist, seed, concentration=1.0):
+    from gawm.metrics import aggregate_gac
+
+    order = {"identity": 0, "inverse": 1, "composition": 2}
+    ordered = sorted(grid, key=lambda c: (order[c.kind], c.k, c.l))
+    return aggregate_gac([reference_probe(model, sequences, c, dist, seed, concentration)
+                          for c in ordered])
+
+
+def _positions(poses) -> np.ndarray:
+    return np.array([[p.x, p.y] for p in poses])
+
+
+def reference_align(traj: list, ref: list) -> list:
+    p = _positions(traj)
+    q = _positions(ref)
+    mu_p = p.mean(axis=0)
+    mu_q = q.mean(axis=0)
+    pc = p - mu_p
+    qc = q - mu_q
+    dot = float(np.sum(pc * qc))
+    cross = float(np.sum(pc[:, 0] * qc[:, 1] - pc[:, 1] * qc[:, 0]))
+    phi = math.atan2(cross, dot)
+    c, s = math.cos(phi), math.sin(phi)
+    rot = np.array([[c, -s], [s, c]])
+    t = mu_q - rot @ mu_p
+    moved = p @ rot.T + t
+    return [Pose2(theta=pose.theta + phi, x=float(xy[0]), y=float(xy[1]))
+            for pose, xy in zip(traj, moved)]
+
+
+def _reference_pairwise(trajs: list, alpha: float) -> float:
+    n = len(trajs)
+    pos = np.stack([_positions(t)[1:] for t in trajs])
+    head = np.stack([np.array([p.theta for p in t])[1:] for t in trajs])
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            d_pos = np.linalg.norm(pos[i] - pos[j], axis=1)
+            w = (head[i] - head[j] + math.pi) % (2.0 * math.pi) - math.pi
+            d_head = np.abs(np.where(w == -math.pi, math.pi, w))
+            total += float(np.mean(d_pos + alpha * d_head))
+    return 2.0 * total / (n * (n - 1))
+
+
+def reference_gar_error(trajs: list, alpha: float, aligned: bool) -> float:
+    raw = _reference_pairwise(trajs, alpha)
+    if not aligned:
+        return raw
+    moved = [trajs[0]] + [reference_align(t, trajs[0]) for t in trajs[1:]]
+    return min(_reference_pairwise(moved, alpha), raw)
+
+
+def reference_gar(model, sequences, horizons, n_rollouts, dist, seed, note=None):
+    from gawm.metrics import GarEntry, GarReport, _probe_rng
+
+    horizons = sorted(horizons)
+    per = {h: ([], []) for h in horizons}
+    for s, seq in enumerate(sequences):
+        full = [per_pose_rollout(model, seq.start, seq.actions[: horizons[-1]],
+                                 _probe_rng(seed, 3, s, i))
+                for i in range(n_rollouts)]
+        for h in horizons:
+            trajs = [t[: h + 1] for t in full]
+            per[h][0].append(reference_gar_error(trajs, dist.alpha_rot, aligned=True))
+            per[h][1].append(reference_gar_error(trajs, dist.alpha_rot, aligned=False))
+    entries = []
+    for h in horizons:
+        al, na = np.array(per[h][0]), np.array(per[h][1])
+        entries.append(GarEntry(h, float(al.mean()), float(al.std()), float(na.mean()),
+                                float(na.std()), len(al)))
+    return GarReport(n_rollouts=n_rollouts, entries=tuple(entries), note=note)

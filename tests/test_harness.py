@@ -65,6 +65,37 @@ def test_config_hash_ignores_out_dir(tmp_path):
     assert changed.config_hash() != cfg.config_hash()
 
 
+@pytest.mark.parametrize("path", [
+    ("pretrian",), ("probes", "n_seqs"), ("gar", "action_dist", "mean_dy"),
+    ("ga", "dirichlet", "alpha"), ("train", "stpes"), ("encoder", "dim"),
+    ("dataset", "action_dist", "sigma"),
+])
+def test_config_rejects_unknown_keys_at_every_level(tmp_path, path):
+    d = tiny_config(tmp_path / "keys").to_dict()
+    section = d
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = {}
+    with pytest.raises(ValueError, match=f"^unknown config key: {'.'.join(path)}$"):
+        ExperimentConfig.from_dict(d)
+    d = tiny_config(tmp_path / "keys").to_dict()
+    d["pretrain"] = {"steps": 5, "stpes": 6}
+    with pytest.raises(ValueError, match="^unknown config key: pretrain.stpes$"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_cli_rejects_unknown_config_key_with_typed_error(tmp_path):
+    d = tiny_config(tmp_path / "cli_keys").to_dict()
+    d["pretrian"] = {"steps": 10}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(d))
+    bad = CliRunner().invoke(cli_main, ["gen-data", "--config", str(cfg_path)])
+    assert bad.exit_code == 1
+    err = json.loads(bad.output.strip().splitlines()[-1])
+    assert err == {"type": "ValueError", "error": "unknown config key: pretrian"}
+    assert not (tmp_path / "cli_keys").exists()
+
+
 def test_stage_seeds_are_distinct():
     seeds = {stage_seed(7, s) for s in range(6)}
     assert len(seeds) == 6
@@ -197,6 +228,72 @@ def test_interrupted_train_leaves_no_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         cmd_train(cfg)
     assert not (out / "manifest.json").exists()
+
+
+def _manifest(cfg):
+    return json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+
+
+def test_manifest_merges_stages_of_one_config(tmp_path):
+    cfg = tiny_config(tmp_path / "merge", steps=5)
+    cmd_gen_data(cfg)
+    cmd_train(cfg)
+    assert set(_manifest(cfg)["stages"]) == {"gen-data", "train"}
+    cmd_probe(cfg, "exact")
+    cmd_gar(cfg, "noise:0.02")
+    stages = _manifest(cfg)["stages"]
+    assert set(stages) == {"gen-data", "train", "probe", "gar"}
+    out = Path(cfg.out_dir)
+    assert stages["train"]["paths"] == sorted(
+        str(out / n) for n in ("checkpoint.json", "loss_curve.csv", "train_metrics.json"))
+    assert stages["gar"]["paths"] == sorted(str(out / n) for n in ("gar.csv", "gar_report.json"))
+
+
+def test_manifest_starts_fresh_for_another_config(tmp_path):
+    cfg = tiny_config(tmp_path / "fresh")
+    cmd_probe(cfg, "exact")
+    cmd_gar(cfg, "exact")
+    other = replace(cfg, seed=cfg.seed + 1)
+    cmd_gar(other, "exact")
+    manifest = _manifest(other)
+    assert manifest["config_hash"] == other.config_hash() != cfg.config_hash()
+    assert set(manifest["stages"]) == {"gar"}
+
+
+def test_stage_rerun_drops_its_entry_until_it_finishes(tmp_path, monkeypatch):
+    import gawm.harness as harness
+
+    cfg = tiny_config(tmp_path / "rerun_probe")
+    cmd_probe(cfg, "exact")
+    cmd_gar(cfg, "exact")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(harness, "evaluate_gac", broken)
+    with pytest.raises(RuntimeError):
+        cmd_probe(cfg, "exact")
+    assert set(_manifest(cfg)["stages"]) == {"gar"}
+    other = replace(cfg, seed=cfg.seed + 1)
+    with pytest.raises(RuntimeError):
+        cmd_probe(other, "exact")
+    assert not (Path(cfg.out_dir) / "manifest.json").exists()
+
+
+def test_manifest_records_evaluation_counts(tmp_path):
+    cfg = tiny_config(tmp_path / "counts")
+    report = cmd_probe(cfg, "exact")
+    cmd_gar(cfg, "noise:0.02")
+    stages = _manifest(cfg)["stages"]
+    probe, gar = stages["probe"], stages["gar"]
+    n_configs = len(cfg.probes.identity_lengths) + len(cfg.probes.inverse_lengths) \
+        + len(cfg.probes.composition_lengths)
+    assert probe["probe_instances"] == cfg.probes.n_sequences * n_configs
+    assert probe["probe_instances"] == sum(r.n_instances for r in report.per_config)
+    assert gar["rollouts"] == cfg.gar.n_sequences * cfg.gar.n_rollouts
+    for entry, key in ((probe, "probe_instances"), (gar, "rollouts")):
+        assert entry["wall_clock_s"] > 0.0
+        assert entry[f"{key}_per_s"] == entry[key] / entry["wall_clock_s"]
 
 
 def test_probe_exact_is_clean(tmp_path):
