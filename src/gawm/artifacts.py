@@ -1,0 +1,42 @@
+"""On-disk artifact format: every file gawm writes goes through here.
+
+Each write goes to a temp file next to the target and is moved into
+place with ``os.replace``, so a reader sees either the old file or the
+complete new one. A write that fails removes its temp file and leaves
+the target as it was.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import os
+from pathlib import Path
+
+
+def write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text``, written verbatim (no newline translation)."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, payload, indent: int | None = 2) -> None:
+    """Sorted keys and a trailing newline; ``indent=None`` gives the compact one-line form."""
+    write_text(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """The default ``csv`` dialect, ``\\r\\n`` line endings; floats come out as their repr."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    write_text(path, buf.getvalue())

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import click
 

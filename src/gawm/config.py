@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .artifacts import write_json
 from .data import ActionDistribution
+from .latent import check_latent_dim, check_noise_sigma
+from .metrics import KIND_COMPOSITION, KIND_IDENTITY, KIND_INVERSE, ProbeConfig, probe_positions
+from .se2 import DistanceParams
 from .segments import DirichletParams
 from .training import GALossConfig, TrainRunConfig
 
@@ -56,11 +59,9 @@ class EncoderConfig:
     obs_noise_sigma: float = 0.0
     seed: int | None = None  # None: derived from the master seed
 
-
-def check_eval_noise(sigma: float) -> None:
-    """Evaluation observation noise must be finite and >= 0."""
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"eval_noise_sigma must be finite and >= 0, got {sigma}")
+    def __post_init__(self):
+        check_latent_dim(self.latent_dim)
+        check_noise_sigma(self.obs_noise_sigma)
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,23 @@ class ProbeSuiteConfig:
     dirichlet_concentration: float = 1.0
 
     def __post_init__(self):
-        check_eval_noise(self.eval_noise_sigma)
+        # Build what the probe stage builds, so a bad value fails at load.
+        check_noise_sigma(self.eval_noise_sigma, "eval_noise_sigma")
+        DistanceParams(self.alpha_rot)
+        DirichletParams(self.dirichlet_concentration)
+        if self.n_sequences < 1:
+            raise ValueError(f"probes.n_sequences must be >= 1, got {self.n_sequences}")
+        for name in ("identity_lengths", "inverse_lengths", "composition_lengths"):
+            if not getattr(self, name):
+                raise ValueError(f"probes.{name} must not be empty")
+        for probe in self.probe_grid():
+            probe_positions(probe, self.sequence_length)
+
+    def probe_grid(self) -> list[ProbeConfig]:
+        """Every probe configuration of the suite, identity, inverse, then composition."""
+        return ([ProbeConfig(KIND_IDENTITY, k=self.identity_k, l=l) for l in self.identity_lengths]
+                + [ProbeConfig(KIND_INVERSE, k=self.inverse_k, l=l) for l in self.inverse_lengths]
+                + [ProbeConfig(KIND_COMPOSITION, k=1, l=l) for l in self.composition_lengths])
 
 
 @dataclass(frozen=True)
@@ -95,7 +112,14 @@ class GarSuiteConfig:
     alpha_rot: float = 1.0
 
     def __post_init__(self):
-        check_eval_noise(self.eval_noise_sigma)
+        check_noise_sigma(self.eval_noise_sigma, "eval_noise_sigma")
+        DistanceParams(self.alpha_rot)
+        if self.n_sequences < 1:
+            raise ValueError(f"gar.n_sequences must be >= 1, got {self.n_sequences}")
+        if self.n_rollouts < 2:
+            raise ValueError(f"gar.n_rollouts must be >= 2, got {self.n_rollouts}")
+        if not self.horizons or min(self.horizons) < 1:
+            raise ValueError(f"gar.horizons must be one or more lengths >= 1, got {list(self.horizons)}")
 
 
 def _section(d: dict, cls, path: str) -> dict:
@@ -124,12 +148,7 @@ class ExperimentConfig:
     pretrain: TrainRunConfig | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["ga"]["dirichlet"] = {
-            "concentration": self.ga.dirichlet.concentration,
-            "seed": self.ga.dirichlet.seed,
-        }
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -209,6 +228,4 @@ def load_config(path) -> ExperimentConfig:
 
 def save_config(path, cfg: ExperimentConfig) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(cfg.to_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(path, cfg.to_dict())

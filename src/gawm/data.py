@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .latent import pose_features
 from .models import Trajectory, WorldModel, rollout, write_trajectory_jsonl, read_trajectory_jsonl
 from .se2 import Pose2
@@ -132,9 +133,7 @@ def write_dataset(out_dir, records: list[TrajectoryRecord], meta: dict) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     for i, rec in enumerate(records):
         actions_name = f"actions_{i:04d}.json"
-        with open(out / actions_name, "w") as f:
-            json.dump(rec.actions.to_json(), f)
-            f.write("\n")
+        write_json(out / actions_name, rec.actions.to_json(), indent=None)
         header = {
             "seed": meta.get("seed"),
             "model": meta.get("model"),
@@ -144,9 +143,7 @@ def write_dataset(out_dir, records: list[TrajectoryRecord], meta: dict) -> dict:
     summary = dict(meta)
     summary["n_trajectories"] = len(records)
     summary["length"] = len(records[0].actions)
-    with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(out / "summary.json", summary)
     return summary
 
 

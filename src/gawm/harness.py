@@ -8,17 +8,18 @@ atomically when it ends; an interrupted stage leaves no entry.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_csv, write_json, write_text
 from .config import (
     STAGE_DATASET,
     STAGE_ENCODER,
@@ -29,7 +30,6 @@ from .config import (
     STAGE_TRAIN,
     ExperimentConfig,
     TOOL_VERSION,
-    check_eval_noise,
     save_config,
     stage_seed,
 )
@@ -43,16 +43,13 @@ from .data import (
 )
 from .latent import (
     LearnedWorldModel,
+    check_noise_sigma,
     load_checkpoint,
     make_encoder,
     save_checkpoint,
 )
 from .metrics import (
     EvalSequence,
-    KIND_COMPOSITION,
-    KIND_IDENTITY,
-    KIND_INVERSE,
-    ProbeConfig,
     evaluate_gac,
     evaluate_gar,
     write_gac_csv,
@@ -65,7 +62,7 @@ from .metrics import (
 from .models import ExactModel, PerturbedModel, ViolationConfig, WorldModel
 from .se2 import DistanceParams
 from .segments import ActionIncrement
-from .training import prediction_loss, train
+from .training import LossRow, prediction_loss, train
 
 
 class UnknownModelRefError(ValueError):
@@ -80,7 +77,7 @@ def parse_model_ref(ref: str, eval_noise_sigma: float = 0.0) -> tuple[WorldModel
     ending in .json is loaded as a checkpoint and wrapped with the given
     evaluation observation noise, which must be finite and >= 0.
     """
-    check_eval_noise(eval_noise_sigma)
+    check_noise_sigma(eval_noise_sigma, "eval_noise_sigma")
     if ref == "exact":
         return ExactModel(), "exact"
     if ref.startswith("drift:"):
@@ -126,22 +123,21 @@ def model_is_deterministic(model: WorldModel) -> bool:
     return False
 
 
+def _read_json(path) -> dict:
+    with open(path) as f:
+        return json.load(f)
+
+
 def _manifest_payload(out_dir: Path) -> dict | None:
     try:
-        with open(out_dir / "manifest.json") as f:
-            return json.load(f)
+        return _read_json(out_dir / "manifest.json")
     except FileNotFoundError:
         return None
 
 
 def _write_manifest(out_dir: Path, config_hash: str, stages: dict) -> None:
-    payload = {"tool_version": TOOL_VERSION, "config_hash": config_hash, "stages": stages}
-    target = out_dir / "manifest.json"
-    tmp = out_dir / "manifest.json.tmp"
-    with open(tmp, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
-    os.replace(tmp, target)
+    write_json(out_dir / "manifest.json",
+               {"tool_version": TOOL_VERSION, "config_hash": config_hash, "stages": stages})
 
 
 class _Stage:
@@ -200,16 +196,6 @@ def make_eval_sequences(n_sequences: int, length: int, action_dist: ActionDistri
         actions = action_dist.sample_segment(length, rng)
         sequences.append(EvalSequence(start=start, actions=actions))
     return sequences
-
-
-def probe_grid_from_config(cfg: ExperimentConfig) -> list[ProbeConfig]:
-    grid = [ProbeConfig(KIND_IDENTITY, k=cfg.probes.identity_k, l=l)
-            for l in cfg.probes.identity_lengths]
-    grid += [ProbeConfig(KIND_INVERSE, k=cfg.probes.inverse_k, l=l)
-             for l in cfg.probes.inverse_lengths]
-    grid += [ProbeConfig(KIND_COMPOSITION, k=1, l=l)
-             for l in cfg.probes.composition_lengths]
-    return grid
 
 
 def cmd_gen_data(cfg: ExperimentConfig) -> Path:
@@ -298,20 +284,11 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
         meta={"label": label, "steps": run.steps, "eval_prediction_loss": eval_loss},
     )
     curve_path = out_dir / "loss_curve.csv"
-    with open(curve_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "active_constraint", "l_pred", "l_ga", "total"])
-        for row in result.rows:
-            w.writerow([row.step, row.active_constraint, repr(row.l_pred),
-                        repr(row.l_ga), repr(row.total)])
+    columns = [f.name for f in fields(LossRow)]
+    write_csv(curve_path, columns, map(attrgetter(*columns), result.rows))
     metrics_path = out_dir / "train_metrics.json"
-    with open(metrics_path, "w") as f:
-        json.dump(
-            {"label": label, "eval_prediction_loss": eval_loss,
-             "final_total": result.rows[-1].total, "steps": run.steps},
-            f, sort_keys=True, indent=2,
-        )
-        f.write("\n")
+    write_json(metrics_path, {"label": label, "eval_prediction_loss": eval_loss,
+                              "final_total": result.rows[-1].total, "steps": run.steps})
     save_config(out_dir / "resolved_config.json", cfg)
     stage.finish([ckpt_path, curve_path, metrics_path])
     return ckpt_path
@@ -328,7 +305,7 @@ def cmd_probe(cfg: ExperimentConfig, model_ref: str):
     )
     dist = DistanceParams(alpha_rot=cfg.probes.alpha_rot)
     report = evaluate_gac(
-        model, sequences, probe_grid_from_config(cfg), dist, seed,
+        model, sequences, cfg.probes.probe_grid(), dist, seed,
         concentration=cfg.probes.dirichlet_concentration,
     )
     paths = {
@@ -421,8 +398,7 @@ def run_sweep_point(args: tuple[str, dict], dataset: Dataset | None = None) -> d
     ckpt = cmd_train(cfg, label=label, dataset=dataset)
     gac = cmd_probe(cfg, str(ckpt))
     gar = cmd_gar(cfg, str(ckpt))
-    with open(Path(cfg.out_dir) / "train_metrics.json") as f:
-        train_metrics = json.load(f)
+    train_metrics = _read_json(Path(cfg.out_dir) / "train_metrics.json")
     row = {
         "label": label,
         "delta_id": gac.delta_id,
@@ -484,61 +460,39 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
         rows = [run_sweep_point(p, dataset) for p in points]
 
     table_path = out_dir / f"ablation_{axis}.csv"
-    fields = ["label", "delta_id", "delta_inv", "delta_comp", "e_gac"]
-    gar_fields = sorted(k for k in rows[0] if k.startswith("gar"))
-    fields += gar_fields + ["eval_prediction_loss", "checkpoint_hash"]
-    with open(table_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(fields)
-        for row in rows:
-            w.writerow([row[k] if isinstance(row[k], str) else repr(row[k]) for k in fields])
-    sweep_manifest = {
+    columns = ["label", "delta_id", "delta_inv", "delta_comp", "e_gac"]
+    columns += sorted(k for k in rows[0] if k.startswith("gar"))
+    columns += ["eval_prediction_loss", "checkpoint_hash"]
+    write_csv(table_path, columns, ([row[k] for k in columns] for row in rows))
+    write_json(out_dir / f"ablation_{axis}_manifest.json", {
         "axis": axis,
         "rows": [
             {"label": r["label"], "checkpoint_hash": r["checkpoint_hash"], "out_dir": r["out_dir"]}
             for r in rows
         ],
-    }
-    with open(out_dir / f"ablation_{axis}_manifest.json", "w") as f:
-        json.dump(sweep_manifest, f, sort_keys=True, indent=2)
-        f.write("\n")
+    })
     save_config(out_dir / "resolved_config.json", cfg)
     stage.finish([table_path])
     return rows
 
 
 def cmd_report(out_dir) -> str:
-    """Collect metric summaries under a run directory into one text table."""
+    """Collect the GAC and GAR reports under a run directory into one text table."""
     out = Path(out_dir)
     lines = []
-    summaries = sorted(out.rglob("gac_summary.csv"))
-    if summaries:
+    gacs = [_read_json(p) for p in sorted(out.rglob("gac_report.json"))]
+    if gacs:
         lines.append("consistency (per model): delta_id delta_inv delta_comp e_gac")
-        for path in summaries:
-            with open(path) as f:
-                rows = list(csv.DictReader(f))
-            for r in rows:
-                lines.append(
-                    f"  {r['model']}: {float(r['delta_id']):.4g} {float(r['delta_inv']):.4g} "
-                    f"{float(r['delta_comp']):.4g} {float(r['e_gac']):.4g}"
-                )
-    gars = sorted(out.rglob("gar.csv"))
+        lines += [f"  {r['model']}: {r['delta_id']:.4g} {r['delta_inv']:.4g} "
+                  f"{r['delta_comp']:.4g} {r['e_gac']:.4g}" for r in gacs]
+    gars = [_read_json(p) for p in sorted(out.rglob("gar_report.json"))]
     if gars:
         lines.append("dispersion (per model, horizon): aligned nonaligned")
-        for path in gars:
-            with open(path) as f:
-                rows = list(csv.DictReader(f))
-            for r in rows:
-                lines.append(
-                    f"  {r['model']} T={r['horizon']}: {float(r['aligned_mean']):.4g} "
-                    f"{float(r['nonaligned_mean']):.4g}"
-                )
-    ablations = sorted(out.rglob("ablation_*.csv"))
-    for path in ablations:
-        lines.append(f"ablation table: {path}")
+        lines += [f"  {r['model']} T={e['horizon']}: {e['aligned_mean']:.4g} "
+                  f"{e['nonaligned_mean']:.4g}" for r in gars for e in r["entries"]]
+    lines += [f"ablation table: {path}" for path in sorted(out.rglob("ablation_*.csv"))]
     if not lines:
         lines.append(f"no metric files found under {out}")
     text = "\n".join(lines) + "\n"
-    with open(out / "report.txt", "w") as f:
-        f.write(text)
+    write_text(out / "report.txt", text)
     return text

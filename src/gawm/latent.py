@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
+from .artifacts import write_json
 from .models import Trajectory
 from .se2 import Pose2, check_finite_poses, pose_array, wrap_angles
 from .segments import ActionIncrement, ActionSegment
@@ -36,6 +37,18 @@ def pose_features(pose: Pose2) -> np.ndarray:
     return np.array([pose.x, pose.y, math.cos(pose.theta), math.sin(pose.theta)])
 
 
+def check_noise_sigma(sigma: float, name: str = "obs_noise_sigma") -> None:
+    """Observation noise must be finite and >= 0."""
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
+
+
+def check_latent_dim(latent_dim: int) -> None:
+    """The encoder must be full rank on the four pose features."""
+    if latent_dim < 4:
+        raise ValueError(f"latent_dim must be >= 4, got {latent_dim}")
+
+
 @dataclass(frozen=True)
 class FeatureEncoder:
     """Fixed linear observation map from pose features into the latent space."""
@@ -45,8 +58,7 @@ class FeatureEncoder:
     obs_noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.obs_noise_sigma) and self.obs_noise_sigma >= 0.0):
-            raise ValueError(f"obs_noise_sigma must be finite and >= 0, got {self.obs_noise_sigma}")
+        check_noise_sigma(self.obs_noise_sigma)
 
     @property
     def latent_dim(self) -> int:
@@ -59,8 +71,7 @@ def make_encoder(latent_dim: int, seed: int, obs_noise_sigma: float = 0.0) -> Fe
     Resamples (continuing the same stream) until the condition number is
     acceptable, so the decoder's left inverse is numerically exact.
     """
-    if latent_dim < 4:
-        raise ValueError(f"latent_dim must be >= 4, got {latent_dim}")
+    check_latent_dim(latent_dim)
     rng = np.random.Generator(np.random.PCG64(seed))
     while True:
         projection = rng.normal(0.0, 0.5, size=(latent_dim, 4))
@@ -324,9 +335,7 @@ def save_checkpoint(path, net: DynamicsNet, encoder: FeatureEncoder, meta: dict 
         "params": net.params.tolist(),
         "meta": meta or {},
     }
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+    write_json(path, payload, indent=None)
 
 
 def load_checkpoint(path) -> tuple[DynamicsNet, FeatureEncoder, dict]:

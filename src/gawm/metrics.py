@@ -16,15 +16,14 @@ best global rigid transform per rollout.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
 
+from .artifacts import write_csv, write_json, write_text
 from .models import WorldModel, rollout_batch, step_batch
 from .se2 import (
     DistanceParams,
@@ -196,7 +195,7 @@ def probe_composition(model: WorldModel, sequences, cfg: ProbeConfig,
     return _walk_probe(model, sequences, cfg, dist, seed, concentration)
 
 
-def _probe_positions(cfg: ProbeConfig, n: int) -> tuple[int, ...]:
+def probe_positions(cfg: ProbeConfig, n: int) -> tuple[int, ...]:
     """Probe positions for a stream of n actions, checked against it."""
     if cfg.kind == KIND_IDENTITY:
         positions = cfg.start_indices or identity_positions(n, cfg.k)
@@ -227,7 +226,7 @@ def _walk_probe(model: WorldModel, sequences, cfg: ProbeConfig, dist: DistancePa
         return _probe_result(cfg, [], ())
     key = (_KIND_CODE[cfg.kind], cfg.k, cfg.l)
     lengths = np.array([len(seq.actions) for seq in sequences])
-    positions = [_probe_positions(cfg, n) for n in lengths.tolist()]
+    positions = [probe_positions(cfg, n) for n in lengths.tolist()]
     order = np.array([sorted(p) for p in positions])
     actions = np.zeros((len(sequences), int(lengths.max()), 3))
     for s, seq in enumerate(sequences):
@@ -403,8 +402,11 @@ def gar_error(rollouts, dist: DistanceParams, aligned: bool) -> float:
     if poses.shape[1] < 2:
         raise ValueError("rollouts must contain at least one step")
     raw = _pairwise_mean_distance(poses, dist)
-    if not aligned:
-        return raw
+    return _aligned_dispersion(poses, dist, raw) if aligned else raw
+
+
+def _aligned_dispersion(poses: np.ndarray, dist: DistanceParams, raw: float) -> float:
+    """Aligned ``gar_error`` of an (R, T+1, 3) array whose raw value is ``raw``."""
     moved = poses.copy()
     moved[1:] = align_trajectory(poses[1:], poses[0])
     return min(_pairwise_mean_distance(moved, dist), raw)
@@ -455,8 +457,9 @@ def evaluate_gar(model: WorldModel, sequences, horizons, n_rollouts: int,
         full = rollout_batch(model, starts, actions, rngs)
         for h in horizons:
             poses = full[:, : h + 1]
-            per_horizon[h]["nonaligned"].append(gar_error(poses, dist, aligned=False))
-            per_horizon[h]["aligned"].append(gar_error(poses, dist, aligned=True))
+            raw = gar_error(poses, dist, aligned=False)
+            per_horizon[h]["nonaligned"].append(raw)
+            per_horizon[h]["aligned"].append(_aligned_dispersion(poses, dist, raw))
     entries = []
     for h in horizons:
         al = np.array(per_horizon[h]["aligned"])
@@ -474,99 +477,45 @@ def evaluate_gar(model: WorldModel, sequences, horizons, n_rollouts: int,
     return GarReport(n_rollouts=n_rollouts, entries=tuple(entries), note=note)
 
 
+GAC_COLUMNS = ("kind", "k", "l", "mean", "std")
+GAC_SUMMARY_COLUMNS = ("delta_id", "std_id", "delta_inv", "std_inv", "delta_comp", "std_comp", "e_gac")
+GAR_COLUMNS = ("horizon", "n_rollouts", "n_sequences",
+               "aligned_mean", "aligned_std", "nonaligned_mean", "nonaligned_std")
+
+
+def _write_records(path, columns, records) -> None:
+    """One CSV row per record dict, in ``columns`` order."""
+    write_csv(path, columns, ([rec[c] for c in columns] for rec in records))
+
+
 def write_gac_json(path, report: GacReport, model_name: str) -> None:
-    payload = {
-        "model": model_name,
-        "per_config": [
-            {
-                "kind": r.kind,
-                "k": r.k,
-                "l": r.l,
-                "mean": r.mean,
-                "std": r.std,
-                "n_instances": r.n_instances,
-                "start_positions": list(r.start_positions),
-            }
-            for r in report.per_config
-        ],
-        "delta_id": report.delta_id,
-        "delta_inv": report.delta_inv,
-        "delta_comp": report.delta_comp,
-        "std_id": report.std_id,
-        "std_inv": report.std_inv,
-        "std_comp": report.std_comp,
-        "e_gac": report.e_gac,
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(path, {"model": model_name, **asdict(report)})
 
 
 def write_gac_csv(path, report: GacReport, model_name: str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["model", "kind", "k", "l", "mean", "std"])
-        for r in report.per_config:
-            w.writerow([model_name, r.kind, r.k, r.l, repr(r.mean), repr(r.std)])
+    _write_records(path, ("model",) + GAC_COLUMNS,
+                   ({"model": model_name, **asdict(r)} for r in report.per_config))
 
 
 def write_gac_summary_csv(path, report: GacReport, model_name: str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["model", "delta_id", "std_id", "delta_inv", "std_inv",
-             "delta_comp", "std_comp", "e_gac"]
-        )
-        w.writerow(
-            [model_name, repr(report.delta_id), repr(report.std_id),
-             repr(report.delta_inv), repr(report.std_inv),
-             repr(report.delta_comp), repr(report.std_comp), repr(report.e_gac)]
-        )
+    _write_records(path, ("model",) + GAC_SUMMARY_COLUMNS, [{"model": model_name, **asdict(report)}])
 
 
 def write_gac_gnuplot(path, report: GacReport) -> None:
     """Whitespace-separated probe-trend data, one block per probe kind."""
-    with open(path, "w") as f:
-        f.write("# kind k l mean std\n")
-        for kind in PROBE_KINDS:
-            for r in report.per_config:
-                if r.kind == kind:
-                    f.write(f"{r.kind} {r.k} {r.l} {r.mean!r} {r.std!r}\n")
-            f.write("\n")
+    lines = ["# " + " ".join(GAC_COLUMNS)]
+    for kind in PROBE_KINDS:
+        lines += [" ".join(str(getattr(r, c)) for c in GAC_COLUMNS)
+                  for r in report.per_config if r.kind == kind]
+        lines.append("")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_gar_json(path, report: GarReport, model_name: str) -> None:
-    payload = {
-        "model": model_name,
-        "n_rollouts": report.n_rollouts,
-        "note": report.note,
-        "entries": [
-            {
-                "horizon": e.horizon,
-                "aligned_mean": e.aligned_mean,
-                "aligned_std": e.aligned_std,
-                "nonaligned_mean": e.nonaligned_mean,
-                "nonaligned_std": e.nonaligned_std,
-                "n_sequences": e.n_sequences,
-            }
-            for e in report.entries
-        ],
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(path, {"model": model_name, **asdict(report)})
 
 
 def write_gar_csv(path, report: GarReport, model_name: str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["model", "horizon", "n_rollouts", "n_sequences",
-             "aligned_mean", "aligned_std", "nonaligned_mean", "nonaligned_std"]
-        )
-        for e in report.entries:
-            w.writerow(
-                [model_name, e.horizon, report.n_rollouts, e.n_sequences,
-                 repr(e.aligned_mean), repr(e.aligned_std),
-                 repr(e.nonaligned_mean), repr(e.nonaligned_std)]
-            )
+    _write_records(path, ("model",) + GAR_COLUMNS,
+                   ({"model": model_name, "n_rollouts": report.n_rollouts, **asdict(e)}
+                    for e in report.entries))

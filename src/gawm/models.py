@@ -17,6 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .artifacts import write_text
 from .se2 import Pose2, check_finite_poses, pose_array, se2_compose, wrap_angles
 from .segments import ActionIncrement, ActionSegment, ZERO_INCREMENT
 
@@ -315,10 +316,8 @@ def rollout_batch(model: WorldModel, starts: np.ndarray, actions: np.ndarray, rn
 
 def write_trajectory_jsonl(path, traj: Trajectory, header: dict) -> None:
     """One header line, then one pose object per line."""
-    with open(path, "w") as f:
-        f.write(json.dumps(header, sort_keys=True) + "\n")
-        for p in traj:
-            f.write(json.dumps(p.to_dict()) + "\n")
+    lines = [json.dumps(header, sort_keys=True)] + [json.dumps(p.to_dict()) for p in traj]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_trajectory_jsonl(path) -> tuple[dict, Trajectory]:

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from gawm.config import (
     ExperimentConfig,
     GarSuiteConfig,
     ProbeSuiteConfig,
+    benchmark_config,
     load_config,
     save_config,
     stage_seed,
@@ -471,6 +472,56 @@ def test_suite_configs_reject_bad_eval_noise(sigma):
     with pytest.raises(ValueError, match="eval_noise_sigma"):
         GarSuiteConfig(eval_noise_sigma=sigma)
     assert ProbeSuiteConfig(eval_noise_sigma=0.0).eval_noise_sigma == 0.0
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("gar", "n_sequences", 0, "^gar.n_sequences must be >= 1, got 0$"),
+    ("gar", "n_rollouts", 1, "^gar.n_rollouts must be >= 2, got 1$"),
+    ("gar", "horizons", [], r"^gar.horizons must be one or more lengths >= 1, got \[\]$"),
+    ("gar", "horizons", [8, 0], r"^gar.horizons must be one or more lengths >= 1, got \[8, 0\]$"),
+    ("gar", "alpha_rot", math.nan, "^alpha_rot must be finite"),
+    ("probes", "n_sequences", 0, "^probes.n_sequences must be >= 1, got 0$"),
+    ("probes", "identity_lengths", [1, 9], r"^l=9 exceeds the local regime \(<= 8\)$"),
+    ("probes", "inverse_k", 0, "^k and l must be >= 1, got k=0, l=1$"),
+    ("probes", "composition_lengths", [], "^probes.composition_lengths must not be empty$"),
+    ("probes", "sequence_length", 4, "^segment length 5 exceeds stream length 4$"),
+    ("probes", "alpha_rot", -1.0, "^alpha_rot must be finite and >= 0, got -1.0$"),
+    ("probes", "dirichlet_concentration", 0.0, "^concentration must be > 0, got 0.0$"),
+    ("encoder", "obs_noise_sigma", math.nan, "^obs_noise_sigma must be finite and >= 0, got nan$"),
+    ("encoder", "latent_dim", 2, "^latent_dim must be >= 4, got 2$"),
+])
+def test_config_rejects_bad_suite_and_encoder_values(tmp_path, section, key, value, message):
+    d = tiny_config(tmp_path / "bad").to_dict()
+    d[section][key] = value
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("section, key, value, needle", [
+    ("gar", "n_sequences", 0, "gar.n_sequences"),
+    ("probes", "identity_lengths", [9], "l=9"),
+    ("encoder", "obs_noise_sigma", math.nan, "obs_noise_sigma"),
+])
+def test_cli_rejects_bad_suite_config_before_any_stage(tmp_path, section, key, value, needle):
+    d = tiny_config(tmp_path / "cli_bad").to_dict()
+    d[section][key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(d))
+    bad = CliRunner().invoke(cli_main, ["ablate", "--config", str(cfg_path)])
+    assert bad.exit_code == 1
+    err = json.loads(bad.output.strip().splitlines()[-1])
+    assert err["type"] == "ValueError"
+    assert needle in err["error"]
+    assert not (tmp_path / "cli_bad").exists()
+
+
+def test_config_dict_is_asdict_and_hash_is_stable():
+    for cfg in (ExperimentConfig(), benchmark_config()):
+        assert cfg.to_dict() == asdict(cfg)
+    assert ExperimentConfig().config_hash() == \
+        "c743bf4da3dcfc0327bbfb2afcd5eb8d2cab7647c925e25ae3b1d268729bf739"
+    assert benchmark_config().config_hash() == \
+        "1fbb10259c88cc1c3b362eddf3e2e19c1961eeb6587668e70ff8a1e412daa60d"
 
 
 def test_train_with_observation_noise_writes_and_reproduces(tmp_path):
