@@ -14,7 +14,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +61,7 @@ from .metrics import (
 from .models import ExactModel, PerturbedModel, ViolationConfig, WorldModel
 from .se2 import DistanceParams
 from .segments import ActionIncrement
-from .training import LossRow, prediction_loss, train
+from .training import LossRow, NonFiniteLossError, TrainResult, prediction_loss, train_group
 
 
 class UnknownModelRefError(ValueError):
@@ -249,14 +248,51 @@ def _held_out_prediction_loss(cfg: ExperimentConfig, net, encoder) -> float:
     return prediction_loss(net, encoder, transitions, noise)
 
 
+class TrainGroup:
+    """Configs whose training runs share every random draw: they are equal
+    but for ``ga.lambda_*``, ``ga.mode`` and the output directory.
+
+    The first config to ask for its result trains the whole group in
+    lockstep (``training.train_group``); the others then find theirs ready.
+    """
+
+    def __init__(self, cfgs: list[ExperimentConfig]):
+        self.cfgs = cfgs
+        self._results: list[TrainResult | NonFiniteLossError] | None = None
+
+    @staticmethod
+    def key(cfg: ExperimentConfig) -> ExperimentConfig:
+        """Equal for two configs exactly when they can share a group."""
+        return replace(cfg, out_dir="", ga=cfg.ga.draw_config())
+
+    def result(self, cfg: ExperimentConfig, run, dataset: Dataset, encoder,
+               initial_net) -> tuple[TrainResult, int]:
+        """``cfg``'s training result and the optimizer steps this call ran:
+        every row's steps for the call that trains the group, else 0.
+        Re-raises ``cfg``'s NonFiniteLossError."""
+        steps = 0
+        if self._results is None:
+            self._results = train_group(run, [c.ga for c in self.cfgs], dataset, encoder,
+                                        initial_net)
+            steps = sum(run.steps if isinstance(r, TrainResult) else r.step
+                        for r in self._results)
+        result = self._results[self.cfgs.index(cfg)]
+        if isinstance(result, NonFiniteLossError):
+            raise result
+        return result, steps
+
+
 def cmd_train(cfg: ExperimentConfig, label: str | None = None,
-              dataset: Dataset | None = None) -> Path:
+              dataset: Dataset | None = None, group: TrainGroup | None = None) -> Path:
     """Train from the configured dataset; write checkpoint, loss curve, manifest.
 
     When the run names an init checkpoint it fine-tunes those parameters
     (the checkpoint's encoder must match the configured one). A caller
     that already holds the configured dataset can pass it in ``dataset``
-    instead of having it loaded again.
+    instead of having it loaded again. A ``group`` that holds ``cfg``
+    trains with its other configs (``TrainGroup``); without one the run
+    trains alone. The manifest entry's ``train_steps`` counts the
+    optimizer steps the call ran.
     """
     stage = _Stage(cfg, "train")
     out_dir = stage.out_dir
@@ -273,7 +309,7 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
             raise ValueError("init checkpoint was trained with a different encoder")
         seed_stage = STAGE_FINETUNE
     run = replace(cfg.train, seed=stage_seed(cfg.seed, seed_stage))
-    result = train(run, cfg.ga, dataset, encoder, initial_net=initial_net)
+    result, steps = (group or TrainGroup([cfg])).result(cfg, run, dataset, encoder, initial_net)
 
     eval_loss = _held_out_prediction_loss(cfg, result.net, encoder)
     if label is None:
@@ -284,13 +320,12 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
         meta={"label": label, "steps": run.steps, "eval_prediction_loss": eval_loss},
     )
     curve_path = out_dir / "loss_curve.csv"
-    columns = [f.name for f in fields(LossRow)]
-    write_csv(curve_path, columns, map(attrgetter(*columns), result.rows))
+    write_csv(curve_path, [f.name for f in fields(LossRow)], result.row_tuples())
     metrics_path = out_dir / "train_metrics.json"
     write_json(metrics_path, {"label": label, "eval_prediction_loss": eval_loss,
-                              "final_total": result.rows[-1].total, "steps": run.steps})
+                              "final_total": float(result.total[-1]), "steps": run.steps})
     save_config(out_dir / "resolved_config.json", cfg)
-    stage.finish([ckpt_path, curve_path, metrics_path])
+    stage.finish([ckpt_path, curve_path, metrics_path], train_steps=steps)
     return ckpt_path
 
 
@@ -387,15 +422,17 @@ def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, Experiment
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def run_sweep_point(args: tuple[str, dict], dataset: Dataset | None = None) -> dict:
+def run_sweep_point(args: tuple[str, dict], dataset: Dataset | None = None,
+                    group: TrainGroup | None = None) -> dict:
     """Train and evaluate one grid point; returns its consolidated row.
 
     ``dataset`` is the point's training dataset when the caller has it
-    loaded already; worker processes load it from disk.
+    loaded already; worker processes load it from disk. ``group`` is the
+    point's lockstep group, if it trains in one.
     """
     label, cfg_dict = args
     cfg = ExperimentConfig.from_dict(cfg_dict)
-    ckpt = cmd_train(cfg, label=label, dataset=dataset)
+    ckpt = cmd_train(cfg, label=label, dataset=dataset, group=group)
     gac = cmd_probe(cfg, str(ckpt))
     gar = cmd_gar(cfg, str(ckpt))
     train_metrics = _read_json(Path(cfg.out_dir) / "train_metrics.json")
@@ -423,7 +460,15 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     pretrain run is configured, one base model is trained first and every
     grid point fine-tunes it. Rows are written in grid order regardless
     of worker scheduling.
+
+    With one worker, points whose configs differ only in loss weights and
+    rollout mode form a ``TrainGroup``: the group's first point trains
+    them all in lockstep inside its ``cmd_train`` call. With more
+    workers, each point trains alone in a pool of at most one worker per
+    point.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     stage = _Stage(cfg, f"ablate-{axis}")
     out_dir = stage.out_dir
     data_dir = _dataset_dir(out_dir)
@@ -452,12 +497,18 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
             out_dir=str(out_dir / f"sweep_{axis}" / label.replace("=", "_")),
             train=point_train,
         )
-        points.append((label, point_cfg.to_dict()))
+        points.append((label, point_cfg))
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_sweep_point, points))
+        with ProcessPoolExecutor(max_workers=min(threads, len(points))) as pool:
+            rows = list(pool.map(run_sweep_point, [(label, c.to_dict()) for label, c in points]))
     else:
-        rows = [run_sweep_point(p, dataset) for p in points]
+        keys = [TrainGroup.key(c) for _, c in points]
+        members: dict[ExperimentConfig, list[ExperimentConfig]] = {}
+        for key, (_, point_cfg) in zip(keys, points):
+            members.setdefault(key, []).append(point_cfg)
+        groups = {key: TrainGroup(cfgs) for key, cfgs in members.items()}
+        rows = [run_sweep_point((label, c.to_dict()), dataset, groups[key])
+                for key, (label, c) in zip(keys, points)]
 
     table_path = out_dir / f"ablation_{axis}.csv"
     columns = ["label", "delta_id", "delta_inv", "delta_comp", "e_gac"]

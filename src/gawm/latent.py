@@ -142,15 +142,17 @@ class DynamicsNet:
         return (d + 3) * h + h + h * d + d
 
     def views(self, params: np.ndarray):
-        """(w1, b1, w2, b2) as views into a vector in the parameter layout."""
+        """(w1, b1, w2, b2) as views into a vector in the parameter layout,
+        or into a (K, P) stack of them, as (K, h, d+3) and so on."""
         d, h = self.latent_dim, self.hidden_dim
         i0 = (d + 3) * h
         i1 = i0 + h
         i2 = i1 + h * d
-        w1 = params[:i0].reshape(h, d + 3)
-        b1 = params[i0:i1]
-        w2 = params[i1:i2].reshape(d, h)
-        b2 = params[i2:]
+        lead = params.shape[:-1]
+        w1 = params[..., :i0].reshape(lead + (h, d + 3))
+        b1 = params[..., i0:i1]
+        w2 = params[..., i1:i2].reshape(lead + (d, h))
+        b2 = params[..., i2:]
         return w1, b1, w2, b2
 
     def weights(self):

@@ -11,12 +11,15 @@ rollout; the anchor latent is a detached constant.
 Training computes the gradient in closed form, by backpropagation
 through time over the unrolled residual MLP. The ``*_graph`` functions
 record the same objective on the autograd tape, as its reference.
+``train_group`` trains several loss configs that share every random
+draw as one parameter stack; ``train`` is its one-config case.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,7 +55,12 @@ OPTIMIZER_SGD = "sgd"
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training aborted because a loss or intermediate became non-finite."""
+    """Training aborted because a loss or intermediate became non-finite;
+    ``step`` is the step that failed, where the training loop knows it."""
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,13 @@ class GALossConfig:
             CONSTRAINT_INV: self.lambda_inv,
             CONSTRAINT_COMP: self.lambda_comp,
         }[constraint]
+
+    def draw_config(self) -> "GALossConfig":
+        """This config with its loss weights and rollout mode reset: the
+        part that decides every random draw of a training run. Configs
+        that agree on it can train in lockstep (``train_group``)."""
+        return replace(self, lambda_id=0.0, lambda_inv=0.0, lambda_comp=0.0, lambda_ga=0.0,
+                       mode=FREE_RUNNING)
 
 
 @dataclass(frozen=True)
@@ -135,21 +150,34 @@ class SgdOptimizer:
     def update(self, params: np.ndarray, grad: np.ndarray) -> None:
         params -= self.learning_rate * grad
 
+    def select(self, rows: np.ndarray) -> None:
+        """Keep only the given rows of a (K, P) parameter stack; SGD has no state."""
+
 
 class AdamOptimizer:
-    """Adaptive-moments first-order method with the standard decay constants."""
+    """Adaptive-moments first-order method with the standard decay constants.
 
-    def __init__(self, learning_rate: float, n_params: int, beta1: float = 0.9,
+    ``shape`` is a parameter vector's size, or (K, P) for a stack of K
+    vectors. The update is elementwise, so a stack's rows move exactly as
+    K separate optimizers would move them.
+    """
+
+    def __init__(self, learning_rate: float, shape: int | tuple[int, int], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = np.zeros(n_params)
-        self.v = np.zeros(n_params)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
-        self._s1 = np.empty(n_params)
-        self._s2 = np.empty(n_params)
+        self._s1 = np.empty(shape)
+        self._s2 = np.empty(shape)
+
+    def select(self, rows: np.ndarray) -> None:
+        """Keep only the given rows (an index or boolean mask) of a (K, P) stack."""
+        self.m, self.v = self.m[rows], self.v[rows]
+        self._s1, self._s2 = np.empty_like(self.m), np.empty_like(self.m)
 
     def update(self, params: np.ndarray, grad: np.ndarray) -> None:
         """In place, in the operation order of
@@ -173,9 +201,9 @@ class AdamOptimizer:
         params -= s1
 
 
-def make_optimizer(run: TrainRunConfig, n_params: int):
+def make_optimizer(run: TrainRunConfig, shape: int | tuple[int, int]):
     if run.optimizer == OPTIMIZER_ADAM:
-        return AdamOptimizer(run.learning_rate, n_params)
+        return AdamOptimizer(run.learning_rate, shape)
     return SgdOptimizer(run.learning_rate)
 
 
@@ -285,7 +313,7 @@ def _constraint_segments(base_segment: ActionSegment, cfg: GALossConfig, active:
     raise ValueError(f"unknown constraint: {active!r}")
 
 
-def _rollout_plan(segment: ActionSegment, cfg: GALossConfig, start_pose: Pose2 | None,
+def _rollout_plan(segment: ActionSegment, mode: str, start_pose: Pose2 | None,
                   encoder: FeatureEncoder | None) -> tuple[np.ndarray | None, ActionSegment]:
     """The network steps a rollout endpoint depends on: (first input, actions).
 
@@ -295,7 +323,7 @@ def _rollout_plan(segment: ActionSegment, cfg: GALossConfig, start_pose: Pose2 |
     state, which stands in for ground-truth context, so only the last
     step reaches the endpoint.
     """
-    if cfg.mode == FREE_RUNNING:
+    if mode == FREE_RUNNING:
         return None, segment
     if start_pose is None or encoder is None:
         raise ValueError("teacher-forced mode needs the anchor pose and the encoder")
@@ -316,7 +344,7 @@ def ga_loss_graph(weights, z_t: np.ndarray, base_segment: ActionSegment, cfg: GA
     anchor = ag.constant(z_t)
     ends = []
     for seg in _constraint_segments(base_segment, cfg, active, dirichlet_rng):
-        z_in, steps = _rollout_plan(seg, cfg, start_pose, encoder)
+        z_in, steps = _rollout_plan(seg, cfg.mode, start_pose, encoder)
         z = anchor if z_in is None else ag.constant(z_in)
         ends.append(rollout_endpoint_graph(z, steps, weights))
     return ag.sumsq(ag.sub(ends[0], ends[1] if len(ends) == 2 else anchor))
@@ -338,6 +366,106 @@ def _rollout_vjp(g: np.ndarray, caches, weights, grads) -> None:
         gb2 += g
         if i:
             g = g + (w1.T @ g_pre)[:d]
+
+
+class _ParamStack:
+    """K parameter rows of one network shape, the loss config each row
+    trains under, and a gradient buffer. Weights and gradients are views
+    both in stacked form, (K, h, d+3) and so on, and per row."""
+
+    def __init__(self, net: DynamicsNet, params: np.ndarray, cfgs: list[GALossConfig]):
+        self.net = net
+        self.params = params
+        self.grad = np.empty_like(params)
+        self.cfgs = cfgs
+        self.weights = net.views(params)
+        self.grads = net.views(self.grad)
+        self.row_weights = [net.views(p) for p in params]
+        self.row_grads = [net.views(g) for g in self.grad]
+        # lambda_ga * w_c of each row, multiplied in the order the loss is
+        self.active_weights = {
+            c: np.array([cfg.lambda_ga * cfg.constraint_weight(c) for cfg in cfgs])
+            for c in CONSTRAINTS
+        }
+        self.modes = {cfg.mode for cfg in cfgs}
+
+    def rows(self, keep: np.ndarray) -> "_ParamStack":
+        """A stack of the rows where ``keep`` is true, gradients included."""
+        kept = _ParamStack(self.net, self.params[keep],
+                           [cfg for cfg, k in zip(self.cfgs, keep) if k])
+        kept.grad[...] = self.grad[keep]
+        return kept
+
+
+def _stack_objective(stack: _ParamStack, columns, z_t: np.ndarray, base_segment: ActionSegment,
+                     active: str, dirichlet_rng: np.random.Generator | None,
+                     start_pose: Pose2 | None, encoder: FeatureEncoder | None):
+    """Every row's ``objective_grad``: a (3, K) array of (l_pred, l_ga,
+    total) and a (K,) mask of the rows whose losses and pre-activations
+    are all finite. The gradients go into ``stack.grad``.
+
+    The prediction batch's input is shared, so its forward and backward
+    passes are stacked products. ``np.matmul`` on a (K, ...) stack runs
+    one product per row, which rounds like that row's own ``w @ x``.
+    Rollouts depend on each row's weights and run per row; the rollout
+    plan is made once per mode.
+    """
+    z_in, actions, z_next = columns
+    w1, b1, w2, b2 = stack.weights
+    k_rows, n = len(stack.cfgs), z_in.shape[1]
+    x = np.concatenate([z_in, actions], axis=0)
+    pre = np.matmul(w1, x) + b1[:, :, None]
+    h = np.tanh(pre)
+    diff = (z_in + (np.matmul(w2, h) + b2[:, :, None])) - z_next
+    losses = np.empty((3, k_rows))
+    losses[0] = (diff * diff).reshape(k_rows, -1).sum(axis=1) * (1.0 / n)
+    ok = np.isfinite(pre).all(axis=(1, 2))
+
+    segments = _constraint_segments(base_segment, stack.cfgs[0], active, dirichlet_rng)
+    plans = {}
+    for mode in stack.modes:
+        plans[mode] = []
+        for seg in segments:
+            z0, steps = _rollout_plan(seg, mode, start_pose, encoder)
+            plans[mode].append((z_t if z0 is None else z0, [a.as_array() for a in steps]))
+    chains, end_diffs = [], []
+    for k, (cfg, weights) in enumerate(zip(stack.cfgs, stack.row_weights)):
+        row_chains, ends, pres = [], [], []
+        for z, steps in plans[cfg.mode]:
+            caches = []
+            for a in steps:
+                z, cache = _mlp_forward(z, a, weights)
+                caches.append(cache)
+                pres.append(cache[1])
+            row_chains.append(caches)
+            ends.append(z)
+        ok[k] &= np.isfinite(np.concatenate(pres)).all()
+        end_diff = ends[0] - (ends[1] if len(ends) == 2 else z_t)
+        losses[1, k] = np.sum(end_diff * end_diff)
+        chains.append(row_chains)
+        end_diffs.append(end_diff)
+    weight = stack.active_weights[active]
+    losses[2] = losses[0] + weight * losses[1]
+    # Both losses are >= 0, so a non-finite one makes the total non-finite.
+    ok &= np.isfinite(losses[2])
+
+    # A failed row's gradient is thrown away, so its overflow stays quiet.
+    with contextlib.nullcontext() if ok.all() else np.errstate(over="ignore", invalid="ignore"):
+        gw1, gb1, gw2, gb2 = stack.grads
+        g = (2.0 * (1.0 / n)) * diff
+        g_pre = np.matmul(w2.transpose(0, 2, 1), g) * (1.0 - h * h)
+        gw1[...] = np.matmul(g_pre, x.T)
+        gb1[...] = g_pre.sum(axis=2)
+        gw2[...] = np.matmul(g, h.transpose(0, 2, 1))
+        gb2[...] = g.sum(axis=2)
+        for k, w in enumerate(weight.tolist()):
+            if w == 0.0:
+                continue
+            g = (2.0 * w) * end_diffs[k]
+            _rollout_vjp(g, chains[k][0], stack.row_weights[k], stack.row_grads[k])
+            if len(chains[k]) == 2:
+                _rollout_vjp(-g, chains[k][1], stack.row_weights[k], stack.row_grads[k])
+    return losses, ok
 
 
 def objective_grad(net: DynamicsNet, columns, z_t: np.ndarray, base_segment: ActionSegment,
@@ -363,45 +491,12 @@ def objective_grad(net: DynamicsNet, columns, z_t: np.ndarray, base_segment: Act
     a pre-activation must be checked itself because tanh saturates an
     overflow to a finite value.
     """
-    weights = net.weights()
-    w2 = weights[2]
-    l_pred, diff, cache = _prediction_forward(weights, *columns)
-    pres = [cache[1]]
-    chains, ends = [], []
-    for seg in _constraint_segments(base_segment, cfg, active, dirichlet_rng):
-        z, steps = _rollout_plan(seg, cfg, start_pose, encoder)
-        z = z_t if z is None else z
-        caches = []
-        for a in steps:
-            z, step_cache = _mlp_forward(z, a.as_array(), weights)
-            caches.append(step_cache)
-            pres.append(step_cache[1])
-        chains.append(caches)
-        ends.append(z)
-    end_diff = ends[0] - (ends[1] if len(ends) == 2 else z_t)
-    l_ga = float(np.sum(end_diff * end_diff))
-    weight = cfg.lambda_ga * cfg.constraint_weight(active)
-    losses_finite = math.isfinite(l_pred) and math.isfinite(l_ga) and math.isfinite(
-        l_pred + weight * l_ga)
-    if not (losses_finite and all(np.isfinite(p).all() for p in pres)):
+    stack = _ParamStack(net, net.params[None], [cfg])
+    losses, ok = _stack_objective(stack, columns, z_t, base_segment, active, dirichlet_rng,
+                                  start_pose, encoder)
+    if not ok[0]:
         raise NonFiniteLossError("non-finite loss or pre-activation")
-
-    grad = np.empty_like(net.params)
-    grads = net.views(grad)
-    gw1, gb1, gw2, gb2 = grads
-    x, _, h = cache
-    g = (2.0 * (1.0 / diff.shape[1])) * diff
-    g_pre = (w2.T @ g) * (1.0 - h * h)
-    gw1[...] = g_pre @ x.T
-    gb1[...] = g_pre.sum(axis=1)
-    gw2[...] = g @ h.T
-    gb2[...] = g.sum(axis=1)
-    if weight != 0.0:
-        g = (2.0 * weight) * end_diff
-        _rollout_vjp(g, chains[0], weights, grads)
-        if len(chains) == 2:
-            _rollout_vjp(-g, chains[1], weights, grads)
-    return l_pred, l_ga, grad
+    return float(losses[0, 0]), float(losses[1, 0]), stack.grad[0]
 
 
 @dataclass
@@ -427,24 +522,30 @@ class TrainStreams:
         return TrainStreams(*gens)
 
 
+def _stack_step(stack: _ParamStack, encoder: FeatureEncoder, batch: Batch,
+                streams: TrainStreams) -> tuple[int, np.ndarray, np.ndarray]:
+    """One step's draws, then every row's losses and gradient: returns the
+    active constraint's index into CONSTRAINTS and ``_stack_objective``'s
+    losses and finite-row mask."""
+    columns = batch_columns(batch, encoder, streams.noise)
+    a = int(streams.constraint.integers(0, len(CONSTRAINTS)))
+    z_t = encoder.projection @ batch.dataset.features[batch.anchor_i, batch.anchor_t]
+    losses, ok = _stack_objective(stack, columns, z_t, batch.base_segment, CONSTRAINTS[a],
+                                  streams.dirichlet, batch.start_pose, encoder)
+    return a, losses, ok
+
+
 def train_step(net: DynamicsNet, encoder: FeatureEncoder, cfg: GALossConfig,
                batch: Batch, optimizer, streams: TrainStreams) -> GALossValues:
     """One optimizer update on the per-batch objective; returns the losses."""
-    columns = batch_columns(batch, encoder, streams.noise)
-    active = CONSTRAINTS[int(streams.constraint.integers(0, len(CONSTRAINTS)))]
-    z_t = encoder.projection @ batch.dataset.features[batch.anchor_i, batch.anchor_t]
-    l_pred, value, grad = objective_grad(
-        net, columns, z_t, batch.base_segment, cfg, active, dirichlet_rng=streams.dirichlet,
-        start_pose=batch.start_pose, encoder=encoder,
-    )
-    optimizer.update(net.params, grad)
-    return GALossValues(
-        active_constraint=active,
-        l_pred=l_pred,
-        l_id=value if active == CONSTRAINT_ID else None,
-        l_inv=value if active == CONSTRAINT_INV else None,
-        l_comp=value if active == CONSTRAINT_COMP else None,
-    )
+    stack = _ParamStack(net, net.params[None], [cfg])
+    a, losses, ok = _stack_step(stack, encoder, batch, streams)
+    if not ok[0]:
+        raise NonFiniteLossError("non-finite loss or pre-activation")
+    optimizer.update(net.params, stack.grad[0])
+    active, value = CONSTRAINTS[a], float(losses[1, 0])
+    return GALossValues(active, float(losses[0, 0]),
+                        *(value if active == c else None for c in CONSTRAINTS))
 
 
 @dataclass(frozen=True)
@@ -458,36 +559,93 @@ class LossRow:
 
 @dataclass
 class TrainResult:
+    """A trained net and its loss curve as columns, one entry per step:
+    the active constraint's index into CONSTRAINTS, l_pred, l_ga and total."""
+
     net: DynamicsNet
-    rows: list[LossRow]
+    active: np.ndarray
+    l_pred: np.ndarray
+    l_ga: np.ndarray
+    total: np.ndarray
+
+    def row_tuples(self):
+        """Each step's (step, active_constraint, l_pred, l_ga, total), as Python values."""
+        names = [CONSTRAINTS[i] for i in self.active.tolist()]
+        return zip(range(len(names)), names, self.l_pred.tolist(), self.l_ga.tolist(),
+                   self.total.tolist())
+
+    @property
+    def rows(self) -> list[LossRow]:
+        return [LossRow(*row) for row in self.row_tuples()]
+
+
+def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
+                encoder: FeatureEncoder,
+                initial_net: DynamicsNet | None = None) -> list[TrainResult | NonFiniteLossError]:
+    """Train one run per loss config in lockstep, as one (K, P) parameter stack.
+
+    The configs must agree on ``draw_config()``, so they differ only in
+    loss weights and rollout mode. Every row then draws the same batch,
+    noise, constraint and segment at each step, and the step draws them
+    once. The optimizer update is elementwise, so one update of the stack
+    moves each row as its own run would. Row k's net and loss curve equal
+    a run of ``cfgs[k]`` on its own bit for bit.
+
+    A row whose loss turns non-finite leaves the stack without touching
+    the other rows; its entry is the NonFiniteLossError that its own run
+    raises. Deterministic given (seed, configs, dataset). With
+    ``initial_net`` every row starts from a copy of the given parameters
+    instead of a fresh seeded initialization.
+    """
+    if not cfgs:
+        raise ValueError("train_group needs at least one loss config")
+    cfg = cfgs[0]
+    if any(c.draw_config() != cfg.draw_config() for c in cfgs):
+        raise ValueError("lockstep configs may differ only in loss weights and rollout mode")
+    if cfg.max_span > dataset.length:
+        raise ValueError(
+            f"ga.max_span {cfg.max_span} exceeds the dataset trajectory length {dataset.length}"
+        )
+    if initial_net is not None:
+        if initial_net.latent_dim != encoder.latent_dim:
+            raise ValueError("initial net latent size does not match the encoder")
+        net = initial_net
+    else:
+        init_ss = np.random.SeedSequence(entropy=run.seed, spawn_key=(0,))
+        net = make_dynamics_net(encoder.latent_dim, run.hidden_dim, init_ss, run.init_w1_gain)
+    stack = _ParamStack(net, np.tile(net.params, (len(cfgs), 1)), list(cfgs))
+    streams = TrainStreams.from_seed(run.seed)
+    optimizer = make_optimizer(run, stack.params.shape)
+    rows = np.arange(len(cfgs))  # each stack row's index into cfgs
+    active = np.empty(run.steps, dtype=np.int8)
+    curves = np.empty((3, len(cfgs), run.steps))  # per stack row
+    results: list[TrainResult | NonFiniteLossError | None] = [None] * len(cfgs)
+    for step in range(run.steps):
+        batch = sample_batch(dataset, run.batch_size, cfg.max_span, streams.batch)
+        active[step], curves[:, :, step], ok = _stack_step(stack, encoder, batch, streams)
+        if not ok.all():
+            for i in rows[~ok]:
+                results[i] = NonFiniteLossError(f"non-finite loss at step {step}", step)
+            rows, stack, curves = rows[ok], stack.rows(ok), curves[:, ok]
+            optimizer.select(ok)
+            if rows.size == 0:
+                break
+        optimizer.update(stack.params, stack.grad)
+    for row, i in enumerate(rows):
+        trained = DynamicsNet(net.latent_dim, net.hidden_dim, stack.params[row].copy())
+        results[i] = TrainResult(trained, active, *curves[:, row])
+    return results
 
 
 def train(run: TrainRunConfig, cfg: GALossConfig, dataset: Dataset,
           encoder: FeatureEncoder, initial_net: DynamicsNet | None = None) -> TrainResult:
-    """Run the full training loop; deterministic given (seed, config, dataset).
+    """Run the full training loop: ``train_group`` with the one config.
 
-    With ``initial_net`` the run fine-tunes a copy of the given parameters
-    instead of a fresh seeded initialization.
+    Deterministic given (seed, config, dataset). With ``initial_net`` the
+    run fine-tunes a copy of the given parameters instead of a fresh
+    seeded initialization.
     """
-    if initial_net is not None:
-        if initial_net.latent_dim != encoder.latent_dim:
-            raise ValueError("initial net latent size does not match the encoder")
-        net = initial_net.copy()
-    else:
-        init_ss = np.random.SeedSequence(entropy=run.seed, spawn_key=(0,))
-        net = make_dynamics_net(encoder.latent_dim, run.hidden_dim, init_ss, run.init_w1_gain)
-    streams = TrainStreams.from_seed(run.seed)
-    optimizer = make_optimizer(run, net.params.size)
-    rows: list[LossRow] = []
-    for step in range(run.steps):
-        batch = sample_batch(dataset, run.batch_size, cfg.max_span, streams.batch)
-        try:
-            values = train_step(net, encoder, cfg, batch, optimizer, streams)
-        except NonFiniteLossError as exc:
-            raise NonFiniteLossError(f"non-finite loss at step {step}") from exc
-        l_ga = values.active_value()
-        total = values.l_pred + cfg.lambda_ga * cfg.constraint_weight(values.active_constraint) * l_ga
-        if not math.isfinite(total):
-            raise NonFiniteLossError(f"non-finite loss at step {step}")
-        rows.append(LossRow(step, values.active_constraint, values.l_pred, l_ga, total))
-    return TrainResult(net=net, rows=rows)
+    (result,) = train_group(run, [cfg], dataset, encoder, initial_net)
+    if isinstance(result, NonFiniteLossError):
+        raise result
+    return result

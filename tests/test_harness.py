@@ -35,7 +35,7 @@ from gawm.harness import (
 )
 from gawm.latent import LearnedWorldModel
 from gawm.models import ExactModel, PerturbedModel
-from gawm.training import TrainRunConfig
+from gawm.training import NonFiniteLossError, TrainRunConfig, train_group
 
 
 def tiny_config(out_dir, steps=25) -> ExperimentConfig:
@@ -200,7 +200,7 @@ def test_train_outputs(trained_run):
     assert metrics["eval_prediction_loss"] > 0.0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config_hash"] == cfg.config_hash()
-    assert "train" in manifest["stages"]
+    assert manifest["stages"]["train"]["train_steps"] == cfg.train.steps
 
 
 def test_train_reproduces_checkpoint_hash(tmp_path, trained_run):
@@ -384,14 +384,178 @@ def test_ablate_span_axis_tiny(tmp_path):
     assert [r["label"] for r in rows] == ["span=2", "span=4", "span=6"]
 
 
+def _output_hashes(root) -> dict[str, str]:
+    """SHA-256 of every file under ``root`` but those that name the run
+    directory or its timings (configs and manifests)."""
+    skip = ("manifest.json", "resolved_config.json")
+    return {str(p.relative_to(root)): file_sha256(p) for p in sorted(Path(root).rglob("*"))
+            if p.is_file() and not p.name.endswith(skip)}
+
+
 def test_ablate_worker_count_does_not_change_rows(tmp_path):
-    cfg1 = tiny_config(tmp_path / "serial", steps=6)
-    cfg2 = replace(tiny_config(tmp_path / "workers", steps=6), out_dir=str(tmp_path / "workers"))
-    rows1 = cmd_ablate(cfg1, "mode")
-    rows2 = cmd_ablate(cfg2, "mode", threads=2)
-    for a, b in zip(rows1, rows2):
-        assert a["checkpoint_hash"] == b["checkpoint_hash"]
-        assert a["e_gac"] == b["e_gac"]
+    # one worker trains each lockstep group together; two train every
+    # point alone; every output file must be the same bytes
+    for axis in ("mode", "constraints"):
+        cfg1 = tiny_config(tmp_path / axis / "serial", steps=6)
+        cfg2 = tiny_config(tmp_path / axis / "workers", steps=6)
+        rows1 = cmd_ablate(cfg1, axis)
+        rows2 = cmd_ablate(cfg2, axis, threads=2)
+        for a, b in zip(rows1, rows2):
+            assert a["checkpoint_hash"] == b["checkpoint_hash"]
+            assert a["e_gac"] == b["e_gac"]
+        hashes = _output_hashes(cfg1.out_dir)
+        assert sum(name.endswith("loss_curve.csv") for name in hashes) == len(rows1)
+        assert hashes == _output_hashes(cfg2.out_dir)
+
+
+def test_ablate_calls_train_probe_gar_per_point_in_grid_order(tmp_path, monkeypatch):
+    # every stage call stays a seam: one cmd_train per point, in grid
+    # order, and all training happens inside cmd_train calls
+    import gawm.harness as harness
+
+    calls, inside, groups = [], [], []
+
+    def recorded(name, fn):
+        def wrapped(cfg, *args, **kwargs):
+            calls.append((name, Path(cfg.out_dir).name))
+            inside.append(name)
+            try:
+                return fn(cfg, *args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    def group(run, cfgs, *args, **kwargs):
+        assert inside == ["cmd_train"]
+        groups.append(len(cfgs))
+        return train_group(run, cfgs, *args, **kwargs)
+
+    for name in ("cmd_train", "cmd_probe", "cmd_gar"):
+        monkeypatch.setattr(harness, name, recorded(name, getattr(harness, name)))
+    monkeypatch.setattr(harness, "train_group", group)
+    cfg = tiny_config(tmp_path / "seam", steps=6)
+    cfg = replace(cfg, pretrain=replace(cfg.train, steps=10))
+    cmd_ablate(cfg, "constraints")
+    labels = ["baseline", "id-only", "inv-only", "comp-only", "full"]
+    assert calls == [("cmd_train", "base")] + [
+        (name, label) for label in labels for name in ("cmd_train", "cmd_probe", "cmd_gar")]
+    assert groups == [1, len(labels)]
+
+
+@pytest.fixture
+def group_sizes(monkeypatch):
+    """Sizes of the lockstep groups the harness trains, in order."""
+    import gawm.harness as harness
+
+    sizes = []
+
+    def group(run, cfgs, *args, **kwargs):
+        sizes.append(len(cfgs))
+        return train_group(run, cfgs, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_group", group)
+    return sizes
+
+
+@pytest.mark.parametrize("axis, groups", [
+    ("constraints", [5]),
+    ("lambda", [4]),
+    ("mode", [2]),
+    ("span", [1, 1, 1]),
+])
+def test_ablate_groups_points_that_differ_only_in_loss_weights_and_mode(
+        tmp_path, group_sizes, axis, groups):
+    cfg = tiny_config(tmp_path / axis, steps=4)
+    rows = cmd_ablate(cfg, axis)
+    assert group_sizes == groups
+    # the call that trained a group records all its steps; the others none
+    steps = [json.loads((Path(r["out_dir"]) / "manifest.json").read_text())
+             ["stages"]["train"]["train_steps"] for r in rows]
+    first_points = {sum(groups[:i]): size for i, size in enumerate(groups)}
+    assert steps == [cfg.train.steps * first_points.get(i, 0) for i in range(len(rows))]
+
+
+def test_ablate_non_finite_point_fails_as_the_sequential_run(tmp_path, monkeypatch):
+    # the first point still writes every output; the failing point raises
+    # the error its own run raises, at the same step
+    import gawm.harness as harness
+
+    base = tiny_config(tmp_path / "nf", steps=12)
+    base = replace(base, train=replace(base.train, optimizer="sgd", learning_rate=1e-3))
+
+    def grid(cfg, axis):
+        return [("ok", replace(cfg, ga=replace(cfg.ga, lambda_ga=0.0))),
+                ("bad", replace(cfg, ga=replace(cfg.ga, lambda_ga=1e30)))]
+
+    def first_only(cfg, axis):
+        return grid(cfg, axis)[:1]
+
+    monkeypatch.setattr(harness, "sweep_points", grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteLossError, match=r"^non-finite loss at step \d+$") as err:
+            cmd_ablate(base, "lambda")
+        alone = tiny_config(tmp_path / "alone", steps=12)
+        alone = replace(alone, train=replace(base.train, dataset_path=str(
+            Path(base.out_dir) / "dataset")), ga=replace(base.ga, lambda_ga=1e30))
+        with pytest.raises(NonFiniteLossError) as alone_err:
+            cmd_train(alone)
+    assert str(err.value) == str(alone_err.value)
+    assert err.value.step > 0
+
+    point = Path(base.out_dir) / "sweep_lambda" / "ok"
+    stages = json.loads((point / "manifest.json").read_text())["stages"]
+    assert set(stages) == {"train", "probe", "gar"}
+    assert not (Path(base.out_dir) / "sweep_lambda" / "bad" / "checkpoint.json").exists()
+    monkeypatch.setattr(harness, "sweep_points", first_only)
+    ref = tiny_config(tmp_path / "ref", steps=12)
+    cmd_ablate(replace(ref, train=base.train), "lambda")
+    assert _output_hashes(point) == _output_hashes(Path(ref.out_dir) / "sweep_lambda" / "ok")
+
+
+@pytest.mark.parametrize("threads", (0, -3))
+def test_ablate_rejects_non_positive_threads(tmp_path, threads):
+    cfg = tiny_config(tmp_path / "threads", steps=4)
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        cmd_ablate(cfg, "mode", threads=threads)
+    assert not Path(cfg.out_dir).exists()
+    bad = CliRunner().invoke(cli_main, ["ablate", "--axis", "mode", "--threads", str(threads),
+                                        "--out", str(tmp_path / "cli")])
+    assert bad.exit_code == 1
+    err = json.loads(bad.output.strip().splitlines()[-1])
+    assert err == {"type": "ValueError", "error": f"threads must be >= 1, got {threads}"}
+    assert not (tmp_path / "cli").exists()
+
+
+@pytest.mark.parametrize("axis, threads, workers", [
+    ("mode", 64, 2),
+    ("constraints", 3, 3),
+    ("span", 8, 3),
+])
+def test_ablate_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch, group_sizes, axis,
+                                                      threads, workers):
+    # no real pool starts: the stand-in records its size and runs in-process
+    import gawm.harness as harness
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    rows = cmd_ablate(tiny_config(tmp_path / "pool", steps=4), axis, threads=threads)
+    assert pools == [workers]
+    # each worker trains its point alone
+    assert group_sizes == [1] * len(rows)
 
 
 def test_report_collects_metrics(tmp_path):

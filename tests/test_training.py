@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gawm import autograd as ag
 from gawm.data import ActionDistribution, Dataset, TrajectoryRecord, generate_records
@@ -20,6 +21,7 @@ from gawm.training import (
     FREE_RUNNING,
     GALossConfig,
     GALossValues,
+    LossRow,
     NonFiniteLossError,
     SgdOptimizer,
     TEACHER_FORCED,
@@ -33,6 +35,7 @@ from gawm.training import (
     prediction_loss_graph,
     sample_batch,
     train,
+    train_group,
     train_step,
 )
 
@@ -475,6 +478,23 @@ def test_closed_form_gradient_equals_tape_bit_for_bit(dataset, active, mode, noi
     assert spans == {1, 2, 3, 4}
 
 
+def _tape_train(run, cfg, dataset, encoder):
+    """The training loop with the tape's step (the reference): (net, loss rows)."""
+    init_ss = np.random.SeedSequence(entropy=run.seed, spawn_key=(0,))
+    net = make_dynamics_net(encoder.latent_dim, run.hidden_dim, init_ss, run.init_w1_gain)
+    streams = TrainStreams.from_seed(run.seed)
+    optimizer = make_optimizer(run, net.params.size)
+    rows = []
+    for step in range(run.steps):
+        batch = sample_batch(dataset, run.batch_size, cfg.max_span, streams.batch)
+        values = _tape_train_step(net, encoder, cfg, batch, optimizer, streams)
+        l_ga = values.active_value()
+        weight = cfg.lambda_ga * cfg.constraint_weight(values.active_constraint)
+        rows.append(LossRow(step, values.active_constraint, values.l_pred, l_ga,
+                            values.l_pred + weight * l_ga))
+    return net, rows
+
+
 @pytest.mark.parametrize("mode", (FREE_RUNNING, TEACHER_FORCED))
 @pytest.mark.parametrize("cfg_kwargs", (
     dict(),
@@ -482,7 +502,7 @@ def test_closed_form_gradient_equals_tape_bit_for_bit(dataset, active, mode, noi
     dict(lambda_inv=0.0, lambda_comp=0.0),
     dict(lambda_id=0.0, lambda_inv=0.0),
 ))
-def test_training_equals_tape_reference_byte_for_byte(dataset, monkeypatch, mode, cfg_kwargs):
+def test_training_equals_tape_reference_byte_for_byte(dataset, mode, cfg_kwargs):
     # zero-weighted rollouts are skipped in the backward pass; params and
     # loss rows must still equal the tape, which backpropagates them
     enc = make_encoder(8, 200, obs_noise_sigma=0.02)
@@ -490,10 +510,9 @@ def test_training_equals_tape_reference_byte_for_byte(dataset, monkeypatch, mode
     run = TrainRunConfig(steps=40, batch_size=8, learning_rate=3e-3, seed=62,
                          hidden_dim=16, init_w1_gain=3.0)
     closed = train(run, cfg, dataset, enc)
-    monkeypatch.setattr(training, "train_step", _tape_train_step)
-    tape = train(run, cfg, dataset, enc)
-    assert closed.net.params.tobytes() == tape.net.params.tobytes()
-    assert closed.rows == tape.rows
+    tape_net, tape_rows = _tape_train(run, cfg, dataset, enc)
+    assert closed.net.params.tobytes() == tape_net.params.tobytes()
+    assert closed.rows == tape_rows
     assert any(r.l_ga > 0.0 for r in closed.rows)
 
 
@@ -552,3 +571,106 @@ def test_train_rejects_pre_activation_overflow(far_dataset, monkeypatch, where):
         run = TrainRunConfig(steps=3, batch_size=4, seed=67)
         with pytest.raises(NonFiniteLossError, match="step 0"):
             train(run, cfg, far_dataset, enc, initial_net=net)
+
+
+# -- lockstep training ---------------------------------------------------------
+
+
+def _same_run(result, reference) -> None:
+    """Bit-for-bit equality of two training results."""
+    assert result.net.params.tobytes() == reference.net.params.tobytes()
+    assert result.rows == reference.rows
+
+
+weights = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0))
+loss_configs = st.builds(GALossConfig, lambda_id=weights, lambda_inv=weights,
+                         lambda_comp=weights, lambda_ga=weights,
+                         mode=st.sampled_from((FREE_RUNNING, TEACHER_FORCED)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfgs=st.lists(loss_configs, min_size=1, max_size=4),
+       optimizer=st.sampled_from(("adam", "sgd")), seed=st.integers(0, 2**32 - 1))
+def test_lockstep_rows_equal_sequential_runs(dataset, cfgs, optimizer, seed):
+    enc = make_encoder(8, 200, obs_noise_sigma=0.02)
+    run = TrainRunConfig(steps=12, batch_size=4, learning_rate=3e-3, seed=seed,
+                         hidden_dim=8, init_w1_gain=3.0, optimizer=optimizer)
+    results = train_group(run, cfgs, dataset, enc)
+    assert len(results) == len(cfgs)
+    for cfg, result in zip(cfgs, results):
+        _same_run(result, train(run, cfg, dataset, enc))
+
+
+def test_lockstep_fine_tunes_a_copy_of_the_initial_net(dataset, encoder):
+    base = make_dynamics_net(8, 8, 70, w1_gain=3.0)
+    before = base.params.copy()
+    run = TrainRunConfig(steps=10, batch_size=4, learning_rate=1e-3, seed=71, hidden_dim=8)
+    cfgs = [GALossConfig(lambda_ga=0.0), GALossConfig(mode=TEACHER_FORCED)]
+    results = train_group(run, cfgs, dataset, encoder, initial_net=base)
+    assert base.params.tobytes() == before.tobytes()
+    for cfg, result in zip(cfgs, results):
+        _same_run(result, train(run, cfg, dataset, encoder, initial_net=base))
+
+
+@pytest.mark.parametrize("bad_first", (False, True))
+def test_lockstep_non_finite_row_leaves_the_others_untouched(dataset, encoder, bad_first):
+    run = TrainRunConfig(steps=12, batch_size=4, learning_rate=1e-3, seed=8, hidden_dim=8,
+                         optimizer="sgd")
+    good, bad = GALossConfig(lambda_ga=0.0), GALossConfig(lambda_ga=1e30)
+    cfgs = [bad, good] if bad_first else [good, bad]
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = train_group(run, cfgs, dataset, encoder)
+        with pytest.raises(NonFiniteLossError) as alone:
+            train(run, bad, dataset, encoder)
+    failed, trained = (results[0], results[1]) if bad_first else (results[1], results[0])
+    assert isinstance(failed, NonFiniteLossError)
+    assert str(failed) == str(alone.value)
+    assert failed.step == alone.value.step and 0 < failed.step < run.steps
+    assert str(failed) == f"non-finite loss at step {failed.step}"
+    _same_run(trained, train(run, good, dataset, encoder))
+
+
+def test_lockstep_rejects_configs_that_draw_differently(dataset, encoder):
+    run = TrainRunConfig(steps=2, batch_size=4, hidden_dim=8)
+    with pytest.raises(ValueError, match="at least one loss config"):
+        train_group(run, [], dataset, encoder)
+    with pytest.raises(ValueError, match="loss weights and rollout mode"):
+        train_group(run, [GALossConfig(max_span=2), GALossConfig(max_span=3)], dataset, encoder)
+    with pytest.raises(ValueError, match="loss weights and rollout mode"):
+        train_group(run, [GALossConfig(), GALossConfig(dirichlet=DirichletParams(0.3))],
+                    dataset, encoder)
+
+
+def test_adam_stack_rows_move_like_separate_optimizers():
+    rng = _rng(72)
+    k, n = 3, 20
+    stacked, separate = AdamOptimizer(1e-3, (k, n)), [AdamOptimizer(1e-3, n) for _ in range(k)]
+    params = rng.normal(size=(k, n))
+    rows = [p.copy() for p in params]
+    keep = np.array([True, False, True])
+    for t in range(8):
+        if t == 4:
+            stacked.select(keep)
+            params = params[keep]
+            separate, rows = [separate[0], separate[2]], [rows[0], rows[2]]
+        grad = rng.normal(size=params.shape)
+        stacked.update(params, grad)
+        for opt, row, g in zip(separate, rows, grad):
+            opt.update(row, g)
+        assert params.tobytes() == np.stack(rows).tobytes()
+
+
+def test_train_rejects_span_longer_than_the_trajectories(dataset, encoder, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("the check must come before step 0")
+
+    monkeypatch.setattr(training, "sample_batch", no_step)
+    run = TrainRunConfig(steps=3, batch_size=4, hidden_dim=8)
+    with pytest.raises(ValueError, match="max_span 40 exceeds the dataset trajectory length 16"):
+        train(run, GALossConfig(max_span=40), dataset, encoder)
+
+
+def test_train_accepts_span_equal_to_the_trajectories(dataset, encoder):
+    run = TrainRunConfig(steps=20, batch_size=4, hidden_dim=8, seed=73)
+    result = train(run, GALossConfig(max_span=dataset.length), dataset, encoder)
+    assert len(result.rows) == run.steps
