@@ -51,6 +51,7 @@ class DatasetConfig:
     def __post_init__(self):
         if self.n_trajectories < 1 or self.length < 1:
             raise ValueError("dataset needs at least one trajectory of length >= 1")
+        check_noise_sigma(self.start_pos_sigma, "dataset.start_pos_sigma")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ Actions are drawn from a forward-biased Gaussian increment distribution
 which mimics navigation ego-motion statistics without any external data.
 Trajectories are rolled with a chosen reference model and written as
 JSON Lines, one pose per line under a header.
+
+Poses are ``[theta, x, y]`` rows and actions ``[dx, dy, dtheta]`` rows;
+a dataset is three arrays and nothing else.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_json
-from .latent import pose_features
-from .models import Trajectory, WorldModel, rollout, write_trajectory_jsonl, read_trajectory_jsonl
-from .se2 import Pose2
-from .segments import ActionIncrement, ActionSegment
+from .latent import check_noise_sigma, pose_features
+from .models import WorldModel, read_trajectory_jsonl, step_batch, write_trajectory_jsonl
+from .se2 import wrap_angles
+from .segments import ActionSegment
 
 
 @dataclass(frozen=True)
@@ -32,80 +35,68 @@ class ActionDistribution:
     sigma_dy: float = 0.03
     sigma_dtheta: float = 0.1
 
-    def sample_segment(self, length: int, rng: np.random.Generator) -> ActionSegment:
+    def __post_init__(self):
+        if not math.isfinite(self.mean_dx):
+            raise ValueError(f"action_dist.mean_dx must be finite, got {self.mean_dx}")
+        for name in ("sigma_dx", "sigma_dy", "sigma_dtheta"):
+            check_noise_sigma(getattr(self, name), f"action_dist.{name}")
+
+    def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
+        """``length`` increments as a (length, 3) array: dx, then dy, then dtheta draws."""
         dx = rng.normal(self.mean_dx, self.sigma_dx, size=length)
         dy = rng.normal(0.0, self.sigma_dy, size=length)
         dth = np.clip(rng.normal(0.0, self.sigma_dtheta, size=length), -math.pi, math.pi)
-        return ActionSegment(
-            [ActionIncrement(float(dx[i]), float(dy[i]), float(dth[i])) for i in range(length)]
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_dx": self.mean_dx,
-            "sigma_dx": self.sigma_dx,
-            "sigma_dy": self.sigma_dy,
-            "sigma_dtheta": self.sigma_dtheta,
-        }
+        return np.stack([dx, dy, dth], axis=1)
 
     @staticmethod
     def from_dict(d: dict) -> "ActionDistribution":
-        return ActionDistribution(
-            mean_dx=float(d.get("mean_dx", 0.1)),
-            sigma_dx=float(d.get("sigma_dx", 0.05)),
-            sigma_dy=float(d.get("sigma_dy", 0.03)),
-            sigma_dtheta=float(d.get("sigma_dtheta", 0.1)),
-        )
+        return ActionDistribution(**{key: float(value) for key, value in d.items()})
 
 
-def sample_start_pose(rng: np.random.Generator, pos_sigma: float = 1.0) -> Pose2:
-    """Random start: Gaussian position, uniform heading."""
-    x, y = rng.normal(0.0, pos_sigma, size=2)
-    theta = rng.uniform(-math.pi, math.pi)
-    return Pose2(theta=theta, x=float(x), y=float(y))
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One dataset item: the executed actions and every visited pose."""
-
-    poses: Trajectory
-    actions: ActionSegment
+def sample_sequences(n: int, length: int, action_dist: ActionDistribution, seed: int,
+                     start_pos_sigma: float = 1.0):
+    """(n, 3) starts, (n, length, 3) actions and the n generators they were
+    drawn from: row i's generator is spawned from ``seed`` with key (i,) and
+    draws a Gaussian position, a uniform heading, then the actions."""
+    starts = np.empty((n, 3))
+    actions = np.empty((n, length, 3))
+    rngs = []
+    for i in range(n):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+        starts[i, 1:] = rng.normal(0.0, start_pos_sigma, size=2)
+        starts[i, 0] = rng.uniform(-math.pi, math.pi)
+        actions[i] = action_dist.sample(length, rng)
+        rngs.append(rng)
+    starts[:, 0] = wrap_angles(starts[:, 0])
+    return starts, actions, rngs
 
 
 class Dataset:
-    """In-memory collection of equal-length trajectory records.
+    """Equal-length trajectories: ``poses`` (N, T+1, 3), ``actions`` (N, T, 3)
+    and every pose's (x, y, cos theta, sin theta) in ``features`` (N, T+1, 4)."""
 
-    ``features`` holds every pose's (x, y, cos theta, sin theta) as an
-    (N, T+1, 4) array and ``actions`` every increment as an (N, T, 3)
-    array, so training batches are gathered by index instead of per pose.
-    """
-
-    def __init__(self, records: list[TrajectoryRecord]):
-        if not records:
+    def __init__(self, poses: np.ndarray, actions: np.ndarray):
+        if len(poses) == 0:
             raise ValueError("dataset must contain at least one trajectory")
-        lengths = {len(r.actions) for r in records}
-        if len(lengths) != 1:
-            raise ValueError(f"trajectories must share one length, got {sorted(lengths)}")
-        self.records = records
-        self.length = lengths.pop()
-        self.features = np.array([[pose_features(p) for p in r.poses] for r in records])
-        self.actions = np.array([[(a.dx, a.dy, a.dtheta) for a in r.actions] for r in records])
+        n, t = actions.shape[:2]
+        if poses.shape != (n, t + 1, 3) or actions.shape != (n, t, 3):
+            raise ValueError(f"expected (N, T+1, 3) poses and (N, T, 3) actions, "
+                             f"got {poses.shape} and {actions.shape}")
+        self.poses = poses
+        self.actions = actions
+        self.features = pose_features(poses)
+
+    @property
+    def length(self) -> int:
+        return self.actions.shape[1]
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def transition(self, i: int, t: int) -> tuple[Pose2, ActionIncrement, Pose2]:
-        r = self.records[i]
-        return r.poses[t], r.actions[t], r.poses[t + 1]
+        return len(self.poses)
 
     def segment(self, i: int, t: int, l: int) -> ActionSegment:
         if t + l > self.length:
             raise ValueError(f"segment [{t}, {t + l}) exceeds trajectory length {self.length}")
-        return self.records[i].actions[t : t + l]
-
-    def start_pose(self, i: int, t: int) -> Pose2:
-        return self.records[i].poses[t]
+        return ActionSegment(self.actions[i, t : t + l])
 
 
 def generate_records(
@@ -115,48 +106,53 @@ def generate_records(
     action_dist: ActionDistribution,
     seed: int,
     start_pos_sigma: float = 1.0,
-) -> list[TrajectoryRecord]:
-    records = []
-    for i in range(n_trajectories):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-        rng = np.random.Generator(np.random.PCG64(ss))
-        start = sample_start_pose(rng, pos_sigma=start_pos_sigma)
-        actions = action_dist.sample_segment(length, rng)
-        traj = rollout(model, start, actions, rng)
-        records.append(TrajectoryRecord(poses=traj, actions=actions))
-    return records
+) -> Dataset:
+    """Step all of ``sample_sequences``' trajectories at once through the
+    model's step; trajectory i keeps drawing from its own generator."""
+    starts, actions, rngs = sample_sequences(n_trajectories, length, action_dist, seed,
+                                             start_pos_sigma)
+    poses = np.empty((n_trajectories, length + 1, 3))
+    poses[:, 0] = starts
+    for t in range(length):
+        poses[:, t + 1] = step_batch(model, poses[:, t], actions[:, t], rngs)
+    return Dataset(poses, actions)
 
 
-def write_dataset(out_dir, records: list[TrajectoryRecord], meta: dict) -> dict:
+def write_dataset(out_dir, dataset: Dataset, meta: dict) -> dict:
     """Write per-trajectory pose and action files plus a summary, return the summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for i, rec in enumerate(records):
+    for i, (poses, actions) in enumerate(zip(dataset.poses, dataset.actions)):
         actions_name = f"actions_{i:04d}.json"
-        write_json(out / actions_name, rec.actions.to_json(), indent=None)
-        header = {
-            "seed": meta.get("seed"),
-            "model": meta.get("model"),
-            "actions_file": actions_name,
-        }
-        write_trajectory_jsonl(out / f"traj_{i:04d}.jsonl", rec.poses, header)
+        write_json(out / actions_name, actions.tolist(), indent=None)
+        header = {"seed": meta.get("seed"), "model": meta.get("model"),
+                  "actions_file": actions_name}
+        write_trajectory_jsonl(out / f"traj_{i:04d}.jsonl", poses, header)
     summary = dict(meta)
-    summary["n_trajectories"] = len(records)
-    summary["length"] = len(records[0].actions)
+    summary["n_trajectories"] = len(dataset)
+    summary["length"] = dataset.length
     write_json(out / "summary.json", summary)
     return summary
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset directory; poses are checked and wrapped as ``Pose2``
+    would, and actions checked as ``ActionIncrement`` would."""
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {root}")
-    records = []
+    poses, actions = [], []
     for traj_path in sorted(root.glob("traj_*.jsonl")):
         header, traj = read_trajectory_jsonl(traj_path)
         with open(root / header["actions_file"]) as f:
-            actions = ActionSegment.from_json(json.load(f))
-        records.append(TrajectoryRecord(poses=traj, actions=actions))
-    if not records:
+            rows = ActionSegment(json.load(f)).array
+        if len(traj) != len(rows) + 1:
+            raise ValueError(f"{traj_path} holds {len(traj)} poses for {len(rows)} actions")
+        poses.append(traj)
+        actions.append(rows)
+    if not poses:
         raise FileNotFoundError(f"no trajectory files in {root}")
-    return Dataset(records)
+    lengths = {len(a) for a in actions}
+    if len(lengths) != 1:
+        raise ValueError(f"trajectories must share one length, got {sorted(lengths)}")
+    return Dataset(np.stack(poses), np.stack(actions))

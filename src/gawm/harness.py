@@ -37,7 +37,7 @@ from .data import (
     Dataset,
     generate_records,
     load_dataset,
-    sample_start_pose,
+    sample_sequences,
     write_dataset,
 )
 from .latent import (
@@ -60,7 +60,7 @@ from .metrics import (
 )
 from .models import ExactModel, PerturbedModel, ViolationConfig, WorldModel
 from .se2 import DistanceParams
-from .segments import ActionIncrement
+from .segments import ActionIncrement, ActionSegment
 from .training import LossRow, NonFiniteLossError, TrainResult, prediction_loss, train_group
 
 
@@ -187,28 +187,22 @@ def _dataset_dir(out_dir: Path) -> Path:
 def make_eval_sequences(n_sequences: int, length: int, action_dist: ActionDistribution,
                         seed: int) -> list[EvalSequence]:
     """Fixed evaluation sequences, identical across all evaluated models."""
-    sequences = []
-    for i in range(n_sequences):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-        rng = np.random.Generator(np.random.PCG64(ss))
-        start = sample_start_pose(rng)
-        actions = action_dist.sample_segment(length, rng)
-        sequences.append(EvalSequence(start=start, actions=actions))
-    return sequences
+    starts, actions, _ = sample_sequences(n_sequences, length, action_dist, seed)
+    return [EvalSequence(start, ActionSegment(rows)) for start, rows in zip(starts, actions)]
 
 
 def cmd_gen_data(cfg: ExperimentConfig) -> Path:
     """Generate the training dataset under <out_dir>/dataset."""
+    model, model_name = parse_model_ref(cfg.dataset.model)
     stage = _Stage(cfg, "gen-data")
     out_dir = stage.out_dir
-    model, model_name = parse_model_ref(cfg.dataset.model)
     seed = cfg.dataset.seed if cfg.dataset.seed is not None else stage_seed(cfg.seed, STAGE_DATASET)
-    records = generate_records(
+    dataset = generate_records(
         model, cfg.dataset.n_trajectories, cfg.dataset.length,
         cfg.dataset.action_dist, seed, start_pos_sigma=cfg.dataset.start_pos_sigma,
     )
     data_dir = _dataset_dir(out_dir)
-    write_dataset(data_dir, records, {"seed": seed, "model": model_name})
+    write_dataset(data_dir, dataset, {"seed": seed, "model": model_name})
     save_config(out_dir / "resolved_config.json", cfg)
     stage.finish([data_dir])
     return data_dir
@@ -226,26 +220,24 @@ def _load_train_dataset(cfg: ExperimentConfig, out_dir: Path) -> Dataset:
     return load_dataset(_dataset_dir(out_dir))
 
 
-def _held_out_prediction_loss(cfg: ExperimentConfig, net, encoder) -> float:
-    """Deterministic post-training prediction loss on freshly generated transitions.
+def _held_out_prediction_loss(cfg: ExperimentConfig, model: WorldModel, net, encoder) -> float:
+    """Deterministic post-training prediction loss on freshly generated
+    transitions: every fourth step of 32 trajectories, trajectory-major.
 
     With observation noise, the encodings draw from their own stream of
-    the eval stage seed. Record i is generated from spawn key (i,); the
-    noise stream's two-word key can never be one of those.
+    the eval stage seed. Trajectory i is generated from spawn key (i,);
+    the noise stream's two-word key can never be one of those.
     """
     seed = stage_seed(cfg.seed, STAGE_EVAL)
-    model, _ = parse_model_ref(cfg.dataset.model)
-    records = generate_records(
+    data = generate_records(
         model, 32, cfg.dataset.length, cfg.dataset.action_dist,
         seed, start_pos_sigma=cfg.dataset.start_pos_sigma,
     )
-    transitions = [
-        (rec.poses[t], rec.actions[t], rec.poses[t + 1])
-        for rec in records
-        for t in range(0, len(rec.actions), 4)
-    ]
+    ts = np.arange(0, data.length, 4)
     noise = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0, 1))))
-    return prediction_loss(net, encoder, transitions, noise)
+    return prediction_loss(net, encoder, data.poses[:, ts].reshape(-1, 3),
+                           data.actions[:, ts].reshape(-1, 3),
+                           data.poses[:, ts + 1].reshape(-1, 3), noise)
 
 
 class TrainGroup:
@@ -294,6 +286,7 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
     trains alone. The manifest entry's ``train_steps`` counts the
     optimizer steps the call ran.
     """
+    data_model, _ = parse_model_ref(cfg.dataset.model)  # a bad reference fails before training
     stage = _Stage(cfg, "train")
     out_dir = stage.out_dir
     if dataset is None:
@@ -311,7 +304,7 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
     run = replace(cfg.train, seed=stage_seed(cfg.seed, seed_stage))
     result, steps = (group or TrainGroup([cfg])).result(cfg, run, dataset, encoder, initial_net)
 
-    eval_loss = _held_out_prediction_loss(cfg, result.net, encoder)
+    eval_loss = _held_out_prediction_loss(cfg, data_model, result.net, encoder)
     if label is None:
         label = "baseline" if cfg.ga.lambda_ga == 0.0 else "ga"
     ckpt_path = out_dir / "checkpoint.json"
@@ -469,6 +462,7 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    parse_model_ref(cfg.dataset.model)  # fail before any output directory exists
     stage = _Stage(cfg, f"ablate-{axis}")
     out_dir = stage.out_dir
     data_dir = _dataset_dir(out_dir)

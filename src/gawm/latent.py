@@ -32,9 +32,14 @@ class HeadingUndefinedError(ValueError):
     """Decoded heading features are both zero, so the angle is undefined."""
 
 
-def pose_features(pose: Pose2) -> np.ndarray:
-    """(x, y, cos theta, sin theta) feature vector of a pose."""
-    return np.array([pose.x, pose.y, math.cos(pose.theta), math.sin(pose.theta)])
+def pose_features(poses: np.ndarray) -> np.ndarray:
+    """(x, y, cos theta, sin theta) features of (..., 3) ``[theta, x, y]``
+    pose rows, as a (..., 4) array."""
+    features = np.empty(poses.shape[:-1] + (4,))
+    features[..., :2] = poses[..., 1:]
+    np.cos(poses[..., 0], out=features[..., 2])
+    np.sin(poses[..., 0], out=features[..., 3])
+    return features
 
 
 def check_noise_sigma(sigma: float, name: str = "obs_noise_sigma") -> None:
@@ -100,7 +105,7 @@ def make_decoder(encoder: FeatureEncoder) -> FeatureDecoder:
 
 def encode(pose: Pose2, encoder: FeatureEncoder, rng: np.random.Generator | None = None) -> np.ndarray:
     """Project pose features into the latent space, plus seeded observation noise."""
-    z = encoder.projection @ pose_features(pose)
+    z = encoder.projection @ pose_features(pose_array([pose])[0])
     if encoder.obs_noise_sigma > 0.0:
         if rng is None:
             raise ValueError("observation noise requires a random generator")
@@ -196,14 +201,6 @@ def net_step(z: np.ndarray, action: ActionIncrement, net: DynamicsNet) -> np.nda
     return z + w2 @ np.tanh(w1 @ x + b1) + b2
 
 
-def latent_rollout_endpoint(z0: np.ndarray, u: ActionSegment, net: DynamicsNet) -> np.ndarray:
-    """Fold the latent transition over a segment; an empty segment returns z0."""
-    z = z0
-    for a in u:
-        z = net_step(z, a, net)
-    return z
-
-
 # The array forms below give each row exactly the per-pose result. They use
 # stacked matrix-vector products, np.matmul(w, x[:, :, None]), which round
 # like the per-pose ``w @ x``; a matrix-matrix product ``x @ w.T`` does not.
@@ -211,9 +208,7 @@ def latent_rollout_endpoint(z0: np.ndarray, u: ActionSegment, net: DynamicsNet) 
 
 def _encode_rows(poses: np.ndarray, encoder: FeatureEncoder) -> np.ndarray:
     """Noiseless ``encode`` of (B, 3) pose rows, as (B, d) latents."""
-    theta = poses[:, 0]
-    features = np.stack([poses[:, 1], poses[:, 2], np.cos(theta), np.sin(theta)], axis=1)
-    return np.matmul(encoder.projection, features[:, :, None])[:, :, 0]
+    return np.matmul(encoder.projection, pose_features(poses)[:, :, None])[:, :, 0]
 
 
 def _net_rows(z: np.ndarray, actions: np.ndarray, net: DynamicsNet) -> np.ndarray:
@@ -315,8 +310,8 @@ class LearnedWorldModel:
 
     def sample_trajectory(self, start: Pose2, actions, rng: np.random.Generator) -> Trajectory:
         """One row of ``rollout_batch``, as a trajectory."""
-        poses = self.rollout_batch(pose_array([start]), ActionSegment(actions).to_array()[None], [rng])
-        return Trajectory.from_array(poses[0])
+        poses = self.rollout_batch(pose_array([start]), ActionSegment(actions).array[None], [rng])
+        return Trajectory([Pose2(*row) for row in poses[0].tolist()])
 
     def with_obs_noise(self, sigma: float) -> "LearnedWorldModel":
         enc = FeatureEncoder(

@@ -27,9 +27,7 @@ from .artifacts import write_csv, write_json, write_text
 from .models import WorldModel, rollout_batch, step_batch
 from .se2 import (
     DistanceParams,
-    Pose2,
     check_finite_poses,
-    pose_array,
     state_distances,
     wrap_angles,
 )
@@ -50,11 +48,11 @@ MAX_LOCAL_WINDOW = 8
 _KIND_CODE = {KIND_IDENTITY: 0, KIND_INVERSE: 1, KIND_COMPOSITION: 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalSequence:
-    """One evaluation item: a start pose and the base action stream."""
+    """One evaluation item: a ``[theta, x, y]`` start row and the base action stream."""
 
-    start: Pose2
+    start: np.ndarray
     actions: ActionSegment
 
 
@@ -230,10 +228,10 @@ def _walk_probe(model: WorldModel, sequences, cfg: ProbeConfig, dist: DistancePa
     order = np.array([sorted(p) for p in positions])
     actions = np.zeros((len(sequences), int(lengths.max()), 3))
     for s, seq in enumerate(sequences):
-        actions[s, : len(seq.actions)] = seq.actions.to_array()
+        actions[s, : len(seq.actions)] = seq.actions.array
     dirichlet = DirichletParams(concentration=concentration, seed=seed)
     stream_rngs = _Generators(seed, [(*key, s, 0) for s in range(len(sequences))])
-    states = pose_array([seq.start for seq in sequences])
+    states = np.stack([seq.start for seq in sequences])
     errors = np.empty(order.shape)
 
     def branch_ends(rows, segments, slot):
@@ -256,17 +254,17 @@ def _walk_probe(model: WorldModel, sequences, cfg: ProbeConfig, dist: DistancePa
             errors[rows, j] = state_distances(end, states[rows], dist)
             states[rows] = end
             continue
-        windows = [sequences[s].actions[p : p + cfg.l] for s in rows.tolist()]
+        windows = actions[rows, p : p + cfg.l]
         if cfg.kind == KIND_INVERSE:
-            cycles = np.stack([make_inverse_segment(u).to_array() for u in windows])
+            cycles = np.stack([make_inverse_segment(u).array for u in windows])
             errors[rows, j] = state_distances(branch_ends(rows, cycles, 1 + j), states[rows], dist)
         else:
             recomposed = np.stack([
                 make_compatibility_segment(u, dirichlet, rng=_probe_rng(seed, *key, s, 1 + 3 * j))
-                .to_array()
+                .array
                 for s, u in zip(rows.tolist(), windows)
             ])
-            end_a = branch_ends(rows, actions[rows, p : p + cfg.l], 2 + 3 * j)
+            end_a = branch_ends(rows, windows, 2 + 3 * j)
             end_b = branch_ends(rows, recomposed, 3 + 3 * j)
             errors[rows, j] = state_distances(end_a, end_b, dist)
     return _probe_result(cfg, errors.ravel(), positions[-1])
@@ -380,8 +378,8 @@ def align_trajectory(poses: np.ndarray, reference: np.ndarray) -> np.ndarray:
 def gar_error(rollouts, dist: DistanceParams, aligned: bool) -> float:
     """Mean pairwise, time-averaged state distance over repeated rollouts.
 
-    ``rollouts`` is an (R, T+1, 3) pose array, or R trajectories. The
-    shared start pose is excluded from the time average. With the
+    ``rollouts`` is an (R, T+1, 3) pose array. The shared start pose is
+    excluded from the time average. With the
     aligned flag, every trajectory is first rigidly aligned to the first
     one; since alignment fits positions only while the distance also
     carries a heading term, the raw value is kept whenever the fitted
@@ -391,18 +389,11 @@ def gar_error(rollouts, dist: DistanceParams, aligned: bool) -> float:
     n = len(rollouts)
     if n < 2:
         raise ValueError(f"dispersion needs at least 2 rollouts, got {n}")
-    if isinstance(rollouts, np.ndarray):
-        poses = rollouts
-        check_finite_poses(poses)
-    else:
-        lengths = {len(t) for t in rollouts}
-        if len(lengths) != 1:
-            raise ValueError(f"rollouts must share one length, got {sorted(lengths)}")
-        poses = np.stack([t.as_array() for t in rollouts])
-    if poses.shape[1] < 2:
+    check_finite_poses(rollouts)
+    if rollouts.shape[1] < 2:
         raise ValueError("rollouts must contain at least one step")
-    raw = _pairwise_mean_distance(poses, dist)
-    return _aligned_dispersion(poses, dist, raw) if aligned else raw
+    raw = _pairwise_mean_distance(rollouts, dist)
+    return _aligned_dispersion(rollouts, dist, raw) if aligned else raw
 
 
 def _aligned_dispersion(poses: np.ndarray, dist: DistanceParams, raw: float) -> float:
@@ -451,8 +442,8 @@ def evaluate_gar(model: WorldModel, sequences, horizons, n_rollouts: int,
             raise ValueError(
                 f"sequence {s_idx} has {len(seq.actions)} actions, needs >= {t_max}"
             )
-        starts = np.repeat(pose_array([seq.start]), n_rollouts, axis=0)
-        actions = np.repeat(seq.actions[:t_max].to_array()[None], n_rollouts, axis=0)
+        starts = np.repeat(seq.start[None], n_rollouts, axis=0)
+        actions = np.repeat(seq.actions.array[None, :t_max], n_rollouts, axis=0)
         rngs = _Generators(seed, [(3, s_idx, i) for i in range(n_rollouts)])
         full = rollout_batch(model, starts, actions, rngs)
         for h in horizons:

@@ -59,10 +59,6 @@ class Trajectory:
         """(T+1, 3) array of ``[theta, x, y]`` rows."""
         return pose_array(self.poses)
 
-    @staticmethod
-    def from_array(poses: np.ndarray) -> "Trajectory":
-        return Trajectory([Pose2(*row) for row in poses.tolist()])
-
 
 def increment_pose(action: ActionIncrement) -> Pose2:
     """The rigid motion realized by one body-frame increment."""
@@ -166,14 +162,6 @@ class ViolationConfig:
 
     def is_stochastic(self) -> bool:
         return self.noise_sigma > 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "drift_bias": [self.drift_bias.dx, self.drift_bias.dy, self.drift_bias.dtheta],
-            "saturation_scale": self.saturation_scale,
-            "asym_gain": list(self.asym_gain),
-            "noise_sigma": self.noise_sigma,
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "ViolationConfig":
@@ -307,22 +295,27 @@ def rollout_batch(model: WorldModel, starts: np.ndarray, actions: np.ndarray, rn
         return native(starts, actions, rngs)
     sampler = getattr(model, "sample_trajectory", None)
     rows = []
-    for start, row, rng in zip(starts.tolist(), actions.tolist(), rngs):
-        pose, segment = Pose2(*start), ActionSegment.from_json(row)
+    for start, row, rng in zip(starts.tolist(), actions, rngs):
+        pose, segment = Pose2(*start), ActionSegment(row)
         traj = sampler(pose, segment, rng) if sampler is not None else rollout(model, pose, segment, rng)
         rows.append(traj.as_array())
     return np.stack(rows)
 
 
-def write_trajectory_jsonl(path, traj: Trajectory, header: dict) -> None:
-    """One header line, then one pose object per line."""
-    lines = [json.dumps(header, sort_keys=True)] + [json.dumps(p.to_dict()) for p in traj]
+def write_trajectory_jsonl(path, poses: np.ndarray, header: dict) -> None:
+    """One header line, then one ``{"theta", "x", "y"}`` object per pose row."""
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [json.dumps({"theta": theta, "x": x, "y": y}) for theta, x, y in poses.tolist()]
     write_text(path, "\n".join(lines) + "\n")
 
 
-def read_trajectory_jsonl(path) -> tuple[dict, Trajectory]:
+def read_trajectory_jsonl(path) -> tuple[dict, np.ndarray]:
+    """The header and the (T+1, 3) pose array, checked and wrapped as ``Pose2`` would be."""
     with open(path) as f:
         lines = [line for line in f if line.strip()]
     header = json.loads(lines[0])
-    poses = [Pose2.from_dict(json.loads(line)) for line in lines[1:]]
-    return header, Trajectory(poses)
+    rows = [json.loads(line) for line in lines[1:]]
+    poses = np.array([(r["theta"], r["x"], r["y"]) for r in rows], dtype=np.float64).reshape(-1, 3)
+    check_finite_poses(poses)
+    poses[:, 0] = wrap_angles(poses[:, 0])
+    return header, poses

@@ -1,16 +1,18 @@
 """Ego-motion increments and the three families of consistency segments.
 
-An increment is a local body-frame motion (dx, dy, dtheta). Segments are
-finite ordered sequences of increments; from a base segment we derive
+An increment is a local body-frame motion (dx, dy, dtheta). A segment is
+a finite ordered sequence of increments, held as one read-only (L, 3)
+array of ``[dx, dy, dtheta]`` rows. From a base segment we derive
 zero-action segments, forward-inverse cycles, and Dirichlet-recomposed
 segments whose accumulated increments match the original.
+``ActionIncrement`` is the per-pose form that ``WorldModel.step`` takes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -39,47 +41,58 @@ class ActionIncrement:
 ZERO_INCREMENT = ActionIncrement(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
 class ActionSegment:
-    """An ordered, possibly empty sequence of increments."""
+    """An ordered, possibly empty sequence of increments, as one read-only
+    (L, 3) float64 array ``array``.
 
-    increments: tuple[ActionIncrement, ...]
+    Built from an (L, 3) array (copied) or a sequence of increments, and
+    checked once as ``ActionIncrement`` checks each increment. Slicing returns a segment over a view of the same
+    array; indexing and iterating yield ``ActionIncrement`` values, for
+    per-pose folds.
+    """
 
-    def __init__(self, increments: Sequence[ActionIncrement] = ()):
-        object.__setattr__(self, "increments", tuple(increments))
+    __slots__ = ("array",)
+
+    def __init__(self, rows=()):
+        if isinstance(rows, ActionSegment):
+            self.array = rows.array
+            return
+        if not isinstance(rows, np.ndarray):
+            rows = [(a.dx, a.dy, a.dtheta) if isinstance(a, ActionIncrement) else a for a in rows]
+        array = np.array(rows, dtype=np.float64)
+        if array.size == 0:
+            array = array.reshape(0, 3)
+        if array.ndim != 2 or array.shape[1] != 3:
+            raise ValueError(f"a segment is an (L, 3) array, got shape {array.shape}")
+        if len(array):
+            max_dx, max_dy, max_dtheta = np.abs(array).max(axis=0).tolist()  # a NaN propagates
+            if not (math.isfinite(max_dx) and math.isfinite(max_dy) and max_dtheta <= math.pi):
+                for row in array.tolist():
+                    ActionIncrement(*row)  # raises at the first bad row
+        array.flags.writeable = False
+        self.array = array
 
     def __len__(self) -> int:
-        return len(self.increments)
+        return len(self.array)
 
     def __iter__(self) -> Iterator[ActionIncrement]:
-        return iter(self.increments)
+        return (ActionIncrement(*row) for row in self.array.tolist())
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ActionSegment(self.increments[i])
-        return self.increments[i]
+            return _valid_segment(self.array[i])
+        return ActionIncrement(*self.array[i].tolist())
 
-    def cumulative_sum(self) -> np.ndarray:
-        """Componentwise sum of all increments as a (3,) array."""
-        total = np.zeros(3)
-        for a in self.increments:
-            total[0] += a.dx
-            total[1] += a.dy
-            total[2] += a.dtheta
-        return total
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ActionSegment) and np.array_equal(self.array, other.array)
 
-    def to_array(self) -> np.ndarray:
-        """Segment as an (l, 3) array of [dx, dy, dtheta] rows."""
-        if not self.increments:
-            return np.zeros((0, 3))
-        return np.array([[a.dx, a.dy, a.dtheta] for a in self.increments])
 
-    def to_json(self) -> list:
-        return [[a.dx, a.dy, a.dtheta] for a in self.increments]
-
-    @staticmethod
-    def from_json(rows: Sequence[Sequence[float]]) -> "ActionSegment":
-        return ActionSegment([ActionIncrement(float(r[0]), float(r[1]), float(r[2])) for r in rows])
+def _valid_segment(array: np.ndarray) -> ActionSegment:
+    """A segment over ``array`` without the checks, for rows known to pass them."""
+    segment = object.__new__(ActionSegment)
+    array.flags.writeable = False
+    segment.array = array
+    return segment
 
 
 @dataclass(frozen=True)
@@ -98,19 +111,21 @@ def make_identity_segment(l: int) -> ActionSegment:
     """A segment of l zero increments."""
     if l < 1:
         raise ValueError(f"identity segment length must be >= 1, got {l}")
-    return ActionSegment([ZERO_INCREMENT] * l)
+    return _valid_segment(np.zeros((l, 3)))
 
 
-def make_inverse_segment(u: ActionSegment) -> ActionSegment:
+def make_inverse_segment(u) -> ActionSegment:
     """Forward-inverse cycle: u followed by its reversed, negated increments.
 
-    The increments cancel componentwise, so the cumulative sum is exactly
-    zero. Note this elementwise negation is a local operational inverse,
-    not the exact SE(2) group inverse of the composed motion.
+    ``u`` is a segment or an (L, 3) array. The increments cancel
+    componentwise, so the cumulative sum is exactly zero. Note this
+    elementwise negation is a local operational inverse, not the exact
+    SE(2) group inverse of the composed motion.
     """
+    u = ActionSegment(u).array
     if len(u) == 0:
         raise ValueError("cannot build an inverse cycle from an empty segment")
-    return ActionSegment(list(u.increments) + [-a for a in reversed(u.increments)])
+    return _valid_segment(np.concatenate([u, -u[::-1]]))  # negation keeps u's rows valid
 
 
 def sample_dirichlet_weights(
@@ -135,20 +150,22 @@ def sample_dirichlet_weights(
 
 
 def make_compatibility_segment(
-    u_a: ActionSegment,
+    u_a,
     params: DirichletParams,
     rng: np.random.Generator | None = None,
 ) -> ActionSegment:
     """Redistribute u_a's accumulated increments over a same-length segment.
 
-    Each output increment is a Dirichlet weight times the cumulative sum
-    of u_a, so both segments accumulate to the same total while realizing
-    it on different temporal schedules.
+    ``u_a`` is a segment or an (L, 3) array. Each output increment is a
+    Dirichlet weight times the cumulative sum of u_a, so both segments
+    accumulate to the same total while realizing it on different
+    temporal schedules.
     """
+    u_a = ActionSegment(u_a).array
     if len(u_a) == 0:
         raise ValueError("cannot recompose an empty segment")
     w = sample_dirichlet_weights(len(u_a), params, rng=rng)
-    total = u_a.cumulative_sum()
-    return ActionSegment(
-        [ActionIncrement(wi * total[0], wi * total[1], wi * total[2]) for wi in w]
-    )
+    total = np.zeros(3)
+    for row in u_a:  # row by row from 0.0; np.sum would add pairwise
+        total += row
+    return ActionSegment(w[:, None] * total)

@@ -32,7 +32,7 @@ from .latent import (
     pose_features,
     rollout_endpoint_graph,
 )
-from .models import exact_step
+from .models import ExactModel, rollout
 from .se2 import Pose2
 from .segments import (
     ActionSegment,
@@ -139,6 +139,8 @@ class TrainRunConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.optimizer not in (OPTIMIZER_ADAM, OPTIMIZER_SGD):
             raise ValueError(f"unknown optimizer: {self.optimizer!r}")
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.init_w1_gain <= 0.0 or not math.isfinite(self.init_w1_gain):
             raise ValueError(f"init_w1_gain must be > 0, got {self.init_w1_gain}")
 
@@ -220,8 +222,9 @@ class Batch:
     base_segment: ActionSegment
 
     @property
-    def start_pose(self) -> Pose2:
-        return self.dataset.start_pose(self.anchor_i, self.anchor_t)
+    def start_pose(self) -> np.ndarray:
+        """The anchor's ``[theta, x, y]`` pose row."""
+        return self.dataset.poses[self.anchor_i, self.anchor_t]
 
 
 def sample_batch(dataset: Dataset, batch_size: int, max_span: int, rng: np.random.Generator) -> Batch:
@@ -282,16 +285,16 @@ def prediction_loss_graph(weights, z_in: np.ndarray, actions: np.ndarray, z_next
     return ag.scale(ag.sumsq(ag.sub(z_pred, ag.constant(z_next))), 1.0 / z_in.shape[1])
 
 
-def prediction_loss(net: DynamicsNet, encoder: FeatureEncoder, transitions,
+def prediction_loss(net: DynamicsNet, encoder: FeatureEncoder, poses_in: np.ndarray,
+                    actions: np.ndarray, poses_next: np.ndarray,
                     rng: np.random.Generator | None = None) -> float:
-    """Prediction loss on (pose, action, next pose) transitions."""
-    if len(transitions) == 0:
+    """Prediction loss on B transitions: (B, 3) poses, actions and next poses.
+    Observation noise is drawn for the inputs, then for the next poses."""
+    if len(poses_in) == 0:
         raise ValueError("prediction loss needs a non-empty batch")
-    poses_in, actions, poses_next = zip(*transitions)
-    z_in = _encode_columns(np.stack([pose_features(p) for p in poses_in], axis=1), encoder, rng)
-    z_next = _encode_columns(np.stack([pose_features(p) for p in poses_next], axis=1), encoder, rng)
-    actions = np.stack([a.as_array() for a in actions], axis=1)
-    return _prediction_forward(net.weights(), z_in, actions, z_next)[0]
+    z_in = _encode_columns(pose_features(poses_in).T, encoder, rng)
+    z_next = _encode_columns(pose_features(poses_next).T, encoder, rng)
+    return _prediction_forward(net.weights(), z_in, actions.T, z_next)[0]
 
 
 def _constraint_segments(base_segment: ActionSegment, cfg: GALossConfig, active: str,
@@ -313,9 +316,9 @@ def _constraint_segments(base_segment: ActionSegment, cfg: GALossConfig, active:
     raise ValueError(f"unknown constraint: {active!r}")
 
 
-def _rollout_plan(segment: ActionSegment, mode: str, start_pose: Pose2 | None,
-                  encoder: FeatureEncoder | None) -> tuple[np.ndarray | None, ActionSegment]:
-    """The network steps a rollout endpoint depends on: (first input, actions).
+def _rollout_plans(segments: list[ActionSegment], mode: str, start_pose: np.ndarray | None,
+                   encoder: FeatureEncoder | None) -> list[tuple[np.ndarray | None, ActionSegment]]:
+    """The network steps each rollout endpoint depends on: (first input, actions).
 
     A first input of None means the anchor latent. Free-running rolls the
     whole segment from the anchor. Teacher forcing snaps every later
@@ -324,27 +327,32 @@ def _rollout_plan(segment: ActionSegment, mode: str, start_pose: Pose2 | None,
     step reaches the endpoint.
     """
     if mode == FREE_RUNNING:
-        return None, segment
+        return [(None, seg) for seg in segments]
     if start_pose is None or encoder is None:
         raise ValueError("teacher-forced mode needs the anchor pose and the encoder")
-    if len(segment) == 1:
-        return None, segment
-    state = start_pose
-    for a in segment[:-1]:
-        state = exact_step(state, a)
-    return encoder.projection @ pose_features(state), segment[-1:]
+    start = Pose2(*start_pose.tolist())
+    plans = []
+    for seg in segments:
+        if len(seg) == 1:
+            plans.append((None, seg))
+            continue
+        # the per-pose fold: a quarter of the array kernel's overhead on one short row
+        state = rollout(ExactModel(), start, seg[:-1], None)[-1]
+        features = pose_features(np.array([state.theta, state.x, state.y]))
+        plans.append((encoder.projection @ features, seg[-1:]))
+    return plans
 
 
 def ga_loss_graph(weights, z_t: np.ndarray, base_segment: ActionSegment, cfg: GALossConfig,
                   active: str, dirichlet_rng: np.random.Generator | None = None, *,
-                  start_pose: Pose2 | None = None,
+                  start_pose: np.ndarray | None = None,
                   encoder: FeatureEncoder | None = None) -> ag.Tensor:
     """Recorded active consistency loss from a detached anchor latent (the
     gradient reference)."""
     anchor = ag.constant(z_t)
     ends = []
-    for seg in _constraint_segments(base_segment, cfg, active, dirichlet_rng):
-        z_in, steps = _rollout_plan(seg, cfg.mode, start_pose, encoder)
+    segments = _constraint_segments(base_segment, cfg, active, dirichlet_rng)
+    for z_in, steps in _rollout_plans(segments, cfg.mode, start_pose, encoder):
         z = anchor if z_in is None else ag.constant(z_in)
         ends.append(rollout_endpoint_graph(z, steps, weights))
     return ag.sumsq(ag.sub(ends[0], ends[1] if len(ends) == 2 else anchor))
@@ -399,7 +407,7 @@ class _ParamStack:
 
 def _stack_objective(stack: _ParamStack, columns, z_t: np.ndarray, base_segment: ActionSegment,
                      active: str, dirichlet_rng: np.random.Generator | None,
-                     start_pose: Pose2 | None, encoder: FeatureEncoder | None):
+                     start_pose: np.ndarray | None, encoder: FeatureEncoder | None):
     """Every row's ``objective_grad``: a (3, K) array of (l_pred, l_ga,
     total) and a (K,) mask of the rows whose losses and pre-activations
     are all finite. The gradients go into ``stack.grad``.
@@ -422,12 +430,9 @@ def _stack_objective(stack: _ParamStack, columns, z_t: np.ndarray, base_segment:
     ok = np.isfinite(pre).all(axis=(1, 2))
 
     segments = _constraint_segments(base_segment, stack.cfgs[0], active, dirichlet_rng)
-    plans = {}
-    for mode in stack.modes:
-        plans[mode] = []
-        for seg in segments:
-            z0, steps = _rollout_plan(seg, mode, start_pose, encoder)
-            plans[mode].append((z_t if z0 is None else z0, [a.as_array() for a in steps]))
+    plans = {mode: [(z_t if z0 is None else z0, steps.array)
+                    for z0, steps in _rollout_plans(segments, mode, start_pose, encoder)]
+             for mode in stack.modes}
     chains, end_diffs = [], []
     for k, (cfg, weights) in enumerate(zip(stack.cfgs, stack.row_weights)):
         row_chains, ends, pres = [], [], []
@@ -471,7 +476,7 @@ def _stack_objective(stack: _ParamStack, columns, z_t: np.ndarray, base_segment:
 def objective_grad(net: DynamicsNet, columns, z_t: np.ndarray, base_segment: ActionSegment,
                    cfg: GALossConfig, active: str,
                    dirichlet_rng: np.random.Generator | None = None, *,
-                   start_pose: Pose2 | None = None,
+                   start_pose: np.ndarray | None = None,
                    encoder: FeatureEncoder | None = None) -> tuple[float, float, np.ndarray]:
     """(l_pred, l_ga, flat gradient) of ``l_pred + lambda_ga * w_active * l_ga``.
 

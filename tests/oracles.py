@@ -44,6 +44,17 @@ def random_pose(rng: np.random.Generator, pos_scale: float = 5.0) -> Pose2:
     )
 
 
+def latent_rollout_endpoint(z0: np.ndarray, u, net) -> np.ndarray:
+    """Fold the latent transition over a segment, one increment at a time;
+    an empty segment returns z0."""
+    from gawm.latent import net_step
+
+    z = z0
+    for a in u:
+        z = net_step(z, a, net)
+    return z
+
+
 def central_difference(f, x: np.ndarray, i: int, h: float = 1e-5) -> float:
     xp = x.copy()
     xm = x.copy()
@@ -99,10 +110,10 @@ def _window_positions(n, l, k):
 def oracle_probe_identity(sequences, k, l, alpha, **inj) -> float:
     errors = []
     for seq in sequences:
-        actions = [a.as_array() for a in seq.actions]
+        actions = list(seq.actions.array)
         n = len(actions)
         positions = sorted(_identity_positions(n, k))
-        m = pose_to_matrix(seq.start)
+        m = pose_to_matrix(Pose2(*seq.start))
         pi = 0
         for i in range(n + 1):
             while pi < len(positions) and positions[pi] == i:
@@ -119,10 +130,10 @@ def oracle_probe_identity(sequences, k, l, alpha, **inj) -> float:
 def oracle_probe_inverse(sequences, k, l, alpha, **inj) -> float:
     errors = []
     for seq in sequences:
-        actions = [a.as_array() for a in seq.actions]
+        actions = list(seq.actions.array)
         n = len(actions)
         positions = sorted(_window_positions(n, l, k))
-        m = pose_to_matrix(seq.start)
+        m = pose_to_matrix(Pose2(*seq.start))
         for i in range(n + 1):
             for p in positions:
                 if p != i:
@@ -143,10 +154,10 @@ def oracle_probe_composition(sequences, l, alpha, weight_fn, **inj) -> float:
     """weight_fn(seq_idx, l) must reproduce the weight draw under test."""
     errors = []
     for s_idx, seq in enumerate(sequences):
-        actions = [a.as_array() for a in seq.actions]
+        actions = list(seq.actions.array)
         n = len(actions)
         positions = sorted(_window_positions(n, l, 1))
-        m = pose_to_matrix(seq.start)
+        m = pose_to_matrix(Pose2(*seq.start))
         for i in range(n + 1):
             for p in positions:
                 if p != i:
@@ -222,7 +233,7 @@ def reference_probe(model, sequences, cfg, dist, seed, concentration=1.0):
         else:
             positions = cfg.start_indices or window_positions(n, cfg.l, cfg.k)
         stream = rng(s, 0)
-        state = seq.start
+        state = Pose2(*seq.start)
         for i in range(n + 1):
             for j, p in enumerate(sorted(positions)):
                 if p != i:
@@ -308,7 +319,7 @@ def reference_gar(model, sequences, horizons, n_rollouts, dist, seed, note=None)
     horizons = sorted(horizons)
     per = {h: ([], []) for h in horizons}
     for s, seq in enumerate(sequences):
-        full = [per_pose_rollout(model, seq.start, seq.actions[: horizons[-1]],
+        full = [per_pose_rollout(model, Pose2(*seq.start), seq.actions[: horizons[-1]],
                                  _probe_rng(seed, 3, s, i))
                 for i in range(n_rollouts)]
         for h in horizons:
@@ -321,3 +332,66 @@ def reference_gar(model, sequences, horizons, n_rollouts, dist, seed, note=None)
         entries.append(GarEntry(h, float(al.mean()), float(al.std()), float(na.mean()),
                                 float(na.std()), len(al)))
     return GarReport(n_rollouts=n_rollouts, entries=tuple(entries), note=note)
+
+
+# --- per-pose reference for the array data path --------------------------
+#
+# Dataset generation and the held-out prediction loss as they ran one
+# Pose2 at a time: a Pose2 start, an ActionSegment of ActionIncrements, a
+# models.rollout fold of the model's step, and features from math.cos and
+# math.sin. The array path must reproduce these exactly (==).
+
+
+def per_pose_sequence(rng, length, action_dist, start_pos_sigma=1.0):
+    """One start pose and action segment, drawn as the per-pose sampler drew them."""
+    from gawm.segments import ActionIncrement, ActionSegment
+
+    x, y = rng.normal(0.0, start_pos_sigma, size=2)
+    theta = rng.uniform(-math.pi, math.pi)
+    start = Pose2(theta=theta, x=float(x), y=float(y))
+    dx = rng.normal(action_dist.mean_dx, action_dist.sigma_dx, size=length)
+    dy = rng.normal(0.0, action_dist.sigma_dy, size=length)
+    dth = np.clip(rng.normal(0.0, action_dist.sigma_dtheta, size=length), -math.pi, math.pi)
+    actions = ActionSegment(
+        [ActionIncrement(float(dx[i]), float(dy[i]), float(dth[i])) for i in range(length)])
+    return start, actions
+
+
+def per_pose_records(model, n, length, action_dist, seed, start_pos_sigma=1.0):
+    """(poses, actions) of every trajectory: a list of Pose2 and an ActionSegment."""
+    from gawm.models import rollout
+
+    records = []
+    for i in range(n):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+        start, actions = per_pose_sequence(rng, length, action_dist, start_pos_sigma)
+        records.append((list(rollout(model, start, actions, rng)), actions))
+    return records
+
+
+def per_pose_features(p: Pose2) -> np.ndarray:
+    return np.array([p.x, p.y, math.cos(p.theta), math.sin(p.theta)])
+
+
+def per_pose_held_out_loss(model, net, encoder, length, action_dist, seed, start_pos_sigma):
+    """The held-out prediction loss over (pose, increment, next pose) transitions:
+    every fourth step of 32 trajectories, record by record, with observation
+    noise drawn for every input, then for every target, in (d, B) order."""
+    records = per_pose_records(model, 32, length, action_dist, seed, start_pos_sigma)
+    transitions = [(poses[t], actions[t], poses[t + 1])
+                   for poses, actions in records for t in range(0, len(actions), 4)]
+    noise = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0, 1))))
+
+    def encode_columns(poses):
+        z = encoder.projection @ np.stack([per_pose_features(p) for p in poses], axis=1)
+        if encoder.obs_noise_sigma > 0.0:
+            z = z + noise.normal(0.0, encoder.obs_noise_sigma, size=z.shape)
+        return z
+
+    z_in = encode_columns([s for s, _, _ in transitions])
+    z_next = encode_columns([s2 for _, _, s2 in transitions])
+    actions = np.stack([a.as_array() for _, a, _ in transitions], axis=1)
+    w1, b1, w2, b2 = net.weights()
+    x = np.concatenate([z_in, actions], axis=0)
+    diff = (z_in + ((w2 @ np.tanh(w1 @ x + b1[:, None])) + b2[:, None])) - z_next
+    return float(np.sum(diff * diff) * (1.0 / z_in.shape[1]))

@@ -149,7 +149,8 @@ def test_criterion_3_oracle_equivalence():
 
         from gawm.metrics import EvalSequence
 
-        sequences = [EvalSequence(s.start, s.actions) for s in sequences]
+        sequences = [EvalSequence(np.array([s.start.theta, s.start.x, s.start.y]), s.actions)
+                     for s in sequences]
         injectors = [
             (ViolationConfig(drift_bias=ActionIncrement(0.05, -0.02, 0.03)), {"drift": (0.05, -0.02, 0.03)}),
             (ViolationConfig(saturation_scale=1.0), {"sat": 1.0}),
@@ -188,7 +189,7 @@ def test_criterion_3_oracle_equivalence():
         asym = PerturbedModel(ViolationConfig(asym_gain=(1.2, 1.0)))
         from gawm.metrics import EvalSequence as ES
 
-        spot = [ES(Pose2(0, 0, 0), ActionSegment([ActionIncrement(1, 0, 0)]))]
+        spot = [ES(np.zeros(3), ActionSegment([ActionIncrement(1, 0, 0)]))]
         got = probe_inverse(asym, spot, ProbeConfig(KIND_INVERSE, k=1, l=1), DIST, 7)
         assert abs(got.mean - 0.2) <= 1e-12
 
@@ -216,7 +217,7 @@ def test_criterion_5_dispersion_formula_and_noise_scaling():
         trajs = [
             Trajectory([random_pose(rng, 2.0) for _ in range(8)]) for _ in range(3)
         ]
-        got = gar_error(trajs, DIST, aligned=False)
+        got = gar_error(np.stack([t.as_array() for t in trajs]), DIST, aligned=False)
         total = 0.0
         for i in range(3):
             for j in range(i + 1, 3):

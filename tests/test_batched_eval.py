@@ -97,12 +97,12 @@ def _turning_sequences(n=5, length=20, seed=0):
                             float(turn + rng.normal(0.0, 0.1)))
             for _ in range(length)
         ])
-        seqs.append(EvalSequence(start, actions))
+        seqs.append(EvalSequence(np.array([start.theta, start.x, start.y]), actions))
     return seqs
 
 
 def _arrays(seqs):
-    return pose_array([s.start for s in seqs]), np.stack([s.actions.to_array() for s in seqs])
+    return np.stack([s.start for s in seqs]), np.stack([s.actions.array for s in seqs])
 
 
 def test_turning_sequences_cross_the_heading_cut():
@@ -118,7 +118,7 @@ def test_rollout_batch_equals_per_pose_rollout(name):
     starts, actions = _arrays(seqs)
     got = rollout_batch(model, starts, actions, [_rng(100 + b) for b in range(len(seqs))])
     for b, seq in enumerate(seqs):
-        want = pose_array(per_pose_rollout(model, seq.start, seq.actions, _rng(100 + b)))
+        want = pose_array(per_pose_rollout(model, Pose2(*seq.start), seq.actions, _rng(100 + b)))
         assert np.array_equal(got[b], want), b
     one = rollout_batch(model, starts[:1], actions[:1], [_rng(100)])
     assert np.array_equal(one[0], got[0])
@@ -132,7 +132,7 @@ def test_step_batch_equals_model_step(name):
     actions = [ActionIncrement(float(rng.normal(0.1, 0.1)), float(rng.normal(0.0, 0.1)),
                                float(rng.uniform(-math.pi, math.pi))) for _ in poses]
     actions[-1] = ActionIncrement(0.1, 0.0, -math.pi)
-    got = step_batch(model, pose_array(poses), ActionSegment(actions).to_array(),
+    got = step_batch(model, pose_array(poses), ActionSegment(actions).array,
                      [_rng(200 + b) for b in range(len(poses))])
     want = pose_array([model.step(p, a, _rng(200 + b))
                        for b, (p, a) in enumerate(zip(poses, actions))])

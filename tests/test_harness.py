@@ -1,11 +1,12 @@
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from gawm.cli import main as cli_main
 from gawm.config import (
@@ -35,6 +36,7 @@ from gawm.harness import (
 )
 from gawm.latent import LearnedWorldModel
 from gawm.models import ExactModel, PerturbedModel
+from gawm.segments import ActionSegment
 from gawm.training import NonFiniteLossError, TrainRunConfig, train_group
 
 
@@ -105,16 +107,16 @@ def test_stage_seeds_are_distinct():
 def test_generate_records_shapes_and_determinism():
     r1 = generate_records(ExactModel(), 10, 32, ActionDistribution(), seed=5)
     r2 = generate_records(ExactModel(), 10, 32, ActionDistribution(), seed=5)
-    assert len(r1) == 10
-    assert all(len(rec.poses) == 33 for rec in r1)
-    for a, b in zip(r1, r2):
-        assert a.actions == b.actions
+    assert len(r1) == 10 and r1.length == 32
+    assert r1.poses.shape == (10, 33, 3) and r1.actions.shape == (10, 32, 3)
+    assert r1.features.shape == (10, 33, 4)
+    assert np.array_equal(r1.poses, r2.poses) and np.array_equal(r1.actions, r2.actions)
 
 
 def test_forward_biased_action_mean():
     dist = ActionDistribution(mean_dx=0.1, sigma_dx=0.05)
     records = generate_records(ExactModel(), 40, 32, dist, seed=6)
-    dx = np.array([a.dx for rec in records for a in rec.actions])
+    dx = records.actions[:, :, 0].ravel()
     # sample mean within 3 sigma of the configured mean
     assert abs(dx.mean() - 0.1) <= 3.0 * 0.05 / math.sqrt(dx.size)
 
@@ -124,9 +126,10 @@ def test_dataset_write_load_round_trip(tmp_path):
     write_dataset(tmp_path / "ds", records, {"seed": 7, "model": "exact"})
     ds = load_dataset(tmp_path / "ds")
     assert len(ds) == 4 and ds.length == 8
-    pose, action, next_pose = ds.transition(2, 3)
-    assert action == records[2].actions[3]
-    assert pose == records[2].poses[3]
+    assert np.array_equal(ds.poses, records.poses)
+    assert np.array_equal(ds.actions, records.actions)
+    assert np.array_equal(ds.features, records.features)
+    assert ds.segment(2, 3, 2) == ActionSegment(records.actions[2, 3:5])
 
 
 def test_parse_model_ref_named_forms():
@@ -653,10 +656,21 @@ def test_suite_configs_reject_bad_eval_noise(sigma):
     ("probes", "dirichlet_concentration", 0.0, "^concentration must be > 0, got 0.0$"),
     ("encoder", "obs_noise_sigma", math.nan, "^obs_noise_sigma must be finite and >= 0, got nan$"),
     ("encoder", "latent_dim", 2, "^latent_dim must be >= 4, got 2$"),
+    ("probes.action_dist", "sigma_dx", -1.0, "^action_dist.sigma_dx must be finite and >= 0, got -1.0$"),
+    ("gar.action_dist", "sigma_dtheta", math.nan, "^action_dist.sigma_dtheta must be finite and >= 0, got nan$"),
+    ("dataset.action_dist", "sigma_dy", math.inf, "^action_dist.sigma_dy must be finite and >= 0, got inf$"),
+    ("dataset.action_dist", "mean_dx", -math.inf, "^action_dist.mean_dx must be finite, got -inf$"),
+    ("dataset", "start_pos_sigma", -0.5, "^dataset.start_pos_sigma must be finite and >= 0, got -0.5$"),
+    ("dataset", "start_pos_sigma", math.nan, "^dataset.start_pos_sigma must be finite and >= 0, got nan$"),
+    ("train", "hidden_dim", 0, "^hidden_dim must be >= 1, got 0$"),
+    ("train", "hidden_dim", -2, "^hidden_dim must be >= 1, got -2$"),
 ])
 def test_config_rejects_bad_suite_and_encoder_values(tmp_path, section, key, value, message):
     d = tiny_config(tmp_path / "bad").to_dict()
-    d[section][key] = value
+    target = d
+    for part in section.split("."):
+        target = target[part]
+    target[key] = value
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_dict(d)
 
@@ -795,8 +809,84 @@ def test_evaluate_gar_prefers_native_sampler():
 
 def _sequences_for_gar():
     from gawm.metrics import EvalSequence
-    from gawm.se2 import Pose2
-    from gawm.segments import ActionIncrement, ActionSegment
+    from gawm.segments import ActionIncrement
 
     seg = ActionSegment([ActionIncrement(0.1, 0, 0)] * 4)
-    return [EvalSequence(Pose2(0, 0, 0), seg), EvalSequence(Pose2(0.5, 1, 1), seg)]
+    return [EvalSequence(np.zeros(3), seg), EvalSequence(np.array([0.5, 1.0, 1.0]), seg)]
+
+
+def test_train_resolves_dataset_model_before_training(tmp_path, monkeypatch):
+    # with train.dataset_path set gen-data does not run, so cmd_train is
+    # the first stage to see dataset.model
+    import gawm.harness as harness
+
+    cfg = tiny_config(tmp_path / "data", steps=5)
+    data_dir = cmd_gen_data(cfg)
+    calls = []
+    monkeypatch.setattr(harness, "train_group", lambda *args: calls.append(args))
+    bad = replace(cfg, out_dir=str(tmp_path / "bad"), dataset=replace(cfg.dataset, model="bogus"),
+                  train=replace(cfg.train, dataset_path=str(data_dir)))
+    with pytest.raises(UnknownModelRefError, match="bogus"):
+        cmd_train(bad)
+    assert calls == []
+    assert not (tmp_path / "bad").exists()
+
+
+_SECTIONS = {"": ExperimentConfig, "dataset": DatasetConfig, "encoder": EncoderConfig,
+             "train": TrainRunConfig, "probes": ProbeSuiteConfig, "gar": GarSuiteConfig}
+_DISTS = ["dataset.action_dist", "probes.action_dist", "gar.action_dist"]
+_bad_sigma = st.one_of(st.floats(max_value=-1e-300, allow_infinity=True),
+                       st.sampled_from([math.nan, math.inf]))
+_gains = st.floats(min_value=0.1, max_value=3.0)
+# (section path, key, value, a substring of the error message)
+_bad_config_edits = st.one_of(
+    st.tuples(st.sampled_from(_DISTS), st.sampled_from(["sigma_dx", "sigma_dy", "sigma_dtheta"]),
+              _bad_sigma).map(lambda e: e + (f"action_dist.{e[1]} must be finite and >= 0",)),
+    st.tuples(st.sampled_from(_DISTS), st.just("mean_dx"), st.sampled_from([math.nan, -math.inf]),
+              st.just("action_dist.mean_dx must be finite")),
+    st.tuples(st.just("dataset"), st.just("start_pos_sigma"), _bad_sigma,
+              st.just("dataset.start_pos_sigma must be finite and >= 0")),
+    st.tuples(st.just("train"), st.just("hidden_dim"), st.integers(max_value=0),
+              st.just("hidden_dim must be >= 1")),
+    st.tuples(st.sampled_from(["probes", "gar"]), st.just("eval_noise_sigma"), _bad_sigma,
+              st.just("eval_noise_sigma must be finite and >= 0")),
+    st.tuples(st.just("dataset"), st.just("model"), st.one_of(
+        st.lists(_gains, min_size=1, max_size=4).filter(lambda g: len(g) != 2),
+        st.tuples(_gains, st.floats(max_value=0.0)),
+    ).map(lambda g: "asym:" + ",".join(map(repr, g))), st.just("asym")),
+    st.tuples(st.just("dataset"), st.just("model"), st.one_of(
+        st.tuples(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=5).filter(lambda d: len(d) != 3),
+                  st.just("drift needs three components")),
+        st.tuples(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(3.15, 100.0)),
+                  st.just("|dtheta| must be <= pi")),
+        st.tuples(st.just((math.nan, 0.0, 0.0)), st.just("increment components must be finite")),
+    )).map(lambda e: (*e[:2], "drift:" + ",".join(map(repr, e[2][0])), e[2][1])),
+    st.tuples(st.sampled_from(sorted(_SECTIONS)),
+              st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12), st.integers())
+    .filter(lambda e: e[1] not in {f.name for f in fields(_SECTIONS[e[0]])})
+    .map(lambda e: e + (f"unknown config key: {e[0] + '.' if e[0] else ''}{e[1]}",)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bad_config_edits)
+def test_cli_ablate_rejects_invalid_config_values_before_any_output(edit):
+    import tempfile
+
+    section, key, value, needle = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        d = tiny_config(Path(tmp) / "run").to_dict()
+        target = d
+        for part in filter(None, section.split(".")):
+            target = target[part]
+        target[key] = value
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        out = Path(tmp) / "out"
+        result = CliRunner().invoke(cli_main, ["ablate", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert set(err) == {"error", "type"}
+        assert err["type"] in ("ValueError", "UnknownModelRefError"), err
+        assert needle in err["error"]
+        assert not out.exists()

@@ -11,7 +11,6 @@ from gawm.latent import (
     LearnedWorldModel,
     decode,
     encode,
-    latent_rollout_endpoint,
     load_checkpoint,
     make_decoder,
     make_dynamics_net,
@@ -24,7 +23,7 @@ from gawm.latent import (
 from gawm.se2 import Pose2, state_distance
 from gawm.segments import ActionIncrement, ActionSegment, make_identity_segment
 
-from oracles import central_difference, random_pose
+from oracles import central_difference, latent_rollout_endpoint, random_pose
 
 
 def _rng(seed=0):

@@ -59,7 +59,7 @@ def _sequences(n, length, seed, rot_scale=0.0):
                 for _ in range(length)
             ]
         )
-        out.append(EvalSequence(start=start, actions=actions))
+        out.append(EvalSequence(start=np.array([start.theta, start.x, start.y]), actions=actions))
     return out
 
 
@@ -107,7 +107,7 @@ def test_exact_model_composition_probe_translation_only_zero():
 def test_identity_probe_drift_matches_brute_force():
     drift = ActionIncrement(0.1, 0.0, 0.0)
     model = PerturbedModel(ViolationConfig(drift_bias=drift))
-    seqs = [EvalSequence(start=Pose2(0, 0, 0), actions=ActionSegment([]))]
+    seqs = [EvalSequence(start=np.zeros(3), actions=ActionSegment([]))]
     r = probe_identity(model, seqs, ProbeConfig(KIND_IDENTITY, k=1, l=3), DIST, 0)
     assert r.mean == pytest.approx(0.3, abs=1e-12)
     oracle = oracle_probe_identity(seqs, 1, 3, 1.0, drift=(0.1, 0.0, 0.0))
@@ -125,7 +125,7 @@ def test_identity_probe_rotation_term_scales_with_alpha():
 
 def test_inverse_probe_asym_spot_value():
     model = PerturbedModel(ViolationConfig(asym_gain=(1.2, 1.0)))
-    seqs = [EvalSequence(start=Pose2(0, 0, 0), actions=ActionSegment([ActionIncrement(1, 0, 0)]))]
+    seqs = [EvalSequence(start=np.zeros(3), actions=ActionSegment([ActionIncrement(1, 0, 0)]))]
     r = probe_inverse(model, seqs, ProbeConfig(KIND_INVERSE, k=1, l=1), DIST, 0)
     assert r.mean == pytest.approx(0.2, abs=1e-12)
 
@@ -305,20 +305,22 @@ def test_align_validates_lengths():
 
 def test_gar_identical_trajectories_zero():
     traj = _random_trajectory(_rng(17), 8)
-    assert gar_error([traj, traj, traj], DIST, aligned=False) == 0.0
-    assert gar_error([traj, traj, traj], DIST, aligned=True) == 0.0
+    rollouts = np.stack([traj.as_array()] * 3)
+    assert gar_error(rollouts, DIST, aligned=False) == 0.0
+    assert gar_error(rollouts, DIST, aligned=True) == 0.0
 
 
 def test_gar_two_rollouts_single_step():
     a = Trajectory([Pose2(0, 0, 0), Pose2(0, 1, 0)])
     b = Trajectory([Pose2(0, 0, 0), Pose2(0, 2, 0)])
-    assert gar_error([a, b], DIST, aligned=False) == pytest.approx(1.0, abs=1e-15)
+    assert gar_error(np.stack([a.as_array(), b.as_array()]), DIST, aligned=False) == \
+        pytest.approx(1.0, abs=1e-15)
 
 
 def test_gar_matches_double_loop_oracle():
     rng = _rng(18)
     trajs = [_random_trajectory(rng, 6) for _ in range(3)]
-    got = gar_error(trajs, DIST, aligned=False)
+    got = gar_error(np.stack([t.as_array() for t in trajs]), DIST, aligned=False)
     total = 0.0
     pairs = 0
     for i in range(3):
@@ -332,12 +334,15 @@ def test_gar_matches_double_loop_oracle():
 
 
 def test_gar_validation():
-    traj = _random_trajectory(_rng(19), 4)
-    with pytest.raises(ValueError):
-        gar_error([traj], DIST, aligned=False)
-    other = _random_trajectory(_rng(20), 5)
-    with pytest.raises(ValueError):
-        gar_error([traj, other], DIST, aligned=False)
+    traj = _random_trajectory(_rng(19), 4).as_array()
+    with pytest.raises(ValueError, match="at least 2 rollouts"):
+        gar_error(traj[None], DIST, aligned=False)
+    with pytest.raises(ValueError, match="at least one step"):
+        gar_error(np.stack([traj[:1], traj[:1]]), DIST, aligned=False)
+    bad = np.stack([traj, traj])
+    bad[1, 2, 1] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        gar_error(bad, DIST, aligned=False)
 
 
 def test_evaluate_gar_exact_model_is_exactly_zero():
@@ -373,7 +378,8 @@ def test_gar_alignment_never_adds_error(cfg, seed):
     seqs = _sequences(4, 12, 100 + seed, rot_scale=0.2)
     rng = _rng(seed)
     for seq in seqs:
-        trajs = [rollout(model, seq.start, seq.actions, int(rng.integers(0, 2**32))) for _ in range(4)]
+        trajs = np.stack([rollout(model, Pose2(*seq.start), seq.actions,
+                                  int(rng.integers(0, 2**32))).as_array() for _ in range(4)])
         assert gar_error(trajs, DIST, aligned=True) <= gar_error(trajs, DIST, aligned=False)
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gawm import autograd as ag
-from gawm.data import ActionDistribution, Dataset, TrajectoryRecord, generate_records
+from gawm.data import ActionDistribution, Dataset, generate_records
 from gawm.latent import DynamicsNet, make_decoder, make_dynamics_net, make_encoder, pose_features
 from gawm.models import ExactModel
-from gawm.se2 import Pose2
+from gawm.se2 import Pose2, pose_array
 from gawm.segments import ActionIncrement, ActionSegment, DirichletParams
 from gawm import training
 from gawm.training import (
@@ -48,8 +48,7 @@ def _rng(seed=0):
 
 @pytest.fixture(scope="module")
 def dataset():
-    records = generate_records(ExactModel(), 20, 16, ActionDistribution(), seed=100)
-    return Dataset(records)
+    return generate_records(ExactModel(), 20, 16, ActionDistribution(), seed=100)
 
 
 @pytest.fixture(scope="module")
@@ -59,29 +58,31 @@ def encoder():
 
 def test_prediction_loss_zero_net_nonzero_actions(dataset, encoder):
     net = DynamicsNet(8, 4)
-    transitions = [dataset.transition(0, t) for t in range(8)]
-    assert prediction_loss(net, encoder, transitions) > 0.0
+    poses, actions = dataset.poses[0], dataset.actions[0]
+    assert prediction_loss(net, encoder, poses[:8], actions[:8], poses[1:9]) > 0.0
 
 
 def test_prediction_loss_zero_for_stationary_pairs(encoder):
     net = DynamicsNet(8, 4)
-    p = Pose2(0.3, 1.0, -2.0)
-    transitions = [(p, ActionIncrement(0, 0, 0), p)] * 3
-    assert prediction_loss(net, encoder, transitions) == 0.0
+    p = np.tile([0.3, 1.0, -2.0], (3, 1))
+    assert prediction_loss(net, encoder, p, np.zeros((3, 3)), p) == 0.0
 
 
 def test_prediction_loss_single_item_is_plain_discrepancy(dataset, encoder):
     net = make_dynamics_net(8, 4, 7)
-    s, a, s2 = dataset.transition(1, 3)
+    s, s2 = Pose2(*dataset.poses[1, 3]), Pose2(*dataset.poses[1, 4])
+    a = ActionIncrement(*dataset.actions[1, 3])
     from gawm.latent import encode, net_step
 
     expected = float(np.sum((net_step(encode(s, encoder), a, net) - encode(s2, encoder)) ** 2))
-    assert prediction_loss(net, encoder, [(s, a, s2)]) == pytest.approx(expected, rel=1e-12)
+    got = prediction_loss(net, encoder, dataset.poses[1, 3:4], dataset.actions[1, 3:4],
+                          dataset.poses[1, 4:5])
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_prediction_loss_rejects_empty(encoder):
     with pytest.raises(ValueError):
-        prediction_loss(DynamicsNet(8, 4), encoder, [])
+        prediction_loss(DynamicsNet(8, 4), encoder, *[np.zeros((0, 3))] * 3)
 
 
 def _ga_value(net, z_t, seg, cfg, active, rng):
@@ -195,7 +196,7 @@ def test_detached_anchor_blocks_upstream_gradient():
 
 def test_free_running_and_teacher_forced_differ_on_inverse(encoder):
     net = make_dynamics_net(8, 16, 17)
-    start = Pose2(0.3, 0.5, -0.2)
+    start = np.array([0.3, 0.5, -0.2])
     z_t = encoder.projection @ pose_features(start)
     seg = ActionSegment([ActionIncrement(0.2, 0.05, 0.1), ActionIncrement(0.15, -0.05, -0.1)])
 
@@ -219,14 +220,14 @@ def test_teacher_forced_loss_matches_exact_state_oracle(encoder):
     from gawm.segments import make_inverse_segment
 
     net = make_dynamics_net(8, 16, 19)
-    start = Pose2(0.4, -0.3, 0.8)
+    start = np.array([0.4, -0.3, 0.8])
     z_t = encoder.projection @ pose_features(start)
     base = ActionSegment([ActionIncrement(0.2, 0.05, 0.3), ActionIncrement(0.15, -0.05, -0.2)])
     cycle = make_inverse_segment(base)
-    state = start
+    state = Pose2(*start)
     for a in cycle[:-1]:
         state = ExactModel().step(state, a, None)
-    end = net_step(encoder.projection @ pose_features(state), cycle[-1], net)
+    end = net_step(encoder.projection @ pose_features(pose_array([state])[0]), cycle[-1], net)
     expected = float(np.sum((end - z_t) ** 2))
 
     cfg = GALossConfig(mode=TEACHER_FORCED)
@@ -345,12 +346,12 @@ def test_batch_columns_equal_per_pose_encoding(dataset, encoder):
     for _ in range(5):
         batch = sample_batch(dataset, 8, 4, streams.batch)
         z_in, actions, z_next = batch_columns(batch, encoder, None)
-        transitions = [dataset.transition(int(i), int(t)) for i, t in zip(batch.idx, batch.ts)]
+        items = list(zip(batch.idx.tolist(), batch.ts.tolist()))
         assert np.array_equal(z_in, encoder.projection @ np.stack(
-            [pose_features(s) for s, _, _ in transitions], axis=1))
+            [pose_features(dataset.poses[i, t]) for i, t in items], axis=1))
         assert np.array_equal(z_next, encoder.projection @ np.stack(
-            [pose_features(s2) for _, _, s2 in transitions], axis=1))
-        assert np.array_equal(actions, np.stack([a.as_array() for _, a, _ in transitions], axis=1))
+            [pose_features(dataset.poses[i, t + 1]) for i, t in items], axis=1))
+        assert np.array_equal(actions, np.stack([dataset.actions[i, t] for i, t in items], axis=1))
         assert np.array_equal(encoder.projection @ dataset.features[batch.anchor_i, batch.anchor_t],
                               encoder.projection @ pose_features(batch.start_pose))
         assert batch.base_segment == dataset.segment(batch.anchor_i, batch.anchor_t,
@@ -542,7 +543,8 @@ def far_dataset():
     near = generate_records(ExactModel(), 1, 8, ActionDistribution(), seed=64)
     far = generate_records(ExactModel(), 1, 8, ActionDistribution(), seed=65,
                            start_pos_sigma=1e10)
-    return Dataset(near + far)
+    return Dataset(np.concatenate([near.poses, far.poses]),
+                   np.concatenate([near.actions, far.actions]))
 
 
 @pytest.mark.parametrize("where", ("prediction", "rollout"))
