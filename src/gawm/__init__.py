@@ -23,7 +23,6 @@ from .models import (
     step_batch,
 )
 from .metrics import (
-    EvalSequence,
     GacReport,
     GarReport,
     ProbeConfig,

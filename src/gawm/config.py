@@ -216,7 +216,7 @@ def benchmark_config(out_dir: str = "runs/benchmark", seed: int = 12) -> Experim
             steps=4000, batch_size=32, learning_rate=3e-3, hidden_dim=64, init_w1_gain=3.0
         ),
         train=TrainRunConfig(steps=4000, batch_size=32, learning_rate=1.5e-5, hidden_dim=64),
-        ga=GALossConfig(lambda_ga=0.5, max_span=4, dirichlet=DirichletParams(0.3, 0)),
+        ga=GALossConfig(lambda_ga=0.5, max_span=4, dirichlet=DirichletParams(0.3)),
         probes=ProbeSuiteConfig(action_dist=probe_action, dirichlet_concentration=0.3),
         gar=GarSuiteConfig(action_dist=action, eval_noise_sigma=0.01, n_sequences=48),
     )

@@ -33,7 +33,6 @@ from .config import (
     stage_seed,
 )
 from .data import (
-    ActionDistribution,
     Dataset,
     generate_records,
     load_dataset,
@@ -48,7 +47,6 @@ from .latent import (
     save_checkpoint,
 )
 from .metrics import (
-    EvalSequence,
     evaluate_gac,
     evaluate_gar,
     write_gac_csv,
@@ -60,7 +58,7 @@ from .metrics import (
 )
 from .models import ExactModel, PerturbedModel, ViolationConfig, WorldModel
 from .se2 import DistanceParams
-from .segments import ActionIncrement, ActionSegment
+from .segments import ActionIncrement
 from .training import LossRow, NonFiniteLossError, TrainResult, prediction_loss, train_group
 
 
@@ -184,13 +182,6 @@ def _dataset_dir(out_dir: Path) -> Path:
     return out_dir / "dataset"
 
 
-def make_eval_sequences(n_sequences: int, length: int, action_dist: ActionDistribution,
-                        seed: int) -> list[EvalSequence]:
-    """Fixed evaluation sequences, identical across all evaluated models."""
-    starts, actions, _ = sample_sequences(n_sequences, length, action_dist, seed)
-    return [EvalSequence(start, ActionSegment(rows)) for start, rows in zip(starts, actions)]
-
-
 def cmd_gen_data(cfg: ExperimentConfig) -> Path:
     """Generate the training dataset under <out_dir>/dataset."""
     model, model_name = parse_model_ref(cfg.dataset.model)
@@ -257,15 +248,16 @@ class TrainGroup:
         """Equal for two configs exactly when they can share a group."""
         return replace(cfg, out_dir="", ga=cfg.ga.draw_config())
 
-    def result(self, cfg: ExperimentConfig, run, dataset: Dataset, encoder,
+    def result(self, cfg: ExperimentConfig, seed: int, dataset: Dataset, encoder,
                initial_net) -> tuple[TrainResult, int]:
         """``cfg``'s training result and the optimizer steps this call ran:
         every row's steps for the call that trains the group, else 0.
         Re-raises ``cfg``'s NonFiniteLossError."""
         steps = 0
         if self._results is None:
+            run = cfg.train
             self._results = train_group(run, [c.ga for c in self.cfgs], dataset, encoder,
-                                        initial_net)
+                                        seed, initial_net)
             steps = sum(run.steps if isinstance(r, TrainResult) else r.step
                         for r in self._results)
         result = self._results[self.cfgs.index(cfg)]
@@ -301,8 +293,8 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
         if not np.array_equal(ckpt_encoder.projection, encoder.projection):
             raise ValueError("init checkpoint was trained with a different encoder")
         seed_stage = STAGE_FINETUNE
-    run = replace(cfg.train, seed=stage_seed(cfg.seed, seed_stage))
-    result, steps = (group or TrainGroup([cfg])).result(cfg, run, dataset, encoder, initial_net)
+    seed = stage_seed(cfg.seed, seed_stage)
+    result, steps = (group or TrainGroup([cfg])).result(cfg, seed, dataset, encoder, initial_net)
 
     eval_loss = _held_out_prediction_loss(cfg, data_model, result.net, encoder)
     if label is None:
@@ -310,13 +302,13 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
     ckpt_path = out_dir / "checkpoint.json"
     save_checkpoint(
         ckpt_path, result.net, encoder,
-        meta={"label": label, "steps": run.steps, "eval_prediction_loss": eval_loss},
+        meta={"label": label, "steps": cfg.train.steps, "eval_prediction_loss": eval_loss},
     )
     curve_path = out_dir / "loss_curve.csv"
     write_csv(curve_path, [f.name for f in fields(LossRow)], result.row_tuples())
     metrics_path = out_dir / "train_metrics.json"
     write_json(metrics_path, {"label": label, "eval_prediction_loss": eval_loss,
-                              "final_total": float(result.total[-1]), "steps": run.steps})
+                              "final_total": float(result.total[-1]), "steps": cfg.train.steps})
     save_config(out_dir / "resolved_config.json", cfg)
     stage.finish([ckpt_path, curve_path, metrics_path], train_steps=steps)
     return ckpt_path
@@ -324,16 +316,16 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
 
 def cmd_probe(cfg: ExperimentConfig, model_ref: str):
     """Run the consistency probe grid against a model reference."""
+    model, model_name = parse_model_ref(model_ref, cfg.probes.eval_noise_sigma)
     stage = _Stage(cfg, "probe")
     out_dir = stage.out_dir
-    model, model_name = parse_model_ref(model_ref, cfg.probes.eval_noise_sigma)
     seed = stage_seed(cfg.seed, STAGE_PROBE)
-    sequences = make_eval_sequences(
+    starts, actions, _ = sample_sequences(
         cfg.probes.n_sequences, cfg.probes.sequence_length, cfg.probes.action_dist, seed
     )
     dist = DistanceParams(alpha_rot=cfg.probes.alpha_rot)
     report = evaluate_gac(
-        model, sequences, cfg.probes.probe_grid(), dist, seed,
+        model, starts, actions, cfg.probes.probe_grid(), dist, seed,
         concentration=cfg.probes.dirichlet_concentration,
     )
     paths = {
@@ -354,16 +346,16 @@ def cmd_probe(cfg: ExperimentConfig, model_ref: str):
 
 def cmd_gar(cfg: ExperimentConfig, model_ref: str):
     """Run the rollout-dispersion evaluation against a model reference."""
+    model, model_name = parse_model_ref(model_ref, cfg.gar.eval_noise_sigma)
     stage = _Stage(cfg, "gar")
     out_dir = stage.out_dir
-    model, model_name = parse_model_ref(model_ref, cfg.gar.eval_noise_sigma)
     seed = stage_seed(cfg.seed, STAGE_GAR)
-    sequences = make_eval_sequences(
+    starts, actions, _ = sample_sequences(
         cfg.gar.n_sequences, max(cfg.gar.horizons), cfg.gar.action_dist, seed
     )
     note = "deterministic model: dispersion is zero" if model_is_deterministic(model) else None
     report = evaluate_gar(
-        model, sequences, cfg.gar.horizons, cfg.gar.n_rollouts,
+        model, starts, actions, cfg.gar.horizons, cfg.gar.n_rollouts,
         DistanceParams(alpha_rot=cfg.gar.alpha_rot), seed, note=note,
     )
     json_path = out_dir / "gar_report.json"
@@ -371,7 +363,7 @@ def cmd_gar(cfg: ExperimentConfig, model_ref: str):
     write_gar_json(json_path, report, model_name)
     write_gar_csv(csv_path, report, model_name)
     save_config(out_dir / "resolved_config.json", cfg)
-    stage.finish([json_path, csv_path], rollouts=len(sequences) * cfg.gar.n_rollouts)
+    stage.finish([json_path, csv_path], rollouts=len(starts) * cfg.gar.n_rollouts)
     return report
 
 

@@ -171,9 +171,6 @@ class DynamicsNet:
         """Flatten per-weight gradients back into the parameter layout."""
         return np.concatenate([ag.grad_or_zeros(t).ravel() for t in tensors])
 
-    def copy(self) -> "DynamicsNet":
-        return DynamicsNet(self.latent_dim, self.hidden_dim, self.params.copy())
-
 
 def make_dynamics_net(latent_dim: int, hidden_dim: int,
                       seed: int | np.random.SeedSequence,

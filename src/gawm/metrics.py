@@ -48,14 +48,6 @@ MAX_LOCAL_WINDOW = 8
 _KIND_CODE = {KIND_IDENTITY: 0, KIND_INVERSE: 1, KIND_COMPOSITION: 2}
 
 
-@dataclass(frozen=True, eq=False)
-class EvalSequence:
-    """One evaluation item: a ``[theta, x, y]`` start row and the base action stream."""
-
-    start: np.ndarray
-    actions: ActionSegment
-
-
 @dataclass(frozen=True)
 class ProbeConfig:
     """Which condition to probe, how many segments, and how long each is."""
@@ -63,7 +55,6 @@ class ProbeConfig:
     kind: str
     k: int = 1
     l: int = 1
-    start_indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in PROBE_KINDS:
@@ -163,26 +154,26 @@ def window_positions(n_actions: int, l: int, k: int) -> tuple[int, ...]:
     return tuple(round(j * last / (k - 1)) for j in range(k))
 
 
-def probe_identity(model: WorldModel, sequences, cfg: ProbeConfig,
+def probe_identity(model: WorldModel, starts, actions, cfg: ProbeConfig,
                    dist: DistanceParams, seed: int) -> ProbeResult:
     """Insert zero-action pauses into each stream and measure the drift across
     each pause window. The stream continues from the pause endpoint."""
     if cfg.kind != KIND_IDENTITY:
         raise ValueError(f"expected an identity config, got {cfg.kind!r}")
-    return _walk_probe(model, sequences, cfg, dist, seed)
+    return _walk_probe(model, starts, actions, cfg, dist, seed)
 
 
-def probe_inverse(model: WorldModel, sequences, cfg: ProbeConfig,
+def probe_inverse(model: WorldModel, starts, actions, cfg: ProbeConfig,
                   dist: DistanceParams, seed: int) -> ProbeResult:
     """Branch a forward-inverse cycle off the stream at each window start and
     measure the distance back to the branch point. The stream itself is
     unaffected by the branches."""
     if cfg.kind != KIND_INVERSE:
         raise ValueError(f"expected an inverse config, got {cfg.kind!r}")
-    return _walk_probe(model, sequences, cfg, dist, seed)
+    return _walk_probe(model, starts, actions, cfg, dist, seed)
 
 
-def probe_composition(model: WorldModel, sequences, cfg: ProbeConfig,
+def probe_composition(model: WorldModel, starts, actions, cfg: ProbeConfig,
                       dist: DistanceParams, seed: int,
                       concentration: float = 1.0) -> ProbeResult:
     """Roll the original window and a recomposed window with equal accumulated
@@ -190,98 +181,91 @@ def probe_composition(model: WorldModel, sequences, cfg: ProbeConfig,
     the endpoint mismatch."""
     if cfg.kind != KIND_COMPOSITION:
         raise ValueError(f"expected a composition config, got {cfg.kind!r}")
-    return _walk_probe(model, sequences, cfg, dist, seed, concentration)
+    return _walk_probe(model, starts, actions, cfg, dist, seed, concentration)
 
 
 def probe_positions(cfg: ProbeConfig, n: int) -> tuple[int, ...]:
     """Probe positions for a stream of n actions, checked against it."""
     if cfg.kind == KIND_IDENTITY:
-        positions = cfg.start_indices or identity_positions(n, cfg.k)
-        if any(p < 0 or p > n for p in positions):
-            raise ValueError(f"insertion offsets {positions} out of range for {n} actions")
-    else:
-        positions = cfg.start_indices or window_positions(n, cfg.l, cfg.k)
-        if any(p < 0 or p + cfg.l > n for p in positions):
-            raise ValueError(f"window starts {positions} out of range for {n} actions")
-    return tuple(positions)
+        return identity_positions(n, cfg.k)
+    return window_positions(n, cfg.l, cfg.k)
 
 
-def _walk_probe(model: WorldModel, sequences, cfg: ProbeConfig, dist: DistanceParams,
+def _check_sequences(starts, actions) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluation sequences as float64 arrays: S >= 1 ``[theta, x, y]``
+    start rows (S, 3) and their ``[dx, dy, dtheta]`` action streams
+    (S, L, 3), every action checked as ``ActionSegment`` checks a row.
+
+    The shapes must agree exactly; numpy would otherwise broadcast one
+    start row to every stream.
+    """
+    starts = np.asarray(starts, dtype=np.float64)
+    actions = np.asarray(actions, dtype=np.float64)
+    if actions.ndim != 3 or starts.shape != (len(actions), 3):
+        raise ValueError(f"starts must be (S, 3) and actions (S, L, 3), "
+                         f"got {starts.shape} and {actions.shape}")
+    if len(actions) == 0:
+        raise ValueError("no evaluation sequences")
+    ActionSegment(actions.reshape(-1, 3))
+    return starts, actions
+
+
+def _walk_probe(model: WorldModel, starts, actions, cfg: ProbeConfig, dist: DistanceParams,
                 seed: int, concentration: float = 1.0) -> ProbeResult:
     """Walk every sequence's action stream in lockstep and branch probes off it.
 
     Row s is sequence s. Its stream steps through the model's step, batched
-    over the rows, drawing from the generator keyed (kind, k, l, s, 0). At
-    its j-th probe position (in sorted order) a row branches with
-    generators keyed 1 + j (identity, inverse) or 1 + 3j for the Dirichlet
-    weights and 2 + 3j, 3 + 3j for the two windows (composition). Every
-    branch segment runs as one batched rollout over the rows that probe
-    there. Errors come out in sequence order, then position order. Every
-    stream runs to its last action, as in per-pose evaluation, so an
-    invalid pose anywhere along it raises.
+    over the rows, drawing from the generator keyed (kind, k, l, s, 0).
+    Every stream probes at the same positions. At the j-th (in sorted
+    order) each row branches with generators keyed 1 + j (identity,
+    inverse) or 1 + 3j for the Dirichlet weights and 2 + 3j, 3 + 3j for
+    the two windows (composition), and every branch segment runs as one
+    batched rollout over the rows. Errors come out in sequence order,
+    then position order. The streams run to their last action, as in
+    per-pose evaluation, so an invalid pose anywhere along them raises.
     """
-    if not sequences:
-        return _probe_result(cfg, [], ())
+    states, actions = _check_sequences(starts, actions)
+    positions = probe_positions(cfg, actions.shape[1])
     key = (_KIND_CODE[cfg.kind], cfg.k, cfg.l)
-    lengths = np.array([len(seq.actions) for seq in sequences])
-    positions = [probe_positions(cfg, n) for n in lengths.tolist()]
-    order = np.array([sorted(p) for p in positions])
-    actions = np.zeros((len(sequences), int(lengths.max()), 3))
-    for s, seq in enumerate(sequences):
-        actions[s, : len(seq.actions)] = seq.actions.array
-    dirichlet = DirichletParams(concentration=concentration, seed=seed)
-    stream_rngs = _Generators(seed, [(*key, s, 0) for s in range(len(sequences))])
-    states = np.stack([seq.start for seq in sequences])
-    errors = np.empty(order.shape)
+    rows = range(len(actions))
+    dirichlet = DirichletParams(concentration=concentration)
+    stream_rngs = _Generators(seed, [(*key, s, 0) for s in rows])
+    errors = np.empty((len(actions), len(positions)))
 
-    def branch_ends(rows, segments, slot):
-        rngs = _Generators(seed, [(*key, s, slot) for s in rows.tolist()])
-        return rollout_batch(model, states[rows], segments, rngs)[:, -1]
+    def branch_ends(segments, slot):
+        rngs = _Generators(seed, [(*key, s, slot) for s in rows])
+        return rollout_batch(model, states, segments, rngs)[:, -1]
 
-    events = sorted({(p, j) for row in order.tolist() for j, p in enumerate(row)})
-    i = 0
-    for p, j in events + [(actions.shape[1], None)]:
-        while i < p:
-            rows = np.flatnonzero(lengths > i)
-            rngs = stream_rngs if len(rows) == len(sequences) else [stream_rngs[s] for s in rows]
-            states[rows] = step_batch(model, states[rows], actions[rows, i], rngs)
-            i += 1
-        if j is None:
-            break
-        rows = np.flatnonzero(order[:, j] == p)
-        if cfg.kind == KIND_IDENTITY:
-            end = branch_ends(rows, np.zeros((len(rows), cfg.l, 3)), 1 + j)
-            errors[rows, j] = state_distances(end, states[rows], dist)
-            states[rows] = end
-            continue
-        windows = actions[rows, p : p + cfg.l]
-        if cfg.kind == KIND_INVERSE:
-            cycles = np.stack([make_inverse_segment(u).array for u in windows])
-            errors[rows, j] = state_distances(branch_ends(rows, cycles, 1 + j), states[rows], dist)
-        else:
-            recomposed = np.stack([
-                make_compatibility_segment(u, dirichlet, rng=_probe_rng(seed, *key, s, 1 + 3 * j))
-                .array
-                for s, u in zip(rows.tolist(), windows)
-            ])
-            end_a = branch_ends(rows, windows, 2 + 3 * j)
-            end_b = branch_ends(rows, recomposed, 3 + 3 * j)
-            errors[rows, j] = state_distances(end_a, end_b, dist)
-    return _probe_result(cfg, errors.ravel(), positions[-1])
-
-
-def _probe_result(cfg: ProbeConfig, errors, positions) -> ProbeResult:
-    if len(errors) == 0:
-        raise ValueError(f"probe {cfg.kind} (k={cfg.k}, l={cfg.l}) produced no instances")
-    arr = np.asarray(errors)
+    order = sorted(positions)
+    for t in range(actions.shape[1] + 1):
+        for j in [j for j, p in enumerate(order) if p == t]:
+            if cfg.kind == KIND_IDENTITY:
+                end = branch_ends(np.zeros((len(rows), cfg.l, 3)), 1 + j)
+                errors[:, j] = state_distances(end, states, dist)
+                states = end
+                continue
+            windows = actions[:, t : t + cfg.l]
+            if cfg.kind == KIND_INVERSE:
+                cycles = np.stack([make_inverse_segment(u).array for u in windows])
+                errors[:, j] = state_distances(branch_ends(cycles, 1 + j), states, dist)
+            else:
+                recomposed = np.stack([
+                    make_compatibility_segment(u, dirichlet, _probe_rng(seed, *key, s, 1 + 3 * j))
+                    .array
+                    for s, u in zip(rows, windows)
+                ])
+                errors[:, j] = state_distances(branch_ends(windows, 2 + 3 * j),
+                                               branch_ends(recomposed, 3 + 3 * j), dist)
+        if t < actions.shape[1]:
+            states = step_batch(model, states, actions[:, t], stream_rngs)
     return ProbeResult(
         kind=cfg.kind,
         k=cfg.k,
         l=cfg.l,
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        n_instances=len(errors),
-        start_positions=tuple(positions),
+        mean=float(errors.mean()),
+        std=float(errors.std()),
+        n_instances=errors.size,
+        start_positions=positions,
     )
 
 
@@ -294,13 +278,13 @@ def default_probe_grid() -> list[ProbeConfig]:
     return grid
 
 
-def run_probe(model: WorldModel, sequences, cfg: ProbeConfig, dist: DistanceParams,
+def run_probe(model: WorldModel, starts, actions, cfg: ProbeConfig, dist: DistanceParams,
               seed: int, concentration: float = 1.0) -> ProbeResult:
     if cfg.kind == KIND_IDENTITY:
-        return probe_identity(model, sequences, cfg, dist, seed)
+        return probe_identity(model, starts, actions, cfg, dist, seed)
     if cfg.kind == KIND_INVERSE:
-        return probe_inverse(model, sequences, cfg, dist, seed)
-    return probe_composition(model, sequences, cfg, dist, seed, concentration)
+        return probe_inverse(model, starts, actions, cfg, dist, seed)
+    return probe_composition(model, starts, actions, cfg, dist, seed, concentration)
 
 
 def aggregate_gac(per_config) -> GacReport:
@@ -335,15 +319,19 @@ def aggregate_gac(per_config) -> GacReport:
     )
 
 
-def evaluate_gac(model: WorldModel, sequences, grid, dist: DistanceParams,
+def evaluate_gac(model: WorldModel, starts, actions, grid, dist: DistanceParams,
                  seed: int, concentration: float = 1.0) -> GacReport:
-    """Run every configuration in the grid and aggregate.
+    """Run every configuration in the grid on the evaluation sequences and
+    aggregate. The sequences are (S, 3) ``[theta, x, y]`` starts and
+    (S, L, 3) ``[dx, dy, dtheta]`` actions, S >= 1, every action a valid
+    increment.
 
     Results are ordered by sorted probe identifier so the report does not
     depend on evaluation order.
     """
     ordered = sorted(grid, key=lambda c: (_KIND_CODE[c.kind], c.k, c.l))
-    results = [run_probe(model, sequences, cfg, dist, seed, concentration) for cfg in ordered]
+    results = [run_probe(model, starts, actions, cfg, dist, seed, concentration)
+               for cfg in ordered]
     return aggregate_gac(results)
 
 
@@ -421,31 +409,33 @@ def _wrap_array(theta: np.ndarray) -> np.ndarray:
     return np.where(w == -math.pi, math.pi, w)
 
 
-def evaluate_gar(model: WorldModel, sequences, horizons, n_rollouts: int,
+def evaluate_gar(model: WorldModel, starts, actions, horizons, n_rollouts: int,
                  dist: DistanceParams, seed: int, note: str | None = None) -> GarReport:
     """Repeated seeded rollouts per sequence, truncated to each horizon.
 
-    A sequence's rollouts run as one ``rollout_batch``, the model's native
-    rollout process. Sequences must cover the largest horizon; rollout i
-    of a sequence uses a generator derived from (seed, sequence, i), so
-    the suite is reproducible and worker-order independent.
+    The sequences are (S, 3) starts and (S, L, 3) actions, as for
+    ``evaluate_gac``, and L must cover the largest horizon. A
+    sequence's rollouts run as one ``rollout_batch``, the model's native
+    rollout process; rollout i of sequence s uses a generator derived
+    from (seed, s, i), so the suite is reproducible and worker-order
+    independent.
     """
+    starts, actions = _check_sequences(starts, actions)
     if n_rollouts < 2:
         raise ValueError(f"n_rollouts must be >= 2, got {n_rollouts}")
+    if len(horizons) == 0:
+        raise ValueError("horizons must not be empty")
     horizons = sorted(horizons)
     t_max = horizons[-1]
+    if actions.shape[1] < t_max:
+        raise ValueError(f"sequences have {actions.shape[1]} actions, need >= {t_max}")
     per_horizon: dict[int, dict[str, list[float]]] = {
         h: {"aligned": [], "nonaligned": []} for h in horizons
     }
-    for s_idx, seq in enumerate(sequences):
-        if len(seq.actions) < t_max:
-            raise ValueError(
-                f"sequence {s_idx} has {len(seq.actions)} actions, needs >= {t_max}"
-            )
-        starts = np.repeat(seq.start[None], n_rollouts, axis=0)
-        actions = np.repeat(seq.actions.array[None, :t_max], n_rollouts, axis=0)
-        rngs = _Generators(seed, [(3, s_idx, i) for i in range(n_rollouts)])
-        full = rollout_batch(model, starts, actions, rngs)
+    for s, (start, row) in enumerate(zip(starts, actions)):
+        rngs = _Generators(seed, [(3, s, i) for i in range(n_rollouts)])
+        full = rollout_batch(model, np.repeat(start[None], n_rollouts, axis=0),
+                             np.repeat(row[None, :t_max], n_rollouts, axis=0), rngs)
         for h in horizons:
             poses = full[:, : h + 1]
             raw = gar_error(poses, dist, aligned=False)

@@ -97,10 +97,9 @@ def _valid_segment(array: np.ndarray) -> ActionSegment:
 
 @dataclass(frozen=True)
 class DirichletParams:
-    """Concentration and seed for simplex weight sampling."""
+    """Concentration for simplex weight sampling."""
 
     concentration: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.concentration) and self.concentration > 0.0):
@@ -128,32 +127,22 @@ def make_inverse_segment(u) -> ActionSegment:
     return _valid_segment(np.concatenate([u, -u[::-1]]))  # negation keeps u's rows valid
 
 
-def sample_dirichlet_weights(
-    l: int,
-    params: DirichletParams,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def sample_dirichlet_weights(l: int, params: DirichletParams,
+                             rng: np.random.Generator) -> np.ndarray:
     """Sample l non-negative weights summing to 1 from a symmetric Dirichlet.
 
-    Uses gamma-variate normalization. When ``rng`` is omitted, a fresh
-    PCG64 generator is derived from ``params.seed``, so repeated calls
-    with the same parameters return bit-identical weights.
+    Uses gamma-variate normalization; a single weight is 1 and draws nothing.
     """
     if l < 1:
         raise ValueError(f"weight vector length must be >= 1, got {l}")
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(params.seed))
     if l == 1:
         return np.array([1.0])
     g = rng.gamma(params.concentration, 1.0, size=l)
     return g / g.sum()
 
 
-def make_compatibility_segment(
-    u_a,
-    params: DirichletParams,
-    rng: np.random.Generator | None = None,
-) -> ActionSegment:
+def make_compatibility_segment(u_a, params: DirichletParams,
+                               rng: np.random.Generator) -> ActionSegment:
     """Redistribute u_a's accumulated increments over a same-length segment.
 
     ``u_a`` is a segment or an (L, 3) array. Each output increment is a
@@ -164,7 +153,7 @@ def make_compatibility_segment(
     u_a = ActionSegment(u_a).array
     if len(u_a) == 0:
         raise ValueError("cannot recompose an empty segment")
-    w = sample_dirichlet_weights(len(u_a), params, rng=rng)
+    w = sample_dirichlet_weights(len(u_a), params, rng)
     total = np.zeros(3)
     for row in u_a:  # row by row from 0.0; np.sum would add pairwise
         total += row

@@ -123,7 +123,6 @@ class TrainRunConfig:
     steps: int
     batch_size: int = 32
     learning_rate: float = 1e-3
-    seed: int = 0
     optimizer: str = OPTIMIZER_ADAM
     dataset_path: str | None = None
     hidden_dim: int = 64
@@ -298,7 +297,7 @@ def prediction_loss(net: DynamicsNet, encoder: FeatureEncoder, poses_in: np.ndar
 
 
 def _constraint_segments(base_segment: ActionSegment, cfg: GALossConfig, active: str,
-                         dirichlet_rng: np.random.Generator | None) -> list[ActionSegment]:
+                         dirichlet_rng: np.random.Generator) -> list[ActionSegment]:
     """Rollout segments of the active constraint: one whose endpoint is
     compared with the anchor (identity, inverse), or two whose endpoints
     are compared with each other (composition)."""
@@ -311,7 +310,7 @@ def _constraint_segments(base_segment: ActionSegment, cfg: GALossConfig, active:
     if active == CONSTRAINT_INV:
         return [make_inverse_segment(base_segment)]
     if active == CONSTRAINT_COMP:
-        u_b = make_compatibility_segment(base_segment, cfg.dirichlet, rng=dirichlet_rng)
+        u_b = make_compatibility_segment(base_segment, cfg.dirichlet, dirichlet_rng)
         return [base_segment, u_b]
     raise ValueError(f"unknown constraint: {active!r}")
 
@@ -344,7 +343,7 @@ def _rollout_plans(segments: list[ActionSegment], mode: str, start_pose: np.ndar
 
 
 def ga_loss_graph(weights, z_t: np.ndarray, base_segment: ActionSegment, cfg: GALossConfig,
-                  active: str, dirichlet_rng: np.random.Generator | None = None, *,
+                  active: str, dirichlet_rng: np.random.Generator, *,
                   start_pose: np.ndarray | None = None,
                   encoder: FeatureEncoder | None = None) -> ag.Tensor:
     """Recorded active consistency loss from a detached anchor latent (the
@@ -406,7 +405,7 @@ class _ParamStack:
 
 
 def _stack_objective(stack: _ParamStack, columns, z_t: np.ndarray, base_segment: ActionSegment,
-                     active: str, dirichlet_rng: np.random.Generator | None,
+                     active: str, dirichlet_rng: np.random.Generator,
                      start_pose: np.ndarray | None, encoder: FeatureEncoder | None):
     """Every row's ``objective_grad``: a (3, K) array of (l_pred, l_ga,
     total) and a (K,) mask of the rows whose losses and pre-activations
@@ -474,8 +473,7 @@ def _stack_objective(stack: _ParamStack, columns, z_t: np.ndarray, base_segment:
 
 
 def objective_grad(net: DynamicsNet, columns, z_t: np.ndarray, base_segment: ActionSegment,
-                   cfg: GALossConfig, active: str,
-                   dirichlet_rng: np.random.Generator | None = None, *,
+                   cfg: GALossConfig, active: str, dirichlet_rng: np.random.Generator, *,
                    start_pose: np.ndarray | None = None,
                    encoder: FeatureEncoder | None = None) -> tuple[float, float, np.ndarray]:
     """(l_pred, l_ga, flat gradient) of ``l_pred + lambda_ga * w_active * l_ga``.
@@ -585,7 +583,7 @@ class TrainResult:
 
 
 def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
-                encoder: FeatureEncoder,
+                encoder: FeatureEncoder, seed: int,
                 initial_net: DynamicsNet | None = None) -> list[TrainResult | NonFiniteLossError]:
     """Train one run per loss config in lockstep, as one (K, P) parameter stack.
 
@@ -598,7 +596,8 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
 
     A row whose loss turns non-finite leaves the stack without touching
     the other rows; its entry is the NonFiniteLossError that its own run
-    raises. Deterministic given (seed, configs, dataset). With
+    raises. Deterministic given (seed, configs, dataset): ``seed`` derives
+    the initialization and every random stream (``TrainStreams``). With
     ``initial_net`` every row starts from a copy of the given parameters
     instead of a fresh seeded initialization.
     """
@@ -616,10 +615,10 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
             raise ValueError("initial net latent size does not match the encoder")
         net = initial_net
     else:
-        init_ss = np.random.SeedSequence(entropy=run.seed, spawn_key=(0,))
+        init_ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
         net = make_dynamics_net(encoder.latent_dim, run.hidden_dim, init_ss, run.init_w1_gain)
     stack = _ParamStack(net, np.tile(net.params, (len(cfgs), 1)), list(cfgs))
-    streams = TrainStreams.from_seed(run.seed)
+    streams = TrainStreams.from_seed(seed)
     optimizer = make_optimizer(run, stack.params.shape)
     rows = np.arange(len(cfgs))  # each stack row's index into cfgs
     active = np.empty(run.steps, dtype=np.int8)
@@ -643,14 +642,15 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
 
 
 def train(run: TrainRunConfig, cfg: GALossConfig, dataset: Dataset,
-          encoder: FeatureEncoder, initial_net: DynamicsNet | None = None) -> TrainResult:
+          encoder: FeatureEncoder, seed: int,
+          initial_net: DynamicsNet | None = None) -> TrainResult:
     """Run the full training loop: ``train_group`` with the one config.
 
     Deterministic given (seed, config, dataset). With ``initial_net`` the
     run fine-tunes a copy of the given parameters instead of a fresh
     seeded initialization.
     """
-    (result,) = train_group(run, [cfg], dataset, encoder, initial_net)
+    (result,) = train_group(run, [cfg], dataset, encoder, seed, initial_net)
     if isinstance(result, NonFiniteLossError):
         raise result
     return result

@@ -107,13 +107,12 @@ def _window_positions(n, l, k):
     return [round(j * last / (k - 1)) for j in range(k)]
 
 
-def oracle_probe_identity(sequences, k, l, alpha, **inj) -> float:
+def oracle_probe_identity(starts, streams, k, l, alpha, **inj) -> float:
     errors = []
-    for seq in sequences:
-        actions = list(seq.actions.array)
+    for start, actions in zip(starts, streams):
         n = len(actions)
         positions = sorted(_identity_positions(n, k))
-        m = pose_to_matrix(Pose2(*seq.start))
+        m = pose_to_matrix(Pose2(*start))
         pi = 0
         for i in range(n + 1):
             while pi < len(positions) and positions[pi] == i:
@@ -127,13 +126,12 @@ def oracle_probe_identity(sequences, k, l, alpha, **inj) -> float:
     return float(np.mean(errors))
 
 
-def oracle_probe_inverse(sequences, k, l, alpha, **inj) -> float:
+def oracle_probe_inverse(starts, streams, k, l, alpha, **inj) -> float:
     errors = []
-    for seq in sequences:
-        actions = list(seq.actions.array)
+    for start, actions in zip(starts, streams):
         n = len(actions)
         positions = sorted(_window_positions(n, l, k))
-        m = pose_to_matrix(Pose2(*seq.start))
+        m = pose_to_matrix(Pose2(*start))
         for i in range(n + 1):
             for p in positions:
                 if p != i:
@@ -150,14 +148,13 @@ def oracle_probe_inverse(sequences, k, l, alpha, **inj) -> float:
     return float(np.mean(errors))
 
 
-def oracle_probe_composition(sequences, l, alpha, weight_fn, **inj) -> float:
+def oracle_probe_composition(starts, streams, l, alpha, weight_fn, **inj) -> float:
     """weight_fn(seq_idx, l) must reproduce the weight draw under test."""
     errors = []
-    for s_idx, seq in enumerate(sequences):
-        actions = list(seq.actions.array)
+    for s_idx, (start, actions) in enumerate(zip(starts, streams)):
         n = len(actions)
         positions = sorted(_window_positions(n, l, 1))
-        m = pose_to_matrix(Pose2(*seq.start))
+        m = pose_to_matrix(Pose2(*start))
         for i in range(n + 1):
             for p in positions:
                 if p != i:
@@ -181,7 +178,8 @@ def oracle_probe_composition(sequences, l, alpha, weight_fn, **inj) -> float:
 #
 # evaluate_gac and evaluate_gar as they ran one Pose2 at a time: every
 # stream step through model.step, every branch and GAR rollout through a
-# per-pose rollout, and the GAR distances over per-trajectory arrays. The
+# per-pose rollout, and the GAR distances over per-trajectory arrays. Like
+# the metrics they take (S, 3) starts and (S, L, 3) action streams, and the
 # batched metrics must reproduce these reports exactly (==).
 
 
@@ -207,7 +205,7 @@ def per_pose_rollout(model, start: Pose2, actions, rng) -> list[Pose2]:
     return list(rollout(model, start, actions, rng))
 
 
-def reference_probe(model, sequences, cfg, dist, seed, concentration=1.0):
+def reference_probe(model, starts, streams, cfg, dist, seed, concentration=1.0):
     from gawm.metrics import (
         KIND_COMPOSITION, KIND_IDENTITY, ProbeResult, _probe_rng, identity_positions,
         window_positions,
@@ -223,17 +221,18 @@ def reference_probe(model, sequences, cfg, dist, seed, concentration=1.0):
     def rng(s, slot):
         return _probe_rng(seed, code, cfg.k, cfg.l, s, slot)
 
-    dirichlet = DirichletParams(concentration=concentration, seed=seed)
+    dirichlet = DirichletParams(concentration=concentration)
     errors = []
     positions = ()
-    for s, seq in enumerate(sequences):
-        n = len(seq.actions)
+    for s, (start, rows) in enumerate(zip(starts, streams)):
+        actions = ActionSegment(rows)
+        n = len(actions)
         if cfg.kind == KIND_IDENTITY:
-            positions = cfg.start_indices or identity_positions(n, cfg.k)
+            positions = identity_positions(n, cfg.k)
         else:
-            positions = cfg.start_indices or window_positions(n, cfg.l, cfg.k)
+            positions = window_positions(n, cfg.l, cfg.k)
         stream = rng(s, 0)
-        state = Pose2(*seq.start)
+        state = Pose2(*start)
         for i in range(n + 1):
             for j, p in enumerate(sorted(positions)):
                 if p != i:
@@ -244,28 +243,28 @@ def reference_probe(model, sequences, cfg, dist, seed, concentration=1.0):
                     errors.append(state_distance(end, state, dist))
                     state = end
                 elif cfg.kind == KIND_COMPOSITION:
-                    u_a = seq.actions[p : p + cfg.l]
-                    u_b = make_compatibility_segment(u_a, dirichlet, rng=rng(s, 1 + 3 * j))
+                    u_a = actions[p : p + cfg.l]
+                    u_b = make_compatibility_segment(u_a, dirichlet, rng(s, 1 + 3 * j))
                     end_a = per_pose_rollout(model, state, u_a, rng(s, 2 + 3 * j))[-1]
                     end_b = per_pose_rollout(model, state, u_b, rng(s, 3 + 3 * j))[-1]
                     errors.append(state_distance(end_a, end_b, dist))
                 else:
-                    cycle = make_inverse_segment(seq.actions[p : p + cfg.l])
+                    cycle = make_inverse_segment(actions[p : p + cfg.l])
                     end = per_pose_rollout(model, state, cycle, rng(s, 1 + j))[-1]
                     errors.append(state_distance(end, state, dist))
             if i < n:
-                state = model.step(state, seq.actions[i], stream)
+                state = model.step(state, actions[i], stream)
     arr = np.array(errors)
     return ProbeResult(cfg.kind, cfg.k, cfg.l, float(arr.mean()), float(arr.std()),
                        len(errors), tuple(positions))
 
 
-def reference_gac(model, sequences, grid, dist, seed, concentration=1.0):
+def reference_gac(model, starts, streams, grid, dist, seed, concentration=1.0):
     from gawm.metrics import aggregate_gac
 
     order = {"identity": 0, "inverse": 1, "composition": 2}
     ordered = sorted(grid, key=lambda c: (order[c.kind], c.k, c.l))
-    return aggregate_gac([reference_probe(model, sequences, c, dist, seed, concentration)
+    return aggregate_gac([reference_probe(model, starts, streams, c, dist, seed, concentration)
                           for c in ordered])
 
 
@@ -313,13 +312,14 @@ def reference_gar_error(trajs: list, alpha: float, aligned: bool) -> float:
     return min(_reference_pairwise(moved, alpha), raw)
 
 
-def reference_gar(model, sequences, horizons, n_rollouts, dist, seed, note=None):
+def reference_gar(model, starts, streams, horizons, n_rollouts, dist, seed, note=None):
     from gawm.metrics import GarEntry, GarReport, _probe_rng
+    from gawm.segments import ActionSegment
 
     horizons = sorted(horizons)
     per = {h: ([], []) for h in horizons}
-    for s, seq in enumerate(sequences):
-        full = [per_pose_rollout(model, Pose2(*seq.start), seq.actions[: horizons[-1]],
+    for s, (start, rows) in enumerate(zip(starts, streams)):
+        full = [per_pose_rollout(model, Pose2(*start), ActionSegment(rows)[: horizons[-1]],
                                  _probe_rng(seed, 3, s, i))
                 for i in range(n_rollouts)]
         for h in horizons:

@@ -13,7 +13,8 @@ import pytest
 
 from gawm.config import benchmark_config
 from gawm.data import ActionDistribution
-from gawm.harness import cmd_ablate, cmd_gar, cmd_gen_data, cmd_probe, cmd_train, make_eval_sequences
+from gawm.data import sample_sequences
+from gawm.harness import cmd_ablate, cmd_gar, cmd_gen_data, cmd_probe, cmd_train
 from gawm.latent import DynamicsNet, make_dynamics_net, make_encoder, pose_features
 from gawm.metrics import (
     KIND_COMPOSITION,
@@ -117,13 +118,13 @@ def test_criterion_1_group_axiom_suite():
 
 def test_criterion_2_exact_model_zero_scores():
     with criterion(2, "exact model scores zero on the full default grid", 10.0):
-        sequences = make_eval_sequences(20, 32, ActionDistribution(sigma_dtheta=0.0), 424242)
-        report = evaluate_gac(ExactModel(), sequences, default_probe_grid(), DIST, 99)
+        starts, actions, _ = sample_sequences(20, 32, ActionDistribution(sigma_dtheta=0.0), 424242)
+        report = evaluate_gac(ExactModel(), starts, actions, default_probe_grid(), DIST, 99)
         assert report.delta_id <= 1e-9
         assert report.delta_inv <= 1e-9
         assert report.delta_comp <= 1e-9
-        gar_sequences = make_eval_sequences(20, 64, ActionDistribution(sigma_dtheta=0.0), 434343)
-        gar = evaluate_gar(ExactModel(), gar_sequences, [16, 64], 5, DIST, 77)
+        starts, actions, _ = sample_sequences(20, 64, ActionDistribution(sigma_dtheta=0.0), 434343)
+        gar = evaluate_gar(ExactModel(), starts, actions, [16, 64], 5, DIST, 77)
         for entry in gar.entries:
             assert entry.aligned_mean == 0.0
             assert entry.nonaligned_mean == 0.0
@@ -132,10 +133,11 @@ def test_criterion_2_exact_model_zero_scores():
 def test_criterion_3_oracle_equivalence():
     with criterion(3, "probe errors equal brute-force stepwise simulation", 30.0):
         rng = _rng(30303)
-        sequences = []
-        for _ in range(5):
+        starts, sequences = np.empty((5, 3)), np.empty((5, 14, 3))
+        for s in range(5):
             start = random_pose(rng, 2.0)
-            actions = ActionSegment(
+            starts[s] = [start.theta, start.x, start.y]
+            sequences[s] = ActionSegment(
                 [
                     ActionIncrement(
                         float(rng.normal(0.1, 0.05)),
@@ -144,13 +146,7 @@ def test_criterion_3_oracle_equivalence():
                     )
                     for _ in range(14)
                 ]
-            )
-            sequences.append(type("S", (), {"start": start, "actions": actions})())
-
-        from gawm.metrics import EvalSequence
-
-        sequences = [EvalSequence(np.array([s.start.theta, s.start.x, s.start.y]), s.actions)
-                     for s in sequences]
+            ).array
         injectors = [
             (ViolationConfig(drift_bias=ActionIncrement(0.05, -0.02, 0.03)), {"drift": (0.05, -0.02, 0.03)}),
             (ViolationConfig(saturation_scale=1.0), {"sat": 1.0}),
@@ -159,22 +155,25 @@ def test_criterion_3_oracle_equivalence():
         for cfg, kwargs in injectors:
             model = PerturbedModel(cfg)
             for k, l in [(1, 1), (1, 3), (3, 3), (5, 5)]:
-                got = probe_identity(model, sequences, ProbeConfig(KIND_IDENTITY, k=k, l=l), DIST, 7)
-                want = oracle_probe_identity(sequences, k, l, 1.0, **kwargs)
+                cfg_id = ProbeConfig(KIND_IDENTITY, k=k, l=l)
+                got = probe_identity(model, starts, sequences, cfg_id, DIST, 7)
+                want = oracle_probe_identity(starts, sequences, k, l, 1.0, **kwargs)
                 assert abs(got.mean - want) <= 1e-12
-                got = probe_inverse(model, sequences, ProbeConfig(KIND_INVERSE, k=k, l=l), DIST, 7)
-                want = oracle_probe_inverse(sequences, k, l, 1.0, **kwargs)
+                cfg_inv = ProbeConfig(KIND_INVERSE, k=k, l=l)
+                got = probe_inverse(model, starts, sequences, cfg_inv, DIST, 7)
+                want = oracle_probe_inverse(starts, sequences, k, l, 1.0, **kwargs)
                 assert abs(got.mean - want) <= 1e-12
             for l in (2, 4, 6):
                 got = probe_composition(
-                    model, sequences, ProbeConfig(KIND_COMPOSITION, l=l), DIST, 7, concentration=1.0
+                    model, starts, sequences, ProbeConfig(KIND_COMPOSITION, l=l), DIST, 7,
+                    concentration=1.0,
                 )
 
                 def weight_fn(s_idx, length):
                     wrng = _probe_rng(7, 2, 1, length, s_idx, 1)
-                    return sample_dirichlet_weights(length, DirichletParams(1.0, 0), rng=wrng)
+                    return sample_dirichlet_weights(length, DirichletParams(1.0), wrng)
 
-                want = oracle_probe_composition(sequences, l, 1.0, weight_fn, **kwargs)
+                want = oracle_probe_composition(starts, sequences, l, 1.0, weight_fn, **kwargs)
                 assert abs(got.mean - want) <= 1e-12
 
         # closed-form spot values
@@ -187,10 +186,8 @@ def test_criterion_3_oracle_equivalence():
         assert abs(state_distance(end_a, end_b, DIST) - expected) <= 1e-12
 
         asym = PerturbedModel(ViolationConfig(asym_gain=(1.2, 1.0)))
-        from gawm.metrics import EvalSequence as ES
-
-        spot = [ES(np.zeros(3), ActionSegment([ActionIncrement(1, 0, 0)]))]
-        got = probe_inverse(asym, spot, ProbeConfig(KIND_INVERSE, k=1, l=1), DIST, 7)
+        spot = np.zeros((1, 3)), np.array([[[1.0, 0.0, 0.0]]])
+        got = probe_inverse(asym, *spot, ProbeConfig(KIND_INVERSE, k=1, l=1), DIST, 7)
         assert abs(got.mean - 0.2) <= 1e-12
 
 
@@ -228,12 +225,12 @@ def test_criterion_5_dispersion_formula_and_noise_scaling():
         want = 2.0 * total / (3 * 2)
         assert abs(got - want) <= 1e-12
 
-        sequences = make_eval_sequences(20, 64, ActionDistribution(sigma_dtheta=0.0), 565656)
+        starts, actions, _ = sample_sequences(20, 64, ActionDistribution(sigma_dtheta=0.0), 565656)
         lo = evaluate_gar(
-            PerturbedModel(ViolationConfig(noise_sigma=0.01)), sequences, [64], 32, DIST, 11
+            PerturbedModel(ViolationConfig(noise_sigma=0.01)), starts, actions, [64], 32, DIST, 11
         ).entries[0].nonaligned_mean
         hi = evaluate_gar(
-            PerturbedModel(ViolationConfig(noise_sigma=0.02)), sequences, [64], 32, DIST, 11
+            PerturbedModel(ViolationConfig(noise_sigma=0.02)), starts, actions, [64], 32, DIST, 11
         ).entries[0].nonaligned_mean
         ratio = hi / lo
         assert 1.8 <= ratio <= 2.2, f"noise scaling ratio {ratio}"

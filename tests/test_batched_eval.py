@@ -19,8 +19,6 @@ from gawm.latent import (
     make_encoder,
 )
 from gawm.metrics import (
-    EvalSequence,
-    KIND_COMPOSITION,
     KIND_IDENTITY,
     KIND_INVERSE,
     ProbeConfig,
@@ -28,7 +26,6 @@ from gawm.metrics import (
     default_probe_grid,
     evaluate_gac,
     evaluate_gar,
-    run_probe,
 )
 from gawm.models import (
     ExactModel,
@@ -54,7 +51,6 @@ from oracles import (
     reference_align,
     reference_gac,
     reference_gar,
-    reference_probe,
 )
 
 DIST = DistanceParams(0.7)
@@ -84,29 +80,25 @@ MODELS = {
 
 
 def _turning_sequences(n=5, length=20, seed=0):
-    """Streams that turn hard, starting near the heading cut, so that
-    headings cross +-pi on the way."""
+    """(n, 3) starts and (n, length, 3) actions of streams that turn hard,
+    starting near the heading cut, so that headings cross +-pi on the way."""
     rng = _rng(seed)
-    seqs = []
+    starts, actions = np.empty((n, 3)), np.empty((n, length, 3))
     for i in range(n):
         start = Pose2(math.pi - 0.05 * i if i % 2 else -math.pi + 0.05 * (i + 1),
                       float(rng.normal()), float(rng.normal()))
         turn = 0.3 if i % 2 else -0.3
-        actions = ActionSegment([
+        starts[i] = pose_array([start])[0]
+        actions[i] = ActionSegment([
             ActionIncrement(float(rng.normal(0.08, 0.04)), float(rng.normal(0.0, 0.03)),
                             float(turn + rng.normal(0.0, 0.1)))
             for _ in range(length)
-        ])
-        seqs.append(EvalSequence(np.array([start.theta, start.x, start.y]), actions))
-    return seqs
-
-
-def _arrays(seqs):
-    return np.stack([s.start for s in seqs]), np.stack([s.actions.array for s in seqs])
+        ]).array
+    return starts, actions
 
 
 def test_turning_sequences_cross_the_heading_cut():
-    starts, actions = _arrays(_turning_sequences())
+    starts, actions = _turning_sequences()
     theta = rollout_batch(ExactModel(), starts, actions, [None] * len(starts))[:, :, 0]
     assert np.all(np.abs(np.diff(theta, axis=1)).max(axis=1) > math.pi)
 
@@ -114,11 +106,10 @@ def test_turning_sequences_cross_the_heading_cut():
 @pytest.mark.parametrize("name", MODELS)
 def test_rollout_batch_equals_per_pose_rollout(name):
     model = MODELS[name]()
-    seqs = _turning_sequences()
-    starts, actions = _arrays(seqs)
-    got = rollout_batch(model, starts, actions, [_rng(100 + b) for b in range(len(seqs))])
-    for b, seq in enumerate(seqs):
-        want = pose_array(per_pose_rollout(model, Pose2(*seq.start), seq.actions, _rng(100 + b)))
+    starts, actions = _turning_sequences()
+    got = rollout_batch(model, starts, actions, [_rng(100 + b) for b in range(len(starts))])
+    for b, (start, row) in enumerate(zip(starts, actions)):
+        want = pose_array(per_pose_rollout(model, Pose2(*start), ActionSegment(row), _rng(100 + b)))
         assert np.array_equal(got[b], want), b
     one = rollout_batch(model, starts[:1], actions[:1], [_rng(100)])
     assert np.array_equal(one[0], got[0])
@@ -149,27 +140,13 @@ GRID = default_probe_grid() + [
 def test_reports_equal_per_pose_reference(name):
     model = MODELS[name]()
     seqs = _turning_sequences()
-    assert evaluate_gac(model, seqs, GRID, DIST, 5, 0.5) == reference_gac(model, seqs, GRID, DIST, 5, 0.5)
+    gac_args, gar_args = (GRID, DIST, 5, 0.5), ([6, 20], 9, DIST, 9)
+    assert evaluate_gac(model, *seqs, *gac_args) == reference_gac(model, *seqs, *gac_args)
     # nine rollouts make 36 pairs, past numpy's 8-way unrolled summation
-    assert evaluate_gar(model, seqs, [6, 20], 9, DIST, 9) == reference_gar(model, seqs, [6, 20], 9, DIST, 9)
-    one = seqs[:1]
-    assert evaluate_gac(model, one, GRID, DIST, 5) == reference_gac(model, one, GRID, DIST, 5)
-    assert evaluate_gar(model, one, [20], 2, DIST, 9) == reference_gar(model, one, [20], 2, DIST, 9)
-
-
-@pytest.mark.parametrize("name", ["noise", "learned-obs-noise"])
-def test_probe_walk_matches_reference_on_uneven_streams(name):
-    model = MODELS[name]()
-    seqs = [s for length, seed in ((9, 1), (14, 2), (20, 3)) for s in _turning_sequences(1, length, seed)]
-    configs = [
-        ProbeConfig(KIND_IDENTITY, k=2, l=2),
-        ProbeConfig(KIND_IDENTITY, k=3, l=1, start_indices=(5, 0, 5)),
-        ProbeConfig(KIND_INVERSE, k=2, l=3),
-        ProbeConfig(KIND_INVERSE, k=2, l=2, start_indices=(6, 1)),
-        ProbeConfig(KIND_COMPOSITION, l=4),
-    ]
-    for cfg in configs:
-        assert run_probe(model, seqs, cfg, DIST, 4, 0.7) == reference_probe(model, seqs, cfg, DIST, 4, 0.7)
+    assert evaluate_gar(model, *seqs, *gar_args) == reference_gar(model, *seqs, *gar_args)
+    one = [a[:1] for a in seqs]
+    assert evaluate_gac(model, *one, GRID, DIST, 5) == reference_gac(model, *one, GRID, DIST, 5)
+    assert evaluate_gar(model, *one, [20], 2, DIST, 9) == reference_gar(model, *one, [20], 2, DIST, 9)
 
 
 class StepOnly:
@@ -187,13 +164,15 @@ class StepOnly:
 def test_step_only_model_goes_through_the_fallback():
     model = StepOnly()
     seqs = _turning_sequences(3, 12)
-    gac = evaluate_gac(model, seqs, GRID, DIST, 3)
+    gac = evaluate_gac(model, *seqs, GRID, DIST, 3)
     assert model.steps > 0
-    assert gac == evaluate_gac(model.inner, seqs, GRID, DIST, 3) == reference_gac(model, seqs, GRID, DIST, 3)
+    assert gac == evaluate_gac(model.inner, *seqs, GRID, DIST, 3)
+    assert gac == reference_gac(model, *seqs, GRID, DIST, 3)
     steps = model.steps
-    gar = evaluate_gar(model, seqs, [12], 3, DIST, 3)
+    gar = evaluate_gar(model, *seqs, [12], 3, DIST, 3)
     assert model.steps == steps + 3 * 3 * 12
-    assert gar == evaluate_gar(model.inner, seqs, [12], 3, DIST, 3) == reference_gar(model, seqs, [12], 3, DIST, 3)
+    assert gar == evaluate_gar(model.inner, *seqs, [12], 3, DIST, 3)
+    assert gar == reference_gar(model, *seqs, [12], 3, DIST, 3)
 
 
 def test_batch_path_rejects_non_finite_poses():

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from gawm.config import STAGE_EVAL, DatasetConfig, ExperimentConfig, stage_seed
-from gawm.data import ActionDistribution, Dataset, generate_records, load_dataset, write_dataset
-from gawm.harness import _held_out_prediction_loss, make_eval_sequences, parse_model_ref
+from gawm.data import (
+    ActionDistribution, Dataset, generate_records, load_dataset, sample_sequences, write_dataset,
+)
+from gawm.harness import _held_out_prediction_loss, parse_model_ref
 from gawm.latent import make_dynamics_net, make_encoder, save_checkpoint
 from gawm.models import ExactModel
 from gawm.se2 import Pose2, pose_array
@@ -61,12 +63,12 @@ def test_generate_records_equals_per_pose_rollout(tmp_path, ref):
 
 
 def test_eval_sequences_draw_as_the_per_pose_sampler():
-    seqs = make_eval_sequences(6, 10, DIST, 77)
-    for i, seq in enumerate(seqs):
+    starts, actions, _ = sample_sequences(6, 10, DIST, 77)
+    for i in range(6):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=77, spawn_key=(i,))))
-        start, actions = per_pose_sequence(rng, 10, DIST)
-        assert seq.start.tobytes() == pose_array([start])[0].tobytes()
-        assert seq.actions.array.tobytes() == actions.array.tobytes()
+        start, segment = per_pose_sequence(rng, 10, DIST)
+        assert starts[i].tobytes() == pose_array([start])[0].tobytes()
+        assert actions[i].tobytes() == segment.array.tobytes()
 
 
 @pytest.fixture

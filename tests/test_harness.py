@@ -20,7 +20,9 @@ from gawm.config import (
     save_config,
     stage_seed,
 )
-from gawm.data import ActionDistribution, generate_records, load_dataset, write_dataset
+from gawm.data import (
+    ActionDistribution, generate_records, load_dataset, sample_sequences, write_dataset,
+)
 from gawm.harness import (
     UnknownModelRefError,
     cmd_gar,
@@ -30,7 +32,6 @@ from gawm.harness import (
     cmd_train,
     cmd_ablate,
     file_sha256,
-    make_eval_sequences,
     parse_model_ref,
     sweep_points,
 )
@@ -72,9 +73,12 @@ def test_config_hash_ignores_out_dir(tmp_path):
     ("pretrian",), ("probes", "n_seqs"), ("gar", "action_dist", "mean_dy"),
     ("ga", "dirichlet", "alpha"), ("train", "stpes"), ("encoder", "dim"),
     ("dataset", "action_dist", "sigma"),
+    # seeds that no stage read; training derives its seed from the master seed
+    ("ga", "dirichlet", "seed"), ("train", "seed"), ("pretrain", "seed"),
 ])
 def test_config_rejects_unknown_keys_at_every_level(tmp_path, path):
     d = tiny_config(tmp_path / "keys").to_dict()
+    d["pretrain"] = {"steps": 5}
     section = d
     for key in path[:-1]:
         section = section[key]
@@ -361,14 +365,14 @@ def test_probe_drift_ref_matches_stepwise_oracle(tmp_path):
     cfg = tiny_config(tmp_path / "probe_drift")
     report = cmd_probe(cfg, "drift:0.1,0,0")
     seed = stage_seed(cfg.seed, STAGE_PROBE)
-    seqs = make_eval_sequences(
+    starts, actions, _ = sample_sequences(
         cfg.probes.n_sequences, cfg.probes.sequence_length, cfg.probes.action_dist, seed
     )
     for r in report.per_config:
         if r.kind == "identity":
-            want = oracle_probe_identity(seqs, r.k, r.l, cfg.probes.alpha_rot, drift=(0.1, 0, 0))
+            want = oracle_probe_identity(starts, actions, r.k, r.l, cfg.probes.alpha_rot, drift=(0.1, 0, 0))
         elif r.kind == "inverse":
-            want = oracle_probe_inverse(seqs, r.k, r.l, cfg.probes.alpha_rot, drift=(0.1, 0, 0))
+            want = oracle_probe_inverse(starts, actions, r.k, r.l, cfg.probes.alpha_rot, drift=(0.1, 0, 0))
         else:
             continue
         assert r.mean == pytest.approx(want, abs=1e-12)
@@ -697,9 +701,9 @@ def test_config_dict_is_asdict_and_hash_is_stable():
     for cfg in (ExperimentConfig(), benchmark_config()):
         assert cfg.to_dict() == asdict(cfg)
     assert ExperimentConfig().config_hash() == \
-        "c743bf4da3dcfc0327bbfb2afcd5eb8d2cab7647c925e25ae3b1d268729bf739"
+        "4a07252c68546ed9b6ff4b9e4673674fd5625dd4cba16d53728622010c75d4ce"
     assert benchmark_config().config_hash() == \
-        "1fbb10259c88cc1c3b362eddf3e2e19c1961eeb6587668e70ff8a1e412daa60d"
+        "15b3cc29abc9b4b8f7aff257a38b3a30956a76e8a4897b93716a4de85a3ee060"
 
 
 def test_train_with_observation_noise_writes_and_reproduces(tmp_path):
@@ -801,18 +805,11 @@ def test_evaluate_gar_prefers_native_sampler():
             return Trajectory(poses)
 
     stub = Stub()
-    seqs = _sequences_for_gar()
-    report = evaluate_gar(stub, seqs, [4], 3, DistanceParams(1.0), seed=1)
-    assert stub.calls == 3 * len(seqs)
+    starts = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 1.0]])
+    actions = np.tile([0.1, 0.0, 0.0], (2, 4, 1))
+    report = evaluate_gar(stub, starts, actions, [4], 3, DistanceParams(1.0), seed=1)
+    assert stub.calls == 3 * len(starts)
     assert report.entries[0].nonaligned_mean > 0.0
-
-
-def _sequences_for_gar():
-    from gawm.metrics import EvalSequence
-    from gawm.segments import ActionIncrement
-
-    seg = ActionSegment([ActionIncrement(0.1, 0, 0)] * 4)
-    return [EvalSequence(np.zeros(3), seg), EvalSequence(np.array([0.5, 1.0, 1.0]), seg)]
 
 
 def test_train_resolves_dataset_model_before_training(tmp_path, monkeypatch):
@@ -830,6 +827,19 @@ def test_train_resolves_dataset_model_before_training(tmp_path, monkeypatch):
         cmd_train(bad)
     assert calls == []
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("stage", [cmd_probe, cmd_gar])
+def test_bad_model_ref_fails_before_the_stage_writes(tmp_path, stage):
+    cfg = tiny_config(tmp_path / "run")
+    stage(cfg, "exact")
+    manifest = (tmp_path / "run" / "manifest.json").read_bytes()
+    with pytest.raises(UnknownModelRefError, match="exat"):
+        stage(cfg, "exat")
+    assert (tmp_path / "run" / "manifest.json").read_bytes() == manifest
+    with pytest.raises(UnknownModelRefError, match="bogus"):
+        stage(replace(cfg, out_dir=str(tmp_path / "fresh")), "bogus")
+    assert not (tmp_path / "fresh").exists()
 
 
 _SECTIONS = {"": ExperimentConfig, "dataset": DatasetConfig, "encoder": EncoderConfig,

@@ -1,10 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gawm.metrics import (
-    EvalSequence,
     GacReport,
     KIND_COMPOSITION,
     KIND_IDENTITY,
@@ -45,11 +45,13 @@ def _rng(seed=0):
 
 
 def _sequences(n, length, seed, rot_scale=0.0):
+    """(n, 3) starts and (n, length, 3) actions."""
     rng = _rng(seed)
-    out = []
-    for _ in range(n):
+    starts, actions = np.empty((n, 3)), np.empty((n, length, 3))
+    for i in range(n):
         start = random_pose(rng, pos_scale=2.0)
-        actions = ActionSegment(
+        starts[i] = [start.theta, start.x, start.y]
+        actions[i] = ActionSegment(
             [
                 ActionIncrement(
                     float(rng.normal(0.1, 0.05)),
@@ -58,9 +60,8 @@ def _sequences(n, length, seed, rot_scale=0.0):
                 )
                 for _ in range(length)
             ]
-        )
-        out.append(EvalSequence(start=np.array([start.theta, start.x, start.y]), actions=actions))
-    return out
+        ).array
+    return starts, actions
 
 
 def test_probe_config_validation():
@@ -85,7 +86,7 @@ def test_default_grid_is_nine_configs():
 def test_exact_model_identity_probe_is_zero():
     seqs = _sequences(5, 12, 1, rot_scale=0.2)
     for k, l in [(1, 1), (3, 3), (5, 5), (1, 5)]:
-        r = probe_identity(ExactModel(), seqs, ProbeConfig(KIND_IDENTITY, k=k, l=l), DIST, 0)
+        r = probe_identity(ExactModel(), *seqs, ProbeConfig(KIND_IDENTITY, k=k, l=l), DIST, 0)
         assert r.mean <= 1e-9
         assert r.n_instances == 5 * k
 
@@ -93,24 +94,24 @@ def test_exact_model_identity_probe_is_zero():
 def test_exact_model_inverse_probe_translation_only_zero():
     seqs = _sequences(5, 12, 2, rot_scale=0.0)
     for k, l in [(1, 1), (3, 3), (5, 5)]:
-        r = probe_inverse(ExactModel(), seqs, ProbeConfig(KIND_INVERSE, k=k, l=l), DIST, 0)
+        r = probe_inverse(ExactModel(), *seqs, ProbeConfig(KIND_INVERSE, k=k, l=l), DIST, 0)
         assert r.mean <= 1e-9
 
 
 def test_exact_model_composition_probe_translation_only_zero():
     seqs = _sequences(5, 12, 3, rot_scale=0.0)
     for l in (1, 2, 4, 6):
-        r = probe_composition(ExactModel(), seqs, ProbeConfig(KIND_COMPOSITION, l=l), DIST, 0)
+        r = probe_composition(ExactModel(), *seqs, ProbeConfig(KIND_COMPOSITION, l=l), DIST, 0)
         assert r.mean <= 1e-9
 
 
 def test_identity_probe_drift_matches_brute_force():
     drift = ActionIncrement(0.1, 0.0, 0.0)
     model = PerturbedModel(ViolationConfig(drift_bias=drift))
-    seqs = [EvalSequence(start=np.zeros(3), actions=ActionSegment([]))]
-    r = probe_identity(model, seqs, ProbeConfig(KIND_IDENTITY, k=1, l=3), DIST, 0)
+    seqs = np.zeros((1, 3)), np.zeros((1, 0, 3))
+    r = probe_identity(model, *seqs, ProbeConfig(KIND_IDENTITY, k=1, l=3), DIST, 0)
     assert r.mean == pytest.approx(0.3, abs=1e-12)
-    oracle = oracle_probe_identity(seqs, 1, 3, 1.0, drift=(0.1, 0.0, 0.0))
+    oracle = oracle_probe_identity(*seqs, 1, 3, 1.0, drift=(0.1, 0.0, 0.0))
     assert r.mean == pytest.approx(oracle, abs=1e-12)
 
 
@@ -118,23 +119,23 @@ def test_identity_probe_rotation_term_scales_with_alpha():
     model = PerturbedModel(ViolationConfig(drift_bias=ActionIncrement(0, 0, 0.05)))
     seqs = _sequences(4, 10, 4)
     cfg = ProbeConfig(KIND_IDENTITY, k=2, l=3)
-    r1 = probe_identity(model, seqs, cfg, DistanceParams(1.0), 0)
-    r2 = probe_identity(model, seqs, cfg, DistanceParams(2.0), 0)
+    r1 = probe_identity(model, *seqs, cfg, DistanceParams(1.0), 0)
+    r2 = probe_identity(model, *seqs, cfg, DistanceParams(2.0), 0)
     assert r2.mean == pytest.approx(2.0 * r1.mean, rel=1e-12)
 
 
 def test_inverse_probe_asym_spot_value():
     model = PerturbedModel(ViolationConfig(asym_gain=(1.2, 1.0)))
-    seqs = [EvalSequence(start=np.zeros(3), actions=ActionSegment([ActionIncrement(1, 0, 0)]))]
-    r = probe_inverse(model, seqs, ProbeConfig(KIND_INVERSE, k=1, l=1), DIST, 0)
+    seqs = np.zeros((1, 3)), np.array([[[1.0, 0.0, 0.0]]])
+    r = probe_inverse(model, *seqs, ProbeConfig(KIND_INVERSE, k=1, l=1), DIST, 0)
     assert r.mean == pytest.approx(0.2, abs=1e-12)
 
 
 def test_inverse_probe_rotation_residual_matches_oracle():
     seqs = _sequences(5, 10, 5, rot_scale=0.3)
     cfg = ProbeConfig(KIND_INVERSE, k=2, l=3)
-    r = probe_inverse(ExactModel(), seqs, cfg, DIST, 0)
-    oracle = oracle_probe_inverse(seqs, 2, 3, 1.0)
+    r = probe_inverse(ExactModel(), *seqs, cfg, DIST, 0)
+    oracle = oracle_probe_inverse(*seqs, 2, 3, 1.0)
     assert r.mean > 1e-6  # the elementwise negation is not the group inverse
     assert r.mean == pytest.approx(oracle, abs=1e-12)
 
@@ -163,39 +164,26 @@ def test_probe_oracle_equivalence_per_injector(inj_cfg, inj_kwargs):
     model = PerturbedModel(inj_cfg)
     seqs = _sequences(4, 12, 6, rot_scale=0.1)
     for k, l in [(1, 2), (3, 3)]:
-        r = probe_identity(model, seqs, ProbeConfig(KIND_IDENTITY, k=k, l=l), DIST, 0)
-        assert r.mean == pytest.approx(oracle_probe_identity(seqs, k, l, 1.0, **inj_kwargs), abs=1e-12)
-        r = probe_inverse(model, seqs, ProbeConfig(KIND_INVERSE, k=k, l=l), DIST, 0)
-        assert r.mean == pytest.approx(oracle_probe_inverse(seqs, k, l, 1.0, **inj_kwargs), abs=1e-12)
+        r = probe_identity(model, *seqs, ProbeConfig(KIND_IDENTITY, k=k, l=l), DIST, 0)
+        assert r.mean == pytest.approx(oracle_probe_identity(*seqs, k, l, 1.0, **inj_kwargs), abs=1e-12)
+        r = probe_inverse(model, *seqs, ProbeConfig(KIND_INVERSE, k=k, l=l), DIST, 0)
+        assert r.mean == pytest.approx(oracle_probe_inverse(*seqs, k, l, 1.0, **inj_kwargs), abs=1e-12)
     for l in (2, 4):
         cfg = ProbeConfig(KIND_COMPOSITION, l=l)
-        r = probe_composition(model, seqs, cfg, DIST, 0, concentration=1.0)
+        r = probe_composition(model, *seqs, cfg, DIST, 0, concentration=1.0)
 
         def weight_fn(s_idx, length):
             rng = _probe_rng(0, 2, 1, length, s_idx, 1)
-            return sample_dirichlet_weights(length, DirichletParams(1.0, 0), rng=rng)
+            return sample_dirichlet_weights(length, DirichletParams(1.0), rng)
 
-        oracle = oracle_probe_composition(seqs, l, 1.0, weight_fn, **inj_kwargs)
+        oracle = oracle_probe_composition(*seqs, l, 1.0, weight_fn, **inj_kwargs)
         assert r.mean == pytest.approx(oracle, abs=1e-12)
 
 
 def test_probe_rejects_out_of_range_positions():
     seqs = _sequences(2, 4, 7)
     with pytest.raises(ValueError):
-        probe_inverse(ExactModel(), seqs, ProbeConfig(KIND_INVERSE, k=1, l=5), DIST, 0)
-    with pytest.raises(ValueError):
-        probe_identity(
-            ExactModel(), seqs, ProbeConfig(KIND_IDENTITY, k=1, l=1, start_indices=(9,)), DIST, 0
-        )
-
-
-def test_probe_start_indices_override():
-    model = PerturbedModel(ViolationConfig(drift_bias=ActionIncrement(0.05, 0, 0)))
-    seqs = _sequences(1, 8, 8)
-    cfg = ProbeConfig(KIND_IDENTITY, k=2, l=2, start_indices=(0, 8))
-    r = probe_identity(model, seqs, cfg, DIST, 0)
-    assert r.start_positions == (0, 8)
-    assert r.n_instances == 2
+        probe_inverse(ExactModel(), *seqs, ProbeConfig(KIND_INVERSE, k=1, l=5), DIST, 0)
 
 
 def test_aggregate_gac_equal_components():
@@ -241,8 +229,8 @@ def test_evaluate_gac_order_independent():
     seqs = _sequences(3, 12, 10)
     model = PerturbedModel(ViolationConfig(drift_bias=ActionIncrement(0.02, 0, 0.01)))
     grid = default_probe_grid()
-    rep1 = evaluate_gac(model, seqs, grid, DIST, 0)
-    rep2 = evaluate_gac(model, seqs, list(reversed(grid)), DIST, 0)
+    rep1 = evaluate_gac(model, *seqs, grid, DIST, 0)
+    rep2 = evaluate_gac(model, *seqs, list(reversed(grid)), DIST, 0)
     assert rep1 == rep2
 
 
@@ -347,7 +335,7 @@ def test_gar_validation():
 
 def test_evaluate_gar_exact_model_is_exactly_zero():
     seqs = _sequences(4, 16, 21, rot_scale=0.1)
-    report = evaluate_gar(ExactModel(), seqs, [8, 16], 5, DIST, 0)
+    report = evaluate_gar(ExactModel(), *seqs, [8, 16], 5, DIST, 0)
     for entry in report.entries:
         assert entry.aligned_mean == 0.0
         assert entry.nonaligned_mean == 0.0
@@ -356,7 +344,7 @@ def test_evaluate_gar_exact_model_is_exactly_zero():
 def test_evaluate_gar_aligned_leq_nonaligned_under_noise():
     model = PerturbedModel(ViolationConfig(noise_sigma=0.02))
     seqs = _sequences(6, 16, 22, rot_scale=0.1)
-    report = evaluate_gar(model, seqs, [16], 5, DIST, 7)
+    report = evaluate_gar(model, *seqs, [16], 5, DIST, 7)
     entry = report.entries[0]
     assert entry.aligned_mean <= entry.nonaligned_mean
     assert entry.nonaligned_mean > 0.0
@@ -377,8 +365,8 @@ def test_gar_alignment_never_adds_error(cfg, seed):
     model = PerturbedModel(cfg)
     seqs = _sequences(4, 12, 100 + seed, rot_scale=0.2)
     rng = _rng(seed)
-    for seq in seqs:
-        trajs = np.stack([rollout(model, Pose2(*seq.start), seq.actions,
+    for start, row in zip(*seqs):
+        trajs = np.stack([rollout(model, Pose2(*start), ActionSegment(row),
                                   int(rng.integers(0, 2**32))).as_array() for _ in range(4)])
         assert gar_error(trajs, DIST, aligned=True) <= gar_error(trajs, DIST, aligned=False)
 
@@ -386,28 +374,62 @@ def test_gar_alignment_never_adds_error(cfg, seed):
 def test_evaluate_gar_is_seeded_and_order_stable():
     model = PerturbedModel(ViolationConfig(noise_sigma=0.05))
     seqs = _sequences(3, 10, 23)
-    r1 = evaluate_gar(model, seqs, [10], 4, DIST, 3)
-    r2 = evaluate_gar(model, seqs, [10], 4, DIST, 3)
+    r1 = evaluate_gar(model, *seqs, [10], 4, DIST, 3)
+    r2 = evaluate_gar(model, *seqs, [10], 4, DIST, 3)
     assert r1 == r2
+
+
+_STARTS, _ACTIONS = np.zeros((2, 3)), np.full((2, 8, 3), 0.1)
+
+
+def _with_action(value):
+    actions = _ACTIONS.copy()
+    actions[1, 5, 2] = value
+    return actions
+
+
+# (evaluators, starts, actions, horizons, a substring of the error message)
+_BAD_EVALUATION_INPUTS = {
+    "no sequences": ("gac gar", _STARTS[:0], _ACTIONS[:0], [4], "no evaluation sequences"),
+    "one start row for two streams": ("gac gar", _STARTS[:1], _ACTIONS, [4], "starts must be"),
+    "a start vector": ("gac gar", _STARTS[0], _ACTIONS[:1], [4], "starts must be"),
+    "one stream as (L, 3)": ("gac gar", _STARTS[:1], _ACTIONS[0], [4], "starts must be"),
+    "non-finite action": ("gac gar", _STARTS, _with_action(math.nan), [4], "must be finite"),
+    "|dtheta| > pi": ("gac gar", _STARTS, _with_action(-3.2), [4], "|dtheta| must be <= pi"),
+    "no horizons": ("gar", _STARTS, _ACTIONS, [], "horizons must not be empty"),
+}
+
+
+@pytest.mark.parametrize("evaluator,case", [
+    (evaluator, case) for case, (evaluators, *_) in _BAD_EVALUATION_INPUTS.items()
+    for evaluator in evaluators.split()
+])
+def test_evaluation_rejects_bad_sequences(evaluator, case):
+    _, starts, actions, horizons, needle = _BAD_EVALUATION_INPUTS[case]
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        if evaluator == "gac":
+            evaluate_gac(ExactModel(), starts, actions, default_probe_grid(), DIST, 0)
+        else:
+            evaluate_gar(ExactModel(), starts, actions, horizons, 3, DIST, 0)
 
 
 def test_evaluate_gar_requires_long_enough_sequences():
     seqs = _sequences(2, 8, 24)
     with pytest.raises(ValueError):
-        evaluate_gar(ExactModel(), seqs, [16], 3, DIST, 0)
+        evaluate_gar(ExactModel(), *seqs, [16], 3, DIST, 0)
 
 
 def test_report_writers(tmp_path):
     seqs = _sequences(3, 12, 25)
     model = PerturbedModel(ViolationConfig(drift_bias=ActionIncrement(0.02, 0, 0)))
-    gac = evaluate_gac(model, seqs, default_probe_grid(), DIST, 0)
+    gac = evaluate_gac(model, *seqs, default_probe_grid(), DIST, 0)
     write_gac_json(tmp_path / "gac.json", gac, "drift")
     write_gac_csv(tmp_path / "gac.csv", gac, "drift")
     write_gac_gnuplot(tmp_path / "gac.dat", gac)
     lines = (tmp_path / "gac.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 9  # header + one row per grid config
 
-    gar = evaluate_gar(PerturbedModel(ViolationConfig(noise_sigma=0.01)), seqs, [8], 3, DIST, 0)
+    gar = evaluate_gar(PerturbedModel(ViolationConfig(noise_sigma=0.01)), *seqs, [8], 3, DIST, 0)
     write_gar_csv(tmp_path / "gar.csv", gar, "noise")
     rows = (tmp_path / "gar.csv").read_text().strip().splitlines()
     assert len(rows) == 2

@@ -21,6 +21,10 @@ increments = st.builds(ActionIncrement, dx=component, dy=component, dtheta=compo
 segments = st.lists(increments, min_size=1, max_size=6).map(ActionSegment)
 
 
+def _rng(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def _total(seg):
     """Componentwise sum of a segment's rows, row by row from 0.0."""
     total = np.zeros(3)
@@ -77,40 +81,33 @@ def test_inverse_segment_rejects_empty():
 
 
 def test_dirichlet_length_one_is_exact():
-    assert sample_dirichlet_weights(1, DirichletParams(0.3, 9)).tolist() == [1.0]
+    assert sample_dirichlet_weights(1, DirichletParams(0.3), _rng(9)).tolist() == [1.0]
 
 
 def test_dirichlet_simplex_constraint():
-    w = sample_dirichlet_weights(4, DirichletParams(5.0, 123))
+    w = sample_dirichlet_weights(4, DirichletParams(5.0), _rng(123))
     assert np.all(w >= 0.0)
     assert abs(w.sum() - 1.0) <= 1e-12
 
 
-def test_dirichlet_deterministic_given_seed():
-    p = DirichletParams(2.0, 77)
-    w1 = sample_dirichlet_weights(5, p)
-    w2 = sample_dirichlet_weights(5, p)
-    assert w1.tobytes() == w2.tobytes()
-
-
 def test_dirichlet_mean_matches_monte_carlo():
     # symmetric concentration: each component's mean is 1/l
-    rng = np.random.Generator(np.random.PCG64(5))
-    p = DirichletParams(1000.0, 0)
-    samples = np.array([sample_dirichlet_weights(3, p, rng=rng) for _ in range(10_000)])
+    rng = _rng(5)
+    p = DirichletParams(1000.0)
+    samples = np.array([sample_dirichlet_weights(3, p, rng) for _ in range(10_000)])
     assert np.all(np.abs(samples.mean(axis=0) - 1.0 / 3.0) < 0.01)
 
 
 def test_dirichlet_rejects_bad_concentration():
     with pytest.raises(ValueError):
-        DirichletParams(0.0, 1)
+        DirichletParams(0.0)
     with pytest.raises(ValueError):
-        DirichletParams(-1.0, 1)
+        DirichletParams(-1.0)
 
 
 def test_compatibility_length_one_is_exact():
     u = ActionSegment([ActionIncrement(0.3, -0.1, 0.2)])
-    u_b = make_compatibility_segment(u, DirichletParams(1.0, 3))
+    u_b = make_compatibility_segment(u, DirichletParams(1.0), _rng(3))
     assert list(u_b) == list(u)
 
 
@@ -121,7 +118,7 @@ def test_compatibility_uniform_weights_redistribute_evenly():
         def gamma(self, a, b, size):
             return np.ones(size)
 
-    u_b = make_compatibility_segment(u, DirichletParams(1.0, 0), rng=_Uniform())
+    u_b = make_compatibility_segment(u, DirichletParams(1.0), _Uniform())
     total = _total(u)
     for a in u_b:
         assert a.as_array() == pytest.approx(total / 2, abs=1e-15)
@@ -130,14 +127,14 @@ def test_compatibility_uniform_weights_redistribute_evenly():
 @settings(max_examples=200)
 @given(segments, st.integers(min_value=0, max_value=2**32 - 1))
 def test_compatibility_preserves_cumulative_sum(u, seed):
-    u_b = make_compatibility_segment(u, DirichletParams(1.0, seed))
+    u_b = make_compatibility_segment(u, DirichletParams(1.0), _rng(seed))
     assert len(u_b) == len(u)
     assert _total(u_b) == pytest.approx(_total(u), abs=1e-12)
 
 
 def test_compatibility_rejects_empty():
     with pytest.raises(ValueError):
-        make_compatibility_segment(ActionSegment([]), DirichletParams(1.0, 0))
+        make_compatibility_segment(ActionSegment([]), DirichletParams(1.0), _rng(0))
 
 
 def test_segment_json_round_trip():
@@ -192,8 +189,9 @@ def test_make_functions_take_arrays():
     rows = np.array([[0.2, 0.1, 0.3], [0.1, -0.1, -0.2]])
     u = ActionSegment(rows)
     assert make_inverse_segment(rows) == make_inverse_segment(u)
-    params = DirichletParams(0.5, 4)
-    assert make_compatibility_segment(rows, params) == make_compatibility_segment(u, params)
+    params = DirichletParams(0.5)
+    assert make_compatibility_segment(rows, params, _rng(4)) == \
+        make_compatibility_segment(u, params, _rng(4))
 
 
 def test_compatibility_total_is_summed_row_by_row_from_zero():
@@ -209,8 +207,8 @@ def test_compatibility_total_is_summed_row_by_row_from_zero():
         total = [t + v for t, v in zip(total, row)]
     # numpy's pairwise sum of a contiguous column rounds differently
     assert any(np.sum(rows[:, c].copy()) != total[c] for c in range(3))
-    u_b = make_compatibility_segment(ActionSegment(rows), DirichletParams(1.0, 0), rng=_Uniform())
+    u_b = make_compatibility_segment(ActionSegment(rows), DirichletParams(1.0), _Uniform())
     assert u_b.array.tolist() == [[0.125 * t for t in total]] * 8
     # starting from 0.0, a lone -0.0 sums to +0.0
-    u_b = make_compatibility_segment(ActionSegment([[-0.0, 0.1, 0.0]]), DirichletParams(1.0, 0))
+    u_b = make_compatibility_segment(ActionSegment([[-0.0, 0.1, 0.0]]), DirichletParams(1.0), _rng(0))
     assert math.copysign(1.0, u_b.array[0, 0]) == 1.0

@@ -231,7 +231,7 @@ def test_teacher_forced_loss_matches_exact_state_oracle(encoder):
     expected = float(np.sum((end - z_t) ** 2))
 
     cfg = GALossConfig(mode=TEACHER_FORCED)
-    context = dict(start_pose=start, encoder=encoder)
+    context = dict(dirichlet_rng=_rng(20), start_pose=start, encoder=encoder)
     graph = ga_loss_graph(net.param_tensors(), z_t, base, cfg, CONSTRAINT_INV, **context)
     assert float(graph.value) == pytest.approx(expected, rel=1e-12)
     columns = (z_t[:, None], np.zeros((3, 1)), z_t[:, None])
@@ -269,7 +269,7 @@ def test_constraint_sampling_is_uniform_and_weight_independent(dataset, encoder)
     counts = {c: 0 for c in CONSTRAINTS}
     for cfg in (GALossConfig(), GALossConfig(lambda_inv=0, lambda_comp=0)):
         net = make_dynamics_net(8, 8, 50)
-        result = train(run, cfg, dataset, encoder)
+        result = train(run, cfg, dataset, encoder, 0)
         actives = [r.active_constraint for r in result.rows]
         for c in actives:
             counts[c] += 1
@@ -312,26 +312,26 @@ def test_train_step_zero_learning_rate_reports_but_does_not_move(dataset, encode
 
 
 def test_train_is_deterministic(dataset, encoder):
-    run = TrainRunConfig(steps=5, batch_size=8, learning_rate=1e-3, seed=77)
+    run = TrainRunConfig(steps=5, batch_size=8, learning_rate=1e-3)
     cfg = GALossConfig()
-    r1 = train(run, cfg, dataset, encoder)
-    r2 = train(run, cfg, dataset, encoder)
+    r1 = train(run, cfg, dataset, encoder, 77)
+    r2 = train(run, cfg, dataset, encoder, 77)
     assert np.array_equal(r1.net.params, r2.net.params)
     assert r1.rows == r2.rows
 
 
 def test_train_rows_match_steps(dataset, encoder):
-    run = TrainRunConfig(steps=3, batch_size=4, learning_rate=1e-3, seed=5)
-    result = train(run, GALossConfig(), dataset, encoder)
+    run = TrainRunConfig(steps=3, batch_size=4, learning_rate=1e-3)
+    result = train(run, GALossConfig(), dataset, encoder, 5)
     assert [r.step for r in result.rows] == [0, 1, 2]
 
 
 def test_train_single_step_equals_one_train_step(dataset, encoder):
     from gawm.latent import make_dynamics_net as make_net
 
-    run = TrainRunConfig(steps=1, batch_size=4, learning_rate=1e-3, seed=44)
+    run = TrainRunConfig(steps=1, batch_size=4, learning_rate=1e-3)
     cfg = GALossConfig()
-    result = train(run, cfg, dataset, encoder)
+    result = train(run, cfg, dataset, encoder, 44)
 
     init_ss = np.random.SeedSequence(entropy=44, spawn_key=(0,))
     net = make_net(encoder.latent_dim, run.hidden_dim, init_ss)
@@ -377,12 +377,12 @@ def test_sample_batch_spans_stay_in_range(dataset):
 
 
 def test_lambda_sweep_diverges_at_first_ga_batch(dataset, encoder):
-    run = TrainRunConfig(steps=2, batch_size=8, learning_rate=1e-3, seed=6)
-    base = train(run, GALossConfig(lambda_ga=0.0), dataset, encoder)
-    ga = train(run, GALossConfig(lambda_ga=0.5), dataset, encoder)
-    run1 = TrainRunConfig(steps=1, batch_size=8, learning_rate=1e-3, seed=6)
-    base1 = train(run1, GALossConfig(lambda_ga=0.0), dataset, encoder)
-    ga1 = train(run1, GALossConfig(lambda_ga=0.5), dataset, encoder)
+    run = TrainRunConfig(steps=2, batch_size=8, learning_rate=1e-3)
+    base = train(run, GALossConfig(lambda_ga=0.0), dataset, encoder, 6)
+    ga = train(run, GALossConfig(lambda_ga=0.5), dataset, encoder, 6)
+    run1 = TrainRunConfig(steps=1, batch_size=8, learning_rate=1e-3)
+    base1 = train(run1, GALossConfig(lambda_ga=0.0), dataset, encoder, 6)
+    ga1 = train(run1, GALossConfig(lambda_ga=0.5), dataset, encoder, 6)
     # same initialization, divergence starts with the first update
     assert not np.array_equal(base.net.params, ga.net.params)
     assert not np.array_equal(base1.net.params, ga1.net.params)
@@ -415,9 +415,9 @@ def test_stochastic_objective_matches_full_objective(dataset, encoder):
 
 
 def test_train_aborts_on_non_finite_loss(dataset, encoder):
-    run = TrainRunConfig(steps=12, batch_size=4, learning_rate=1e14, optimizer="sgd", seed=8)
+    run = TrainRunConfig(steps=12, batch_size=4, learning_rate=1e14, optimizer="sgd")
     with np.errstate(over="ignore"), pytest.raises(NonFiniteLossError) as err:
-        train(run, GALossConfig(), dataset, encoder)
+        train(run, GALossConfig(), dataset, encoder, 8)
     assert "step" in str(err.value)
 
 
@@ -479,11 +479,11 @@ def test_closed_form_gradient_equals_tape_bit_for_bit(dataset, active, mode, noi
     assert spans == {1, 2, 3, 4}
 
 
-def _tape_train(run, cfg, dataset, encoder):
+def _tape_train(run, cfg, dataset, encoder, seed):
     """The training loop with the tape's step (the reference): (net, loss rows)."""
-    init_ss = np.random.SeedSequence(entropy=run.seed, spawn_key=(0,))
+    init_ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     net = make_dynamics_net(encoder.latent_dim, run.hidden_dim, init_ss, run.init_w1_gain)
-    streams = TrainStreams.from_seed(run.seed)
+    streams = TrainStreams.from_seed(seed)
     optimizer = make_optimizer(run, net.params.size)
     rows = []
     for step in range(run.steps):
@@ -508,10 +508,10 @@ def test_training_equals_tape_reference_byte_for_byte(dataset, mode, cfg_kwargs)
     # loss rows must still equal the tape, which backpropagates them
     enc = make_encoder(8, 200, obs_noise_sigma=0.02)
     cfg = GALossConfig(mode=mode, **cfg_kwargs)
-    run = TrainRunConfig(steps=40, batch_size=8, learning_rate=3e-3, seed=62,
+    run = TrainRunConfig(steps=40, batch_size=8, learning_rate=3e-3,
                          hidden_dim=16, init_w1_gain=3.0)
-    closed = train(run, cfg, dataset, enc)
-    tape_net, tape_rows = _tape_train(run, cfg, dataset, enc)
+    closed = train(run, cfg, dataset, enc, 62)
+    tape_net, tape_rows = _tape_train(run, cfg, dataset, enc, 62)
     assert closed.net.params.tobytes() == tape_net.params.tobytes()
     assert closed.rows == tape_rows
     assert any(r.l_ga > 0.0 for r in closed.rows)
@@ -563,16 +563,16 @@ def test_train_rejects_pre_activation_overflow(far_dataset, monkeypatch, where):
         z_t = enc.projection @ pose_features(batch.start_pose)
         weights = net.param_tensors()
         pred = prediction_loss_graph(weights, *batch_columns(batch, enc, None))
-        ga = ga_loss_graph(weights, z_t, batch.base_segment, cfg, CONSTRAINT_INV)
+        ga = ga_loss_graph(weights, z_t, batch.base_segment, cfg, CONSTRAINT_INV, _rng(66))
         total = ag.add(pred, ag.scale(ga, 1.0))
         assert np.isfinite(total.value)
         with pytest.raises(ag.NonFiniteGraphError):
             ag.backward(total)
 
         monkeypatch.setattr(training, "sample_batch", lambda *args: batch)
-        run = TrainRunConfig(steps=3, batch_size=4, seed=67)
+        run = TrainRunConfig(steps=3, batch_size=4)
         with pytest.raises(NonFiniteLossError, match="step 0"):
-            train(run, cfg, far_dataset, enc, initial_net=net)
+            train(run, cfg, far_dataset, enc, 67, initial_net=net)
 
 
 # -- lockstep training ---------------------------------------------------------
@@ -595,52 +595,52 @@ loss_configs = st.builds(GALossConfig, lambda_id=weights, lambda_inv=weights,
        optimizer=st.sampled_from(("adam", "sgd")), seed=st.integers(0, 2**32 - 1))
 def test_lockstep_rows_equal_sequential_runs(dataset, cfgs, optimizer, seed):
     enc = make_encoder(8, 200, obs_noise_sigma=0.02)
-    run = TrainRunConfig(steps=12, batch_size=4, learning_rate=3e-3, seed=seed,
+    run = TrainRunConfig(steps=12, batch_size=4, learning_rate=3e-3,
                          hidden_dim=8, init_w1_gain=3.0, optimizer=optimizer)
-    results = train_group(run, cfgs, dataset, enc)
+    results = train_group(run, cfgs, dataset, enc, seed)
     assert len(results) == len(cfgs)
     for cfg, result in zip(cfgs, results):
-        _same_run(result, train(run, cfg, dataset, enc))
+        _same_run(result, train(run, cfg, dataset, enc, seed))
 
 
 def test_lockstep_fine_tunes_a_copy_of_the_initial_net(dataset, encoder):
     base = make_dynamics_net(8, 8, 70, w1_gain=3.0)
     before = base.params.copy()
-    run = TrainRunConfig(steps=10, batch_size=4, learning_rate=1e-3, seed=71, hidden_dim=8)
+    run = TrainRunConfig(steps=10, batch_size=4, learning_rate=1e-3, hidden_dim=8)
     cfgs = [GALossConfig(lambda_ga=0.0), GALossConfig(mode=TEACHER_FORCED)]
-    results = train_group(run, cfgs, dataset, encoder, initial_net=base)
+    results = train_group(run, cfgs, dataset, encoder, 71, initial_net=base)
     assert base.params.tobytes() == before.tobytes()
     for cfg, result in zip(cfgs, results):
-        _same_run(result, train(run, cfg, dataset, encoder, initial_net=base))
+        _same_run(result, train(run, cfg, dataset, encoder, 71, initial_net=base))
 
 
 @pytest.mark.parametrize("bad_first", (False, True))
 def test_lockstep_non_finite_row_leaves_the_others_untouched(dataset, encoder, bad_first):
-    run = TrainRunConfig(steps=12, batch_size=4, learning_rate=1e-3, seed=8, hidden_dim=8,
+    run = TrainRunConfig(steps=12, batch_size=4, learning_rate=1e-3, hidden_dim=8,
                          optimizer="sgd")
     good, bad = GALossConfig(lambda_ga=0.0), GALossConfig(lambda_ga=1e30)
     cfgs = [bad, good] if bad_first else [good, bad]
     with np.errstate(over="ignore", invalid="ignore"):
-        results = train_group(run, cfgs, dataset, encoder)
+        results = train_group(run, cfgs, dataset, encoder, 8)
         with pytest.raises(NonFiniteLossError) as alone:
-            train(run, bad, dataset, encoder)
+            train(run, bad, dataset, encoder, 8)
     failed, trained = (results[0], results[1]) if bad_first else (results[1], results[0])
     assert isinstance(failed, NonFiniteLossError)
     assert str(failed) == str(alone.value)
     assert failed.step == alone.value.step and 0 < failed.step < run.steps
     assert str(failed) == f"non-finite loss at step {failed.step}"
-    _same_run(trained, train(run, good, dataset, encoder))
+    _same_run(trained, train(run, good, dataset, encoder, 8))
 
 
 def test_lockstep_rejects_configs_that_draw_differently(dataset, encoder):
     run = TrainRunConfig(steps=2, batch_size=4, hidden_dim=8)
     with pytest.raises(ValueError, match="at least one loss config"):
-        train_group(run, [], dataset, encoder)
+        train_group(run, [], dataset, encoder, 0)
     with pytest.raises(ValueError, match="loss weights and rollout mode"):
-        train_group(run, [GALossConfig(max_span=2), GALossConfig(max_span=3)], dataset, encoder)
+        train_group(run, [GALossConfig(max_span=2), GALossConfig(max_span=3)], dataset, encoder, 0)
     with pytest.raises(ValueError, match="loss weights and rollout mode"):
         train_group(run, [GALossConfig(), GALossConfig(dirichlet=DirichletParams(0.3))],
-                    dataset, encoder)
+                    dataset, encoder, 0)
 
 
 def test_adam_stack_rows_move_like_separate_optimizers():
@@ -669,10 +669,10 @@ def test_train_rejects_span_longer_than_the_trajectories(dataset, encoder, monke
     monkeypatch.setattr(training, "sample_batch", no_step)
     run = TrainRunConfig(steps=3, batch_size=4, hidden_dim=8)
     with pytest.raises(ValueError, match="max_span 40 exceeds the dataset trajectory length 16"):
-        train(run, GALossConfig(max_span=40), dataset, encoder)
+        train(run, GALossConfig(max_span=40), dataset, encoder, 0)
 
 
 def test_train_accepts_span_equal_to_the_trajectories(dataset, encoder):
-    run = TrainRunConfig(steps=20, batch_size=4, hidden_dim=8, seed=73)
-    result = train(run, GALossConfig(max_span=dataset.length), dataset, encoder)
+    run = TrainRunConfig(steps=20, batch_size=4, hidden_dim=8)
+    result = train(run, GALossConfig(max_span=dataset.length), dataset, encoder, 73)
     assert len(result.rows) == run.steps
