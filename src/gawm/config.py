@@ -1,8 +1,9 @@
 """Experiment configuration: one JSON file drives the whole pipeline.
 
 Every random choice traces to a stage seed derived from the master seed,
-and loading a config materializes all defaults, so any number in any
-report is reproducible from the resolved config plus the tool version.
+and loading a config checks every value's type and materializes all
+defaults, so any number in any report is reproducible from the resolved
+config plus the tool version.
 The output directory is carried alongside but excluded from the config
 hash, since it does not influence any computed value.
 """
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .artifacts import write_json
@@ -37,6 +40,59 @@ def stage_seed(master: int, stage: int) -> int:
     """Deterministic per-stage seed derived from the master seed."""
     h = hashlib.sha256(f"gawm-seed:{master}:{stage}".encode()).digest()
     return int.from_bytes(h[:8], "big")
+
+
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+
+
+def from_json(cls, value, path: str = ""):
+    """``value``, as parsed from JSON, built into the declared type ``cls``.
+
+    A dataclass comes from an object whose keys all name fields (a record
+    whose fields are all required may also be an array in field order), a
+    ``tuple[...]`` from an array, ``X | None`` also from null. An int must
+    be an integer, a float any number (stored as float), a str a string.
+    Any mismatch raises ValueError naming ``path``, the value's dotted path.
+    """
+    def wrong(what: str) -> ValueError:
+        return ValueError(f"config value {path or '<root>'} must be {what}, got {value!r}")
+
+    def at(key) -> str:
+        return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+
+    if isinstance(cls, types.UnionType):
+        if value is None and type(None) in typing.get_args(cls):
+            return None
+        (cls,) = [arg for arg in typing.get_args(cls) if arg is not type(None)]
+    if is_dataclass(cls):
+        hints = typing.get_type_hints(cls)
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+        record = len(required) == len(hints)
+        if record and isinstance(value, (list, tuple)) and len(value) == len(hints):
+            value = dict(zip(hints, value))
+        if not isinstance(value, dict):
+            raise wrong("an object" + (f" or an array of {len(hints)}" if record else ""))
+        for key in [*value, *required]:
+            if key not in hints:
+                raise ValueError(f"unknown config key: {at(key)}")
+            if key not in value:
+                raise ValueError(f"config value {at(key)} is missing")
+        return cls(**{key: from_json(hints[key], v, at(key)) for key, v in value.items()})
+    if typing.get_origin(cls) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise wrong("an array")
+        args = typing.get_args(cls)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise wrong(f"an array of {len(args)}")
+        return tuple(from_json(arg, v, at(i)) for i, (arg, v) in enumerate(zip(args, value)))
+    if isinstance(value, _JSON_TYPES[cls]) and not isinstance(value, bool):
+        try:
+            return cls(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise wrong(cls.__name__)
 
 
 @dataclass(frozen=True)
@@ -121,19 +177,8 @@ class GarSuiteConfig:
             raise ValueError(f"gar.n_rollouts must be >= 2, got {self.n_rollouts}")
         if not self.horizons or min(self.horizons) < 1:
             raise ValueError(f"gar.horizons must be one or more lengths >= 1, got {list(self.horizons)}")
-
-
-def _section(d: dict, cls, path: str) -> dict:
-    """A copy of config section ``d``, whose keys must all be fields of ``cls``."""
-    names = {f.name for f in fields(cls)}
-    for key in d:
-        if key not in names:
-            raise ValueError(f"unknown config key: {path}{key}")
-    return dict(d)
-
-
-def _action_dist(d: dict, path: str) -> ActionDistribution:
-    return ActionDistribution.from_dict(_section(d, ActionDistribution, path))
+        if len(set(self.horizons)) < len(self.horizons):
+            raise ValueError(f"gar.horizons must not repeat a horizon, got {list(self.horizons)}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +187,7 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    train: TrainRunConfig = field(default_factory=lambda: TrainRunConfig(steps=5000))
+    train: TrainRunConfig = field(default_factory=TrainRunConfig)
     ga: GALossConfig = field(default_factory=GALossConfig)
     probes: ProbeSuiteConfig = field(default_factory=ProbeSuiteConfig)
     gar: GarSuiteConfig = field(default_factory=GarSuiteConfig)
@@ -153,40 +198,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        """Build a config from its dict form; a key that names no field, at
-        any level, raises ValueError with the key's dotted path."""
-        d = _section(d, ExperimentConfig, "")
-        ga = _section(d.get("ga", {}), GALossConfig, "ga.")
-        if "dirichlet" in ga:
-            ga["dirichlet"] = DirichletParams(**_section(ga["dirichlet"], DirichletParams, "ga.dirichlet."))
-        probes = _section(d.get("probes", {}), ProbeSuiteConfig, "probes.")
-        if "action_dist" in probes:
-            probes["action_dist"] = _action_dist(probes["action_dist"], "probes.action_dist.")
-        for key in ("identity_lengths", "inverse_lengths", "composition_lengths"):
-            if key in probes:
-                probes[key] = tuple(probes[key])
-        gar = _section(d.get("gar", {}), GarSuiteConfig, "gar.")
-        if "action_dist" in gar:
-            gar["action_dist"] = _action_dist(gar["action_dist"], "gar.action_dist.")
-        if "horizons" in gar:
-            gar["horizons"] = tuple(gar["horizons"])
-        dataset = _section(d.get("dataset", {}), DatasetConfig, "dataset.")
-        if "action_dist" in dataset:
-            dataset["action_dist"] = _action_dist(dataset["action_dist"], "dataset.action_dist.")
-        train = _section(d.get("train", {}), TrainRunConfig, "train.")
-        pretrain = d.get("pretrain")
-        return ExperimentConfig(
-            seed=int(d.get("seed", 0)),
-            out_dir=str(d.get("out_dir", "runs/default")),
-            dataset=DatasetConfig(**dataset),
-            encoder=EncoderConfig(**_section(d.get("encoder", {}), EncoderConfig, "encoder.")),
-            train=TrainRunConfig(**({"steps": 5000} | train)),
-            ga=GALossConfig(**ga),
-            probes=ProbeSuiteConfig(**probes),
-            gar=GarSuiteConfig(**gar),
-            pretrain=None if pretrain is None else TrainRunConfig(
-                **_section(pretrain, TrainRunConfig, "pretrain.")),
-        )
+        """The config that the parsed JSON ``d`` describes (``from_json``)."""
+        return from_json(ExperimentConfig, d)
 
     def config_hash(self) -> str:
         d = self.to_dict()

@@ -48,10 +48,6 @@ class ActionDistribution:
         dth = np.clip(rng.normal(0.0, self.sigma_dtheta, size=length), -math.pi, math.pi)
         return np.stack([dx, dy, dth], axis=1)
 
-    @staticmethod
-    def from_dict(d: dict) -> "ActionDistribution":
-        return ActionDistribution(**{key: float(value) for key, value in d.items()})
-
 
 def sample_sequences(n: int, length: int, action_dist: ActionDistribution, seed: int,
                      start_pos_sigma: float = 1.0):

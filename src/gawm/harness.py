@@ -29,6 +29,7 @@ from .config import (
     STAGE_TRAIN,
     ExperimentConfig,
     TOOL_VERSION,
+    from_json,
     save_config,
     stage_seed,
 )
@@ -70,7 +71,8 @@ def parse_model_ref(ref: str, eval_noise_sigma: float = 0.0) -> tuple[WorldModel
     """Resolve a model reference into a world model and a display name.
 
     Named forms: "exact", "drift:DX,DY,DTH", "noise:SIGMA", "sat:C",
-    "asym:GP,GM", or "perturbed:{json}" for combined injectors. Anything
+    "asym:GP,GM", or "perturbed:{json}" for combined injectors, a
+    ``ViolationConfig`` checked like a config section. Anything
     ending in .json is loaded as a checkpoint and wrapped with the given
     evaluation observation noise, which must be finite and >= 0.
     """
@@ -96,7 +98,7 @@ def parse_model_ref(ref: str, eval_noise_sigma: float = 0.0) -> tuple[WorldModel
         cfg = ViolationConfig(asym_gain=(parts[0], parts[1]))
         return PerturbedModel(cfg, name=ref), ref
     if ref.startswith("perturbed:"):
-        cfg = ViolationConfig.from_dict(json.loads(ref.split(":", 1)[1]))
+        cfg = from_json(ViolationConfig, json.loads(ref.split(":", 1)[1]), "perturbed")
         return PerturbedModel(cfg, name=ref), ref
     if ref.endswith(".json"):
         path = Path(ref)
@@ -150,6 +152,7 @@ class _Stage:
 
     def __init__(self, cfg: ExperimentConfig, name: str):
         self.t0 = time.perf_counter()
+        self.cfg = cfg
         self.name = name
         self.config_hash = cfg.config_hash()
         self.out_dir = Path(cfg.out_dir)
@@ -164,8 +167,10 @@ class _Stage:
             _write_manifest(self.out_dir, self.config_hash, payload["stages"])
 
     def finish(self, paths: list, **counts: int) -> None:
-        """Record the stage's outputs and wall time, plus each count with
-        its rate over that time (``<count>_per_s``)."""
+        """Write ``resolved_config.json``, then record the stage's outputs
+        and wall time, plus each count with its rate over that time
+        (``<count>_per_s``)."""
+        save_config(self.out_dir / "resolved_config.json", self.cfg)
         wall = time.perf_counter() - self.t0
         entry = {"paths": sorted(str(p) for p in paths), "wall_clock_s": wall}
         for key, value in counts.items():
@@ -194,7 +199,6 @@ def cmd_gen_data(cfg: ExperimentConfig) -> Path:
     )
     data_dir = _dataset_dir(out_dir)
     write_dataset(data_dir, dataset, {"seed": seed, "model": model_name})
-    save_config(out_dir / "resolved_config.json", cfg)
     stage.finish([data_dir])
     return data_dir
 
@@ -309,7 +313,6 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
     metrics_path = out_dir / "train_metrics.json"
     write_json(metrics_path, {"label": label, "eval_prediction_loss": eval_loss,
                               "final_total": float(result.total[-1]), "steps": cfg.train.steps})
-    save_config(out_dir / "resolved_config.json", cfg)
     stage.finish([ckpt_path, curve_path, metrics_path], train_steps=steps)
     return ckpt_path
 
@@ -338,7 +341,6 @@ def cmd_probe(cfg: ExperimentConfig, model_ref: str):
     write_gac_csv(paths["csv"], report, model_name)
     write_gac_summary_csv(paths["summary"], report, model_name)
     write_gac_gnuplot(paths["gnuplot"], report)
-    save_config(out_dir / "resolved_config.json", cfg)
     stage.finish(list(paths.values()),
                  probe_instances=sum(r.n_instances for r in report.per_config))
     return report
@@ -362,7 +364,6 @@ def cmd_gar(cfg: ExperimentConfig, model_ref: str):
     csv_path = out_dir / "gar.csv"
     write_gar_json(json_path, report, model_name)
     write_gar_csv(csv_path, report, model_name)
-    save_config(out_dir / "resolved_config.json", cfg)
     stage.finish([json_path, csv_path], rollouts=len(starts) * cfg.gar.n_rollouts)
     return report
 
@@ -407,16 +408,15 @@ def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, Experiment
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def run_sweep_point(args: tuple[str, dict], dataset: Dataset | None = None,
+def run_sweep_point(args: tuple[str, ExperimentConfig], dataset: Dataset | None = None,
                     group: TrainGroup | None = None) -> dict:
-    """Train and evaluate one grid point; returns its consolidated row.
+    """Train and evaluate one (label, config) grid point; returns its row.
 
     ``dataset`` is the point's training dataset when the caller has it
     loaded already; worker processes load it from disk. ``group`` is the
     point's lockstep group, if it trains in one.
     """
-    label, cfg_dict = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+    label, cfg = args
     ckpt = cmd_train(cfg, label=label, dataset=dataset, group=group)
     gac = cmd_probe(cfg, str(ckpt))
     gar = cmd_gar(cfg, str(ckpt))
@@ -486,15 +486,14 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
         points.append((label, point_cfg))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(points))) as pool:
-            rows = list(pool.map(run_sweep_point, [(label, c.to_dict()) for label, c in points]))
+            rows = list(pool.map(run_sweep_point, points))
     else:
         keys = [TrainGroup.key(c) for _, c in points]
         members: dict[ExperimentConfig, list[ExperimentConfig]] = {}
         for key, (_, point_cfg) in zip(keys, points):
             members.setdefault(key, []).append(point_cfg)
         groups = {key: TrainGroup(cfgs) for key, cfgs in members.items()}
-        rows = [run_sweep_point((label, c.to_dict()), dataset, groups[key])
-                for key, (label, c) in zip(keys, points)]
+        rows = [run_sweep_point(point, dataset, groups[key]) for key, point in zip(keys, points)]
 
     table_path = out_dir / f"ablation_{axis}.csv"
     columns = ["label", "delta_id", "delta_inv", "delta_comp", "e_gac"]
@@ -508,7 +507,6 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
             for r in rows
         ],
     })
-    save_config(out_dir / "resolved_config.json", cfg)
     stage.finish([table_path])
     return rows
 

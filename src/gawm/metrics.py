@@ -425,6 +425,8 @@ def evaluate_gar(model: WorldModel, starts, actions, horizons, n_rollouts: int,
         raise ValueError(f"n_rollouts must be >= 2, got {n_rollouts}")
     if len(horizons) == 0:
         raise ValueError("horizons must not be empty")
+    if len(set(horizons)) < len(horizons):
+        raise ValueError(f"horizons must not repeat a horizon, got {list(horizons)}")
     horizons = sorted(horizons)
     t_max = horizons[-1]
     if actions.shape[1] < t_max:

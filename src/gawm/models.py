@@ -163,17 +163,6 @@ class ViolationConfig:
     def is_stochastic(self) -> bool:
         return self.noise_sigma > 0.0
 
-    @staticmethod
-    def from_dict(d: dict) -> "ViolationConfig":
-        db = d.get("drift_bias", [0.0, 0.0, 0.0])
-        sat = d.get("saturation_scale")
-        return ViolationConfig(
-            drift_bias=ActionIncrement(float(db[0]), float(db[1]), float(db[2])),
-            saturation_scale=None if sat is None else float(sat),
-            asym_gain=tuple(float(g) for g in d.get("asym_gain", (1.0, 1.0))),
-            noise_sigma=float(d.get("noise_sigma", 0.0)),
-        )
-
 
 def perturbed_step(
     state: Pose2,

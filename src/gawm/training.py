@@ -120,7 +120,7 @@ class GALossValues:
 
 @dataclass(frozen=True)
 class TrainRunConfig:
-    steps: int
+    steps: int = 5000
     batch_size: int = 32
     learning_rate: float = 1e-3
     optimizer: str = OPTIMIZER_ADAM

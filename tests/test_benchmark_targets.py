@@ -1,18 +1,21 @@
-"""Every function the benchmark's tracer wraps must still exist.
+"""What the benchmark relies on in ``src/gawm`` must still hold.
 
 ``perfbench/run.py --trace 1`` wraps gawm functions by dotted name, so a
 rename in ``src/gawm`` breaks it without failing any other test. This
 loads ``perfbench/run.py`` and ``perfbench/tracer.py`` without writing
 bytecode next to them, collects every target their install functions
-ask for, and resolves each one the way the tracer does.
+ask for, and resolves each one the way the tracer does. It also checks
+that every benchmark config survives a trip through its JSON form.
 """
 
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
 import gawm.autograd  # noqa: F401  the tracer resolves targets in loaded modules
 import gawm.harness  # noqa: F401
+from gawm.config import load_config, save_config
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,3 +51,17 @@ def test_every_tracer_target_resolves(monkeypatch):
         owner, attr, value = tracer._resolve(target)
         assert callable(value), target
         assert getattr(owner, attr) is value
+
+
+def test_benchmark_configs_round_trip_through_json(monkeypatch, tmp_path):
+    # the benchmark builds its configs in code; loading their JSON form
+    # must give back the same config and the same config hash
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = _load("workloads")
+    for workload, seed, scale in itertools.product(
+            ("ablate-constraints", "ablate-mode", "score-zoo"), (12, 29), ("full", "tiny")):
+        cfg = workloads.make_config(workload, seed, str(tmp_path / "run"), scale)
+        save_config(tmp_path / "cfg.json", cfg)
+        loaded = load_config(tmp_path / "cfg.json")
+        assert loaded == cfg, (workload, seed, scale)
+        assert loaded.config_hash() == cfg.config_hash(), (workload, seed, scale)

@@ -1,6 +1,9 @@
 import json
 import math
-from dataclasses import asdict, fields, replace
+import re
+import types
+import typing
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +161,28 @@ def test_parse_model_ref_rejects_non_finite_gains():
             parse_model_ref(ref)
     with pytest.raises(ValueError, match="asym_gain"):
         parse_model_ref('perturbed:{"asym_gain": [NaN, 1.0]}')
+
+
+@pytest.mark.parametrize("json_text, message", [
+    ('{"noise_sigm": 0.02}', "^unknown config key: perturbed.noise_sigm$"),
+    ('{"saturation_scale": true}', "^config value perturbed.saturation_scale must be float, got True$"),
+    ('{"drift_bias": [0.01, 0.0]}',
+     r"^config value perturbed.drift_bias must be an object or an array of 3, got \[0.01, 0.0\]$"),
+    ('[0.02]', r"^config value perturbed must be an object, got \[0.02\]$"),
+])
+def test_parse_model_ref_checks_perturbed_keys_and_types(json_text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_model_ref(f"perturbed:{json_text}")
+
+
+def test_parse_model_ref_perturbed_takes_records_as_arrays_or_objects():
+    by_array, _ = parse_model_ref('perturbed:{"drift_bias": [0.01, 0, 0.005], "asym_gain": [1.2, 1]}')
+    by_object, _ = parse_model_ref(
+        'perturbed:{"drift_bias": {"dx": 0.01, "dy": 0.0, "dtheta": 0.005}, "asym_gain": [1.2, 1.0]}')
+    assert by_array.cfg == by_object.cfg
+    assert by_array.cfg.drift_bias.dy == 0.0 and isinstance(by_array.cfg.drift_bias.dy, float)
+    with pytest.raises(ValueError, match="^config value perturbed.drift_bias.dtheta is missing$"):
+        parse_model_ref('perturbed:{"drift_bias": {"dx": 0.01, "dy": 0.0}}')
 
 
 def test_parse_model_ref_unknown():
@@ -519,6 +544,17 @@ def test_ablate_non_finite_point_fails_as_the_sequential_run(tmp_path, monkeypat
     assert _output_hashes(point) == _output_hashes(Path(ref.out_dir) / "sweep_lambda" / "ok")
 
 
+@pytest.mark.parametrize("threads", (1, 2))
+def test_ablate_hands_grid_points_their_config_objects(tmp_path, monkeypatch, threads):
+    # a per-point reload from the dict form would run outside every stage's span
+    def no_reload(d):
+        raise AssertionError("a grid point reloaded its config")
+
+    monkeypatch.setattr(ExperimentConfig, "from_dict", staticmethod(no_reload))
+    rows = cmd_ablate(tiny_config(tmp_path / "objects", steps=4), "mode", threads=threads)
+    assert [row["label"] for row in rows] == ["free-running", "teacher-forced"]
+
+
 @pytest.mark.parametrize("threads", (0, -3))
 def test_ablate_rejects_non_positive_threads(tmp_path, threads):
     cfg = tiny_config(tmp_path / "threads", steps=4)
@@ -668,6 +704,7 @@ def test_suite_configs_reject_bad_eval_noise(sigma):
     ("dataset", "start_pos_sigma", math.nan, "^dataset.start_pos_sigma must be finite and >= 0, got nan$"),
     ("train", "hidden_dim", 0, "^hidden_dim must be >= 1, got 0$"),
     ("train", "hidden_dim", -2, "^hidden_dim must be >= 1, got -2$"),
+    ("gar", "horizons", [8, 8], r"^gar.horizons must not repeat a horizon, got \[8, 8\]$"),
 ])
 def test_config_rejects_bad_suite_and_encoder_values(tmp_path, section, key, value, message):
     d = tiny_config(tmp_path / "bad").to_dict()
@@ -683,10 +720,22 @@ def test_config_rejects_bad_suite_and_encoder_values(tmp_path, section, key, val
     ("gar", "n_sequences", 0, "gar.n_sequences"),
     ("probes", "identity_lengths", [9], "l=9"),
     ("encoder", "obs_noise_sigma", math.nan, "obs_noise_sigma"),
+    # values of the wrong JSON type fail at load, with their dotted path
+    ("train", "steps", 2.5, "config value train.steps must be int, got 2.5"),
+    ("train", "batch_size", 4.0, "config value train.batch_size must be int, got 4.0"),
+    ("encoder", "latent_dim", 8.5, "config value encoder.latent_dim must be int, got 8.5"),
+    ("dataset", "n_trajectories", 6.0, "config value dataset.n_trajectories must be int, got 6.0"),
+    ("probes", "identity_lengths", [1.5], "config value probes.identity_lengths[0] must be int, got 1.5"),
+    ("gar", "n_rollouts", 2.0, "config value gar.n_rollouts must be int, got 2.0"),
+    ("train", "hidden_dim", True, "config value train.hidden_dim must be int, got True"),
+    ("ga", "max_span", 2.5, "config value ga.max_span must be int, got 2.5"),
+    ("", "seed", 3.9, "config value seed must be int, got 3.9"),
+    ("", "seed", "12", "config value seed must be int, got '12'"),
+    ("gar", "horizons", [8, 8], "gar.horizons must not repeat a horizon, got [8, 8]"),
 ])
 def test_cli_rejects_bad_suite_config_before_any_stage(tmp_path, section, key, value, needle):
     d = tiny_config(tmp_path / "cli_bad").to_dict()
-    d[section][key] = value
+    (d[section] if section else d)[key] = value
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(d))
     bad = CliRunner().invoke(cli_main, ["ablate", "--config", str(cfg_path)])
@@ -695,6 +744,20 @@ def test_cli_rejects_bad_suite_config_before_any_stage(tmp_path, section, key, v
     assert err["type"] == "ValueError"
     assert needle in err["error"]
     assert not (tmp_path / "cli_bad").exists()
+
+
+def test_config_load_stores_numbers_as_declared_and_fills_defaults(tmp_path):
+    d = tiny_config(tmp_path / "run").to_dict()
+    d["train"]["learning_rate"] = 1
+    d["pretrain"] = {"batch_size": 4}
+    cfg = ExperimentConfig.from_dict(d)
+    assert cfg.train.learning_rate == 1.0 and isinstance(cfg.train.learning_rate, float)
+    d["train"]["learning_rate"] = 1.0
+    assert cfg.config_hash() == ExperimentConfig.from_dict(d).config_hash()
+    assert cfg.pretrain == TrainRunConfig(steps=5000, batch_size=4)
+    d["train"]["learning_rate"] = 10**400
+    with pytest.raises(ValueError, match="^config value train.learning_rate must be float, got 1000"):
+        ExperimentConfig.from_dict(d)
 
 
 def test_config_dict_is_asdict_and_hash_is_stable():
@@ -842,6 +905,56 @@ def test_bad_model_ref_fails_before_the_stage_writes(tmp_path, stage):
     assert not (tmp_path / "fresh").exists()
 
 
+def _config_fields(cls, path=""):
+    """(dotted path, kind) of every field under config class ``cls``, sections
+    included, where kind is a section, an array or a scalar type."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        dotted = f"{path}.{f.name}" if path else f.name
+        tp = hints[f.name]
+        if isinstance(tp, types.UnionType):
+            (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+        if is_dataclass(tp):
+            yield dotted, "section"
+            yield from _config_fields(tp, dotted)
+        else:
+            yield dotted, "array" if typing.get_origin(tp) is tuple else tp
+
+
+_numbers = st.one_of(st.integers(), st.floats())
+_WRONG_JSON = {
+    int: st.one_of(st.floats(), st.booleans()),
+    float: st.one_of(st.text(max_size=4), st.booleans()),
+    str: _numbers,
+    "array": st.one_of(_numbers, st.text(max_size=4), st.booleans()),
+    "section": st.lists(_numbers, max_size=3),
+}
+# (section path, key, value, error prefix) for a value of the wrong JSON type
+_mistyped_edits = st.sampled_from(list(_config_fields(ExperimentConfig))).flatmap(
+    lambda leaf: _WRONG_JSON[leaf[1]].map(
+        lambda value: (*leaf[0].rpartition(".")[::2], value, f"config value {leaf[0]} must be ")))
+
+
+def _edited(d: dict, section: str, key: str, value) -> dict:
+    """Config dict ``d`` with ``value`` at dotted ``section`` plus ``key``."""
+    target = d
+    for part in filter(None, section.split(".")):
+        if target.get(part) is None:  # pretrain is null in tiny_config
+            target[part] = {}
+        target = target[part]
+    target[key] = value
+    return d
+
+
+def test_config_rejects_a_wrong_json_type_in_every_field(tmp_path):
+    for dotted, kind in _config_fields(ExperimentConfig):
+        value = {int: 2.0, float: "1", str: 1, "array": 3, "section": []}[kind]
+        section, _, key = dotted.rpartition(".")
+        d = _edited(tiny_config(tmp_path / "run").to_dict(), section, key, value)
+        with pytest.raises(ValueError, match=f"^config value {re.escape(dotted)} must be "):
+            ExperimentConfig.from_dict(d)
+
+
 _SECTIONS = {"": ExperimentConfig, "dataset": DatasetConfig, "encoder": EncoderConfig,
              "train": TrainRunConfig, "probes": ProbeSuiteConfig, "gar": GarSuiteConfig}
 _DISTS = ["dataset.action_dist", "probes.action_dist", "gar.action_dist"]
@@ -875,6 +988,7 @@ _bad_config_edits = st.one_of(
               st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12), st.integers())
     .filter(lambda e: e[1] not in {f.name for f in fields(_SECTIONS[e[0]])})
     .map(lambda e: e + (f"unknown config key: {e[0] + '.' if e[0] else ''}{e[1]}",)),
+    _mistyped_edits,
 )
 
 
@@ -885,11 +999,7 @@ def test_cli_ablate_rejects_invalid_config_values_before_any_output(edit):
 
     section, key, value, needle = edit
     with tempfile.TemporaryDirectory() as tmp:
-        d = tiny_config(Path(tmp) / "run").to_dict()
-        target = d
-        for part in filter(None, section.split(".")):
-            target = target[part]
-        target[key] = value
+        d = _edited(tiny_config(Path(tmp) / "run").to_dict(), section, key, value)
         cfg_path = Path(tmp) / "cfg.json"
         cfg_path.write_text(json.dumps(d))
         out = Path(tmp) / "out"

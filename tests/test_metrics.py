@@ -397,6 +397,8 @@ _BAD_EVALUATION_INPUTS = {
     "non-finite action": ("gac gar", _STARTS, _with_action(math.nan), [4], "must be finite"),
     "|dtheta| > pi": ("gac gar", _STARTS, _with_action(-3.2), [4], "|dtheta| must be <= pi"),
     "no horizons": ("gar", _STARTS, _ACTIONS, [], "horizons must not be empty"),
+    "repeated horizon": ("gar", _STARTS, _ACTIONS, [4, 8, 4],
+                         "horizons must not repeat a horizon, got [4, 8, 4]"),
 }
 
 
