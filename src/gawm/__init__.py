@@ -28,7 +28,6 @@ from .metrics import (
     ProbeConfig,
     aggregate_gac,
     align_trajectory,
-    default_probe_grid,
     evaluate_gac,
     evaluate_gar,
     gar_error,

@@ -108,6 +108,8 @@ class DatasetConfig:
         if self.n_trajectories < 1 or self.length < 1:
             raise ValueError("dataset needs at least one trajectory of length >= 1")
         check_noise_sigma(self.start_pos_sigma, "dataset.start_pos_sigma")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"dataset.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,8 @@ class EncoderConfig:
     def __post_init__(self):
         check_latent_dim(self.latent_dim)
         check_noise_sigma(self.obs_noise_sigma)
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"encoder.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,7 @@ from .metrics import (
 from .models import ExactModel, PerturbedModel, ViolationConfig, WorldModel
 from .se2 import DistanceParams
 from .segments import ActionIncrement
-from .training import LossRow, NonFiniteLossError, TrainResult, prediction_loss, train_group
+from .training import LOSS_COLUMNS, NonFiniteLossError, TrainResult, prediction_loss, train_group
 
 
 class UnknownModelRefError(ValueError):
@@ -309,7 +309,7 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
         meta={"label": label, "steps": cfg.train.steps, "eval_prediction_loss": eval_loss},
     )
     curve_path = out_dir / "loss_curve.csv"
-    write_csv(curve_path, [f.name for f in fields(LossRow)], result.row_tuples())
+    write_csv(curve_path, LOSS_COLUMNS, result.row_tuples())
     metrics_path = out_dir / "train_metrics.json"
     write_json(metrics_path, {"label": label, "eval_prediction_loss": eval_loss,
                               "final_total": float(result.total[-1]), "steps": cfg.train.steps})
@@ -514,6 +514,8 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
 def cmd_report(out_dir) -> str:
     """Collect the GAC and GAR reports under a run directory into one text table."""
     out = Path(out_dir)
+    if not out.is_dir():
+        raise FileNotFoundError(f"run directory not found: {out}")
     lines = []
     gacs = [_read_json(p) for p in sorted(out.rglob("gac_report.json"))]
     if gacs:

@@ -269,15 +269,6 @@ def _walk_probe(model: WorldModel, starts, actions, cfg: ProbeConfig, dist: Dist
     )
 
 
-def default_probe_grid() -> list[ProbeConfig]:
-    """Nine configurations: identity and inverse sweep the segment length with
-    a single probed segment; composition sweeps the window length."""
-    grid = [ProbeConfig(KIND_IDENTITY, k=1, l=l) for l in (1, 3, 5)]
-    grid += [ProbeConfig(KIND_INVERSE, k=1, l=l) for l in (1, 3, 5)]
-    grid += [ProbeConfig(KIND_COMPOSITION, k=1, l=l) for l in (2, 4, 6)]
-    return grid
-
-
 def run_probe(model: WorldModel, starts, actions, cfg: ProbeConfig, dist: DistanceParams,
               seed: int, concentration: float = 1.0) -> ProbeResult:
     if cfg.kind == KIND_IDENTITY:

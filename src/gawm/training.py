@@ -12,7 +12,8 @@ Training computes the gradient in closed form, by backpropagation
 through time over the unrolled residual MLP. The ``*_graph`` functions
 record the same objective on the autograd tape, as its reference.
 ``train_group`` trains several loss configs that share every random
-draw as one parameter stack; ``train`` is its one-config case.
+draw as one parameter stack, one ``train_step`` per step; ``train`` is
+its one-config case.
 """
 
 from __future__ import annotations
@@ -96,26 +97,6 @@ class GALossConfig:
         that agree on it can train in lockstep (``train_group``)."""
         return replace(self, lambda_id=0.0, lambda_inv=0.0, lambda_comp=0.0, lambda_ga=0.0,
                        mode=FREE_RUNNING)
-
-
-@dataclass(frozen=True)
-class GALossValues:
-    """Per-batch loss report; inactive constraint losses stay None."""
-
-    active_constraint: str
-    l_pred: float | None = None
-    l_id: float | None = None
-    l_inv: float | None = None
-    l_comp: float | None = None
-
-    def active_value(self) -> float:
-        v = {
-            CONSTRAINT_ID: self.l_id,
-            CONSTRAINT_INV: self.l_inv,
-            CONSTRAINT_COMP: self.l_comp,
-        }[self.active_constraint]
-        assert v is not None
-        return v
 
 
 @dataclass(frozen=True)
@@ -255,7 +236,7 @@ def batch_columns(batch: Batch, encoder: FeatureEncoder, rng: np.random.Generato
 
 
 def _mlp_forward(z: np.ndarray, extra: np.ndarray, weights):
-    """One residual step on a (d,) vector or a (d, B) batch of columns.
+    """One residual step on a (d,) vector.
 
     Returns the output and the (x, pre, h) cache the backward pass reuses.
     The sum keeps the association ``z + ((w2 @ h) + b2)`` of the recorded
@@ -263,19 +244,29 @@ def _mlp_forward(z: np.ndarray, extra: np.ndarray, weights):
     bits.
     """
     w1, b1, w2, b2 = weights
-    if z.ndim == 2:
-        b1, b2 = b1[:, None], b2[:, None]
-    x = np.concatenate([z, extra], axis=0)
+    x = np.concatenate([z, extra])
     pre = w1 @ x + b1
     h = np.tanh(pre)
     return z + ((w2 @ h) + b2), (x, pre, h)
 
 
-def _prediction_forward(weights, z_in: np.ndarray, actions: np.ndarray, z_next: np.ndarray):
-    """Mean squared one-step prediction error, the residual and the step cache."""
-    z_pred, cache = _mlp_forward(z_in, actions, weights)
-    diff = z_pred - z_next
-    return float(np.sum(diff * diff) * (1.0 / z_in.shape[1])), diff, cache
+def _stack_prediction(weights, z_in: np.ndarray, actions: np.ndarray, z_next: np.ndarray):
+    """Every row's mean squared one-step prediction error on shared (d, B)
+    columns, from stacked weights (``ParamStack.weights``): the (K,)
+    losses, the (K, d, B) residuals and the (x, pre, h) cache the backward
+    pass reuses.
+
+    ``np.matmul`` on a (K, ...) stack runs one product per row, which
+    rounds like that row's own ``w @ x``, and the output keeps the
+    association of ``_mlp_forward``.
+    """
+    w1, b1, w2, b2 = weights
+    x = np.concatenate([z_in, actions], axis=0)
+    pre = np.matmul(w1, x) + b1[:, :, None]
+    h = np.tanh(pre)
+    diff = (z_in + (np.matmul(w2, h) + b2[:, :, None])) - z_next
+    l_pred = (diff * diff).reshape(len(diff), -1).sum(axis=1) * (1.0 / z_in.shape[1])
+    return l_pred, diff, (x, pre, h)
 
 
 def prediction_loss_graph(weights, z_in: np.ndarray, actions: np.ndarray, z_next: np.ndarray) -> ag.Tensor:
@@ -293,7 +284,7 @@ def prediction_loss(net: DynamicsNet, encoder: FeatureEncoder, poses_in: np.ndar
         raise ValueError("prediction loss needs a non-empty batch")
     z_in = _encode_columns(pose_features(poses_in).T, encoder, rng)
     z_next = _encode_columns(pose_features(poses_next).T, encoder, rng)
-    return _prediction_forward(net.weights(), z_in, actions.T, z_next)[0]
+    return float(_stack_prediction(net.views(net.params[None]), z_in, actions.T, z_next)[0][0])
 
 
 def _constraint_segments(base_segment: ActionSegment, cfg: GALossConfig, active: str,
@@ -375,7 +366,7 @@ def _rollout_vjp(g: np.ndarray, caches, weights, grads) -> None:
             g = g + (w1.T @ g_pre)[:d]
 
 
-class _ParamStack:
+class ParamStack:
     """K parameter rows of one network shape, the loss config each row
     trains under, and a gradient buffer. Weights and gradients are views
     both in stacked form, (K, h, d+3) and so on, and per row."""
@@ -396,36 +387,45 @@ class _ParamStack:
         }
         self.modes = {cfg.mode for cfg in cfgs}
 
-    def rows(self, keep: np.ndarray) -> "_ParamStack":
+    def rows(self, keep: np.ndarray) -> "ParamStack":
         """A stack of the rows where ``keep`` is true, gradients included."""
-        kept = _ParamStack(self.net, self.params[keep],
-                           [cfg for cfg, k in zip(self.cfgs, keep) if k])
+        kept = ParamStack(self.net, self.params[keep],
+                          [cfg for cfg, k in zip(self.cfgs, keep) if k])
         kept.grad[...] = self.grad[keep]
         return kept
 
 
-def _stack_objective(stack: _ParamStack, columns, z_t: np.ndarray, base_segment: ActionSegment,
+def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, base_segment: ActionSegment,
                      active: str, dirichlet_rng: np.random.Generator,
                      start_pose: np.ndarray | None, encoder: FeatureEncoder | None):
-    """Every row's ``objective_grad``: a (3, K) array of (l_pred, l_ga,
-    total) and a (K,) mask of the rows whose losses and pre-activations
-    are all finite. The gradients go into ``stack.grad``.
+    """Every row's ``l_pred + lambda_ga * w_active * l_ga`` and its
+    gradient: returns a (3, K) array of (l_pred, l_ga, total) and a (K,)
+    mask of the rows whose losses and pre-activations are all finite. The
+    gradients go into ``stack.grad``.
+
+    Closed-form backpropagation through time: the forward pass caches
+    (x, pre, h) for the prediction batch and for every rollout step the
+    endpoint depends on, and the backward pass reuses them. Each weight
+    gradient is summed in the recorded tape's order (prediction first,
+    then each rollout chain from its last step back), so a row's result
+    is bit-identical to ``prediction_loss_graph`` plus ``ga_loss_graph``
+    through ``autograd.backward``. A rollout whose weight is zero still
+    runs forward, for its loss value, but adds nothing to the gradient.
+
+    A row fails where the tape raises NonFiniteGraphError. Checking both
+    loss scalars and every pre-activation is enough: a non-finite step
+    output reaches the next pre-activation or a loss, a non-finite weight
+    or input reaches a pre-activation or an output, and a pre-activation
+    must be checked itself because tanh saturates an overflow to a finite
+    value.
 
     The prediction batch's input is shared, so its forward and backward
-    passes are stacked products. ``np.matmul`` on a (K, ...) stack runs
-    one product per row, which rounds like that row's own ``w @ x``.
-    Rollouts depend on each row's weights and run per row; the rollout
-    plan is made once per mode.
+    passes are stacked products (``_stack_prediction``). Rollouts depend
+    on each row's weights and run per row; the rollout plan is made once
+    per mode.
     """
-    z_in, actions, z_next = columns
-    w1, b1, w2, b2 = stack.weights
-    k_rows, n = len(stack.cfgs), z_in.shape[1]
-    x = np.concatenate([z_in, actions], axis=0)
-    pre = np.matmul(w1, x) + b1[:, :, None]
-    h = np.tanh(pre)
-    diff = (z_in + (np.matmul(w2, h) + b2[:, :, None])) - z_next
-    losses = np.empty((3, k_rows))
-    losses[0] = (diff * diff).reshape(k_rows, -1).sum(axis=1) * (1.0 / n)
+    losses = np.empty((3, len(stack.cfgs)))
+    losses[0], diff, (x, pre, h) = _stack_prediction(stack.weights, *columns)
     ok = np.isfinite(pre).all(axis=(1, 2))
 
     segments = _constraint_segments(base_segment, stack.cfgs[0], active, dirichlet_rng)
@@ -456,8 +456,8 @@ def _stack_objective(stack: _ParamStack, columns, z_t: np.ndarray, base_segment:
     # A failed row's gradient is thrown away, so its overflow stays quiet.
     with contextlib.nullcontext() if ok.all() else np.errstate(over="ignore", invalid="ignore"):
         gw1, gb1, gw2, gb2 = stack.grads
-        g = (2.0 * (1.0 / n)) * diff
-        g_pre = np.matmul(w2.transpose(0, 2, 1), g) * (1.0 - h * h)
+        g = (2.0 * (1.0 / x.shape[1])) * diff
+        g_pre = np.matmul(stack.weights[2].transpose(0, 2, 1), g) * (1.0 - h * h)
         gw1[...] = np.matmul(g_pre, x.T)
         gb1[...] = g_pre.sum(axis=2)
         gw2[...] = np.matmul(g, h.transpose(0, 2, 1))
@@ -470,36 +470,6 @@ def _stack_objective(stack: _ParamStack, columns, z_t: np.ndarray, base_segment:
             if len(chains[k]) == 2:
                 _rollout_vjp(-g, chains[k][1], stack.row_weights[k], stack.row_grads[k])
     return losses, ok
-
-
-def objective_grad(net: DynamicsNet, columns, z_t: np.ndarray, base_segment: ActionSegment,
-                   cfg: GALossConfig, active: str, dirichlet_rng: np.random.Generator, *,
-                   start_pose: np.ndarray | None = None,
-                   encoder: FeatureEncoder | None = None) -> tuple[float, float, np.ndarray]:
-    """(l_pred, l_ga, flat gradient) of ``l_pred + lambda_ga * w_active * l_ga``.
-
-    Closed-form backpropagation through time: the forward pass caches
-    (x, pre, h) for the prediction batch and for every rollout step the
-    endpoint depends on, and the backward pass reuses them. Each weight
-    gradient is summed in the recorded tape's order (prediction first,
-    then each rollout chain from its last step back), so the result is
-    bit-identical to ``prediction_loss_graph`` plus ``ga_loss_graph``
-    through ``autograd.backward``. A rollout whose weight is zero still
-    runs forward, for its loss value, but adds nothing to the gradient.
-
-    Raises NonFiniteLossError where the tape raises NonFiniteGraphError.
-    Checking both loss scalars and every pre-activation is enough: a
-    non-finite step output reaches the next pre-activation or a loss, a
-    non-finite weight or input reaches a pre-activation or an output, and
-    a pre-activation must be checked itself because tanh saturates an
-    overflow to a finite value.
-    """
-    stack = _ParamStack(net, net.params[None], [cfg])
-    losses, ok = _stack_objective(stack, columns, z_t, base_segment, active, dirichlet_rng,
-                                  start_pose, encoder)
-    if not ok[0]:
-        raise NonFiniteLossError("non-finite loss or pre-activation")
-    return float(losses[0, 0]), float(losses[1, 0]), stack.grad[0]
 
 
 @dataclass
@@ -525,39 +495,30 @@ class TrainStreams:
         return TrainStreams(*gens)
 
 
-def _stack_step(stack: _ParamStack, encoder: FeatureEncoder, batch: Batch,
-                streams: TrainStreams) -> tuple[int, np.ndarray, np.ndarray]:
-    """One step's draws, then every row's losses and gradient: returns the
-    active constraint's index into CONSTRAINTS and ``_stack_objective``'s
-    losses and finite-row mask."""
+def train_step(stack: ParamStack, encoder: FeatureEncoder, batch: Batch, optimizer,
+               streams: TrainStreams) -> tuple[ParamStack, int, np.ndarray, np.ndarray]:
+    """One optimizer update of every row of ``stack`` on the batch.
+
+    Draws the step's observation noise, constraint and segment, then
+    computes every row's losses and gradient (``_stack_objective``).
+    Rows whose loss turns non-finite leave the stack and the optimizer
+    before the update. Returns the stack of the rows that remain, the
+    active constraint's index into CONSTRAINTS, and the (3, K) losses and
+    (K,) finite-row mask of the rows it was given.
+    """
     columns = batch_columns(batch, encoder, streams.noise)
     a = int(streams.constraint.integers(0, len(CONSTRAINTS)))
     z_t = encoder.projection @ batch.dataset.features[batch.anchor_i, batch.anchor_t]
     losses, ok = _stack_objective(stack, columns, z_t, batch.base_segment, CONSTRAINTS[a],
                                   streams.dirichlet, batch.start_pose, encoder)
-    return a, losses, ok
+    if not ok.all():
+        stack = stack.rows(ok)
+        optimizer.select(ok)
+    optimizer.update(stack.params, stack.grad)
+    return stack, a, losses, ok
 
 
-def train_step(net: DynamicsNet, encoder: FeatureEncoder, cfg: GALossConfig,
-               batch: Batch, optimizer, streams: TrainStreams) -> GALossValues:
-    """One optimizer update on the per-batch objective; returns the losses."""
-    stack = _ParamStack(net, net.params[None], [cfg])
-    a, losses, ok = _stack_step(stack, encoder, batch, streams)
-    if not ok[0]:
-        raise NonFiniteLossError("non-finite loss or pre-activation")
-    optimizer.update(net.params, stack.grad[0])
-    active, value = CONSTRAINTS[a], float(losses[1, 0])
-    return GALossValues(active, float(losses[0, 0]),
-                        *(value if active == c else None for c in CONSTRAINTS))
-
-
-@dataclass(frozen=True)
-class LossRow:
-    step: int
-    active_constraint: str
-    l_pred: float
-    l_ga: float
-    total: float
+LOSS_COLUMNS = ("step", "active_constraint", "l_pred", "l_ga", "total")
 
 
 @dataclass
@@ -572,14 +533,10 @@ class TrainResult:
     total: np.ndarray
 
     def row_tuples(self):
-        """Each step's (step, active_constraint, l_pred, l_ga, total), as Python values."""
+        """Each step's values in LOSS_COLUMNS order, as Python values."""
         names = [CONSTRAINTS[i] for i in self.active.tolist()]
         return zip(range(len(names)), names, self.l_pred.tolist(), self.l_ga.tolist(),
                    self.total.tolist())
-
-    @property
-    def rows(self) -> list[LossRow]:
-        return [LossRow(*row) for row in self.row_tuples()]
 
 
 def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
@@ -617,7 +574,7 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
     else:
         init_ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
         net = make_dynamics_net(encoder.latent_dim, run.hidden_dim, init_ss, run.init_w1_gain)
-    stack = _ParamStack(net, np.tile(net.params, (len(cfgs), 1)), list(cfgs))
+    stack = ParamStack(net, np.tile(net.params, (len(cfgs), 1)), list(cfgs))
     streams = TrainStreams.from_seed(seed)
     optimizer = make_optimizer(run, stack.params.shape)
     rows = np.arange(len(cfgs))  # each stack row's index into cfgs
@@ -626,15 +583,14 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
     results: list[TrainResult | NonFiniteLossError | None] = [None] * len(cfgs)
     for step in range(run.steps):
         batch = sample_batch(dataset, run.batch_size, cfg.max_span, streams.batch)
-        active[step], curves[:, :, step], ok = _stack_step(stack, encoder, batch, streams)
+        stack, active[step], curves[:, :, step], ok = train_step(stack, encoder, batch,
+                                                                 optimizer, streams)
         if not ok.all():
             for i in rows[~ok]:
                 results[i] = NonFiniteLossError(f"non-finite loss at step {step}", step)
-            rows, stack, curves = rows[ok], stack.rows(ok), curves[:, ok]
-            optimizer.select(ok)
+            rows, curves = rows[ok], curves[:, ok]
             if rows.size == 0:
                 break
-        optimizer.update(stack.params, stack.grad)
     for row, i in enumerate(rows):
         trained = DynamicsNet(net.latent_dim, net.hidden_dim, stack.params[row].copy())
         results[i] = TrainResult(trained, active, *curves[:, row])

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gawm.config import benchmark_config
+from gawm.config import ProbeSuiteConfig, benchmark_config
 from gawm.data import ActionDistribution
 from gawm.data import sample_sequences
 from gawm.harness import cmd_ablate, cmd_gar, cmd_gen_data, cmd_probe, cmd_train
@@ -24,7 +24,6 @@ from gawm.metrics import (
     ProbeResult,
     _probe_rng,
     aggregate_gac,
-    default_probe_grid,
     evaluate_gac,
     evaluate_gar,
     gar_error,
@@ -119,7 +118,7 @@ def test_criterion_1_group_axiom_suite():
 def test_criterion_2_exact_model_zero_scores():
     with criterion(2, "exact model scores zero on the full default grid", 10.0):
         starts, actions, _ = sample_sequences(20, 32, ActionDistribution(sigma_dtheta=0.0), 424242)
-        report = evaluate_gac(ExactModel(), starts, actions, default_probe_grid(), DIST, 99)
+        report = evaluate_gac(ExactModel(), starts, actions, ProbeSuiteConfig().probe_grid(), DIST, 99)
         assert report.delta_id <= 1e-9
         assert report.delta_inv <= 1e-9
         assert report.delta_comp <= 1e-9
@@ -340,7 +339,7 @@ def test_criterion_8_ablation_structure(benchmark_rows):
 def test_criterion_9_end_to_end_determinism(tmp_path):
     with criterion(9, "two pipeline runs produce byte-identical metric files", 300.0):
         from dataclasses import replace
-        from gawm.config import DatasetConfig, EncoderConfig, ExperimentConfig, GarSuiteConfig, ProbeSuiteConfig
+        from gawm.config import DatasetConfig, EncoderConfig, ExperimentConfig, GarSuiteConfig
         from gawm.training import TrainRunConfig
 
         def small_cfg(out):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from gawm.config import ProbeSuiteConfig
 from gawm.latent import (
     DynamicsNet,
     HeadingUndefinedError,
@@ -23,7 +24,6 @@ from gawm.metrics import (
     KIND_INVERSE,
     ProbeConfig,
     align_trajectory,
-    default_probe_grid,
     evaluate_gac,
     evaluate_gar,
 )
@@ -130,7 +130,7 @@ def test_step_batch_equals_model_step(name):
     assert np.array_equal(got, want)
 
 
-GRID = default_probe_grid() + [
+GRID = ProbeSuiteConfig().probe_grid() + [
     ProbeConfig(KIND_IDENTITY, k=3, l=2),
     ProbeConfig(KIND_INVERSE, k=2, l=4),
 ]

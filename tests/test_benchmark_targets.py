@@ -4,8 +4,9 @@
 rename in ``src/gawm`` breaks it without failing any other test. This
 loads ``perfbench/run.py`` and ``perfbench/tracer.py`` without writing
 bytecode next to them, collects every target their install functions
-ask for, and resolves each one the way the tracer does. It also checks
-that every benchmark config survives a trip through its JSON form.
+ask for, and resolves each one the way the tracer does. It checks that
+training runs each step through the function the tracer times per step,
+and that every benchmark config survives a trip through its JSON form.
 """
 
 import importlib.util
@@ -13,9 +14,23 @@ import itertools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import gawm.autograd  # noqa: F401  the tracer resolves targets in loaded modules
 import gawm.harness  # noqa: F401
+from gawm import training
 from gawm.config import load_config, save_config
+from gawm.data import ActionDistribution, generate_records
+from gawm.latent import make_encoder
+from gawm.models import ExactModel
+from gawm.training import (
+    TEACHER_FORCED,
+    GALossConfig,
+    NonFiniteLossError,
+    TrainRunConfig,
+    train,
+    train_group,
+)
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,6 +66,38 @@ def test_every_tracer_target_resolves(monkeypatch):
         owner, attr, value = tracer._resolve(target)
         assert callable(value), target
         assert getattr(owner, attr) is value
+
+
+def test_every_training_step_runs_through_train_step(monkeypatch):
+    # the tracer's training.train_step_ms_* and train_step_samples time
+    # gawm.training.train_step, one span per step
+    calls = []
+    real_step = training.train_step
+
+    def counting_step(*args):
+        calls.append(len(args[0].cfgs))
+        return real_step(*args)
+
+    monkeypatch.setattr(training, "train_step", counting_step)
+    dataset = generate_records(ExactModel(), 20, 16, ActionDistribution(), seed=100)
+    encoder = make_encoder(8, 200)
+    run = TrainRunConfig(steps=5, batch_size=4, hidden_dim=8)
+    train_group(run, [GALossConfig(), GALossConfig(mode=TEACHER_FORCED)], dataset, encoder, 1)
+    assert calls == [2] * 5
+    calls.clear()
+    train(run, GALossConfig(), dataset, encoder, 1)
+    assert calls == [1] * 5
+
+    # a row whose loss turns non-finite leaves the stack; the other keeps stepping
+    calls.clear()
+    run = TrainRunConfig(steps=12, batch_size=4, learning_rate=1e-3, hidden_dim=8,
+                         optimizer="sgd")
+    with np.errstate(over="ignore", invalid="ignore"):
+        good, bad = train_group(run, [GALossConfig(lambda_ga=0.0), GALossConfig(lambda_ga=1e30)],
+                                dataset, encoder, 8)
+    assert isinstance(bad, NonFiniteLossError) and 0 < bad.step < run.steps - 1
+    assert not isinstance(good, NonFiniteLossError)
+    assert calls == [2] * (bad.step + 1) + [1] * (run.steps - bad.step - 1)
 
 
 def test_benchmark_configs_round_trip_through_json(monkeypatch, tmp_path):

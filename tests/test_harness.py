@@ -610,6 +610,15 @@ def test_report_collects_metrics(tmp_path):
     assert (Path(cfg.out_dir) / "report.txt").exists()
 
 
+def test_cli_report_names_a_missing_run_directory(tmp_path):
+    missing = tmp_path / "missing"
+    result = CliRunner().invoke(cli_main, ["report", "--out", str(missing)])
+    assert result.exit_code == 1
+    err = json.loads(result.output.strip().splitlines()[-1])
+    assert err == {"error": f"run directory not found: {missing}", "type": "FileNotFoundError"}
+    assert not missing.exists()
+
+
 def test_cli_probe_and_errors(tmp_path):
     runner = CliRunner()
     cfg = tiny_config(tmp_path / "cli")
@@ -705,6 +714,8 @@ def test_suite_configs_reject_bad_eval_noise(sigma):
     ("train", "hidden_dim", 0, "^hidden_dim must be >= 1, got 0$"),
     ("train", "hidden_dim", -2, "^hidden_dim must be >= 1, got -2$"),
     ("gar", "horizons", [8, 8], r"^gar.horizons must not repeat a horizon, got \[8, 8\]$"),
+    ("dataset", "seed", -1, "^dataset.seed must be >= 0, got -1$"),
+    ("encoder", "seed", -1, "^encoder.seed must be >= 0, got -1$"),
 ])
 def test_config_rejects_bad_suite_and_encoder_values(tmp_path, section, key, value, message):
     d = tiny_config(tmp_path / "bad").to_dict()
@@ -971,6 +982,8 @@ _bad_config_edits = st.one_of(
               st.just("dataset.start_pos_sigma must be finite and >= 0")),
     st.tuples(st.just("train"), st.just("hidden_dim"), st.integers(max_value=0),
               st.just("hidden_dim must be >= 1")),
+    st.tuples(st.sampled_from(["dataset", "encoder"]), st.just("seed"), st.integers(max_value=-1))
+    .map(lambda e: e + (f"{e[0]}.seed must be >= 0",)),
     st.tuples(st.sampled_from(["probes", "gar"]), st.just("eval_noise_sigma"), _bad_sigma,
               st.just("eval_noise_sigma must be finite and >= 0")),
     st.tuples(st.just("dataset"), st.just("model"), st.one_of(

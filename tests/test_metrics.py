@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from gawm.config import ProbeSuiteConfig
 from gawm.metrics import (
     GacReport,
     KIND_COMPOSITION,
@@ -14,7 +15,6 @@ from gawm.metrics import (
     _probe_rng,
     aggregate_gac,
     align_trajectory,
-    default_probe_grid,
     evaluate_gac,
     evaluate_gar,
     gar_error,
@@ -76,7 +76,7 @@ def test_probe_config_validation():
 
 
 def test_default_grid_is_nine_configs():
-    grid = default_probe_grid()
+    grid = ProbeSuiteConfig().probe_grid()
     assert len(grid) == 9
     assert sum(c.kind == KIND_IDENTITY for c in grid) == 3
     assert sum(c.kind == KIND_INVERSE for c in grid) == 3
@@ -228,7 +228,7 @@ def test_aggregate_gac_rejects_empty_component():
 def test_evaluate_gac_order_independent():
     seqs = _sequences(3, 12, 10)
     model = PerturbedModel(ViolationConfig(drift_bias=ActionIncrement(0.02, 0, 0.01)))
-    grid = default_probe_grid()
+    grid = ProbeSuiteConfig().probe_grid()
     rep1 = evaluate_gac(model, *seqs, grid, DIST, 0)
     rep2 = evaluate_gac(model, *seqs, list(reversed(grid)), DIST, 0)
     assert rep1 == rep2
@@ -410,7 +410,7 @@ def test_evaluation_rejects_bad_sequences(evaluator, case):
     _, starts, actions, horizons, needle = _BAD_EVALUATION_INPUTS[case]
     with pytest.raises(ValueError, match=re.escape(needle)):
         if evaluator == "gac":
-            evaluate_gac(ExactModel(), starts, actions, default_probe_grid(), DIST, 0)
+            evaluate_gac(ExactModel(), starts, actions, ProbeSuiteConfig().probe_grid(), DIST, 0)
         else:
             evaluate_gar(ExactModel(), starts, actions, horizons, 3, DIST, 0)
 
@@ -424,7 +424,7 @@ def test_evaluate_gar_requires_long_enough_sequences():
 def test_report_writers(tmp_path):
     seqs = _sequences(3, 12, 25)
     model = PerturbedModel(ViolationConfig(drift_bias=ActionIncrement(0.02, 0, 0)))
-    gac = evaluate_gac(model, *seqs, default_probe_grid(), DIST, 0)
+    gac = evaluate_gac(model, *seqs, ProbeSuiteConfig().probe_grid(), DIST, 0)
     write_gac_json(tmp_path / "gac.json", gac, "drift")
     write_gac_csv(tmp_path / "gac.csv", gac, "drift")
     write_gac_gnuplot(tmp_path / "gac.dat", gac)
