@@ -146,8 +146,10 @@ class _Stage:
     config hash. Opening a stage removes what would go stale once it
     starts overwriting files: its own earlier entry, or the whole
     manifest if another config wrote it. An interrupted run therefore
-    leaves no entry for files it did not finish. ``finish`` adds the
-    stage's entry next to the others.
+    leaves no entry for files it did not finish. Opening also removes
+    the ``*.tmp`` files directly in the directory, which a write killed
+    before its ``os.replace`` leaves behind (``artifacts.write_text``).
+    ``finish`` adds the stage's entry next to the others.
     """
 
     def __init__(self, cfg: ExperimentConfig, name: str):
@@ -157,6 +159,8 @@ class _Stage:
         self.config_hash = cfg.config_hash()
         self.out_dir = Path(cfg.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        for stale in self.out_dir.glob("*.tmp"):
+            stale.unlink(missing_ok=True)
         payload = _manifest_payload(self.out_dir)
         if payload is None:
             return

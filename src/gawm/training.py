@@ -13,7 +13,10 @@ through time over the unrolled residual MLP. The ``*_graph`` functions
 record the same objective on the autograd tape, as its reference.
 ``train_group`` trains several loss configs that share every random
 draw as one parameter stack, one ``train_step`` per step; ``train`` is
-its one-config case.
+its one-config case. Every forward step of the network is one
+``_residual_step``: the prediction batch of all rows at once, and the
+rollouts of the rows that share a rollout mode as one stack (a mode's
+only row on its own).
 """
 
 from __future__ import annotations
@@ -235,38 +238,43 @@ def batch_columns(batch: Batch, encoder: FeatureEncoder, rng: np.random.Generato
     return z_in, actions[batch.idx, batch.ts].T, z_next
 
 
-def _mlp_forward(z: np.ndarray, extra: np.ndarray, weights):
-    """One residual step on a (d,) vector.
+def _residual_step(z: np.ndarray, extra: np.ndarray, weights):
+    """One residual step ``z + ((w2 @ tanh(w1 @ [z; extra] + b1)) + b2)``
+    on (..., d, m) column blocks with (..., h, 1) and (..., d, 1) biases,
+    or on one (d,) vector with (h,) and (d,) biases. The weights' leading
+    axes broadcast against the blocks'.
 
-    Returns the output and the (x, pre, h) cache the backward pass reuses.
-    The sum keeps the association ``z + ((w2 @ h) + b2)`` of the recorded
-    step: reassociating it moves loss curves and checkpoints in their last
-    bits.
+    Returns the output and the (x, pre, h) cache the backward pass
+    reuses. Each product is one ``np.matmul`` in the caller's shape, and
+    rounds as that shape does: a (K, ., B) prediction batch runs one
+    matrix product per row, and a vector or m = 1 columns run the
+    matrix-vector product of the per-pose ``w @ x``. The sum keeps the
+    association of the recorded step: reassociating it moves loss curves
+    and checkpoints in their last bits.
     """
     w1, b1, w2, b2 = weights
-    x = np.concatenate([z, extra])
-    pre = w1 @ x + b1
+    x = np.concatenate([z, extra], axis=-2 if z.ndim > 1 else 0)
+    pre = np.matmul(w1, x) + b1
     h = np.tanh(pre)
-    return z + ((w2 @ h) + b2), (x, pre, h)
+    return z + (np.matmul(w2, h) + b2), (x, pre, h)
+
+
+def _block_weights(net: DynamicsNet, params: np.ndarray):
+    """(w1, b1, w2, b2) views into a (K, P) parameter stack, with the
+    biases as (K, h, 1) and (K, d, 1) columns for ``_residual_step``."""
+    w1, b1, w2, b2 = net.views(params)
+    return w1, b1[..., None], w2, b2[..., None]
 
 
 def _stack_prediction(weights, z_in: np.ndarray, actions: np.ndarray, z_next: np.ndarray):
     """Every row's mean squared one-step prediction error on shared (d, B)
-    columns, from stacked weights (``ParamStack.weights``): the (K,)
+    columns, from stacked weights (``_block_weights``): the (K,)
     losses, the (K, d, B) residuals and the (x, pre, h) cache the backward
-    pass reuses.
-
-    ``np.matmul`` on a (K, ...) stack runs one product per row, which
-    rounds like that row's own ``w @ x``, and the output keeps the
-    association of ``_mlp_forward``.
-    """
-    w1, b1, w2, b2 = weights
-    x = np.concatenate([z_in, actions], axis=0)
-    pre = np.matmul(w1, x) + b1[:, :, None]
-    h = np.tanh(pre)
-    diff = (z_in + (np.matmul(w2, h) + b2[:, :, None])) - z_next
+    pass reuses."""
+    z_pred, cache = _residual_step(z_in, actions, weights)
+    diff = z_pred - z_next
     l_pred = (diff * diff).reshape(len(diff), -1).sum(axis=1) * (1.0 / z_in.shape[1])
-    return l_pred, diff, (x, pre, h)
+    return l_pred, diff, cache
 
 
 def prediction_loss_graph(weights, z_in: np.ndarray, actions: np.ndarray, z_next: np.ndarray) -> ag.Tensor:
@@ -284,7 +292,8 @@ def prediction_loss(net: DynamicsNet, encoder: FeatureEncoder, poses_in: np.ndar
         raise ValueError("prediction loss needs a non-empty batch")
     z_in = _encode_columns(pose_features(poses_in).T, encoder, rng)
     z_next = _encode_columns(pose_features(poses_next).T, encoder, rng)
-    return float(_stack_prediction(net.views(net.params[None]), z_in, actions.T, z_next)[0][0])
+    weights = _block_weights(net, net.params[None])
+    return float(_stack_prediction(weights, z_in, actions.T, z_next)[0][0])
 
 
 def _constraint_segments(base_segment: ActionSegment, cfg: GALossConfig, active: str,
@@ -348,15 +357,18 @@ def ga_loss_graph(weights, z_t: np.ndarray, base_segment: ActionSegment, cfg: GA
     return ag.sumsq(ag.sub(ends[0], ends[1] if len(ends) == 2 else anchor))
 
 
-def _rollout_vjp(g: np.ndarray, caches, weights, grads) -> None:
+def _rollout_vjp(g: np.ndarray, caches, row: int | None, weights, grads) -> None:
     """Add one rollout chain's weight gradients to ``grads``, last step
     first (the order the tape accumulates them in); the chain's first
-    input is a constant, so no gradient leaves it."""
+    input is a constant, so no gradient leaves it. ``row`` picks the
+    row's columns from (n, ., 1) caches; None means vector caches."""
     w1, _, w2, _ = weights
     gw1, gb1, gw2, gb2 = grads
     d = g.shape[0]
     for i in range(len(caches) - 1, -1, -1):
         x, _, h = caches[i]
+        if row is not None:
+            x, h = x[row, :, 0], h[row, :, 0]
         g_pre = (w2.T @ g) * (1.0 - h * h)
         gw1 += g_pre[:, None] * x
         gb1 += g_pre
@@ -366,17 +378,41 @@ def _rollout_vjp(g: np.ndarray, caches, weights, grads) -> None:
             g = g + (w1.T @ g_pre)[:d]
 
 
+def _roll_out(plans, z_t: np.ndarray, weights, n: int):
+    """The forward pass of one mode's rollout chains, each a (first input,
+    actions) plan, for n rows: one row as (d,) vectors on its own
+    weights, more as (n, d, 1) blocks on stacked weights
+    (``ParamStack.mode_weights``). Returns each chain's per-step caches,
+    the endpoint differences as (d,) or (n, d), and whether each row's
+    pre-activations are all finite."""
+    chains, ends, pres = [], [], []
+    for z, actions in plans:
+        if n > 1:  # every row starts from the same input and takes the same actions
+            z, actions = z[None, :, None].repeat(n, 0), actions[:, None, :, None].repeat(n, 1)
+        caches = []
+        for a in actions:
+            z, cache = _residual_step(z, a, weights)
+            caches.append(cache)
+            pres.append(cache[1])
+        chains.append(caches)
+        ends.append(z if n == 1 else z[:, :, 0])
+    finite = np.isfinite(np.concatenate(pres, axis=-1))
+    return (chains, ends[0] - (ends[1] if len(ends) == 2 else z_t),
+            finite.all() if n == 1 else finite.all(axis=(1, 2)))
+
+
 class ParamStack:
     """K parameter rows of one network shape, the loss config each row
     trains under, and a gradient buffer. Weights and gradients are views
-    both in stacked form, (K, h, d+3) and so on, and per row."""
+    both in stacked form, (K, h, d+3) and so on, and per row. The stacked
+    weights hold their biases as columns (``_block_weights``)."""
 
     def __init__(self, net: DynamicsNet, params: np.ndarray, cfgs: list[GALossConfig]):
         self.net = net
         self.params = params
         self.grad = np.empty_like(params)
         self.cfgs = cfgs
-        self.weights = net.views(params)
+        self.weights = _block_weights(net, params)
         self.grads = net.views(self.grad)
         self.row_weights = [net.views(p) for p in params]
         self.row_grads = [net.views(g) for g in self.grad]
@@ -385,7 +421,9 @@ class ParamStack:
             c: np.array([cfg.lambda_ga * cfg.constraint_weight(c) for cfg in cfgs])
             for c in CONSTRAINTS
         }
-        self.modes = {cfg.mode for cfg in cfgs}
+        self.mode_rows: dict[str, list[int]] = {}  # each rollout mode's rows
+        for k, cfg in enumerate(cfgs):
+            self.mode_rows.setdefault(cfg.mode, []).append(k)
 
     def rows(self, keep: np.ndarray) -> "ParamStack":
         """A stack of the rows where ``keep`` is true, gradients included."""
@@ -393,6 +431,15 @@ class ParamStack:
                           [cfg for cfg, k in zip(self.cfgs, keep) if k])
         kept.grad[...] = self.grad[keep]
         return kept
+
+    def mode_weights(self, rows: list[int]):
+        """The weights ``_roll_out`` takes for ``rows``: one row's own, or
+        the stacked weights of every row, or stacked copies of some."""
+        if len(rows) == 1:
+            return self.row_weights[rows[0]]
+        if len(rows) == len(self.cfgs):
+            return self.weights
+        return tuple(w[rows] for w in self.weights)
 
 
 def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, base_segment: ActionSegment,
@@ -417,39 +464,41 @@ def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, base_segment: 
     output reaches the next pre-activation or a loss, a non-finite weight
     or input reaches a pre-activation or an output, and a pre-activation
     must be checked itself because tanh saturates an overflow to a finite
-    value.
+    value. Each row's check reads only its own slice of the stacked
+    arrays.
 
-    The prediction batch's input is shared, so its forward and backward
-    passes are stacked products (``_stack_prediction``). Rollouts depend
-    on each row's weights and run per row; the rollout plan is made once
-    per mode.
+    Every forward step goes through ``_residual_step``. The prediction
+    batch's input is shared, so its forward and backward passes are
+    (K, ., B) products. The rows that share a rollout mode share its
+    rollout plan. Two or more of them roll out as one stack of (n, ., 1)
+    columns, one matrix-vector product per row; a mode's only row rolls
+    out alone, on (d,) vectors, which costs less at n = 1. The rollout
+    backward runs per row, over views into the stacked caches, and only
+    for rows whose active weight is nonzero; a zero weight would add
+    only zeros.
     """
     losses = np.empty((3, len(stack.cfgs)))
-    losses[0], diff, (x, pre, h) = _stack_prediction(stack.weights, *columns)
-    ok = np.isfinite(pre).all(axis=(1, 2))
-
     segments = _constraint_segments(base_segment, stack.cfgs[0], active, dirichlet_rng)
     plans = {mode: [(z_t if z0 is None else z0, steps.array)
                     for z0, steps in _rollout_plans(segments, mode, start_pose, encoder)]
-             for mode in stack.modes}
-    chains, end_diffs = [], []
-    for k, (cfg, weights) in enumerate(zip(stack.cfgs, stack.row_weights)):
-        row_chains, ends, pres = [], [], []
-        for z, steps in plans[cfg.mode]:
-            caches = []
-            for a in steps:
-                z, cache = _mlp_forward(z, a, weights)
-                caches.append(cache)
-                pres.append(cache[1])
-            row_chains.append(caches)
-            ends.append(z)
-        ok[k] &= np.isfinite(np.concatenate(pres)).all()
-        end_diff = ends[0] - (ends[1] if len(ends) == 2 else z_t)
-        losses[1, k] = np.sum(end_diff * end_diff)
-        chains.append(row_chains)
-        end_diffs.append(end_diff)
-    weight = stack.active_weights[active]
-    losses[2] = losses[0] + weight * losses[1]
+             for mode in stack.mode_rows}
+    weight = stack.active_weights[active].tolist()
+    backward = []  # (row, its mode's chains, its row in their caches, its end difference)
+    # A failing row of a stack only clears its bit of ``ok``, so its overflow stays quiet.
+    with contextlib.nullcontext() if len(stack.cfgs) == 1 else np.errstate(over="ignore",
+                                                                            invalid="ignore"):
+        losses[0], diff, (x, pre, h) = _stack_prediction(stack.weights, *columns)
+        ok = np.isfinite(pre).all(axis=(1, 2))
+        for mode, rows in stack.mode_rows.items():
+            chains, end_diff, finite = _roll_out(plans[mode], z_t, stack.mode_weights(rows),
+                                                 len(rows))
+            stacked = len(rows) > 1  # else the one row rolled out as vectors
+            at = rows if stacked else rows[0]
+            ok[at] &= finite
+            losses[1, at] = (end_diff * end_diff).sum(axis=-1)
+            backward += [(k, chains, j, end_diff[j]) if stacked else (k, chains, None, end_diff)
+                         for j, k in enumerate(rows) if weight[k]]
+        losses[2] = losses[0] + stack.active_weights[active] * losses[1]
     # Both losses are >= 0, so a non-finite one makes the total non-finite.
     ok &= np.isfinite(losses[2])
 
@@ -462,13 +511,11 @@ def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, base_segment: 
         gb1[...] = g_pre.sum(axis=2)
         gw2[...] = np.matmul(g, h.transpose(0, 2, 1))
         gb2[...] = g.sum(axis=2)
-        for k, w in enumerate(weight.tolist()):
-            if w == 0.0:
-                continue
-            g = (2.0 * w) * end_diffs[k]
-            _rollout_vjp(g, chains[k][0], stack.row_weights[k], stack.row_grads[k])
-            if len(chains[k]) == 2:
-                _rollout_vjp(-g, chains[k][1], stack.row_weights[k], stack.row_grads[k])
+        for k, chains, row, end_diff in backward:
+            g = (2.0 * weight[k]) * end_diff
+            _rollout_vjp(g, chains[0], row, stack.row_weights[k], stack.row_grads[k])
+            if len(chains) == 2:
+                _rollout_vjp(-g, chains[1], row, stack.row_weights[k], stack.row_grads[k])
     return losses, ok
 
 

@@ -252,6 +252,24 @@ def test_train_baseline_label(tmp_path):
     assert meta["label"] == "baseline"
 
 
+def test_stage_removes_stale_temp_files_of_its_directory(tmp_path):
+    # a write killed before its os.replace leaves <name>.tmp behind; gen-data
+    # writes no checkpoint, so only the stage's clean-up can remove this one
+    cfg = tiny_config(tmp_path / "stale", steps=5)
+    out = Path(cfg.out_dir)
+    (out / "point").mkdir(parents=True)
+    stale = out / "checkpoint.json.tmp"
+    stale.write_text('{"half": ')
+    nested = out / "point" / "checkpoint.json.tmp"
+    nested.write_text('{"half": ')
+    cmd_gen_data(cfg)
+    assert not stale.exists()
+    assert list(out.glob("*.tmp")) == []
+    assert "gen-data" in _manifest(cfg)["stages"]
+    # only the stage's own directory is cleared, not the directories below it
+    assert nested.exists()
+
+
 def test_interrupted_train_leaves_no_manifest(tmp_path):
     out = tmp_path / "broken"
     cfg = replace(

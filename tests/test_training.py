@@ -1,11 +1,15 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gawm import autograd as ag
+from gawm.config import benchmark_config
 from gawm.data import ActionDistribution, Dataset, generate_records
+from gawm.harness import sweep_points
 from gawm.latent import DynamicsNet, make_decoder, make_dynamics_net, make_encoder, pose_features
 from gawm.models import ExactModel
 from gawm.se2 import Pose2, pose_array
@@ -584,6 +588,65 @@ def test_train_rejects_pre_activation_overflow(far_dataset, monkeypatch, where):
             train(run, cfg, far_dataset, enc, 67, initial_net=net)
 
 
+def _objective(params, net, cfgs, columns, z_t, batch, active, seed, encoder):
+    """(losses, ok, grad) of ``_stack_objective`` on a stack of the given rows."""
+    stack = ParamStack(net, params.copy(), cfgs)
+    losses, ok = training._stack_objective(stack, columns, z_t, batch.base_segment, active,
+                                           _rng(seed), batch.start_pose, encoder)
+    return losses, ok, stack.grad
+
+
+@pytest.mark.parametrize("active", CONSTRAINTS)
+def test_stacked_rollout_fails_only_the_overflowing_row(far_dataset, active):
+    # row 1's huge input weight overflows its rollout pre-activations from the
+    # far anchor; row 0 shares every stacked product with it
+    enc = make_encoder(8, 200)
+    net = make_dynamics_net(8, 8, 66)
+    params = np.stack([net.params, net.params])
+    net.views(params[1])[0][:, 0] = 1e305
+    batch = Batch(far_dataset, np.full(4, 0), np.arange(4), 1, 2, far_dataset.segment(1, 2, 3))
+    columns = batch_columns(batch, enc, None)
+    z_t = enc.projection @ pose_features(batch.start_pose)
+    cfgs = [GALossConfig(), GALossConfig()]
+    pred_pre = training._stack_prediction(training._block_weights(net, params), *columns)[2][1]
+    assert np.isfinite(pred_pre).all()  # the prediction batch stays finite on both rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        losses, ok, grad = _objective(params, net, cfgs, columns, z_t, batch, active, 67, enc)
+        alone, alone_ok, alone_grad = _objective(params[:1], net, cfgs[:1], columns, z_t, batch,
+                                                 active, 67, enc)
+    assert ok.tolist() == [True, False] and alone_ok.tolist() == [True]
+    assert losses[:, 0].tobytes() == alone[:, 0].tobytes()
+    assert grad[0].tobytes() == alone_grad[0].tobytes()
+
+
+def test_mixed_stack_equals_one_row_stacks(dataset):
+    # three free-running rows roll out as one stack (rows 0, 1 and 3: not
+    # contiguous) and the teacher-forced row alone; each row has its own weights
+    enc = make_encoder(8, 200, obs_noise_sigma=0.02)
+    net = make_dynamics_net(8, 16, 74)
+    params = np.stack([make_dynamics_net(8, 16, 75 + k, w1_gain=3.0).params for k in range(4)])
+    cfgs = [GALossConfig(lambda_ga=0.0), GALossConfig(lambda_ga=0.5, lambda_inv=0.0),
+            GALossConfig(lambda_ga=0.5, mode=TEACHER_FORCED), GALossConfig(lambda_ga=1.3)]
+    rng = _rng(79)
+    seen = set()
+    for k in range(24):
+        batch = sample_batch(dataset, 8, 4, rng)
+        columns = batch_columns(batch, enc, _rng(300 + k))
+        z_t = enc.projection @ pose_features(batch.start_pose)
+        active = CONSTRAINTS[k % 3]
+        seen.add((active, len(batch.base_segment)))
+        losses, ok, grad = _objective(params, net, cfgs, columns, z_t, batch, active, 400 + k, enc)
+        rows = [_objective(params[i:i + 1], net, cfgs[i:i + 1], columns, z_t, batch, active,
+                           400 + k, enc) for i in range(len(cfgs))]
+        assert ok.all()
+        # bytes, not values: a zero's sign counts
+        assert losses.tobytes() == np.concatenate([r[0] for r in rows], axis=1).tobytes()
+        assert grad.tobytes() == np.concatenate([r[2] for r in rows]).tobytes()
+    assert {span for _, span in seen} == {1, 2, 3, 4}
+    assert {active for active, _ in seen} == set(CONSTRAINTS)
+
+
 # -- lockstep training ---------------------------------------------------------
 
 
@@ -610,6 +673,20 @@ def test_lockstep_rows_equal_sequential_runs(dataset, cfgs, optimizer, seed):
     assert len(results) == len(cfgs)
     for cfg, result in zip(cfgs, results):
         _same_run(result, train(run, cfg, dataset, enc, seed))
+
+
+def test_lockstep_constraints_group_at_benchmark_shapes(dataset):
+    # d=32, h=64, B=32 and the constraints axis' five configs: BLAS may
+    # round differently at these sizes than at the small ones above
+    cfg = benchmark_config()
+    cfgs = [point.ga for _, point in sweep_points(cfg, "constraints")]
+    enc = make_encoder(cfg.encoder.latent_dim, 201)
+    run = replace(cfg.pretrain, steps=20)
+    assert (run.hidden_dim, run.batch_size, len(cfgs)) == (64, 32, 5)
+    results = train_group(run, cfgs, dataset, enc, 76)
+    for ga, result in zip(cfgs, results):
+        _same_run(result, train(run, ga, dataset, enc, 76))
+    assert len({result.net.params.tobytes() for result in results}) == 5
 
 
 def test_lockstep_fine_tunes_a_copy_of_the_initial_net(dataset, encoder):
