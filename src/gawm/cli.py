@@ -35,7 +35,7 @@ config_option = click.option("--config", "config_path", type=click.Path(exists=T
 seed_option = click.option("--seed", type=int, default=None, help="Master seed override.")
 out_option = click.option("--out", type=click.Path(), default=None, help="Output directory override.")
 threads_option = click.option("--threads", type=int, default=1, show_default=True,
-                              help="Worker count for sweep grid points.")
+                              help="Worker processes for the sweep's lockstep groups.")
 
 
 @click.group()

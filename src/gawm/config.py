@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -206,8 +207,14 @@ class ExperimentConfig:
         return from_json(ExperimentConfig, d)
 
     def config_hash(self) -> str:
+        """SHA-256 of the config but ``out_dir``, with the run paths taken
+        relative to it: the same run in another directory hashes the same."""
         d = self.to_dict()
-        d.pop("out_dir", None)
+        out_dir = d.pop("out_dir")
+        for run in (d["train"], d["pretrain"]):
+            for key in ("dataset_path", "init_checkpoint"):
+                if run is not None and run[key]:
+                    run[key] = os.path.relpath(run[key], out_dir)
         blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

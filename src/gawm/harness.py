@@ -1,8 +1,8 @@
 """Pipeline stages behind the command-line interface.
 
 Each stage is a plain function from a resolved config to files on disk,
-so tests can drive them directly and sweep grid points can run in
-worker processes. Each stage adds its entry to the run manifest
+so tests can drive them directly and an ablation's lockstep groups can
+run in worker processes. Each stage adds its entry to the run manifest
 atomically when it ends; an interrupted stage leaves no entry.
 """
 
@@ -14,6 +14,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -412,49 +413,43 @@ def sweep_points(cfg: ExperimentConfig, axis: str) -> list[tuple[str, Experiment
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def run_sweep_point(args: tuple[str, ExperimentConfig], dataset: Dataset | None = None,
-                    group: TrainGroup | None = None) -> dict:
-    """Train and evaluate one (label, config) grid point; returns its row.
-
-    ``dataset`` is the point's training dataset when the caller has it
-    loaded already; worker processes load it from disk. ``group`` is the
-    point's lockstep group, if it trains in one.
-    """
-    label, cfg = args
-    ckpt = cmd_train(cfg, label=label, dataset=dataset, group=group)
-    gac = cmd_probe(cfg, str(ckpt))
-    gar = cmd_gar(cfg, str(ckpt))
-    train_metrics = _read_json(Path(cfg.out_dir) / "train_metrics.json")
-    row = {
-        "label": label,
-        "delta_id": gac.delta_id,
-        "delta_inv": gac.delta_inv,
-        "delta_comp": gac.delta_comp,
-        "e_gac": gac.e_gac,
-        "eval_prediction_loss": train_metrics["eval_prediction_loss"],
-        "checkpoint_hash": file_sha256(ckpt),
-        "out_dir": cfg.out_dir,
-    }
-    for entry in gar.entries:
-        row[f"gar{entry.horizon}_aligned"] = entry.aligned_mean
-        row[f"gar{entry.horizon}_nonaligned"] = entry.nonaligned_mean
-    return row
+def _run_group(points: list[tuple[str, ExperimentConfig]], dataset: Dataset) -> list[dict]:
+    """Train one lockstep group of (label, config) grid points inside its
+    first point's ``cmd_train`` call, then evaluate each; returns their rows."""
+    group = TrainGroup([cfg for _, cfg in points])
+    rows = []
+    for label, cfg in points:
+        ckpt = cmd_train(cfg, label=label, dataset=dataset, group=group)
+        gac = cmd_probe(cfg, str(ckpt))
+        gar = cmd_gar(cfg, str(ckpt))
+        train_metrics = _read_json(Path(cfg.out_dir) / "train_metrics.json")
+        row = {
+            "label": label,
+            "delta_id": gac.delta_id,
+            "delta_inv": gac.delta_inv,
+            "delta_comp": gac.delta_comp,
+            "e_gac": gac.e_gac,
+            "eval_prediction_loss": train_metrics["eval_prediction_loss"],
+            "checkpoint_hash": file_sha256(ckpt),
+            "out_dir": cfg.out_dir,
+        }
+        for entry in gar.entries:
+            row[f"gar{entry.horizon}_aligned"] = entry.aligned_mean
+            row[f"gar{entry.horizon}_nonaligned"] = entry.nonaligned_mean
+        rows.append(row)
+    return rows
 
 
 def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]:
     """Train and evaluate every grid point on one axis, then consolidate.
 
     Grid points share the dataset generated from the base config, which
-    is loaded once for the pretrain and the in-process points. When a
-    pretrain run is configured, one base model is trained first and every
-    grid point fine-tunes it. Rows are written in grid order regardless
-    of worker scheduling.
-
-    With one worker, points whose configs differ only in loss weights and
-    rollout mode form a ``TrainGroup``: the group's first point trains
-    them all in lockstep inside its ``cmd_train`` call. With more
-    workers, each point trains alone in a pool of at most one worker per
-    point.
+    is loaded once. When a pretrain run is configured, one base model is
+    trained first and every grid point fine-tunes it. Consecutive points
+    that differ only in loss weights and rollout mode (``TrainGroup.key``)
+    form a lockstep group, the unit of work: groups run in-process, or in
+    a pool of ``min(threads, groups)`` workers that are handed the loaded
+    dataset. Rows are written in grid order.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -488,16 +483,14 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
             train=point_train,
         )
         points.append((label, point_cfg))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(points))) as pool:
-            rows = list(pool.map(run_sweep_point, points))
+    groups = [list(g) for _, g in groupby(points, key=lambda point: TrainGroup.key(point[1]))]
+    workers = min(threads, len(groups))
+    if workers == 1:
+        done = [_run_group(group, dataset) for group in groups]
     else:
-        keys = [TrainGroup.key(c) for _, c in points]
-        members: dict[ExperimentConfig, list[ExperimentConfig]] = {}
-        for key, (_, point_cfg) in zip(keys, points):
-            members.setdefault(key, []).append(point_cfg)
-        groups = {key: TrainGroup(cfgs) for key, cfgs in members.items()}
-        rows = [run_sweep_point(point, dataset, groups[key]) for key, point in zip(keys, points)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_group, groups, [dataset] * len(groups)))
+    rows = [row for group_rows in done for row in group_rows]
 
     table_path = out_dir / f"ablation_{axis}.csv"
     columns = ["label", "delta_id", "delta_inv", "delta_comp", "e_gac"]

@@ -68,6 +68,29 @@ def test_every_tracer_target_resolves(monkeypatch):
         assert getattr(owner, attr) is value
 
 
+def test_tracer_installs_and_removes_every_wrapper(monkeypatch):
+    # the real tracer wraps the stages and layers and puts every original back
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    tracer = _load("tracer")
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    run = _load("run")
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gawm"]
+    owners = modules + [v for m in modules for v in vars(m).values()
+                        if isinstance(v, type) and v.__module__.startswith("gawm")]
+    before = [dict(vars(owner)) for owner in owners]
+    original = gawm.harness.cmd_train
+    t = tracer.Tracer()
+    try:
+        run.install_stages(t, None)
+        run.install_layers(t)
+        assert gawm.harness.cmd_train is not original
+    finally:
+        t.remove()
+    for owner, attrs in zip(owners, before):
+        assert all(vars(owner)[k] is v for k, v in attrs.items()), owner.__name__
+
+
 def test_every_training_step_runs_through_train_step(monkeypatch):
     # the tracer's training.train_step_ms_* and train_step_samples time
     # gawm.training.train_step, one span per step

@@ -72,6 +72,33 @@ def test_config_hash_ignores_out_dir(tmp_path):
     assert changed.config_hash() != cfg.config_hash()
 
 
+def test_config_hash_takes_run_paths_relative_to_out_dir(tmp_path):
+    def with_paths(out_dir, dataset, ckpt):
+        cfg = tiny_config(out_dir)
+        train = replace(cfg.train, dataset_path=dataset, init_checkpoint=ckpt)
+        return replace(cfg, train=train, pretrain=replace(cfg.train, dataset_path=dataset))
+
+    a = with_paths(tmp_path / "a" / "run", str(tmp_path / "a" / "data"), str(tmp_path / "a" / "c"))
+    b = with_paths(tmp_path / "b" / "run", str(tmp_path / "b" / "data"), str(tmp_path / "b" / "c"))
+    assert a.config_hash() == b.config_hash()
+    other_data = with_paths(tmp_path / "a" / "run", str(tmp_path / "a" / "other"),
+                            str(tmp_path / "a" / "c"))
+    assert other_data.config_hash() != a.config_hash()
+    assert with_paths(tmp_path / "a" / "run", None, None).config_hash() != a.config_hash()
+
+
+def test_ablate_manifests_hash_the_same_in_any_directory(tmp_path):
+    def manifest_hashes(name):
+        cfg = tiny_config(tmp_path / name, steps=4)
+        cmd_ablate(replace(cfg, pretrain=replace(cfg.train, steps=6)), "constraints")
+        return {str(p.relative_to(cfg.out_dir)): json.loads(p.read_text())["config_hash"]
+                for p in sorted(Path(cfg.out_dir).rglob("manifest.json"))}
+
+    first = manifest_hashes("first")
+    assert len(first) == 7  # the ablation, base/ and five sweep points
+    assert first == manifest_hashes("second")
+
+
 @pytest.mark.parametrize("path", [
     ("pretrian",), ("probes", "n_seqs"), ("gar", "action_dist", "mean_dy"),
     ("ga", "dirichlet", "alpha"), ("train", "stpes"), ("encoder", "dim"),
@@ -443,9 +470,9 @@ def _output_hashes(root) -> dict[str, str]:
 
 
 def test_ablate_worker_count_does_not_change_rows(tmp_path):
-    # one worker trains each lockstep group together; two train every
-    # point alone; every output file must be the same bytes
-    for axis in ("mode", "constraints"):
+    # one worker runs every lockstep group in-process; two run span's three
+    # groups in a pool; every output file must be the same bytes
+    for axis in ("mode", "constraints", "span"):
         cfg1 = tiny_config(tmp_path / axis / "serial", steps=6)
         cfg2 = tiny_config(tmp_path / axis / "workers", steps=6)
         rows1 = cmd_ablate(cfg1, axis)
@@ -525,6 +552,22 @@ def test_ablate_groups_points_that_differ_only_in_loss_weights_and_mode(
     assert steps == [cfg.train.steps * first_points.get(i, 0) for i in range(len(rows))]
 
 
+def test_ablate_groups_only_consecutive_points(tmp_path, monkeypatch, group_sizes):
+    # a group is trained and evaluated as one unit, so points of one key
+    # split by another point form two groups and keep their grid order
+    import gawm.harness as harness
+
+    def grid(cfg, axis):
+        return [("a", replace(cfg, ga=replace(cfg.ga, lambda_ga=0.0))),
+                ("b", replace(cfg, ga=replace(cfg.ga, max_span=2))),
+                ("c", cfg)]
+
+    monkeypatch.setattr(harness, "sweep_points", grid)
+    rows = cmd_ablate(tiny_config(tmp_path / "split", steps=4), "lambda")
+    assert [row["label"] for row in rows] == ["a", "b", "c"]
+    assert group_sizes == [1, 1, 1]
+
+
 def test_ablate_non_finite_point_fails_as_the_sequential_run(tmp_path, monkeypatch):
     # the first point still writes every output; the failing point raises
     # the error its own run raises, at the same step
@@ -587,14 +630,10 @@ def test_ablate_rejects_non_positive_threads(tmp_path, threads):
     assert not (tmp_path / "cli").exists()
 
 
-@pytest.mark.parametrize("axis, threads, workers", [
-    ("mode", 64, 2),
-    ("constraints", 3, 3),
-    ("span", 8, 3),
-])
-def test_ablate_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch, group_sizes, axis,
-                                                      threads, workers):
-    # no real pool starts: the stand-in records its size and runs in-process
+@pytest.fixture
+def recording_pools(monkeypatch):
+    """Sizes of the worker pools the harness starts. No real pool starts:
+    the stand-in records its size and runs its tasks in-process."""
     import gawm.harness as harness
 
     pools = []
@@ -609,14 +648,40 @@ def test_ablate_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch, gro
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def map(self, fn, *iterables):
+            return [fn(*args) for args in zip(*iterables)]
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    rows = cmd_ablate(tiny_config(tmp_path / "pool", steps=4), axis, threads=threads)
-    assert pools == [workers]
-    # each worker trains its point alone
-    assert group_sizes == [1] * len(rows)
+    return pools
+
+
+@pytest.mark.parametrize("axis, threads, pools, groups", [
+    ("mode", 64, [], [2]),
+    ("constraints", 3, [], [5]),
+    ("span", 8, [3], [1, 1, 1]),
+], ids=("mode-64", "constraints-3", "span-8"))
+def test_ablate_pool_has_at_most_one_worker_per_group(tmp_path, recording_pools, group_sizes,
+                                                      axis, threads, pools, groups):
+    cmd_ablate(tiny_config(tmp_path / "pool", steps=4), axis, threads=threads)
+    assert recording_pools == pools
+    # each group trains in lockstep, in a worker or in-process
+    assert group_sizes == groups
+
+
+def test_ablate_loads_the_dataset_once(tmp_path, monkeypatch, recording_pools):
+    # pool workers are handed the loaded dataset instead of reading it again
+    import gawm.harness as harness
+
+    loads = []
+
+    def counting_load(path):
+        loads.append(path)
+        return load_dataset(path)
+
+    monkeypatch.setattr(harness, "load_dataset", counting_load)
+    cmd_ablate(tiny_config(tmp_path / "loads", steps=4), "span", threads=8)
+    assert recording_pools == [3]
+    assert len(loads) == 1
 
 
 def test_report_collects_metrics(tmp_path):
