@@ -33,5 +33,4 @@ from .metrics import (
     gar_error,
 )
 from .config import ExperimentConfig, benchmark_config, load_config, save_config
-
-__version__ = "0.1.0"
+from .config import TOOL_VERSION as __version__

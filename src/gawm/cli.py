@@ -5,6 +5,7 @@ print a machine-readable error JSON to stderr and exit nonzero.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -38,92 +39,71 @@ threads_option = click.option("--threads", type=int, default=1, show_default=Tru
                               help="Worker processes for the sweep's lockstep groups.")
 
 
+def stage_command(body):
+    """Give a command ``--config/--seed/--out``: the command's body gets
+    the config they resolve as its first argument, and any error it
+    raises becomes the error JSON and exit code 1."""
+    @functools.wraps(body)
+    def command(config_path, seed, out, **params):
+        try:
+            body(_resolve_config(config_path, seed, out), **params)
+        except Exception as exc:
+            _fail(exc)
+    return config_option(seed_option(out_option(command)))
+
+
 @click.group()
 def main():
     """Group-action consistency toolkit for planar world models."""
 
 
 @main.command("gen-data")
-@config_option
-@seed_option
-@out_option
-def gen_data(config_path, seed, out):
+@stage_command
+def gen_data(cfg):
     """Generate a synthetic trajectory dataset."""
-    try:
-        cfg = _resolve_config(config_path, seed, out)
-        path = harness.cmd_gen_data(cfg)
-        click.echo(f"dataset written to {path}")
-    except Exception as exc:
-        _fail(exc)
+    click.echo(f"dataset written to {harness.cmd_gen_data(cfg)}")
 
 
 @main.command()
-@config_option
-@seed_option
-@out_option
-def train(config_path, seed, out):
+@stage_command
+def train(cfg):
     """Train the latent dynamics model."""
-    try:
-        cfg = _resolve_config(config_path, seed, out)
-        ckpt = harness.cmd_train(cfg)
-        click.echo(f"checkpoint written to {ckpt}")
-    except Exception as exc:
-        _fail(exc)
+    click.echo(f"checkpoint written to {harness.cmd_train(cfg)}")
 
 
 @main.command()
 @click.argument("model_ref")
-@config_option
-@seed_option
-@out_option
-def probe(model_ref, config_path, seed, out):
+@stage_command
+def probe(cfg, model_ref):
     """Run the consistency probe grid against MODEL_REF."""
-    try:
-        cfg = _resolve_config(config_path, seed, out)
-        report = harness.cmd_probe(cfg, model_ref)
-        click.echo(
-            f"components: id={report.delta_id:.6g} inv={report.delta_inv:.6g} "
-            f"comp={report.delta_comp:.6g} aggregate={report.e_gac:.6g}"
-        )
-    except Exception as exc:
-        _fail(exc)
+    report = harness.cmd_probe(cfg, model_ref)
+    click.echo(
+        f"components: id={report.delta_id:.6g} inv={report.delta_inv:.6g} "
+        f"comp={report.delta_comp:.6g} aggregate={report.e_gac:.6g}"
+    )
 
 
 @main.command()
 @click.argument("model_ref")
-@config_option
-@seed_option
-@out_option
-def gar(model_ref, config_path, seed, out):
+@stage_command
+def gar(cfg, model_ref):
     """Run the rollout-dispersion evaluation against MODEL_REF."""
-    try:
-        cfg = _resolve_config(config_path, seed, out)
-        report = harness.cmd_gar(cfg, model_ref)
-        for entry in report.entries:
-            click.echo(
-                f"T={entry.horizon}: aligned={entry.aligned_mean:.6g} "
-                f"nonaligned={entry.nonaligned_mean:.6g}"
-            )
-    except Exception as exc:
-        _fail(exc)
+    for entry in harness.cmd_gar(cfg, model_ref).entries:
+        click.echo(
+            f"T={entry.horizon}: aligned={entry.aligned_mean:.6g} "
+            f"nonaligned={entry.nonaligned_mean:.6g}"
+        )
 
 
 @main.command()
 @click.option("--axis", type=click.Choice(harness.SWEEP_AXES), default="constraints",
               show_default=True, help="Which ablation grid to sweep.")
-@config_option
-@seed_option
-@out_option
+@stage_command
 @threads_option
-def ablate(axis, config_path, seed, out, threads):
+def ablate(cfg, axis, threads):
     """Train and evaluate every grid point on one ablation axis."""
-    try:
-        cfg = _resolve_config(config_path, seed, out)
-        rows = harness.cmd_ablate(cfg, axis, threads=threads)
-        for row in rows:
-            click.echo(f"{row['label']}: e_gac={row['e_gac']:.6g}")
-    except Exception as exc:
-        _fail(exc)
+    for row in harness.cmd_ablate(cfg, axis, threads=threads):
+        click.echo(f"{row['label']}: e_gac={row['e_gac']:.6g}")
 
 
 @main.command()

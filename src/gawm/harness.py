@@ -60,7 +60,6 @@ from .metrics import (
 )
 from .models import ExactModel, PerturbedModel, ViolationConfig, WorldModel
 from .se2 import DistanceParams
-from .segments import ActionIncrement
 from .training import LOSS_COLUMNS, NonFiniteLossError, TrainResult, prediction_loss, train_group
 
 
@@ -68,39 +67,33 @@ class UnknownModelRefError(ValueError):
     """The model reference is neither a named reference model nor a checkpoint."""
 
 
+# The one ``ViolationConfig`` field that each shorthand sets.
+_SHORTHAND_FIELDS = {"drift": "drift_bias", "noise": "noise_sigma",
+                     "sat": "saturation_scale", "asym": "asym_gain"}
+
+
 def parse_model_ref(ref: str, eval_noise_sigma: float = 0.0) -> tuple[WorldModel, str]:
     """Resolve a model reference into a world model and a display name.
 
-    Named forms: "exact", "drift:DX,DY,DTH", "noise:SIGMA", "sat:C",
-    "asym:GP,GM", or "perturbed:{json}" for combined injectors, a
-    ``ViolationConfig`` checked like a config section. Anything
+    Named forms: "exact", "perturbed:{json}" for a ``ViolationConfig``
+    checked like a config section, or one of its one-field shorthands
+    "drift:DX,DY,DTH", "noise:SIGMA", "sat:C" and "asym:GP,GM", which
+    put their value (a list when there are several) in that field. A
+    perturbed model's display name is the reference itself. Anything
     ending in .json is loaded as a checkpoint and wrapped with the given
     evaluation observation noise, which must be finite and >= 0.
     """
     check_noise_sigma(eval_noise_sigma, "eval_noise_sigma")
     if ref == "exact":
         return ExactModel(), "exact"
-    if ref.startswith("drift:"):
-        parts = [float(v) for v in ref.split(":", 1)[1].split(",")]
-        if len(parts) != 3:
-            raise UnknownModelRefError(f"drift needs three components, got {ref!r}")
-        cfg = ViolationConfig(drift_bias=ActionIncrement(*parts))
-        return PerturbedModel(cfg, name=ref), ref
-    if ref.startswith("noise:"):
-        cfg = ViolationConfig(noise_sigma=float(ref.split(":", 1)[1]))
-        return PerturbedModel(cfg, name=ref), ref
-    if ref.startswith("sat:"):
-        cfg = ViolationConfig(saturation_scale=float(ref.split(":", 1)[1]))
-        return PerturbedModel(cfg, name=ref), ref
-    if ref.startswith("asym:"):
-        parts = [float(v) for v in ref.split(":", 1)[1].split(",")]
-        if len(parts) != 2:
-            raise UnknownModelRefError(f"asym needs two gains, got {ref!r}")
-        cfg = ViolationConfig(asym_gain=(parts[0], parts[1]))
-        return PerturbedModel(cfg, name=ref), ref
-    if ref.startswith("perturbed:"):
-        cfg = from_json(ViolationConfig, json.loads(ref.split(":", 1)[1]), "perturbed")
-        return PerturbedModel(cfg, name=ref), ref
+    kind, sep, arg = ref.partition(":")
+    if sep and (kind == "perturbed" or kind in _SHORTHAND_FIELDS):
+        if kind == "perturbed":
+            values = json.loads(arg)
+        else:
+            parts = [float(v) for v in arg.split(",")]
+            values = {_SHORTHAND_FIELDS[kind]: parts[0] if len(parts) == 1 else parts}
+        return PerturbedModel(from_json(ViolationConfig, values, kind), name=ref), ref
     if ref.endswith(".json"):
         path = Path(ref)
         if not path.exists():

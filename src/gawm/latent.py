@@ -337,10 +337,15 @@ def load_checkpoint(path) -> tuple[DynamicsNet, FeatureEncoder, dict]:
         payload = json.load(f)
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {payload.get('version')!r}")
+    latent_dim = int(payload["latent_dim"])
+    projection = np.array(payload["projection"])
+    if projection.shape != (latent_dim, 4):
+        raise ValueError(f"checkpoint {path}: encoder projection has shape {projection.shape}, "
+                         f"but the net's latent_dim {latent_dim} needs ({latent_dim}, 4)")
     encoder = FeatureEncoder(
-        projection=np.array(payload["projection"]),
+        projection=projection,
         seed=int(payload["encoder_seed"]),
         obs_noise_sigma=float(payload["obs_noise_sigma"]),
     )
-    net = DynamicsNet(int(payload["latent_dim"]), int(payload["hidden_dim"]), np.array(payload["params"]))
+    net = DynamicsNet(latent_dim, int(payload["hidden_dim"]), np.array(payload["params"]))
     return net, encoder, payload.get("meta", {})

@@ -6,7 +6,8 @@ loads ``perfbench/run.py`` and ``perfbench/tracer.py`` without writing
 bytecode next to them, collects every target their install functions
 ask for, and resolves each one the way the tracer does. It checks that
 training runs each step through the function the tracer times per step,
-and that every benchmark config survives a trip through its JSON form.
+that every benchmark config survives a trip through its JSON form, and
+that the score-zoo's model references build the models they name.
 """
 
 import importlib.util
@@ -22,7 +23,9 @@ from gawm import training
 from gawm.config import load_config, save_config
 from gawm.data import ActionDistribution, generate_records
 from gawm.latent import make_encoder
-from gawm.models import ExactModel
+from gawm.harness import parse_model_ref
+from gawm.models import ExactModel, ViolationConfig
+from gawm.segments import ActionIncrement
 from gawm.training import (
     TEACHER_FORCED,
     GALossConfig,
@@ -135,3 +138,24 @@ def test_benchmark_configs_round_trip_through_json(monkeypatch, tmp_path):
         loaded = load_config(tmp_path / "cfg.json")
         assert loaded == cfg, (workload, seed, scale)
         assert loaded.config_hash() == cfg.config_hash(), (workload, seed, scale)
+
+
+def test_zoo_refs_build_their_violation_configs(monkeypatch):
+    # score-zoo scores these references; each must keep building the same model
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    expected = {
+        "exact": None,
+        "drift": ViolationConfig(drift_bias=ActionIncrement(0.01, 0.0, 0.005)),
+        "sat": ViolationConfig(saturation_scale=0.05),
+        "asym": ViolationConfig(asym_gain=(1.2, 0.8)),
+        "noise": ViolationConfig(noise_sigma=0.02),
+    }
+    zoo = _load("workloads").ZOO_REFS
+    assert [label for label, _ in zoo] == list(expected)
+    for label, ref in zoo:
+        model, name = parse_model_ref(ref)
+        assert name == ref
+        if expected[label] is None:
+            assert isinstance(model, ExactModel)
+        else:
+            assert model.cfg == expected[label] and model.name == ref

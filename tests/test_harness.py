@@ -38,7 +38,7 @@ from gawm.harness import (
     parse_model_ref,
     sweep_points,
 )
-from gawm.latent import LearnedWorldModel
+from gawm.latent import DynamicsNet, LearnedWorldModel, make_encoder, save_checkpoint
 from gawm.models import ExactModel, PerturbedModel
 from gawm.segments import ActionSegment
 from gawm.training import NonFiniteLossError, TrainRunConfig, train_group
@@ -210,6 +210,36 @@ def test_parse_model_ref_perturbed_takes_records_as_arrays_or_objects():
     assert by_array.cfg.drift_bias.dy == 0.0 and isinstance(by_array.cfg.drift_bias.dy, float)
     with pytest.raises(ValueError, match="^config value perturbed.drift_bias.dtheta is missing$"):
         parse_model_ref('perturbed:{"drift_bias": {"dx": 0.01, "dy": 0.0}}')
+
+
+@pytest.mark.parametrize("ref, fields", [
+    ("drift:0.01,0,0.005", {"drift_bias": [0.01, 0, 0.005]}),
+    ("drift:-0.1,0.02,1e-3", {"drift_bias": [-0.1, 0.02, 1e-3]}),
+    ("noise:0.02", {"noise_sigma": 0.02}),
+    ("noise:0", {"noise_sigma": 0}),
+    ("sat:0.05", {"saturation_scale": 0.05}),
+    ("sat:inf", {"saturation_scale": None}),
+    ("asym:1.2,0.8", {"asym_gain": [1.2, 0.8]}),
+    ("asym:1,1", {"asym_gain": [1, 1]}),
+])
+def test_parse_model_ref_shorthand_is_its_perturbed_spelling(ref, fields):
+    model, name = parse_model_ref(ref)
+    spelled, _ = parse_model_ref(f"perturbed:{json.dumps(fields)}")
+    assert isinstance(model, PerturbedModel) and model.cfg == spelled.cfg
+    assert name == model.name == ref
+
+
+@pytest.mark.parametrize("ref, message", [
+    ("drift:0.01", "^config value drift.drift_bias must be an object or an array of 3, got 0.01$"),
+    ("drift:0.01,0", r"^config value drift.drift_bias must be an object or an array of 3, got \[0.01, 0.0\]$"),
+    ("asym:1.2", "^config value asym.asym_gain must be an array, got 1.2$"),
+    ("asym:1.2,0.8,1", r"^config value asym.asym_gain must be an array of 2, got \[1.2, 0.8, 1.0\]$"),
+    ("noise:0.1,0.2", r"^config value noise.noise_sigma must be float, got \[0.1, 0.2\]$"),
+    ("sat:0.1,0.2", r"^config value sat.saturation_scale must be float, got \[0.1, 0.2\]$"),
+])
+def test_parse_model_ref_shorthand_arity_fails_in_the_typed_loader(ref, message):
+    with pytest.raises(ValueError, match=message):
+        parse_model_ref(ref)
 
 
 def test_parse_model_ref_unknown():
@@ -987,6 +1017,16 @@ def test_train_resolves_dataset_model_before_training(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("stage", [cmd_probe, cmd_gar])
+def test_checkpoint_with_mismatched_parts_fails_before_the_stage_writes(tmp_path, stage):
+    ckpt = tmp_path / "mismatched.json"
+    save_checkpoint(ckpt, DynamicsNet(8, 16), make_encoder(16, 5))
+    cfg = tiny_config(tmp_path / "run")
+    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(ckpt))}: encoder projection"):
+        stage(cfg, str(ckpt))
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("stage", [cmd_probe, cmd_gar])
 def test_bad_model_ref_fails_before_the_stage_writes(tmp_path, stage):
     cfg = tiny_config(tmp_path / "run")
     stage(cfg, "exact")
@@ -1075,7 +1115,7 @@ _bad_config_edits = st.one_of(
     ).map(lambda g: "asym:" + ",".join(map(repr, g))), st.just("asym")),
     st.tuples(st.just("dataset"), st.just("model"), st.one_of(
         st.tuples(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=5).filter(lambda d: len(d) != 3),
-                  st.just("drift needs three components")),
+                  st.just("drift.drift_bias must be an object or an array of 3")),
         st.tuples(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(3.15, 100.0)),
                   st.just("|dtheta| must be <= pi")),
         st.tuples(st.just((math.nan, 0.0, 0.0)), st.just("increment components must be finite")),
