@@ -279,7 +279,8 @@ class LearnedWorldModel:
         z = _encode_rows(states, self.encoder)
         sigma = self.encoder.obs_noise_sigma
         if sigma > 0.0:
-            z = z + np.stack([rng.normal(0.0, sigma, size=z.shape[1]) for rng in rngs])
+            for row, rng in zip(z, rngs):
+                row += rng.normal(0.0, sigma, size=z.shape[1])
         return _decode_rows(_net_rows(z, actions, self.net), self.decoder)
 
     def rollout_batch(self, starts: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
@@ -292,7 +293,9 @@ class LearnedWorldModel:
         sigma = self.encoder.obs_noise_sigma
         z = _encode_rows(starts, self.encoder)
         if sigma > 0.0:
-            noise = np.stack([rng.normal(0.0, sigma, size=(t + 1, z.shape[1])) for rng in rngs])
+            noise = np.empty((b, t + 1, z.shape[1]))
+            for row, rng in zip(noise, rngs):
+                row[:] = rng.normal(0.0, sigma, size=row.shape)
             z = z + noise[:, 0]
         latents = np.empty((b, t, z.shape[1]))
         for i in range(t):
@@ -333,19 +336,37 @@ def save_checkpoint(path, net: DynamicsNet, encoder: FeatureEncoder, meta: dict 
 
 
 def load_checkpoint(path) -> tuple[DynamicsNet, FeatureEncoder, dict]:
+    """The net, encoder and meta saved by ``save_checkpoint``. An unknown
+    version, a missing field or a part whose shape does not fit the dims
+    raises a ValueError naming the file."""
     with open(path) as f:
         payload = json.load(f)
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {payload.get('version')!r}")
-    latent_dim = int(payload["latent_dim"])
-    projection = np.array(payload["projection"])
+        raise ValueError(f"checkpoint {path}: unsupported version {payload.get('version')!r}")
+
+    def field(name, cast):
+        if name not in payload:
+            raise ValueError(f"checkpoint {path}: field {name!r} is missing")
+        try:
+            return cast(payload[name])
+        except (TypeError, ValueError):
+            raise ValueError(f"checkpoint {path}: field {name!r} is not {cast.__name__}: "
+                             f"{payload[name]!r}") from None
+
+    latent_dim = field("latent_dim", int)
+    hidden_dim = field("hidden_dim", int)
+    projection = field("projection", np.array)
     if projection.shape != (latent_dim, 4):
         raise ValueError(f"checkpoint {path}: encoder projection has shape {projection.shape}, "
                          f"but the net's latent_dim {latent_dim} needs ({latent_dim}, 4)")
+    params = field("params", np.array)
+    try:
+        net = DynamicsNet(latent_dim, hidden_dim, params)
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: {e}") from None
     encoder = FeatureEncoder(
         projection=projection,
-        seed=int(payload["encoder_seed"]),
-        obs_noise_sigma=float(payload["obs_noise_sigma"]),
+        seed=field("encoder_seed", int),
+        obs_noise_sigma=field("obs_noise_sigma", float),
     )
-    net = DynamicsNet(latent_dim, int(payload["hidden_dim"]), np.array(payload["params"]))
     return net, encoder, payload.get("meta", {})

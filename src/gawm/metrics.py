@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -44,6 +43,10 @@ KIND_COMPOSITION = "composition"
 PROBE_KINDS = (KIND_IDENTITY, KIND_INVERSE, KIND_COMPOSITION)
 
 MAX_LOCAL_WINDOW = 8
+
+# rollouts per GAR rollout_batch, filled with whole sequences (at least one);
+# it bounds the size of a batch's arrays and so the peak memory of GAR
+GAR_BATCH_ROWS = 32
 
 _KIND_CODE = {KIND_IDENTITY: 0, KIND_INVERSE: 1, KIND_COMPOSITION: 2}
 
@@ -117,25 +120,30 @@ def _probe_rng(seed: int, *key: int) -> np.random.Generator:
 class _Generators(Sequence):
     """One generator per row, row i's derived from ``seed`` and ``keys[i]``.
 
-    Each is built on first use and then kept. A model that draws no
-    noise never builds one, which saves their construction time and
-    keeps a batch of rows from holding a generator each.
+    They are built together on first use and then kept in a plain list.
+    A model that draws no noise never builds one, which saves their
+    construction time and keeps a batch of rows from holding a generator
+    each.
     """
 
     def __init__(self, seed: int, keys: list[tuple[int, ...]]):
         self._seed = seed
         self._keys = keys
-        self._built: dict[int, np.random.Generator] = {}
+        self._built: list[np.random.Generator] | None = None
+
+    def _all(self) -> list[np.random.Generator]:
+        if self._built is None:
+            self._built = [_probe_rng(self._seed, *key) for key in self._keys]
+        return self._built
 
     def __len__(self) -> int:
         return len(self._keys)
 
     def __getitem__(self, i: int) -> np.random.Generator:
-        i = range(len(self._keys))[i]
-        rng = self._built.get(i)
-        if rng is None:
-            rng = self._built[i] = _probe_rng(self._seed, *self._keys[i])
-        return rng
+        return self._all()[i]
+
+    def __iter__(self):
+        return iter(self._all())
 
 
 def identity_positions(n_actions: int, k: int) -> tuple[int, ...]:
@@ -327,30 +335,43 @@ def evaluate_gac(model: WorldModel, starts, actions, grid, dist: DistanceParams,
 
 
 def align_trajectory(poses: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Move each trajectory in ``poses`` (an (N, 3) pose array, or a stack
-    of them) by the rigid transform that best fits its positions to the
-    (N, 3) reference's in the least-squares sense (closed form, no scale)."""
-    if poses.shape[-2] != reference.shape[0]:
-        raise ValueError(f"trajectory lengths differ: {poses.shape[-2]} vs {reference.shape[0]}")
-    if reference.shape[0] < 2:
+    """Move each trajectory in ``poses`` by the rigid transform that best
+    fits its positions to its reference's in the least-squares sense
+    (closed form, no scale).
+
+    ``reference`` is one (N, 3) pose array, which every trajectory in
+    ``poses`` (an (N, 3) array or any stack of them) fits, or a stack
+    (..., N, 3) of references, one per leading index of ``poses``: with
+    (S, N, 3) references, ``poses`` is (S, N, 3) or (S, K, N, 3), and
+    every trajectory of row s fits reference s. Each trajectory moves
+    exactly as it would in a call with its own reference alone.
+    """
+    n = reference.shape[-2]
+    if poses.shape[-2] != n:
+        raise ValueError(f"trajectory lengths differ: {poses.shape[-2]} vs {n}")
+    if n < 2:
         raise ValueError("alignment needs at least two poses")
-    batch = poses.reshape(-1, *reference.shape)
-    p = batch[:, :, 1:]
-    q = reference[:, 1:]
-    mu_p = p.mean(axis=1)
-    mu_q = q.mean(axis=0)
-    pc = p - mu_p[:, None]
-    qc = q - mu_q
-    dot = np.sum(pc * qc, axis=(1, 2))
-    cross = np.sum(pc[:, :, 0] * qc[:, 1] - pc[:, :, 1] * qc[:, 0], axis=1)
-    phi = [math.atan2(c, d) for c, d in zip(cross.tolist(), dot.tolist())]
-    rot = np.array([[[math.cos(f), -math.sin(f)], [math.sin(f), math.cos(f)]] for f in phi])
-    t = mu_q - np.matmul(rot, mu_p[:, :, None])[:, :, 0]
+    if poses.shape[: reference.ndim - 2] != reference.shape[:-2]:
+        raise ValueError(f"poses {poses.shape} do not stack over references {reference.shape}")
+    refs = reference.reshape(-1, n, 3)
+    batch = poses.reshape(len(refs), -1, n, 3)
+    p = batch[..., 1:]
+    q = refs[..., 1:]
+    mu_p = p.mean(axis=2)
+    mu_q = q.mean(axis=1)
+    pc = p - mu_p[:, :, None]
+    qc = (q - mu_q[:, None])[:, None]
+    dot = np.sum(pc * qc, axis=(2, 3))
+    cross = np.sum(pc[..., 0] * qc[..., 1] - pc[..., 1] * qc[..., 0], axis=2)
+    phi = [math.atan2(c, d) for c, d in zip(cross.ravel().tolist(), dot.ravel().tolist())]
+    rot = np.reshape([[[math.cos(f), -math.sin(f)], [math.sin(f), math.cos(f)]] for f in phi],
+                     (*dot.shape, 2, 2))
+    t = mu_q[:, None] - np.matmul(rot, mu_p[..., None])[..., 0]
     moved = np.empty_like(batch)
-    moved[:, :, 0] = batch[:, :, 0] + np.array(phi)[:, None]
-    moved[:, :, 1:] = np.matmul(p, rot.transpose(0, 2, 1)) + t[:, None]
+    moved[..., 0] = batch[..., 0] + np.reshape(phi, dot.shape)[..., None]
+    moved[..., 1:] = np.matmul(p, rot.swapaxes(-1, -2)) + t[:, :, None]
     check_finite_poses(moved)
-    moved[:, :, 0] = wrap_angles(moved[:, :, 0])
+    moved[..., 0] = wrap_angles(moved[..., 0])
     return moved.reshape(poses.shape)
 
 
@@ -363,7 +384,7 @@ def gar_error(rollouts, dist: DistanceParams, aligned: bool) -> float:
     one; since alignment fits positions only while the distance also
     carries a heading term, the raw value is kept whenever the fitted
     transforms fail to reduce the total, so removing drift can never add
-    error.
+    error. This is one row of ``evaluate_gar``'s batched dispersion.
     """
     n = len(rollouts)
     if n < 2:
@@ -371,28 +392,35 @@ def gar_error(rollouts, dist: DistanceParams, aligned: bool) -> float:
     check_finite_poses(rollouts)
     if rollouts.shape[1] < 2:
         raise ValueError("rollouts must contain at least one step")
-    raw = _pairwise_mean_distance(rollouts, dist)
-    return _aligned_dispersion(rollouts, dist, raw) if aligned else raw
+    poses = rollouts[None]
+    raw = _pairwise_mean_distance(poses, dist)
+    return float((_aligned_dispersion(poses, dist, raw) if aligned else raw)[0])
 
 
-def _aligned_dispersion(poses: np.ndarray, dist: DistanceParams, raw: float) -> float:
-    """Aligned ``gar_error`` of an (R, T+1, 3) array whose raw value is ``raw``."""
+def _aligned_dispersion(poses: np.ndarray, dist: DistanceParams, raw: np.ndarray) -> np.ndarray:
+    """Aligned ``gar_error`` of each of n (R, T+1, 3) rollout sets in an
+    (n, R, T+1, 3) array whose raw values are ``raw``, as an (n,) array."""
     moved = poses.copy()
-    moved[1:] = align_trajectory(poses[1:], poses[0])
-    return min(_pairwise_mean_distance(moved, dist), raw)
+    moved[:, 1:] = align_trajectory(poses[:, 1:], poses[:, 0])
+    return np.minimum(_pairwise_mean_distance(moved, dist), raw)
 
 
-def _pairwise_mean_distance(poses: np.ndarray, dist: DistanceParams) -> float:
-    n = poses.shape[0]
-    i, j = np.array(list(combinations(range(n), 2))).T  # the order of an i < j double loop
-    pos = poses[:, 1:, 1:]
-    head = poses[:, 1:, 0]
-    d_pos = np.linalg.norm(pos[i] - pos[j], axis=2)
-    d_head = np.abs(_wrap_array(head[i] - head[j]))
-    total = 0.0
-    for pair_mean in np.mean(d_pos + dist.alpha_rot * d_head, axis=1).tolist():
-        total += pair_mean
-    return 2.0 * total / (n * (n - 1))
+def _pairwise_mean_distance(poses: np.ndarray, dist: DistanceParams) -> np.ndarray:
+    """Raw ``gar_error`` of each of n (R, T+1, 3) rollout sets in an
+    (n, R, T+1, 3) array, as an (n,) array.
+
+    Each pair's time mean runs along the contiguous time axis and the
+    pair means add up one by one in ``i < j`` order, so every value
+    rounds as a double loop over the pairs would.
+    """
+    r = poses.shape[1]
+    i, j = np.triu_indices(r, 1)
+    pos = poses[:, :, 1:, 1:]
+    head = poses[:, :, 1:, 0]
+    d_pos = np.linalg.norm(pos[:, i] - pos[:, j], axis=-1)
+    d_head = np.abs(_wrap_array(head[:, i] - head[:, j]))
+    pair_means = np.mean(d_pos + dist.alpha_rot * d_head, axis=-1)
+    return 2.0 * np.add.accumulate(pair_means, axis=-1)[:, -1] / (r * (r - 1))
 
 
 def _wrap_array(theta: np.ndarray) -> np.ndarray:
@@ -405,11 +433,14 @@ def evaluate_gar(model: WorldModel, starts, actions, horizons, n_rollouts: int,
     """Repeated seeded rollouts per sequence, truncated to each horizon.
 
     The sequences are (S, 3) starts and (S, L, 3) actions, as for
-    ``evaluate_gac``, and L must cover the largest horizon. A
-    sequence's rollouts run as one ``rollout_batch``, the model's native
-    rollout process; rollout i of sequence s uses a generator derived
-    from (seed, s, i), so the suite is reproducible and worker-order
-    independent.
+    ``evaluate_gac``, and L must cover the largest horizon. Consecutive
+    whole sequences run together, as many as fit ``GAR_BATCH_ROWS``
+    rollouts (at least one), as one ``rollout_batch``, the model's native
+    rollout process, with rows in (sequence, rollout) order. Rollout i of
+    sequence s uses a generator derived from (seed, s, i), so the suite
+    is reproducible and does not depend on the batch size. Each batch's
+    dispersions are computed as arrays over its sequences, each value
+    equal to ``gar_error`` of that sequence's rollouts.
     """
     starts, actions = _check_sequences(starts, actions)
     if n_rollouts < 2:
@@ -419,36 +450,39 @@ def evaluate_gar(model: WorldModel, starts, actions, horizons, n_rollouts: int,
     if len(set(horizons)) < len(horizons):
         raise ValueError(f"horizons must not repeat a horizon, got {list(horizons)}")
     horizons = sorted(horizons)
+    if horizons[0] < 1:
+        raise ValueError("rollouts must contain at least one step")
     t_max = horizons[-1]
     if actions.shape[1] < t_max:
         raise ValueError(f"sequences have {actions.shape[1]} actions, need >= {t_max}")
-    per_horizon: dict[int, dict[str, list[float]]] = {
-        h: {"aligned": [], "nonaligned": []} for h in horizons
-    }
-    for s, (start, row) in enumerate(zip(starts, actions)):
-        rngs = _Generators(seed, [(3, s, i) for i in range(n_rollouts)])
-        full = rollout_batch(model, np.repeat(start[None], n_rollouts, axis=0),
-                             np.repeat(row[None, :t_max], n_rollouts, axis=0), rngs)
-        for h in horizons:
-            poses = full[:, : h + 1]
-            raw = gar_error(poses, dist, aligned=False)
-            per_horizon[h]["nonaligned"].append(raw)
-            per_horizon[h]["aligned"].append(_aligned_dispersion(poses, dist, raw))
-    entries = []
-    for h in horizons:
-        al = np.array(per_horizon[h]["aligned"])
-        na = np.array(per_horizon[h]["nonaligned"])
-        entries.append(
-            GarEntry(
-                horizon=h,
-                aligned_mean=float(al.mean()),
-                aligned_std=float(al.std()),
-                nonaligned_mean=float(na.mean()),
-                nonaligned_std=float(na.std()),
-                n_sequences=len(al),
-            )
+    n_seq = len(actions)
+    aligned = np.empty((len(horizons), n_seq))
+    nonaligned = np.empty((len(horizons), n_seq))
+    per_batch = max(1, GAR_BATCH_ROWS // n_rollouts)
+    for lo in range(0, n_seq, per_batch):
+        hi = min(lo + per_batch, n_seq)
+        rngs = _Generators(seed, [(3, s, i) for s in range(lo, hi) for i in range(n_rollouts)])
+        full = rollout_batch(model, np.repeat(starts[lo:hi], n_rollouts, axis=0),
+                             np.repeat(actions[lo:hi, :t_max], n_rollouts, axis=0), rngs)
+        check_finite_poses(full)
+        full = full.reshape(hi - lo, n_rollouts, t_max + 1, 3)
+        for k, h in enumerate(horizons):
+            poses = full[:, :, : h + 1]
+            raw = _pairwise_mean_distance(poses, dist)
+            nonaligned[k, lo:hi] = raw
+            aligned[k, lo:hi] = _aligned_dispersion(poses, dist, raw)
+    entries = tuple(
+        GarEntry(
+            horizon=h,
+            aligned_mean=float(al.mean()),
+            aligned_std=float(al.std()),
+            nonaligned_mean=float(na.mean()),
+            nonaligned_std=float(na.std()),
+            n_sequences=n_seq,
         )
-    return GarReport(n_rollouts=n_rollouts, entries=tuple(entries), note=note)
+        for h, al, na in zip(horizons, aligned, nonaligned)
+    )
+    return GarReport(n_rollouts=n_rollouts, entries=entries, note=note)
 
 
 GAC_COLUMNS = ("kind", "k", "l", "mean", "std")

@@ -235,8 +235,8 @@ class PerturbedModel(_IncrementModel):
         sigma = self.cfg.noise_sigma
         if sigma > 0.0:
             # one block per row draws what a step-by-step rollout draws, in order
-            increments += np.stack([rng.normal(0.0, sigma, size=increments.shape[1:])
-                                    for rng in rngs])
+            for row, rng in zip(increments, rngs):
+                row += rng.normal(0.0, sigma, size=row.shape)
         return increments
 
 

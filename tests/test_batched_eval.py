@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from gawm import metrics
 from gawm.config import ProbeSuiteConfig
 from gawm.latent import (
     DynamicsNet,
@@ -23,6 +24,8 @@ from gawm.metrics import (
     KIND_IDENTITY,
     KIND_INVERSE,
     ProbeConfig,
+    _Generators,
+    _probe_rng,
     align_trajectory,
     evaluate_gac,
     evaluate_gar,
@@ -173,6 +176,80 @@ def test_step_only_model_goes_through_the_fallback():
     assert model.steps == steps + 3 * 3 * 12
     assert gar == evaluate_gar(model.inner, *seqs, [12], 3, DIST, 3)
     assert gar == reference_gar(model, *seqs, [12], 3, DIST, 3)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 20, 27])
+@pytest.mark.parametrize("name", ["noise", "combined", "learned-obs-noise"])
+def test_gar_batch_size_does_not_change_the_report(monkeypatch, name, rows):
+    # 5 sequences of 9 rollouts: one sequence per batch (rows 1, and 5,
+    # below the 9 rollouts), batches of 2, 2, 1 (20) and of 3, 2 (27)
+    monkeypatch.setattr(metrics, "GAR_BATCH_ROWS", rows)
+    model = MODELS[name]()
+    seqs = _turning_sequences()
+    args = ([6, 20], 9, DIST, 9)
+    assert evaluate_gar(model, *seqs, *args) == reference_gar(model, *seqs, *args)
+
+
+class Recording:
+    """A model that records the rows and generator states of every
+    ``rollout_batch`` call before passing it on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def step(self, state, action, rng):
+        return self.inner.step(state, action, rng)
+
+    def rollout_batch(self, starts, actions, rngs):
+        self.calls.append((starts.copy(), actions.copy(), [rng.bit_generator.state for rng in rngs]))
+        return rollout_batch(self.inner, starts, actions, rngs)
+
+
+@pytest.mark.parametrize("rows, n_rollouts", [(1, 3), (2, 3), (7, 3), (32, 3), (32, 9), (32, 40)])
+def test_gar_batches_hold_whole_sequences_in_order(monkeypatch, rows, n_rollouts):
+    monkeypatch.setattr(metrics, "GAR_BATCH_ROWS", rows)
+    model = Recording(MODELS["noise"]())
+    starts, actions = _turning_sequences(7, 16)
+    report = evaluate_gar(model, starts, actions, [4, 12], n_rollouts, DIST, 5)
+    sizes = [len(rows_starts) for rows_starts, _, _ in model.calls]
+    per_batch = max(1, rows // n_rollouts)
+    assert sizes == [per_batch * n_rollouts] * (len(sizes) - 1) + [sizes[-1]]
+    assert all(size % n_rollouts == 0 and (size <= rows or size == n_rollouts) for size in sizes)
+    assert np.array_equal(np.concatenate([c[0] for c in model.calls]),
+                          np.repeat(starts, n_rollouts, axis=0))
+    assert np.array_equal(np.concatenate([c[1] for c in model.calls]),
+                          np.repeat(actions[:, :12], n_rollouts, axis=0))
+    assert [state for c in model.calls for state in c[2]] == [
+        _probe_rng(5, 3, s, i).bit_generator.state for s in range(7) for i in range(n_rollouts)]
+    assert report == evaluate_gar(model.inner, starts, actions, [4, 12], n_rollouts, DIST, 5)
+
+
+def test_generators_are_built_once_from_their_keys():
+    keys = [(3, s, i) for s in range(2) for i in range(3)]
+    rngs = _Generators(4, keys)
+    first = rngs[1]
+    built = list(rngs)
+    assert len(rngs) == len(built) == 6
+    assert built[1] is first and list(rngs) == built and rngs[-1] is built[-1]
+    assert [rng.bit_generator.state for rng in built] == [
+        _probe_rng(4, *key).bit_generator.state for key in keys]
+
+
+def test_align_trajectory_with_one_reference_per_row_equals_separate_calls():
+    rng = _rng(8)
+    refs = np.stack([pose_array([random_pose(rng) for _ in range(19)]) for _ in range(3)])
+    poses = np.stack([np.stack([pose_array([random_pose(rng) for _ in range(19)]) for _ in range(4)])
+                      for _ in range(3)])
+    stacked = align_trajectory(poses, refs)
+    assert stacked.shape == poses.shape
+    for s in range(3):
+        assert np.array_equal(stacked[s], align_trajectory(poses[s], refs[s]))
+        for k in range(4):
+            assert np.array_equal(stacked[s, k], align_trajectory(poses[s, k], refs[s]))
+    assert np.array_equal(align_trajectory(poses[:, 0], refs), stacked[:, 0])
+    with pytest.raises(ValueError, match="do not stack over references"):
+        align_trajectory(poses[:2], refs)
 
 
 def test_batch_path_rejects_non_finite_poses():

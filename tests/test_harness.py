@@ -1026,6 +1026,27 @@ def test_checkpoint_with_mismatched_parts_fails_before_the_stage_writes(tmp_path
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("edit, needle", [
+    (lambda payload: payload.update(params=payload["params"][:-1]),
+     "expected 328 parameters, got shape (327,)"),
+    (lambda payload: payload.pop("obs_noise_sigma"), "field 'obs_noise_sigma' is missing"),
+    (lambda payload: payload.pop("hidden_dim"), "field 'hidden_dim' is missing"),
+    (lambda payload: payload.pop("params"), "field 'params' is missing"),
+    (lambda payload: payload.update(obs_noise_sigma=None), "field 'obs_noise_sigma' is not float: None"),
+], ids=["params-short", "no-obs-noise-sigma", "no-hidden-dim", "no-params",
+                          "null-obs-noise-sigma"])
+def test_edited_checkpoint_fails_naming_the_file_before_the_stage_writes(tmp_path, edit, needle):
+    ckpt = tmp_path / "edited.json"
+    save_checkpoint(ckpt, DynamicsNet(8, 16), make_encoder(8, 5))
+    payload = json.loads(ckpt.read_text())
+    edit(payload)
+    ckpt.write_text(json.dumps(payload))
+    cfg = tiny_config(tmp_path / "run")
+    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(ckpt))}: {re.escape(needle)}$"):
+        cmd_gar(cfg, str(ckpt))
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("stage", [cmd_probe, cmd_gar])
 def test_bad_model_ref_fails_before_the_stage_writes(tmp_path, stage):
     cfg = tiny_config(tmp_path / "run")
