@@ -17,6 +17,7 @@ from .models import (
     ViolationConfig,
     WorldModel,
     exact_step,
+    fold_steps,
     perturbed_step,
     rollout,
     rollout_batch,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .artifacts import write_json
 from .latent import check_noise_sigma, pose_features
-from .models import WorldModel, read_trajectory_jsonl, step_batch, write_trajectory_jsonl
+from .models import WorldModel, fold_steps, read_trajectory_jsonl, write_trajectory_jsonl
 from .se2 import wrap_angles
 from .segments import ActionSegment
 
@@ -103,15 +103,12 @@ def generate_records(
     seed: int,
     start_pos_sigma: float = 1.0,
 ) -> Dataset:
-    """Step all of ``sample_sequences``' trajectories at once through the
-    model's step; trajectory i keeps drawing from its own generator."""
+    """Fold the model's step over all of ``sample_sequences``' trajectories
+    at once (``fold_steps``); trajectory i keeps drawing from its own
+    generator. An increment model folds them as one rollout."""
     starts, actions, rngs = sample_sequences(n_trajectories, length, action_dist, seed,
                                              start_pos_sigma)
-    poses = np.empty((n_trajectories, length + 1, 3))
-    poses[:, 0] = starts
-    for t in range(length):
-        poses[:, t + 1] = step_batch(model, poses[:, t], actions[:, t], rngs)
-    return Dataset(poses, actions)
+    return Dataset(fold_steps(model, starts, actions, rngs), actions)
 
 
 def write_dataset(out_dir, dataset: Dataset, meta: dict) -> dict:

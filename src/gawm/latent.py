@@ -341,6 +341,8 @@ def load_checkpoint(path) -> tuple[DynamicsNet, FeatureEncoder, dict]:
     raises a ValueError naming the file."""
     with open(path) as f:
         payload = json.load(f)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint {path}: the top level is {type(payload).__name__}, not an object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported version {payload.get('version')!r}")
 

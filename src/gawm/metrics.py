@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .artifacts import write_csv, write_json, write_text
-from .models import WorldModel, rollout_batch, step_batch
+from .models import WorldModel, fold_steps, rollout_batch
 from .se2 import (
     DistanceParams,
     check_finite_poses,
@@ -222,18 +222,21 @@ def _walk_probe(model: WorldModel, starts, actions, cfg: ProbeConfig, dist: Dist
                 seed: int, concentration: float = 1.0) -> ProbeResult:
     """Walk every sequence's action stream in lockstep and branch probes off it.
 
-    Row s is sequence s. Its stream steps through the model's step, batched
-    over the rows, drawing from the generator keyed (kind, k, l, s, 0).
-    Every stream probes at the same positions. At the j-th (in sorted
-    order) each row branches with generators keyed 1 + j (identity,
-    inverse) or 1 + 3j for the Dirichlet weights and 2 + 3j, 3 + 3j for
-    the two windows (composition), and every branch segment runs as one
-    batched rollout over the rows. Errors come out in sequence order,
+    Row s is sequence s. Its stream folds the model's step (``fold_steps``),
+    batched over the rows, drawing from the generator keyed (kind, k, l, s, 0).
+    Every stream probes at the same positions, and the streams advance from
+    stop to stop: the sorted distinct positions, then the stream end. An
+    increment model advances each stretch as one rollout. At the j-th
+    position (in sorted order) each row branches with generators keyed 1 + j
+    (identity, inverse) or 1 + 3j for the Dirichlet weights and 2 + 3j,
+    3 + 3j for the two windows (composition), and every branch segment runs
+    as one batched rollout over the rows. Errors come out in sequence order,
     then position order. The streams run to their last action, as in
     per-pose evaluation, so an invalid pose anywhere along them raises.
     """
     states, actions = _check_sequences(starts, actions)
-    positions = probe_positions(cfg, actions.shape[1])
+    n = actions.shape[1]
+    positions = probe_positions(cfg, n)
     key = (_KIND_CODE[cfg.kind], cfg.k, cfg.l)
     rows = range(len(actions))
     dirichlet = DirichletParams(concentration=concentration)
@@ -245,7 +248,10 @@ def _walk_probe(model: WorldModel, starts, actions, cfg: ProbeConfig, dist: Dist
         return rollout_batch(model, states, segments, rngs)[:, -1]
 
     order = sorted(positions)
-    for t in range(actions.shape[1] + 1):
+    t = 0
+    for stop in sorted({*positions, n}):
+        states = fold_steps(model, states, actions[:, t:stop], stream_rngs)[:, -1]
+        t = stop
         for j in [j for j, p in enumerate(order) if p == t]:
             if cfg.kind == KIND_IDENTITY:
                 end = branch_ends(np.zeros((len(rows), cfg.l, 3)), 1 + j)
@@ -264,8 +270,6 @@ def _walk_probe(model: WorldModel, starts, actions, cfg: ProbeConfig, dist: Dist
                 ])
                 errors[:, j] = state_distances(branch_ends(windows, 2 + 3 * j),
                                                branch_ends(recomposed, 3 + 3 * j), dist)
-        if t < actions.shape[1]:
-            states = step_batch(model, states, actions[:, t], stream_rngs)
     return ProbeResult(
         kind=cfg.kind,
         k=cfg.k,

@@ -270,25 +270,44 @@ def step_batch(model: WorldModel, states: np.ndarray, actions: np.ndarray, rngs)
     ])
 
 
+def fold_steps(model: WorldModel, starts: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
+    """The model's step folded over (B, T, 3) ``[dx, dy, dtheta]`` actions
+    from (B, 3) ``[theta, x, y]`` starts, as (B, T+1, 3) poses; row b draws
+    only from ``rngs[b]``, in time order.
+
+    An increment model's step is its one-step rollout, so its fold is one
+    ``rollout_batch`` call, bit for bit. Every other model steps one action
+    at a time through ``step_batch``: a learned model's native rollout
+    carries its latent across steps and so is not a fold of its step.
+    """
+    if isinstance(model, _IncrementModel):
+        return model.rollout_batch(starts, actions, rngs)
+    poses = np.empty((len(starts), actions.shape[1] + 1, 3))
+    poses[:, 0] = starts
+    for t in range(actions.shape[1]):
+        poses[:, t + 1] = step_batch(model, poses[:, t], actions[:, t], rngs)
+    return poses
+
+
 def rollout_batch(model: WorldModel, starts: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
     """The model's native rollout of B action rows, as (B, T+1, 3) poses.
 
     ``starts`` is (B, 3) ``[theta, x, y]``, ``actions`` is (B, T, 3)
     ``[dx, dy, dtheta]``, and row b draws only from ``rngs[b]``. A model's
     own ``rollout_batch`` runs all rows at once; otherwise each row goes
-    through the model's ``sample_trajectory``, or through ``rollout`` if
-    it has none.
+    through the model's ``sample_trajectory``, or, if it has none, all
+    rows fold its step (``fold_steps``).
     """
     native = getattr(model, "rollout_batch", None)
     if native is not None:
         return native(starts, actions, rngs)
     sampler = getattr(model, "sample_trajectory", None)
-    rows = []
-    for start, row, rng in zip(starts.tolist(), actions, rngs):
-        pose, segment = Pose2(*start), ActionSegment(row)
-        traj = sampler(pose, segment, rng) if sampler is not None else rollout(model, pose, segment, rng)
-        rows.append(traj.as_array())
-    return np.stack(rows)
+    if sampler is None:
+        return fold_steps(model, starts, actions, rngs)
+    return np.stack([
+        sampler(Pose2(*start), ActionSegment(row), rng).as_array()
+        for start, row, rng in zip(starts.tolist(), actions, rngs)
+    ])
 
 
 def write_trajectory_jsonl(path, poses: np.ndarray, header: dict) -> None:

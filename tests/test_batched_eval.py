@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from gawm import metrics
+from gawm import metrics, models
 from gawm.config import ProbeSuiteConfig
 from gawm.latent import (
     DynamicsNet,
@@ -21,6 +21,7 @@ from gawm.latent import (
     make_encoder,
 )
 from gawm.metrics import (
+    KIND_COMPOSITION,
     KIND_IDENTITY,
     KIND_INVERSE,
     ProbeConfig,
@@ -34,6 +35,7 @@ from gawm.models import (
     ExactModel,
     PerturbedModel,
     ViolationConfig,
+    fold_steps,
     rollout_batch,
     step_batch,
 )
@@ -176,6 +178,95 @@ def test_step_only_model_goes_through_the_fallback():
     assert model.steps == steps + 3 * 3 * 12
     assert gar == evaluate_gar(model.inner, *seqs, [12], 3, DIST, 3)
     assert gar == reference_gar(model, *seqs, [12], 3, DIST, 3)
+
+
+FOLDED = {**MODELS, "step-only": StepOnly}
+
+
+@pytest.mark.parametrize("t", [0, 1, 13])
+@pytest.mark.parametrize("name", FOLDED)
+def test_fold_equals_a_step_batch_loop(name, t):
+    model = FOLDED[name]()
+    starts, actions = _turning_sequences(4, t)
+    rngs = [_rng(300 + b) for b in range(4)]
+    got = fold_steps(model, starts, actions, rngs)
+    loop_rngs = [_rng(300 + b) for b in range(4)]
+    want = [starts]
+    for i in range(t):
+        want.append(step_batch(model, want[-1], actions[:, i], loop_rngs))
+    assert np.array_equal(got, np.stack(want, axis=1))
+    assert [rng.bit_generator.state for rng in rngs] == [
+        rng.bit_generator.state for rng in loop_rngs]
+
+
+def _walk_lengths(cfg, n, stream):
+    """Action counts of the rollouts ``_walk_probe`` runs for one config, in
+    call order: with ``stream``, one per stop for the stretch that reaches
+    it, and after it one per branch at that stop."""
+    positions = metrics.probe_positions(cfg, n)
+    branch = {KIND_IDENTITY: [cfg.l], KIND_INVERSE: [2 * cfg.l], KIND_COMPOSITION: [cfg.l] * 2}
+    lengths, t = [], 0
+    for stop in sorted({*positions, n}):
+        lengths += [stop - t] if stream else []
+        lengths += branch[cfg.kind] * positions.count(stop)
+        t = stop
+    return lengths
+
+
+def _recording(monkeypatch, cls, name, lengths):
+    inner = getattr(cls, name)
+
+    def record(self, starts, actions, rngs):
+        lengths.append(actions.shape[1] if actions.ndim == 3 else None)
+        return inner(self, starts, actions, rngs)
+
+    monkeypatch.setattr(cls, name, record)
+
+
+@pytest.mark.parametrize("name", ["exact", "noise"])
+def test_walk_probe_folds_an_increment_stream_once_per_stop(monkeypatch, name):
+    lengths = []
+    _recording(monkeypatch, models._IncrementModel, "rollout_batch", lengths)
+    model = MODELS[name]()
+    seqs = _turning_sequences(3, 20)
+    for cfg in GRID:
+        lengths.clear()
+        metrics.run_probe(model, *seqs, cfg, DIST, 3, 0.5)
+        assert lengths == _walk_lengths(cfg, 20, stream=True), cfg
+    assert any(0 in metrics.probe_positions(cfg, 20) for cfg in GRID)
+
+
+def test_walk_probe_steps_learned_and_third_party_streams(monkeypatch):
+    learned_rollouts, learned_steps = [], []
+    _recording(monkeypatch, LearnedWorldModel, "rollout_batch", learned_rollouts)
+    _recording(monkeypatch, LearnedWorldModel, "step_batch", learned_steps)
+    learned, third_party = MODELS["learned"](), Recording(MODELS["exact"]())
+    seqs = _turning_sequences(3, 20)
+    for cfg in GRID:
+        del learned_rollouts[:], learned_steps[:], third_party.calls[:]
+        metrics.run_probe(learned, *seqs, cfg, DIST, 3, 0.5)
+        metrics.run_probe(third_party, *seqs, cfg, DIST, 3, 0.5)
+        branches = _walk_lengths(cfg, 20, stream=False)
+        assert learned_rollouts == branches, cfg
+        assert learned_steps == [None] * 20, cfg
+        assert [actions.shape[1] for _, actions, _ in third_party.calls] == branches, cfg
+
+
+@pytest.mark.parametrize("drift", [1e307, 4e306], ids=["before-the-stop", "after-the-stop"])
+def test_stream_overflow_inside_a_folded_stretch_raises(drift):
+    # straight streams of 64 actions whose x grows by the drift every step:
+    # it overflows at step 18 or 45, inside the stretch before or after the
+    # identity stop at 32
+    model = PerturbedModel(ViolationConfig(drift_bias=ActionIncrement(drift, 0.0, 0.0)))
+    starts, actions = np.zeros((3, 3)), np.tile([0.05, 0.0, 0.0], (3, 64, 1))
+    grid = [ProbeConfig(KIND_IDENTITY, k=1, l=1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_gac(model, starts, actions, grid, DIST, 0)
+        with pytest.raises(ValueError, match="finite"):
+            reference_gac(model, starts, actions, grid, DIST, 0)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        evaluate_gac(model, starts, actions, grid, DIST, 0)
 
 
 @pytest.mark.parametrize("rows", [1, 5, 20, 27])

@@ -1047,6 +1047,18 @@ def test_edited_checkpoint_fails_naming_the_file_before_the_stage_writes(tmp_pat
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("text, kind", [("[1]", "list"), ("null", "NoneType"), ('"x"', "str")])
+def test_checkpoint_that_is_not_an_object_fails_naming_the_file_before_the_stage_writes(
+        tmp_path, text, kind):
+    ckpt = tmp_path / "edited.json"
+    ckpt.write_text(text)
+    cfg = tiny_config(tmp_path / "run")
+    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(ckpt))}: "
+                                         f"the top level is {kind}, not an object$"):
+        cmd_gar(cfg, str(ckpt))
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("stage", [cmd_probe, cmd_gar])
 def test_bad_model_ref_fails_before_the_stage_writes(tmp_path, stage):
     cfg = tiny_config(tmp_path / "run")
