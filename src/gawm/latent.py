@@ -336,9 +336,9 @@ def save_checkpoint(path, net: DynamicsNet, encoder: FeatureEncoder, meta: dict 
 
 
 def load_checkpoint(path) -> tuple[DynamicsNet, FeatureEncoder, dict]:
-    """The net, encoder and meta saved by ``save_checkpoint``. An unknown
-    version, a missing field or a part whose shape does not fit the dims
-    raises a ValueError naming the file."""
+    """The net, encoder and meta saved by ``save_checkpoint``. A top level
+    that is not an object, an unknown version, a missing field or a part
+    whose shape does not fit the dims raises a ValueError naming the file."""
     with open(path) as f:
         payload = json.load(f)
     if not isinstance(payload, dict):
