@@ -58,7 +58,7 @@ from .metrics import (
     write_gar_csv,
     write_gar_json,
 )
-from .models import ExactModel, PerturbedModel, ViolationConfig, WorldModel
+from .models import ExactModel, PerturbedModel, ViolationConfig, WorldModel, is_deterministic
 from .se2 import DistanceParams
 from .training import LOSS_COLUMNS, NonFiniteLossError, TrainResult, prediction_loss, train_group
 
@@ -104,16 +104,6 @@ def parse_model_ref(ref: str, eval_noise_sigma: float = 0.0) -> tuple[WorldModel
             model = model.with_obs_noise(eval_noise_sigma)
         return model, path.stem
     raise UnknownModelRefError(f"unknown model reference: {ref!r}")
-
-
-def model_is_deterministic(model: WorldModel) -> bool:
-    if isinstance(model, ExactModel):
-        return True
-    if isinstance(model, PerturbedModel):
-        return not model.cfg.is_stochastic()
-    if isinstance(model, LearnedWorldModel):
-        return model.encoder.obs_noise_sigma == 0.0
-    return False
 
 
 def _read_json(path) -> dict:
@@ -353,7 +343,7 @@ def cmd_gar(cfg: ExperimentConfig, model_ref: str):
     starts, actions, _ = sample_sequences(
         cfg.gar.n_sequences, max(cfg.gar.horizons), cfg.gar.action_dist, seed
     )
-    note = "deterministic model: dispersion is zero" if model_is_deterministic(model) else None
+    note = "deterministic model: dispersion is zero" if is_deterministic(model) else None
     report = evaluate_gar(
         model, starts, actions, cfg.gar.horizons, cfg.gar.n_rollouts,
         DistanceParams(alpha_rot=cfg.gar.alpha_rot), seed, note=note,

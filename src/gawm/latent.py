@@ -270,6 +270,10 @@ class LearnedWorldModel:
         self.decoder = decoder if decoder is not None else make_decoder(encoder)
         self.name = name
 
+    @property
+    def deterministic(self) -> bool:
+        return self.encoder.obs_noise_sigma == 0.0
+
     def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
         z = encode(state, self.encoder, rng)
         return decode(net_step(z, action, self.net), self.decoder)

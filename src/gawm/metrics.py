@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .artifacts import write_csv, write_json, write_text
-from .models import WorldModel, fold_steps, rollout_batch
+from .models import WorldModel, fold_steps, is_deterministic, rollout_batch
 from .se2 import (
     DistanceParams,
     check_finite_poses,
@@ -168,7 +168,7 @@ def probe_identity(model: WorldModel, starts, actions, cfg: ProbeConfig,
     each pause window. The stream continues from the pause endpoint."""
     if cfg.kind != KIND_IDENTITY:
         raise ValueError(f"expected an identity config, got {cfg.kind!r}")
-    return _walk_probe(model, starts, actions, cfg, dist, seed)
+    return _walk_probe(model, starts, actions, [cfg], dist, seed)[0]
 
 
 def probe_inverse(model: WorldModel, starts, actions, cfg: ProbeConfig,
@@ -178,7 +178,7 @@ def probe_inverse(model: WorldModel, starts, actions, cfg: ProbeConfig,
     unaffected by the branches."""
     if cfg.kind != KIND_INVERSE:
         raise ValueError(f"expected an inverse config, got {cfg.kind!r}")
-    return _walk_probe(model, starts, actions, cfg, dist, seed)
+    return _walk_probe(model, starts, actions, [cfg], dist, seed)[0]
 
 
 def probe_composition(model: WorldModel, starts, actions, cfg: ProbeConfig,
@@ -189,7 +189,7 @@ def probe_composition(model: WorldModel, starts, actions, cfg: ProbeConfig,
     the endpoint mismatch."""
     if cfg.kind != KIND_COMPOSITION:
         raise ValueError(f"expected a composition config, got {cfg.kind!r}")
-    return _walk_probe(model, starts, actions, cfg, dist, seed, concentration)
+    return _walk_probe(model, starts, actions, [cfg], dist, seed, concentration)[0]
 
 
 def probe_positions(cfg: ProbeConfig, n: int) -> tuple[int, ...]:
@@ -218,67 +218,69 @@ def _check_sequences(starts, actions) -> tuple[np.ndarray, np.ndarray]:
     return starts, actions
 
 
-def _walk_probe(model: WorldModel, starts, actions, cfg: ProbeConfig, dist: DistanceParams,
-                seed: int, concentration: float = 1.0) -> ProbeResult:
-    """Walk every sequence's action stream in lockstep and branch probes off it.
+def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
+                dist: DistanceParams, seed: int, concentration: float = 1.0) -> list[ProbeResult]:
+    """Walk every sequence's action stream in lockstep and branch the probes
+    of each config in ``cfgs`` off it, one result per config.
 
     Row s is sequence s. Its stream folds the model's step (``fold_steps``),
-    batched over the rows, drawing from the generator keyed (kind, k, l, s, 0).
-    Every stream probes at the same positions, and the streams advance from
-    stop to stop: the sorted distinct positions, then the stream end. An
-    increment model advances each stretch as one rollout. At the j-th
-    position (in sorted order) each row branches with generators keyed 1 + j
-    (identity, inverse) or 1 + 3j for the Dirichlet weights and 2 + 3j,
-    3 + 3j for the two windows (composition), and every branch segment runs
-    as one batched rollout over the rows. Errors come out in sequence order,
-    then position order. The streams run to their last action, as in
-    per-pose evaluation, so an invalid pose anywhere along them raises.
+    batched over the rows, drawing from the generator keyed (kind, k, l, s, 0)
+    of the first config. The streams advance from stop to stop: the sorted
+    distinct positions of all configs, then the stream end. An increment
+    model advances each stretch as one rollout. At a config's j-th position
+    (in sorted order) each row branches with that config's generators keyed
+    1 + j (identity, inverse) or 1 + 3j for the Dirichlet weights and
+    2 + 3j, 3 + 3j for the two windows (composition), and every branch
+    segment runs as one batched rollout over the rows. Errors come out in
+    sequence order, then position order. The streams run to their last
+    action, as in per-pose evaluation, so an invalid pose anywhere along
+    them raises.
+
+    A walk of several configs stands for one walk per config only when
+    the model draws no noise and no config is identity, whose pause end
+    replaces the stream state.
     """
     states, actions = _check_sequences(starts, actions)
     n = actions.shape[1]
-    positions = probe_positions(cfg, n)
-    key = (_KIND_CODE[cfg.kind], cfg.k, cfg.l)
     rows = range(len(actions))
     dirichlet = DirichletParams(concentration=concentration)
-    stream_rngs = _Generators(seed, [(*key, s, 0) for s in rows])
-    errors = np.empty((len(actions), len(positions)))
+    keys = [(_KIND_CODE[cfg.kind], cfg.k, cfg.l) for cfg in cfgs]
+    positions = [probe_positions(cfg, n) for cfg in cfgs]
+    stream_rngs = _Generators(seed, [(*keys[0], s, 0) for s in rows])
+    errors = [np.empty((len(actions), len(p))) for p in positions]
 
-    def branch_ends(segments, slot):
+    def branch_ends(key, segments, slot):
         rngs = _Generators(seed, [(*key, s, slot) for s in rows])
         return rollout_batch(model, states, segments, rngs)[:, -1]
 
-    order = sorted(positions)
     t = 0
-    for stop in sorted({*positions, n}):
+    for stop in sorted({n, *(p for ps in positions for p in ps)}):
         states = fold_steps(model, states, actions[:, t:stop], stream_rngs)[:, -1]
         t = stop
-        for j in [j for j, p in enumerate(order) if p == t]:
-            if cfg.kind == KIND_IDENTITY:
-                end = branch_ends(np.zeros((len(rows), cfg.l, 3)), 1 + j)
-                errors[:, j] = state_distances(end, states, dist)
-                states = end
-                continue
-            windows = actions[:, t : t + cfg.l]
-            if cfg.kind == KIND_INVERSE:
-                cycles = np.stack([make_inverse_segment(u).array for u in windows])
-                errors[:, j] = state_distances(branch_ends(cycles, 1 + j), states, dist)
-            else:
-                recomposed = np.stack([
-                    make_compatibility_segment(u, dirichlet, _probe_rng(seed, *key, s, 1 + 3 * j))
-                    .array
-                    for s, u in zip(rows, windows)
-                ])
-                errors[:, j] = state_distances(branch_ends(windows, 2 + 3 * j),
-                                               branch_ends(recomposed, 3 + 3 * j), dist)
-    return ProbeResult(
-        kind=cfg.kind,
-        k=cfg.k,
-        l=cfg.l,
-        mean=float(errors.mean()),
-        std=float(errors.std()),
-        n_instances=errors.size,
-        start_positions=positions,
-    )
+        for cfg, key, ps, err in zip(cfgs, keys, positions, errors):
+            for j in [j for j, p in enumerate(sorted(ps)) if p == t]:
+                if cfg.kind == KIND_IDENTITY:
+                    end = branch_ends(key, np.zeros((len(rows), cfg.l, 3)), 1 + j)
+                    err[:, j] = state_distances(end, states, dist)
+                    states = end
+                    continue
+                windows = actions[:, t : t + cfg.l]
+                if cfg.kind == KIND_INVERSE:
+                    cycles = np.stack([make_inverse_segment(u).array for u in windows])
+                    err[:, j] = state_distances(branch_ends(key, cycles, 1 + j), states, dist)
+                else:
+                    recomposed = np.stack([
+                        make_compatibility_segment(u, dirichlet, _probe_rng(seed, *key, s, 1 + 3 * j))
+                        .array
+                        for s, u in zip(rows, windows)
+                    ])
+                    err[:, j] = state_distances(branch_ends(key, windows, 2 + 3 * j),
+                                                branch_ends(key, recomposed, 3 + 3 * j), dist)
+    return [
+        ProbeResult(kind=cfg.kind, k=cfg.k, l=cfg.l, mean=float(err.mean()), std=float(err.std()),
+                    n_instances=err.size, start_positions=ps)
+        for cfg, ps, err in zip(cfgs, positions, errors)
+    ]
 
 
 def run_probe(model: WorldModel, starts, actions, cfg: ProbeConfig, dist: DistanceParams,
@@ -330,11 +332,17 @@ def evaluate_gac(model: WorldModel, starts, actions, grid, dist: DistanceParams,
     increment.
 
     Results are ordered by sorted probe identifier so the report does not
-    depend on evaluation order.
+    depend on evaluation order. For a model that draws no noise
+    (``is_deterministic``), every inverse and composition config folds the
+    same stream, so they share one walk; each still branches at its own
+    positions with its own generators, and the report is the same.
     """
     ordered = sorted(grid, key=lambda c: (_KIND_CODE[c.kind], c.k, c.l))
+    shared = [c for c in ordered if c.kind != KIND_IDENTITY] if is_deterministic(model) else []
     results = [run_probe(model, starts, actions, cfg, dist, seed, concentration)
-               for cfg in ordered]
+               for cfg in ordered if cfg not in shared]
+    if shared:
+        results += _walk_probe(model, starts, actions, shared, dist, seed, concentration)
     return aggregate_gac(results)
 
 
@@ -444,7 +452,10 @@ def evaluate_gar(model: WorldModel, starts, actions, horizons, n_rollouts: int,
     sequence s uses a generator derived from (seed, s, i), so the suite
     is reproducible and does not depend on the batch size. Each batch's
     dispersions are computed as arrays over its sequences, each value
-    equal to ``gar_error`` of that sequence's rollouts.
+    equal to ``gar_error`` of that sequence's rollouts. A model that draws
+    no noise (``is_deterministic``) would repeat one rollout R times, so
+    each sequence rolls once, its poses are checked, and its dispersions
+    are zero.
     """
     starts, actions = _check_sequences(starts, actions)
     if n_rollouts < 2:
@@ -460,15 +471,19 @@ def evaluate_gar(model: WorldModel, starts, actions, horizons, n_rollouts: int,
     if actions.shape[1] < t_max:
         raise ValueError(f"sequences have {actions.shape[1]} actions, need >= {t_max}")
     n_seq = len(actions)
-    aligned = np.empty((len(horizons), n_seq))
-    nonaligned = np.empty((len(horizons), n_seq))
-    per_batch = max(1, GAR_BATCH_ROWS // n_rollouts)
+    aligned = np.zeros((len(horizons), n_seq))
+    nonaligned = np.zeros((len(horizons), n_seq))
+    deterministic = is_deterministic(model)
+    reps = 1 if deterministic else n_rollouts
+    per_batch = max(1, GAR_BATCH_ROWS // reps)
     for lo in range(0, n_seq, per_batch):
         hi = min(lo + per_batch, n_seq)
-        rngs = _Generators(seed, [(3, s, i) for s in range(lo, hi) for i in range(n_rollouts)])
-        full = rollout_batch(model, np.repeat(starts[lo:hi], n_rollouts, axis=0),
-                             np.repeat(actions[lo:hi, :t_max], n_rollouts, axis=0), rngs)
+        rngs = _Generators(seed, [(3, s, i) for s in range(lo, hi) for i in range(reps)])
+        full = rollout_batch(model, np.repeat(starts[lo:hi], reps, axis=0),
+                             np.repeat(actions[lo:hi, :t_max], reps, axis=0), rngs)
         check_finite_poses(full)
+        if deterministic:
+            continue
         full = full.reshape(hi - lo, n_rollouts, t_max + 1, 3)
         for k, h in enumerate(horizons):
             poses = full[:, :, : h + 1]

@@ -28,11 +28,20 @@ class WorldModel(Protocol):
     A model may also define ``step_batch`` and ``rollout_batch``, the array
     forms of its step and of its rollout with the signatures of the
     module-level functions of the same names; those functions use them
-    when present.
+    when present. A model that draws no noise may set ``deterministic =
+    True`` so that evaluation skips repeating its rollouts.
     """
 
     def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
         ...
+
+
+def is_deterministic(model: WorldModel) -> bool:
+    """Whether the model declares that it draws no noise (a true
+    ``deterministic`` attribute). Evaluation then rolls each GAR sequence
+    once and shares one probe stream between configs; a model without
+    the attribute is evaluated in full."""
+    return getattr(model, "deterministic", False)
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,7 @@ class ExactModel(_IncrementModel):
     """Deterministic simulator whose step is exact rigid-motion composition."""
 
     name = "exact"
+    deterministic = True
 
     def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
         return exact_step(state, action)
@@ -226,6 +236,10 @@ class PerturbedModel(_IncrementModel):
 
     cfg: ViolationConfig = field(default_factory=ViolationConfig)
     name: str = "perturbed"
+
+    @property
+    def deterministic(self) -> bool:
+        return not self.cfg.is_stochastic()
 
     def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
         return perturbed_step(state, action, self.cfg, rng)

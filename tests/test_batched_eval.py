@@ -6,6 +6,7 @@ evaluation does, so the metric files stay byte-identical.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -82,6 +83,7 @@ MODELS = {
     "learned": _learned,
     "learned-obs-noise": lambda: _learned(0.05),
 }
+DETERMINISTIC = ["exact", "drift", "sat", "asym", "learned"]
 
 
 def _turning_sequences(n=5, length=20, seed=0):
@@ -252,6 +254,58 @@ def test_walk_probe_steps_learned_and_third_party_streams(monkeypatch):
         assert [actions.shape[1] for _, actions, _ in third_party.calls] == branches, cfg
 
 
+def _float_bytes(value):
+    """A report as nested tuples, every float as its IEEE bytes."""
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, (tuple, list)):
+        return tuple(_float_bytes(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((k, _float_bytes(v)) for k, v in value.items())
+    return value
+
+
+def _per_config_gac(model, starts, actions, grid, *args):
+    ordered = sorted(grid, key=lambda c: (metrics._KIND_CODE[c.kind], c.k, c.l))
+    return metrics.aggregate_gac([metrics.run_probe(model, starts, actions, cfg, *args)
+                                  for cfg in ordered])
+
+
+@pytest.mark.parametrize("shape", [(20, 32), (100, 64)], ids=["benchmark", "score-zoo"])
+@pytest.mark.parametrize("name", DETERMINISTIC)
+def test_shared_probe_walk_equals_one_walk_per_config(name, shape):
+    model = MODELS[name]()
+    seqs = _turning_sequences(*shape)
+    args = (DIST, 5, 0.3)
+    got = evaluate_gac(model, *seqs, GRID, *args)
+    assert _float_bytes(asdict(got)) == _float_bytes(asdict(_per_config_gac(model, *seqs, GRID, *args)))
+
+
+def _streams_walked(monkeypatch, model, seqs, grid):
+    """The report of ``evaluate_gac`` and how many whole streams it folded."""
+    folded = []
+
+    def counting(model, starts, actions, rngs):
+        folded.append(actions.shape[1])
+        return fold_steps(model, starts, actions, rngs)
+
+    monkeypatch.setattr(metrics, "fold_steps", counting)
+    report = evaluate_gac(model, *seqs, grid, DIST, 3, 0.5)
+    return report, sum(folded) / seqs[1].shape[1]
+
+
+@pytest.mark.parametrize("name, streams", [("learned", 4), ("noise", 9), ("step-only", 9)])
+def test_noiseless_models_walk_one_stream_for_inverse_and_composition(monkeypatch, name, streams):
+    # the default grid: 3 identity, 3 inverse and 3 composition configs
+    model = FOLDED[name]()
+    grid = ProbeSuiteConfig().probe_grid()
+    seqs = _turning_sequences(4, 24)
+    report, walked = _streams_walked(monkeypatch, model, seqs, grid)
+    assert walked == streams
+    want = _per_config_gac(model, *seqs, grid, DIST, 3, 0.5)
+    assert _float_bytes(asdict(report)) == _float_bytes(asdict(want))
+
+
 @pytest.mark.parametrize("drift", [1e307, 4e306], ids=["before-the-stop", "after-the-stop"])
 def test_stream_overflow_inside_a_folded_stretch_raises(drift):
     # straight streams of 64 actions whose x grows by the drift every step:
@@ -314,6 +368,80 @@ def test_gar_batches_hold_whole_sequences_in_order(monkeypatch, rows, n_rollouts
     assert [state for c in model.calls for state in c[2]] == [
         _probe_rng(5, 3, s, i).bit_generator.state for s in range(7) for i in range(n_rollouts)]
     assert report == evaluate_gar(model.inner, starts, actions, [4, 12], n_rollouts, DIST, 5)
+
+
+class Hidden:
+    """The inner model behind the array protocol, without its
+    ``deterministic`` attribute, so evaluation takes the full path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def step(self, state, action, rng):
+        return self.inner.step(state, action, rng)
+
+    def step_batch(self, states, actions, rngs):
+        return step_batch(self.inner, states, actions, rngs)
+
+    def rollout_batch(self, starts, actions, rngs):
+        return rollout_batch(self.inner, starts, actions, rngs)
+
+
+class DeterministicRecording(Recording):
+    deterministic = True
+
+
+def test_deterministic_models_are_the_noiseless_ones():
+    assert [name for name in MODELS if models.is_deterministic(MODELS[name]())] == DETERMINISTIC
+    assert not any(models.is_deterministic(Hidden(MODELS[name]())) for name in MODELS)
+
+
+@pytest.mark.parametrize("name", DETERMINISTIC)
+def test_deterministic_gar_rolls_each_sequence_once(name):
+    # the score-zoo shape: 100 sequences of 64 actions, 8 rollouts
+    model = MODELS[name]()
+    starts, actions = _turning_sequences(100, 64)
+    args = ([16, 64], 8, DIST, 12)
+    report = evaluate_gar(model, starts, actions, *args)
+    assert report == evaluate_gar(Hidden(model), starts, actions, *args)
+    assert all(v == 0.0 for e in report.entries
+               for v in (e.aligned_mean, e.aligned_std, e.nonaligned_mean, e.nonaligned_std))
+    recording = DeterministicRecording(model)
+    assert evaluate_gar(recording, starts, actions, *args) == report
+    assert [len(c[0]) for c in recording.calls] == [32, 32, 32, 4]
+    assert np.array_equal(np.concatenate([c[0] for c in recording.calls]), starts)
+    assert np.array_equal(np.concatenate([c[1] for c in recording.calls]), actions)
+
+
+def test_deterministic_gar_keeps_its_checks():
+    model = DeterministicRecording(MODELS["exact"]())
+    starts, actions = _turning_sequences(3, 12)
+    with pytest.raises(ValueError, match="n_rollouts must be >= 2"):
+        evaluate_gar(model, starts, actions, [4], 1, DIST, 0)
+    for horizons, message in [([], "must not be empty"), ([4, 4], "must not repeat"),
+                              ([0, 4], "at least one step"), ([13], "need >= 13")]:
+        with pytest.raises(ValueError, match=message):
+            evaluate_gar(model, starts, actions, horizons, 3, DIST, 0)
+    assert model.calls == []
+    # x grows by 1e308 every step and overflows at the second
+    overflow = PerturbedModel(ViolationConfig(drift_bias=ActionIncrement(1e308, 0.0, 0.0)))
+    assert models.is_deterministic(overflow)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_gar(overflow, starts, actions, [4], 3, DIST, 0)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        evaluate_gar(overflow, starts, actions, [4], 3, DIST, 0)
+
+
+def test_deterministic_gar_no_longer_aligns_positions_that_overflow():
+    # positions reach 1.6e155: the full path's alignment squares them and
+    # overflows; a deterministic model's identical rollouts need no alignment
+    model = PerturbedModel(ViolationConfig(drift_bias=ActionIncrement(1e154, 0.0, 0.0)))
+    starts, actions = np.zeros((3, 3)), np.tile([0.05, 0.0, 0.0], (3, 16, 1))
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        evaluate_gar(Hidden(model), starts, actions, [16], 3, DIST, 0)
+    report = evaluate_gar(model, starts, actions, [16], 3, DIST, 0)
+    assert report.entries[0].aligned_mean == report.entries[0].nonaligned_mean == 0.0
 
 
 def test_generators_are_built_once_from_their_keys():

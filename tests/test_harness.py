@@ -39,7 +39,7 @@ from gawm.harness import (
     sweep_points,
 )
 from gawm.latent import DynamicsNet, LearnedWorldModel, make_encoder, save_checkpoint
-from gawm.models import ExactModel, PerturbedModel
+from gawm.models import ExactModel, PerturbedModel, is_deterministic
 from gawm.segments import ActionSegment
 from gawm.training import NonFiniteLossError, TrainRunConfig, train_group
 
@@ -180,6 +180,35 @@ def test_parse_model_ref_named_forms():
     assert model.cfg.asym_gain == (1.2, 1.0)
     model, _ = parse_model_ref('perturbed:{"noise_sigma": 0.01, "saturation_scale": 2.0}')
     assert model.cfg.noise_sigma == 0.01 and model.cfg.saturation_scale == 2.0
+
+
+class _StepOnlyModel:
+    """A third-party model with only ``step``."""
+
+    def step(self, state, action, rng):
+        return state
+
+
+@pytest.mark.parametrize("ref, eval_noise, expected", [
+    ("exact", 0.0, True),
+    ("drift:0.1,0,0", 0.0, True),
+    ("sat:1.5", 0.0, True),
+    ("asym:1.2,1.0", 0.0, True),
+    ("checkpoint", 0.0, True),
+    ("noise:0.02", 0.0, False),
+    ('perturbed:{"noise_sigma": 0.01, "saturation_scale": 2.0}', 0.0, False),
+    ("checkpoint", 0.01, False),
+    ("step-only", 0.0, False),
+])
+def test_model_declares_whether_it_draws_noise(tmp_path, ref, eval_noise, expected):
+    if ref == "step-only":
+        model = _StepOnlyModel()
+    else:
+        if ref == "checkpoint":
+            ref = str(tmp_path / "ckpt.json")
+            save_checkpoint(ref, DynamicsNet(8, 4), make_encoder(8, 3))
+        model, _ = parse_model_ref(ref, eval_noise)
+    assert is_deterministic(model) is expected
 
 
 def test_parse_model_ref_rejects_non_finite_gains():
