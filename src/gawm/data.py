@@ -12,6 +12,7 @@ a dataset is three arrays and nothing else.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +24,10 @@ from .artifacts import write_json
 from .latent import check_noise_sigma, pose_features
 from .models import WorldModel, fold_steps, read_trajectory_jsonl, write_trajectory_jsonl
 from .se2 import wrap_angles
-from .segments import ActionSegment
+from .segments import ActionSegment, _valid_segment, check_increments
+
+# evaluation suites (probe, GAR) whose sequences a process keeps
+EVALUATION_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,26 @@ def sample_sequences(n: int, length: int, action_dist: ActionDistribution, seed:
     return starts, actions, rngs
 
 
+@functools.lru_cache(maxsize=EVALUATION_CACHE_SIZE)
+def evaluation_sequences(n: int, length: int, action_dist: ActionDistribution,
+                         seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_sequences``' (n, 3) starts and (n, length, 3) actions,
+    without the generators: drawn once per process for each argument
+    tuple (the last ``EVALUATION_CACHE_SIZE`` kept) and shared read-only
+    by every model scored on them."""
+    starts, actions, _ = sample_sequences(n, length, action_dist, seed)
+    starts.flags.writeable = False
+    actions.flags.writeable = False
+    return starts, actions
+
+
 class Dataset:
     """Equal-length trajectories: ``poses`` (N, T+1, 3), ``actions`` (N, T, 3)
-    and every pose's (x, y, cos theta, sin theta) in ``features`` (N, T+1, 4)."""
+    and every pose's (x, y, cos theta, sin theta) in ``features`` (N, T+1, 4).
+
+    Every action is checked once, here, as ``ActionIncrement`` checks it;
+    ``actions`` is a read-only view, so its segments need no re-check.
+    """
 
     def __init__(self, poses: np.ndarray, actions: np.ndarray):
         if len(poses) == 0:
@@ -78,8 +99,10 @@ class Dataset:
         if poses.shape != (n, t + 1, 3) or actions.shape != (n, t, 3):
             raise ValueError(f"expected (N, T+1, 3) poses and (N, T, 3) actions, "
                              f"got {poses.shape} and {actions.shape}")
+        check_increments(actions.reshape(-1, 3))
         self.poses = poses
-        self.actions = actions
+        self.actions = actions.view()
+        self.actions.flags.writeable = False
         self.features = pose_features(poses)
 
     @property
@@ -92,7 +115,7 @@ class Dataset:
     def segment(self, i: int, t: int, l: int) -> ActionSegment:
         if t + l > self.length:
             raise ValueError(f"segment [{t}, {t + l}) exceeds trajectory length {self.length}")
-        return ActionSegment(self.actions[i, t : t + l])
+        return _valid_segment(self.actions[i, t : t + l])
 
 
 def generate_records(
@@ -130,7 +153,7 @@ def write_dataset(out_dir, dataset: Dataset, meta: dict) -> dict:
 
 def load_dataset(path) -> Dataset:
     """Read a dataset directory; poses are checked and wrapped as ``Pose2``
-    would, and actions checked as ``ActionIncrement`` would."""
+    would, and ``Dataset`` checks the actions."""
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {root}")
@@ -138,7 +161,7 @@ def load_dataset(path) -> Dataset:
     for traj_path in sorted(root.glob("traj_*.jsonl")):
         header, traj = read_trajectory_jsonl(traj_path)
         with open(root / header["actions_file"]) as f:
-            rows = ActionSegment(json.load(f)).array
+            rows = np.array(json.load(f), dtype=np.float64)
         if len(traj) != len(rows) + 1:
             raise ValueError(f"{traj_path} holds {len(traj)} poses for {len(rows)} actions")
         poses.append(traj)

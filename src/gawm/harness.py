@@ -36,9 +36,9 @@ from .config import (
 )
 from .data import (
     Dataset,
+    evaluation_sequences,
     generate_records,
     load_dataset,
-    sample_sequences,
     write_dataset,
 )
 from .latent import (
@@ -51,6 +51,7 @@ from .latent import (
 from .metrics import (
     evaluate_gac,
     evaluate_gar,
+    gar_repeats,
     write_gac_csv,
     write_gac_gnuplot,
     write_gac_json,
@@ -311,7 +312,7 @@ def cmd_probe(cfg: ExperimentConfig, model_ref: str):
     stage = _Stage(cfg, "probe")
     out_dir = stage.out_dir
     seed = stage_seed(cfg.seed, STAGE_PROBE)
-    starts, actions, _ = sample_sequences(
+    starts, actions = evaluation_sequences(
         cfg.probes.n_sequences, cfg.probes.sequence_length, cfg.probes.action_dist, seed
     )
     dist = DistanceParams(alpha_rot=cfg.probes.alpha_rot)
@@ -340,7 +341,7 @@ def cmd_gar(cfg: ExperimentConfig, model_ref: str):
     stage = _Stage(cfg, "gar")
     out_dir = stage.out_dir
     seed = stage_seed(cfg.seed, STAGE_GAR)
-    starts, actions, _ = sample_sequences(
+    starts, actions = evaluation_sequences(
         cfg.gar.n_sequences, max(cfg.gar.horizons), cfg.gar.action_dist, seed
     )
     note = "deterministic model: dispersion is zero" if is_deterministic(model) else None
@@ -352,7 +353,8 @@ def cmd_gar(cfg: ExperimentConfig, model_ref: str):
     csv_path = out_dir / "gar.csv"
     write_gar_json(json_path, report, model_name)
     write_gar_csv(csv_path, report, model_name)
-    stage.finish([json_path, csv_path], rollouts=len(starts) * cfg.gar.n_rollouts)
+    stage.finish([json_path, csv_path],
+                 rollouts=len(starts) * gar_repeats(model, cfg.gar.n_rollouts))
     return report
 
 

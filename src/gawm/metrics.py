@@ -16,6 +16,7 @@ best global rigid transform per rollout.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -30,12 +31,7 @@ from .se2 import (
     state_distances,
     wrap_angles,
 )
-from .segments import (
-    ActionSegment,
-    DirichletParams,
-    make_compatibility_segment,
-    make_inverse_segment,
-)
+from .segments import DirichletParams, check_increments, sample_dirichlet_weights
 
 KIND_IDENTITY = "identity"
 KIND_INVERSE = "inverse"
@@ -47,6 +43,9 @@ MAX_LOCAL_WINDOW = 8
 # rollouts per GAR rollout_batch, filled with whole sequences (at least one);
 # it bounds the size of a batch's arrays and so the peak memory of GAR
 GAR_BATCH_ROWS = 32
+
+# branch segment sets (one config at one stop) that a process keeps
+BRANCH_CACHE_SIZE = 16
 
 _KIND_CODE = {KIND_IDENTITY: 0, KIND_INVERSE: 1, KIND_COMPOSITION: 2}
 
@@ -202,7 +201,7 @@ def probe_positions(cfg: ProbeConfig, n: int) -> tuple[int, ...]:
 def _check_sequences(starts, actions) -> tuple[np.ndarray, np.ndarray]:
     """Evaluation sequences as float64 arrays: S >= 1 ``[theta, x, y]``
     start rows (S, 3) and their ``[dx, dy, dtheta]`` action streams
-    (S, L, 3), every action checked as ``ActionSegment`` checks a row.
+    (S, L, 3), every action checked as ``ActionIncrement`` checks it.
 
     The shapes must agree exactly; numpy would otherwise broadcast one
     start row to every stream.
@@ -214,8 +213,49 @@ def _check_sequences(starts, actions) -> tuple[np.ndarray, np.ndarray]:
                          f"got {starts.shape} and {actions.shape}")
     if len(actions) == 0:
         raise ValueError("no evaluation sequences")
-    ActionSegment(actions.reshape(-1, 3))
+    check_increments(actions.reshape(-1, 3))
     return starts, actions
+
+
+def _branch_segments(kind: str, windows: np.ndarray, seed: int, key: tuple[int, ...], j: int,
+                     dirichlet: DirichletParams) -> np.ndarray:
+    """The branch segments of the config keyed ``key`` at its j-th stop,
+    one per row of the (S, l, 3) ``windows``, as one read-only array:
+    forward-inverse cycles (S, 2l, 3) for an inverse config, Dirichlet
+    recomposed windows (S, l, 3) for a composition config.
+
+    Row s equals ``make_inverse_segment(windows[s])`` or
+    ``make_compatibility_segment(windows[s], dirichlet, rng)`` with rng
+    keyed (*key, s, 1 + 3j), bit for bit. The last ``BRANCH_CACHE_SIZE``
+    results are kept, keyed by the windows' values, so models scored on
+    the same suite share them and changed windows are rebuilt. A cycle
+    depends on its window alone, so its key holds nothing else.
+    """
+    if kind == KIND_INVERSE:
+        seed, key, j, dirichlet = 0, (), 0, None
+    return _build_branch_segments(kind, seed, key, j, dirichlet, windows.shape, windows.tobytes())
+
+
+@functools.lru_cache(maxsize=BRANCH_CACHE_SIZE)
+def _build_branch_segments(kind: str, seed: int, key: tuple[int, ...], j: int,
+                           dirichlet: DirichletParams | None, shape: tuple[int, ...],
+                           data: bytes) -> np.ndarray:
+    windows = np.frombuffer(data).reshape(shape)
+    if kind == KIND_INVERSE:
+        segments = np.concatenate([windows, -windows[:, ::-1]], axis=1)  # valid rows negate validly
+    else:
+        n_rows, l = shape[:2]
+        total = np.zeros((n_rows, 3))
+        for i in range(l):  # row by row from 0.0, as make_compatibility_segment sums
+            total += windows[:, i]
+        weights = np.stack([
+            sample_dirichlet_weights(l, dirichlet, _probe_rng(seed, *key, s, 1 + 3 * j))
+            for s in range(n_rows)
+        ])
+        segments = weights[:, :, None] * total[:, None]
+        check_increments(segments.reshape(-1, 3))
+    segments.flags.writeable = False
+    return segments
 
 
 def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
@@ -231,10 +271,11 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
     (in sorted order) each row branches with that config's generators keyed
     1 + j (identity, inverse) or 1 + 3j for the Dirichlet weights and
     2 + 3j, 3 + 3j for the two windows (composition), and every branch
-    segment runs as one batched rollout over the rows. Errors come out in
-    sequence order, then position order. The streams run to their last
-    action, as in per-pose evaluation, so an invalid pose anywhere along
-    them raises.
+    segment runs as one batched rollout over the rows. The inverse and
+    composition branch segments come from ``_branch_segments``, which
+    builds them once per suite. Errors come out in sequence order, then
+    position order. The streams run to their last action, as in per-pose
+    evaluation, so an invalid pose anywhere along them raises.
 
     A walk of several configs stands for one walk per config only when
     the model draws no noise and no config is identity, whose pause end
@@ -265,17 +306,12 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
                     states = end
                     continue
                 windows = actions[:, t : t + cfg.l]
+                segments = _branch_segments(cfg.kind, windows, seed, key, j, dirichlet)
                 if cfg.kind == KIND_INVERSE:
-                    cycles = np.stack([make_inverse_segment(u).array for u in windows])
-                    err[:, j] = state_distances(branch_ends(key, cycles, 1 + j), states, dist)
+                    err[:, j] = state_distances(branch_ends(key, segments, 1 + j), states, dist)
                 else:
-                    recomposed = np.stack([
-                        make_compatibility_segment(u, dirichlet, _probe_rng(seed, *key, s, 1 + 3 * j))
-                        .array
-                        for s, u in zip(rows, windows)
-                    ])
                     err[:, j] = state_distances(branch_ends(key, windows, 2 + 3 * j),
-                                                branch_ends(key, recomposed, 3 + 3 * j), dist)
+                                                branch_ends(key, segments, 3 + 3 * j), dist)
     return [
         ProbeResult(kind=cfg.kind, k=cfg.k, l=cfg.l, mean=float(err.mean()), std=float(err.std()),
                     n_instances=err.size, start_positions=ps)
@@ -440,6 +476,12 @@ def _wrap_array(theta: np.ndarray) -> np.ndarray:
     return np.where(w == -math.pi, math.pi, w)
 
 
+def gar_repeats(model: WorldModel, n_rollouts: int) -> int:
+    """Rollouts that ``evaluate_gar`` runs per sequence: one for a model
+    that draws no noise (``is_deterministic``), else ``n_rollouts``."""
+    return 1 if is_deterministic(model) else n_rollouts
+
+
 def evaluate_gar(model: WorldModel, starts, actions, horizons, n_rollouts: int,
                  dist: DistanceParams, seed: int, note: str | None = None) -> GarReport:
     """Repeated seeded rollouts per sequence, truncated to each horizon.
@@ -473,8 +515,8 @@ def evaluate_gar(model: WorldModel, starts, actions, horizons, n_rollouts: int,
     n_seq = len(actions)
     aligned = np.zeros((len(horizons), n_seq))
     nonaligned = np.zeros((len(horizons), n_seq))
-    deterministic = is_deterministic(model)
-    reps = 1 if deterministic else n_rollouts
+    reps = gar_repeats(model, n_rollouts)
+    deterministic = reps == 1
     per_batch = max(1, GAR_BATCH_ROWS // reps)
     for lo in range(0, n_seq, per_batch):
         hi = min(lo + per_batch, n_seq)

@@ -64,11 +64,7 @@ class ActionSegment:
             array = array.reshape(0, 3)
         if array.ndim != 2 or array.shape[1] != 3:
             raise ValueError(f"a segment is an (L, 3) array, got shape {array.shape}")
-        if len(array):
-            max_dx, max_dy, max_dtheta = np.abs(array).max(axis=0).tolist()  # a NaN propagates
-            if not (math.isfinite(max_dx) and math.isfinite(max_dy) and max_dtheta <= math.pi):
-                for row in array.tolist():
-                    ActionIncrement(*row)  # raises at the first bad row
+        check_increments(array)
         array.flags.writeable = False
         self.array = array
 
@@ -85,6 +81,16 @@ class ActionSegment:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ActionSegment) and np.array_equal(self.array, other.array)
+
+
+def check_increments(rows: np.ndarray) -> None:
+    """Check (L, 3) ``[dx, dy, dtheta]`` rows in one pass, as ``ActionIncrement``
+    checks each; a bad row raises its ``ValueError`` (the first in row order)."""
+    if len(rows):
+        max_dx, max_dy, max_dtheta = np.abs(rows).max(axis=0).tolist()  # a NaN propagates
+        if not (math.isfinite(max_dx) and math.isfinite(max_dy) and max_dtheta <= math.pi):
+            for row in rows.tolist():
+                ActionIncrement(*row)  # raises at the first bad row
 
 
 def _valid_segment(array: np.ndarray) -> ActionSegment:

@@ -22,7 +22,8 @@ from gawm.harness import _held_out_prediction_loss, parse_model_ref
 from gawm.latent import make_dynamics_net, make_encoder, save_checkpoint
 from gawm.models import ExactModel
 from gawm.se2 import Pose2, pose_array
-from gawm.segments import ActionIncrement
+from gawm.segments import ActionIncrement, ActionSegment
+from gawm.training import GALossConfig, TrainRunConfig, train
 
 from oracles import (
     per_pose_features,
@@ -136,6 +137,48 @@ def test_load_dataset_rejects_mismatched_lengths(written):
     path.write_text(json.dumps(json.loads(path.read_text())[:-1]))
     with pytest.raises(ValueError, match="7 poses for 5 actions"):
         load_dataset(root)
+
+
+@pytest.mark.parametrize("dtheta", (3.5, -math.pi - 1e-9, math.inf, math.nan))
+def test_dataset_checks_its_actions_at_construction(dtheta):
+    data = generate_records(ExactModel(), 3, 6, DIST, seed=4)
+    actions = data.actions.copy()
+    actions[2, 4, 2] = dtheta
+    with pytest.raises(ValueError) as per_pose:
+        ActionIncrement(*actions[2, 4].tolist())
+    with pytest.raises(ValueError) as got:
+        Dataset(data.poses, actions)
+    assert str(got.value) == str(per_pose.value)
+
+
+def test_dataset_segments_are_read_only_views_equal_to_checked_copies():
+    data = generate_records(ExactModel(), 3, 6, DIST, seed=4)
+    for i in range(3):
+        for t in range(6):
+            for l in range(1, 7 - t):
+                seg = data.segment(i, t, l)
+                assert seg == ActionSegment(data.actions[i, t : t + l])
+                assert seg.array.tobytes() == data.actions[i, t : t + l].tobytes()
+                assert np.shares_memory(seg.array, data.actions)
+                assert not seg.array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        data.actions[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="exceeds trajectory length"):
+        data.segment(0, 4, 3)
+
+
+def test_training_is_the_same_with_copied_and_rechecked_segments(monkeypatch):
+    data = generate_records(ExactModel(), 10, 16, DIST, seed=6)
+    run = TrainRunConfig(steps=40, batch_size=8, hidden_dim=16)
+    cfg = GALossConfig(max_span=6)
+    encoder = make_encoder(8, 13)
+    views = train(run, cfg, data, encoder, 21)
+    monkeypatch.setattr(Dataset, "segment",
+                        lambda self, i, t, l: ActionSegment(self.actions[i, t : t + l]))
+    copies = train(run, cfg, data, encoder, 21)
+    assert views.net.params.tobytes() == copies.net.params.tobytes()
+    for name in ("active", "l_pred", "l_ga", "total"):
+        assert getattr(views, name).tobytes() == getattr(copies, name).tobytes(), name
 
 
 def test_dataset_rejects_inconsistent_shapes():

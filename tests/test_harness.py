@@ -433,6 +433,14 @@ def test_manifest_records_evaluation_counts(tmp_path):
         assert entry[f"{key}_per_s"] == entry[key] / entry["wall_clock_s"]
 
 
+def test_manifest_counts_the_gar_rollouts_that_ran(tmp_path):
+    cfg = tiny_config(tmp_path / "rolled")
+    cmd_gar(cfg, "exact")
+    assert _manifest(cfg)["stages"]["gar"]["rollouts"] == cfg.gar.n_sequences
+    cmd_gar(cfg, "noise:0.02")
+    assert _manifest(cfg)["stages"]["gar"]["rollouts"] == cfg.gar.n_sequences * cfg.gar.n_rollouts
+
+
 def test_probe_exact_is_clean(tmp_path):
     cfg = tiny_config(tmp_path / "probe")
     report = cmd_probe(cfg, "exact")

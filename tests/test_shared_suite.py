@@ -1,0 +1,212 @@
+"""Evaluation inputs built once per process and shared across models.
+
+The probe and GAR evaluation sequences (``data.evaluation_sequences``)
+and the probe branch segments (``metrics._branch_segments``) are cached
+by value. Every comparison here is exact: sharing must not change a
+byte of any report.
+"""
+
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gawm import harness, metrics
+from gawm.config import (
+    DatasetConfig,
+    EncoderConfig,
+    ExperimentConfig,
+    GarSuiteConfig,
+    ProbeSuiteConfig,
+)
+from gawm.data import ActionDistribution, evaluation_sequences, sample_sequences
+from gawm.harness import cmd_gar, cmd_gen_data, cmd_probe, cmd_train, file_sha256
+from gawm.metrics import (
+    KIND_COMPOSITION,
+    KIND_INVERSE,
+    ProbeConfig,
+    _branch_segments,
+    _probe_rng,
+    evaluate_gac,
+)
+from gawm.models import PerturbedModel, ViolationConfig
+from gawm.se2 import DistanceParams
+from gawm.segments import DirichletParams, make_compatibility_segment, make_inverse_segment
+from gawm.training import TrainRunConfig
+
+DIST = DistanceParams(0.7)
+ZOO = ("exact", "drift:0.01,0,0.005", "sat:0.05", "asym:1.2,0.8", "noise:0.02")
+
+
+def clear_caches():
+    evaluation_sequences.cache_clear()
+    metrics._build_branch_segments.cache_clear()
+
+
+def tiny_config(out_dir) -> ExperimentConfig:
+    return ExperimentConfig(
+        seed=5,
+        out_dir=str(out_dir),
+        dataset=DatasetConfig(n_trajectories=8, length=16),
+        encoder=EncoderConfig(latent_dim=8),
+        train=TrainRunConfig(steps=10, batch_size=8, hidden_dim=16),
+        probes=ProbeSuiteConfig(n_sequences=3, sequence_length=16),
+        gar=GarSuiteConfig(n_rollouts=3, horizons=(4, 8), n_sequences=3),
+    )
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    cfg = tiny_config(tmp_path_factory.mktemp("ckpt"))
+    cmd_gen_data(cfg)
+    return str(cmd_train(cfg))
+
+
+def _metric_hashes(root) -> dict[str, str]:
+    """SHA-256 of every report file under ``root`` (not the configs and
+    manifests, which name the run directory and its timings)."""
+    skip = ("manifest.json", "resolved_config.json")
+    return {str(p.relative_to(root)): file_sha256(p) for p in sorted(Path(root).rglob("*"))
+            if p.is_file() and not p.name.endswith(skip)}
+
+
+def _score(cfg, refs, root) -> dict[str, str]:
+    """Probe and GAR every reference into ``root/<i>``, as score-zoo does."""
+    for i, ref in enumerate(refs):
+        model_cfg = replace(cfg, out_dir=str(Path(root) / str(i)))
+        cmd_probe(model_cfg, ref)
+        cmd_gar(model_cfg, ref)
+    return _metric_hashes(root)
+
+
+def _per_window_segments(kind, windows, seed, key, j, dirichlet):
+    """The branch segments as one build per window, without sharing."""
+    if kind == KIND_INVERSE:
+        return np.stack([make_inverse_segment(u).array for u in windows])
+    return np.stack([
+        make_compatibility_segment(u, dirichlet, _probe_rng(seed, *key, s, 1 + 3 * j)).array
+        for s, u in enumerate(windows)
+    ])
+
+
+def _unshared(monkeypatch):
+    """Evaluate with fresh sequences and per-window segments every call."""
+    monkeypatch.setattr(harness, "evaluation_sequences",
+                        lambda *args: sample_sequences(*args)[:2])
+    monkeypatch.setattr(metrics, "_branch_segments", _per_window_segments)
+
+
+def test_reports_are_the_same_cold_on_a_hit_and_unshared(tmp_path, monkeypatch, checkpoint):
+    cfg = tiny_config(tmp_path)
+    refs = ("exact", "noise:0.02", checkpoint)
+    clear_caches()
+    cold = _score(cfg, refs, tmp_path / "cold")
+    assert metrics._build_branch_segments.cache_info().hits > 0
+    hit = _score(cfg, refs, tmp_path / "hit")
+    assert evaluation_sequences.cache_info().hits >= 2 * len(refs)
+    _unshared(monkeypatch)
+    unshared = _score(cfg, refs, tmp_path / "unshared")
+    assert len(cold) == 4 * len(refs) + 2 * len(refs)
+    assert cold == hit == unshared
+
+
+def test_a_score_zoo_loop_run_twice_writes_the_same_files(tmp_path, checkpoint):
+    cfg = tiny_config(tmp_path)
+    refs = ZOO + (checkpoint,)
+    first = _score(cfg, refs, tmp_path / "first")
+    second = _score(cfg, refs, tmp_path / "second")
+    clear_caches()
+    cold = _score(cfg, refs, tmp_path / "cold")
+    assert first == second == cold
+
+
+def test_cached_arrays_are_read_only():
+    starts, actions = evaluation_sequences(3, 8, ActionDistribution(), 11)
+    windows = np.ascontiguousarray(actions[:, 2:5])
+    cycles = _branch_segments(KIND_INVERSE, windows, 11, (1, 1, 3), 0, DirichletParams())
+    recomposed = _branch_segments(KIND_COMPOSITION, windows, 11, (2, 1, 3), 0, DirichletParams())
+    for array in (starts, actions, cycles, recomposed):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    assert evaluation_sequences(3, 8, ActionDistribution(), 11)[1] is actions
+
+
+def test_inverse_cycles_are_keyed_by_their_windows_alone():
+    windows = sample_sequences(4, 3, ActionDistribution(), 17)[1]
+    cycles = _branch_segments(KIND_INVERSE, windows, 1, (1, 1, 3), 0, DirichletParams(0.3))
+    assert _branch_segments(KIND_INVERSE, windows, 2, (1, 2, 3), 1, DirichletParams()) is cycles
+
+
+def test_evaluation_sequences_are_sample_sequences_without_generators():
+    starts, actions = evaluation_sequences(4, 9, ActionDistribution(sigma_dtheta=0.2), 23)
+    want_starts, want_actions, _ = sample_sequences(4, 9, ActionDistribution(sigma_dtheta=0.2), 23)
+    assert starts.tobytes() == want_starts.tobytes()
+    assert actions.tobytes() == want_actions.tobytes()
+
+
+@pytest.mark.parametrize("kind", (KIND_INVERSE, KIND_COMPOSITION))
+def test_mutated_windows_get_segments_built_from_their_new_values(kind):
+    windows = sample_sequences(5, 4, ActionDistribution(), 31)[1]
+    key, dirichlet = (1, 1, 4), DirichletParams(0.5)
+    before = _branch_segments(kind, windows, 3, key, 0, dirichlet)
+    windows[:, :, 0] *= 0.5
+    after = _branch_segments(kind, windows, 3, key, 0, dirichlet)
+    assert not np.array_equal(before, after)
+    assert after.tobytes() == _per_window_segments(kind, windows, 3, key, 0, dirichlet).tobytes()
+
+
+def test_a_caller_mutating_its_actions_between_calls_gets_the_new_report():
+    model = PerturbedModel(ViolationConfig(saturation_scale=0.08))
+    grid = ProbeSuiteConfig().probe_grid()
+    starts, actions, _ = sample_sequences(6, 24, ActionDistribution(sigma_dtheta=0.3), 41)
+    first = evaluate_gac(model, starts, actions, grid, DIST, 41)
+    actions[:, :, :2] *= 2.0
+    second = evaluate_gac(model, starts, actions, grid, DIST, 41)
+    clear_caches()
+    cold = evaluate_gac(model, starts, actions.copy(), grid, DIST, 41)
+    assert second != first
+    assert second == cold
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+@pytest.mark.parametrize("kind", (KIND_INVERSE, KIND_COMPOSITION))
+@pytest.mark.parametrize("concentration", (0.3, 1.0, 4.0))
+def test_array_built_segments_equal_per_window_segments(kind, l, concentration):
+    actions = sample_sequences(7, 12, ActionDistribution(sigma_dtheta=0.4), 50 + l)[1]
+    windows = actions[:, 3 : 3 + l]  # a strided view, as the probe walk slices it
+    key, dirichlet = (2, 1, l), DirichletParams(concentration)
+    clear_caches()
+    got = _branch_segments(kind, windows, 8, key, 2, dirichlet)
+    want = _per_window_segments(kind, windows, 8, key, 2, dirichlet)
+    assert got.shape == want.shape == (7, 2 * l if kind == KIND_INVERSE else l, 3)
+    assert got.tobytes() == want.tobytes()
+    assert _branch_segments(kind, windows, 8, key, 2, dirichlet) is got
+
+
+def test_an_out_of_range_recomposed_increment_raises_as_per_window():
+    windows = np.zeros((3, 2, 3))
+    windows[1, :, 2] = 3.1  # accumulates to 6.2 rad, which a recomposition splits unevenly
+    key, dirichlet = (2, 1, 2), DirichletParams()
+    with pytest.raises(ValueError, match=r"\|dtheta\| must be <= pi") as per_window:
+        _per_window_segments(KIND_COMPOSITION, windows, 4, key, 0, dirichlet)
+    clear_caches()
+    with pytest.raises(ValueError) as got:
+        _branch_segments(KIND_COMPOSITION, windows, 4, key, 0, dirichlet)
+    assert str(got.value) == str(per_window.value)
+    assert metrics._build_branch_segments.cache_info().currsize == 0
+
+
+def test_probe_reports_equal_per_window_segment_walks(monkeypatch):
+    grid = ProbeSuiteConfig().probe_grid() + [ProbeConfig(KIND_INVERSE, k=3, l=2)]
+    starts, actions, _ = sample_sequences(5, 20, ActionDistribution(sigma_dtheta=0.3), 61)
+    for model in (PerturbedModel(ViolationConfig(asym_gain=(1.3, 0.7))),
+                  PerturbedModel(ViolationConfig(noise_sigma=0.02))):
+        clear_caches()
+        shared = evaluate_gac(model, starts, actions, grid, DIST, 61)
+        with monkeypatch.context() as m:
+            _unshared(m)
+            unshared = evaluate_gac(model, starts, actions, grid, DIST, 61)
+        assert shared == unshared
+        assert math.isfinite(shared.e_gac) and shared.e_gac > 0.0
