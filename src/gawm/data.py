@@ -24,7 +24,7 @@ from .artifacts import write_json
 from .latent import check_noise_sigma, pose_features
 from .models import WorldModel, fold_steps, read_trajectory_jsonl, write_trajectory_jsonl
 from .se2 import wrap_angles
-from .segments import ActionSegment, _valid_segment, check_increments
+from .segments import ActionSegment, _valid_segment, check_increments, keyed_rng
 
 # evaluation suites (probe, GAR) whose sequences a process keeps
 EVALUATION_CACHE_SIZE = 4
@@ -62,7 +62,7 @@ def sample_sequences(n: int, length: int, action_dist: ActionDistribution, seed:
     actions = np.empty((n, length, 3))
     rngs = []
     for i in range(n):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+        rng = keyed_rng(seed, i)
         starts[i, 1:] = rng.normal(0.0, start_pos_sigma, size=2)
         starts[i, 0] = rng.uniform(-math.pi, math.pi)
         actions[i] = action_dist.sample(length, rng)

@@ -61,6 +61,7 @@ from .metrics import (
 )
 from .models import ExactModel, PerturbedModel, ViolationConfig, WorldModel, is_deterministic
 from .se2 import DistanceParams
+from .segments import keyed_rng
 from .training import LOSS_COLUMNS, NonFiniteLossError, TrainResult, prediction_loss, train_group
 
 
@@ -218,7 +219,7 @@ def _held_out_prediction_loss(cfg: ExperimentConfig, model: WorldModel, net, enc
         seed, start_pos_sigma=cfg.dataset.start_pos_sigma,
     )
     ts = np.arange(0, data.length, 4)
-    noise = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0, 1))))
+    noise = keyed_rng(seed, 0, 1)
     return prediction_loss(net, encoder, data.poses[:, ts].reshape(-1, 3),
                            data.actions[:, ts].reshape(-1, 3),
                            data.poses[:, ts + 1].reshape(-1, 3), noise)

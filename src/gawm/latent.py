@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,8 +342,11 @@ def save_checkpoint(path, net: DynamicsNet, encoder: FeatureEncoder, meta: dict 
 
 def load_checkpoint(path) -> tuple[DynamicsNet, FeatureEncoder, dict]:
     """The net, encoder and meta saved by ``save_checkpoint``. A top level
-    that is not an object, an unknown version, a missing field or a part
-    whose shape does not fit the dims raises a ValueError naming the file."""
+    that is not an object, an unknown version, a missing field, a field
+    of the wrong type (as ``config.from_json`` types them: an int takes
+    only an integer, a float any number, neither a bool; arrays are
+    nested lists of numbers, ``meta`` an object) or a part whose shape
+    does not fit the dims raises a ValueError naming the file."""
     with open(path) as f:
         payload = json.load(f)
     if not isinstance(payload, dict):
@@ -350,29 +354,37 @@ def load_checkpoint(path) -> tuple[DynamicsNet, FeatureEncoder, dict]:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported version {payload.get('version')!r}")
 
-    def field(name, cast):
+    def field(name, kind):
         if name not in payload:
             raise ValueError(f"checkpoint {path}: field {name!r} is missing")
+        value = payload[name]
         try:
-            return cast(payload[name])
-        except (TypeError, ValueError):
-            raise ValueError(f"checkpoint {path}: field {name!r} is not {cast.__name__}: "
-                             f"{payload[name]!r}") from None
+            if kind is np.ndarray:
+                if isinstance(value, list):
+                    array = np.array(value, dtype=object)
+                    if all(type(v) in (int, float) for v in array.flat):
+                        return array.astype(np.float64)
+            elif type(value) in (int, float) and (kind is float or type(value) is int):
+                return kind(value)
+        except (ValueError, OverflowError):  # ragged nesting, an integer beyond the float range
+            pass
+        what = "array" if kind is np.ndarray else kind.__name__
+        raise ValueError(f"checkpoint {path}: field {name!r} is not {what}: {reprlib.repr(value)}")
 
     latent_dim = field("latent_dim", int)
     hidden_dim = field("hidden_dim", int)
-    projection = field("projection", np.array)
+    projection = field("projection", np.ndarray)
     if projection.shape != (latent_dim, 4):
         raise ValueError(f"checkpoint {path}: encoder projection has shape {projection.shape}, "
                          f"but the net's latent_dim {latent_dim} needs ({latent_dim}, 4)")
-    params = field("params", np.array)
+    params = field("params", np.ndarray)
+    seed, sigma = field("encoder_seed", int), field("obs_noise_sigma", float)
     try:
         net = DynamicsNet(latent_dim, hidden_dim, params)
+        encoder = FeatureEncoder(projection=projection, seed=seed, obs_noise_sigma=sigma)
     except ValueError as e:
         raise ValueError(f"checkpoint {path}: {e}") from None
-    encoder = FeatureEncoder(
-        projection=projection,
-        seed=field("encoder_seed", int),
-        obs_noise_sigma=field("obs_noise_sigma", float),
-    )
-    return net, encoder, payload.get("meta", {})
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"checkpoint {path}: field 'meta' is not object: {reprlib.repr(meta)}")
+    return net, encoder, meta

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,7 +30,14 @@ from .se2 import (
     state_distances,
     wrap_angles,
 )
-from .segments import DirichletParams, check_increments, sample_dirichlet_weights
+from .segments import (
+    DirichletParams,
+    check_increments,
+    inverse_cycles,
+    keyed_rng,
+    recompose,
+    sample_dirichlet_weights,
+)
 
 KIND_IDENTITY = "identity"
 KIND_INVERSE = "inverse"
@@ -44,8 +50,8 @@ MAX_LOCAL_WINDOW = 8
 # it bounds the size of a batch's arrays and so the peak memory of GAR
 GAR_BATCH_ROWS = 32
 
-# branch segment sets (one config at one stop) that a process keeps
-BRANCH_CACHE_SIZE = 16
+# Dirichlet weight arrays (one composition config at one stop) that a process keeps
+WEIGHTS_CACHE_SIZE = 16
 
 _KIND_CODE = {KIND_IDENTITY: 0, KIND_INVERSE: 1, KIND_COMPOSITION: 2}
 
@@ -111,38 +117,12 @@ class GarReport:
     note: str | None = None
 
 
-def _probe_rng(seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-class _Generators(Sequence):
-    """One generator per row, row i's derived from ``seed`` and ``keys[i]``.
-
-    They are built together on first use and then kept in a plain list.
-    A model that draws no noise never builds one, which saves their
-    construction time and keeps a batch of rows from holding a generator
-    each.
-    """
-
-    def __init__(self, seed: int, keys: list[tuple[int, ...]]):
-        self._seed = seed
-        self._keys = keys
-        self._built: list[np.random.Generator] | None = None
-
-    def _all(self) -> list[np.random.Generator]:
-        if self._built is None:
-            self._built = [_probe_rng(self._seed, *key) for key in self._keys]
-        return self._built
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, i: int) -> np.random.Generator:
-        return self._all()[i]
-
-    def __iter__(self):
-        return iter(self._all())
+def _generators(model: WorldModel, seed: int, keys: list[tuple[int, ...]]) -> list:
+    """One generator per row, row i's keyed ``keys[i]`` under ``seed``; for
+    a model that draws no noise (``is_deterministic``), ``None`` per row."""
+    if is_deterministic(model):
+        return [None] * len(keys)
+    return [keyed_rng(seed, *key) for key in keys]
 
 
 def identity_positions(n_actions: int, k: int) -> tuple[int, ...]:
@@ -217,45 +197,19 @@ def _check_sequences(starts, actions) -> tuple[np.ndarray, np.ndarray]:
     return starts, actions
 
 
-def _branch_segments(kind: str, windows: np.ndarray, seed: int, key: tuple[int, ...], j: int,
-                     dirichlet: DirichletParams) -> np.ndarray:
-    """The branch segments of the config keyed ``key`` at its j-th stop,
-    one per row of the (S, l, 3) ``windows``, as one read-only array:
-    forward-inverse cycles (S, 2l, 3) for an inverse config, Dirichlet
-    recomposed windows (S, l, 3) for a composition config.
-
-    Row s equals ``make_inverse_segment(windows[s])`` or
-    ``make_compatibility_segment(windows[s], dirichlet, rng)`` with rng
-    keyed (*key, s, 1 + 3j), bit for bit. The last ``BRANCH_CACHE_SIZE``
-    results are kept, keyed by the windows' values, so models scored on
-    the same suite share them and changed windows are rebuilt. A cycle
-    depends on its window alone, so its key holds nothing else.
-    """
-    if kind == KIND_INVERSE:
-        seed, key, j, dirichlet = 0, (), 0, None
-    return _build_branch_segments(kind, seed, key, j, dirichlet, windows.shape, windows.tobytes())
-
-
-@functools.lru_cache(maxsize=BRANCH_CACHE_SIZE)
-def _build_branch_segments(kind: str, seed: int, key: tuple[int, ...], j: int,
-                           dirichlet: DirichletParams | None, shape: tuple[int, ...],
-                           data: bytes) -> np.ndarray:
-    windows = np.frombuffer(data).reshape(shape)
-    if kind == KIND_INVERSE:
-        segments = np.concatenate([windows, -windows[:, ::-1]], axis=1)  # valid rows negate validly
-    else:
-        n_rows, l = shape[:2]
-        total = np.zeros((n_rows, 3))
-        for i in range(l):  # row by row from 0.0, as make_compatibility_segment sums
-            total += windows[:, i]
-        weights = np.stack([
-            sample_dirichlet_weights(l, dirichlet, _probe_rng(seed, *key, s, 1 + 3 * j))
-            for s in range(n_rows)
-        ])
-        segments = weights[:, :, None] * total[:, None]
-        check_increments(segments.reshape(-1, 3))
-    segments.flags.writeable = False
-    return segments
+@functools.lru_cache(maxsize=WEIGHTS_CACHE_SIZE)
+def _dirichlet_weights(seed: int, key: tuple[int, ...], j: int, rows: int, l: int,
+                       dirichlet: DirichletParams) -> np.ndarray:
+    """The composition config keyed ``key`` recomposes its windows at its
+    j-th stop by these weights, one row of l per sequence, as one
+    read-only (rows, l) array. Row s is drawn from the generator keyed
+    (*key, s, 1 + 3j). The weights depend on nothing else, so the last
+    ``WEIGHTS_CACHE_SIZE`` arrays are kept and models scored on the same
+    suite share them."""
+    weights = np.stack([sample_dirichlet_weights(l, dirichlet, keyed_rng(seed, *key, s, 1 + 3 * j))
+                        for s in range(rows)])
+    weights.flags.writeable = False
+    return weights
 
 
 def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
@@ -271,11 +225,11 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
     (in sorted order) each row branches with that config's generators keyed
     1 + j (identity, inverse) or 1 + 3j for the Dirichlet weights and
     2 + 3j, 3 + 3j for the two windows (composition), and every branch
-    segment runs as one batched rollout over the rows. The inverse and
-    composition branch segments come from ``_branch_segments``, which
-    builds them once per suite. Errors come out in sequence order, then
-    position order. The streams run to their last action, as in per-pose
-    evaluation, so an invalid pose anywhere along them raises.
+    segment runs as one batched rollout over the rows. An inverse branch
+    is its windows' ``inverse_cycles``, a composition branch ``recompose``
+    of its windows by ``_dirichlet_weights``. Errors come out in sequence
+    order, then position order. The streams run to their last action, as
+    in per-pose evaluation, so an invalid pose anywhere along them raises.
 
     A walk of several configs stands for one walk per config only when
     the model draws no noise and no config is identity, whose pause end
@@ -287,11 +241,11 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
     dirichlet = DirichletParams(concentration=concentration)
     keys = [(_KIND_CODE[cfg.kind], cfg.k, cfg.l) for cfg in cfgs]
     positions = [probe_positions(cfg, n) for cfg in cfgs]
-    stream_rngs = _Generators(seed, [(*keys[0], s, 0) for s in rows])
+    stream_rngs = _generators(model, seed, [(*keys[0], s, 0) for s in rows])
     errors = [np.empty((len(actions), len(p))) for p in positions]
 
     def branch_ends(key, segments, slot):
-        rngs = _Generators(seed, [(*key, s, slot) for s in rows])
+        rngs = _generators(model, seed, [(*key, s, slot) for s in rows])
         return rollout_batch(model, states, segments, rngs)[:, -1]
 
     t = 0
@@ -306,12 +260,14 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
                     states = end
                     continue
                 windows = actions[:, t : t + cfg.l]
-                segments = _branch_segments(cfg.kind, windows, seed, key, j, dirichlet)
                 if cfg.kind == KIND_INVERSE:
-                    err[:, j] = state_distances(branch_ends(key, segments, 1 + j), states, dist)
+                    cycles = inverse_cycles(windows)
+                    err[:, j] = state_distances(branch_ends(key, cycles, 1 + j), states, dist)
                 else:
+                    weights = _dirichlet_weights(seed, key, j, len(rows), cfg.l, dirichlet)
+                    recomposed = recompose(windows, weights)
                     err[:, j] = state_distances(branch_ends(key, windows, 2 + 3 * j),
-                                                branch_ends(key, segments, 3 + 3 * j), dist)
+                                                branch_ends(key, recomposed, 3 + 3 * j), dist)
     return [
         ProbeResult(kind=cfg.kind, k=cfg.k, l=cfg.l, mean=float(err.mean()), std=float(err.std()),
                     n_instances=err.size, start_positions=ps)
@@ -371,7 +327,7 @@ def evaluate_gac(model: WorldModel, starts, actions, grid, dist: DistanceParams,
     depend on evaluation order. For a model that draws no noise
     (``is_deterministic``), every inverse and composition config folds the
     same stream, so they share one walk; each still branches at its own
-    positions with its own generators, and the report is the same.
+    positions, and the report is the same.
     """
     ordered = sorted(grid, key=lambda c: (_KIND_CODE[c.kind], c.k, c.l))
     shared = [c for c in ordered if c.kind != KIND_IDENTITY] if is_deterministic(model) else []
@@ -496,8 +452,8 @@ def evaluate_gar(model: WorldModel, starts, actions, horizons, n_rollouts: int,
     dispersions are computed as arrays over its sequences, each value
     equal to ``gar_error`` of that sequence's rollouts. A model that draws
     no noise (``is_deterministic``) would repeat one rollout R times, so
-    each sequence rolls once, its poses are checked, and its dispersions
-    are zero.
+    each sequence rolls once with no generator, its poses are checked,
+    and its dispersions are zero.
     """
     starts, actions = _check_sequences(starts, actions)
     if n_rollouts < 2:
@@ -520,7 +476,7 @@ def evaluate_gar(model: WorldModel, starts, actions, horizons, n_rollouts: int,
     per_batch = max(1, GAR_BATCH_ROWS // reps)
     for lo in range(0, n_seq, per_batch):
         hi = min(lo + per_batch, n_seq)
-        rngs = _Generators(seed, [(3, s, i) for s in range(lo, hi) for i in range(reps)])
+        rngs = _generators(model, seed, [(3, s, i) for s in range(lo, hi) for i in range(reps)])
         full = rollout_batch(model, np.repeat(starts[lo:hi], reps, axis=0),
                              np.repeat(actions[lo:hi, :t_max], reps, axis=0), rngs)
         check_finite_poses(full)

@@ -29,7 +29,8 @@ class WorldModel(Protocol):
     forms of its step and of its rollout with the signatures of the
     module-level functions of the same names; those functions use them
     when present. A model that draws no noise may set ``deterministic =
-    True`` so that evaluation skips repeating its rollouts.
+    True`` so that evaluation skips repeating its rollouts; evaluation
+    then passes it ``None`` in place of each row's generator.
     """
 
     def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
@@ -39,8 +40,9 @@ class WorldModel(Protocol):
 def is_deterministic(model: WorldModel) -> bool:
     """Whether the model declares that it draws no noise (a true
     ``deterministic`` attribute). Evaluation then rolls each GAR sequence
-    once and shares one probe stream between configs; a model without
-    the attribute is evaluated in full."""
+    once, shares one probe stream between configs and passes ``None``
+    for every row's generator; a model without the attribute is
+    evaluated in full."""
     return getattr(model, "deterministic", False)
 
 

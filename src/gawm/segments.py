@@ -4,8 +4,9 @@ An increment is a local body-frame motion (dx, dy, dtheta). A segment is
 a finite ordered sequence of increments, held as one read-only (L, 3)
 array of ``[dx, dy, dtheta]`` rows. From a base segment we derive
 zero-action segments, forward-inverse cycles, and Dirichlet-recomposed
-segments whose accumulated increments match the original.
-``ActionIncrement`` is the per-pose form that ``WorldModel.step`` takes.
+segments whose accumulated increments match the original, for one
+window or a (..., L, 3) stack of them. ``ActionIncrement`` is the
+per-pose form that ``WorldModel.step`` takes.
 """
 
 from __future__ import annotations
@@ -125,12 +126,27 @@ def make_inverse_segment(u) -> ActionSegment:
     ``u`` is a segment or an (L, 3) array. The increments cancel
     componentwise, so the cumulative sum is exactly zero. Note this
     elementwise negation is a local operational inverse, not the exact
-    SE(2) group inverse of the composed motion.
+    SE(2) group inverse of the composed motion. This is the one-window
+    case of ``inverse_cycles``.
     """
     u = ActionSegment(u).array
     if len(u) == 0:
         raise ValueError("cannot build an inverse cycle from an empty segment")
-    return _valid_segment(np.concatenate([u, -u[::-1]]))  # negation keeps u's rows valid
+    return _valid_segment(inverse_cycles(u))
+
+
+def inverse_cycles(windows: np.ndarray) -> np.ndarray:
+    """Each window of a (..., L, 3) stack of valid increments followed by
+    its reversed, negated rows, as a read-only (..., 2L, 3) array.
+    Negation keeps the rows valid, so nothing is checked."""
+    cycles = np.concatenate([windows, -windows[..., ::-1, :]], axis=-2)
+    cycles.flags.writeable = False
+    return cycles
+
+
+def keyed_rng(seed: int, *key: int) -> np.random.Generator:
+    """The PCG64 generator of ``seed`` spawned with key ``key``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def sample_dirichlet_weights(l: int, params: DirichletParams,
@@ -154,13 +170,23 @@ def make_compatibility_segment(u_a, params: DirichletParams,
     ``u_a`` is a segment or an (L, 3) array. Each output increment is a
     Dirichlet weight times the cumulative sum of u_a, so both segments
     accumulate to the same total while realizing it on different
-    temporal schedules.
+    temporal schedules. This is the one-window case of ``recompose``.
     """
     u_a = ActionSegment(u_a).array
     if len(u_a) == 0:
         raise ValueError("cannot recompose an empty segment")
-    w = sample_dirichlet_weights(len(u_a), params, rng)
-    total = np.zeros(3)
-    for row in u_a:  # row by row from 0.0; np.sum would add pairwise
-        total += row
-    return ActionSegment(w[:, None] * total)
+    return _valid_segment(recompose(u_a, sample_dirichlet_weights(len(u_a), params, rng)))
+
+
+def recompose(windows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each window of a (..., L, 3) stack redistributed by its (..., L)
+    weights: row i is weight i times the window's rows summed one by one
+    from 0.0 (``np.sum`` would add pairwise). The read-only (..., L, 3)
+    result is checked once, as ``ActionIncrement`` checks each row."""
+    total = np.zeros((*windows.shape[:-2], 3))
+    for i in range(windows.shape[-2]):
+        total += windows[..., i, :]
+    segments = weights[..., None] * total[..., None, :]
+    check_increments(segments.reshape(-1, 3))
+    segments.flags.writeable = False
+    return segments

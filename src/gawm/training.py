@@ -41,6 +41,7 @@ from .se2 import Pose2
 from .segments import (
     ActionSegment,
     DirichletParams,
+    keyed_rng,
     make_compatibility_segment,
     make_identity_segment,
     make_inverse_segment,
@@ -535,11 +536,7 @@ class TrainStreams:
 
     @staticmethod
     def from_seed(seed: int) -> "TrainStreams":
-        gens = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
-            for k in (1, 2, 3, 4)
-        ]
-        return TrainStreams(*gens)
+        return TrainStreams(*(keyed_rng(seed, k) for k in (1, 2, 3, 4)))
 
 
 def train_step(stack: ParamStack, encoder: FeatureEncoder, batch: Batch, optimizer,

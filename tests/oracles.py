@@ -183,6 +183,11 @@ def oracle_probe_composition(starts, streams, l, alpha, weight_fn, **inj) -> flo
 # batched metrics must reproduce these reports exactly (==).
 
 
+def spawned_rng(seed: int, *key: int) -> np.random.Generator:
+    """The PCG64 generator of ``seed`` spawned with key ``key``, written out."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
 def per_pose_rollout(model, start: Pose2, actions, rng) -> list[Pose2]:
     """The model's native rollout, one pose at a time; the learned model
     carries its latent without re-encoding, as its native rollout does."""
@@ -207,7 +212,7 @@ def per_pose_rollout(model, start: Pose2, actions, rng) -> list[Pose2]:
 
 def reference_probe(model, starts, streams, cfg, dist, seed, concentration=1.0):
     from gawm.metrics import (
-        KIND_COMPOSITION, KIND_IDENTITY, ProbeResult, _probe_rng, identity_positions,
+        KIND_COMPOSITION, KIND_IDENTITY, ProbeResult, identity_positions,
         window_positions,
     )
     from gawm.se2 import state_distance
@@ -219,7 +224,7 @@ def reference_probe(model, starts, streams, cfg, dist, seed, concentration=1.0):
     code = {"identity": 0, "inverse": 1, "composition": 2}[cfg.kind]
 
     def rng(s, slot):
-        return _probe_rng(seed, code, cfg.k, cfg.l, s, slot)
+        return spawned_rng(seed, code, cfg.k, cfg.l, s, slot)
 
     dirichlet = DirichletParams(concentration=concentration)
     errors = []
@@ -313,14 +318,14 @@ def reference_gar_error(trajs: list, alpha: float, aligned: bool) -> float:
 
 
 def reference_gar(model, starts, streams, horizons, n_rollouts, dist, seed, note=None):
-    from gawm.metrics import GarEntry, GarReport, _probe_rng
+    from gawm.metrics import GarEntry, GarReport
     from gawm.segments import ActionSegment
 
     horizons = sorted(horizons)
     per = {h: ([], []) for h in horizons}
     for s, (start, rows) in enumerate(zip(starts, streams)):
         full = [per_pose_rollout(model, Pose2(*start), ActionSegment(rows)[: horizons[-1]],
-                                 _probe_rng(seed, 3, s, i))
+                                 spawned_rng(seed, 3, s, i))
                 for i in range(n_rollouts)]
         for h in horizons:
             trajs = [t[: h + 1] for t in full]
@@ -363,7 +368,7 @@ def per_pose_records(model, n, length, action_dist, seed, start_pos_sigma=1.0):
 
     records = []
     for i in range(n):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+        rng = spawned_rng(seed, i)
         start, actions = per_pose_sequence(rng, length, action_dist, start_pos_sigma)
         records.append((list(rollout(model, start, actions, rng)), actions))
     return records
@@ -380,7 +385,7 @@ def per_pose_held_out_loss(model, net, encoder, length, action_dist, seed, start
     records = per_pose_records(model, 32, length, action_dist, seed, start_pos_sigma)
     transitions = [(poses[t], actions[t], poses[t + 1])
                    for poses, actions in records for t in range(0, len(actions), 4)]
-    noise = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0, 1))))
+    noise = spawned_rng(seed, 0, 1)
 
     def encode_columns(poses):
         z = encoder.projection @ np.stack([per_pose_features(p) for p in poses], axis=1)

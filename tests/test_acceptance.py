@@ -22,7 +22,6 @@ from gawm.metrics import (
     KIND_INVERSE,
     ProbeConfig,
     ProbeResult,
-    _probe_rng,
     aggregate_gac,
     evaluate_gac,
     evaluate_gar,
@@ -37,6 +36,7 @@ from gawm.segments import (
     ActionIncrement,
     ActionSegment,
     DirichletParams,
+    keyed_rng,
     sample_dirichlet_weights,
 )
 from gawm import autograd as ag
@@ -169,7 +169,7 @@ def test_criterion_3_oracle_equivalence():
                 )
 
                 def weight_fn(s_idx, length):
-                    wrng = _probe_rng(7, 2, 1, length, s_idx, 1)
+                    wrng = keyed_rng(7, 2, 1, length, s_idx, 1)
                     return sample_dirichlet_weights(length, DirichletParams(1.0), wrng)
 
                 want = oracle_probe_composition(starts, sequences, l, 1.0, weight_fn, **kwargs)

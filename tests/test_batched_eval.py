@@ -26,8 +26,7 @@ from gawm.metrics import (
     KIND_IDENTITY,
     KIND_INVERSE,
     ProbeConfig,
-    _Generators,
-    _probe_rng,
+    _generators,
     align_trajectory,
     evaluate_gac,
     evaluate_gar,
@@ -49,7 +48,7 @@ from gawm.se2 import (
     wrap_angle,
     wrap_angles,
 )
-from gawm.segments import ActionIncrement, ActionSegment
+from gawm.segments import ActionIncrement, ActionSegment, keyed_rng
 
 from oracles import (
     per_pose_rollout,
@@ -337,7 +336,8 @@ def test_gar_batch_size_does_not_change_the_report(monkeypatch, name, rows):
 
 class Recording:
     """A model that records the rows and generator states of every
-    ``rollout_batch`` call before passing it on."""
+    ``rollout_batch`` call before passing it on (``None`` for a row
+    passed no generator)."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -347,7 +347,8 @@ class Recording:
         return self.inner.step(state, action, rng)
 
     def rollout_batch(self, starts, actions, rngs):
-        self.calls.append((starts.copy(), actions.copy(), [rng.bit_generator.state for rng in rngs]))
+        self.calls.append((starts.copy(), actions.copy(),
+                           [None if rng is None else rng.bit_generator.state for rng in rngs]))
         return rollout_batch(self.inner, starts, actions, rngs)
 
 
@@ -366,7 +367,7 @@ def test_gar_batches_hold_whole_sequences_in_order(monkeypatch, rows, n_rollouts
     assert np.array_equal(np.concatenate([c[1] for c in model.calls]),
                           np.repeat(actions[:, :12], n_rollouts, axis=0))
     assert [state for c in model.calls for state in c[2]] == [
-        _probe_rng(5, 3, s, i).bit_generator.state for s in range(7) for i in range(n_rollouts)]
+        keyed_rng(5, 3, s, i).bit_generator.state for s in range(7) for i in range(n_rollouts)]
     assert report == evaluate_gar(model.inner, starts, actions, [4, 12], n_rollouts, DIST, 5)
 
 
@@ -444,15 +445,25 @@ def test_deterministic_gar_no_longer_aligns_positions_that_overflow():
     assert report.entries[0].aligned_mean == report.entries[0].nonaligned_mean == 0.0
 
 
-def test_generators_are_built_once_from_their_keys():
+def test_generators_are_keyed_per_row_or_none_for_a_deterministic_model():
     keys = [(3, s, i) for s in range(2) for i in range(3)]
-    rngs = _Generators(4, keys)
-    first = rngs[1]
-    built = list(rngs)
-    assert len(rngs) == len(built) == 6
-    assert built[1] is first and list(rngs) == built and rngs[-1] is built[-1]
+    built = _generators(MODELS["noise"](), 4, keys)
     assert [rng.bit_generator.state for rng in built] == [
-        _probe_rng(4, *key).bit_generator.state for key in keys]
+        keyed_rng(4, *key).bit_generator.state for key in keys]
+    assert _generators(Hidden(MODELS["exact"]()), 4, keys)[5].bit_generator.state == \
+        built[5].bit_generator.state
+    for name in DETERMINISTIC:
+        assert _generators(MODELS[name](), 4, keys) == [None] * 6
+
+
+@pytest.mark.parametrize("name", DETERMINISTIC)
+def test_a_deterministic_model_is_passed_no_generators(name):
+    model = DeterministicRecording(MODELS[name]())
+    starts, actions = _turning_sequences(3, 20)
+    report = evaluate_gac(model, starts, actions, GRID, DIST, 3, 0.5)
+    assert report == evaluate_gac(MODELS[name](), starts, actions, GRID, DIST, 3, 0.5)
+    evaluate_gar(model, starts, actions, [4, 12], 3, DIST, 5)
+    assert model.calls and all(states == [None] * len(starts) for *_, states in model.calls)
 
 
 def test_align_trajectory_with_one_reference_per_row_equals_separate_calls():

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,3 +243,46 @@ def test_checkpoint_version_guard(tmp_path):
     path.write_text('{"version": "other"}')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("latent_dim", 8.9, "field 'latent_dim' is not int: 8.9"),
+    ("latent_dim", 8.0, "field 'latent_dim' is not int: 8.0"),
+    ("latent_dim", "8", "field 'latent_dim' is not int: '8'"),
+    ("hidden_dim", True, "field 'hidden_dim' is not int: True"),
+    ("encoder_seed", 1.5, "field 'encoder_seed' is not int: 1.5"),
+    ("obs_noise_sigma", True, "field 'obs_noise_sigma' is not float: True"),
+    ("obs_noise_sigma", "0.1", "field 'obs_noise_sigma' is not float: '0.1'"),
+    ("obs_noise_sigma", 10**400, "field 'obs_noise_sigma' is not float: "),
+    ("obs_noise_sigma", -0.5, "obs_noise_sigma must be finite and >= 0, got -0.5"),
+    ("projection", "x", "field 'projection' is not array: 'x'"),
+    ("projection", [[1.0, 0.0, 0.0, True]] * 8, "field 'projection' is not array: "),
+    ("params", [[1.0], [2.0, 3.0]], "field 'params' is not array: [[1.0], [2.0, 3.0]]"),
+    ("params", 1.0, "field 'params' is not array: 1.0"),
+    ("meta", [], "field 'meta' is not object: []"),
+    ("meta", None, "field 'meta' is not object: None"),
+])
+def test_checkpoint_fields_are_type_checked_naming_the_file(tmp_path, name, value, message):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, make_dynamics_net(8, 16, 3), make_encoder(8, 2))
+    payload = json.loads(path.read_text())
+    payload[name] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(path))}: {re.escape(message)}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_numbers_load_as_their_declared_types(tmp_path):
+    path = tmp_path / "ckpt.json"
+    net = make_dynamics_net(8, 16, 3)
+    save_checkpoint(path, net, make_encoder(8, 2))
+    payload = json.loads(path.read_text())
+    del payload["meta"]
+    payload["obs_noise_sigma"] = 0
+    payload["params"] = [int(v) if v == int(v) else v for v in payload["params"]]
+    path.write_text(json.dumps(payload))
+    net2, encoder, meta = load_checkpoint(path)
+    assert meta == {}
+    assert type(encoder.obs_noise_sigma) is float and encoder.obs_noise_sigma == 0.0
+    assert type(encoder.seed) is int and encoder.seed == 2
+    assert net2.params.dtype == np.float64 and np.array_equal(net2.params, net.params)

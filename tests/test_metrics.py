@@ -12,7 +12,6 @@ from gawm.metrics import (
     KIND_INVERSE,
     ProbeConfig,
     ProbeResult,
-    _probe_rng,
     aggregate_gac,
     align_trajectory,
     evaluate_gac,
@@ -28,7 +27,13 @@ from gawm.metrics import (
 )
 from gawm.models import ExactModel, PerturbedModel, Trajectory, ViolationConfig, rollout
 from gawm.se2 import DistanceParams, Pose2, se2_compose, state_distance
-from gawm.segments import ActionIncrement, ActionSegment, DirichletParams, sample_dirichlet_weights
+from gawm.segments import (
+    ActionIncrement,
+    ActionSegment,
+    DirichletParams,
+    keyed_rng,
+    sample_dirichlet_weights,
+)
 
 from oracles import (
     oracle_probe_composition,
@@ -173,7 +178,7 @@ def test_probe_oracle_equivalence_per_injector(inj_cfg, inj_kwargs):
         r = probe_composition(model, *seqs, cfg, DIST, 0, concentration=1.0)
 
         def weight_fn(s_idx, length):
-            rng = _probe_rng(0, 2, 1, length, s_idx, 1)
+            rng = keyed_rng(0, 2, 1, length, s_idx, 1)
             return sample_dirichlet_weights(length, DirichletParams(1.0), rng)
 
         oracle = oracle_probe_composition(*seqs, l, 1.0, weight_fn, **inj_kwargs)

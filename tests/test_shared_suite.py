@@ -1,11 +1,14 @@
 """Evaluation inputs built once per process and shared across models.
 
 The probe and GAR evaluation sequences (``data.evaluation_sequences``)
-and the probe branch segments (``metrics._branch_segments``) are cached
-by value. Every comparison here is exact: sharing must not change a
-byte of any report.
+and the probes' Dirichlet weights (``metrics._dirichlet_weights``) are
+cached; the branch segments are built from them on every call by the
+stack builders ``segments.inverse_cycles`` and ``segments.recompose``.
+Every comparison here is exact: sharing must not change a byte of any
+report.
 """
 
+import gc
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gawm import harness, metrics
+from gawm import harness, metrics, segments
 from gawm.config import (
     DatasetConfig,
     EncoderConfig,
@@ -27,13 +30,19 @@ from gawm.metrics import (
     KIND_COMPOSITION,
     KIND_INVERSE,
     ProbeConfig,
-    _branch_segments,
-    _probe_rng,
+    _dirichlet_weights,
     evaluate_gac,
 )
 from gawm.models import PerturbedModel, ViolationConfig
 from gawm.se2 import DistanceParams
-from gawm.segments import DirichletParams, make_compatibility_segment, make_inverse_segment
+from gawm.segments import (
+    DirichletParams,
+    inverse_cycles,
+    keyed_rng,
+    make_compatibility_segment,
+    make_inverse_segment,
+    recompose,
+)
 from gawm.training import TrainRunConfig
 
 DIST = DistanceParams(0.7)
@@ -42,7 +51,7 @@ ZOO = ("exact", "drift:0.01,0,0.005", "sat:0.05", "asym:1.2,0.8", "noise:0.02")
 
 def clear_caches():
     evaluation_sequences.cache_clear()
-    metrics._build_branch_segments.cache_clear()
+    _dirichlet_weights.cache_clear()
 
 
 def tiny_config(out_dir) -> ExperimentConfig:
@@ -82,20 +91,41 @@ def _score(cfg, refs, root) -> dict[str, str]:
 
 
 def _per_window_segments(kind, windows, seed, key, j, dirichlet):
-    """The branch segments as one build per window, without sharing."""
+    """A probe stop's branch segments as one ``make_*`` build per window,
+    with the weights drawn from the generator the probe walk keys."""
     if kind == KIND_INVERSE:
         return np.stack([make_inverse_segment(u).array for u in windows])
     return np.stack([
-        make_compatibility_segment(u, dirichlet, _probe_rng(seed, *key, s, 1 + 3 * j)).array
+        make_compatibility_segment(u, dirichlet, keyed_rng(seed, *key, s, 1 + 3 * j)).array
         for s, u in enumerate(windows)
     ])
 
 
+def _stacked_segments(kind, windows, seed, key, j, dirichlet):
+    """The same segments as the probe walk builds them: one stack build."""
+    if kind == KIND_INVERSE:
+        return inverse_cycles(windows)
+    return recompose(windows, _dirichlet_weights(seed, key, j, len(windows), windows.shape[1],
+                                                 dirichlet))
+
+
 def _unshared(monkeypatch):
-    """Evaluate with fresh sequences and per-window segments every call."""
+    """Evaluate with fresh sequences, fresh weights and one segment build
+    per window on every call."""
     monkeypatch.setattr(harness, "evaluation_sequences",
                         lambda *args: sample_sequences(*args)[:2])
-    monkeypatch.setattr(metrics, "_branch_segments", _per_window_segments)
+    monkeypatch.setattr(metrics, "_dirichlet_weights", _dirichlet_weights.__wrapped__)
+    monkeypatch.setattr(metrics, "inverse_cycles",
+                        lambda windows: np.stack([make_inverse_segment(u).array for u in windows]))
+    monkeypatch.setattr(metrics, "recompose", lambda windows, weights: np.stack(
+        [recompose(u, w) for u, w in zip(windows, weights)]))
+
+
+def _with_negative_zeros(windows):
+    """A copy of ``windows`` whose first row of every window is all -0.0."""
+    windows = windows.copy()
+    windows[:, 0] = -0.0
+    return windows
 
 
 def test_reports_are_the_same_cold_on_a_hit_and_unshared(tmp_path, monkeypatch, checkpoint):
@@ -103,7 +133,7 @@ def test_reports_are_the_same_cold_on_a_hit_and_unshared(tmp_path, monkeypatch, 
     refs = ("exact", "noise:0.02", checkpoint)
     clear_caches()
     cold = _score(cfg, refs, tmp_path / "cold")
-    assert metrics._build_branch_segments.cache_info().hits > 0
+    assert _dirichlet_weights.cache_info().hits > 0  # shared across the three models
     hit = _score(cfg, refs, tmp_path / "hit")
     assert evaluation_sequences.cache_info().hits >= 2 * len(refs)
     _unshared(monkeypatch)
@@ -124,19 +154,69 @@ def test_a_score_zoo_loop_run_twice_writes_the_same_files(tmp_path, checkpoint):
 
 def test_cached_arrays_are_read_only():
     starts, actions = evaluation_sequences(3, 8, ActionDistribution(), 11)
-    windows = np.ascontiguousarray(actions[:, 2:5])
-    cycles = _branch_segments(KIND_INVERSE, windows, 11, (1, 1, 3), 0, DirichletParams())
-    recomposed = _branch_segments(KIND_COMPOSITION, windows, 11, (2, 1, 3), 0, DirichletParams())
-    for array in (starts, actions, cycles, recomposed):
+    windows = actions[:, 2:5]
+    weights = _dirichlet_weights(11, (2, 1, 3), 0, 3, 3, DirichletParams())
+    cycles = inverse_cycles(windows)
+    recomposed = recompose(windows, weights)
+    for array in (starts, actions, weights, cycles, recomposed):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0
     assert evaluation_sequences(3, 8, ActionDistribution(), 11)[1] is actions
+    assert _dirichlet_weights(11, (2, 1, 3), 0, 3, 3, DirichletParams()) is weights
 
 
-def test_inverse_cycles_are_keyed_by_their_windows_alone():
-    windows = sample_sequences(4, 3, ActionDistribution(), 17)[1]
-    cycles = _branch_segments(KIND_INVERSE, windows, 1, (1, 1, 3), 0, DirichletParams(0.3))
-    assert _branch_segments(KIND_INVERSE, windows, 2, (1, 2, 3), 1, DirichletParams()) is cycles
+def _cached_objects(cached) -> list:
+    """What an ``lru_cache`` wrapper holds: its keys' parts and its values."""
+    found, todo = [], [r for r in gc.get_referents(cached)
+                        if not isinstance(r, (dict, type)) and not callable(r)]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, (list, tuple)):
+            todo += obj
+        else:
+            found.append(obj)
+    return found
+
+
+def test_the_weights_cache_holds_weights_keyed_by_what_they_depend_on():
+    clear_caches()
+    grid = ProbeSuiteConfig().probe_grid()
+    starts, actions, _ = sample_sequences(4, 24, ActionDistribution(sigma_dtheta=0.3), 43)
+    for model in (PerturbedModel(ViolationConfig(saturation_scale=0.08)),
+                  PerturbedModel(ViolationConfig(noise_sigma=0.02))):
+        evaluate_gac(model, starts, actions, grid, DIST, 43)
+        evaluate_gac(model, starts, actions * 0.5, grid, DIST, 43)  # other windows, same weights
+    n_comp = sum(cfg.kind == KIND_COMPOSITION for cfg in grid)
+    info = _dirichlet_weights.cache_info()
+    assert (info.misses, info.currsize, info.hits) == (n_comp, n_comp, 3 * n_comp)
+    held = _cached_objects(_dirichlet_weights)
+    assert not any(isinstance(obj, np.random.Generator) for obj in held)
+    weights = [obj for obj in held if isinstance(obj, np.ndarray)]
+    assert len(weights) == n_comp
+    assert all(w.dtype == np.float64 and w.shape[0] == 4 and not w.flags.writeable
+               for w in weights)
+    assert {type(obj) for obj in held} <= {int, DirichletParams, np.ndarray, object}
+    assert sorted(w.shape[1] for w in weights) == sorted(cfg.l for cfg in grid
+                                                         if cfg.kind == KIND_COMPOSITION)
+
+
+def test_an_exact_model_probe_and_gar_build_no_generators(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(metrics, "keyed_rng", lambda seed, *key: built.append(key) or
+                        keyed_rng(seed, *key))
+    cfg = tiny_config(tmp_path / "cold")
+    clear_caches()
+    cmd_probe(cfg, "exact")
+    cmd_gar(cfg, "exact")
+    # cold, the only generators are the composition stops' Dirichlet weights (slot 1 + 3j, j = 0)
+    n_comp = sum(c.kind == KIND_COMPOSITION for c in cfg.probes.probe_grid())
+    assert len(built) == n_comp * cfg.probes.n_sequences
+    assert {key[0] for key in built} == {2} and {key[-1] for key in built} == {1}
+    built.clear()
+    warm = replace(cfg, out_dir=str(tmp_path / "warm"))
+    cmd_probe(warm, "exact")
+    cmd_gar(warm, "exact")
+    assert built == []
 
 
 def test_evaluation_sequences_are_sample_sequences_without_generators():
@@ -150,9 +230,9 @@ def test_evaluation_sequences_are_sample_sequences_without_generators():
 def test_mutated_windows_get_segments_built_from_their_new_values(kind):
     windows = sample_sequences(5, 4, ActionDistribution(), 31)[1]
     key, dirichlet = (1, 1, 4), DirichletParams(0.5)
-    before = _branch_segments(kind, windows, 3, key, 0, dirichlet)
+    before = _stacked_segments(kind, windows, 3, key, 0, dirichlet)
     windows[:, :, 0] *= 0.5
-    after = _branch_segments(kind, windows, 3, key, 0, dirichlet)
+    after = _stacked_segments(kind, windows, 3, key, 0, dirichlet)
     assert not np.array_equal(before, after)
     assert after.tobytes() == _per_window_segments(kind, windows, 3, key, 0, dirichlet).tobytes()
 
@@ -175,14 +255,23 @@ def test_a_caller_mutating_its_actions_between_calls_gets_the_new_report():
 @pytest.mark.parametrize("concentration", (0.3, 1.0, 4.0))
 def test_array_built_segments_equal_per_window_segments(kind, l, concentration):
     actions = sample_sequences(7, 12, ActionDistribution(sigma_dtheta=0.4), 50 + l)[1]
-    windows = actions[:, 3 : 3 + l]  # a strided view, as the probe walk slices it
     key, dirichlet = (2, 1, l), DirichletParams(concentration)
     clear_caches()
-    got = _branch_segments(kind, windows, 8, key, 2, dirichlet)
-    want = _per_window_segments(kind, windows, 8, key, 2, dirichlet)
-    assert got.shape == want.shape == (7, 2 * l if kind == KIND_INVERSE else l, 3)
-    assert got.tobytes() == want.tobytes()
-    assert _branch_segments(kind, windows, 8, key, 2, dirichlet) is got
+    # a strided view, as the probe walk slices it, and a copy with -0.0 rows
+    for windows in (actions[:, 3 : 3 + l], _with_negative_zeros(actions[:, 3 : 3 + l])):
+        got = _stacked_segments(kind, windows, 8, key, 2, dirichlet)
+        want = _per_window_segments(kind, windows, 8, key, 2, dirichlet)
+        assert got.shape == want.shape == (7, 2 * l if kind == KIND_INVERSE else l, 3)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+def test_the_one_window_case_keeps_its_empty_segment_errors():
+    with pytest.raises(ValueError, match="empty segment"):
+        make_inverse_segment(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="recompose an empty segment"):
+        make_compatibility_segment(np.zeros((0, 3)), DirichletParams(), keyed_rng(0))
+    assert inverse_cycles(np.zeros((2, 0, 3))).shape == (2, 0, 3)
 
 
 def test_an_out_of_range_recomposed_increment_raises_as_per_window():
@@ -192,10 +281,10 @@ def test_an_out_of_range_recomposed_increment_raises_as_per_window():
     with pytest.raises(ValueError, match=r"\|dtheta\| must be <= pi") as per_window:
         _per_window_segments(KIND_COMPOSITION, windows, 4, key, 0, dirichlet)
     clear_caches()
-    with pytest.raises(ValueError) as got:
-        _branch_segments(KIND_COMPOSITION, windows, 4, key, 0, dirichlet)
-    assert str(got.value) == str(per_window.value)
-    assert metrics._build_branch_segments.cache_info().currsize == 0
+    for _ in range(2):  # the cached weights do not cache the failure away
+        with pytest.raises(ValueError) as got:
+            _stacked_segments(KIND_COMPOSITION, windows, 4, key, 0, dirichlet)
+        assert str(got.value) == str(per_window.value)
 
 
 def test_probe_reports_equal_per_window_segment_walks(monkeypatch):
@@ -210,3 +299,11 @@ def test_probe_reports_equal_per_window_segment_walks(monkeypatch):
             unshared = evaluate_gac(model, starts, actions, grid, DIST, 61)
         assert shared == unshared
         assert math.isfinite(shared.e_gac) and shared.e_gac > 0.0
+
+
+def test_keyed_rng_is_the_spelled_out_generator():
+    for seed, key in [(0, ()), (5, (3,)), (2**63, (2, 1, 8, 99, 25)), (7, (0, 1))]:
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed,
+                                                                          spawn_key=key)))
+        assert keyed_rng(seed, *key).bit_generator.state == want.bit_generator.state
+    assert segments.keyed_rng is metrics.keyed_rng
