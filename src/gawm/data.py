@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import write_json, write_text
 from .latent import check_noise_sigma, pose_features
-from .models import WorldModel, fold_steps, read_trajectory_jsonl, write_trajectory_jsonl
-from .se2 import wrap_angles
-from .segments import ActionSegment, _valid_segment, check_increments, keyed_rng
+from .models import WorldModel, fold_steps
+from .se2 import check_finite_poses, wrap_angles
+from .segments import check_increments, keyed_rng
 
 # evaluation suites (probe, GAR) whose sequences a process keeps
 EVALUATION_CACHE_SIZE = 4
@@ -89,7 +89,8 @@ class Dataset:
     and every pose's (x, y, cos theta, sin theta) in ``features`` (N, T+1, 4).
 
     Every action is checked once, here, as ``ActionIncrement`` checks it;
-    ``actions`` is a read-only view, so its segments need no re-check.
+    ``actions`` is a read-only view, and ``segment`` returns read-only
+    views into it, which need no re-check.
     """
 
     def __init__(self, poses: np.ndarray, actions: np.ndarray):
@@ -112,10 +113,11 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.poses)
 
-    def segment(self, i: int, t: int, l: int) -> ActionSegment:
+    def segment(self, i: int, t: int, l: int) -> np.ndarray:
+        """Trajectory i's actions t to t+l-1, as a read-only (l, 3) view."""
         if t + l > self.length:
             raise ValueError(f"segment [{t}, {t + l}) exceeds trajectory length {self.length}")
-        return _valid_segment(self.actions[i, t : t + l])
+        return self.actions[i, t : t + l]
 
 
 def generate_records(
@@ -134,10 +136,36 @@ def generate_records(
     return Dataset(fold_steps(model, starts, actions, rngs), actions)
 
 
+def write_trajectory_jsonl(path, poses: np.ndarray, header: dict) -> None:
+    """One header line, then one ``{"theta", "x", "y"}`` object per pose row."""
+    lines = [json.dumps(header, sort_keys=True)]
+    lines += [json.dumps({"theta": theta, "x": x, "y": y}) for theta, x, y in poses.tolist()]
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def read_trajectory_jsonl(path) -> tuple[dict, np.ndarray]:
+    """The header and the (T+1, 3) pose array, checked and wrapped as ``Pose2`` would be."""
+    with open(path) as f:
+        lines = [line for line in f if line.strip()]
+    header = json.loads(lines[0])
+    rows = [json.loads(line) for line in lines[1:]]
+    poses = np.array([(r["theta"], r["x"], r["y"]) for r in rows], dtype=np.float64).reshape(-1, 3)
+    check_finite_poses(poses)
+    poses[:, 0] = wrap_angles(poses[:, 0])
+    return header, poses
+
+
 def write_dataset(out_dir, dataset: Dataset, meta: dict) -> dict:
-    """Write per-trajectory pose and action files plus a summary, return the summary."""
+    """Write per-trajectory pose and action files plus a summary, return the summary.
+
+    Trajectory and action files already in ``out_dir``, and the temp
+    files of a killed write, are removed first, so the directory loads
+    as exactly this dataset.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in (*out.glob("traj_*.jsonl"), *out.glob("actions_*.json"), *out.glob("*.tmp")):
+        stale.unlink()
     for i, (poses, actions) in enumerate(zip(dataset.poses, dataset.actions)):
         actions_name = f"actions_{i:04d}.json"
         write_json(out / actions_name, actions.tolist(), indent=None)

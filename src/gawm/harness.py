@@ -430,12 +430,14 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     """Train and evaluate every grid point on one axis, then consolidate.
 
     Grid points share the dataset generated from the base config, which
-    is loaded once. When a pretrain run is configured, one base model is
-    trained first and every grid point fine-tunes it. Consecutive points
-    that differ only in loss weights and rollout mode (``TrainGroup.key``)
-    form a lockstep group, the unit of work: groups run in-process, or in
-    a pool of ``min(threads, groups)`` workers that are handed the loaded
-    dataset. Rows are written in grid order.
+    is loaded once. An existing ``dataset/`` is reused only if the
+    manifest holds a finished ``gen-data`` entry of this config; otherwise
+    gen-data runs again. When a pretrain run is configured, one base
+    model is trained first and every grid point fine-tunes it.
+    Consecutive points that differ only in loss weights and rollout mode
+    (``TrainGroup.key``) form a lockstep group, the unit of work: groups
+    run in-process, or in a pool of ``min(threads, groups)`` workers that
+    are handed the loaded dataset. Rows are written in grid order.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -443,7 +445,8 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     stage = _Stage(cfg, f"ablate-{axis}")
     out_dir = stage.out_dir
     data_dir = _dataset_dir(out_dir)
-    if not data_dir.is_dir():
+    payload = _manifest_payload(out_dir)  # this config's: opening the stage removed another's
+    if payload is None or "gen-data" not in payload["stages"]:
         cmd_gen_data(cfg)
     dataset = load_dataset(data_dir)
     base_ckpt = None

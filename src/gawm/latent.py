@@ -232,12 +232,13 @@ def _decode_rows(z: np.ndarray, decoder: FeatureDecoder) -> np.ndarray:
     return poses
 
 
-def net_step_graph(z: ag.Tensor, action: ActionIncrement, weights) -> ag.Tensor:
-    """Recorded counterpart of net_step for gradient computation: one tape node."""
-    return ag.residual_mlp(z, action.as_array(), weights)
+def net_step_graph(z: ag.Tensor, action: np.ndarray, weights) -> ag.Tensor:
+    """Recorded net_step on one (3,) action row, for gradient computation: one tape node."""
+    return ag.residual_mlp(z, action, weights)
 
 
-def rollout_endpoint_graph(z0: ag.Tensor, u: ActionSegment, weights) -> ag.Tensor:
+def rollout_endpoint_graph(z0: ag.Tensor, u: np.ndarray, weights) -> ag.Tensor:
+    """``net_step_graph`` folded over the rows of an (L, 3) action array."""
     z = z0
     for a in u:
         z = net_step_graph(z, a, weights)

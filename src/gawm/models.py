@@ -10,14 +10,12 @@ against direct stepwise simulation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .artifacts import write_text
 from .se2 import Pose2, check_finite_poses, pose_array, se2_compose, wrap_angles
 from .segments import ActionIncrement, ActionSegment, ZERO_INCREMENT
 
@@ -325,21 +323,3 @@ def rollout_batch(model: WorldModel, starts: np.ndarray, actions: np.ndarray, rn
         for start, row, rng in zip(starts.tolist(), actions, rngs)
     ])
 
-
-def write_trajectory_jsonl(path, poses: np.ndarray, header: dict) -> None:
-    """One header line, then one ``{"theta", "x", "y"}`` object per pose row."""
-    lines = [json.dumps(header, sort_keys=True)]
-    lines += [json.dumps({"theta": theta, "x": x, "y": y}) for theta, x, y in poses.tolist()]
-    write_text(path, "\n".join(lines) + "\n")
-
-
-def read_trajectory_jsonl(path) -> tuple[dict, np.ndarray]:
-    """The header and the (T+1, 3) pose array, checked and wrapped as ``Pose2`` would be."""
-    with open(path) as f:
-        lines = [line for line in f if line.strip()]
-    header = json.loads(lines[0])
-    rows = [json.loads(line) for line in lines[1:]]
-    poses = np.array([(r["theta"], r["x"], r["y"]) for r in rows], dtype=np.float64).reshape(-1, 3)
-    check_finite_poses(poses)
-    poses[:, 0] = wrap_angles(poses[:, 0])
-    return header, poses

@@ -36,15 +36,9 @@ from .latent import (
     pose_features,
     rollout_endpoint_graph,
 )
-from .models import ExactModel, rollout
-from .se2 import Pose2
+from .se2 import Pose2, se2_compose
 from .segments import (
-    ActionSegment,
-    DirichletParams,
-    keyed_rng,
-    make_compatibility_segment,
-    make_identity_segment,
-    make_inverse_segment,
+    DirichletParams, inverse_cycles, keyed_rng, recompose, sample_dirichlet_weights,
 )
 
 FREE_RUNNING = "free-running"
@@ -195,15 +189,15 @@ def make_optimizer(run: TrainRunConfig, shape: int | tuple[int, int]):
 
 @dataclass(frozen=True)
 class Batch:
-    """Transitions for the prediction loss, as (trajectory, time) index
-    arrays into ``dataset``, plus one anchor for constraint synthesis."""
+    """Transitions for the prediction loss, as (trajectory, time) index arrays
+    into ``dataset``, plus one anchor and the (span, 3) action view after it."""
 
     dataset: Dataset
     idx: np.ndarray
     ts: np.ndarray
     anchor_i: int
     anchor_t: int
-    base_segment: ActionSegment
+    base_segment: np.ndarray
 
     @property
     def start_pose(self) -> np.ndarray:
@@ -297,27 +291,26 @@ def prediction_loss(net: DynamicsNet, encoder: FeatureEncoder, poses_in: np.ndar
     return float(_stack_prediction(weights, z_in, actions.T, z_next)[0][0])
 
 
-def _constraint_segments(base_segment: ActionSegment, cfg: GALossConfig, active: str,
-                         dirichlet_rng: np.random.Generator) -> list[ActionSegment]:
-    """Rollout segments of the active constraint: one whose endpoint is
-    compared with the anchor (identity, inverse), or two whose endpoints
-    are compared with each other (composition)."""
-    if not 1 <= len(base_segment) <= cfg.max_span:
-        raise ValueError(
-            f"base segment length {len(base_segment)} outside [1, {cfg.max_span}]"
-        )
+def _constraint_segments(base_segment: np.ndarray, cfg: GALossConfig, active: str,
+                         dirichlet_rng: np.random.Generator) -> list[np.ndarray]:
+    """Rollout segments of the active constraint, as (L, 3) action arrays:
+    one whose endpoint is compared with the anchor (identity, inverse),
+    or two whose endpoints are compared with each other (composition)."""
+    l = len(base_segment)
+    if not 1 <= l <= cfg.max_span:
+        raise ValueError(f"base segment length {l} outside [1, {cfg.max_span}]")
     if active == CONSTRAINT_ID:
-        return [make_identity_segment(len(base_segment))]
+        return [np.zeros((l, 3))]
     if active == CONSTRAINT_INV:
-        return [make_inverse_segment(base_segment)]
+        return [inverse_cycles(base_segment)]
     if active == CONSTRAINT_COMP:
-        u_b = make_compatibility_segment(base_segment, cfg.dirichlet, dirichlet_rng)
-        return [base_segment, u_b]
+        weights = sample_dirichlet_weights(l, cfg.dirichlet, dirichlet_rng)
+        return [base_segment, recompose(base_segment, weights)]
     raise ValueError(f"unknown constraint: {active!r}")
 
 
-def _rollout_plans(segments: list[ActionSegment], mode: str, start_pose: np.ndarray | None,
-                   encoder: FeatureEncoder | None) -> list[tuple[np.ndarray | None, ActionSegment]]:
+def _rollout_plans(segments: list[np.ndarray], mode: str, start_pose: np.ndarray | None,
+                   encoder: FeatureEncoder | None) -> list[tuple[np.ndarray | None, np.ndarray]]:
     """The network steps each rollout endpoint depends on: (first input, actions).
 
     A first input of None means the anchor latent. Free-running rolls the
@@ -336,19 +329,20 @@ def _rollout_plans(segments: list[ActionSegment], mode: str, start_pose: np.ndar
         if len(seg) == 1:
             plans.append((None, seg))
             continue
-        # the per-pose fold: a quarter of the array kernel's overhead on one short row
-        state = rollout(ExactModel(), start, seg[:-1], None)[-1]
+        state = start  # exact_step's arithmetic on float rows: the array kernel costs more
+        for dx, dy, dtheta in seg[:-1].tolist():
+            state = se2_compose(state, Pose2(dtheta, dx, dy))
         features = pose_features(np.array([state.theta, state.x, state.y]))
         plans.append((encoder.projection @ features, seg[-1:]))
     return plans
 
 
-def ga_loss_graph(weights, z_t: np.ndarray, base_segment: ActionSegment, cfg: GALossConfig,
+def ga_loss_graph(weights, z_t: np.ndarray, base_segment: np.ndarray, cfg: GALossConfig,
                   active: str, dirichlet_rng: np.random.Generator, *,
                   start_pose: np.ndarray | None = None,
                   encoder: FeatureEncoder | None = None) -> ag.Tensor:
     """Recorded active consistency loss from a detached anchor latent (the
-    gradient reference)."""
+    gradient reference), for an (L, 3) base segment."""
     anchor = ag.constant(z_t)
     ends = []
     segments = _constraint_segments(base_segment, cfg, active, dirichlet_rng)
@@ -443,7 +437,7 @@ class ParamStack:
         return tuple(w[rows] for w in self.weights)
 
 
-def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, base_segment: ActionSegment,
+def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, base_segment: np.ndarray,
                      active: str, dirichlet_rng: np.random.Generator,
                      start_pose: np.ndarray | None, encoder: FeatureEncoder | None):
     """Every row's ``l_pred + lambda_ga * w_active * l_ga`` and its
@@ -480,7 +474,7 @@ def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, base_segment: 
     """
     losses = np.empty((3, len(stack.cfgs)))
     segments = _constraint_segments(base_segment, stack.cfgs[0], active, dirichlet_rng)
-    plans = {mode: [(z_t if z0 is None else z0, steps.array)
+    plans = {mode: [(z_t if z0 is None else z0, steps)
                     for z0, steps in _rollout_plans(segments, mode, start_pose, encoder)]
              for mode in stack.mode_rows}
     weight = stack.active_weights[active].tolist()

@@ -246,10 +246,8 @@ def test_criterion_6_gradient_correctness():
         transitions_a = rng.normal(0.1, 0.05, size=(3, 5))
         transitions_zn = rng.normal(size=(d, 5))
         z_t = rng.normal(size=d)
-        base = ActionSegment(
-            [ActionIncrement(0.1, 0.02, 0.05), ActionIncrement(0.08, -0.03, -0.04),
-             ActionIncrement(0.12, 0.0, 0.06), ActionIncrement(0.05, 0.01, 0.0)]
-        )
+        base = np.array([[0.1, 0.02, 0.05], [0.08, -0.03, -0.04],
+                         [0.12, 0.0, 0.06], [0.05, 0.01, 0.0]])
         cfg = GALossConfig(max_span=4)
 
         graphs = {

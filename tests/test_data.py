@@ -157,10 +157,10 @@ def test_dataset_segments_are_read_only_views_equal_to_checked_copies():
         for t in range(6):
             for l in range(1, 7 - t):
                 seg = data.segment(i, t, l)
-                assert seg == ActionSegment(data.actions[i, t : t + l])
-                assert seg.array.tobytes() == data.actions[i, t : t + l].tobytes()
-                assert np.shares_memory(seg.array, data.actions)
-                assert not seg.array.flags.writeable
+                assert np.array_equal(seg, ActionSegment(data.actions[i, t : t + l]).array)
+                assert seg.tobytes() == data.actions[i, t : t + l].tobytes()
+                assert np.shares_memory(seg, data.actions)
+                assert not seg.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         data.actions[0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="exceeds trajectory length"):
@@ -174,7 +174,7 @@ def test_training_is_the_same_with_copied_and_rechecked_segments(monkeypatch):
     encoder = make_encoder(8, 13)
     views = train(run, cfg, data, encoder, 21)
     monkeypatch.setattr(Dataset, "segment",
-                        lambda self, i, t, l: ActionSegment(self.actions[i, t : t + l]))
+                        lambda self, i, t, l: ActionSegment(self.actions[i, t : t + l]).array)
     copies = train(run, cfg, data, encoder, 21)
     assert views.net.params.tobytes() == copies.net.params.tobytes()
     for name in ("active", "l_pred", "l_ga", "total"):

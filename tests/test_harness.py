@@ -24,7 +24,7 @@ from gawm.config import (
     stage_seed,
 )
 from gawm.data import (
-    ActionDistribution, generate_records, load_dataset, sample_sequences, write_dataset,
+    ActionDistribution, Dataset, generate_records, load_dataset, sample_sequences, write_dataset,
 )
 from gawm.harness import (
     UnknownModelRefError,
@@ -40,7 +40,6 @@ from gawm.harness import (
 )
 from gawm.latent import DynamicsNet, LearnedWorldModel, make_encoder, save_checkpoint
 from gawm.models import ExactModel, PerturbedModel, is_deterministic
-from gawm.segments import ActionSegment
 from gawm.training import NonFiniteLossError, TrainRunConfig, train_group
 
 
@@ -163,7 +162,7 @@ def test_dataset_write_load_round_trip(tmp_path):
     assert np.array_equal(ds.poses, records.poses)
     assert np.array_equal(ds.actions, records.actions)
     assert np.array_equal(ds.features, records.features)
-    assert ds.segment(2, 3, 2) == ActionSegment(records.actions[2, 3:5])
+    assert np.array_equal(ds.segment(2, 3, 2), records.actions[2, 3:5])
 
 
 def test_parse_model_ref_named_forms():
@@ -297,6 +296,61 @@ def test_gen_data_is_byte_reproducible(tmp_path):
     for pa in sorted(dir_a.iterdir()):
         pb = dir_b / pa.name
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def _with_trajectories(cfg, n, **changes):
+    return replace(cfg, dataset=replace(cfg.dataset, n_trajectories=n), **changes)
+
+
+def test_gen_data_replaces_an_earlier_dataset_in_its_directory(tmp_path):
+    # a rerun with fewer trajectories must not leave the earlier run's extra
+    # files behind, nor the temp file of a killed write
+    cfg = tiny_config(tmp_path / "regen")
+    data_dir = cmd_gen_data(_with_trajectories(cfg, 12))
+    (data_dir / "traj_0003.jsonl.tmp").write_text('{"half": ')
+    assert cmd_gen_data(_with_trajectories(cfg, 5)) == data_dir
+    fresh = cmd_gen_data(_with_trajectories(cfg, 5, out_dir=str(tmp_path / "fresh")))
+    assert sorted(p.name for p in data_dir.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    for path in fresh.iterdir():
+        assert (data_dir / path.name).read_bytes() == path.read_bytes(), path.name
+    assert len(load_dataset(data_dir)) == 5
+
+
+@pytest.mark.parametrize("left", ("partial", "foreign"))
+def test_ablate_regenerates_a_dataset_no_gen_data_entry_vouches_for(tmp_path, monkeypatch, left):
+    # a partial directory (as a gen-data killed mid-write leaves it) or one
+    # another config wrote is not this config's dataset
+    import gawm.harness as harness
+
+    loaded, generated = [], []
+
+    def recording_load(path):
+        loaded.append(load_dataset(path))
+        return loaded[-1]
+
+    def recording_gen_data(c):
+        generated.append(c)
+        return cmd_gen_data(c)
+
+    monkeypatch.setattr(harness, "load_dataset", recording_load)
+    monkeypatch.setattr(harness, "cmd_gen_data", recording_gen_data)
+    cfg = tiny_config(tmp_path / left, steps=4)
+    if left == "partial":  # this config's first 3 trajectories, with no manifest entry
+        full = load_dataset(cmd_gen_data(replace(cfg, out_dir=str(tmp_path / "full"))))
+        write_dataset(Path(cfg.out_dir) / "dataset", Dataset(full.poses[:3], full.actions[:3]),
+                      {"seed": 0, "model": "exact"})
+    else:
+        cmd_gen_data(_with_trajectories(cfg, 12))
+        cfg = _with_trajectories(cfg, 7, seed=99)
+    want = load_dataset(cmd_gen_data(replace(cfg, out_dir=str(tmp_path / "want"))))
+    cmd_ablate(cfg, "mode")
+    assert len(generated) == 1
+    assert np.array_equal(loaded[0].poses, want.poses)
+    assert np.array_equal(loaded[0].actions, want.actions)
+    # a finished gen-data of this config vouches for the directory: no rerun
+    cmd_ablate(cfg, "mode")
+    assert len(generated) == 1 and len(loaded) == 2
+    assert np.array_equal(loaded[1].poses, want.poses)
 
 
 @pytest.fixture(scope="module")

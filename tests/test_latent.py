@@ -152,7 +152,7 @@ def test_graph_forward_matches_plain_forward():
     net = make_dynamics_net(16, 32, 15)
     z0 = _rng(16).normal(size=16)
     seg = ActionSegment([ActionIncrement(0.1, -0.05, 0.2), ActionIncrement(0.0, 0.0, 0.0)])
-    end_graph = rollout_endpoint_graph(ag.constant(z0), seg, net.param_tensors())
+    end_graph = rollout_endpoint_graph(ag.constant(z0), seg.array, net.param_tensors())
     assert np.allclose(end_graph.value, latent_rollout_endpoint(z0, seg, net), atol=1e-15)
 
 
@@ -168,7 +168,7 @@ def test_gradient_through_rollout_matches_finite_difference():
         return float(np.sum((end - target) ** 2))
 
     weights = net.param_tensors()
-    end = rollout_endpoint_graph(ag.constant(z0), seg, weights)
+    end = rollout_endpoint_graph(ag.constant(z0), seg.array, weights)
     loss = ag.sumsq(ag.sub(end, ag.constant(target)))
     ag.backward(loss)
     grad = net.pack_grads(weights)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gawm.data import read_trajectory_jsonl, write_trajectory_jsonl
 from gawm.models import (
     ExactModel,
     PerturbedModel,
@@ -12,9 +13,7 @@ from gawm.models import (
     exact_step,
     increment_pose,
     perturbed_step,
-    read_trajectory_jsonl,
     rollout,
-    write_trajectory_jsonl,
 )
 from gawm.se2 import Pose2, se2_compose, se2_identity, state_distance
 from gawm.segments import ActionIncrement, ActionSegment, ZERO_INCREMENT, make_inverse_segment

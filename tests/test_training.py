@@ -11,7 +11,7 @@ from gawm.config import benchmark_config
 from gawm.data import ActionDistribution, Dataset, generate_records
 from gawm.harness import sweep_points
 from gawm.latent import DynamicsNet, make_decoder, make_dynamics_net, make_encoder, pose_features
-from gawm.models import ExactModel
+from gawm.models import ExactModel, rollout
 from gawm.se2 import Pose2, pose_array
 from gawm.segments import ActionIncrement, ActionSegment, DirichletParams
 from gawm import training
@@ -111,7 +111,7 @@ def _ga_value(net, z_t, seg, cfg, active, rng):
 def test_ga_losses_zero_net_all_constraints(encoder):
     net = DynamicsNet(8, 4)
     z_t = _rng(1).normal(size=8)
-    seg = ActionSegment([ActionIncrement(0.1, 0, 0.05), ActionIncrement(0.2, -0.1, 0)])
+    seg = np.array([[0.1, 0, 0.05], [0.2, -0.1, 0]])
     cfg = GALossConfig(max_span=4)
     for c in CONSTRAINTS:
         assert _ga_value(net, z_t, seg, cfg, c, _rng(2)) == 0.0
@@ -120,7 +120,7 @@ def test_ga_losses_zero_net_all_constraints(encoder):
 def test_ga_losses_comp_length_one_is_exactly_zero(encoder):
     net = make_dynamics_net(8, 16, 3)
     z_t = _rng(4).normal(size=8)
-    seg = ActionSegment([ActionIncrement(0.3, -0.2, 0.1)])
+    seg = np.array([[0.3, -0.2, 0.1]])
     assert _ga_value(net, z_t, seg, GALossConfig(), CONSTRAINT_COMP, _rng(5)) == 0.0
 
 
@@ -138,7 +138,7 @@ def test_ga_losses_id_matches_hand_unrolled_oracle():
         z = z + w2 @ np.tanh(w1 @ np.concatenate([z, zero]) + b1) + b2
     expected = float(np.sum((z - z_t) ** 2))
 
-    seg = ActionSegment([ActionIncrement(0.5, 0, 0), ActionIncrement(0, 0.5, 0)])
+    seg = np.array([[0.5, 0, 0], [0, 0.5, 0]])
     value = _ga_value(net, z_t, seg, GALossConfig(), CONSTRAINT_ID, _rng(8))
     assert value == pytest.approx(expected, rel=1e-12)
 
@@ -160,7 +160,7 @@ def test_ga_losses_reports_inactive_as_none(dataset, encoder):
 
 def test_ga_losses_rejects_overlong_segment():
     net = DynamicsNet(4, 2)
-    seg = ActionSegment([ActionIncrement(0.1, 0, 0)] * 5)
+    seg = np.array([[0.1, 0, 0]] * 5)
     for c in CONSTRAINTS:
         with pytest.raises(ValueError):
             _ga_value(net, np.zeros(4), seg, GALossConfig(max_span=4), c, _rng(0))
@@ -169,7 +169,7 @@ def test_ga_losses_rejects_overlong_segment():
 def test_ga_loss_gradient_matches_finite_difference():
     net = make_dynamics_net(4, 6, 10)
     z_t = _rng(11).normal(size=4)
-    seg = ActionSegment([ActionIncrement(0.2, -0.1, 0.1), ActionIncrement(0.1, 0.1, -0.2)])
+    seg = np.array([[0.2, -0.1, 0.1], [0.1, 0.1, -0.2]])
     cfg = GALossConfig()
 
     for c in CONSTRAINTS:
@@ -192,7 +192,7 @@ def test_detached_anchor_blocks_upstream_gradient():
     # parameters that only influence the anchor latent receive zero gradient
     from gawm.latent import rollout_endpoint_graph
 
-    seg = ActionSegment([ActionIncrement(0.1, 0, 0)] * 2)
+    seg = np.array([[0.1, 0, 0]] * 2)
     net = make_dynamics_net(4, 6, 16)
     for detach in (False, True):
         upstream = make_dynamics_net(4, 6, 14).param_tensors()
@@ -212,7 +212,7 @@ def test_free_running_and_teacher_forced_differ_on_inverse(encoder):
     net = make_dynamics_net(8, 16, 17)
     start = np.array([0.3, 0.5, -0.2])
     z_t = encoder.projection @ pose_features(start)
-    seg = ActionSegment([ActionIncrement(0.2, 0.05, 0.1), ActionIncrement(0.15, -0.05, -0.1)])
+    seg = np.array([[0.2, 0.05, 0.1], [0.15, -0.05, -0.1]])
 
     grads = {}
     for mode in (FREE_RUNNING, TEACHER_FORCED):
@@ -236,7 +236,7 @@ def test_teacher_forced_loss_matches_exact_state_oracle(encoder):
     net = make_dynamics_net(8, 16, 19)
     start = np.array([0.4, -0.3, 0.8])
     z_t = encoder.projection @ pose_features(start)
-    base = ActionSegment([ActionIncrement(0.2, 0.05, 0.3), ActionIncrement(0.15, -0.05, -0.2)])
+    base = np.array([[0.2, 0.05, 0.3], [0.15, -0.05, -0.2]])
     cycle = make_inverse_segment(base)
     state = Pose2(*start)
     for a in cycle[:-1]:
@@ -253,9 +253,26 @@ def test_teacher_forced_loss_matches_exact_state_oracle(encoder):
     assert l_ga == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("length", range(2, 9))
+def test_teacher_forced_prefix_equals_the_per_pose_exact_rollout(encoder, length):
+    # the prefix folds exact_step's arithmetic over float rows; its state must
+    # be the per-pose rollout's bit for bit, including every heading wrap
+    rng = _rng(70 + length)
+    for theta in (math.pi, -math.pi, math.pi - 1e-12, -math.pi + 1e-12, 0.3):
+        seg = np.column_stack([rng.normal(0.1, 0.05, length), rng.normal(0.0, 0.03, length),
+                               rng.uniform(-math.pi, math.pi, length)])
+        seg[::2, 2] = -math.pi  # increment_pose wraps it to +pi
+        start = np.array([theta, *rng.normal(0.0, 1.0, 2)])
+        [(z_in, last)] = training._rollout_plans([seg], TEACHER_FORCED, start, encoder)
+        state = rollout(ExactModel(), Pose2(*start), ActionSegment(seg[:-1]), None)[-1]
+        want = encoder.projection @ pose_features(pose_array([state])[0])
+        assert z_in.tobytes() == want.tobytes(), theta
+        assert last.tobytes() == seg[-1:].tobytes()
+
+
 def test_teacher_forced_requires_anchor_pose():
     net = DynamicsNet(4, 2)
-    seg = ActionSegment([ActionIncrement(0.1, 0, 0)])
+    seg = np.array([[0.1, 0, 0]])
     with pytest.raises(ValueError):
         ga_loss_graph(
             net.param_tensors(), np.zeros(4), seg,
@@ -370,8 +387,8 @@ def test_batch_columns_equal_per_pose_encoding(dataset, encoder):
         assert np.array_equal(actions, np.stack([dataset.actions[i, t] for i, t in items], axis=1))
         assert np.array_equal(encoder.projection @ dataset.features[batch.anchor_i, batch.anchor_t],
                               encoder.projection @ pose_features(batch.start_pose))
-        assert batch.base_segment == dataset.segment(batch.anchor_i, batch.anchor_t,
-                                                     len(batch.base_segment))
+        assert np.array_equal(batch.base_segment, dataset.segment(
+            batch.anchor_i, batch.anchor_t, len(batch.base_segment)))
 
 
 def test_batch_columns_draw_noise_for_inputs_then_targets(dataset):
