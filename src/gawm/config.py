@@ -198,6 +198,19 @@ class ExperimentConfig:
     gar: GarSuiteConfig = field(default_factory=GarSuiteConfig)
     pretrain: TrainRunConfig | None = None
 
+    def __post_init__(self):
+        if self.train.dataset_path is None:
+            self.check_span_fits_dataset()
+
+    def check_span_fits_dataset(self) -> None:
+        """Training on the configured dataset draws windows of up to
+        ``ga.max_span`` steps from its trajectories; reject a span that
+        no trajectory holds. A run that names another dataset
+        (``train.dataset_path``) is checked when training loads it."""
+        if self.ga.max_span > self.dataset.length:
+            raise ValueError(f"ga.max_span {self.ga.max_span} exceeds dataset.length "
+                             f"{self.dataset.length}, the trajectory length it trains on")
+
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -24,7 +24,7 @@ from .artifacts import write_json, write_text
 from .latent import check_noise_sigma, pose_features
 from .models import WorldModel, fold_steps
 from .se2 import check_finite_poses, wrap_angles
-from .segments import check_increments, keyed_rng
+from .segments import check_increments, keyed_rngs
 
 # evaluation suites (probe, GAR) whose sequences a process keeps
 EVALUATION_CACHE_SIZE = 4
@@ -60,13 +60,11 @@ def sample_sequences(n: int, length: int, action_dist: ActionDistribution, seed:
     draws a Gaussian position, a uniform heading, then the actions."""
     starts = np.empty((n, 3))
     actions = np.empty((n, length, 3))
-    rngs = []
-    for i in range(n):
-        rng = keyed_rng(seed, i)
+    rngs = keyed_rngs(seed, [(i,) for i in range(n)])
+    for i, rng in enumerate(rngs):
         starts[i, 1:] = rng.normal(0.0, start_pos_sigma, size=2)
         starts[i, 0] = rng.uniform(-math.pi, math.pi)
         actions[i] = action_dist.sample(length, rng)
-        rngs.append(rng)
     starts[:, 0] = wrap_angles(starts[:, 0])
     return starts, actions, rngs
 

@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
@@ -156,16 +155,20 @@ class _Stage:
             del payload["stages"][name]
             _write_manifest(self.out_dir, self.config_hash, payload["stages"])
 
-    def finish(self, paths: list, **counts: int) -> None:
+    def finish(self, paths: list, rate_s: float | None = None,
+               shared_training: dict | None = None, **counts: int) -> None:
         """Write ``resolved_config.json``, then record the stage's outputs
-        and wall time, plus each count with its rate over that time
-        (``<count>_per_s``)."""
+        and wall time, plus each count with its rate (``<count>_per_s``)
+        over ``rate_s`` seconds, by default the wall time, and a shared
+        training record if given."""
         save_config(self.out_dir / "resolved_config.json", self.cfg)
         wall = time.perf_counter() - self.t0
         entry = {"paths": sorted(str(p) for p in paths), "wall_clock_s": wall}
         for key, value in counts.items():
             entry[key] = value
-            entry[f"{key}_per_s"] = value / wall
+            entry[f"{key}_per_s"] = value / (wall if rate_s is None else rate_s)
+        if shared_training is not None:
+            entry["shared_training"] = shared_training
         payload = _manifest_payload(self.out_dir)
         stages = {} if payload is None or payload["config_hash"] != self.config_hash \
             else payload["stages"]
@@ -231,11 +234,14 @@ class TrainGroup:
 
     The first config to ask for its result trains the whole group in
     lockstep (``training.train_group``); the others then find theirs ready.
+    ``training`` then describes that one training, which every member
+    shares: its rows, the optimizer steps of all rows, and its seconds.
     """
 
     def __init__(self, cfgs: list[ExperimentConfig]):
         self.cfgs = cfgs
         self._results: list[TrainResult | NonFiniteLossError] | None = None
+        self.training: dict | None = None
 
     @staticmethod
     def key(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -243,21 +249,24 @@ class TrainGroup:
         return replace(cfg, out_dir="", ga=cfg.ga.draw_config())
 
     def result(self, cfg: ExperimentConfig, seed: int, dataset: Dataset, encoder,
-               initial_net) -> tuple[TrainResult, int]:
-        """``cfg``'s training result and the optimizer steps this call ran:
-        every row's steps for the call that trains the group, else 0.
-        Re-raises ``cfg``'s NonFiniteLossError."""
-        steps = 0
+               initial_net) -> TrainResult:
+        """``cfg``'s training result, trained with the group on the first
+        call. Re-raises ``cfg``'s NonFiniteLossError."""
         if self._results is None:
             run = cfg.train
+            t0 = time.perf_counter()
             self._results = train_group(run, [c.ga for c in self.cfgs], dataset, encoder,
                                         seed, initial_net)
-            steps = sum(run.steps if isinstance(r, TrainResult) else r.step
-                        for r in self._results)
+            self.training = {
+                "rows": len(self.cfgs),
+                "row_steps": sum(run.steps if isinstance(r, TrainResult) else r.step
+                                 for r in self._results),
+                "train_s": time.perf_counter() - t0,
+            }
         result = self._results[self.cfgs.index(cfg)]
         if isinstance(result, NonFiniteLossError):
             raise result
-        return result, steps
+        return result
 
 
 def cmd_train(cfg: ExperimentConfig, label: str | None = None,
@@ -269,8 +278,10 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
     that already holds the configured dataset can pass it in ``dataset``
     instead of having it loaded again. A ``group`` that holds ``cfg``
     trains with its other configs (``TrainGroup``); without one the run
-    trains alone. The manifest entry's ``train_steps`` counts the
-    optimizer steps the call ran.
+    trains alone. The manifest entry's ``train_steps`` counts this run's
+    own optimizer steps, and ``shared_training`` the group's training
+    that produced them (``TrainGroup.training``), the same in every
+    member's entry; ``train_steps_per_s`` is over that training's seconds.
     """
     data_model, _ = parse_model_ref(cfg.dataset.model)  # a bad reference fails before training
     stage = _Stage(cfg, "train")
@@ -288,7 +299,8 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
             raise ValueError("init checkpoint was trained with a different encoder")
         seed_stage = STAGE_FINETUNE
     seed = stage_seed(cfg.seed, seed_stage)
-    result, steps = (group or TrainGroup([cfg])).result(cfg, seed, dataset, encoder, initial_net)
+    group = group or TrainGroup([cfg])
+    result = group.result(cfg, seed, dataset, encoder, initial_net)
 
     eval_loss = _held_out_prediction_loss(cfg, data_model, result.net, encoder)
     if label is None:
@@ -303,7 +315,8 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
     metrics_path = out_dir / "train_metrics.json"
     write_json(metrics_path, {"label": label, "eval_prediction_loss": eval_loss,
                               "final_total": float(result.total[-1]), "steps": cfg.train.steps})
-    stage.finish([ckpt_path, curve_path, metrics_path], train_steps=steps)
+    stage.finish([ckpt_path, curve_path, metrics_path], rate_s=group.training["train_s"],
+                 shared_training=group.training, train_steps=cfg.train.steps)
     return ckpt_path
 
 
@@ -442,6 +455,12 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     parse_model_ref(cfg.dataset.model)  # fail before any output directory exists
+    grid = sweep_points(cfg, axis)
+    trained = [point_cfg for _, point_cfg in grid]  # each trains on the configured dataset
+    if cfg.pretrain is not None:
+        trained.append(cfg)  # and so does the pretrain
+    for point_cfg in trained:
+        point_cfg.check_span_fits_dataset()
     stage = _Stage(cfg, f"ablate-{axis}")
     out_dir = stage.out_dir
     data_dir = _dataset_dir(out_dir)
@@ -460,7 +479,7 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
         )
         base_ckpt = cmd_train(base_cfg, label="pretrain", dataset=dataset)
     points = []
-    for label, point_cfg in sweep_points(cfg, axis):
+    for label, point_cfg in grid:
         point_train = replace(
             point_cfg.train,
             dataset_path=str(data_dir),
@@ -477,6 +496,8 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     if workers == 1:
         done = [_run_group(group, dataset) for group in groups]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_group, groups, [dataset] * len(groups)))
     rows = [row for group_rows in done for row in group_rows]

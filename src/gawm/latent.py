@@ -174,16 +174,17 @@ class DynamicsNet:
 
 
 def make_dynamics_net(latent_dim: int, hidden_dim: int,
-                      seed: int | np.random.SeedSequence,
+                      seed: int | np.random.SeedSequence | np.random.Generator,
                       w1_gain: float = 1.0) -> DynamicsNet:
     """Seeded initialization: near-zero residual output, first layer at
-    1/sqrt(fan-in) scale times ``w1_gain``.
+    1/sqrt(fan-in) scale times ``w1_gain``. ``seed`` seeds a PCG64
+    generator, or is the generator to draw from.
 
     The gain controls how much untrained structure the input layer starts
     with; directions never exercised by the training distribution keep
     their initialization, which matters for rollout-dispersion studies.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     d, h = latent_dim, hidden_dim
     w1 = rng.normal(0.0, w1_gain / math.sqrt(d + 3), size=(h, d + 3))
     b1 = np.zeros(h)

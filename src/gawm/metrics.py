@@ -34,9 +34,11 @@ from .segments import (
     DirichletParams,
     check_increments,
     inverse_cycles,
-    keyed_rng,
+    keyed_rngs,
+    keyed_seeds,
     recompose,
     sample_dirichlet_weights,
+    seeded_rngs,
 )
 
 KIND_IDENTITY = "identity"
@@ -122,7 +124,7 @@ def _generators(model: WorldModel, seed: int, keys: list[tuple[int, ...]]) -> li
     a model that draws no noise (``is_deterministic``), ``None`` per row."""
     if is_deterministic(model):
         return [None] * len(keys)
-    return [keyed_rng(seed, *key) for key in keys]
+    return keyed_rngs(seed, keys)
 
 
 def identity_positions(n_actions: int, k: int) -> tuple[int, ...]:
@@ -206,8 +208,8 @@ def _dirichlet_weights(seed: int, key: tuple[int, ...], j: int, rows: int, l: in
     (*key, s, 1 + 3j). The weights depend on nothing else, so the last
     ``WEIGHTS_CACHE_SIZE`` arrays are kept and models scored on the same
     suite share them."""
-    weights = np.stack([sample_dirichlet_weights(l, dirichlet, keyed_rng(seed, *key, s, 1 + 3 * j))
-                        for s in range(rows)])
+    rngs = keyed_rngs(seed, [(*key, s, 1 + 3 * j) for s in range(rows)])
+    weights = np.stack([sample_dirichlet_weights(l, dirichlet, rng) for rng in rngs])
     weights.flags.writeable = False
     return weights
 
@@ -411,19 +413,33 @@ def _aligned_dispersion(poses: np.ndarray, dist: DistanceParams, raw: np.ndarray
 
 def _pairwise_mean_distance(poses: np.ndarray, dist: DistanceParams) -> np.ndarray:
     """Raw ``gar_error`` of each of n (R, T+1, 3) rollout sets in an
-    (n, R, T+1, 3) array, as an (n,) array.
+    (n, R, T+1, 3) array, as an (n,) array."""
+    return _mean_pair_distance(_pair_distances(poses, dist), poses.shape[1])
 
-    Each pair's time mean runs along the contiguous time axis and the
-    pair means add up one by one in ``i < j`` order, so every value
-    rounds as a double loop over the pairs would.
+
+def _pair_distances(poses: np.ndarray, dist: DistanceParams) -> np.ndarray:
+    """Per-step state distance of every rollout pair of each of n
+    (R, T+1, 3) rollout sets in an (n, R, T+1, 3) array, as an
+    (n, R(R-1)/2, T) array over the steps after the shared start. Pairs
+    (i, j), i < j, come in row-major order. ``sqrt(dx*dx + dy*dy)``
+    adds the same two squares, rounded once, as ``np.linalg.norm``."""
+    steps = poses[:, :, 1:]
+    diff = np.concatenate([steps[:, i : i + 1] - steps[:, i + 1 :]
+                           for i in range(poses.shape[1] - 1)], axis=1)
+    dx, dy = diff[..., 1], diff[..., 2]
+    return np.sqrt(dx * dx + dy * dy) + dist.alpha_rot * np.abs(_wrap_array(diff[..., 0]))
+
+
+def _mean_pair_distance(per_step: np.ndarray, r: int) -> np.ndarray:
+    """Raw ``gar_error`` of each of n sets of r rollouts from their
+    (n, r(r-1)/2, h) per-step pair distances (``_pair_distances``, or a
+    prefix of its steps for a shorter horizon), as an (n,) array.
+
+    Each pair's time mean runs along the time axis and the pair means
+    add up one by one in ``i < j`` order, so every value rounds as a
+    double loop over the pairs would.
     """
-    r = poses.shape[1]
-    i, j = np.triu_indices(r, 1)
-    pos = poses[:, :, 1:, 1:]
-    head = poses[:, :, 1:, 0]
-    d_pos = np.linalg.norm(pos[:, i] - pos[:, j], axis=-1)
-    d_head = np.abs(_wrap_array(head[:, i] - head[:, j]))
-    pair_means = np.mean(d_pos + dist.alpha_rot * d_head, axis=-1)
+    pair_means = np.mean(per_step, axis=-1)
     return 2.0 * np.add.accumulate(pair_means, axis=-1)[:, -1] / (r * (r - 1))
 
 
@@ -447,10 +463,14 @@ def evaluate_gar(model: WorldModel, starts, actions, horizons, n_rollouts: int,
     whole sequences run together, as many as fit ``GAR_BATCH_ROWS``
     rollouts (at least one), as one ``rollout_batch``, the model's native
     rollout process, with rows in (sequence, rollout) order. Rollout i of
-    sequence s uses a generator derived from (seed, s, i), so the suite
-    is reproducible and does not depend on the batch size. Each batch's
-    dispersions are computed as arrays over its sequences, each value
-    equal to ``gar_error`` of that sequence's rollouts. A model that draws
+    sequence s uses the generator keyed (3, s, i) under ``seed``, so the
+    suite is reproducible and does not depend on the batch size; the
+    suite's keys are hashed once (``keyed_seeds``) and each batch builds
+    its own rows' generators. Each batch's dispersions are computed as
+    arrays over its sequences, each value equal to ``gar_error`` of that
+    sequence's rollouts: the pair distances are taken once, over the
+    largest horizon, and a horizon's raw dispersion averages their first
+    h steps, while the aligned value fits each horizon anew. A model that draws
     no noise (``is_deterministic``) would repeat one rollout R times, so
     each sequence rolls once with no generator, its poses are checked,
     and its dispersions are zero.
@@ -474,20 +494,22 @@ def evaluate_gar(model: WorldModel, starts, actions, horizons, n_rollouts: int,
     reps = gar_repeats(model, n_rollouts)
     deterministic = reps == 1
     per_batch = max(1, GAR_BATCH_ROWS // reps)
+    if not deterministic:
+        seeds = keyed_seeds(seed, [(3, s, i) for s in range(n_seq) for i in range(reps)])
     for lo in range(0, n_seq, per_batch):
         hi = min(lo + per_batch, n_seq)
-        rngs = _generators(model, seed, [(3, s, i) for s in range(lo, hi) for i in range(reps)])
+        rngs = [None] * (hi - lo) if deterministic else seeded_rngs(seeds[lo * reps : hi * reps])
         full = rollout_batch(model, np.repeat(starts[lo:hi], reps, axis=0),
                              np.repeat(actions[lo:hi, :t_max], reps, axis=0), rngs)
         check_finite_poses(full)
         if deterministic:
             continue
         full = full.reshape(hi - lo, n_rollouts, t_max + 1, 3)
+        per_step = _pair_distances(full, dist)
         for k, h in enumerate(horizons):
-            poses = full[:, :, : h + 1]
-            raw = _pairwise_mean_distance(poses, dist)
+            raw = _mean_pair_distance(per_step[..., :h], n_rollouts)
             nonaligned[k, lo:hi] = raw
-            aligned[k, lo:hi] = _aligned_dispersion(poses, dist, raw)
+            aligned[k, lo:hi] = _aligned_dispersion(full[:, :, : h + 1], dist, raw)
     entries = tuple(
         GarEntry(
             horizon=h,

@@ -76,9 +76,10 @@ def pose_array(poses) -> np.ndarray:
 
 def check_finite_poses(poses: np.ndarray) -> None:
     """Reject a pose array holding a non-finite component, as ``Pose2`` does."""
-    finite = np.isfinite(poses).all(axis=-1)
+    finite = np.isfinite(poses)
     if not finite.all():
-        raise ValueError(f"Pose2 components must be finite, got {tuple(poses[~finite][0].tolist())}")
+        bad = ~finite.all(axis=-1)
+        raise ValueError(f"Pose2 components must be finite, got {tuple(poses[bad][0].tolist())}")
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,12 @@ per-pose form that ``WorldModel.step`` takes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 @dataclass(frozen=True)
@@ -144,9 +146,142 @@ def inverse_cycles(windows: np.ndarray) -> np.ndarray:
     return cycles
 
 
+# numpy's SeedSequence hash: pool size, the two constant streams and the mix multipliers
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list[int]:
+    """The first n + 1 hash constants of a stream: ``init``, then each
+    times ``mult`` modulo 2**32. Hash call t takes constants t and t + 1."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+# generate_state's constants for the 8 uint32 words of 4 uint64 state words
+_STATE_CONSTANTS = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE), dtype=np.uint32)
+
+
+def _hashmix(value, xor, mul):
+    """SeedSequence's ``hashmix`` with the given constants, on Python ints
+    or elementwise on uint32 arrays."""
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix``, on Python ints or elementwise on uint32 arrays."""
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``seed``'s uint32 words, least significant first, padded with zeros
+    to the pool size."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words + [0] * (_POOL_SIZE - len(words))
+
+
+def _key_words(keys) -> np.ndarray:
+    """Equal-length keys of integers in [0, 2**32) as an (n, k) uint32 array."""
+    try:
+        array = np.asarray(keys)
+    except ValueError:
+        raise ValueError("keys must all have the same length") from None
+    if array.ndim == 1 and array.size == 0:
+        array = array.reshape(0, 0)
+    if array.ndim != 2:
+        raise ValueError(f"keys must be a sequence of equal-length integer keys, "
+                         f"got shape {array.shape}")
+    if array.size == 0:
+        return array.astype(np.uint32)
+    if array.dtype.kind not in "iuO":
+        raise TypeError(f"key elements must be integers, got {array.dtype}")
+    if array.dtype.kind == "O" or array.min() < 0 or array.max() > _MASK32:
+        raise ValueError("key elements must be integers in [0, 2**32)")
+    return array.astype(np.uint32)
+
+
+def keyed_seeds(seed: int, keys) -> np.ndarray:
+    """The PCG64 seed words of ``SeedSequence(entropy=seed, spawn_key=key)``
+    for each of n keys, as an (n, 4) uint64 array: row i holds what that
+    sequence's ``generate_state(4, np.uint64)`` returns.
+
+    ``keys`` holds n keys of one length k (an (n, k) integer array or a
+    sequence of tuples), each element in [0, 2**32) so that it is one
+    word; ``seed`` is an integer >= 0. SeedSequence pads the seed's words
+    with zeros to the pool size when there is a key and hashes the
+    missing words as zeros when there is none, so padding always gives
+    the same pool. The pool that the seed's first words fill and mix is
+    shared by every key and is hashed once, with Python ints; each later
+    word (a seed word beyond the pool, then the key's) is then mixed in
+    as arrays over the keys, and so are the state words. Every value is
+    SeedSequence's, bit for bit.
+    """
+    run = _seed_words(seed)
+    words = _key_words(keys)
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (len(run) + words.shape[1]))
+    pool = [_hashmix(run[i], a[i], a[i + 1]) for i in range(_POOL_SIZE)]
+    t = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[t], a[t + 1]))
+                t += 1
+    pool = np.broadcast_to(np.array(pool, dtype=np.uint32), (len(words), _POOL_SIZE))
+    later = np.broadcast_to(np.array(run[_POOL_SIZE:], dtype=np.uint32),
+                            (len(words), len(run) - _POOL_SIZE))
+    a = np.array(a, dtype=np.uint32)
+    for column in np.concatenate([later, words], axis=1).T:  # each meets every pool word in turn
+        pool = _mix(pool, _hashmix(column[:, None], a[t : t + _POOL_SIZE],
+                                   a[t + 1 : t + _POOL_SIZE + 1]))
+        t += _POOL_SIZE
+    b = _STATE_CONSTANTS
+    state = _hashmix(np.concatenate([pool, pool], axis=1), b[:-1], b[1:]).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)  # little-endian word pairs
+
+
+class _SeedWords(ISeedSequence):
+    """One row of ``keyed_seeds``, handed to PCG64 in place of the
+    SeedSequence it stands for. It only gives those four words; it is not
+    a SeedSequence, so nothing can spawn from it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds {len(self.words)} uint64 words, asked for {n_words} {dtype}")
+        return self.words
+
+
+def seeded_rngs(seeds: np.ndarray) -> list[np.random.Generator]:
+    """One PCG64 generator per row of an (n, 4) ``keyed_seeds`` array."""
+    seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in seeds]
+
+
+def keyed_rngs(seed: int, keys) -> list[np.random.Generator]:
+    """The PCG64 generator of ``seed`` spawned with each key in ``keys``
+    (``keyed_seeds``): each equals
+    ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))``."""
+    return seeded_rngs(keyed_seeds(seed, keys))
+
+
 def keyed_rng(seed: int, *key: int) -> np.random.Generator:
     """The PCG64 generator of ``seed`` spawned with key ``key``."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+    return keyed_rngs(seed, [key])[0]
 
 
 def sample_dirichlet_weights(l: int, params: DirichletParams,

@@ -38,7 +38,7 @@ from .latent import (
 )
 from .se2 import Pose2, se2_compose
 from .segments import (
-    DirichletParams, inverse_cycles, keyed_rng, recompose, sample_dirichlet_weights,
+    DirichletParams, inverse_cycles, keyed_rng, keyed_rngs, recompose, sample_dirichlet_weights,
 )
 
 FREE_RUNNING = "free-running"
@@ -530,7 +530,7 @@ class TrainStreams:
 
     @staticmethod
     def from_seed(seed: int) -> "TrainStreams":
-        return TrainStreams(*(keyed_rng(seed, k) for k in (1, 2, 3, 4)))
+        return TrainStreams(*keyed_rngs(seed, [(1,), (2,), (3,), (4,)]))
 
 
 def train_step(stack: ParamStack, encoder: FeatureEncoder, batch: Batch, optimizer,
@@ -610,8 +610,8 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
             raise ValueError("initial net latent size does not match the encoder")
         net = initial_net
     else:
-        init_ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
-        net = make_dynamics_net(encoder.latent_dim, run.hidden_dim, init_ss, run.init_w1_gain)
+        net = make_dynamics_net(encoder.latent_dim, run.hidden_dim, keyed_rng(seed, 0),
+                                run.init_w1_gain)
     stack = ParamStack(net, np.tile(net.params, (len(cfgs), 1)), list(cfgs))
     streams = TrainStreams.from_seed(seed)
     optimizer = make_optimizer(run, stack.params.shape)

@@ -30,6 +30,7 @@ from gawm.metrics import (
     align_trajectory,
     evaluate_gac,
     evaluate_gar,
+    gar_error,
 )
 from gawm.models import (
     ExactModel,
@@ -48,7 +49,7 @@ from gawm.se2 import (
     wrap_angle,
     wrap_angles,
 )
-from gawm.segments import ActionIncrement, ActionSegment, keyed_rng
+from gawm.segments import ActionIncrement, ActionSegment, keyed_rng, keyed_rngs
 
 from oracles import (
     per_pose_rollout,
@@ -56,6 +57,7 @@ from oracles import (
     reference_align,
     reference_gac,
     reference_gar,
+    reference_gar_error,
 )
 
 DIST = DistanceParams(0.7)
@@ -332,6 +334,28 @@ def test_gar_batch_size_does_not_change_the_report(monkeypatch, name, rows):
     seqs = _turning_sequences()
     args = ([6, 20], 9, DIST, 9)
     assert evaluate_gar(model, *seqs, *args) == reference_gar(model, *seqs, *args)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_prefix_mean_dispersion_equals_per_horizon_and_oracle(r):
+    # rollouts of streams that cross the heading cut, with noise, so that
+    # pair heading differences wrap; the pair distances are taken once
+    t_max = 20
+    starts, actions = _turning_sequences(3, t_max)
+    rngs = keyed_rngs(9, [(3, s, i) for s in range(3) for i in range(r)])
+    full = rollout_batch(MODELS["noise"](), np.repeat(starts, r, axis=0),
+                         np.repeat(actions, r, axis=0), rngs).reshape(3, r, t_max + 1, 3)
+    per_step = metrics._pair_distances(full, DIST)
+    assert per_step.shape == (3, r * (r - 1) // 2, t_max)
+    for h in range(1, t_max + 1):
+        poses = full[:, :, : h + 1]
+        got = metrics._mean_pair_distance(per_step[..., :h], r)
+        assert got.tobytes() == metrics._pairwise_mean_distance(poses.copy(), DIST).tobytes()
+        assert got.tolist() == [
+            reference_gar_error([[Pose2(*row) for row in traj] for traj in rollouts.tolist()],
+                                DIST.alpha_rot, aligned=False)
+            for rollouts in poses]
+        assert got.tolist() == [gar_error(rollouts, DIST, aligned=False) for rollouts in poses]
 
 
 class Recording:

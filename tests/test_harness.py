@@ -666,11 +666,35 @@ def test_ablate_groups_points_that_differ_only_in_loss_weights_and_mode(
     cfg = tiny_config(tmp_path / axis, steps=4)
     rows = cmd_ablate(cfg, axis)
     assert group_sizes == groups
-    # the call that trained a group records all its steps; the others none
-    steps = [json.loads((Path(r["out_dir"]) / "manifest.json").read_text())
-             ["stages"]["train"]["train_steps"] for r in rows]
-    first_points = {sum(groups[:i]): size for i, size in enumerate(groups)}
-    assert steps == [cfg.train.steps * first_points.get(i, 0) for i in range(len(rows))]
+    # every point records its own steps and the training its group shared
+    entries = [json.loads((Path(r["out_dir"]) / "manifest.json").read_text())["stages"]["train"]
+               for r in rows]
+    assert [e["train_steps"] for e in entries] == [cfg.train.steps] * len(rows)
+    assert [e["shared_training"]["rows"] for e in entries] == [k for k in groups for _ in range(k)]
+
+
+def test_lockstep_members_record_their_own_steps_and_the_shared_training(tmp_path):
+    cfg = tiny_config(tmp_path / "ablate", steps=6)
+    rows = cmd_ablate(cfg, "constraints")
+    entries = [json.loads((Path(r["out_dir"]) / "manifest.json").read_text())["stages"]["train"]
+               for r in rows]
+    shared = entries[0]["shared_training"]
+    assert set(shared) == {"rows", "row_steps", "train_s"}
+    assert shared["rows"] == 5 and shared["row_steps"] == 5 * cfg.train.steps
+    assert 0.0 < shared["train_s"] < entries[0]["wall_clock_s"]
+    for entry in entries:
+        assert entry["shared_training"] == shared
+        assert entry["train_steps"] == cfg.train.steps
+        # a rate over the seconds that trained, not over a member's wall clock
+        assert entry["train_steps_per_s"] == cfg.train.steps / shared["train_s"]
+
+
+def test_a_solo_run_records_itself_as_its_one_row_training(trained_run):
+    cfg, _ = trained_run
+    entry = _manifest(cfg)["stages"]["train"]
+    assert entry["shared_training"]["rows"] == 1
+    assert entry["shared_training"]["row_steps"] == entry["train_steps"] == cfg.train.steps
+    assert entry["train_steps_per_s"] == cfg.train.steps / entry["shared_training"]["train_s"]
 
 
 def test_ablate_groups_only_consecutive_points(tmp_path, monkeypatch, group_sizes):
@@ -754,8 +778,10 @@ def test_ablate_rejects_non_positive_threads(tmp_path, threads):
 @pytest.fixture
 def recording_pools(monkeypatch):
     """Sizes of the worker pools the harness starts. No real pool starts:
-    the stand-in records its size and runs its tasks in-process."""
-    import gawm.harness as harness
+    the stand-in records its size and runs its tasks in-process. The
+    harness imports the pool class when it starts one, so the stand-in
+    replaces it in ``concurrent.futures``."""
+    import concurrent.futures
 
     pools = []
 
@@ -772,7 +798,7 @@ def recording_pools(monkeypatch):
         def map(self, fn, *iterables):
             return [fn(*args) for args in zip(*iterables)]
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return pools
 
 
@@ -959,6 +985,56 @@ def test_cli_rejects_bad_suite_config_before_any_stage(tmp_path, section, key, v
     assert err["type"] == "ValueError"
     assert needle in err["error"]
     assert not (tmp_path / "cli_bad").exists()
+
+
+SPAN_ERROR = "ga.max_span 500 exceeds dataset.length 32, the trajectory length it trains on"
+
+
+def _long_span(cfg: ExperimentConfig) -> dict:
+    d = cfg.to_dict()
+    d["ga"]["max_span"] = 500
+    return d
+
+
+def test_config_load_rejects_a_span_longer_than_the_trajectories(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_long_span(tiny_config(tmp_path / "run"))))
+    with pytest.raises(ValueError, match=f"^{re.escape(SPAN_ERROR)}$"):
+        load_config(path)
+    # a run that trains on a dataset it names is checked when training loads that one
+    d = _long_span(tiny_config(tmp_path / "run"))
+    d["train"]["dataset_path"] = str(tmp_path / "other")
+    path.write_text(json.dumps(d))
+    assert load_config(path).ga.max_span == 500
+
+
+@pytest.mark.parametrize("command",
+                         [["gen-data"], ["train"], ["ablate"], ["ablate", "--axis", "span"]])
+def test_cli_reports_a_span_longer_than_the_trajectories_before_any_output(tmp_path, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_long_span(tiny_config(tmp_path / "run"))))
+    result = CliRunner().invoke(cli_main, command + ["--config", str(cfg_path)])
+    assert result.exit_code == 1
+    assert json.loads(result.output.strip().splitlines()[-1]) == {"error": SPAN_ERROR,
+                                                                  "type": "ValueError"}
+    assert not (tmp_path / "run").exists()
+
+
+def test_ablate_checks_every_span_it_trains_on_its_dataset_before_any_output(tmp_path):
+    # naming another dataset lets the config load, but ablate trains on its own
+    cfg = tiny_config(tmp_path / "run")
+    named = replace(cfg, train=replace(cfg.train, dataset_path=str(tmp_path / "other")),
+                    ga=replace(cfg.ga, max_span=40))
+    with pytest.raises(ValueError, match="^ga.max_span 40 exceeds dataset.length 32"):
+        cmd_ablate(named, "constraints")
+    # the span axis's points (2, 4, 6) fit, the pretrain's span does not
+    with pytest.raises(ValueError, match="^ga.max_span 40 exceeds dataset.length 32"):
+        cmd_ablate(replace(named, pretrain=cfg.train), "span")
+    # a 5-step dataset holds spans 2 and 4 of the span axis, not 6
+    short = replace(cfg, dataset=replace(cfg.dataset, length=5))
+    with pytest.raises(ValueError, match="^ga.max_span 6 exceeds dataset.length 5"):
+        cmd_ablate(short, "span")
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_load_stores_numbers_as_declared_and_fills_defaults(tmp_path):

@@ -23,6 +23,7 @@ from gawm.config import (
     ExperimentConfig,
     GarSuiteConfig,
     ProbeSuiteConfig,
+    stage_seed,
 )
 from gawm.data import ActionDistribution, evaluation_sequences, sample_sequences
 from gawm.harness import cmd_gar, cmd_gen_data, cmd_probe, cmd_train, file_sha256
@@ -39,9 +40,12 @@ from gawm.segments import (
     DirichletParams,
     inverse_cycles,
     keyed_rng,
+    keyed_rngs,
+    keyed_seeds,
     make_compatibility_segment,
     make_inverse_segment,
     recompose,
+    seeded_rngs,
 )
 from gawm.training import TrainRunConfig
 
@@ -202,8 +206,10 @@ def test_the_weights_cache_holds_weights_keyed_by_what_they_depend_on():
 
 def test_an_exact_model_probe_and_gar_build_no_generators(tmp_path, monkeypatch):
     built = []
-    monkeypatch.setattr(metrics, "keyed_rng", lambda seed, *key: built.append(key) or
-                        keyed_rng(seed, *key))
+    for name in ("keyed_rngs", "keyed_seeds"):  # every key metrics hashes goes through one of these
+        helper = getattr(segments, name)
+        monkeypatch.setattr(metrics, name, lambda seed, keys, helper=helper:
+                            built.extend(tuple(key) for key in keys) or helper(seed, keys))
     cfg = tiny_config(tmp_path / "cold")
     clear_caches()
     cmd_probe(cfg, "exact")
@@ -301,9 +307,74 @@ def test_probe_reports_equal_per_window_segment_walks(monkeypatch):
         assert math.isfinite(shared.e_gac) and shared.e_gac > 0.0
 
 
+def _spawned(seed, key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
+KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 5, 2**130 + 3, 12, 29,
+             *(stage_seed(seed, stage) for seed in (12, 29) for stage in range(8)))
+
+
 def test_keyed_rng_is_the_spelled_out_generator():
     for seed, key in [(0, ()), (5, (3,)), (2**63, (2, 1, 8, 99, 25)), (7, (0, 1))]:
-        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed,
-                                                                          spawn_key=key)))
-        assert keyed_rng(seed, *key).bit_generator.state == want.bit_generator.state
-    assert segments.keyed_rng is metrics.keyed_rng
+        assert keyed_rng(seed, *key).bit_generator.state == _spawned(seed, key).bit_generator.state
+    assert segments.keyed_rngs is metrics.keyed_rngs and segments.keyed_seeds is metrics.keyed_seeds
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_bulk_keyed_generators_are_the_spelled_out_generators(seed, length):
+    top = 2**32 - 1
+    keys = [(0,) * length, (top,) * length, tuple(range(length)),
+            tuple(range(top, top - length, -1))]
+    keys += [tuple(int(v) for v in row)
+             for row in np.random.default_rng(seed % 997).integers(0, 2**32, size=(6, length))]
+    seeds = keyed_seeds(seed, keys)
+    assert seeds.shape == (len(keys), 4) and seeds.dtype == np.uint64
+    for key, rng, words in zip(keys, keyed_rngs(seed, keys), seeds):
+        want = _spawned(seed, key)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert words.tolist() == np.random.SeedSequence(seed, spawn_key=key).generate_state(
+            4, np.uint64).tolist()
+        assert rng.normal(size=3).tolist() == want.normal(size=3).tolist()
+    one = keyed_rng(seed, *keys[-1])
+    assert one.bit_generator.state == _spawned(seed, keys[-1]).bit_generator.state
+    # an (n, k) array of keys, and a batch's rows of a suite's words
+    as_array = keyed_rngs(seed, np.array(keys, dtype=np.int64).reshape(len(keys), length))
+    assert [r.bit_generator.state for r in as_array] == [_spawned(seed, k).bit_generator.state
+                                                        for k in keys]
+    assert [r.bit_generator.state for r in seeded_rngs(seeds[2:5])] == \
+        [_spawned(seed, k).bit_generator.state for k in keys[2:5]]
+
+
+def test_no_keys_build_no_generators():
+    assert keyed_rngs(3, []) == []
+    assert keyed_seeds(3, np.zeros((0, 2), dtype=np.int64)).shape == (0, 4)
+
+
+def test_bulk_keyed_generators_reject_bad_seeds_and_keys():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        keyed_rngs(-1, [(1,)])
+    with pytest.raises(TypeError):
+        keyed_rngs(1.5, [(1,)])
+    for bad in ([(0, -1)], [(2**32,)], [(1,), (2**64,)], [(2**70, 1)]):
+        with pytest.raises(ValueError, match=r"key elements must be integers in \[0, 2\*\*32\)"):
+            keyed_rngs(0, bad)
+    with pytest.raises(TypeError, match="key elements must be integers"):
+        keyed_rngs(0, [(1.5,)])
+    for ragged in ([(1, 2), (3,)], [(), (1,)]):
+        with pytest.raises(ValueError, match="same length"):
+            keyed_rngs(0, ragged)
+    with pytest.raises(ValueError, match="equal-length integer keys"):
+        keyed_rngs(0, [[(1,)]])
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        keyed_rng(-3)
+
+
+def test_a_keyed_generator_cannot_spawn():
+    rng = keyed_rng(4, 1, 2)
+    assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
+    with pytest.raises(TypeError):
+        rng.spawn(1)
+    with pytest.raises(ValueError, match="asked for"):
+        rng.bit_generator.seed_seq.generate_state(8)
