@@ -666,27 +666,20 @@ def test_ablate_groups_points_that_differ_only_in_loss_weights_and_mode(
     cfg = tiny_config(tmp_path / axis, steps=4)
     rows = cmd_ablate(cfg, axis)
     assert group_sizes == groups
-    # every point records its own steps and the training its group shared
+    # every point records its own steps and the training its group shared,
+    # with its rate over the seconds that trained rather than its own wall clock
     entries = [json.loads((Path(r["out_dir"]) / "manifest.json").read_text())["stages"]["train"]
                for r in rows]
-    assert [e["train_steps"] for e in entries] == [cfg.train.steps] * len(rows)
-    assert [e["shared_training"]["rows"] for e in entries] == [k for k in groups for _ in range(k)]
-
-
-def test_lockstep_members_record_their_own_steps_and_the_shared_training(tmp_path):
-    cfg = tiny_config(tmp_path / "ablate", steps=6)
-    rows = cmd_ablate(cfg, "constraints")
-    entries = [json.loads((Path(r["out_dir"]) / "manifest.json").read_text())["stages"]["train"]
-               for r in rows]
-    shared = entries[0]["shared_training"]
-    assert set(shared) == {"rows", "row_steps", "train_s"}
-    assert shared["rows"] == 5 and shared["row_steps"] == 5 * cfg.train.steps
-    assert 0.0 < shared["train_s"] < entries[0]["wall_clock_s"]
+    firsts = [sum(groups[:g]) for g, k in enumerate(groups) for _ in range(k)]
+    shared = [e["shared_training"] for e in entries]
+    assert shared == [shared[i] for i in firsts]
+    assert [s["rows"] for s in shared] == [k for k in groups for _ in range(k)]
+    assert all(set(s) == {"rows", "row_steps", "train_s"} for s in shared)
+    assert all(s["row_steps"] == s["rows"] * cfg.train.steps for s in shared)
+    assert all(0.0 < s["train_s"] < entries[i]["wall_clock_s"] for s, i in zip(shared, firsts))
     for entry in entries:
-        assert entry["shared_training"] == shared
         assert entry["train_steps"] == cfg.train.steps
-        # a rate over the seconds that trained, not over a member's wall clock
-        assert entry["train_steps_per_s"] == cfg.train.steps / shared["train_s"]
+        assert entry["train_steps_per_s"] == cfg.train.steps / entry["shared_training"]["train_s"]
 
 
 def test_a_solo_run_records_itself_as_its_one_row_training(trained_run):
