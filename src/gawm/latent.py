@@ -224,7 +224,7 @@ def _decode_rows(z: np.ndarray, decoder: FeatureDecoder) -> np.ndarray:
     if np.any((f[..., 2] == 0.0) & (f[..., 3] == 0.0)):
         raise HeadingUndefinedError("heading features are both zero")
     # math.atan2 per element: np.arctan2 rounds differently
-    theta = [math.atan2(s, c) for c, s in zip(f[..., 2].ravel().tolist(), f[..., 3].ravel().tolist())]
+    theta = list(map(math.atan2, f[..., 3].ravel().tolist(), f[..., 2].ravel().tolist()))
     poses = np.empty(f.shape[:-1] + (3,))
     poses[..., 0] = np.reshape(theta, f.shape[:-1])
     poses[..., 1:] = f[..., :2]

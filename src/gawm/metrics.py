@@ -233,9 +233,12 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
     order, then position order. The streams run to their last action, as
     in per-pose evaluation, so an invalid pose anywhere along them raises.
 
-    A walk of several configs stands for one walk per config only when
-    the model draws no noise and no config is identity, whose pause end
-    replaces the stream state.
+    An identity pause replaces the state of the stream its config reads.
+    While another config still reads that stream, the config first forks
+    it: from then on it reads its own stream of the same rows, folded in
+    its own ``fold_steps`` calls. A walk of one config never forks, and a
+    stream that no config reads is not folded. A walk of several configs
+    stands for one walk per config only when the model draws no noise.
     """
     states, actions = _check_sequences(starts, actions)
     n = actions.shape[1]
@@ -245,6 +248,8 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
     positions = [probe_positions(cfg, n) for cfg in cfgs]
     stream_rngs = _generators(model, seed, [(*keys[0], s, 0) for s in rows])
     errors = [np.empty((len(actions), len(p))) for p in positions]
+    streams = [states]
+    reads = [0] * len(cfgs)  # config i reads streams[reads[i]]
 
     def branch_ends(key, segments, slot):
         rngs = _generators(model, seed, [(*key, s, slot) for s in rows])
@@ -252,14 +257,21 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
 
     t = 0
     for stop in sorted({n, *(p for ps in positions for p in ps)}):
-        states = fold_steps(model, states, actions[:, t:stop], stream_rngs)[:, -1]
+        for i in sorted(set(reads)):
+            # a copy, so that no stream keeps its whole stretch of poses alive
+            streams[i] = fold_steps(model, streams[i], actions[:, t:stop], stream_rngs)[:, -1].copy()
         t = stop
-        for cfg, key, ps, err in zip(cfgs, keys, positions, errors):
+        for c, (cfg, key, ps, err) in enumerate(zip(cfgs, keys, positions, errors)):
             for j in [j for j, p in enumerate(sorted(ps)) if p == t]:
+                states = streams[reads[c]]
                 if cfg.kind == KIND_IDENTITY:
                     end = branch_ends(key, np.zeros((len(rows), cfg.l, 3)), 1 + j)
                     err[:, j] = state_distances(end, states, dist)
-                    states = end
+                    if reads.count(reads[c]) > 1:
+                        reads[c] = len(streams)
+                        streams.append(end)
+                    else:
+                        streams[reads[c]] = end
                     continue
                 windows = actions[:, t : t + cfg.l]
                 if cfg.kind == KIND_INVERSE:
@@ -326,17 +338,20 @@ def evaluate_gac(model: WorldModel, starts, actions, grid, dist: DistanceParams,
     increment.
 
     Results are ordered by sorted probe identifier so the report does not
-    depend on evaluation order. For a model that draws no noise
-    (``is_deterministic``), every inverse and composition config folds the
-    same stream, so they share one walk; each still branches at its own
-    positions, and the report is the same.
+    depend on evaluation order. A model that draws no noise
+    (``is_deterministic``) walks the whole grid at once (``_walk_probe``):
+    its stream folds once up to the first identity pause, each identity
+    config then continues on its own fork, and inverse and composition
+    configs branch off the unforked stream. Every config sees the stream
+    its own walk would, so the report is the same. A noisy model walks
+    each config on its own, drawing that config's noise.
     """
     ordered = sorted(grid, key=lambda c: (_KIND_CODE[c.kind], c.k, c.l))
-    shared = [c for c in ordered if c.kind != KIND_IDENTITY] if is_deterministic(model) else []
-    results = [run_probe(model, starts, actions, cfg, dist, seed, concentration)
-               for cfg in ordered if cfg not in shared]
-    if shared:
-        results += _walk_probe(model, starts, actions, shared, dist, seed, concentration)
+    if is_deterministic(model):
+        results = _walk_probe(model, starts, actions, ordered, dist, seed, concentration)
+    else:
+        results = [run_probe(model, starts, actions, cfg, dist, seed, concentration)
+                   for cfg in ordered]
     return aggregate_gac(results)
 
 

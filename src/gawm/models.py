@@ -79,22 +79,62 @@ def exact_step(state: Pose2, action: ActionIncrement) -> Pose2:
     return se2_compose(state, increment_pose(action))
 
 
+def _headings(starts: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
+    """Headings reached from (B,) start headings by (B, T) realized turns,
+    as a (B, T+1) array: ``theta[i+1] = wrap_angles(theta[i] + dtheta[i])``
+    row by row, bit for bit.
+
+    One sequential ``np.add.accumulate`` makes the same adds in the same
+    order as that loop until a row's sum first leaves (-pi, pi]. Each
+    round then wraps, in every row that has one, the first such position
+    after the ones it has already wrapped, and re-accumulates that row
+    from it. The start heading is kept as given. A row moves past every
+    position it wraps, so a non-finite heading ends after at most T
+    rounds and reaches ``check_finite_poses``.
+    """
+    b, t = dtheta.shape
+    theta = np.empty((b, t + 1))
+    theta[:, 0] = starts
+    theta[:, 1:] = dtheta
+    theta = np.add.accumulate(theta, axis=1)
+    outside = ~((theta > -math.pi) & (theta <= math.pi))
+    outside[:, 0] = False  # the start heading is kept as given
+    if not outside.any():
+        return theta
+    rows = np.flatnonzero(outside.any(axis=1))
+    at = outside[rows].argmax(axis=1)  # each row's first position to wrap
+    # the rows that wrap, padded so that every suffix from a position fits one window
+    wrapping = np.concatenate([theta[rows], np.zeros((len(rows), t))], axis=1)
+    turns = np.concatenate([dtheta[rows], np.zeros((len(rows), t))], axis=1)
+    live = np.arange(len(rows))
+    while len(live):
+        window = at[:, None] + np.arange(t + 1 - at.min())
+        suffix = np.empty(window.shape)
+        suffix[:, 0] = wrap_angles(wrapping[live, at])
+        suffix[:, 1:] = turns[live[:, None], window[:, :-1]]
+        suffix = np.add.accumulate(suffix, axis=1)
+        wrapping[live[:, None], window] = suffix
+        outside = ~((suffix > -math.pi) & (suffix <= math.pi)) & (window <= t)
+        outside[:, 0] = False  # wrapped already, whatever it came to
+        more = outside.any(axis=1)
+        live, at = live[more], (at + outside.argmax(axis=1))[more]
+    theta[rows] = wrapping[:, : t + 1]
+    return theta
+
+
 def _apply_increments(starts: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """Poses reached from (B, 3) starts by applying (B, T, 3) realized body-frame
     increments ``[dx, dy, dtheta]`` in turn, as a (B, T+1, 3) array.
 
     Row by row this is the per-pose update of ``exact_step`` and
-    ``perturbed_step``, bit for bit. Headings advance step by step through
-    ``wrap_angles``. Each position is the running sum
-    ``(x + c*dx) - s*dy`` (and ``(y + s*dx) + c*dy``), taken by a
-    sequential accumulate over the interleaved terms, which keeps the
-    per-step association.
+    ``perturbed_step``, bit for bit. Headings are running sums wrapped
+    into (-pi, pi] step by step (``_headings``). Each position is the
+    running sum ``(x + c*dx) - s*dy`` (and ``(y + s*dx) + c*dy``), taken
+    by a sequential accumulate over the interleaved terms, which keeps
+    the per-step association.
     """
     b, t = increments.shape[:2]
-    theta = np.empty((b, t + 1))
-    theta[:, 0] = starts[:, 0]
-    for i in range(t):
-        theta[:, i + 1] = wrap_angles(theta[:, i] + increments[:, i, 2])
+    theta = _headings(starts[:, 0], increments[:, :, 2])
     c = np.cos(theta[:, :-1])
     s = np.sin(theta[:, :-1])
     dx = increments[:, :, 0]
@@ -223,7 +263,7 @@ def realized_increments(actions: np.ndarray, cfg: ViolationConfig) -> np.ndarray
     c = cfg.saturation_scale
     if c is not None:
         scaled = (increments / c).ravel().tolist()
-        increments = c * np.array([math.tanh(v) for v in scaled]).reshape(increments.shape)
+        increments = c * np.array(list(map(math.tanh, scaled))).reshape(increments.shape)
     xy = increments[..., :2]
     xy *= np.where(xy >= 0.0, *cfg.asym_gain)
     increments += (cfg.drift_bias.dx, cfg.drift_bias.dy, cfg.drift_bias.dtheta)

@@ -295,9 +295,11 @@ def _streams_walked(monkeypatch, model, seqs, grid):
     return report, sum(folded) / seqs[1].shape[1]
 
 
-@pytest.mark.parametrize("name, streams", [("learned", 4), ("noise", 9), ("step-only", 9)])
-def test_noiseless_models_walk_one_stream_for_inverse_and_composition(monkeypatch, name, streams):
-    # the default grid: 3 identity, 3 inverse and 3 composition configs
+@pytest.mark.parametrize("name, streams", [("learned", 2.5), ("noise", 9), ("step-only", 9)])
+def test_noiseless_models_walk_one_stream_with_identity_forks(monkeypatch, name, streams):
+    # the default grid: 3 identity, 3 inverse and 3 composition configs; a
+    # noiseless model folds the base stream once and forks each identity
+    # config off it at its pause, halfway: 24 + 3 * 12 steps of 24
     model = FOLDED[name]()
     grid = ProbeSuiteConfig().probe_grid()
     seqs = _turning_sequences(4, 24)
@@ -305,6 +307,70 @@ def test_noiseless_models_walk_one_stream_for_inverse_and_composition(monkeypatc
     assert walked == streams
     want = _per_config_gac(model, *seqs, grid, DIST, 3, 0.5)
     assert _float_bytes(asdict(report)) == _float_bytes(asdict(want))
+
+
+class NoiselessStepOnly:
+    """A third-party model that draws no noise and has only ``step``."""
+
+    deterministic = True
+
+    def __init__(self):
+        self.inner = MODELS["drift"]()
+
+    def step(self, state, action, rng):
+        assert rng is None
+        return self.inner.step(state, action, rng)
+
+
+ONE_WALK = {**{name: MODELS[name] for name in DETERMINISTIC}, "step-only": NoiselessStepOnly}
+
+# on 12-action streams; identity k=12 pauses before every action, the first at 0
+WALK_GRIDS = {
+    "identity-k123": [ProbeConfig(KIND_IDENTITY, k=1, l=2), ProbeConfig(KIND_IDENTITY, k=2, l=1),
+                      ProbeConfig(KIND_IDENTITY, k=3, l=3), ProbeConfig(KIND_INVERSE, k=2, l=3),
+                      ProbeConfig(KIND_COMPOSITION, l=4)],
+    "pause-at-0": [ProbeConfig(KIND_IDENTITY, k=12, l=1), ProbeConfig(KIND_IDENTITY, k=1, l=2),
+                   ProbeConfig(KIND_INVERSE, k=3, l=1), ProbeConfig(KIND_COMPOSITION, l=2)],
+    "identity-only": [ProbeConfig(KIND_IDENTITY, k=k, l=l) for k, l in [(1, 1), (2, 1), (3, 2)]],
+}
+
+
+@pytest.mark.parametrize("grid", WALK_GRIDS)
+@pytest.mark.parametrize("name", ONE_WALK)
+def test_one_walk_equals_one_walk_per_config(name, grid):
+    model, cfgs = ONE_WALK[name](), WALK_GRIDS[grid]
+    seqs = _turning_sequences(5, 12)
+    got = metrics._walk_probe(model, *seqs, cfgs, DIST, 7, 0.4)
+    want = [metrics.run_probe(model, *seqs, cfg, DIST, 7, 0.4) for cfg in cfgs]
+    assert _float_bytes([asdict(r) for r in got]) == _float_bytes([asdict(r) for r in want])
+    full = cfgs + [ProbeConfig(KIND_INVERSE), ProbeConfig(KIND_COMPOSITION)]
+    report = evaluate_gac(model, *seqs, full, DIST, 7, 0.4)
+    assert _float_bytes(asdict(report)) == _float_bytes(asdict(_per_config_gac(model, *seqs, full,
+                                                                                DIST, 7, 0.4)))
+
+
+@pytest.mark.parametrize("name", ONE_WALK)
+def test_a_stream_no_config_reads_is_not_folded(monkeypatch, name):
+    # identity k=3 pauses at 6, 12, 18, k=2 at 8, 16 and k=1 at 12 of 24:
+    # k=3 forks at 6 and k=2 at 8 while k=1 still reads the base stream,
+    # which then carries k=1 on alone, so 24 + 18 + 16 steps of 5 rows
+    # are folded, each fork in calls of its own 5 rows
+    calls = []
+
+    def counting(model, starts, actions, rngs):
+        calls.append(actions.shape[:2])
+        return fold_steps(model, starts, actions, rngs)
+
+    monkeypatch.setattr(metrics, "fold_steps", counting)
+    model, cfgs = ONE_WALK[name](), WALK_GRIDS["identity-only"]
+    seqs = _turning_sequences(5, 24)
+    got = metrics._walk_probe(model, *seqs, cfgs, DIST, 7)
+    assert {rows for rows, _ in calls} == {5}
+    assert sum(rows * steps for rows, steps in calls) == 5 * (24 + 18 + 16)
+    calls.clear()
+    want = [metrics.run_probe(model, *seqs, cfg, DIST, 7) for cfg in cfgs]
+    assert sum(rows * steps for rows, steps in calls) == 3 * 5 * 24
+    assert _float_bytes([asdict(r) for r in got]) == _float_bytes([asdict(r) for r in want])
 
 
 @pytest.mark.parametrize("drift", [1e307, 4e306], ids=["before-the-stop", "after-the-stop"])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gawm import models
 from gawm.data import read_trajectory_jsonl, write_trajectory_jsonl
 from gawm.models import (
     ExactModel,
@@ -15,7 +16,7 @@ from gawm.models import (
     perturbed_step,
     rollout,
 )
-from gawm.se2 import Pose2, se2_compose, se2_identity, state_distance
+from gawm.se2 import Pose2, se2_compose, se2_identity, state_distance, wrap_angles
 from gawm.segments import ActionIncrement, ActionSegment, ZERO_INCREMENT, make_inverse_segment
 
 from oracles import compose_matrix, pose_close, random_pose
@@ -201,3 +202,49 @@ def test_trajectory_jsonl_round_trip(tmp_path):
     assert np.array_equal(loaded, traj.as_array())
     # one {"theta", "x", "y"} object per line, as Pose2.to_dict writes it
     assert path.read_text().splitlines()[1] == json.dumps(traj[0].to_dict())
+
+
+def _stepwise_headings(starts, dtheta):
+    """Headings of a per-step rollout: each step's sum wrapped on its own."""
+    theta = [starts]
+    for i in range(dtheta.shape[1]):
+        theta.append(wrap_angles(theta[-1] + dtheta[:, i]))
+    return np.stack(theta, axis=1)
+
+
+def _increment_rows(t, sigma, seed):
+    """12 (3,) starts and (12, t, 3) realized increments whose turns are a
+    random walk of step sigma, with rows that start at exactly pi, just
+    above -pi and outside (-pi, pi] (kept as given), and turns of +-pi,
+    +-2pi and 0 at the first and last steps."""
+    rng = _rng(seed)
+    starts = np.column_stack([rng.uniform(-math.pi, math.pi, 12), rng.normal(size=(12, 2))])
+    starts[0, 0], starts[1, 0], starts[2, 0] = math.pi, np.nextafter(-math.pi, 0.0), 4.0
+    increments = rng.normal(0.0, 0.1, (12, t, 3))
+    increments[..., 2] = rng.normal(0.0, sigma, (12, t))
+    special = [math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 0.0]
+    increments[:5, 0, 2] = special
+    increments[5:10, -1, 2] = special
+    increments[10, :, 2] = math.pi
+    increments[11, :, 2] = -math.pi
+    return starts, increments
+
+
+@pytest.mark.parametrize("t", [1, 80])
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 1.5])
+def test_increment_headings_equal_the_stepwise_wrap_loop(t, sigma):
+    starts, increments = _increment_rows(t, sigma, seed=t)
+    theta = models._apply_increments(starts, increments)[..., 0]
+    want = _stepwise_headings(starts[:, 0], increments[..., 2])
+    assert theta.tobytes() == want.tobytes()
+    if sigma == 1.5 and t == 80:  # the random walks wrap many times
+        assert (np.abs(np.diff(want, axis=1)) > math.pi).sum() > 100
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t, step", [(1, 0), (80, 0), (80, 40), (80, 79)])
+def test_a_non_finite_turn_ends_in_the_finite_pose_error(bad, t, step):
+    starts, increments = _increment_rows(t, 1.5, seed=3)
+    increments[4, step, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        models._apply_increments(starts, increments)
