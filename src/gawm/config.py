@@ -201,6 +201,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.train.dataset_path is None:
             self.check_span_fits_dataset()
+        if self.pretrain is not None and self.pretrain.hidden_dim != self.train.hidden_dim:
+            raise ValueError(f"pretrain.hidden_dim {self.pretrain.hidden_dim} differs from "
+                             f"train.hidden_dim {self.train.hidden_dim}: every grid point "
+                             "fine-tunes the pretrained net")
 
     def check_span_fits_dataset(self) -> None:
         """Training on the configured dataset draws windows of up to

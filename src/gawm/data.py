@@ -179,12 +179,21 @@ def write_dataset(out_dir, dataset: Dataset, meta: dict) -> dict:
 
 def load_dataset(path) -> Dataset:
     """Read a dataset directory; poses are checked and wrapped as ``Pose2``
-    would, and ``Dataset`` checks the actions."""
+    would, and ``Dataset`` checks the actions. The directory must hold the
+    trajectories its ``summary.json`` counts, each of the length it gives."""
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {root}")
+    traj_paths = sorted(root.glob("traj_*.jsonl"))
+    if not traj_paths:
+        raise FileNotFoundError(f"no trajectory files in {root}")
+    with open(root / "summary.json") as f:
+        summary = json.load(f)
+    if len(traj_paths) != summary["n_trajectories"]:
+        raise ValueError(f"{root}: summary.json counts {summary['n_trajectories']} trajectories, "
+                         f"found {len(traj_paths)} trajectory files")
     poses, actions = [], []
-    for traj_path in sorted(root.glob("traj_*.jsonl")):
+    for traj_path in traj_paths:
         header, traj = read_trajectory_jsonl(traj_path)
         with open(root / header["actions_file"]) as f:
             rows = np.array(json.load(f), dtype=np.float64)
@@ -192,9 +201,8 @@ def load_dataset(path) -> Dataset:
             raise ValueError(f"{traj_path} holds {len(traj)} poses for {len(rows)} actions")
         poses.append(traj)
         actions.append(rows)
-    if not poses:
-        raise FileNotFoundError(f"no trajectory files in {root}")
     lengths = {len(a) for a in actions}
-    if len(lengths) != 1:
-        raise ValueError(f"trajectories must share one length, got {sorted(lengths)}")
+    if lengths != {summary["length"]}:
+        raise ValueError(f"{root}: summary.json gives trajectory length {summary['length']}, "
+                         f"found lengths {sorted(lengths)}")
     return Dataset(np.stack(poses), np.stack(actions))

@@ -284,10 +284,6 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
     member's entry; ``train_steps_per_s`` is over that training's seconds.
     """
     data_model, _ = parse_model_ref(cfg.dataset.model)  # a bad reference fails before training
-    stage = _Stage(cfg, "train")
-    out_dir = stage.out_dir
-    if dataset is None:
-        dataset = _load_train_dataset(cfg, out_dir)
     encoder = make_encoder(
         cfg.encoder.latent_dim, _encoder_seed(cfg), cfg.encoder.obs_noise_sigma
     )
@@ -297,7 +293,14 @@ def cmd_train(cfg: ExperimentConfig, label: str | None = None,
         initial_net, ckpt_encoder, _meta = load_checkpoint(cfg.train.init_checkpoint)
         if not np.array_equal(ckpt_encoder.projection, encoder.projection):
             raise ValueError("init checkpoint was trained with a different encoder")
+        if initial_net.hidden_dim != cfg.train.hidden_dim:
+            raise ValueError(f"init checkpoint has hidden_dim {initial_net.hidden_dim}, "
+                             f"but train.hidden_dim is {cfg.train.hidden_dim}")
         seed_stage = STAGE_FINETUNE
+    stage = _Stage(cfg, "train")
+    out_dir = stage.out_dir
+    if dataset is None:
+        dataset = _load_train_dataset(cfg, out_dir)
     seed = stage_seed(cfg.seed, seed_stage)
     group = group or TrainGroup([cfg])
     result = group.result(cfg, seed, dataset, encoder, initial_net)

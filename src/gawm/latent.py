@@ -193,16 +193,44 @@ def make_dynamics_net(latent_dim: int, hidden_dim: int,
     return DynamicsNet(d, h, np.concatenate([w1.ravel(), b1, w2.ravel(), b2]))
 
 
+def residual_step(z: np.ndarray, extra: np.ndarray, weights):
+    """The network's one forward step, ``z + ((w2 @ tanh(w1 @ [z; extra] + b1)) + b2)``,
+    for training and evaluation alike: on (..., d, m) column blocks with
+    ``block_weights``' column biases, or on one (d,) vector with
+    ``DynamicsNet.weights``. The weights' leading axes broadcast against
+    the blocks'. Returns the output and the (x, pre, h) cache that
+    training's backward pass reuses.
+
+    Each product is one ``np.matmul`` in the caller's shape and rounds as
+    that shape does: a (K, ., B) batch runs one matrix product per row,
+    and a vector or m = 1 columns the per-pose matrix-vector ``w @ x``, so
+    a row of (B, d, 1) columns rounds as that row alone. The sum keeps the
+    association of the tape's ``residual_mlp``: reassociating it moves
+    loss curves and checkpoints in their last bits.
+    """
+    w1, b1, w2, b2 = weights
+    x = np.concatenate([z, extra], axis=-2 if z.ndim > 1 else 0)
+    pre = np.matmul(w1, x) + b1
+    h = np.tanh(pre)
+    return z + (np.matmul(w2, h) + b2), (x, pre, h)
+
+
+def block_weights(net: DynamicsNet, params: np.ndarray):
+    """(w1, b1, w2, b2) views into a parameter vector or a (K, P) stack,
+    with the biases as (h, 1) and (d, 1) columns for column blocks."""
+    w1, b1, w2, b2 = net.views(params)
+    return w1, b1[..., None], w2, b2[..., None]
+
+
 def net_step(z: np.ndarray, action: ActionIncrement, net: DynamicsNet) -> np.ndarray:
     """One deterministic latent transition."""
-    w1, b1, w2, b2 = net.weights()
-    x = np.concatenate([z, action.as_array()])
-    return z + w2 @ np.tanh(w1 @ x + b1) + b2
+    return residual_step(z, action.as_array(), net.weights())[0]
 
 
 # The array forms below give each row exactly the per-pose result. They use
 # stacked matrix-vector products, np.matmul(w, x[:, :, None]), which round
 # like the per-pose ``w @ x``; a matrix-matrix product ``x @ w.T`` does not.
+# ``_net_rows`` runs ``residual_step`` on such (B, d, 1) columns.
 
 
 def _encode_rows(poses: np.ndarray, encoder: FeatureEncoder) -> np.ndarray:
@@ -210,12 +238,9 @@ def _encode_rows(poses: np.ndarray, encoder: FeatureEncoder) -> np.ndarray:
     return np.matmul(encoder.projection, pose_features(poses)[:, :, None])[:, :, 0]
 
 
-def _net_rows(z: np.ndarray, actions: np.ndarray, net: DynamicsNet) -> np.ndarray:
-    """``net_step`` of (B, d) latents under (B, 3) actions."""
-    w1, b1, w2, b2 = net.weights()
-    x = np.concatenate([z, actions], axis=1)
-    h = np.tanh(np.matmul(w1, x[:, :, None])[:, :, 0] + b1)
-    return z + np.matmul(w2, h[:, :, None])[:, :, 0] + b2
+def _net_rows(z: np.ndarray, actions: np.ndarray, weights) -> np.ndarray:
+    """``net_step`` of (B, d) latents under (B, 3) actions, on ``block_weights``."""
+    return residual_step(z[:, :, None], actions[:, :, None], weights)[0][:, :, 0]
 
 
 def _decode_rows(z: np.ndarray, decoder: FeatureDecoder) -> np.ndarray:
@@ -288,7 +313,8 @@ class LearnedWorldModel:
         if sigma > 0.0:
             for row, rng in zip(z, rngs):
                 row += rng.normal(0.0, sigma, size=z.shape[1])
-        return _decode_rows(_net_rows(z, actions, self.net), self.decoder)
+        z = _net_rows(z, actions, block_weights(self.net, self.net.params))
+        return _decode_rows(z, self.decoder)
 
     def rollout_batch(self, starts: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
         """The native rollout of (B, T, 3) actions from (B, 3) starts, as (B, T+1, 3) poses.
@@ -305,10 +331,11 @@ class LearnedWorldModel:
                 row[:] = rng.normal(0.0, sigma, size=row.shape)
             z = z + noise[:, 0]
         latents = np.empty((b, t, z.shape[1]))
+        weights = block_weights(self.net, self.net.params)
         for i in range(t):
             if sigma > 0.0:
                 z = z + noise[:, i + 1]
-            z = _net_rows(z, actions[:, i], self.net)
+            z = _net_rows(z, actions[:, i], weights)
             latents[:, i] = z
         poses = np.empty((b, t + 1, 3))
         poses[:, 0] = starts

@@ -256,8 +256,8 @@ def realized_increments(actions: np.ndarray, cfg: ViolationConfig) -> np.ndarray
     """The noiseless realized increment of ``perturbed_step`` for (..., 3)
     ``[dx, dy, dtheta]`` rows, equal to it element by element.
 
-    Saturation calls ``math.tanh`` per element, because ``np.tanh`` rounds
-    differently.
+    Saturation calls ``math.tanh`` per element, because numpy's ``tanh``
+    rounds differently.
     """
     increments = np.array(actions, dtype=np.float64)
     c = cfg.saturation_scale

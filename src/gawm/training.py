@@ -13,8 +13,9 @@ through time over the unrolled residual MLP. The ``*_graph`` functions
 record the same objective on the autograd tape, as its reference.
 ``train_group`` trains several loss configs that share every random
 draw as one parameter stack, one ``train_step`` per step; ``train`` is
-its one-config case. Every forward step of the network is one
-``_residual_step``: the prediction batch of all rows at once, and the
+its one-config case. Every forward step of the network is one call of
+``latent.residual_step``, the forward pass the learned model is also
+evaluated with: the prediction batch of all rows at once, and the
 rollouts of the rows that share a rollout mode as one stack (a mode's
 only row on its own).
 """
@@ -30,10 +31,7 @@ import numpy as np
 from . import autograd as ag
 from .data import Dataset
 from .latent import (
-    DynamicsNet,
-    FeatureEncoder,
-    make_dynamics_net,
-    pose_features,
+    DynamicsNet, FeatureEncoder, block_weights, make_dynamics_net, pose_features, residual_step,
     rollout_endpoint_graph,
 )
 from .se2 import Pose2, se2_compose
@@ -233,40 +231,12 @@ def batch_columns(batch: Batch, encoder: FeatureEncoder, rng: np.random.Generato
     return z_in, actions[batch.idx, batch.ts].T, z_next
 
 
-def _residual_step(z: np.ndarray, extra: np.ndarray, weights):
-    """One residual step ``z + ((w2 @ tanh(w1 @ [z; extra] + b1)) + b2)``
-    on (..., d, m) column blocks with (..., h, 1) and (..., d, 1) biases,
-    or on one (d,) vector with (h,) and (d,) biases. The weights' leading
-    axes broadcast against the blocks'.
-
-    Returns the output and the (x, pre, h) cache the backward pass
-    reuses. Each product is one ``np.matmul`` in the caller's shape, and
-    rounds as that shape does: a (K, ., B) prediction batch runs one
-    matrix product per row, and a vector or m = 1 columns run the
-    matrix-vector product of the per-pose ``w @ x``. The sum keeps the
-    association of the recorded step: reassociating it moves loss curves
-    and checkpoints in their last bits.
-    """
-    w1, b1, w2, b2 = weights
-    x = np.concatenate([z, extra], axis=-2 if z.ndim > 1 else 0)
-    pre = np.matmul(w1, x) + b1
-    h = np.tanh(pre)
-    return z + (np.matmul(w2, h) + b2), (x, pre, h)
-
-
-def _block_weights(net: DynamicsNet, params: np.ndarray):
-    """(w1, b1, w2, b2) views into a (K, P) parameter stack, with the
-    biases as (K, h, 1) and (K, d, 1) columns for ``_residual_step``."""
-    w1, b1, w2, b2 = net.views(params)
-    return w1, b1[..., None], w2, b2[..., None]
-
-
 def _stack_prediction(weights, z_in: np.ndarray, actions: np.ndarray, z_next: np.ndarray):
     """Every row's mean squared one-step prediction error on shared (d, B)
-    columns, from stacked weights (``_block_weights``): the (K,)
+    columns, from stacked weights (``block_weights``): the (K,)
     losses, the (K, d, B) residuals and the (x, pre, h) cache the backward
     pass reuses."""
-    z_pred, cache = _residual_step(z_in, actions, weights)
+    z_pred, cache = residual_step(z_in, actions, weights)
     diff = z_pred - z_next
     l_pred = (diff * diff).reshape(len(diff), -1).sum(axis=1) * (1.0 / z_in.shape[1])
     return l_pred, diff, cache
@@ -287,7 +257,7 @@ def prediction_loss(net: DynamicsNet, encoder: FeatureEncoder, poses_in: np.ndar
         raise ValueError("prediction loss needs a non-empty batch")
     z_in = _encode_columns(pose_features(poses_in).T, encoder, rng)
     z_next = _encode_columns(pose_features(poses_next).T, encoder, rng)
-    weights = _block_weights(net, net.params[None])
+    weights = block_weights(net, net.params[None])
     return float(_stack_prediction(weights, z_in, actions.T, z_next)[0][0])
 
 
@@ -386,7 +356,7 @@ def _roll_out(plans, z_t: np.ndarray, weights, n: int):
             z, actions = z[None, :, None].repeat(n, 0), actions[:, None, :, None].repeat(n, 1)
         caches = []
         for a in actions:
-            z, cache = _residual_step(z, a, weights)
+            z, cache = residual_step(z, a, weights)
             caches.append(cache)
             pres.append(cache[1])
         chains.append(caches)
@@ -400,14 +370,14 @@ class ParamStack:
     """K parameter rows of one network shape, the loss config each row
     trains under, and a gradient buffer. Weights and gradients are views
     both in stacked form, (K, h, d+3) and so on, and per row. The stacked
-    weights hold their biases as columns (``_block_weights``)."""
+    weights hold their biases as columns (``block_weights``)."""
 
     def __init__(self, net: DynamicsNet, params: np.ndarray, cfgs: list[GALossConfig]):
         self.net = net
         self.params = params
         self.grad = np.empty_like(params)
         self.cfgs = cfgs
-        self.weights = _block_weights(net, params)
+        self.weights = block_weights(net, params)
         self.grads = net.views(self.grad)
         self.row_weights = [net.views(p) for p in params]
         self.row_grads = [net.views(g) for g in self.grad]
@@ -462,7 +432,7 @@ def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, base_segment: 
     value. Each row's check reads only its own slice of the stacked
     arrays.
 
-    Every forward step goes through ``_residual_step``. The prediction
+    Every forward step goes through ``residual_step``. The prediction
     batch's input is shared, so its forward and backward passes are
     (K, ., B) products. The rows that share a rollout mode share its
     rollout plan. Two or more of them roll out as one stack of (n, ., 1)

@@ -139,6 +139,22 @@ def test_load_dataset_rejects_mismatched_lengths(written):
         load_dataset(root)
 
 
+def test_load_dataset_checks_the_trajectories_against_its_summary(written):
+    root, _ = written
+    summary = json.loads((root / "summary.json").read_text())
+    (root / "summary.json").write_text(json.dumps(dict(summary, length=7)))
+    with pytest.raises(ValueError, match=r"summary.json gives trajectory length 7, found "
+                                         r"lengths \[6\]$"):
+        load_dataset(root)
+    (root / "summary.json").write_text(json.dumps(summary))
+    (root / "traj_0001.jsonl").unlink()
+    with pytest.raises(ValueError, match="summary.json counts 3 trajectories, found 2 "):
+        load_dataset(root)
+    (root / "summary.json").unlink()
+    with pytest.raises(FileNotFoundError, match="summary.json"):
+        load_dataset(root)
+
+
 @pytest.mark.parametrize("dtheta", (3.5, -math.pi - 1e-9, math.inf, math.nan))
 def test_dataset_checks_its_actions_at_construction(dtheta):
     data = generate_records(ExactModel(), 3, 6, DIST, seed=4)

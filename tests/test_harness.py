@@ -1033,12 +1033,12 @@ def test_ablate_checks_every_span_it_trains_on_its_dataset_before_any_output(tmp
 def test_config_load_stores_numbers_as_declared_and_fills_defaults(tmp_path):
     d = tiny_config(tmp_path / "run").to_dict()
     d["train"]["learning_rate"] = 1
-    d["pretrain"] = {"batch_size": 4}
+    d["pretrain"] = {"batch_size": 4, "hidden_dim": 16}  # a pretrain takes train's width
     cfg = ExperimentConfig.from_dict(d)
     assert cfg.train.learning_rate == 1.0 and isinstance(cfg.train.learning_rate, float)
     d["train"]["learning_rate"] = 1.0
     assert cfg.config_hash() == ExperimentConfig.from_dict(d).config_hash()
-    assert cfg.pretrain == TrainRunConfig(steps=5000, batch_size=4)
+    assert cfg.pretrain == TrainRunConfig(steps=5000, batch_size=4, hidden_dim=16)
     d["train"]["learning_rate"] = 10**400
     with pytest.raises(ValueError, match="^config value train.learning_rate must be float, got 1000"):
         ExperimentConfig.from_dict(d)
@@ -1099,6 +1099,42 @@ def test_finetune_rejects_mismatched_encoder(trained_run, tmp_path):
     )
     with pytest.raises(ValueError):
         cmd_train(bad)
+
+
+def test_finetune_rejects_a_checkpoint_of_another_width_before_its_stage_opens(trained_run,
+                                                                               tmp_path):
+    cfg, ckpt = trained_run  # trained at train.hidden_dim 16
+    narrow = replace(
+        cfg,
+        out_dir=str(tmp_path / "narrow"),
+        train=replace(cfg.train, steps=5, hidden_dim=8, init_checkpoint=str(ckpt),
+                      dataset_path=str(Path(cfg.out_dir) / "dataset")),
+    )
+    with pytest.raises(ValueError, match="^init checkpoint has hidden_dim 16, but "
+                                         "train.hidden_dim is 8$"):
+        cmd_train(narrow)
+    assert not (tmp_path / "narrow").exists()
+
+
+def test_config_rejects_a_pretrain_of_another_width_than_its_fine_tunes(tmp_path):
+    cfg = tiny_config(tmp_path / "widths")
+    message = "^pretrain.hidden_dim 8 differs from train.hidden_dim 16"
+    with pytest.raises(ValueError, match=message):
+        replace(cfg, pretrain=replace(cfg.train, hidden_dim=8))
+    d = cfg.to_dict()
+    d["pretrain"] = {"hidden_dim": 8}
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(d)
+    assert not (tmp_path / "widths").exists()
+
+
+def test_ablate_rejects_a_dataset_missing_a_trajectory_its_summary_counts(tmp_path):
+    cfg = tiny_config(tmp_path / "lost", steps=4)
+    data_dir = cmd_gen_data(cfg)
+    (data_dir / "traj_0003.jsonl").unlink()
+    with pytest.raises(ValueError, match="summary.json counts 10 trajectories, found 9 "):
+        cmd_ablate(cfg, "mode")
+    assert not (tmp_path / "lost" / "sweep_mode").exists()
 
 
 def test_ablate_with_pretrain_shares_base(tmp_path, monkeypatch):

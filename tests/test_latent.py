@@ -11,6 +11,8 @@ from gawm.latent import (
     FeatureEncoder,
     HeadingUndefinedError,
     LearnedWorldModel,
+    _net_rows,
+    block_weights,
     decode,
     encode,
     load_checkpoint,
@@ -19,6 +21,7 @@ from gawm.latent import (
     make_encoder,
     net_step,
     pose_features,
+    residual_step,
     rollout_endpoint_graph,
     save_checkpoint,
 )
@@ -154,6 +157,49 @@ def test_graph_forward_matches_plain_forward():
     seg = ActionSegment([ActionIncrement(0.1, -0.05, 0.2), ActionIncrement(0.0, 0.0, 0.0)])
     end_graph = rollout_endpoint_graph(ag.constant(z0), seg.array, net.param_tensors())
     assert np.allclose(end_graph.value, latent_rollout_endpoint(z0, seg, net), atol=1e-15)
+
+
+def _random_net(d=6, h=8, seed=40):
+    # nonzero biases: with zero ones every association of the residual sum agrees
+    return DynamicsNet(d, h, _rng(seed).normal(size=DynamicsNet.n_params(d, h)))
+
+
+def _tape_forward(z, extra, weights):
+    return ag.residual_mlp(ag.constant(z), extra, tuple(ag.Tensor(w) for w in weights)).value
+
+
+def test_residual_step_on_a_vector_is_the_tape_forward_and_net_step():
+    net = _random_net()
+    rng = _rng(41)
+    for _ in range(20):
+        z, a = rng.normal(size=6), ActionIncrement(*rng.uniform(-1, 1, size=3))
+        out = residual_step(z, a.as_array(), net.weights())[0]
+        assert out.tobytes() == _tape_forward(z, a.as_array(), net.weights()).tobytes()
+        assert net_step(z, a, net).tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("b", [1, 32])
+def test_residual_step_on_columns_rounds_each_row_as_the_tape_forward(b):
+    net = _random_net()
+    rng = _rng(42)
+    z, actions = rng.normal(size=(b, 6)), rng.uniform(-1, 1, size=(b, 3))
+    out = residual_step(z[:, :, None], actions[:, :, None], block_weights(net, net.params))[0]
+    rows = _net_rows(z, actions, block_weights(net, net.params))
+    assert out.shape == (b, 6, 1) and rows.tobytes() == out[:, :, 0].tobytes()
+    for zj, aj, row in zip(z, actions, rows):
+        assert row.tobytes() == _tape_forward(zj, aj, net.weights()).tobytes()
+        assert row.tobytes() == net_step(zj, ActionIncrement(*aj), net).tobytes()
+
+
+def test_residual_step_on_a_stack_is_each_rows_tape_forward():
+    net = _random_net()
+    rng = _rng(43)
+    params = rng.normal(size=(3, net.params.size))
+    z, actions = rng.normal(size=(6, 16)), rng.uniform(-1, 1, size=(3, 16))
+    out = residual_step(z, actions, block_weights(net, params))[0]
+    assert out.shape == (3, 6, 16)
+    for k in range(3):
+        assert out[k].tobytes() == _tape_forward(z, actions, net.views(params[k])).tobytes()
 
 
 def test_gradient_through_rollout_matches_finite_difference():

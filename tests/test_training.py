@@ -10,7 +10,9 @@ from gawm import autograd as ag
 from gawm.config import benchmark_config
 from gawm.data import ActionDistribution, Dataset, generate_records
 from gawm.harness import sweep_points
-from gawm.latent import DynamicsNet, make_decoder, make_dynamics_net, make_encoder, pose_features
+from gawm.latent import (
+    DynamicsNet, block_weights, make_decoder, make_dynamics_net, make_encoder, pose_features,
+)
 from gawm.models import ExactModel, rollout
 from gawm.se2 import Pose2, pose_array
 from gawm.segments import ActionIncrement, ActionSegment, DirichletParams
@@ -625,7 +627,7 @@ def test_stacked_rollout_fails_only_the_overflowing_row(far_dataset, active):
     columns = batch_columns(batch, enc, None)
     z_t = enc.projection @ pose_features(batch.start_pose)
     cfgs = [GALossConfig(), GALossConfig()]
-    pred_pre = training._stack_prediction(training._block_weights(net, params), *columns)[2][1]
+    pred_pre = training._stack_prediction(block_weights(net, params), *columns)[2][1]
     assert np.isfinite(pred_pre).all()  # the prediction batch stays finite on both rows
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
