@@ -147,19 +147,28 @@ class ProbeSuiteConfig:
         check_noise_sigma(self.eval_noise_sigma, "eval_noise_sigma")
         DistanceParams(self.alpha_rot)
         DirichletParams(self.dirichlet_concentration)
-        if self.n_sequences < 1:
-            raise ValueError(f"probes.n_sequences must be >= 1, got {self.n_sequences}")
-        for name in ("identity_lengths", "inverse_lengths", "composition_lengths"):
+        for name in ("n_sequences", "sequence_length", "identity_k", "inverse_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"probes.{name} must be >= 1, got {getattr(self, name)}")
+        for name, kind, k in self._families():
             if not getattr(self, name):
                 raise ValueError(f"probes.{name} must not be empty")
-        for probe in self.probe_grid():
-            probe_positions(probe, self.sequence_length)
+            try:
+                for l in getattr(self, name):
+                    probe_positions(ProbeConfig(kind, k=k, l=l), self.sequence_length)
+            except ValueError as err:
+                raise ValueError(f"probes.{name}: {err}") from None
+
+    def _families(self) -> tuple[tuple[str, str, int], ...]:
+        """(lengths field, kind, k) of each probe family."""
+        return (("identity_lengths", KIND_IDENTITY, self.identity_k),
+                ("inverse_lengths", KIND_INVERSE, self.inverse_k),
+                ("composition_lengths", KIND_COMPOSITION, 1))
 
     def probe_grid(self) -> list[ProbeConfig]:
         """Every probe configuration of the suite, identity, inverse, then composition."""
-        return ([ProbeConfig(KIND_IDENTITY, k=self.identity_k, l=l) for l in self.identity_lengths]
-                + [ProbeConfig(KIND_INVERSE, k=self.inverse_k, l=l) for l in self.inverse_lengths]
-                + [ProbeConfig(KIND_COMPOSITION, k=1, l=l) for l in self.composition_lengths])
+        return [ProbeConfig(kind, k=k, l=l) for name, kind, k in self._families()
+                for l in getattr(self, name)]
 
 
 @dataclass(frozen=True)

@@ -141,13 +141,36 @@ def write_trajectory_jsonl(path, poses: np.ndarray, header: dict) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_json(path):
+    """The file's JSON value; a ValueError names the file if it is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path} is not JSON: {err}") from None
+
+
+def _fields(path, record, names: tuple[str, ...]) -> list:
+    """``record``'s values of ``names``; a ValueError names the file if one is missing."""
+    missing = [name for name in names if not isinstance(record, dict) or name not in record]
+    if missing:
+        raise ValueError(f"{path} lacks {', '.join(missing)}")
+    return [record[name] for name in names]
+
+
 def read_trajectory_jsonl(path) -> tuple[dict, np.ndarray]:
     """The header and the (T+1, 3) pose array, checked and wrapped as ``Pose2`` would be."""
     with open(path) as f:
         lines = [line for line in f if line.strip()]
-    header = json.loads(lines[0])
-    rows = [json.loads(line) for line in lines[1:]]
-    poses = np.array([(r["theta"], r["x"], r["y"]) for r in rows], dtype=np.float64).reshape(-1, 3)
+    try:
+        header, *rows = [json.loads(line) for line in lines] or [{}]
+        poses = np.array([(r["theta"], r["x"], r["y"]) for r in rows], dtype=np.float64)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: a line is not JSON: {err}") from None
+    except KeyError as err:
+        raise ValueError(f"{path}: a pose line lacks {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: a pose line is not an object of numbers: {err}") from None
+    poses = poses.reshape(-1, 3)
     check_finite_poses(poses)
     poses[:, 0] = wrap_angles(poses[:, 0])
     return header, poses
@@ -187,22 +210,33 @@ def load_dataset(path) -> Dataset:
     traj_paths = sorted(root.glob("traj_*.jsonl"))
     if not traj_paths:
         raise FileNotFoundError(f"no trajectory files in {root}")
-    with open(root / "summary.json") as f:
-        summary = json.load(f)
-    if len(traj_paths) != summary["n_trajectories"]:
-        raise ValueError(f"{root}: summary.json counts {summary['n_trajectories']} trajectories, "
+    summary_path = root / "summary.json"
+    n_trajectories, length = _fields(summary_path, _read_json(summary_path),
+                                     ("n_trajectories", "length"))
+    if not all(type(v) is int for v in (n_trajectories, length)):
+        raise ValueError(f"{summary_path}: n_trajectories and length must be integers")
+    if len(traj_paths) != n_trajectories:
+        raise ValueError(f"{root}: summary.json counts {n_trajectories} trajectories, "
                          f"found {len(traj_paths)} trajectory files")
     poses, actions = [], []
     for traj_path in traj_paths:
         header, traj = read_trajectory_jsonl(traj_path)
-        with open(root / header["actions_file"]) as f:
-            rows = np.array(json.load(f), dtype=np.float64)
+        (actions_name,) = _fields(traj_path, header, ("actions_file",))
+        actions_path = root / actions_name
+        values = _read_json(actions_path)
+        try:
+            rows = np.array(values, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{actions_path} is not an array of numbers: {err}") from None
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError(f"{actions_path} must hold an (L, 3) array of actions, "
+                             f"got shape {rows.shape}")
         if len(traj) != len(rows) + 1:
             raise ValueError(f"{traj_path} holds {len(traj)} poses for {len(rows)} actions")
         poses.append(traj)
         actions.append(rows)
     lengths = {len(a) for a in actions}
-    if lengths != {summary["length"]}:
-        raise ValueError(f"{root}: summary.json gives trajectory length {summary['length']}, "
+    if lengths != {length}:
+        raise ValueError(f"{root}: summary.json gives trajectory length {length}, "
                          f"found lengths {sorted(lengths)}")
     return Dataset(np.stack(poses), np.stack(actions))

@@ -89,11 +89,14 @@ def parse_model_ref(ref: str, eval_noise_sigma: float = 0.0) -> tuple[WorldModel
         return ExactModel(), "exact"
     kind, sep, arg = ref.partition(":")
     if sep and (kind == "perturbed" or kind in _SHORTHAND_FIELDS):
-        if kind == "perturbed":
-            values = json.loads(arg)
-        else:
-            parts = [float(v) for v in arg.split(",")]
-            values = {_SHORTHAND_FIELDS[kind]: parts[0] if len(parts) == 1 else parts}
+        try:
+            if kind == "perturbed":
+                values = json.loads(arg)
+            else:
+                parts = [float(v) for v in arg.split(",")]
+                values = {_SHORTHAND_FIELDS[kind]: parts[0] if len(parts) == 1 else parts}
+        except ValueError as err:  # not JSON, or not a number
+            raise ValueError(f"model reference {ref!r}: {err}") from None
         return PerturbedModel(from_json(ViolationConfig, values, kind), name=ref), ref
     if ref.endswith(".json"):
         path = Path(ref)
@@ -257,10 +260,11 @@ class TrainGroup:
             t0 = time.perf_counter()
             self._results = train_group(run, [c.ga for c in self.cfgs], dataset, encoder,
                                         seed, initial_net)
+            steps = max(run.steps if isinstance(r, TrainResult) else r.step + 1
+                        for r in self._results)  # a failed row steps on with the others
             self.training = {
                 "rows": len(self.cfgs),
-                "row_steps": sum(run.steps if isinstance(r, TrainResult) else r.step
-                                 for r in self._results),
+                "row_steps": len(self.cfgs) * steps,
                 "train_s": time.perf_counter() - t0,
             }
         result = self._results[self.cfgs.index(cfg)]

@@ -22,7 +22,6 @@ only row on its own).
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -52,12 +51,15 @@ OPTIMIZER_SGD = "sgd"
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training aborted because a loss or intermediate became non-finite;
-    ``step`` is the step that failed, where the training loop knows it."""
+    """Training aborted because a loss or intermediate became non-finite
+    at ``step``."""
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
+
+    def __reduce__(self):  # a worker process's error is rebuilt with its step
+        return type(self), (str(self), self.step)
 
 
 @dataclass(frozen=True)
@@ -128,9 +130,6 @@ class SgdOptimizer:
     def update(self, params: np.ndarray, grad: np.ndarray) -> None:
         params -= self.learning_rate * grad
 
-    def select(self, rows: np.ndarray) -> None:
-        """Keep only the given rows of a (K, P) parameter stack; SGD has no state."""
-
 
 class AdamOptimizer:
     """Adaptive-moments first-order method with the standard decay constants.
@@ -151,11 +150,6 @@ class AdamOptimizer:
         self.t = 0
         self._s1 = np.empty(shape)
         self._s2 = np.empty(shape)
-
-    def select(self, rows: np.ndarray) -> None:
-        """Keep only the given rows (an index or boolean mask) of a (K, P) stack."""
-        self.m, self.v = self.m[rows], self.v[rows]
-        self._s1, self._s2 = np.empty_like(self.m), np.empty_like(self.m)
 
     def update(self, params: np.ndarray, grad: np.ndarray) -> None:
         """In place, in the operation order of
@@ -390,13 +384,6 @@ class ParamStack:
         for k, cfg in enumerate(cfgs):
             self.mode_rows.setdefault(cfg.mode, []).append(k)
 
-    def rows(self, keep: np.ndarray) -> "ParamStack":
-        """A stack of the rows where ``keep`` is true, gradients included."""
-        kept = ParamStack(self.net, self.params[keep],
-                          [cfg for cfg, k in zip(self.cfgs, keep) if k])
-        kept.grad[...] = self.grad[keep]
-        return kept
-
     def mode_weights(self, rows: list[int]):
         """The weights ``_roll_out`` takes for ``rows``: one row's own, or
         the stacked weights of every row, or stacked copies of some."""
@@ -430,7 +417,8 @@ def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, base_segment: 
     or input reaches a pre-activation or an output, and a pre-activation
     must be checked itself because tanh saturates an overflow to a finite
     value. Each row's check reads only its own slice of the stacked
-    arrays.
+    arrays, and a failed row's values reach no other row. Its overflow
+    warns unless the caller silences it (``train_group`` does).
 
     Every forward step goes through ``residual_step``. The prediction
     batch's input is shared, so its forward and backward passes are
@@ -449,38 +437,32 @@ def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, base_segment: 
              for mode in stack.mode_rows}
     weight = stack.active_weights[active].tolist()
     backward = []  # (row, its mode's chains, its row in their caches, its end difference)
-    # A failing row of a stack only clears its bit of ``ok``, so its overflow stays quiet.
-    with contextlib.nullcontext() if len(stack.cfgs) == 1 else np.errstate(over="ignore",
-                                                                            invalid="ignore"):
-        losses[0], diff, (x, pre, h) = _stack_prediction(stack.weights, *columns)
-        ok = np.isfinite(pre).all(axis=(1, 2))
-        for mode, rows in stack.mode_rows.items():
-            chains, end_diff, finite = _roll_out(plans[mode], z_t, stack.mode_weights(rows),
-                                                 len(rows))
-            stacked = len(rows) > 1  # else the one row rolled out as vectors
-            at = rows if stacked else rows[0]
-            ok[at] &= finite
-            losses[1, at] = (end_diff * end_diff).sum(axis=-1)
-            backward += [(k, chains, j, end_diff[j]) if stacked else (k, chains, None, end_diff)
-                         for j, k in enumerate(rows) if weight[k]]
-        losses[2] = losses[0] + stack.active_weights[active] * losses[1]
+    losses[0], diff, (x, pre, h) = _stack_prediction(stack.weights, *columns)
+    ok = np.isfinite(pre).all(axis=(1, 2))
+    for mode, rows in stack.mode_rows.items():
+        chains, end_diff, finite = _roll_out(plans[mode], z_t, stack.mode_weights(rows), len(rows))
+        stacked = len(rows) > 1  # else the one row rolled out as vectors
+        at = rows if stacked else rows[0]
+        ok[at] &= finite
+        losses[1, at] = (end_diff * end_diff).sum(axis=-1)
+        backward += [(k, chains, j, end_diff[j]) if stacked else (k, chains, None, end_diff)
+                     for j, k in enumerate(rows) if weight[k]]
+    losses[2] = losses[0] + stack.active_weights[active] * losses[1]
     # Both losses are >= 0, so a non-finite one makes the total non-finite.
     ok &= np.isfinite(losses[2])
 
-    # A failed row's gradient is thrown away, so its overflow stays quiet.
-    with contextlib.nullcontext() if ok.all() else np.errstate(over="ignore", invalid="ignore"):
-        gw1, gb1, gw2, gb2 = stack.grads
-        g = (2.0 * (1.0 / x.shape[1])) * diff
-        g_pre = np.matmul(stack.weights[2].transpose(0, 2, 1), g) * (1.0 - h * h)
-        gw1[...] = np.matmul(g_pre, x.T)
-        gb1[...] = g_pre.sum(axis=2)
-        gw2[...] = np.matmul(g, h.transpose(0, 2, 1))
-        gb2[...] = g.sum(axis=2)
-        for k, chains, row, end_diff in backward:
-            g = (2.0 * weight[k]) * end_diff
-            _rollout_vjp(g, chains[0], row, stack.row_weights[k], stack.row_grads[k])
-            if len(chains) == 2:
-                _rollout_vjp(-g, chains[1], row, stack.row_weights[k], stack.row_grads[k])
+    gw1, gb1, gw2, gb2 = stack.grads
+    g = (2.0 * (1.0 / x.shape[1])) * diff
+    g_pre = np.matmul(stack.weights[2].transpose(0, 2, 1), g) * (1.0 - h * h)
+    gw1[...] = np.matmul(g_pre, x.T)
+    gb1[...] = g_pre.sum(axis=2)
+    gw2[...] = np.matmul(g, h.transpose(0, 2, 1))
+    gb2[...] = g.sum(axis=2)
+    for k, chains, row, end_diff in backward:
+        g = (2.0 * weight[k]) * end_diff
+        _rollout_vjp(g, chains[0], row, stack.row_weights[k], stack.row_grads[k])
+        if len(chains) == 2:
+            _rollout_vjp(-g, chains[1], row, stack.row_weights[k], stack.row_grads[k])
     return losses, ok
 
 
@@ -504,26 +486,22 @@ class TrainStreams:
 
 
 def train_step(stack: ParamStack, encoder: FeatureEncoder, batch: Batch, optimizer,
-               streams: TrainStreams) -> tuple[ParamStack, int, np.ndarray, np.ndarray]:
+               streams: TrainStreams) -> tuple[int, np.ndarray, np.ndarray]:
     """One optimizer update of every row of ``stack`` on the batch.
 
     Draws the step's observation noise, constraint and segment, then
-    computes every row's losses and gradient (``_stack_objective``).
-    Rows whose loss turns non-finite leave the stack and the optimizer
-    before the update. Returns the stack of the rows that remain, the
-    active constraint's index into CONSTRAINTS, and the (3, K) losses and
-    (K,) finite-row mask of the rows it was given.
+    computes every row's losses and gradient (``_stack_objective``) and
+    updates every row, a non-finite one too. Returns the active
+    constraint's index into CONSTRAINTS, the (3, K) losses and the (K,)
+    mask of the rows whose losses stayed finite.
     """
     columns = batch_columns(batch, encoder, streams.noise)
     a = int(streams.constraint.integers(0, len(CONSTRAINTS)))
     z_t = encoder.projection @ batch.dataset.features[batch.anchor_i, batch.anchor_t]
     losses, ok = _stack_objective(stack, columns, z_t, batch.base_segment, CONSTRAINTS[a],
                                   streams.dirichlet, batch.start_pose, encoder)
-    if not ok.all():
-        stack = stack.rows(ok)
-        optimizer.select(ok)
     optimizer.update(stack.params, stack.grad)
-    return stack, a, losses, ok
+    return a, losses, ok
 
 
 LOSS_COLUMNS = ("step", "active_constraint", "l_pred", "l_ga", "total")
@@ -559,12 +537,14 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
     moves each row as its own run would. Row k's net and loss curve equal
     a run of ``cfgs[k]`` on its own bit for bit.
 
-    A row whose loss turns non-finite leaves the stack without touching
-    the other rows; its entry is the NonFiniteLossError that its own run
-    raises. Deterministic given (seed, configs, dataset): ``seed`` derives
-    the initialization and every random stream (``TrainStreams``). With
-    ``initial_net`` every row starts from a copy of the given parameters
-    instead of a fresh seeded initialization.
+    A row whose loss turns non-finite gets the NonFiniteLossError that its
+    own run raises, at the same step. It stays in the stack, but every
+    stacked product and update is per row, so no other row sees its
+    values; its overflow warnings are silenced. Training stops once every
+    row has failed. Deterministic given (seed, configs, dataset): ``seed``
+    derives the initialization and every random stream
+    (``TrainStreams``). With ``initial_net`` every row starts from a copy
+    of the given parameters instead of a fresh seeded initialization.
     """
     if not cfgs:
         raise ValueError("train_group needs at least one loss config")
@@ -585,23 +565,24 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
     stack = ParamStack(net, np.tile(net.params, (len(cfgs), 1)), list(cfgs))
     streams = TrainStreams.from_seed(seed)
     optimizer = make_optimizer(run, stack.params.shape)
-    rows = np.arange(len(cfgs))  # each stack row's index into cfgs
+    alive = np.ones(len(cfgs), dtype=bool)
     active = np.empty(run.steps, dtype=np.int8)
-    curves = np.empty((3, len(cfgs), run.steps))  # per stack row
+    curves = np.empty((3, len(cfgs), run.steps))
     results: list[TrainResult | NonFiniteLossError | None] = [None] * len(cfgs)
-    for step in range(run.steps):
-        batch = sample_batch(dataset, run.batch_size, cfg.max_span, streams.batch)
-        stack, active[step], curves[:, :, step], ok = train_step(stack, encoder, batch,
-                                                                 optimizer, streams)
-        if not ok.all():
-            for i in rows[~ok]:
-                results[i] = NonFiniteLossError(f"non-finite loss at step {step}", step)
-            rows, curves = rows[ok], curves[:, ok]
-            if rows.size == 0:
-                break
-    for row, i in enumerate(rows):
-        trained = DynamicsNet(net.latent_dim, net.hidden_dim, stack.params[row].copy())
-        results[i] = TrainResult(trained, active, *curves[:, row])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(run.steps):
+            batch = sample_batch(dataset, run.batch_size, cfg.max_span, streams.batch)
+            active[step], curves[:, :, step], ok = train_step(stack, encoder, batch, optimizer,
+                                                              streams)
+            if not ok.all():
+                for i in np.flatnonzero(alive & ~ok):
+                    results[i] = NonFiniteLossError(f"non-finite loss at step {step}", step)
+                alive &= ok
+                if not alive.any():
+                    break
+    for i in np.flatnonzero(alive):
+        trained = DynamicsNet(net.latent_dim, net.hidden_dim, stack.params[i].copy())
+        results[i] = TrainResult(trained, active, *curves[:, i])
     return results
 
 

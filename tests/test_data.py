@@ -9,6 +9,7 @@ so a flipped zero sign counts as a difference.
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -152,6 +153,31 @@ def test_load_dataset_checks_the_trajectories_against_its_summary(written):
         load_dataset(root)
     (root / "summary.json").unlink()
     with pytest.raises(FileNotFoundError, match="summary.json"):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    pytest.param("summary.json", lambda text: text[:-2], " is not JSON: ", id="summary-not-json"),
+    pytest.param("summary.json", lambda text: json.dumps({"n_trajectories": 3}), " lacks length$",
+                 id="summary-no-length"),
+    pytest.param("summary.json", lambda text: json.dumps({"n_trajectories": 3, "length": "6"}),
+                 ": n_trajectories and length must be integers$", id="summary-length-a-string"),
+    pytest.param("traj_0001.jsonl", lambda text: text + "{oops\n", ": a line is not JSON: ",
+                 id="pose-not-json"),
+    pytest.param("traj_0001.jsonl", lambda text: text.replace('"y":', '"z":', 1),
+                 ": a pose line lacks 'y'$", id="pose-no-y"),
+    pytest.param("actions_0002.json", lambda text: '[[0.1, "x", 0.0]]',
+                 " is not an array of numbers: could not convert string to float: 'x'$",
+                 id="action-not-a-number"),
+    pytest.param("actions_0002.json", lambda text: "[[0.1, 0.0]]",
+                 r" must hold an \(L, 3\) array of actions, got shape \(1, 2\)$",
+                 id="action-two-columns"),
+])
+def test_load_dataset_names_the_malformed_file(written, name, edit, message):
+    root, _ = written
+    path = root / name
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{message}"):
         load_dataset(root)
 
 

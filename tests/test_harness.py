@@ -736,6 +736,8 @@ def test_ablate_non_finite_point_fails_as_the_sequential_run(tmp_path, monkeypat
     point = Path(base.out_dir) / "sweep_lambda" / "ok"
     stages = json.loads((point / "manifest.json").read_text())["stages"]
     assert set(stages) == {"train", "probe", "gar"}
+    # the failed row stayed in the stack, so both rows took every step
+    assert stages["train"]["shared_training"]["row_steps"] == 2 * base.train.steps
     assert not (Path(base.out_dir) / "sweep_lambda" / "bad" / "checkpoint.json").exists()
     monkeypatch.setattr(harness, "sweep_points", first_only)
     ref = tiny_config(tmp_path / "ref", steps=12)
@@ -856,6 +858,22 @@ def test_cli_probe_and_errors(tmp_path):
     assert err["type"] == "UnknownModelRefError"
 
 
+@pytest.mark.parametrize("ref, cause", [
+    pytest.param("noise:", "could not convert string to float: ''", id="noise-empty"),
+    pytest.param("drift:0.1,x,0", "could not convert string to float: 'x'", id="drift-not-a-number"),
+    pytest.param("perturbed:{bad", "Expecting property name enclosed in double quotes",
+                 id="perturbed-not-json"),
+])
+def test_cli_names_an_unparsable_model_reference(tmp_path, ref, cause):
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg_path, tiny_config(tmp_path / "cli"))
+    bad = CliRunner().invoke(cli_main, ["probe", ref, "--config", str(cfg_path)])
+    assert bad.exit_code == 1
+    err = json.loads(bad.output.strip().splitlines()[-1])
+    assert err["type"] == "ValueError"
+    assert err["error"].startswith(f"model reference {ref!r}: {cause}")
+
+
 def test_cli_rejects_bad_eval_noise_with_typed_error(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     d = tiny_config(tmp_path / "cli_noise").to_dict()
@@ -920,10 +938,11 @@ def test_suite_configs_reject_bad_eval_noise(sigma):
     ("gar", "horizons", [8, 0], r"^gar.horizons must be one or more lengths >= 1, got \[8, 0\]$"),
     ("gar", "alpha_rot", math.nan, "^alpha_rot must be finite"),
     ("probes", "n_sequences", 0, "^probes.n_sequences must be >= 1, got 0$"),
-    ("probes", "identity_lengths", [1, 9], r"^l=9 exceeds the local regime \(<= 8\)$"),
-    ("probes", "inverse_k", 0, "^k and l must be >= 1, got k=0, l=1$"),
+    ("probes", "identity_lengths", [1, 9],
+     r"^probes.identity_lengths: l=9 exceeds the local regime \(<= 8\)$"),
+    ("probes", "inverse_k", 0, "^probes.inverse_k must be >= 1, got 0$"),
     ("probes", "composition_lengths", [], "^probes.composition_lengths must not be empty$"),
-    ("probes", "sequence_length", 4, "^segment length 5 exceeds stream length 4$"),
+    ("probes", "sequence_length", 4, "^probes.inverse_lengths: segment length 5 exceeds stream length 4$"),
     ("probes", "alpha_rot", -1.0, "^alpha_rot must be finite and >= 0, got -1.0$"),
     ("probes", "dirichlet_concentration", 0.0, "^concentration must be > 0, got 0.0$"),
     ("encoder", "obs_noise_sigma", math.nan, "^obs_noise_sigma must be finite and >= 0, got nan$"),
@@ -939,6 +958,10 @@ def test_suite_configs_reject_bad_eval_noise(sigma):
     ("gar", "horizons", [8, 8], r"^gar.horizons must not repeat a horizon, got \[8, 8\]$"),
     ("dataset", "seed", -1, "^dataset.seed must be >= 0, got -1$"),
     ("encoder", "seed", -1, "^encoder.seed must be >= 0, got -1$"),
+    ("probes", "identity_k", 0, "^probes.identity_k must be >= 1, got 0$"),
+    ("probes", "composition_lengths", [9],
+     r"^probes.composition_lengths: l=9 exceeds the local regime \(<= 8\)$"),
+    ("probes", "sequence_length", 0, "^probes.sequence_length must be >= 1, got 0$"),
 ])
 def test_config_rejects_bad_suite_and_encoder_values(tmp_path, section, key, value, message):
     d = tiny_config(tmp_path / "bad").to_dict()

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -154,7 +155,7 @@ def test_ga_losses_reports_inactive_as_none(dataset, encoder):
     seen = set()
     for _ in range(12):
         batch = sample_batch(dataset, 4, 4, streams.batch)
-        stack, a, losses, ok = train_step(stack, encoder, batch, optimizer, streams)
+        a, losses, ok = train_step(stack, encoder, batch, optimizer, streams)
         seen.add(CONSTRAINTS[a])
         assert ok[0] and losses[0, 0] > 0.0 and losses[1, 0] >= 0.0
     assert seen == set(CONSTRAINTS)
@@ -339,8 +340,8 @@ def test_train_step_zero_learning_rate_reports_but_does_not_move(dataset, encode
     net = make_dynamics_net(8, 8, 31)
     before = net.params.copy()
     stack = _one_row(net, GALossConfig())
-    _, _, losses, ok = train_step(stack, encoder, batch, make_optimizer(run, stack.params.shape),
-                                  streams)
+    _, losses, ok = train_step(stack, encoder, batch, make_optimizer(run, stack.params.shape),
+                               streams)
     assert np.array_equal(net.params, before)
     assert ok[0] and losses[0, 0] > 0.0 and losses[1, 0] >= 0.0
 
@@ -616,7 +617,7 @@ def _objective(params, net, cfgs, columns, z_t, batch, active, seed, encoder):
 
 
 @pytest.mark.parametrize("active", CONSTRAINTS)
-def test_stacked_rollout_fails_only_the_overflowing_row(far_dataset, active):
+def test_stacked_rollout_fails_only_the_overflowing_row(far_dataset, monkeypatch, active):
     # row 1's huge input weight overflows its rollout pre-activations from the
     # far anchor; row 0 shares every stacked product with it
     enc = make_encoder(8, 200)
@@ -629,14 +630,23 @@ def test_stacked_rollout_fails_only_the_overflowing_row(far_dataset, active):
     cfgs = [GALossConfig(), GALossConfig()]
     pred_pre = training._stack_prediction(block_weights(net, params), *columns)[2][1]
     assert np.isfinite(pred_pre).all()  # the prediction batch stays finite on both rows
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
+    with np.errstate(over="ignore", invalid="ignore"):
         losses, ok, grad = _objective(params, net, cfgs, columns, z_t, batch, active, 67, enc)
-        alone, alone_ok, alone_grad = _objective(params[:1], net, cfgs[:1], columns, z_t, batch,
-                                                 active, 67, enc)
+    alone, alone_ok, alone_grad = _objective(params[:1], net, cfgs[:1], columns, z_t, batch,
+                                             active, 67, enc)
     assert ok.tolist() == [True, False] and alone_ok.tolist() == [True]
     assert losses[:, 0].tobytes() == alone[:, 0].tobytes()
     assert grad[0].tobytes() == alone_grad[0].tobytes()
+
+    # train_group silences a failing row's overflow itself: from the huge
+    # weight both rows overflow at step 0, and no RuntimeWarning escapes
+    net.params[:] = params[1]
+    monkeypatch.setattr(training, "sample_batch", lambda *args: batch)
+    run = TrainRunConfig(steps=3, batch_size=4, hidden_dim=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = train_group(run, cfgs, far_dataset, enc, 67, initial_net=net)
+    assert [(type(r), r.step) for r in results] == [(NonFiniteLossError, 0)] * 2
 
 
 def test_mixed_stack_equals_one_row_stacks(dataset):
@@ -737,6 +747,61 @@ def test_lockstep_non_finite_row_leaves_the_others_untouched(dataset, encoder, b
     _same_run(trained, train(run, good, dataset, encoder, 8))
 
 
+def _failing_run(run, cfg, dataset, encoder, seed) -> NonFiniteLossError:
+    with pytest.raises(NonFiniteLossError) as err:
+        train(run, cfg, dataset, encoder, seed)
+    return err.value
+
+
+@pytest.mark.parametrize("bad_row", (0, 2, 4))
+def test_lockstep_five_row_stack_keeps_a_failed_row_to_itself(dataset, encoder, bad_row):
+    # the failed row stays in the stack until the end; the four others match
+    # their own runs bit for bit, and no overflow warning escapes train_group
+    run = TrainRunConfig(steps=12, batch_size=4, learning_rate=1e-3, hidden_dim=8,
+                         optimizer="sgd")
+    cfgs = [GALossConfig(lambda_ga=0.0), GALossConfig(lambda_ga=0.5),
+            GALossConfig(lambda_ga=1.0, lambda_inv=0.0), GALossConfig(lambda_ga=0.2)]
+    cfgs.insert(bad_row, GALossConfig(lambda_ga=1e30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = train_group(run, cfgs, dataset, encoder, 8)
+        alone = [_failing_run(run, cfg, dataset, encoder, 8) if k == bad_row
+                 else train(run, cfg, dataset, encoder, 8) for k, cfg in enumerate(cfgs)]
+    for k, (result, reference) in enumerate(zip(results, alone)):
+        if k == bad_row:
+            assert isinstance(result, NonFiniteLossError)
+            assert (str(result), result.step) == (str(reference), reference.step)
+            assert 0 < result.step < run.steps - 1
+        else:
+            _same_run(result, reference)
+
+
+def test_lockstep_group_stops_when_its_last_row_fails(dataset, encoder, monkeypatch):
+    calls = []
+    real_step = training.train_step
+
+    def counting_step(*args):
+        calls.append(len(args[0].cfgs))
+        return real_step(*args)
+
+    monkeypatch.setattr(training, "train_step", counting_step)
+    run = TrainRunConfig(steps=30, batch_size=4, learning_rate=1e-3, hidden_dim=8,
+                         optimizer="sgd")
+    cfgs = [GALossConfig(lambda_ga=1e30), GALossConfig(lambda_ga=1e12)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = train_group(run, cfgs, dataset, encoder, 8)
+        group_calls = list(calls)
+        alone = [_failing_run(run, cfg, dataset, encoder, 8) for cfg in cfgs]
+    steps = [r.step for r in results]
+    assert steps == [r.step for r in alone] and steps[0] < steps[1] < run.steps - 1
+    assert [str(r) for r in results] == [str(r) for r in alone]
+    assert group_calls == [2] * (steps[1] + 1)
+    # a pool worker's error reaches the parent with its step
+    copy = pickle.loads(pickle.dumps(results[1]))
+    assert (type(copy), str(copy), copy.step) == (NonFiniteLossError, str(results[1]), steps[1])
+
+
 def test_lockstep_rejects_configs_that_draw_differently(dataset, encoder):
     run = TrainRunConfig(steps=2, batch_size=4, hidden_dim=8)
     with pytest.raises(ValueError, match="at least one loss config"):
@@ -754,12 +819,7 @@ def test_adam_stack_rows_move_like_separate_optimizers():
     stacked, separate = AdamOptimizer(1e-3, (k, n)), [AdamOptimizer(1e-3, n) for _ in range(k)]
     params = rng.normal(size=(k, n))
     rows = [p.copy() for p in params]
-    keep = np.array([True, False, True])
-    for t in range(8):
-        if t == 4:
-            stacked.select(keep)
-            params = params[keep]
-            separate, rows = [separate[0], separate[2]], [rows[0], rows[2]]
+    for _ in range(8):
         grad = rng.normal(size=params.shape)
         stacked.update(params, grad)
         for opt, row, g in zip(separate, rows, grad):
