@@ -3,7 +3,8 @@
 Each write goes to a temp file next to the target and is moved into
 place with ``os.replace``, so a reader sees either the old file or the
 complete new one. A write that fails removes its temp file and leaves
-the target as it was.
+the target as it was. A JSON file read back that is malformed raises a
+ValueError naming it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,22 @@ def write_text(path, text: str) -> None:
 def write_json(path, payload, indent: int | None = 2) -> None:
     """Sorted keys and a trailing newline; ``indent=None`` gives the compact one-line form."""
     write_text(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+
+
+def read_json(path):
+    """The file's JSON value; a ValueError names the file if it is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ValueError(f"{path} is not JSON: {err}") from None
+
+
+def json_fields(path, record, names: tuple[str, ...]) -> list:
+    """``record``'s values of ``names``; a ValueError names the file if one is missing."""
+    missing = [name for name in names if not isinstance(record, dict) or name not in record]
+    if missing:
+        raise ValueError(f"{path} lacks {', '.join(missing)}")
+    return [record[name] for name in names]
 
 
 def write_csv(path, header, rows) -> None:

@@ -18,7 +18,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .artifacts import write_json
+from .artifacts import read_json, write_json
 from .data import ActionDistribution
 from .latent import check_latent_dim, check_noise_sigma
 from .metrics import KIND_COMPOSITION, KIND_IDENTITY, KIND_INVERSE, ProbeConfig, probe_positions
@@ -151,10 +151,13 @@ class ProbeSuiteConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"probes.{name} must be >= 1, got {getattr(self, name)}")
         for name, kind, k in self._families():
-            if not getattr(self, name):
+            lengths = getattr(self, name)
+            if not lengths:
                 raise ValueError(f"probes.{name} must not be empty")
+            if len(set(lengths)) < len(lengths):
+                raise ValueError(f"probes.{name} must not repeat a length, got {list(lengths)}")
             try:
-                for l in getattr(self, name):
+                for l in lengths:
                     probe_positions(ProbeConfig(kind, k=k, l=l), self.sequence_length)
             except ValueError as err:
                 raise ValueError(f"probes.{name}: {err}") from None
@@ -273,8 +276,9 @@ def benchmark_config(out_dir: str = "runs/benchmark", seed: int = 12) -> Experim
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as f:
-        return ExperimentConfig.from_dict(json.load(f))
+    """The config in the JSON file ``path``; a file that is not JSON raises a
+    ValueError naming it."""
+    return ExperimentConfig.from_dict(read_json(path))
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:

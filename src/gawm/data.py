@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json, write_text
+from .artifacts import json_fields, read_json, write_json, write_text
 from .latent import check_noise_sigma, pose_features
 from .models import WorldModel, fold_steps
 from .se2 import check_finite_poses, wrap_angles
@@ -141,22 +141,6 @@ def write_trajectory_jsonl(path, poses: np.ndarray, header: dict) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_json(path):
-    """The file's JSON value; a ValueError names the file if it is not JSON."""
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path} is not JSON: {err}") from None
-
-
-def _fields(path, record, names: tuple[str, ...]) -> list:
-    """``record``'s values of ``names``; a ValueError names the file if one is missing."""
-    missing = [name for name in names if not isinstance(record, dict) or name not in record]
-    if missing:
-        raise ValueError(f"{path} lacks {', '.join(missing)}")
-    return [record[name] for name in names]
-
-
 def read_trajectory_jsonl(path) -> tuple[dict, np.ndarray]:
     """The header and the (T+1, 3) pose array, checked and wrapped as ``Pose2`` would be."""
     with open(path) as f:
@@ -211,8 +195,8 @@ def load_dataset(path) -> Dataset:
     if not traj_paths:
         raise FileNotFoundError(f"no trajectory files in {root}")
     summary_path = root / "summary.json"
-    n_trajectories, length = _fields(summary_path, _read_json(summary_path),
-                                     ("n_trajectories", "length"))
+    n_trajectories, length = json_fields(summary_path, read_json(summary_path),
+                                         ("n_trajectories", "length"))
     if not all(type(v) is int for v in (n_trajectories, length)):
         raise ValueError(f"{summary_path}: n_trajectories and length must be integers")
     if len(traj_paths) != n_trajectories:
@@ -221,9 +205,9 @@ def load_dataset(path) -> Dataset:
     poses, actions = [], []
     for traj_path in traj_paths:
         header, traj = read_trajectory_jsonl(traj_path)
-        (actions_name,) = _fields(traj_path, header, ("actions_file",))
+        (actions_name,) = json_fields(traj_path, header, ("actions_file",))
         actions_path = root / actions_name
-        values = _read_json(actions_path)
+        values = read_json(actions_path)
         try:
             rows = np.array(values, dtype=np.float64)
         except (TypeError, ValueError) as err:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import replace
 from itertools import groupby
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_csv, write_json, write_text
+from .artifacts import json_fields, read_json, write_csv, write_json, write_text
 from .config import (
     STAGE_DATASET,
     STAGE_ENCODER,
@@ -110,16 +109,19 @@ def parse_model_ref(ref: str, eval_noise_sigma: float = 0.0) -> tuple[WorldModel
     raise UnknownModelRefError(f"unknown model reference: {ref!r}")
 
 
-def _read_json(path) -> dict:
-    with open(path) as f:
-        return json.load(f)
-
-
-def _manifest_payload(out_dir: Path) -> dict | None:
+def _manifest_stages(out_dir: Path, config_hash: str) -> dict | None:
+    """The stages that the manifest of ``out_dir`` records under
+    ``config_hash``; None if there is no manifest, another config wrote
+    it, or it cannot be read (not JSON, or not an object with that
+    ``config_hash`` and a ``stages`` object)."""
     try:
-        return _read_json(out_dir / "manifest.json")
-    except FileNotFoundError:
+        payload = read_json(out_dir / "manifest.json")
+    except (FileNotFoundError, ValueError):  # no manifest, or not JSON
         return None
+    if not isinstance(payload, dict) or payload.get("config_hash") != config_hash \
+            or not isinstance(payload.get("stages"), dict):
+        return None
+    return payload["stages"]
 
 
 def _write_manifest(out_dir: Path, config_hash: str, stages: dict) -> None:
@@ -133,10 +135,11 @@ class _Stage:
     The manifest keeps the stages that ran in the directory under one
     config hash. Opening a stage removes what would go stale once it
     starts overwriting files: its own earlier entry, or the whole
-    manifest if another config wrote it. An interrupted run therefore
-    leaves no entry for files it did not finish. Opening also removes
-    the ``*.tmp`` files directly in the directory, which a write killed
-    before its ``os.replace`` leaves behind (``artifacts.write_text``).
+    manifest if another config wrote it or it cannot be read. An
+    interrupted run therefore leaves no entry for files it did not
+    finish. Opening also removes the ``*.tmp`` files directly in the
+    directory, which a write killed before its ``os.replace`` leaves
+    behind (``artifacts.write_text``).
     ``finish`` adds the stage's entry next to the others.
     """
 
@@ -149,14 +152,12 @@ class _Stage:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         for stale in self.out_dir.glob("*.tmp"):
             stale.unlink(missing_ok=True)
-        payload = _manifest_payload(self.out_dir)
-        if payload is None:
-            return
-        if payload["config_hash"] != self.config_hash:
-            os.remove(self.out_dir / "manifest.json")
-        elif name in payload["stages"]:
-            del payload["stages"][name]
-            _write_manifest(self.out_dir, self.config_hash, payload["stages"])
+        stages = _manifest_stages(self.out_dir, self.config_hash)
+        if stages is None:
+            (self.out_dir / "manifest.json").unlink(missing_ok=True)
+        elif name in stages:
+            del stages[name]
+            _write_manifest(self.out_dir, self.config_hash, stages)
 
     def finish(self, paths: list, rate_s: float | None = None,
                shared_training: dict | None = None, **counts: int) -> None:
@@ -172,9 +173,7 @@ class _Stage:
             entry[f"{key}_per_s"] = value / (wall if rate_s is None else rate_s)
         if shared_training is not None:
             entry["shared_training"] = shared_training
-        payload = _manifest_payload(self.out_dir)
-        stages = {} if payload is None or payload["config_hash"] != self.config_hash \
-            else payload["stages"]
+        stages = _manifest_stages(self.out_dir, self.config_hash) or {}
         stages[self.name] = entry
         _write_manifest(self.out_dir, self.config_hash, stages)
 
@@ -428,7 +427,7 @@ def _run_group(points: list[tuple[str, ExperimentConfig]], dataset: Dataset) -> 
         ckpt = cmd_train(cfg, label=label, dataset=dataset, group=group)
         gac = cmd_probe(cfg, str(ckpt))
         gar = cmd_gar(cfg, str(ckpt))
-        train_metrics = _read_json(Path(cfg.out_dir) / "train_metrics.json")
+        train_metrics = read_json(Path(cfg.out_dir) / "train_metrics.json")
         row = {
             "label": label,
             "delta_id": gac.delta_id,
@@ -471,8 +470,8 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     stage = _Stage(cfg, f"ablate-{axis}")
     out_dir = stage.out_dir
     data_dir = _dataset_dir(out_dir)
-    payload = _manifest_payload(out_dir)  # this config's: opening the stage removed another's
-    if payload is None or "gen-data" not in payload["stages"]:
+    stages = _manifest_stages(out_dir, stage.config_hash)
+    if stages is None or "gen-data" not in stages:
         cmd_gen_data(cfg)
     dataset = load_dataset(data_dir)
     base_ckpt = None
@@ -525,22 +524,37 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     return rows
 
 
+def _report_values(path, record, names: tuple[str, ...]) -> list:
+    """``record``'s values of ``names``, each a number but ``model``; a
+    ValueError names the file if one is missing or not a number."""
+    values = json_fields(path, record, names)
+    for name, value in zip(names, values):
+        if name != "model" and type(value) not in (int, float):
+            raise ValueError(f"{path}: {name} is not a number: {value!r}")
+    return values
+
+
 def cmd_report(out_dir) -> str:
     """Collect the GAC and GAR reports under a run directory into one text table."""
     out = Path(out_dir)
     if not out.is_dir():
         raise FileNotFoundError(f"run directory not found: {out}")
     lines = []
-    gacs = [_read_json(p) for p in sorted(out.rglob("gac_report.json"))]
+    gacs = [_report_values(p, read_json(p), ("model", "delta_id", "delta_inv", "delta_comp", "e_gac"))
+            for p in sorted(out.rglob("gac_report.json"))]
     if gacs:
         lines.append("consistency (per model): delta_id delta_inv delta_comp e_gac")
-        lines += [f"  {r['model']}: {r['delta_id']:.4g} {r['delta_inv']:.4g} "
-                  f"{r['delta_comp']:.4g} {r['e_gac']:.4g}" for r in gacs]
-    gars = [_read_json(p) for p in sorted(out.rglob("gar_report.json"))]
+        lines += [f"  {model}: {d_id:.4g} {d_inv:.4g} {d_comp:.4g} {e_gac:.4g}"
+                  for model, d_id, d_inv, d_comp, e_gac in gacs]
+    gars = []
+    for p in sorted(out.rglob("gar_report.json")):
+        model, entries = json_fields(p, read_json(p), ("model", "entries"))
+        gars += [[model, *_report_values(p, e, ("horizon", "aligned_mean", "nonaligned_mean"))]
+                 for e in (entries if isinstance(entries, list) else [None])]
     if gars:
         lines.append("dispersion (per model, horizon): aligned nonaligned")
-        lines += [f"  {r['model']} T={e['horizon']}: {e['aligned_mean']:.4g} "
-                  f"{e['nonaligned_mean']:.4g}" for r in gars for e in r["entries"]]
+        lines += [f"  {model} T={horizon}: {aligned:.4g} {nonaligned:.4g}"
+                  for model, horizon, aligned, nonaligned in gars]
     lines += [f"ablation table: {path}" for path in sorted(out.rglob("ablation_*.csv"))]
     if not lines:
         lines.append(f"no metric files found under {out}")

@@ -104,22 +104,10 @@ def make_decoder(encoder: FeatureEncoder) -> FeatureDecoder:
     return FeatureDecoder(pinv=pinv)
 
 
-def encode(pose: Pose2, encoder: FeatureEncoder, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Project pose features into the latent space, plus seeded observation noise."""
-    z = encoder.projection @ pose_features(pose_array([pose])[0])
-    if encoder.obs_noise_sigma > 0.0:
-        if rng is None:
-            raise ValueError("observation noise requires a random generator")
-        z = z + rng.normal(0.0, encoder.obs_noise_sigma, size=z.shape)
-    return z
-
-
 def decode(z: np.ndarray, decoder: FeatureDecoder) -> Pose2:
-    """Recover the pose whose features best explain the latent."""
-    f = decoder.pinv @ z
-    if f[2] == 0.0 and f[3] == 0.0:
-        raise HeadingUndefinedError("heading features are both zero")
-    return Pose2(theta=math.atan2(f[3], f[2]), x=float(f[0]), y=float(f[1]))
+    """Recover the pose whose features best explain the latent: one row of
+    ``_decode_rows``."""
+    return Pose2(*_decode_rows(z[None], decoder)[0].tolist())
 
 
 class DynamicsNet:
@@ -234,7 +222,7 @@ def net_step(z: np.ndarray, action: ActionIncrement, net: DynamicsNet) -> np.nda
 
 
 def _encode_rows(poses: np.ndarray, encoder: FeatureEncoder) -> np.ndarray:
-    """Noiseless ``encode`` of (B, 3) pose rows, as (B, d) latents."""
+    """The encoder projection of (B, 3) pose rows' features, as (B, d) latents."""
     return np.matmul(encoder.projection, pose_features(poses)[:, :, None])[:, :, 0]
 
 
@@ -244,7 +232,8 @@ def _net_rows(z: np.ndarray, actions: np.ndarray, weights) -> np.ndarray:
 
 
 def _decode_rows(z: np.ndarray, decoder: FeatureDecoder) -> np.ndarray:
-    """``decode`` of (..., d) latents into (..., 3) pose rows, with its checks."""
+    """The poses whose features best explain (..., d) latents, as (..., 3)
+    rows, with ``Pose2``'s finiteness check and ``HeadingUndefinedError``."""
     f = np.matmul(decoder.pinv, z[..., None])[..., 0]
     if np.any((f[..., 2] == 0.0) & (f[..., 3] == 0.0)):
         raise HeadingUndefinedError("heading features are both zero")
@@ -275,8 +264,9 @@ class LearnedWorldModel:
     """The latent model exposed as a pose-space world model.
 
     ``step`` encodes the pose (with observation noise when configured),
-    applies the transition network once, and decodes the result; the
-    consistency probes drive the model through this interface.
+    applies the transition network once, and decodes the result; it is
+    one row of ``step_batch``, through which the consistency probes drive
+    the model.
 
     ``sample_trajectory`` is the model's native rollout: the latent state
     is carried across steps without re-encoding, with seeded noise
@@ -303,8 +293,10 @@ class LearnedWorldModel:
         return self.encoder.obs_noise_sigma == 0.0
 
     def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
-        z = encode(state, self.encoder, rng)
-        return decode(net_step(z, action, self.net), self.decoder)
+        if rng is None and self.encoder.obs_noise_sigma > 0.0:
+            raise ValueError("observation noise requires a random generator")
+        row = self.step_batch(pose_array([state]), action.as_array()[None], [rng])[0]
+        return Pose2(*row.tolist())
 
     def step_batch(self, states: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
         """``step`` on (B, 3) states and (B, 3) actions, row b drawing from rngs[b]."""
@@ -375,9 +367,13 @@ def load_checkpoint(path) -> tuple[DynamicsNet, FeatureEncoder, dict]:
     of the wrong type (as ``config.from_json`` types them: an int takes
     only an integer, a float any number, neither a bool; arrays are
     nested lists of numbers, ``meta`` an object) or a part whose shape
-    does not fit the dims raises a ValueError naming the file."""
-    with open(path) as f:
-        payload = json.load(f)
+    does not fit the dims raises a ValueError naming the file, as does a
+    file that is not JSON."""
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ValueError(f"checkpoint {path}: not JSON: {err}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint {path}: the top level is {type(payload).__name__}, not an object")
     if payload.get("version") != CHECKPOINT_VERSION:

@@ -16,7 +16,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .se2 import Pose2, check_finite_poses, pose_array, se2_compose, wrap_angles
+from .se2 import Pose2, check_finite_poses, pose_array, wrap_angles
 from .segments import ActionIncrement, ActionSegment, ZERO_INCREMENT
 
 
@@ -69,14 +69,10 @@ class Trajectory:
         return pose_array(self.poses)
 
 
-def increment_pose(action: ActionIncrement) -> Pose2:
-    """The rigid motion realized by one body-frame increment."""
-    return Pose2(theta=action.dtheta, x=action.dx, y=action.dy)
-
-
 def exact_step(state: Pose2, action: ActionIncrement) -> Pose2:
-    """Advance a pose by composing the increment's motion on the right."""
-    return se2_compose(state, increment_pose(action))
+    """Advance a pose by composing the increment's motion on the right:
+    ``ExactModel``'s step."""
+    return ExactModel().step(state, action, None)
 
 
 def _headings(starts: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
@@ -126,8 +122,8 @@ def _apply_increments(starts: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """Poses reached from (B, 3) starts by applying (B, T, 3) realized body-frame
     increments ``[dx, dy, dtheta]`` in turn, as a (B, T+1, 3) array.
 
-    Row by row this is the per-pose update of ``exact_step`` and
-    ``perturbed_step``, bit for bit. Headings are running sums wrapped
+    Row by row this is ``exact_step``'s composition of the increment's
+    motion on the right, bit for bit. Headings are running sums wrapped
     into (-pi, pi] step by step (``_headings``). Each position is the
     running sum ``(x + c*dx) - s*dy`` (and ``(y + s*dx) + c*dy``), taken
     by a sequential accumulate over the interleaved terms, which keeps
@@ -155,9 +151,13 @@ def _apply_increments(starts: np.ndarray, increments: np.ndarray) -> np.ndarray:
 
 
 class _IncrementModel:
-    """Array forms of step and rollout for a model whose step applies a
-    realized increment exactly; ``_realize`` maps (B, T, 3) actions and
-    one generator per row to the realized increments."""
+    """Step and rollout for a model whose step applies a realized increment
+    exactly; ``_realize`` maps (B, T, 3) actions and one generator per row
+    to the realized increments. ``step`` is one row of ``step_batch``."""
+
+    def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
+        row = self.step_batch(pose_array([state]), action.as_array()[None], [rng])[0]
+        return Pose2(*row.tolist())
 
     def rollout_batch(self, starts: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
         return _apply_increments(starts, self._realize(actions, rngs))
@@ -172,12 +172,9 @@ class ExactModel(_IncrementModel):
     name = "exact"
     deterministic = True
 
-    def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
-        return exact_step(state, action)
-
     def _realize(self, actions: np.ndarray, rngs) -> np.ndarray:
         increments = np.array(actions, dtype=np.float64)
-        increments[..., 2] = wrap_angles(increments[..., 2])  # as increment_pose does
+        increments[..., 2] = wrap_angles(increments[..., 2])  # as its motion's Pose2 wraps it
         return increments
 
 
@@ -220,41 +217,19 @@ def perturbed_step(
     cfg: ViolationConfig,
     rng: np.random.Generator,
 ) -> Pose2:
-    """Advance a pose after passing the increment through the injectors.
+    """Advance a pose after passing the increment through the injectors:
+    ``PerturbedModel(cfg)``'s step.
 
     The realized increment is asym_gain * saturate(action) + drift_bias
     + Gaussian noise, then applied exactly. With everything disabled this
     reduces bit-for-bit to the exact step.
     """
-    dx, dy, dth = action.dx, action.dy, action.dtheta
-    c = cfg.saturation_scale
-    if c is not None:
-        dx = c * math.tanh(dx / c)
-        dy = c * math.tanh(dy / c)
-        dth = c * math.tanh(dth / c)
-    gp, gm = cfg.asym_gain
-    dx *= gp if dx >= 0.0 else gm
-    dy *= gp if dy >= 0.0 else gm
-    dx += cfg.drift_bias.dx
-    dy += cfg.drift_bias.dy
-    dth += cfg.drift_bias.dtheta
-    if cfg.noise_sigma > 0.0:
-        eps = rng.normal(0.0, cfg.noise_sigma, size=3)
-        dx += eps[0]
-        dy += eps[1]
-        dth += eps[2]
-    cth = math.cos(state.theta)
-    sth = math.sin(state.theta)
-    return Pose2(
-        theta=state.theta + dth,
-        x=state.x + cth * dx - sth * dy,
-        y=state.y + sth * dx + cth * dy,
-    )
+    return PerturbedModel(cfg).step(state, action, rng)
 
 
 def realized_increments(actions: np.ndarray, cfg: ViolationConfig) -> np.ndarray:
     """The noiseless realized increment of ``perturbed_step`` for (..., 3)
-    ``[dx, dy, dtheta]`` rows, equal to it element by element.
+    ``[dx, dy, dtheta]`` rows.
 
     Saturation calls ``math.tanh`` per element, because numpy's ``tanh``
     rounds differently.
@@ -281,9 +256,6 @@ class PerturbedModel(_IncrementModel):
     def deterministic(self) -> bool:
         return not self.cfg.is_stochastic()
 
-    def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
-        return perturbed_step(state, action, self.cfg, rng)
-
     def _realize(self, actions: np.ndarray, rngs) -> np.ndarray:
         increments = realized_increments(actions, self.cfg)
         sigma = self.cfg.noise_sigma
@@ -300,15 +272,12 @@ def rollout(
     actions: ActionSegment,
     rng: np.random.Generator | int,
 ) -> Trajectory:
-    """Fold the model's step over an action segment, collecting every pose."""
+    """Fold the model's step over an action segment, collecting every pose:
+    one row of ``fold_steps``."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.Generator(np.random.PCG64(rng))
-    poses = [start]
-    state = start
-    for a in actions:
-        state = model.step(state, a, rng)
-        poses.append(state)
-    return Trajectory(poses)
+    poses = fold_steps(model, pose_array([start]), ActionSegment(actions).array[None], [rng])
+    return Trajectory([start] + [Pose2(*row) for row in poses[0, 1:].tolist()])
 
 
 def step_batch(model: WorldModel, states: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:

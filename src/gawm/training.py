@@ -12,8 +12,8 @@ Training computes the gradient in closed form, by backpropagation
 through time over the unrolled residual MLP. The ``*_graph`` functions
 record the same objective on the autograd tape, as its reference.
 ``train_group`` trains several loss configs that share every random
-draw as one parameter stack, one ``train_step`` per step; ``train`` is
-its one-config case. Every forward step of the network is one call of
+draw as one parameter stack, one ``train_step`` per step; a single run
+is its one-config case. Every forward step of the network is one call of
 ``latent.residual_step``, the forward pass the learned model is also
 evaluated with: the prediction batch of all rows at once, and the
 rollouts of the rows that share a rollout mode as one stack (a mode's
@@ -584,18 +584,3 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
         trained = DynamicsNet(net.latent_dim, net.hidden_dim, stack.params[i].copy())
         results[i] = TrainResult(trained, active, *curves[:, i])
     return results
-
-
-def train(run: TrainRunConfig, cfg: GALossConfig, dataset: Dataset,
-          encoder: FeatureEncoder, seed: int,
-          initial_net: DynamicsNet | None = None) -> TrainResult:
-    """Run the full training loop: ``train_group`` with the one config.
-
-    Deterministic given (seed, config, dataset). With ``initial_net`` the
-    run fine-tunes a copy of the given parameters instead of a fresh
-    seeded initialization.
-    """
-    (result,) = train_group(run, [cfg], dataset, encoder, seed, initial_net)
-    if isinstance(result, NonFiniteLossError):
-        raise result
-    return result

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used across the test suite.
 
-Everything here deliberately avoids the library's angle-form group
+The matrix oracles deliberately avoid the library's angle-form group
 operations: poses become 3x3 homogeneous matrices, probes become naive
-stepwise simulations, gradients become central finite differences.
+stepwise simulations, gradients become central finite differences. The
+per-pose sections are the library's computations one Pose2 at a time,
+the bit-for-bit reference for its array kernels.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ import math
 
 import numpy as np
 
-from gawm.se2 import Pose2
+from gawm.latent import HeadingUndefinedError, LearnedWorldModel, net_step, pose_features
+from gawm.models import ExactModel, PerturbedModel, Trajectory
+from gawm.se2 import Pose2, pose_array, se2_compose
+from gawm.training import NonFiniteLossError, train_group
 
 
 def pose_to_matrix(p: Pose2) -> np.ndarray:
@@ -47,8 +52,6 @@ def random_pose(rng: np.random.Generator, pos_scale: float = 5.0) -> Pose2:
 def latent_rollout_endpoint(z0: np.ndarray, u, net) -> np.ndarray:
     """Fold the latent transition over a segment, one increment at a time;
     an empty segment returns z0."""
-    from gawm.latent import net_step
-
     z = z0
     for a in u:
         z = net_step(z, a, net)
@@ -61,6 +64,106 @@ def central_difference(f, x: np.ndarray, i: int, h: float = 1e-5) -> float:
     xp[i] += h
     xm[i] -= h
     return (f(xp) - f(xm)) / (2.0 * h)
+
+
+# --- per-pose dynamics of the built-in models --------------------------------
+#
+# Each built-in model's step as it ran one Pose2 at a time, in plain floats.
+# The library steps every model through its array kernels (``step_batch``,
+# ``rollout_batch``, ``fold_steps``) and its ``step`` is one row of them, so
+# these are the independent reference the kernels must reproduce exactly (==).
+
+
+def increment_pose(action) -> Pose2:
+    """The rigid motion realized by one body-frame increment."""
+    return Pose2(theta=action.dtheta, x=action.dx, y=action.dy)
+
+
+def exact_step(state: Pose2, action) -> Pose2:
+    """Advance a pose by composing the increment's motion on the right."""
+    return se2_compose(state, increment_pose(action))
+
+
+def perturbed_step(state: Pose2, action, cfg, rng) -> Pose2:
+    """Advance a pose after passing the increment through the injectors:
+    asym_gain * saturate(action) + drift_bias + Gaussian noise, applied
+    exactly."""
+    dx, dy, dth = action.dx, action.dy, action.dtheta
+    c = cfg.saturation_scale
+    if c is not None:
+        dx = c * math.tanh(dx / c)
+        dy = c * math.tanh(dy / c)
+        dth = c * math.tanh(dth / c)
+    gp, gm = cfg.asym_gain
+    dx *= gp if dx >= 0.0 else gm
+    dy *= gp if dy >= 0.0 else gm
+    dx += cfg.drift_bias.dx
+    dy += cfg.drift_bias.dy
+    dth += cfg.drift_bias.dtheta
+    if cfg.noise_sigma > 0.0:
+        eps = rng.normal(0.0, cfg.noise_sigma, size=3)
+        dx += eps[0]
+        dy += eps[1]
+        dth += eps[2]
+    cth = math.cos(state.theta)
+    sth = math.sin(state.theta)
+    return Pose2(
+        theta=state.theta + dth,
+        x=state.x + cth * dx - sth * dy,
+        y=state.y + sth * dx + cth * dy,
+    )
+
+
+def encode(pose: Pose2, encoder, rng=None) -> np.ndarray:
+    """Project pose features into the latent space, plus seeded observation noise."""
+    z = encoder.projection @ pose_features(pose_array([pose])[0])
+    if encoder.obs_noise_sigma > 0.0:
+        if rng is None:
+            raise ValueError("observation noise requires a random generator")
+        z = z + rng.normal(0.0, encoder.obs_noise_sigma, size=z.shape)
+    return z
+
+
+def decode(z: np.ndarray, decoder) -> Pose2:
+    """Recover the pose whose features best explain the latent."""
+    f = decoder.pinv @ z
+    if f[2] == 0.0 and f[3] == 0.0:
+        raise HeadingUndefinedError("heading features are both zero")
+    return Pose2(theta=math.atan2(f[3], f[2]), x=float(f[0]), y=float(f[1]))
+
+
+def per_pose_step(model, state: Pose2, action, rng) -> Pose2:
+    """A built-in model's step, per pose; any other model's own ``step``."""
+    if isinstance(model, ExactModel):
+        return exact_step(state, action)
+    if isinstance(model, PerturbedModel):
+        return perturbed_step(state, action, model.cfg, rng)
+    if isinstance(model, LearnedWorldModel):
+        z = encode(state, model.encoder, rng)
+        return decode(net_step(z, action, model.net), model.decoder)
+    return model.step(state, action, rng)
+
+
+def rollout(model, start: Pose2, actions, rng) -> Trajectory:
+    """Fold ``per_pose_step`` over an action segment, collecting every pose;
+    an int ``rng`` seeds a PCG64 generator."""
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.Generator(np.random.PCG64(rng))
+    poses = [start]
+    state = start
+    for a in actions:
+        state = per_pose_step(model, state, a, rng)
+        poses.append(state)
+    return Trajectory(poses)
+
+
+def train(run, cfg, dataset, encoder, seed, initial_net=None):
+    """One training run: ``train_group`` with the one config, raising the
+    row's NonFiniteLossError if its loss turned non-finite."""
+    (result,) = train_group(run, [cfg], dataset, encoder, seed, initial_net)
+    if isinstance(result, NonFiniteLossError):
+        raise result
+    return result
 
 
 # --- naive re-simulation of the probe protocol on deterministic injectors ---
@@ -177,7 +280,7 @@ def oracle_probe_composition(starts, streams, l, alpha, weight_fn, **inj) -> flo
 # --- per-pose reference for the batched evaluation path ---------------------
 #
 # evaluate_gac and evaluate_gar as they ran one Pose2 at a time: every
-# stream step through model.step, every branch and GAR rollout through a
+# stream step through per_pose_step, every branch and GAR rollout through a
 # per-pose rollout, and the GAR distances over per-trajectory arrays. Like
 # the metrics they take (S, 3) starts and (S, L, 3) action streams, and the
 # batched metrics must reproduce these reports exactly (==).
@@ -191,9 +294,6 @@ def spawned_rng(seed: int, *key: int) -> np.random.Generator:
 def per_pose_rollout(model, start: Pose2, actions, rng) -> list[Pose2]:
     """The model's native rollout, one pose at a time; the learned model
     carries its latent without re-encoding, as its native rollout does."""
-    from gawm.latent import LearnedWorldModel, decode, encode, net_step
-    from gawm.models import rollout
-
     if isinstance(model, LearnedWorldModel):
         sigma = model.encoder.obs_noise_sigma
         z = encode(start, model.encoder, rng)
@@ -258,7 +358,7 @@ def reference_probe(model, starts, streams, cfg, dist, seed, concentration=1.0):
                     end = per_pose_rollout(model, state, cycle, rng(s, 1 + j))[-1]
                     errors.append(state_distance(end, state, dist))
             if i < n:
-                state = model.step(state, actions[i], stream)
+                state = per_pose_step(model, state, actions[i], stream)
     arr = np.array(errors)
     return ProbeResult(cfg.kind, cfg.k, cfg.l, float(arr.mean()), float(arr.std()),
                        len(errors), tuple(positions))
@@ -343,8 +443,8 @@ def reference_gar(model, starts, streams, horizons, n_rollouts, dist, seed, note
 #
 # Dataset generation and the held-out prediction loss as they ran one
 # Pose2 at a time: a Pose2 start, an ActionSegment of ActionIncrements, a
-# models.rollout fold of the model's step, and features from math.cos and
-# math.sin. The array path must reproduce these exactly (==).
+# ``rollout`` fold of the model's per-pose step, and features from math.cos
+# and math.sin. The array path must reproduce these exactly (==).
 
 
 def per_pose_sequence(rng, length, action_dist, start_pos_sigma=1.0):
@@ -364,8 +464,6 @@ def per_pose_sequence(rng, length, action_dist, start_pos_sigma=1.0):
 
 def per_pose_records(model, n, length, action_dist, seed, start_pos_sigma=1.0):
     """(poses, actions) of every trajectory: a list of Pose2 and an ActionSegment."""
-    from gawm.models import rollout
-
     records = []
     for i in range(n):
         rng = spawned_rng(seed, i)

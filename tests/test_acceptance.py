@@ -30,7 +30,7 @@ from gawm.metrics import (
     probe_identity,
     probe_inverse,
 )
-from gawm.models import ExactModel, PerturbedModel, Trajectory, ViolationConfig, increment_pose, rollout
+from gawm.models import ExactModel, PerturbedModel, Trajectory, ViolationConfig, rollout
 from gawm.se2 import DistanceParams, Pose2, se2_compose, se2_identity, se2_inverse, state_distance
 from gawm.segments import (
     ActionIncrement,
@@ -50,6 +50,7 @@ from gawm.training import (
 from oracles import (
     central_difference,
     compose_matrix,
+    increment_pose,
     oracle_probe_composition,
     oracle_probe_identity,
     oracle_probe_inverse,

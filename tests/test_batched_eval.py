@@ -17,7 +17,6 @@ from gawm.latent import (
     DynamicsNet,
     HeadingUndefinedError,
     LearnedWorldModel,
-    encode,
     make_dynamics_net,
     make_encoder,
 )
@@ -37,6 +36,7 @@ from gawm.models import (
     PerturbedModel,
     ViolationConfig,
     fold_steps,
+    rollout,
     rollout_batch,
     step_batch,
 )
@@ -51,8 +51,11 @@ from gawm.se2 import (
 )
 from gawm.segments import ActionIncrement, ActionSegment, keyed_rng, keyed_rngs
 
+import oracles
 from oracles import (
+    encode,
     per_pose_rollout,
+    per_pose_step,
     random_pose,
     reference_align,
     reference_gac,
@@ -133,9 +136,23 @@ def test_step_batch_equals_model_step(name):
     actions[-1] = ActionIncrement(0.1, 0.0, -math.pi)
     got = step_batch(model, pose_array(poses), ActionSegment(actions).array,
                      [_rng(200 + b) for b in range(len(poses))])
-    want = pose_array([model.step(p, a, _rng(200 + b))
+    want = pose_array([per_pose_step(model, p, a, _rng(200 + b))
                        for b, (p, a) in enumerate(zip(poses, actions))])
     assert np.array_equal(got, want)
+    # the model's own step is one row of step_batch
+    own = pose_array([model.step(p, a, _rng(200 + b)) for b, (p, a) in enumerate(zip(poses, actions))])
+    assert np.array_equal(own, want)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_rollout_is_one_row_of_fold_steps(name):
+    model = MODELS[name]()
+    starts, actions = _turning_sequences(3, 15)
+    for b, (start, row) in enumerate(zip(starts, actions)):
+        got = rollout(model, Pose2(*start), ActionSegment(row), 40 + b)
+        assert tuple(got) == tuple(oracles.rollout(model, Pose2(*start), ActionSegment(row), 40 + b))
+        assert np.array_equal(got.as_array(),
+                              fold_steps(model, starts[b : b + 1], actions[b : b + 1], [_rng(40 + b)])[0])
 
 
 GRID = ProbeSuiteConfig().probe_grid() + [
@@ -166,7 +183,7 @@ class StepOnly:
 
     def step(self, state, action, rng):
         self.steps += 1
-        return self.inner.step(state, action, rng)
+        return per_pose_step(self.inner, state, action, rng)
 
 
 def test_step_only_model_goes_through_the_fallback():
@@ -319,7 +336,7 @@ class NoiselessStepOnly:
 
     def step(self, state, action, rng):
         assert rng is None
-        return self.inner.step(state, action, rng)
+        return per_pose_step(self.inner, state, action, rng)
 
 
 ONE_WALK = {**{name: MODELS[name] for name in DETERMINISTIC}, "step-only": NoiselessStepOnly}

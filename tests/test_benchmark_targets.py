@@ -31,9 +31,10 @@ from gawm.training import (
     GALossConfig,
     NonFiniteLossError,
     TrainRunConfig,
-    train,
     train_group,
 )
+
+from oracles import train
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -2,7 +2,7 @@
 
 Datasets are arrays generated by stepping every trajectory at once with
 ``models.step_batch``. The per-pose path in ``oracles`` (Pose2 starts,
-ActionSegments of increments, ``models.rollout``) is what they must
+ActionSegments of increments, a per-pose ``rollout``) is what they must
 reproduce, including the generator draws. Comparisons use ``tobytes``,
 so a flipped zero sign counts as a difference.
 """
@@ -24,13 +24,14 @@ from gawm.latent import make_dynamics_net, make_encoder, save_checkpoint
 from gawm.models import ExactModel
 from gawm.se2 import Pose2, pose_array
 from gawm.segments import ActionIncrement, ActionSegment
-from gawm.training import GALossConfig, TrainRunConfig, train
+from gawm.training import GALossConfig, TrainRunConfig
 
 from oracles import (
     per_pose_features,
     per_pose_held_out_loss,
     per_pose_records,
     per_pose_sequence,
+    train,
 )
 
 # hard turns, so headings cross the +-pi cut along the way

@@ -826,6 +826,81 @@ def test_ablate_loads_the_dataset_once(tmp_path, monkeypatch, recording_pools):
     assert len(loads) == 1
 
 
+@pytest.mark.parametrize("text", ["{", '{"stages": {}}', '{"config_hash": 1}', "[]"],
+                         ids=["not-json", "no-config-hash", "no-stages", "not-an-object"])
+def test_an_unreadable_manifest_is_stale(tmp_path, monkeypatch, text):
+    # opening a stage removes it, as it removes another config's
+    import gawm.harness as harness
+
+    cfg = tiny_config(tmp_path / "torn", steps=4)
+    manifest = Path(cfg.out_dir) / "manifest.json"
+    cmd_gen_data(cfg)
+    manifest.write_text(text)
+    cmd_probe(cfg, "exact")
+    assert _manifest(cfg)["config_hash"] == cfg.config_hash()
+    assert set(_manifest(cfg)["stages"]) == {"probe"}
+
+    # so ablate does not trust the dataset it holds and generates it again
+    class Stop(Exception):
+        pass
+
+    def stop(path):
+        raise Stop
+
+    made = []
+    monkeypatch.setattr(harness, "cmd_gen_data", made.append)
+    monkeypatch.setattr(harness, "load_dataset", stop)
+    manifest.write_text(text)
+    with pytest.raises(Stop):
+        cmd_ablate(cfg, "constraints")
+    assert made == [cfg]
+    assert not manifest.exists()
+
+
+def test_truncated_checkpoint_fails_naming_the_file_before_the_stage_writes(tmp_path):
+    ckpt = tmp_path / "torn.json"
+    save_checkpoint(ckpt, DynamicsNet(8, 16), make_encoder(8, 5))
+    ckpt.write_text(ckpt.read_text()[:200])
+    cfg = tiny_config(tmp_path / "run")
+    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(ckpt))}: not JSON: "):
+        cmd_gar(cfg, str(ckpt))
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_that_is_not_json_fails_naming_the_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    save_config(path, tiny_config(tmp_path / "run"))
+    path.write_text(path.read_text()[:-4])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not JSON: "):
+        load_config(path)
+    result = CliRunner().invoke(cli_main, ["probe", "exact", "--config", str(path)])
+    assert result.exit_code == 1
+    err = json.loads(result.output.strip().splitlines()[-1])
+    assert err["type"] == "ValueError" and err["error"].startswith(f"{path} is not JSON: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name, text, needle", [
+    ("gac_report.json", '{"model": "m", "e_gac": 0.5}', " lacks delta_id, delta_inv, delta_comp$"),
+    ("gac_report.json", '{"model": "m", ', " is not JSON: "),
+    ("gar_report.json", '{"model": "m"}', " lacks entries$"),
+    ("gar_report.json", '{"model": "m", "entries": [{"horizon": 4}]}',
+     " lacks aligned_mean, nonaligned_mean$"),
+    ("gar_report.json", '{"model": "m", "entries": 3}', " lacks horizon, aligned_mean, nonaligned_mean$"),
+    ("gac_report.json", '{"model": "m", "delta_id": "x", "delta_inv": 0, "delta_comp": 0, "e_gac": 0}',
+     ": delta_id is not a number: 'x'$"),
+    ("gar_report.json", '{"model": "m", "entries": [{"horizon": 4, "aligned_mean": null, '
+     '"nonaligned_mean": 0.5}]}', ": aligned_mean is not a number: None$"),
+], ids=["gac-fields", "gac-not-json", "gar-entries", "gar-entry-fields", "gar-entries-not-a-list",
+        "gac-string", "gar-null"])
+def test_report_names_a_metric_file_it_cannot_read(tmp_path, name, text, needle):
+    path = tmp_path / "run" / "point" / name
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{needle}"):
+        cmd_report(tmp_path / "run")
+
+
 def test_report_collects_metrics(tmp_path):
     cfg = tiny_config(tmp_path / "rep")
     cmd_probe(cfg, "exact")
@@ -962,6 +1037,14 @@ def test_suite_configs_reject_bad_eval_noise(sigma):
     ("probes", "composition_lengths", [9],
      r"^probes.composition_lengths: l=9 exceeds the local regime \(<= 8\)$"),
     ("probes", "sequence_length", 0, "^probes.sequence_length must be >= 1, got 0$"),
+    ("probes", "dirichlet_concentration", 1e-3, "^concentration must be >= 0.02, .* got 0.001$"),
+    ("ga.dirichlet", "concentration", 0.01, "^concentration must be >= 0.02, .* got 0.01$"),
+    ("probes", "identity_lengths", [1, 1, 5],
+     r"^probes.identity_lengths must not repeat a length, got \[1, 1, 5\]$"),
+    ("probes", "inverse_lengths", [3, 1, 3],
+     r"^probes.inverse_lengths must not repeat a length, got \[3, 1, 3\]$"),
+    ("probes", "composition_lengths", [2, 2],
+     r"^probes.composition_lengths must not repeat a length, got \[2, 2\]$"),
 ])
 def test_config_rejects_bad_suite_and_encoder_values(tmp_path, section, key, value, message):
     d = tiny_config(tmp_path / "bad").to_dict()
@@ -989,6 +1072,7 @@ def test_config_rejects_bad_suite_and_encoder_values(tmp_path, section, key, val
     ("", "seed", 3.9, "config value seed must be int, got 3.9"),
     ("", "seed", "12", "config value seed must be int, got '12'"),
     ("gar", "horizons", [8, 8], "gar.horizons must not repeat a horizon, got [8, 8]"),
+    ("probes", "identity_lengths", [1, 1, 5], "probes.identity_lengths must not repeat a length"),
 ])
 def test_cli_rejects_bad_suite_config_before_any_stage(tmp_path, section, key, value, needle):
     d = tiny_config(tmp_path / "cli_bad").to_dict()

@@ -11,10 +11,10 @@ from gawm.latent import (
     FeatureEncoder,
     HeadingUndefinedError,
     LearnedWorldModel,
+    _encode_rows,
     _net_rows,
     block_weights,
     decode,
-    encode,
     load_checkpoint,
     make_decoder,
     make_dynamics_net,
@@ -25,10 +25,11 @@ from gawm.latent import (
     rollout_endpoint_graph,
     save_checkpoint,
 )
-from gawm.se2 import Pose2, state_distance
+from gawm.se2 import Pose2, pose_array, state_distance
 from gawm.segments import ActionIncrement, ActionSegment, make_identity_segment
 
-from oracles import central_difference, latent_rollout_endpoint, random_pose
+import oracles
+from oracles import central_difference, encode, latent_rollout_endpoint, random_pose
 
 
 def _rng(seed=0):
@@ -55,8 +56,9 @@ def test_encoder_rejects_bad_obs_noise():
 
 def test_encode_plugs_in_features():
     enc = make_encoder(8, 1)
-    z = encode(Pose2(0, 0, 0), enc)
+    z = _encode_rows(pose_array([Pose2(0, 0, 0)]), enc)[0]
     assert np.allclose(z, enc.projection @ np.array([0, 0, 1, 0]))
+    assert z.tobytes() == encode(Pose2(0, 0, 0), enc).tobytes()
 
 
 def test_decoder_left_inverse():
@@ -87,6 +89,20 @@ def test_decode_known_heading():
     assert pose.theta == pytest.approx(math.pi / 2, abs=1e-9)
 
 
+def test_decode_equals_the_per_pose_oracle_bit_for_bit():
+    # decode is one row of the array decoder; latents near the heading cut
+    # included, where the recovered angle is +-pi
+    enc = make_encoder(16, 8)
+    dec = make_decoder(enc)
+    rng = _rng(12)
+    latents = list(rng.normal(0.0, 1.0, (500, 16)))
+    latents += [enc.projection @ np.array([x, y, -1.0, s])
+                for x, y, s in rng.normal(0.0, 1.0, (100, 3)) * [1.0, 1.0, 1e-15]]
+    latents.append(enc.projection @ np.array([0.5, -0.5, -1.0, -0.0]))
+    for z in latents:
+        assert decode(z, dec) == oracles.decode(z, dec)
+
+
 def test_decode_rejects_zero_heading_features():
     dec = make_decoder(make_encoder(16, 6))
     with pytest.raises(HeadingUndefinedError):
@@ -95,12 +111,15 @@ def test_decode_rejects_zero_heading_features():
 
 def test_obs_noise_is_seeded_and_reproducible():
     enc = make_encoder(16, 7, obs_noise_sigma=0.1)
-    p = Pose2(0.2, 1.0, -1.0)
-    z1 = encode(p, enc, _rng(99))
-    z2 = encode(p, enc, _rng(99))
-    assert z1.tobytes() == z2.tobytes()
-    with pytest.raises(ValueError):
-        encode(p, enc)
+    model = LearnedWorldModel(enc, make_dynamics_net(16, 8, 7))
+    p, a = Pose2(0.2, 1.0, -1.0), ActionIncrement(0.1, 0.0, 0.05)
+    s1 = model.step(p, a, _rng(99))
+    s2 = model.step(p, a, _rng(99))
+    assert (s1.theta, s1.x, s1.y) == (s2.theta, s2.x, s2.y)
+    assert s1 == oracles.per_pose_step(model, p, a, _rng(99))
+    assert s1 != model.step(p, a, _rng(100))
+    with pytest.raises(ValueError, match="^observation noise requires a random generator$"):
+        model.step(p, a, None)
 
 
 def test_param_count_formula():
@@ -247,7 +266,7 @@ def test_sample_trajectory_latent_chain_deterministic():
     expected = [start]
     for a in seg:
         z = net_step(z, a, net)
-        expected.append(decode(z, model.decoder))
+        expected.append(oracles.decode(z, model.decoder))
     assert len(traj) == 3
     for got, want in zip(traj, expected):
         assert state_distance(got, want) == 0.0

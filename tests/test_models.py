@@ -12,14 +12,14 @@ from gawm.models import (
     Trajectory,
     ViolationConfig,
     exact_step,
-    increment_pose,
     perturbed_step,
     rollout,
 )
 from gawm.se2 import Pose2, se2_compose, se2_identity, state_distance, wrap_angles
 from gawm.segments import ActionIncrement, ActionSegment, ZERO_INCREMENT, make_inverse_segment
 
-from oracles import compose_matrix, pose_close, random_pose
+import oracles
+from oracles import compose_matrix, increment_pose, pose_close, random_pose
 
 
 def _rng(seed=0):
@@ -107,6 +107,26 @@ def test_perturbed_all_disabled_is_bit_identical_to_exact():
         assert (exact.theta, exact.x, exact.y) == (pert.theta, pert.x, pert.y)
 
 
+def test_public_steps_equal_the_per_pose_oracle_bit_for_bit():
+    # exact_step and perturbed_step are one row of their model's step_batch;
+    # states start at pi and actions turn by +-pi among random ones
+    cfgs = [ViolationConfig(), ViolationConfig(noise_sigma=0.02),
+            ViolationConfig(drift_bias=ActionIncrement(0.02, -0.01, 0.05), saturation_scale=0.3,
+                            asym_gain=(1.2, 0.8))]
+    rng = _rng(10)
+    for i in range(400):
+        s = random_pose(rng)
+        a = ActionIncrement(float(rng.normal(0.0, 0.5)), float(rng.normal(0.0, 0.5)),
+                            float(rng.uniform(-math.pi, math.pi)))
+        if i % 4 == 1:
+            s = Pose2(math.pi, s.x, s.y)
+        if i % 4 == 2:
+            a = ActionIncrement(a.dx, a.dy, math.pi if i % 8 == 2 else -math.pi)
+        assert exact_step(s, a) == oracles.exact_step(s, a)
+        for k, cfg in enumerate(cfgs):
+            assert perturbed_step(s, a, cfg, _rng(k)) == oracles.perturbed_step(s, a, cfg, _rng(k)), cfg
+
+
 def test_drift_bias_single_step():
     cfg = ViolationConfig(drift_bias=ActionIncrement(0.1, 0, 0))
     out = perturbed_step(Pose2(0, 0, 0), ZERO_INCREMENT, cfg, _rng(0))
@@ -124,7 +144,7 @@ def test_drift_matches_stepwise_simulation_exactly():
         traj = rollout(model, s, ActionSegment([ZERO_INCREMENT] * steps), 0)
         oracle = s
         for _ in range(steps):
-            oracle = exact_step(oracle, cfg.drift_bias)
+            oracle = oracles.exact_step(oracle, cfg.drift_bias)
         assert state_distance(traj[-1], oracle) <= 1e-12
 
 
@@ -154,7 +174,7 @@ def test_rollout_lengths_and_stepwise_consistency():
     traj = rollout(model, Pose2(0, 0, 0), seg, 0)
     assert len(traj) == 9
     for i, a in enumerate(seg):
-        assert traj[i + 1] == exact_step(traj[i], a)
+        assert traj[i + 1] == oracles.exact_step(traj[i], a)
 
 
 def test_zero_noise_rollouts_ignore_seed():

@@ -9,6 +9,7 @@ from gawm.segments import (
     ActionIncrement,
     ActionSegment,
     DirichletParams,
+    MIN_CONCENTRATION,
     ZERO_INCREMENT,
     make_compatibility_segment,
     make_identity_segment,
@@ -103,6 +104,20 @@ def test_dirichlet_rejects_bad_concentration():
         DirichletParams(0.0)
     with pytest.raises(ValueError):
         DirichletParams(-1.0)
+
+
+@pytest.mark.parametrize("concentration", [1e-3, 1e-2, 0.0199])
+def test_dirichlet_rejects_a_concentration_whose_variates_underflow(concentration):
+    with pytest.raises(ValueError, match=f"^concentration must be >= 0.02, .* got {concentration}$"):
+        DirichletParams(concentration)
+
+
+def test_dirichlet_weights_at_the_floor_are_finite():
+    # at 1e-3 a quarter of these two-weight draws were NaN
+    rng, p = _rng(17), DirichletParams(MIN_CONCENTRATION)
+    samples = np.array([sample_dirichlet_weights(2, p, rng) for _ in range(5_000)])
+    assert np.isfinite(samples).all()
+    assert np.all(samples.sum(axis=1) > 0.999)
 
 
 def test_compatibility_length_one_is_exact():
