@@ -4,7 +4,8 @@ Each write goes to a temp file next to the target and is moved into
 place with ``os.replace``, so a reader sees either the old file or the
 complete new one. A write that fails removes its temp file and leaves
 the target as it was. A JSON file read back that is malformed raises a
-ValueError naming it.
+ValueError naming it; so does an array in it that is not all numbers
+(``number_array``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import csv
 import io
 import json
 import os
+import reprlib
 from pathlib import Path
+
+import numpy as np
 
 
 def write_text(path, text: str) -> None:
@@ -48,6 +52,26 @@ def json_fields(path, record, names: tuple[str, ...]) -> list:
     if missing:
         raise ValueError(f"{path} lacks {', '.join(missing)}")
     return [record[name] for name in names]
+
+
+def number_array(value) -> np.ndarray:
+    """A JSON array as a float64 array. It must be nested lists of one
+    shape whose leaves are numbers as JSON reads them: an int or a float,
+    not a bool and not a str. Otherwise a ValueError says what is wrong,
+    for the caller to name its file."""
+    try:
+        array = np.array(value, dtype=object) if isinstance(value, list) else None
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None:
+        raise ValueError(f"not nested lists of one shape: {reprlib.repr(value)}")
+    if not set(map(type, array.flat)) <= {int, float}:
+        leaf = next(leaf for leaf in array.flat if type(leaf) not in (int, float))
+        raise ValueError(f"{reprlib.repr(leaf)} is not a number")
+    try:
+        return array.astype(np.float64)
+    except OverflowError as err:  # an integer beyond the float range
+        raise ValueError(str(err)) from None
 
 
 def write_csv(path, header, rows) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import json_fields, read_json, write_json, write_text
+from .artifacts import json_fields, number_array, read_json, write_json, write_text
 from .latent import check_noise_sigma, pose_features
 from .models import WorldModel, fold_steps
 from .se2 import check_finite_poses, wrap_angles
@@ -142,12 +142,13 @@ def write_trajectory_jsonl(path, poses: np.ndarray, header: dict) -> None:
 
 
 def read_trajectory_jsonl(path) -> tuple[dict, np.ndarray]:
-    """The header and the (T+1, 3) pose array, checked and wrapped as ``Pose2`` would be."""
+    """The header and the (T+1, 3) pose array, checked and wrapped as ``Pose2`` would be;
+    every coordinate must be a JSON number (``number_array``)."""
     with open(path) as f:
         lines = [line for line in f if line.strip()]
     try:
         header, *rows = [json.loads(line) for line in lines] or [{}]
-        poses = np.array([(r["theta"], r["x"], r["y"]) for r in rows], dtype=np.float64)
+        poses = number_array([[r["theta"], r["x"], r["y"]] for r in rows])
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: a line is not JSON: {err}") from None
     except KeyError as err:
@@ -187,7 +188,9 @@ def write_dataset(out_dir, dataset: Dataset, meta: dict) -> dict:
 def load_dataset(path) -> Dataset:
     """Read a dataset directory; poses are checked and wrapped as ``Pose2``
     would, and ``Dataset`` checks the actions. The directory must hold the
-    trajectories its ``summary.json`` counts, each of the length it gives."""
+    trajectories its ``summary.json`` counts, each of the length it gives,
+    and each trajectory's ``actions_file`` must be a file name in it. Pose
+    and action values must be JSON numbers (``number_array``)."""
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {root}")
@@ -206,11 +209,15 @@ def load_dataset(path) -> Dataset:
     for traj_path in traj_paths:
         header, traj = read_trajectory_jsonl(traj_path)
         (actions_name,) = json_fields(traj_path, header, ("actions_file",))
+        if type(actions_name) is not str or actions_name in ("", "..") \
+                or Path(actions_name).name != actions_name:
+            raise ValueError(f"{traj_path}: actions_file must name a file in {root}, "
+                             f"got {actions_name!r}")
         actions_path = root / actions_name
         values = read_json(actions_path)
         try:
-            rows = np.array(values, dtype=np.float64)
-        except (TypeError, ValueError) as err:
+            rows = number_array(values)
+        except ValueError as err:
             raise ValueError(f"{actions_path} is not an array of numbers: {err}") from None
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError(f"{actions_path} must hold an (L, 3) array of actions, "

@@ -456,7 +456,10 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     Consecutive points that differ only in loss weights and rollout mode
     (``TrainGroup.key``) form a lockstep group, the unit of work: groups
     run in-process, or in a pool of ``min(threads, groups)`` workers that
-    are handed the loaded dataset. Rows are written in grid order.
+    are handed the loaded dataset. Rows are written in grid order. A
+    config that sets a field ablate replaces (``train.init_checkpoint``,
+    ``train.dataset_path``, ``pretrain.dataset_path``) raises a
+    ValueError before any output directory exists.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -467,6 +470,16 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
         trained.append(cfg)  # and so does the pretrain
     for point_cfg in trained:
         point_cfg.check_span_fits_dataset()
+    # every run trains on the generated dataset, each point from scratch or from the pretrain
+    replaced = {
+        "train.init_checkpoint": cfg.train.init_checkpoint,
+        "train.dataset_path": cfg.train.dataset_path,
+        "pretrain.dataset_path": cfg.pretrain and cfg.pretrain.dataset_path,
+    }
+    for name, value in replaced.items():
+        if value is not None:
+            raise ValueError(f"{name} must be unset for ablate, which sets it itself; "
+                             f"got {value!r}")
     stage = _Stage(cfg, f"ablate-{axis}")
     out_dir = stage.out_dir
     data_dir = _dataset_dir(out_dir)

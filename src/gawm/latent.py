@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .artifacts import write_json
-from .models import Trajectory
+from .artifacts import number_array, write_json
+from .models import Trajectory, _BatchModel, row_normals
 from .se2 import Pose2, check_finite_poses, pose_array, wrap_angles
 from .segments import ActionIncrement, ActionSegment
 
@@ -260,7 +260,7 @@ def rollout_endpoint_graph(z0: ag.Tensor, u: np.ndarray, weights) -> ag.Tensor:
     return z
 
 
-class LearnedWorldModel:
+class LearnedWorldModel(_BatchModel):
     """The latent model exposed as a pose-space world model.
 
     ``step`` encodes the pose (with observation noise when configured),
@@ -292,19 +292,12 @@ class LearnedWorldModel:
     def deterministic(self) -> bool:
         return self.encoder.obs_noise_sigma == 0.0
 
-    def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
-        if rng is None and self.encoder.obs_noise_sigma > 0.0:
-            raise ValueError("observation noise requires a random generator")
-        row = self.step_batch(pose_array([state]), action.as_array()[None], [rng])[0]
-        return Pose2(*row.tolist())
-
     def step_batch(self, states: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
         """``step`` on (B, 3) states and (B, 3) actions, row b drawing from rngs[b]."""
         z = _encode_rows(states, self.encoder)
         sigma = self.encoder.obs_noise_sigma
         if sigma > 0.0:
-            for row, rng in zip(z, rngs):
-                row += rng.normal(0.0, sigma, size=z.shape[1])
+            z += row_normals(rngs, sigma, z.shape[1:], "observation noise")
         z = _net_rows(z, actions, block_weights(self.net, self.net.params))
         return _decode_rows(z, self.decoder)
 
@@ -318,9 +311,7 @@ class LearnedWorldModel:
         sigma = self.encoder.obs_noise_sigma
         z = _encode_rows(starts, self.encoder)
         if sigma > 0.0:
-            noise = np.empty((b, t + 1, z.shape[1]))
-            for row, rng in zip(noise, rngs):
-                row[:] = rng.normal(0.0, sigma, size=row.shape)
+            noise = row_normals(rngs, sigma, (t + 1, z.shape[1]), "observation noise")
             z = z + noise[:, 0]
         latents = np.empty((b, t, z.shape[1]))
         weights = block_weights(self.net, self.net.params)
@@ -366,7 +357,7 @@ def load_checkpoint(path) -> tuple[DynamicsNet, FeatureEncoder, dict]:
     that is not an object, an unknown version, a missing field, a field
     of the wrong type (as ``config.from_json`` types them: an int takes
     only an integer, a float any number, neither a bool; arrays are
-    nested lists of numbers, ``meta`` an object) or a part whose shape
+    ``number_array``s, ``meta`` an object) or a part whose shape
     does not fit the dims raises a ValueError naming the file, as does a
     file that is not JSON."""
     try:
@@ -385,13 +376,10 @@ def load_checkpoint(path) -> tuple[DynamicsNet, FeatureEncoder, dict]:
         value = payload[name]
         try:
             if kind is np.ndarray:
-                if isinstance(value, list):
-                    array = np.array(value, dtype=object)
-                    if all(type(v) in (int, float) for v in array.flat):
-                        return array.astype(np.float64)
-            elif type(value) in (int, float) and (kind is float or type(value) is int):
+                return number_array(value)
+            if type(value) in (int, float) and (kind is float or type(value) is int):
                 return kind(value)
-        except (ValueError, OverflowError):  # ragged nesting, an integer beyond the float range
+        except (ValueError, OverflowError):  # not an array, an integer beyond the float range
             pass
         what = "array" if kind is np.ndarray else kind.__name__
         raise ValueError(f"checkpoint {path}: field {name!r} is not {what}: {reprlib.repr(value)}")

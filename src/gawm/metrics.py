@@ -217,12 +217,19 @@ def _dirichlet_weights(seed: int, key: tuple[int, ...], j: int, rows: int, l: in
 def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
                 dist: DistanceParams, seed: int, concentration: float = 1.0) -> list[ProbeResult]:
     """Walk every sequence's action stream in lockstep and branch the probes
-    of each config in ``cfgs`` off it, one result per config.
+    of each config in ``cfgs`` off it, one result per config, each equal to
+    that config's walk alone.
 
-    Row s is sequence s. Its stream folds the model's step (``fold_steps``),
-    batched over the rows, drawing from the generator keyed (kind, k, l, s, 0)
-    of the first config. The streams advance from stop to stop: the sorted
-    distinct positions of all configs, then the stream end. An increment
+    Row s is sequence s. A stream folds the model's step (``fold_steps``),
+    batched over the rows, and carries its generators and the position it
+    has been folded to. A model that draws no noise (``is_deterministic``)
+    starts one stream that every config reads; any other model starts one
+    per config, whose row s draws from the generator keyed (kind, k, l, s, 0)
+    of its config. The walk goes from stop to stop: the sorted distinct
+    positions of all configs, then the stream end. At a stop, each stream
+    that a config probes there folds up to it, and at the end every stream
+    that a config reads folds to its last action, as in per-pose
+    evaluation, so an invalid pose anywhere along it raises. An increment
     model advances each stretch as one rollout. At a config's j-th position
     (in sorted order) each row branches with that config's generators keyed
     1 + j (identity, inverse) or 1 + 3j for the Dirichlet weights and
@@ -230,15 +237,13 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
     segment runs as one batched rollout over the rows. An inverse branch
     is its windows' ``inverse_cycles``, a composition branch ``recompose``
     of its windows by ``_dirichlet_weights``. Errors come out in sequence
-    order, then position order. The streams run to their last action, as
-    in per-pose evaluation, so an invalid pose anywhere along them raises.
+    order, then position order.
 
     An identity pause replaces the state of the stream its config reads.
     While another config still reads that stream, the config first forks
     it: from then on it reads its own stream of the same rows, folded in
     its own ``fold_steps`` calls. A walk of one config never forks, and a
-    stream that no config reads is not folded. A walk of several configs
-    stands for one walk per config only when the model draws no noise.
+    stream that no config reads is not folded.
     """
     states, actions = _check_sequences(starts, actions)
     n = actions.shape[1]
@@ -246,56 +251,53 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
     dirichlet = DirichletParams(concentration=concentration)
     keys = [(_KIND_CODE[cfg.kind], cfg.k, cfg.l) for cfg in cfgs]
     positions = [probe_positions(cfg, n) for cfg in cfgs]
-    stream_rngs = _generators(model, seed, [(*keys[0], s, 0) for s in rows])
     errors = [np.empty((len(actions), len(p))) for p in positions]
-    streams = [states]
-    reads = [0] * len(cfgs)  # config i reads streams[reads[i]]
+    shared = is_deterministic(model)
+    # each stream is [states, generators, the position it is folded to]
+    streams = [[states, _generators(model, seed, [(*key, s, 0) for s in rows]), 0]
+               for key in (keys[:1] if shared else keys)]
+    # config i reads streams[reads[i]]
+    reads = [0] * len(cfgs) if shared else list(range(len(cfgs)))
 
-    def branch_ends(key, segments, slot):
+    def branch_ends(at, key, segments, slot):
         rngs = _generators(model, seed, [(*key, s, slot) for s in rows])
-        return rollout_batch(model, states, segments, rngs)[:, -1]
+        return rollout_batch(model, at, segments, rngs)[:, -1]
 
-    t = 0
     for stop in sorted({n, *(p for ps in positions for p in ps)}):
-        for i in sorted(set(reads)):
-            # a copy, so that no stream keeps its whole stretch of poses alive
-            streams[i] = fold_steps(model, streams[i], actions[:, t:stop], stream_rngs)[:, -1].copy()
-        t = stop
+        probed = [c for c, ps in enumerate(positions) if stop == n or stop in ps]
+        for stream in [streams[i] for i in sorted({reads[c] for c in probed})]:
+            at, rngs, t = stream
+            if t < stop:
+                # a copy, so that no stream keeps its whole stretch of poses alive
+                stream[0] = fold_steps(model, at, actions[:, t:stop], rngs)[:, -1].copy()
+                stream[2] = stop
         for c, (cfg, key, ps, err) in enumerate(zip(cfgs, keys, positions, errors)):
-            for j in [j for j, p in enumerate(sorted(ps)) if p == t]:
-                states = streams[reads[c]]
+            for j in [j for j, p in enumerate(sorted(ps)) if p == stop]:
+                stream = streams[reads[c]]
+                at = stream[0]
                 if cfg.kind == KIND_IDENTITY:
-                    end = branch_ends(key, np.zeros((len(rows), cfg.l, 3)), 1 + j)
-                    err[:, j] = state_distances(end, states, dist)
+                    end = branch_ends(at, key, np.zeros((len(rows), cfg.l, 3)), 1 + j)
+                    err[:, j] = state_distances(end, at, dist)
                     if reads.count(reads[c]) > 1:
                         reads[c] = len(streams)
-                        streams.append(end)
+                        streams.append([end, stream[1], stop])
                     else:
-                        streams[reads[c]] = end
+                        stream[0] = end
                     continue
-                windows = actions[:, t : t + cfg.l]
+                windows = actions[:, stop : stop + cfg.l]
                 if cfg.kind == KIND_INVERSE:
                     cycles = inverse_cycles(windows)
-                    err[:, j] = state_distances(branch_ends(key, cycles, 1 + j), states, dist)
+                    err[:, j] = state_distances(branch_ends(at, key, cycles, 1 + j), at, dist)
                 else:
                     weights = _dirichlet_weights(seed, key, j, len(rows), cfg.l, dirichlet)
                     recomposed = recompose(windows, weights)
-                    err[:, j] = state_distances(branch_ends(key, windows, 2 + 3 * j),
-                                                branch_ends(key, recomposed, 3 + 3 * j), dist)
+                    err[:, j] = state_distances(branch_ends(at, key, windows, 2 + 3 * j),
+                                                branch_ends(at, key, recomposed, 3 + 3 * j), dist)
     return [
         ProbeResult(kind=cfg.kind, k=cfg.k, l=cfg.l, mean=float(err.mean()), std=float(err.std()),
                     n_instances=err.size, start_positions=ps)
         for cfg, ps, err in zip(cfgs, positions, errors)
     ]
-
-
-def run_probe(model: WorldModel, starts, actions, cfg: ProbeConfig, dist: DistanceParams,
-              seed: int, concentration: float = 1.0) -> ProbeResult:
-    if cfg.kind == KIND_IDENTITY:
-        return probe_identity(model, starts, actions, cfg, dist, seed)
-    if cfg.kind == KIND_INVERSE:
-        return probe_inverse(model, starts, actions, cfg, dist, seed)
-    return probe_composition(model, starts, actions, cfg, dist, seed, concentration)
 
 
 def aggregate_gac(per_config) -> GacReport:
@@ -338,21 +340,12 @@ def evaluate_gac(model: WorldModel, starts, actions, grid, dist: DistanceParams,
     increment.
 
     Results are ordered by sorted probe identifier so the report does not
-    depend on evaluation order. A model that draws no noise
-    (``is_deterministic``) walks the whole grid at once (``_walk_probe``):
-    its stream folds once up to the first identity pause, each identity
-    config then continues on its own fork, and inverse and composition
-    configs branch off the unforked stream. Every config sees the stream
-    its own walk would, so the report is the same. A noisy model walks
-    each config on its own, drawing that config's noise.
+    depend on evaluation order. The whole grid is one walk
+    (``_walk_probe``), in which every config sees the stream its own walk
+    would, so the report is the same.
     """
     ordered = sorted(grid, key=lambda c: (_KIND_CODE[c.kind], c.k, c.l))
-    if is_deterministic(model):
-        results = _walk_probe(model, starts, actions, ordered, dist, seed, concentration)
-    else:
-        results = [run_probe(model, starts, actions, cfg, dist, seed, concentration)
-                   for cfg in ordered]
-    return aggregate_gac(results)
+    return aggregate_gac(_walk_probe(model, starts, actions, ordered, dist, seed, concentration))
 
 
 def align_trajectory(poses: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -81,12 +81,11 @@ def _headings(starts: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
     row by row, bit for bit.
 
     One sequential ``np.add.accumulate`` makes the same adds in the same
-    order as that loop until a row's sum first leaves (-pi, pi]. Each
-    round then wraps, in every row that has one, the first such position
-    after the ones it has already wrapped, and re-accumulates that row
-    from it. The start heading is kept as given. A row moves past every
-    position it wraps, so a non-finite heading ends after at most T
-    rounds and reaches ``check_finite_poses``.
+    order as that loop until a row's sum first leaves (-pi, pi]. The rows
+    that leave it then run that loop from the earliest such position:
+    before a row's own first wrap its sums are in range, where
+    ``wrap_angles`` changes nothing. The start heading is kept as given.
+    A non-finite heading runs on to ``check_finite_poses``.
     """
     b, t = dtheta.shape
     theta = np.empty((b, t + 1))
@@ -95,26 +94,12 @@ def _headings(starts: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
     theta = np.add.accumulate(theta, axis=1)
     outside = ~((theta > -math.pi) & (theta <= math.pi))
     outside[:, 0] = False  # the start heading is kept as given
-    if not outside.any():
-        return theta
     rows = np.flatnonzero(outside.any(axis=1))
-    at = outside[rows].argmax(axis=1)  # each row's first position to wrap
-    # the rows that wrap, padded so that every suffix from a position fits one window
-    wrapping = np.concatenate([theta[rows], np.zeros((len(rows), t))], axis=1)
-    turns = np.concatenate([dtheta[rows], np.zeros((len(rows), t))], axis=1)
-    live = np.arange(len(rows))
-    while len(live):
-        window = at[:, None] + np.arange(t + 1 - at.min())
-        suffix = np.empty(window.shape)
-        suffix[:, 0] = wrap_angles(wrapping[live, at])
-        suffix[:, 1:] = turns[live[:, None], window[:, :-1]]
-        suffix = np.add.accumulate(suffix, axis=1)
-        wrapping[live[:, None], window] = suffix
-        outside = ~((suffix > -math.pi) & (suffix <= math.pi)) & (window <= t)
-        outside[:, 0] = False  # wrapped already, whatever it came to
-        more = outside.any(axis=1)
-        live, at = live[more], (at + outside.argmax(axis=1))[more]
-    theta[rows] = wrapping[:, : t + 1]
+    if len(rows):
+        wrapping, turns = theta[rows], dtheta[rows]
+        for i in range(outside.any(axis=0).argmax(), t + 1):
+            wrapping[:, i] = wrap_angles(wrapping[:, i - 1] + turns[:, i - 1])
+        theta[rows] = wrapping
     return theta
 
 
@@ -150,14 +135,31 @@ def _apply_increments(starts: np.ndarray, increments: np.ndarray) -> np.ndarray:
     return poses
 
 
-class _IncrementModel:
-    """Step and rollout for a model whose step applies a realized increment
-    exactly; ``_realize`` maps (B, T, 3) actions and one generator per row
-    to the realized increments. ``step`` is one row of ``step_batch``."""
+def row_normals(rngs, sigma: float, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A (B, *shape) block of Gaussian noise of scale ``sigma``, row b drawn
+    from ``rngs[b]`` in one call, as a step-by-step rollout draws it. A row
+    whose generator is ``None`` raises ``ValueError("<what> requires a
+    random generator")``."""
+    block = np.empty((len(rngs), *shape))
+    for row, rng in zip(block, rngs):
+        if rng is None:
+            raise ValueError(f"{what} requires a random generator")
+        row[:] = rng.normal(0.0, sigma, size=shape)
+    return block
+
+
+class _BatchModel:
+    """A model whose ``step`` is one row of its ``step_batch``."""
 
     def step(self, state: Pose2, action: ActionIncrement, rng: np.random.Generator) -> Pose2:
         row = self.step_batch(pose_array([state]), action.as_array()[None], [rng])[0]
         return Pose2(*row.tolist())
+
+
+class _IncrementModel(_BatchModel):
+    """Step and rollout for a model whose step applies a realized increment
+    exactly; ``_realize`` maps (B, T, 3) actions and one generator per row
+    to the realized increments."""
 
     def rollout_batch(self, starts: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
         return _apply_increments(starts, self._realize(actions, rngs))
@@ -260,9 +262,7 @@ class PerturbedModel(_IncrementModel):
         increments = realized_increments(actions, self.cfg)
         sigma = self.cfg.noise_sigma
         if sigma > 0.0:
-            # one block per row draws what a step-by-step rollout draws, in order
-            for row, rng in zip(increments, rngs):
-                row += rng.normal(0.0, sigma, size=row.shape)
+            increments += row_normals(rngs, sigma, increments.shape[1:], "action noise")
         return increments
 
 

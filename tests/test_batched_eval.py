@@ -13,6 +13,7 @@ import pytest
 
 from gawm import metrics, models
 from gawm.config import ProbeSuiteConfig
+from gawm.harness import parse_model_ref
 from gawm.latent import (
     DynamicsNet,
     HeadingUndefinedError,
@@ -219,15 +220,24 @@ def test_fold_equals_a_step_batch_loop(name, t):
         rng.bit_generator.state for rng in loop_rngs]
 
 
+def _probe_alone(model, starts, actions, cfg, dist, seed, concentration=1.0):
+    """One config's walk, through its kind's public ``probe_*`` entry point."""
+    if cfg.kind == KIND_IDENTITY:
+        return metrics.probe_identity(model, starts, actions, cfg, dist, seed)
+    if cfg.kind == KIND_INVERSE:
+        return metrics.probe_inverse(model, starts, actions, cfg, dist, seed)
+    return metrics.probe_composition(model, starts, actions, cfg, dist, seed, concentration)
+
+
 def _walk_lengths(cfg, n, stream):
     """Action counts of the rollouts ``_walk_probe`` runs for one config, in
-    call order: with ``stream``, one per stop for the stretch that reaches
-    it, and after it one per branch at that stop."""
+    call order: with ``stream``, one per stop after 0 for the stretch that
+    reaches it, and after it one per branch at that stop."""
     positions = metrics.probe_positions(cfg, n)
     branch = {KIND_IDENTITY: [cfg.l], KIND_INVERSE: [2 * cfg.l], KIND_COMPOSITION: [cfg.l] * 2}
     lengths, t = [], 0
     for stop in sorted({*positions, n}):
-        lengths += [stop - t] if stream else []
+        lengths += [stop - t] if stream and stop > 0 else []
         lengths += branch[cfg.kind] * positions.count(stop)
         t = stop
     return lengths
@@ -251,7 +261,7 @@ def test_walk_probe_folds_an_increment_stream_once_per_stop(monkeypatch, name):
     seqs = _turning_sequences(3, 20)
     for cfg in GRID:
         lengths.clear()
-        metrics.run_probe(model, *seqs, cfg, DIST, 3, 0.5)
+        _probe_alone(model, *seqs, cfg, DIST, 3, 0.5)
         assert lengths == _walk_lengths(cfg, 20, stream=True), cfg
     assert any(0 in metrics.probe_positions(cfg, 20) for cfg in GRID)
 
@@ -264,8 +274,8 @@ def test_walk_probe_steps_learned_and_third_party_streams(monkeypatch):
     seqs = _turning_sequences(3, 20)
     for cfg in GRID:
         del learned_rollouts[:], learned_steps[:], third_party.calls[:]
-        metrics.run_probe(learned, *seqs, cfg, DIST, 3, 0.5)
-        metrics.run_probe(third_party, *seqs, cfg, DIST, 3, 0.5)
+        _probe_alone(learned, *seqs, cfg, DIST, 3, 0.5)
+        _probe_alone(third_party, *seqs, cfg, DIST, 3, 0.5)
         branches = _walk_lengths(cfg, 20, stream=False)
         assert learned_rollouts == branches, cfg
         assert learned_steps == [None] * 20, cfg
@@ -285,7 +295,7 @@ def _float_bytes(value):
 
 def _per_config_gac(model, starts, actions, grid, *args):
     ordered = sorted(grid, key=lambda c: (metrics._KIND_CODE[c.kind], c.k, c.l))
-    return metrics.aggregate_gac([metrics.run_probe(model, starts, actions, cfg, *args)
+    return metrics.aggregate_gac([_probe_alone(model, starts, actions, cfg, *args)
                                   for cfg in ordered])
 
 
@@ -358,7 +368,7 @@ def test_one_walk_equals_one_walk_per_config(name, grid):
     model, cfgs = ONE_WALK[name](), WALK_GRIDS[grid]
     seqs = _turning_sequences(5, 12)
     got = metrics._walk_probe(model, *seqs, cfgs, DIST, 7, 0.4)
-    want = [metrics.run_probe(model, *seqs, cfg, DIST, 7, 0.4) for cfg in cfgs]
+    want = [_probe_alone(model, *seqs, cfg, DIST, 7, 0.4) for cfg in cfgs]
     assert _float_bytes([asdict(r) for r in got]) == _float_bytes([asdict(r) for r in want])
     full = cfgs + [ProbeConfig(KIND_INVERSE), ProbeConfig(KIND_COMPOSITION)]
     report = evaluate_gac(model, *seqs, full, DIST, 7, 0.4)
@@ -385,9 +395,51 @@ def test_a_stream_no_config_reads_is_not_folded(monkeypatch, name):
     assert {rows for rows, _ in calls} == {5}
     assert sum(rows * steps for rows, steps in calls) == 5 * (24 + 18 + 16)
     calls.clear()
-    want = [metrics.run_probe(model, *seqs, cfg, DIST, 7) for cfg in cfgs]
+    want = [_probe_alone(model, *seqs, cfg, DIST, 7) for cfg in cfgs]
     assert sum(rows * steps for rows, steps in calls) == 3 * 5 * 24
     assert _float_bytes([asdict(r) for r in got]) == _float_bytes([asdict(r) for r in want])
+
+
+NOISY_WALK = {"noise": lambda: parse_model_ref("noise:0.02")[0],
+              "learned-obs-noise": MODELS["learned-obs-noise"], "step-only": StepOnly}
+
+
+@pytest.mark.parametrize("grid", WALK_GRIDS)
+@pytest.mark.parametrize("name", NOISY_WALK)
+def test_a_noisy_grid_walk_equals_its_one_config_walks(name, grid):
+    # every config walks its own stream, drawing its own noise, in one walk
+    model, cfgs = NOISY_WALK[name](), WALK_GRIDS[grid]
+    seqs = _turning_sequences(5, 12)
+    got = metrics._walk_probe(model, *seqs, cfgs, DIST, 7, 0.4)
+    want = [_probe_alone(model, *seqs, cfg, DIST, 7, 0.4) for cfg in cfgs]
+    assert _float_bytes([asdict(r) for r in got]) == _float_bytes([asdict(r) for r in want])
+    full = cfgs + [ProbeConfig(KIND_INVERSE), ProbeConfig(KIND_COMPOSITION)]
+    report = evaluate_gac(model, *seqs, full, DIST, 7, 0.4)
+    assert _float_bytes(asdict(report)) == _float_bytes(asdict(reference_gac(model, *seqs, full,
+                                                                               DIST, 7, 0.4)))
+
+
+NOISY_KERNELS = {"noise": (NOISY_WALK["noise"], "action noise"),
+                 "learned-obs-noise": (MODELS["learned-obs-noise"], "observation noise")}
+# each kernel of model m on starts s, actions a and generators r, directly
+# and through the module-level dispatchers
+KERNEL_CALLS = {
+    "step_batch": lambda m, s, a, r: m.step_batch(s, a[:, 0], r),
+    "rollout_batch": lambda m, s, a, r: m.rollout_batch(s, a, r),
+    "models.step_batch": lambda m, s, a, r: step_batch(m, s, a[:, 0], r),
+    "models.rollout_batch": lambda m, s, a, r: rollout_batch(m, s, a, r),
+    "models.fold_steps": lambda m, s, a, r: fold_steps(m, s, a, r),
+    "step": lambda m, s, a, r: m.step(Pose2(*s[1]), ActionIncrement(*a[1, 0]), r[1]),
+}
+
+
+@pytest.mark.parametrize("call", KERNEL_CALLS)
+@pytest.mark.parametrize("name", NOISY_KERNELS)
+def test_a_noisy_kernel_raises_the_named_error_for_a_missing_generator(name, call):
+    make, noise = NOISY_KERNELS[name]
+    starts, actions = _turning_sequences(2, 4)
+    with pytest.raises(ValueError, match=f"^{noise} requires a random generator$"):
+        KERNEL_CALLS[call](make(), starts, actions, [_rng(0), None])  # the second row has none
 
 
 @pytest.mark.parametrize("drift", [1e307, 4e306], ids=["before-the-stop", "after-the-stop"])

@@ -11,7 +11,8 @@ from click.testing import CliRunner
 
 import gawm
 from gawm.cli import main as cli_main
-from gawm.config import ExperimentConfig
+from gawm.config import DatasetConfig, ExperimentConfig
+from gawm.training import TrainRunConfig
 
 STAGE_OPTIONS = [("--config", None), ("--seed", None), ("--out", None)]
 # command -> (arguments, options with their defaults, in help order)
@@ -48,6 +49,22 @@ def test_stage_command_reports_an_invalid_config_value_as_error_json(tmp_path, c
     assert result.exit_code == 1
     err = json.loads(result.output.strip().splitlines()[-1])
     assert err == {"error": "config value seed must be int, got '12'", "type": "ValueError"}
+    assert not (tmp_path / "run").exists()
+
+
+def test_ablate_reports_a_field_it_would_replace_as_error_json(tmp_path):
+    # a fine-tune on a named dataset, which ablate would run from scratch on its own
+    d = ExperimentConfig(out_dir=str(tmp_path / "run"),
+                         dataset=DatasetConfig(n_trajectories=4, length=8),
+                         train=TrainRunConfig(steps=2, batch_size=4, hidden_dim=8)).to_dict()
+    d["train"].update(init_checkpoint=str(tmp_path / "ckpt.json"), dataset_path=str(tmp_path / "ds"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(d))
+    result = CliRunner().invoke(cli_main, ["ablate", "--axis", "mode", "--config", str(cfg_path)])
+    assert result.exit_code == 1
+    err = json.loads(result.output.strip().splitlines()[-1])
+    assert err == {"error": f"train.init_checkpoint must be unset for ablate, which sets it itself; "
+                            f"got {str(tmp_path / 'ckpt.json')!r}", "type": "ValueError"}
     assert not (tmp_path / "run").exists()
 
 

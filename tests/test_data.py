@@ -167,9 +167,21 @@ def test_load_dataset_checks_the_trajectories_against_its_summary(written):
                  id="pose-not-json"),
     pytest.param("traj_0001.jsonl", lambda text: text.replace('"y":', '"z":', 1),
                  ": a pose line lacks 'y'$", id="pose-no-y"),
+    pytest.param("traj_0001.jsonl", lambda text: re.sub(r'"x": [^,]+', '"x": "0.15"', text, count=1),
+                 ": a pose line is not an object of numbers: '0.15' is not a number$",
+                 id="pose-a-string-number"),
+    pytest.param("traj_0001.jsonl", lambda text: re.sub(r'"x": [^,]+', '"x": true', text, count=1),
+                 ": a pose line is not an object of numbers: True is not a number$",
+                 id="pose-a-bool"),
+    pytest.param("traj_0001.jsonl", lambda text: text.replace('"actions_0001.json"', "5", 1),
+                 ": actions_file must name a file in .+, got 5$", id="actions-file-an-int"),
     pytest.param("actions_0002.json", lambda text: '[[0.1, "x", 0.0]]',
-                 " is not an array of numbers: could not convert string to float: 'x'$",
-                 id="action-not-a-number"),
+                 " is not an array of numbers: 'x' is not a number$", id="action-not-a-number"),
+    pytest.param("actions_0002.json", lambda text: '[[0.1, "0.15", 0.0]]',
+                 " is not an array of numbers: '0.15' is not a number$",
+                 id="action-a-string-number"),
+    pytest.param("actions_0002.json", lambda text: "[[0.1, true, 0.0]]",
+                 " is not an array of numbers: True is not a number$", id="action-a-bool"),
     pytest.param("actions_0002.json", lambda text: "[[0.1, 0.0]]",
                  r" must hold an \(L, 3\) array of actions, got shape \(1, 2\)$",
                  id="action-two-columns"),
@@ -179,6 +191,22 @@ def test_load_dataset_names_the_malformed_file(written, name, edit, message):
     path = root / name
     path.write_text(edit(path.read_text()))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{message}"):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("name", ["../other/actions_0001.json", "OTHER", "ds/actions_0001.json",
+                                  "..", ""])
+def test_load_dataset_reads_actions_only_from_its_own_directory(written, name):
+    # a valid action file outside the dataset, which a relative or absolute name could reach
+    root, _ = written
+    other = root.parent / "other"
+    other.mkdir()
+    (other / "actions_0001.json").write_text((root / "actions_0001.json").read_text())
+    name = str(other / "actions_0001.json") if name == "OTHER" else name
+    path = root / "traj_0001.jsonl"
+    path.write_text(path.read_text().replace('"actions_0001.json"', json.dumps(name), 1))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: actions_file must name a file "
+                                         f"in {re.escape(str(root))}, got {re.escape(repr(name))}$"):
         load_dataset(root)
 
 

@@ -1121,7 +1121,8 @@ def test_cli_reports_a_span_longer_than_the_trajectories_before_any_output(tmp_p
 
 
 def test_ablate_checks_every_span_it_trains_on_its_dataset_before_any_output(tmp_path):
-    # naming another dataset lets the config load, but ablate trains on its own
+    # naming another dataset lets the config load; ablate, which trains on its
+    # own, rejects the name, but only once every span has been checked
     cfg = tiny_config(tmp_path / "run")
     named = replace(cfg, train=replace(cfg.train, dataset_path=str(tmp_path / "other")),
                     ga=replace(cfg.ga, max_span=40))
@@ -1134,6 +1135,21 @@ def test_ablate_checks_every_span_it_trains_on_its_dataset_before_any_output(tmp
     short = replace(cfg, dataset=replace(cfg.dataset, length=5))
     with pytest.raises(ValueError, match="^ga.max_span 6 exceeds dataset.length 5"):
         cmd_ablate(short, "span")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field", ["train.init_checkpoint", "train.dataset_path",
+                                   "pretrain.dataset_path"])
+def test_ablate_rejects_a_field_it_would_replace_before_any_output(tmp_path, field):
+    # ablate trains every grid point on its own dataset, from scratch or its pretrain
+    cfg = tiny_config(tmp_path / "run", steps=2)
+    cfg = replace(cfg, pretrain=cfg.train)
+    section, name = field.split(".")
+    named = str(tmp_path / "named")
+    cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{name: named})})
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be unset for ablate, which sets "
+                                         f"it itself; got {re.escape(repr(named))}$"):
+        cmd_ablate(cfg, "mode")
     assert not (tmp_path / "run").exists()
 
 
