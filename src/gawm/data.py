@@ -3,8 +3,9 @@
 Actions are drawn from a forward-biased Gaussian increment distribution
 (positive mean forward motion, small lateral and angular components),
 which mimics navigation ego-motion statistics without any external data.
-Trajectories are rolled with a chosen reference model and written as
-JSON Lines, one pose per line under a header.
+Trajectories are rolled with a chosen reference model and written one
+file each, as JSON Lines: a header line holding the actions, then one
+pose per line.
 
 Poses are ``[theta, x, y]`` rows and actions ``[dx, dy, dtheta]`` rows;
 a dataset is three arrays and nothing else.
@@ -86,9 +87,11 @@ class Dataset:
     """Equal-length trajectories: ``poses`` (N, T+1, 3), ``actions`` (N, T, 3)
     and every pose's (x, y, cos theta, sin theta) in ``features`` (N, T+1, 4).
 
-    Every action is checked once, here, as ``ActionIncrement`` checks it;
-    ``actions`` is a read-only view, and ``segment`` returns read-only
-    views into it, which need no re-check.
+    Every pose and action is checked once, here: a pose as ``Pose2``
+    checks it, its heading wrapped into (-pi, pi] on a copy, and an
+    action as ``ActionIncrement`` checks it. ``actions`` is a read-only
+    view, and ``segment`` returns read-only views into it, which need
+    no re-check.
     """
 
     def __init__(self, poses: np.ndarray, actions: np.ndarray):
@@ -98,11 +101,13 @@ class Dataset:
         if poses.shape != (n, t + 1, 3) or actions.shape != (n, t, 3):
             raise ValueError(f"expected (N, T+1, 3) poses and (N, T, 3) actions, "
                              f"got {poses.shape} and {actions.shape}")
+        check_finite_poses(poses)
         check_increments(actions.reshape(-1, 3))
-        self.poses = poses
+        self.poses = np.array(poses, dtype=np.float64)
+        self.poses[..., 0] = wrap_angles(self.poses[..., 0])
         self.actions = actions.view()
         self.actions.flags.writeable = False
-        self.features = pose_features(poses)
+        self.features = pose_features(self.poses)
 
     @property
     def length(self) -> int:
@@ -134,16 +139,18 @@ def generate_records(
     return Dataset(fold_steps(model, starts, actions, rngs), actions)
 
 
-def write_trajectory_jsonl(path, poses: np.ndarray, header: dict) -> None:
-    """One header line, then one ``{"theta", "x", "y"}`` object per pose row."""
-    lines = [json.dumps(header, sort_keys=True)]
+def write_trajectory_jsonl(path, poses: np.ndarray, actions: np.ndarray) -> None:
+    """A ``{"actions": [[dx, dy, dtheta], ...]}`` header line, then one
+    ``{"theta", "x", "y"}`` object per pose row."""
+    lines = [json.dumps({"actions": actions.tolist()})]
     lines += [json.dumps({"theta": theta, "x": x, "y": y}) for theta, x, y in poses.tolist()]
     write_text(path, "\n".join(lines) + "\n")
 
 
-def read_trajectory_jsonl(path) -> tuple[dict, np.ndarray]:
-    """The header and the (T+1, 3) pose array, checked and wrapped as ``Pose2`` would be;
-    every coordinate must be a JSON number (``number_array``)."""
+def read_trajectory_jsonl(path) -> tuple[np.ndarray, np.ndarray]:
+    """A trajectory file's (T+1, 3) poses and its header's (T, 3) actions,
+    as written: every value must be a JSON number (``number_array``), and
+    ``Dataset`` checks them. Every error names the file."""
     with open(path) as f:
         lines = [line for line in f if line.strip()]
     try:
@@ -155,29 +162,31 @@ def read_trajectory_jsonl(path) -> tuple[dict, np.ndarray]:
         raise ValueError(f"{path}: a pose line lacks {err}") from None
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: a pose line is not an object of numbers: {err}") from None
-    poses = poses.reshape(-1, 3)
-    check_finite_poses(poses)
-    poses[:, 0] = wrap_angles(poses[:, 0])
-    return header, poses
+    (values,) = json_fields(path, header, ("actions",))
+    try:
+        actions = number_array(values)
+    except ValueError as err:
+        raise ValueError(f"{path}: the actions are not an array of numbers: {err}") from None
+    if actions.ndim != 2 or actions.shape[1] != 3:
+        raise ValueError(f"{path}: the actions must be an (L, 3) array, got shape {actions.shape}")
+    if len(rows) != len(actions) + 1:
+        raise ValueError(f"{path} holds {len(rows)} poses for {len(actions)} actions")
+    return poses.reshape(-1, 3), actions
 
 
 def write_dataset(out_dir, dataset: Dataset, meta: dict) -> dict:
-    """Write per-trajectory pose and action files plus a summary, return the summary.
+    """Write one trajectory file per trajectory plus a summary, return the summary.
 
-    Trajectory and action files already in ``out_dir``, and the temp
-    files of a killed write, are removed first, so the directory loads
-    as exactly this dataset.
+    Trajectory files already in ``out_dir``, the action files of the
+    earlier layout and the temp files of a killed write are removed
+    first, so the directory loads as exactly this dataset.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for stale in (*out.glob("traj_*.jsonl"), *out.glob("actions_*.json"), *out.glob("*.tmp")):
         stale.unlink()
     for i, (poses, actions) in enumerate(zip(dataset.poses, dataset.actions)):
-        actions_name = f"actions_{i:04d}.json"
-        write_json(out / actions_name, actions.tolist(), indent=None)
-        header = {"seed": meta.get("seed"), "model": meta.get("model"),
-                  "actions_file": actions_name}
-        write_trajectory_jsonl(out / f"traj_{i:04d}.jsonl", poses, header)
+        write_trajectory_jsonl(out / f"traj_{i:04d}.jsonl", poses, actions)
     summary = dict(meta)
     summary["n_trajectories"] = len(dataset)
     summary["length"] = dataset.length
@@ -186,11 +195,9 @@ def write_dataset(out_dir, dataset: Dataset, meta: dict) -> dict:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset directory; poses are checked and wrapped as ``Pose2``
-    would, and ``Dataset`` checks the actions. The directory must hold the
-    trajectories its ``summary.json`` counts, each of the length it gives,
-    and each trajectory's ``actions_file`` must be a file name in it. Pose
-    and action values must be JSON numbers (``number_array``)."""
+    """Read a dataset directory; ``Dataset`` checks the poses and actions
+    and wraps the headings. The directory must hold the trajectories its
+    ``summary.json`` counts, each of the length it gives."""
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {root}")
@@ -205,27 +212,7 @@ def load_dataset(path) -> Dataset:
     if len(traj_paths) != n_trajectories:
         raise ValueError(f"{root}: summary.json counts {n_trajectories} trajectories, "
                          f"found {len(traj_paths)} trajectory files")
-    poses, actions = [], []
-    for traj_path in traj_paths:
-        header, traj = read_trajectory_jsonl(traj_path)
-        (actions_name,) = json_fields(traj_path, header, ("actions_file",))
-        if type(actions_name) is not str or actions_name in ("", "..") \
-                or Path(actions_name).name != actions_name:
-            raise ValueError(f"{traj_path}: actions_file must name a file in {root}, "
-                             f"got {actions_name!r}")
-        actions_path = root / actions_name
-        values = read_json(actions_path)
-        try:
-            rows = number_array(values)
-        except ValueError as err:
-            raise ValueError(f"{actions_path} is not an array of numbers: {err}") from None
-        if rows.ndim != 2 or rows.shape[1] != 3:
-            raise ValueError(f"{actions_path} must hold an (L, 3) array of actions, "
-                             f"got shape {rows.shape}")
-        if len(traj) != len(rows) + 1:
-            raise ValueError(f"{traj_path} holds {len(traj)} poses for {len(rows)} actions")
-        poses.append(traj)
-        actions.append(rows)
+    poses, actions = zip(*map(read_trajectory_jsonl, traj_paths))
     lengths = {len(a) for a in actions}
     if lengths != {length}:
         raise ValueError(f"{root}: summary.json gives trajectory length {length}, "

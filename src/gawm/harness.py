@@ -484,7 +484,7 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     out_dir = stage.out_dir
     data_dir = _dataset_dir(out_dir)
     stages = _manifest_stages(out_dir, stage.config_hash)
-    if stages is None or "gen-data" not in stages:
+    if stages is None or "gen-data" not in stages or not data_dir.is_dir():
         cmd_gen_data(cfg)
     dataset = load_dataset(data_dir)
     base_ckpt = None

@@ -225,12 +225,13 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
     has been folded to. A model that draws no noise (``is_deterministic``)
     starts one stream that every config reads; any other model starts one
     per config, whose row s draws from the generator keyed (kind, k, l, s, 0)
-    of its config. The walk goes from stop to stop: the sorted distinct
-    positions of all configs, then the stream end. At a stop, each stream
-    that a config probes there folds up to it, and at the end every stream
-    that a config reads folds to its last action, as in per-pose
-    evaluation, so an invalid pose anywhere along it raises. An increment
-    model advances each stretch as one rollout. At a config's j-th position
+    of its config, built at the stream's first fold. The walk goes from
+    stop to stop: the sorted distinct positions of all configs. At a stop,
+    each stream that a config probes there folds up to it. Once no config
+    that reads a stream has a position left, the stream folds to its last
+    action, as in per-pose evaluation, so an invalid pose anywhere along it
+    raises, and is dropped. An increment model advances each stretch as
+    one rollout. At a config's j-th position
     (in sorted order) each row branches with that config's generators keyed
     1 + j (identity, inverse) or 1 + 3j for the Dirichlet weights and
     2 + 3j, 3 + 3j for the two windows (composition), and every branch
@@ -253,24 +254,29 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
     positions = [probe_positions(cfg, n) for cfg in cfgs]
     errors = [np.empty((len(actions), len(p))) for p in positions]
     shared = is_deterministic(model)
-    # each stream is [states, generators, the position it is folded to]
-    streams = [[states, _generators(model, seed, [(*key, s, 0) for s in rows]), 0]
-               for key in (keys[:1] if shared else keys)]
+    # each stream is [states, generators (None before its first fold), the
+    # position it is folded to, the key of its generators], or None once dropped
+    streams = [[states, None, 0, key] for key in (keys[:1] if shared else keys)]
     # config i reads streams[reads[i]]
     reads = [0] * len(cfgs) if shared else list(range(len(cfgs)))
+
+    def fold(stream, stop):
+        at, rngs, t, key = stream
+        if t < stop:
+            if rngs is None:
+                rngs = stream[1] = _generators(model, seed, [(*key, s, 0) for s in rows])
+            # a copy, so that no stream keeps its whole stretch of poses alive
+            stream[0] = fold_steps(model, at, actions[:, t:stop], rngs)[:, -1].copy()
+            stream[2] = stop
 
     def branch_ends(at, key, segments, slot):
         rngs = _generators(model, seed, [(*key, s, slot) for s in rows])
         return rollout_batch(model, at, segments, rngs)[:, -1]
 
-    for stop in sorted({n, *(p for ps in positions for p in ps)}):
-        probed = [c for c, ps in enumerate(positions) if stop == n or stop in ps]
-        for stream in [streams[i] for i in sorted({reads[c] for c in probed})]:
-            at, rngs, t = stream
-            if t < stop:
-                # a copy, so that no stream keeps its whole stretch of poses alive
-                stream[0] = fold_steps(model, at, actions[:, t:stop], rngs)[:, -1].copy()
-                stream[2] = stop
+    for stop in sorted({p for ps in positions for p in ps}):
+        probed = [c for c, ps in enumerate(positions) if stop in ps]
+        for i in sorted({reads[c] for c in probed}):
+            fold(streams[i], stop)
         for c, (cfg, key, ps, err) in enumerate(zip(cfgs, keys, positions, errors)):
             for j in [j for j, p in enumerate(sorted(ps)) if p == stop]:
                 stream = streams[reads[c]]
@@ -280,7 +286,7 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
                     err[:, j] = state_distances(end, at, dist)
                     if reads.count(reads[c]) > 1:
                         reads[c] = len(streams)
-                        streams.append([end, stream[1], stop])
+                        streams.append([end, stream[1], stop, stream[3]])
                     else:
                         stream[0] = end
                     continue
@@ -293,6 +299,11 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
                     recomposed = recompose(windows, weights)
                     err[:, j] = state_distances(branch_ends(at, key, windows, 2 + 3 * j),
                                                 branch_ends(at, key, recomposed, 3 + 3 * j), dist)
+        for i, stream in enumerate(streams):
+            if stream is not None and all(max(positions[c]) <= stop
+                                          for c, r in enumerate(reads) if r == i):
+                fold(stream, n)
+                streams[i] = None
     return [
         ProbeResult(kind=cfg.kind, k=cfg.k, l=cfg.l, mean=float(err.mean()), std=float(err.std()),
                     n_instances=err.size, start_positions=ps)

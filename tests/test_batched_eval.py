@@ -6,6 +6,7 @@ evaluation does, so the metric files stay byte-identical.
 """
 
 import math
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -417,6 +418,37 @@ def test_a_noisy_grid_walk_equals_its_one_config_walks(name, grid):
     report = evaluate_gac(model, *seqs, full, DIST, 7, 0.4)
     assert _float_bytes(asdict(report)) == _float_bytes(asdict(reference_gac(model, *seqs, full,
                                                                                DIST, 7, 0.4)))
+
+
+def test_a_noisy_walk_holds_a_streams_generators_only_while_a_config_reads_it(monkeypatch):
+    # on 12 actions the inverse config's one window starts at 2 and the
+    # identity config pauses at 6: the inverse stream folds to the end and
+    # is dropped before the identity stream first folds and builds its own
+    class Tracked(list):
+        pass
+
+    streams, live_at_fold = [], []
+
+    def generators(model, seed, keys):
+        rngs = Tracked(_generators(model, seed, keys))
+        if keys[0][-1] == 0:  # a stream's, not a branch's
+            streams.append(weakref.ref(rngs))
+        return rngs
+
+    def counting(model, starts, actions, rngs):
+        live_at_fold.append(sum(ref() is not None for ref in streams))
+        return fold_steps(model, starts, actions, rngs)
+
+    monkeypatch.setattr(metrics, "_generators", generators)
+    monkeypatch.setattr(metrics, "fold_steps", counting)
+    model = NOISY_WALK["noise"]()
+    cfgs = [ProbeConfig(KIND_INVERSE, k=1, l=8), ProbeConfig(KIND_IDENTITY, k=1, l=1)]
+    seqs = _turning_sequences(5, 12)
+    got = metrics._walk_probe(model, *seqs, cfgs, DIST, 7)
+    assert live_at_fold == [1, 1, 1, 1]  # inverse to 2 and 12, then identity to 6 and 12
+    assert len(streams) == 2 and all(ref() is None for ref in streams)
+    want = [_probe_alone(model, *seqs, cfg, DIST, 7) for cfg in cfgs]
+    assert _float_bytes([asdict(r) for r in got]) == _float_bytes([asdict(r) for r in want])
 
 
 NOISY_KERNELS = {"noise": (NOISY_WALK["noise"], "action noise"),

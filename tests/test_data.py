@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gawm.config import STAGE_EVAL, DatasetConfig, ExperimentConfig, stage_seed
 from gawm.data import (
@@ -92,6 +93,21 @@ def _edit_pose(root, i, t, **fields):
     return pose
 
 
+def _edit_actions(root, i, edit):
+    """Rewrite trajectory i's header actions as ``edit`` returns them."""
+    path = root / f"traj_{i:04d}.jsonl"
+    lines = path.read_text().splitlines()
+    actions = edit(json.loads(lines[0])["actions"])
+    lines[0] = json.dumps({"actions": actions})
+    path.write_text("\n".join(lines) + "\n")
+    return actions
+
+
+def _with_header(header):
+    """A text edit that replaces a trajectory file's header line by ``header``."""
+    return lambda text: json.dumps(header) + text[text.index("\n"):]
+
+
 def test_load_dataset_round_trips_the_arrays(written):
     root, data = written
     ds = load_dataset(root)
@@ -112,10 +128,7 @@ def test_load_dataset_rejects_a_non_finite_pose_as_pose2_does(written):
 @pytest.mark.parametrize("dtheta", (3.5, -math.pi - 1e-9, math.inf))
 def test_load_dataset_rejects_a_bad_action_as_increment_does(written, dtheta):
     root, _ = written
-    path = root / "actions_0002.json"
-    rows = json.loads(path.read_text())
-    rows[4][2] = dtheta
-    path.write_text(json.dumps(rows))
+    rows = _edit_actions(root, 2, lambda rows: rows[:4] + [rows[4][:2] + [dtheta]] + rows[5:])
     with pytest.raises(ValueError) as per_pose:
         ActionIncrement(*rows[4])
     with pytest.raises(ValueError) as got:
@@ -135,9 +148,9 @@ def test_load_dataset_wraps_headings_as_pose2_does(written, theta):
 
 def test_load_dataset_rejects_mismatched_lengths(written):
     root, _ = written
-    path = root / "actions_0001.json"
-    path.write_text(json.dumps(json.loads(path.read_text())[:-1]))
-    with pytest.raises(ValueError, match="7 poses for 5 actions"):
+    _edit_actions(root, 1, lambda rows: rows[:-1])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(root / 'traj_0001.jsonl'))} holds "
+                                         f"7 poses for 5 actions$"):
         load_dataset(root)
 
 
@@ -173,40 +186,31 @@ def test_load_dataset_checks_the_trajectories_against_its_summary(written):
     pytest.param("traj_0001.jsonl", lambda text: re.sub(r'"x": [^,]+', '"x": true', text, count=1),
                  ": a pose line is not an object of numbers: True is not a number$",
                  id="pose-a-bool"),
-    pytest.param("traj_0001.jsonl", lambda text: text.replace('"actions_0001.json"', "5", 1),
-                 ": actions_file must name a file in .+, got 5$", id="actions-file-an-int"),
-    pytest.param("actions_0002.json", lambda text: '[[0.1, "x", 0.0]]',
-                 " is not an array of numbers: 'x' is not a number$", id="action-not-a-number"),
-    pytest.param("actions_0002.json", lambda text: '[[0.1, "0.15", 0.0]]',
-                 " is not an array of numbers: '0.15' is not a number$",
+    pytest.param("traj_0001.jsonl", _with_header({"actions": 5}),
+                 ": the actions are not an array of numbers: not nested lists of one shape: 5$",
+                 id="actions-an-int"),
+    pytest.param("traj_0002.jsonl", _with_header({"actions": [[0.1, "x", 0.0]]}),
+                 ": the actions are not an array of numbers: 'x' is not a number$",
+                 id="action-not-a-number"),
+    pytest.param("traj_0002.jsonl", _with_header({"actions": [[0.1, "0.15", 0.0]]}),
+                 ": the actions are not an array of numbers: '0.15' is not a number$",
                  id="action-a-string-number"),
-    pytest.param("actions_0002.json", lambda text: "[[0.1, true, 0.0]]",
-                 " is not an array of numbers: True is not a number$", id="action-a-bool"),
-    pytest.param("actions_0002.json", lambda text: "[[0.1, 0.0]]",
-                 r" must hold an \(L, 3\) array of actions, got shape \(1, 2\)$",
+    pytest.param("traj_0002.jsonl", _with_header({"actions": [[0.1, True, 0.0]]}),
+                 ": the actions are not an array of numbers: True is not a number$",
+                 id="action-a-bool"),
+    pytest.param("traj_0002.jsonl", _with_header({"actions": [[0.1, 0.0]]}),
+                 r": the actions must be an \(L, 3\) array, got shape \(1, 2\)$",
                  id="action-two-columns"),
+    # the earlier layout: the actions in a separate file that the header names
+    pytest.param("traj_0000.jsonl",
+                 _with_header({"actions_file": "actions_0000.json", "model": "exact", "seed": 4}),
+                 " lacks actions$", id="old-layout"),
 ])
 def test_load_dataset_names_the_malformed_file(written, name, edit, message):
     root, _ = written
     path = root / name
     path.write_text(edit(path.read_text()))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{message}"):
-        load_dataset(root)
-
-
-@pytest.mark.parametrize("name", ["../other/actions_0001.json", "OTHER", "ds/actions_0001.json",
-                                  "..", ""])
-def test_load_dataset_reads_actions_only_from_its_own_directory(written, name):
-    # a valid action file outside the dataset, which a relative or absolute name could reach
-    root, _ = written
-    other = root.parent / "other"
-    other.mkdir()
-    (other / "actions_0001.json").write_text((root / "actions_0001.json").read_text())
-    name = str(other / "actions_0001.json") if name == "OTHER" else name
-    path = root / "traj_0001.jsonl"
-    path.write_text(path.read_text().replace('"actions_0001.json"', json.dumps(name), 1))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: actions_file must name a file "
-                                         f"in {re.escape(str(root))}, got {re.escape(repr(name))}$"):
         load_dataset(root)
 
 
@@ -220,6 +224,61 @@ def test_dataset_checks_its_actions_at_construction(dtheta):
     with pytest.raises(ValueError) as got:
         Dataset(data.poses, actions)
     assert str(got.value) == str(per_pose.value)
+
+
+def test_dataset_checks_its_poses_at_construction_as_pose2_does():
+    data = generate_records(ExactModel(), 3, 6, DIST, seed=4)
+    poses = data.poses.copy()
+    poses[1, 3, 1] = math.nan
+    with pytest.raises(ValueError) as per_pose:
+        Pose2(*poses[1, 3].tolist())
+    with pytest.raises(ValueError) as got:
+        Dataset(poses, data.actions)
+    assert str(got.value) == str(per_pose.value)
+
+
+def test_dataset_wraps_headings_on_a_copy_that_round_trips(tmp_path):
+    data = generate_records(ExactModel(), 3, 6, DIST, seed=4)
+    poses = data.poses.copy()
+    poses[0, 2, 0] = 7.0
+    ds = Dataset(poses, data.actions)
+    assert poses[0, 2, 0] == 7.0
+    assert ds.poses[0, 2].tobytes() == pose_array([Pose2(*poses[0, 2].tolist())])[0].tobytes()
+    assert ds.features[0, 2].tobytes() == per_pose_features(Pose2(*poses[0, 2].tolist())).tobytes()
+    write_dataset(tmp_path / "ds", ds, {})
+    loaded = load_dataset(tmp_path / "ds")
+    for name in ("poses", "actions", "features"):
+        assert getattr(loaded, name).tobytes() == getattr(ds, name).tobytes(), name
+
+
+# values whose JSON text is easy to get wrong: a signed zero, the smallest
+# subnormal, magnitudes near the float range, and the turn and heading bounds
+EDGES = [-0.0, 5e-324, 1e300, -1e300]
+FINITE = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+HEADINGS = st.one_of(st.sampled_from([math.pi, float(np.nextafter(-math.pi, 0.0))]), FINITE)
+TURNS = st.one_of(st.sampled_from([-0.0, 5e-324, math.pi, -math.pi]), st.floats(-math.pi, math.pi))
+EDGE_DATASET = Dataset(
+    np.array([[[math.pi, -0.0, 5e-324], [float(np.nextafter(-math.pi, 0.0)), 1e300, -1e300]]]),
+    np.array([[[-1e300, 5e-324, -math.pi]]]))
+
+
+@st.composite
+def datasets(draw):
+    n, t = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    poses = [[[draw(HEADINGS), draw(FINITE), draw(FINITE)] for _ in range(t + 1)] for _ in range(n)]
+    actions = [[[draw(FINITE), draw(FINITE), draw(TURNS)] for _ in range(t)] for _ in range(n)]
+    return Dataset(np.array(poses), np.array(actions))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=datasets())
+@example(data=EDGE_DATASET)
+def test_write_then_load_returns_the_same_arrays(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("ds")
+    write_dataset(root, data, {"seed": 0, "model": "exact"})
+    loaded = load_dataset(root)
+    for name in ("poses", "actions", "features"):
+        assert getattr(loaded, name).tobytes() == getattr(data, name).tobytes(), name
 
 
 def test_dataset_segments_are_read_only_views_equal_to_checked_copies():

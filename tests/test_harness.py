@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shutil
 import types
 import typing
 from dataclasses import asdict, fields, is_dataclass, replace
@@ -281,10 +282,11 @@ def test_gen_data_writes_expected_files(tmp_path):
     cfg = tiny_config(tmp_path / "run")
     data_dir = cmd_gen_data(cfg)
     trajs = sorted(data_dir.glob("traj_*.jsonl"))
+    assert sorted(p.name for p in data_dir.iterdir()) == ["summary.json"] + [p.name for p in trajs]
     assert len(trajs) == 10
     first = trajs[0].read_text().strip().splitlines()
     assert len(first) == 1 + 33  # header + poses
-    assert (data_dir / "summary.json").exists()
+    assert len(json.loads(first[0])["actions"]) == 32
     assert (Path(cfg.out_dir) / "manifest.json").exists()
 
 
@@ -304,10 +306,12 @@ def _with_trajectories(cfg, n, **changes):
 
 def test_gen_data_replaces_an_earlier_dataset_in_its_directory(tmp_path):
     # a rerun with fewer trajectories must not leave the earlier run's extra
-    # files behind, nor the temp file of a killed write
+    # files behind, nor the temp file of a killed write, nor an action file
+    # of the earlier layout, which kept each trajectory's actions apart
     cfg = tiny_config(tmp_path / "regen")
     data_dir = cmd_gen_data(_with_trajectories(cfg, 12))
     (data_dir / "traj_0003.jsonl.tmp").write_text('{"half": ')
+    (data_dir / "actions_0003.json").write_text("[[0.1, 0.0, 0.0]]\n")
     assert cmd_gen_data(_with_trajectories(cfg, 5)) == data_dir
     fresh = cmd_gen_data(_with_trajectories(cfg, 5, out_dir=str(tmp_path / "fresh")))
     assert sorted(p.name for p in data_dir.iterdir()) == sorted(p.name for p in fresh.iterdir())
@@ -351,6 +355,28 @@ def test_ablate_regenerates_a_dataset_no_gen_data_entry_vouches_for(tmp_path, mo
     cmd_ablate(cfg, "mode")
     assert len(generated) == 1 and len(loaded) == 2
     assert np.array_equal(loaded[1].poses, want.poses)
+
+
+def test_ablate_over_an_old_layout_dataset_fails_until_it_is_deleted(tmp_path):
+    # the earlier layout kept each trajectory's actions in an actions_NNNN.json
+    # file that the header named; a manifest still vouches for the directory
+    cfg = tiny_config(tmp_path / "run", steps=4)
+    cmd_ablate(cfg, "mode")
+    data_dir = Path(cfg.out_dir) / "dataset"
+    want = load_dataset(data_dir)
+    for i, path in enumerate(sorted(data_dir.glob("traj_*.jsonl"))):
+        header, *poses = path.read_text().splitlines()
+        (data_dir / f"actions_{i:04d}.json").write_text(json.dumps(json.loads(header)["actions"]))
+        header = {"actions_file": f"actions_{i:04d}.json", "model": "exact", "seed": 0}
+        path.write_text("\n".join([json.dumps(header), *poses]) + "\n")
+    first = data_dir / "traj_0000.jsonl"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(first))} lacks actions$"):
+        cmd_ablate(cfg, "mode")
+    shutil.rmtree(data_dir)
+    cmd_ablate(cfg, "mode")
+    got = load_dataset(data_dir)
+    assert got.poses.tobytes() == want.poses.tobytes()
+    assert got.actions.tobytes() == want.actions.tobytes()
 
 
 @pytest.fixture(scope="module")

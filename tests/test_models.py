@@ -216,10 +216,10 @@ def test_trajectory_jsonl_round_trip(tmp_path):
     seg = _random_segment(_rng(8), 5)
     traj = rollout(ExactModel(), Pose2(0.3, -1.0, 2.0), seg, 0)
     path = tmp_path / "traj.jsonl"
-    write_trajectory_jsonl(path, traj.as_array(), {"seed": 0, "model": "exact", "actions_file": "a.json"})
-    header, loaded = read_trajectory_jsonl(path)
-    assert header["model"] == "exact"
-    assert np.array_equal(loaded, traj.as_array())
+    write_trajectory_jsonl(path, traj.as_array(), seg.array)
+    poses, actions = read_trajectory_jsonl(path)
+    assert np.array_equal(poses, traj.as_array())
+    assert np.array_equal(actions, seg.array)
     # one {"theta", "x", "y"} object per line, as Pose2.to_dict writes it
     assert path.read_text().splitlines()[1] == json.dumps(traj[0].to_dict())
 
