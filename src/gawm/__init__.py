@@ -3,17 +3,14 @@
 from .se2 import DistanceParams, Pose2, se2_compose, se2_identity, se2_inverse, state_distance, wrap_angle
 from .segments import (
     ActionIncrement,
-    ActionSegment,
     DirichletParams,
     make_compatibility_segment,
-    make_identity_segment,
     make_inverse_segment,
     sample_dirichlet_weights,
 )
 from .models import (
     ExactModel,
     PerturbedModel,
-    Trajectory,
     ViolationConfig,
     WorldModel,
     exact_step,

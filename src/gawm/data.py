@@ -84,8 +84,9 @@ def evaluation_sequences(n: int, length: int, action_dist: ActionDistribution,
 
 
 class Dataset:
-    """Equal-length trajectories: ``poses`` (N, T+1, 3), ``actions`` (N, T, 3)
-    and every pose's (x, y, cos theta, sin theta) in ``features`` (N, T+1, 4).
+    """Equal-length trajectories of T >= 1 actions: ``poses`` (N, T+1, 3),
+    ``actions`` (N, T, 3) and every pose's (x, y, cos theta, sin theta) in
+    ``features`` (N, T+1, 4).
 
     Every pose and action is checked once, here: a pose as ``Pose2``
     checks it, its heading wrapped into (-pi, pi] on a copy, and an
@@ -101,6 +102,8 @@ class Dataset:
         if poses.shape != (n, t + 1, 3) or actions.shape != (n, t, 3):
             raise ValueError(f"expected (N, T+1, 3) poses and (N, T, 3) actions, "
                              f"got {poses.shape} and {actions.shape}")
+        if t < 1:
+            raise ValueError(f"a trajectory needs at least one action, got {actions.shape} actions")
         check_finite_poses(poses)
         check_increments(actions.reshape(-1, 3))
         self.poses = np.array(poses, dtype=np.float64)

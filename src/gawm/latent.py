@@ -20,9 +20,9 @@ import numpy as np
 
 from . import autograd as ag
 from .artifacts import number_array, write_json
-from .models import Trajectory, _BatchModel, row_normals
+from .models import _BatchModel, row_normals
 from .se2 import Pose2, check_finite_poses, pose_array, wrap_angles
-from .segments import ActionIncrement, ActionSegment
+from .segments import ActionIncrement, check_segment
 
 CHECKPOINT_VERSION = "gawm-checkpoint-1"
 
@@ -268,12 +268,13 @@ class LearnedWorldModel(_BatchModel):
     one row of ``step_batch``, through which the consistency probes drive
     the model.
 
-    ``sample_trajectory`` is the model's native rollout: the latent state
-    is carried across steps without re-encoding, with seeded noise
+    ``rollout_batch`` is the model's native rollout: the latent state is
+    carried across steps without re-encoding, with seeded noise
     perturbing each transition input, and every latent is decoded into
-    the recovered trajectory. The dispersion metric prefers this path
-    when present, so accumulated inconsistency in the model's own
-    rollout dynamics is what gets measured.
+    the recovered trajectory; ``sample_trajectory`` is one row of it. The
+    dispersion metric prefers this path to the fold of ``step``, so
+    accumulated inconsistency in the model's own rollout dynamics is
+    what gets measured.
     """
 
     def __init__(
@@ -325,10 +326,10 @@ class LearnedWorldModel(_BatchModel):
         poses[:, 1:] = _decode_rows(latents, self.decoder)
         return poses
 
-    def sample_trajectory(self, start: Pose2, actions, rng: np.random.Generator) -> Trajectory:
-        """One row of ``rollout_batch``, as a trajectory."""
-        poses = self.rollout_batch(pose_array([start]), ActionSegment(actions).array[None], [rng])
-        return Trajectory([Pose2(*row) for row in poses[0].tolist()])
+    def sample_trajectory(self, start: Pose2, actions, rng: np.random.Generator) -> np.ndarray:
+        """One row of ``rollout_batch``: the native rollout of an (L, 3)
+        action array from ``start``, as (L+1, 3) poses."""
+        return self.rollout_batch(pose_array([start]), check_segment(actions)[None], [rng])[0]
 
     def with_obs_noise(self, sigma: float) -> "LearnedWorldModel":
         enc = FeatureEncoder(

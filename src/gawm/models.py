@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
 from .se2 import Pose2, check_finite_poses, pose_array, wrap_angles
-from .segments import ActionIncrement, ActionSegment, ZERO_INCREMENT
+from .segments import ActionIncrement, ZERO_INCREMENT, check_segment
 
 
 class WorldModel(Protocol):
@@ -42,31 +42,6 @@ def is_deterministic(model: WorldModel) -> bool:
     for every row's generator; a model without the attribute is
     evaluated in full."""
     return getattr(model, "deterministic", False)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """An ordered pose sequence of length T+1, including the start pose."""
-
-    poses: tuple[Pose2, ...]
-
-    def __init__(self, poses: Sequence[Pose2]):
-        if len(poses) < 1:
-            raise ValueError("a trajectory must contain at least the start pose")
-        object.__setattr__(self, "poses", tuple(poses))
-
-    def __len__(self) -> int:
-        return len(self.poses)
-
-    def __getitem__(self, i):
-        return self.poses[i]
-
-    def __iter__(self):
-        return iter(self.poses)
-
-    def as_array(self) -> np.ndarray:
-        """(T+1, 3) array of ``[theta, x, y]`` rows."""
-        return pose_array(self.poses)
 
 
 def exact_step(state: Pose2, action: ActionIncrement) -> Pose2:
@@ -266,18 +241,13 @@ class PerturbedModel(_IncrementModel):
         return increments
 
 
-def rollout(
-    model: WorldModel,
-    start: Pose2,
-    actions: ActionSegment,
-    rng: np.random.Generator | int,
-) -> Trajectory:
-    """Fold the model's step over an action segment, collecting every pose:
-    one row of ``fold_steps``."""
+def rollout(model: WorldModel, start: Pose2, actions, rng: np.random.Generator | int) -> np.ndarray:
+    """Fold the model's step over an (L, 3) action array from ``start``,
+    as (L+1, 3) ``[theta, x, y]`` poses: one row of ``fold_steps``. An
+    int ``rng`` seeds a PCG64 generator."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.Generator(np.random.PCG64(rng))
-    poses = fold_steps(model, pose_array([start]), ActionSegment(actions).array[None], [rng])
-    return Trajectory([start] + [Pose2(*row) for row in poses[0, 1:].tolist()])
+    return fold_steps(model, pose_array([start]), check_segment(actions)[None], [rng])[0]
 
 
 def step_batch(model: WorldModel, states: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
@@ -317,18 +287,10 @@ def rollout_batch(model: WorldModel, starts: np.ndarray, actions: np.ndarray, rn
 
     ``starts`` is (B, 3) ``[theta, x, y]``, ``actions`` is (B, T, 3)
     ``[dx, dy, dtheta]``, and row b draws only from ``rngs[b]``. A model's
-    own ``rollout_batch`` runs all rows at once; otherwise each row goes
-    through the model's ``sample_trajectory``, or, if it has none, all
-    rows fold its step (``fold_steps``).
+    own ``rollout_batch`` runs all rows at once; otherwise all rows fold
+    its step (``fold_steps``).
     """
     native = getattr(model, "rollout_batch", None)
     if native is not None:
         return native(starts, actions, rngs)
-    sampler = getattr(model, "sample_trajectory", None)
-    if sampler is None:
-        return fold_steps(model, starts, actions, rngs)
-    return np.stack([
-        sampler(Pose2(*start), ActionSegment(row), rng).as_array()
-        for start, row, rng in zip(starts.tolist(), actions, rngs)
-    ])
-
+    return fold_steps(model, starts, actions, rngs)

@@ -61,13 +61,6 @@ class Pose2:
             raise ValueError(f"Pose2 components must be finite, got {(self.theta, self.x, self.y)}")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
-    def to_dict(self) -> dict:
-        return {"theta": self.theta, "x": self.x, "y": self.y}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Pose2":
-        return Pose2(theta=float(d["theta"]), x=float(d["x"]), y=float(d["y"]))
-
 
 def pose_array(poses) -> np.ndarray:
     """(N, 3) array of ``[theta, x, y]`` rows for a sequence of poses."""

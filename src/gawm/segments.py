@@ -3,10 +3,10 @@
 An increment is a local body-frame motion (dx, dy, dtheta). A segment is
 a finite ordered sequence of increments, held as one read-only (L, 3)
 array of ``[dx, dy, dtheta]`` rows. From a base segment we derive
-zero-action segments, forward-inverse cycles, and Dirichlet-recomposed
-segments whose accumulated increments match the original, for one
-window or a (..., L, 3) stack of them. ``ActionIncrement`` is the
-per-pose form that ``WorldModel.step`` takes.
+forward-inverse cycles and Dirichlet-recomposed segments whose
+accumulated increments match the original, for one window or a
+(..., L, 3) stack of them. ``ActionIncrement`` is the per-pose form of
+one row, which ``WorldModel.step`` takes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -44,48 +43,6 @@ class ActionIncrement:
 ZERO_INCREMENT = ActionIncrement(0.0, 0.0, 0.0)
 
 
-class ActionSegment:
-    """An ordered, possibly empty sequence of increments, as one read-only
-    (L, 3) float64 array ``array``.
-
-    Built from an (L, 3) array (copied) or a sequence of increments, and
-    checked once as ``ActionIncrement`` checks each increment. Slicing returns a segment over a view of the same
-    array; indexing and iterating yield ``ActionIncrement`` values, for
-    per-pose folds.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, rows=()):
-        if isinstance(rows, ActionSegment):
-            self.array = rows.array
-            return
-        if not isinstance(rows, np.ndarray):
-            rows = [(a.dx, a.dy, a.dtheta) if isinstance(a, ActionIncrement) else a for a in rows]
-        array = np.array(rows, dtype=np.float64)
-        if array.size == 0:
-            array = array.reshape(0, 3)
-        if array.ndim != 2 or array.shape[1] != 3:
-            raise ValueError(f"a segment is an (L, 3) array, got shape {array.shape}")
-        check_increments(array)
-        array.flags.writeable = False
-        self.array = array
-
-    def __len__(self) -> int:
-        return len(self.array)
-
-    def __iter__(self) -> Iterator[ActionIncrement]:
-        return (ActionIncrement(*row) for row in self.array.tolist())
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _valid_segment(self.array[i])
-        return ActionIncrement(*self.array[i].tolist())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ActionSegment) and np.array_equal(self.array, other.array)
-
-
 def check_increments(rows: np.ndarray) -> None:
     """Check (L, 3) ``[dx, dy, dtheta]`` rows in one pass, as ``ActionIncrement``
     checks each; a bad row raises its ``ValueError`` (the first in row order)."""
@@ -96,12 +53,17 @@ def check_increments(rows: np.ndarray) -> None:
                 ActionIncrement(*row)  # raises at the first bad row
 
 
-def _valid_segment(array: np.ndarray) -> ActionSegment:
-    """A segment over ``array`` without the checks, for rows known to pass them."""
-    segment = object.__new__(ActionSegment)
+def check_segment(rows) -> np.ndarray:
+    """``rows`` as a read-only (L, 3) float64 array (a copy), checked as
+    ``ActionIncrement`` checks each row; an empty list is a (0, 3) segment."""
+    array = np.array(rows, dtype=np.float64)
+    if array.shape == (0,):
+        array = array.reshape(0, 3)
+    if array.ndim != 2 or array.shape[1] != 3:
+        raise ValueError(f"a segment is an (L, 3) array, got shape {array.shape}")
+    check_increments(array)
     array.flags.writeable = False
-    segment.array = array
-    return segment
+    return array
 
 
 # A gamma variate of shape c underflows to 0 with probability about
@@ -126,26 +88,19 @@ class DirichletParams:
                              f"variates underflow to 0, got {self.concentration}")
 
 
-def make_identity_segment(l: int) -> ActionSegment:
-    """A segment of l zero increments."""
-    if l < 1:
-        raise ValueError(f"identity segment length must be >= 1, got {l}")
-    return _valid_segment(np.zeros((l, 3)))
-
-
-def make_inverse_segment(u) -> ActionSegment:
+def make_inverse_segment(u) -> np.ndarray:
     """Forward-inverse cycle: u followed by its reversed, negated increments.
 
-    ``u`` is a segment or an (L, 3) array. The increments cancel
-    componentwise, so the cumulative sum is exactly zero. Note this
-    elementwise negation is a local operational inverse, not the exact
-    SE(2) group inverse of the composed motion. This is the one-window
-    case of ``inverse_cycles``.
+    ``u`` is an (L, 3) array and the cycle a read-only (2L, 3) one. The
+    increments cancel componentwise, so the cumulative sum is exactly
+    zero. Note this elementwise negation is a local operational inverse,
+    not the exact SE(2) group inverse of the composed motion. This is the
+    one-window case of ``inverse_cycles``.
     """
-    u = ActionSegment(u).array
+    u = check_segment(u)
     if len(u) == 0:
         raise ValueError("cannot build an inverse cycle from an empty segment")
-    return _valid_segment(inverse_cycles(u))
+    return inverse_cycles(u)
 
 
 def inverse_cycles(windows: np.ndarray) -> np.ndarray:
@@ -310,18 +265,19 @@ def sample_dirichlet_weights(l: int, params: DirichletParams,
 
 
 def make_compatibility_segment(u_a, params: DirichletParams,
-                               rng: np.random.Generator) -> ActionSegment:
+                               rng: np.random.Generator) -> np.ndarray:
     """Redistribute u_a's accumulated increments over a same-length segment.
 
-    ``u_a`` is a segment or an (L, 3) array. Each output increment is a
-    Dirichlet weight times the cumulative sum of u_a, so both segments
-    accumulate to the same total while realizing it on different
-    temporal schedules. This is the one-window case of ``recompose``.
+    ``u_a`` is an (L, 3) array and the result a read-only one. Each
+    output increment is a Dirichlet weight times the cumulative sum of
+    u_a, so both segments accumulate to the same total while realizing it
+    on different temporal schedules. This is the one-window case of
+    ``recompose``.
     """
-    u_a = ActionSegment(u_a).array
+    u_a = check_segment(u_a)
     if len(u_a) == 0:
         raise ValueError("cannot recompose an empty segment")
-    return _valid_segment(recompose(u_a, sample_dirichlet_weights(len(u_a), params, rng)))
+    return recompose(u_a, sample_dirichlet_weights(len(u_a), params, rng))
 
 
 def recompose(windows: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -14,8 +14,9 @@ import math
 import numpy as np
 
 from gawm.latent import HeadingUndefinedError, LearnedWorldModel, net_step, pose_features
-from gawm.models import ExactModel, PerturbedModel, Trajectory
+from gawm.models import ExactModel, PerturbedModel
 from gawm.se2 import Pose2, pose_array, se2_compose
+from gawm.segments import ActionIncrement
 from gawm.training import NonFiniteLossError, train_group
 
 
@@ -49,11 +50,21 @@ def random_pose(rng: np.random.Generator, pos_scale: float = 5.0) -> Pose2:
     )
 
 
+def increments(rows) -> list[ActionIncrement]:
+    """The ``ActionIncrement`` of each ``[dx, dy, dtheta]`` row of an (L, 3) array."""
+    return [ActionIncrement(*row) for row in np.asarray(rows, dtype=np.float64).reshape(-1, 3).tolist()]
+
+
+def pose_list(poses) -> list[Pose2]:
+    """The ``Pose2`` of each ``[theta, x, y]`` row of a (T+1, 3) pose array."""
+    return [Pose2(*row) for row in np.asarray(poses).tolist()]
+
+
 def latent_rollout_endpoint(z0: np.ndarray, u, net) -> np.ndarray:
-    """Fold the latent transition over a segment, one increment at a time;
-    an empty segment returns z0."""
+    """Fold the latent transition over an (L, 3) action array, one increment
+    at a time; an empty segment returns z0."""
     z = z0
-    for a in u:
+    for a in increments(u):
         z = net_step(z, a, net)
     return z
 
@@ -144,17 +155,17 @@ def per_pose_step(model, state: Pose2, action, rng) -> Pose2:
     return model.step(state, action, rng)
 
 
-def rollout(model, start: Pose2, actions, rng) -> Trajectory:
-    """Fold ``per_pose_step`` over an action segment, collecting every pose;
-    an int ``rng`` seeds a PCG64 generator."""
+def rollout(model, start: Pose2, actions, rng) -> list[Pose2]:
+    """Fold ``per_pose_step`` over an (L, 3) action array, collecting every
+    pose; an int ``rng`` seeds a PCG64 generator."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.Generator(np.random.PCG64(rng))
     poses = [start]
     state = start
-    for a in actions:
+    for a in increments(actions):
         state = per_pose_step(model, state, a, rng)
         poses.append(state)
-    return Trajectory(poses)
+    return poses
 
 
 def train(run, cfg, dataset, encoder, seed, initial_net=None):
@@ -298,16 +309,13 @@ def per_pose_rollout(model, start: Pose2, actions, rng) -> list[Pose2]:
         sigma = model.encoder.obs_noise_sigma
         z = encode(start, model.encoder, rng)
         poses = [start]
-        for a in actions:
+        for a in increments(actions):
             if sigma > 0.0:
                 z = z + rng.normal(0.0, sigma, size=z.shape)
             z = net_step(z, a, model.net)
             poses.append(decode(z, model.decoder))
         return poses
-    sampler = getattr(model, "sample_trajectory", None)
-    if sampler is not None:
-        return list(sampler(start, actions, rng))
-    return list(rollout(model, start, actions, rng))
+    return rollout(model, start, actions, rng)
 
 
 def reference_probe(model, starts, streams, cfg, dist, seed, concentration=1.0):
@@ -316,10 +324,7 @@ def reference_probe(model, starts, streams, cfg, dist, seed, concentration=1.0):
         window_positions,
     )
     from gawm.se2 import state_distance
-    from gawm.segments import (
-        ActionSegment, DirichletParams, ZERO_INCREMENT, make_compatibility_segment,
-        make_inverse_segment,
-    )
+    from gawm.segments import DirichletParams, make_compatibility_segment, make_inverse_segment
 
     code = {"identity": 0, "inverse": 1, "composition": 2}[cfg.kind]
 
@@ -330,7 +335,7 @@ def reference_probe(model, starts, streams, cfg, dist, seed, concentration=1.0):
     errors = []
     positions = ()
     for s, (start, rows) in enumerate(zip(starts, streams)):
-        actions = ActionSegment(rows)
+        actions = np.asarray(rows, dtype=np.float64)
         n = len(actions)
         if cfg.kind == KIND_IDENTITY:
             positions = identity_positions(n, cfg.k)
@@ -343,7 +348,7 @@ def reference_probe(model, starts, streams, cfg, dist, seed, concentration=1.0):
                 if p != i:
                     continue
                 if cfg.kind == KIND_IDENTITY:
-                    pause = ActionSegment([ZERO_INCREMENT] * cfg.l)
+                    pause = np.zeros((cfg.l, 3))
                     end = per_pose_rollout(model, state, pause, rng(s, 1 + j))[-1]
                     errors.append(state_distance(end, state, dist))
                     state = end
@@ -358,7 +363,7 @@ def reference_probe(model, starts, streams, cfg, dist, seed, concentration=1.0):
                     end = per_pose_rollout(model, state, cycle, rng(s, 1 + j))[-1]
                     errors.append(state_distance(end, state, dist))
             if i < n:
-                state = per_pose_step(model, state, actions[i], stream)
+                state = per_pose_step(model, state, ActionIncrement(*actions[i].tolist()), stream)
     arr = np.array(errors)
     return ProbeResult(cfg.kind, cfg.k, cfg.l, float(arr.mean()), float(arr.std()),
                        len(errors), tuple(positions))
@@ -419,12 +424,11 @@ def reference_gar_error(trajs: list, alpha: float, aligned: bool) -> float:
 
 def reference_gar(model, starts, streams, horizons, n_rollouts, dist, seed, note=None):
     from gawm.metrics import GarEntry, GarReport
-    from gawm.segments import ActionSegment
 
     horizons = sorted(horizons)
     per = {h: ([], []) for h in horizons}
     for s, (start, rows) in enumerate(zip(starts, streams)):
-        full = [per_pose_rollout(model, Pose2(*start), ActionSegment(rows)[: horizons[-1]],
+        full = [per_pose_rollout(model, Pose2(*start), rows[: horizons[-1]],
                                  spawned_rng(seed, 3, s, i))
                 for i in range(n_rollouts)]
         for h in horizons:
@@ -442,33 +446,30 @@ def reference_gar(model, starts, streams, horizons, n_rollouts, dist, seed, note
 # --- per-pose reference for the array data path --------------------------
 #
 # Dataset generation and the held-out prediction loss as they ran one
-# Pose2 at a time: a Pose2 start, an ActionSegment of ActionIncrements, a
+# Pose2 at a time: a Pose2 start, ActionIncrements of an (L, 3) array, a
 # ``rollout`` fold of the model's per-pose step, and features from math.cos
 # and math.sin. The array path must reproduce these exactly (==).
 
 
 def per_pose_sequence(rng, length, action_dist, start_pos_sigma=1.0):
-    """One start pose and action segment, drawn as the per-pose sampler drew them."""
-    from gawm.segments import ActionIncrement, ActionSegment
-
+    """One start pose and (L, 3) action array, drawn as the per-pose sampler drew them."""
     x, y = rng.normal(0.0, start_pos_sigma, size=2)
     theta = rng.uniform(-math.pi, math.pi)
     start = Pose2(theta=theta, x=float(x), y=float(y))
     dx = rng.normal(action_dist.mean_dx, action_dist.sigma_dx, size=length)
     dy = rng.normal(0.0, action_dist.sigma_dy, size=length)
     dth = np.clip(rng.normal(0.0, action_dist.sigma_dtheta, size=length), -math.pi, math.pi)
-    actions = ActionSegment(
-        [ActionIncrement(float(dx[i]), float(dy[i]), float(dth[i])) for i in range(length)])
-    return start, actions
+    steps = [ActionIncrement(float(dx[i]), float(dy[i]), float(dth[i])) for i in range(length)]
+    return start, np.array([a.as_array() for a in steps]).reshape(-1, 3)
 
 
 def per_pose_records(model, n, length, action_dist, seed, start_pos_sigma=1.0):
-    """(poses, actions) of every trajectory: a list of Pose2 and an ActionSegment."""
+    """(poses, actions) of every trajectory: a list of Pose2 and an (L, 3) array."""
     records = []
     for i in range(n):
         rng = spawned_rng(seed, i)
         start, actions = per_pose_sequence(rng, length, action_dist, start_pos_sigma)
-        records.append((list(rollout(model, start, actions, rng)), actions))
+        records.append((rollout(model, start, actions, rng), actions))
     return records
 
 
@@ -493,7 +494,7 @@ def per_pose_held_out_loss(model, net, encoder, length, action_dist, seed, start
 
     z_in = encode_columns([s for s, _, _ in transitions])
     z_next = encode_columns([s2 for _, _, s2 in transitions])
-    actions = np.stack([a.as_array() for _, a, _ in transitions], axis=1)
+    actions = np.stack([a for _, a, _ in transitions], axis=1)
     w1, b1, w2, b2 = net.weights()
     x = np.concatenate([z_in, actions], axis=0)
     diff = (z_in + ((w2 @ np.tanh(w1 @ x + b1[:, None])) + b2[:, None])) - z_next

@@ -30,11 +30,12 @@ from gawm.metrics import (
     probe_identity,
     probe_inverse,
 )
-from gawm.models import ExactModel, PerturbedModel, Trajectory, ViolationConfig, rollout
-from gawm.se2 import DistanceParams, Pose2, se2_compose, se2_identity, se2_inverse, state_distance
+from gawm.models import ExactModel, PerturbedModel, ViolationConfig, rollout
+from gawm.se2 import (
+    DistanceParams, Pose2, pose_array, se2_compose, se2_identity, se2_inverse, state_distance,
+)
 from gawm.segments import (
     ActionIncrement,
-    ActionSegment,
     DirichletParams,
     keyed_rng,
     sample_dirichlet_weights,
@@ -51,6 +52,7 @@ from oracles import (
     central_difference,
     compose_matrix,
     increment_pose,
+    increments,
     oracle_probe_composition,
     oracle_probe_identity,
     oracle_probe_inverse,
@@ -99,19 +101,19 @@ def test_criterion_1_group_axiom_suite():
         for _ in range(1000):
             start = random_pose(rng)
             n = int(rng.integers(1, 9))
-            seg = ActionSegment(
+            seg = np.array(
                 [
-                    ActionIncrement(
+                    [
                         float(rng.uniform(-0.5, 0.5)),
                         float(rng.uniform(-0.5, 0.5)),
                         float(rng.uniform(-0.5, 0.5)),
-                    )
+                    ]
                     for _ in range(n)
                 ]
             )
-            end = rollout(model, start, seg, 0)[-1]
+            end = Pose2(*rollout(model, start, seg, 0)[-1])
             composed = start
-            for a in seg:
+            for a in increments(seg):
                 composed = se2_compose(composed, increment_pose(a))
             assert state_distance(end, composed, DIST) <= 1e-9
 
@@ -137,16 +139,14 @@ def test_criterion_3_oracle_equivalence():
         for s in range(5):
             start = random_pose(rng, 2.0)
             starts[s] = [start.theta, start.x, start.y]
-            sequences[s] = ActionSegment(
+            sequences[s] = [
                 [
-                    ActionIncrement(
-                        float(rng.normal(0.1, 0.05)),
-                        float(rng.normal(0.0, 0.03)),
-                        float(np.clip(rng.normal(0.0, 0.1), -1, 1)),
-                    )
-                    for _ in range(14)
+                    float(rng.normal(0.1, 0.05)),
+                    float(rng.normal(0.0, 0.03)),
+                    float(np.clip(rng.normal(0.0, 0.1), -1, 1)),
                 ]
-            ).array
+                for _ in range(14)
+            ]
         injectors = [
             (ViolationConfig(drift_bias=ActionIncrement(0.05, -0.02, 0.03)), {"drift": (0.05, -0.02, 0.03)}),
             (ViolationConfig(saturation_scale=1.0), {"sat": 1.0}),
@@ -178,10 +178,10 @@ def test_criterion_3_oracle_equivalence():
 
         # closed-form spot values
         sat = PerturbedModel(ViolationConfig(saturation_scale=1.0))
-        u_a = ActionSegment([ActionIncrement(2, 0, 0), ActionIncrement(0, 0, 0)])
-        u_b = ActionSegment([ActionIncrement(1, 0, 0), ActionIncrement(1, 0, 0)])
-        end_a = rollout(sat, Pose2(0, 0, 0), u_a, 0)[-1]
-        end_b = rollout(sat, Pose2(0, 0, 0), u_b, 0)[-1]
+        u_a = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        u_b = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        end_a = Pose2(*rollout(sat, Pose2(0, 0, 0), u_a, 0)[-1])
+        end_b = Pose2(*rollout(sat, Pose2(0, 0, 0), u_b, 0)[-1])
         expected = abs(math.tanh(2.0) - 2.0 * math.tanh(1.0))
         assert abs(state_distance(end_a, end_b, DIST) - expected) <= 1e-12
 
@@ -212,9 +212,9 @@ def test_criterion_5_dispersion_formula_and_noise_scaling():
     with criterion(5, "dispersion matches the double-loop oracle and scales with noise", 60.0):
         rng = _rng(5555)
         trajs = [
-            Trajectory([random_pose(rng, 2.0) for _ in range(8)]) for _ in range(3)
+            [random_pose(rng, 2.0) for _ in range(8)] for _ in range(3)
         ]
-        got = gar_error(np.stack([t.as_array() for t in trajs]), DIST, aligned=False)
+        got = gar_error(np.stack([pose_array(t) for t in trajs]), DIST, aligned=False)
         total = 0.0
         for i in range(3):
             for j in range(i + 1, 3):

@@ -51,7 +51,7 @@ from gawm.se2 import (
     wrap_angle,
     wrap_angles,
 )
-from gawm.segments import ActionIncrement, ActionSegment, keyed_rng, keyed_rngs
+from gawm.segments import ActionIncrement, keyed_rng, keyed_rngs
 
 import oracles
 from oracles import (
@@ -102,11 +102,11 @@ def _turning_sequences(n=5, length=20, seed=0):
                       float(rng.normal()), float(rng.normal()))
         turn = 0.3 if i % 2 else -0.3
         starts[i] = pose_array([start])[0]
-        actions[i] = ActionSegment([
-            ActionIncrement(float(rng.normal(0.08, 0.04)), float(rng.normal(0.0, 0.03)),
-                            float(turn + rng.normal(0.0, 0.1)))
+        actions[i] = np.reshape([
+            [float(rng.normal(0.08, 0.04)), float(rng.normal(0.0, 0.03)),
+             float(turn + rng.normal(0.0, 0.1))]
             for _ in range(length)
-        ]).array
+        ], (length, 3))
     return starts, actions
 
 
@@ -122,7 +122,7 @@ def test_rollout_batch_equals_per_pose_rollout(name):
     starts, actions = _turning_sequences()
     got = rollout_batch(model, starts, actions, [_rng(100 + b) for b in range(len(starts))])
     for b, (start, row) in enumerate(zip(starts, actions)):
-        want = pose_array(per_pose_rollout(model, Pose2(*start), ActionSegment(row), _rng(100 + b)))
+        want = pose_array(per_pose_rollout(model, Pose2(*start), row, _rng(100 + b)))
         assert np.array_equal(got[b], want), b
     one = rollout_batch(model, starts[:1], actions[:1], [_rng(100)])
     assert np.array_equal(one[0], got[0])
@@ -136,7 +136,7 @@ def test_step_batch_equals_model_step(name):
     actions = [ActionIncrement(float(rng.normal(0.1, 0.1)), float(rng.normal(0.0, 0.1)),
                                float(rng.uniform(-math.pi, math.pi))) for _ in poses]
     actions[-1] = ActionIncrement(0.1, 0.0, -math.pi)
-    got = step_batch(model, pose_array(poses), ActionSegment(actions).array,
+    got = step_batch(model, pose_array(poses), np.array([a.as_array() for a in actions]),
                      [_rng(200 + b) for b in range(len(poses))])
     want = pose_array([per_pose_step(model, p, a, _rng(200 + b))
                        for b, (p, a) in enumerate(zip(poses, actions))])
@@ -151,9 +151,9 @@ def test_rollout_is_one_row_of_fold_steps(name):
     model = MODELS[name]()
     starts, actions = _turning_sequences(3, 15)
     for b, (start, row) in enumerate(zip(starts, actions)):
-        got = rollout(model, Pose2(*start), ActionSegment(row), 40 + b)
-        assert tuple(got) == tuple(oracles.rollout(model, Pose2(*start), ActionSegment(row), 40 + b))
-        assert np.array_equal(got.as_array(),
+        got = rollout(model, Pose2(*start), row, 40 + b)
+        assert got.tobytes() == pose_array(oracles.rollout(model, Pose2(*start), row, 40 + b)).tobytes()
+        assert np.array_equal(got,
                               fold_steps(model, starts[b : b + 1], actions[b : b + 1], [_rng(40 + b)])[0])
 
 
@@ -688,7 +688,7 @@ def test_batch_path_rejects_non_finite_poses():
         learned.net.weights()[3][:] = 1e308
         start = Pose2(0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="finite"):
-            per_pose_rollout(learned, start, ActionSegment([ActionIncrement(0.1, 0, 0)] * 3), None)
+            per_pose_rollout(learned, start, np.tile([0.1, 0.0, 0.0], (3, 1)), None)
         with pytest.raises(ValueError, match="finite"):
             rollout_batch(learned, starts[:1], np.tile([0.1, 0.0, 0.0], (1, 3, 1)), [None])
 

@@ -2,7 +2,7 @@
 
 Datasets are arrays generated by stepping every trajectory at once with
 ``models.step_batch``. The per-pose path in ``oracles`` (Pose2 starts,
-ActionSegments of increments, a per-pose ``rollout``) is what they must
+increments of (L, 3) action arrays, a per-pose ``rollout``) is what they must
 reproduce, including the generator draws. Comparisons use ``tobytes``,
 so a flipped zero sign counts as a difference.
 """
@@ -24,7 +24,7 @@ from gawm.harness import _held_out_prediction_loss, parse_model_ref
 from gawm.latent import make_dynamics_net, make_encoder, save_checkpoint
 from gawm.models import ExactModel
 from gawm.se2 import Pose2, pose_array
-from gawm.segments import ActionIncrement, ActionSegment
+from gawm.segments import ActionIncrement, check_segment
 from gawm.training import GALossConfig, TrainRunConfig
 
 from oracles import (
@@ -59,7 +59,7 @@ def test_generate_records_equals_per_pose_rollout(tmp_path, ref):
     got = generate_records(model, 12, 20, DIST, seed=31, start_pos_sigma=2.0)
     want = per_pose_records(model, 12, 20, DIST, 31, start_pos_sigma=2.0)
     assert got.poses.tobytes() == np.stack([pose_array(poses) for poses, _ in want]).tobytes()
-    assert got.actions.tobytes() == np.stack([actions.array for _, actions in want]).tobytes()
+    assert got.actions.tobytes() == np.stack([actions for _, actions in want]).tobytes()
     features = np.array([[per_pose_features(p) for p in poses] for poses, _ in want])
     assert got.features.tobytes() == features.tobytes()
     if ref in ("exact", "noise:0.02"):  # saturation and the untrained net turn less
@@ -72,7 +72,7 @@ def test_eval_sequences_draw_as_the_per_pose_sampler():
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=77, spawn_key=(i,))))
         start, segment = per_pose_sequence(rng, 10, DIST)
         assert starts[i].tobytes() == pose_array([start])[0].tobytes()
-        assert actions[i].tobytes() == segment.array.tobytes()
+        assert actions[i].tobytes() == segment.tobytes()
 
 
 @pytest.fixture
@@ -119,7 +119,7 @@ def test_load_dataset_rejects_a_non_finite_pose_as_pose2_does(written):
     root, _ = written
     pose = _edit_pose(root, 1, 3, x=math.nan)
     with pytest.raises(ValueError) as per_pose:
-        Pose2.from_dict(pose)
+        Pose2(**pose)
     with pytest.raises(ValueError) as got:
         load_dataset(root)
     assert str(got.value) == str(per_pose.value)
@@ -141,9 +141,9 @@ def test_load_dataset_wraps_headings_as_pose2_does(written, theta):
     root, _ = written
     pose = _edit_pose(root, 0, 2, theta=theta)
     ds = load_dataset(root)
-    want = pose_array([Pose2.from_dict(pose)])[0]
+    want = pose_array([Pose2(**pose)])[0]
     assert ds.poses[0, 2].tobytes() == want.tobytes()
-    assert ds.features[0, 2].tobytes() == per_pose_features(Pose2.from_dict(pose)).tobytes()
+    assert ds.features[0, 2].tobytes() == per_pose_features(Pose2(**pose)).tobytes()
 
 
 def test_load_dataset_rejects_mismatched_lengths(written):
@@ -287,7 +287,7 @@ def test_dataset_segments_are_read_only_views_equal_to_checked_copies():
         for t in range(6):
             for l in range(1, 7 - t):
                 seg = data.segment(i, t, l)
-                assert np.array_equal(seg, ActionSegment(data.actions[i, t : t + l]).array)
+                assert np.array_equal(seg, check_segment(data.actions[i, t : t + l]))
                 assert seg.tobytes() == data.actions[i, t : t + l].tobytes()
                 assert np.shares_memory(seg, data.actions)
                 assert not seg.flags.writeable
@@ -304,7 +304,7 @@ def test_training_is_the_same_with_copied_and_rechecked_segments(monkeypatch):
     encoder = make_encoder(8, 13)
     views = train(run, cfg, data, encoder, 21)
     monkeypatch.setattr(Dataset, "segment",
-                        lambda self, i, t, l: ActionSegment(self.actions[i, t : t + l]).array)
+                        lambda self, i, t, l: check_segment(self.actions[i, t : t + l]))
     copies = train(run, cfg, data, encoder, 21)
     assert views.net.params.tobytes() == copies.net.params.tobytes()
     for name in ("active", "l_pred", "l_ga", "total"):
@@ -316,6 +316,11 @@ def test_dataset_rejects_inconsistent_shapes():
         Dataset(np.zeros((0, 3, 3)), np.zeros((0, 2, 3)))
     with pytest.raises(ValueError, match=r"\(N, T\+1, 3\)"):
         Dataset(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
+    # trajectories without actions would be written, and then fail to load
+    with pytest.raises(ValueError, match=re.escape("at least one action, got (2, 0, 3) actions")):
+        Dataset(np.zeros((2, 1, 3)), np.zeros((2, 0, 3)))
+    with pytest.raises(ValueError, match="at least one action"):
+        generate_records(ExactModel(), 2, 0, DIST, seed=1)
 
 
 @pytest.mark.parametrize("model_ref", ("exact", "noise:0.02"))

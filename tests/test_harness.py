@@ -1320,27 +1320,45 @@ def test_benchmark_config_round_trips():
 
 def test_evaluate_gar_prefers_native_sampler():
     from gawm.metrics import evaluate_gar
-    from gawm.models import Trajectory
     from gawm.se2 import DistanceParams, Pose2
 
-    class Stub:
+    class Native:
         def __init__(self):
-            self.calls = 0
+            self.rows = 0
 
         def step(self, state, action, rng):
-            raise AssertionError("step must not be used when a native sampler exists")
+            raise AssertionError("step must not be used when a native rollout exists")
 
-        def sample_trajectory(self, start, actions, rng):
-            self.calls += 1
-            jitter = rng.normal(0.0, 0.1)
-            poses = [start] + [Pose2(0.0, float(i + jitter), 0.0) for i in range(len(actions))]
-            return Trajectory(poses)
+        def rollout_batch(self, starts, actions, rngs):
+            self.rows += len(starts)
+            poses = np.zeros((len(starts), actions.shape[1] + 1, 3))
+            poses[:, 0] = starts
+            for b, rng in enumerate(rngs):
+                poses[b, 1:, 1] = np.arange(actions.shape[1]) + rng.normal(0.0, 0.1)
+            return poses
 
-    stub = Stub()
+    stub = Native()
     starts = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 1.0]])
     actions = np.tile([0.1, 0.0, 0.0], (2, 4, 1))
     report = evaluate_gar(stub, starts, actions, [4], 3, DistanceParams(1.0), seed=1)
-    assert stub.calls == 3 * len(starts)
+    assert stub.rows == 3 * len(starts)
+    assert report.entries[0].nonaligned_mean > 0.0
+
+    class StepOnly:
+        # a sample_trajectory method is no rollout hook: the step is folded
+        def __init__(self):
+            self.steps = 0
+
+        def step(self, state, action, rng):
+            self.steps += 1
+            return Pose2(state.theta, state.x + action.dx + rng.normal(0.0, 0.1), state.y)
+
+        def sample_trajectory(self, start, actions, rng):
+            raise AssertionError("sample_trajectory is not a rollout hook")
+
+    stub = StepOnly()
+    report = evaluate_gar(stub, starts, actions, [4], 3, DistanceParams(1.0), seed=1)
+    assert stub.steps == 3 * len(starts) * 4
     assert report.entries[0].nonaligned_mean > 0.0
 
 

@@ -25,11 +25,10 @@ from gawm.metrics import (
     write_gac_json,
     write_gar_csv,
 )
-from gawm.models import ExactModel, PerturbedModel, Trajectory, ViolationConfig, rollout
-from gawm.se2 import DistanceParams, Pose2, se2_compose, state_distance
+from gawm.models import ExactModel, PerturbedModel, ViolationConfig, rollout
+from gawm.se2 import DistanceParams, Pose2, pose_array, se2_compose, state_distance
 from gawm.segments import (
     ActionIncrement,
-    ActionSegment,
     DirichletParams,
     keyed_rng,
     sample_dirichlet_weights,
@@ -56,16 +55,14 @@ def _sequences(n, length, seed, rot_scale=0.0):
     for i in range(n):
         start = random_pose(rng, pos_scale=2.0)
         starts[i] = [start.theta, start.x, start.y]
-        actions[i] = ActionSegment(
+        actions[i] = [
             [
-                ActionIncrement(
-                    float(rng.normal(0.1, 0.05)),
-                    float(rng.normal(0.0, 0.03)),
-                    float(np.clip(rng.normal(0.0, rot_scale), -1.0, 1.0)) if rot_scale else 0.0,
-                )
-                for _ in range(length)
+                float(rng.normal(0.1, 0.05)),
+                float(rng.normal(0.0, 0.03)),
+                float(np.clip(rng.normal(0.0, rot_scale), -1.0, 1.0)) if rot_scale else 0.0,
             ]
-        ).array
+            for _ in range(length)
+        ]
     return starts, actions
 
 
@@ -149,10 +146,10 @@ def test_composition_spot_value_saturation():
     # canonical decomposition pair measured through the model and metric
     model = PerturbedModel(ViolationConfig(saturation_scale=1.0))
     start = Pose2(0, 0, 0)
-    u_a = ActionSegment([ActionIncrement(2, 0, 0), ActionIncrement(0, 0, 0)])
-    u_b = ActionSegment([ActionIncrement(1, 0, 0), ActionIncrement(1, 0, 0)])
-    end_a = rollout(model, start, u_a, 0)[-1]
-    end_b = rollout(model, start, u_b, 0)[-1]
+    u_a = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    u_b = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    end_a = Pose2(*rollout(model, start, u_a, 0)[-1])
+    end_b = Pose2(*rollout(model, start, u_b, 0)[-1])
     expected = abs(math.tanh(2.0) - 2.0 * math.tanh(1.0))
     assert state_distance(end_a, end_b, DIST) == pytest.approx(expected, abs=1e-12)
 
@@ -243,11 +240,11 @@ def _random_trajectory(rng, n, start=None):
     poses = [start if start is not None else random_pose(rng, 2.0)]
     for _ in range(n):
         poses.append(random_pose(rng, 2.0))
-    return Trajectory(poses)
+    return poses
 
 
 def test_align_self_is_identity():
-    traj = _random_trajectory(_rng(11), 6).as_array()
+    traj = pose_array(_random_trajectory(_rng(11), 6))
     aligned = align_trajectory(traj, traj)
     for a, b in zip(aligned, traj):
         assert state_distance(Pose2(*a), Pose2(*b)) <= 1e-12
@@ -258,16 +255,16 @@ def test_align_recovers_rigid_transform():
     for _ in range(20):
         traj = _random_trajectory(rng, 8)
         g = random_pose(rng, 3.0)
-        moved = Trajectory([se2_compose(g, p) for p in traj]).as_array()
-        back = align_trajectory(moved, traj.as_array())
+        moved = pose_array([se2_compose(g, p) for p in traj])
+        back = align_trajectory(moved, pose_array(traj))
         for (_, ax, ay), b in zip(back, traj):
             assert math.hypot(ax - b.x, ay - b.y) <= 1e-9
 
 
 def test_align_matches_grid_search_oracle():
     rng = _rng(13)
-    traj = _random_trajectory(rng, 10).as_array()
-    ref = _random_trajectory(rng, 10).as_array()
+    traj = pose_array(_random_trajectory(rng, 10))
+    ref = pose_array(_random_trajectory(rng, 10))
     aligned = align_trajectory(traj, ref)
     best = float(np.sum((aligned[:, 1:] - ref[:, 1:]) ** 2))
 
@@ -287,33 +284,33 @@ def test_align_matches_grid_search_oracle():
 
 
 def test_align_validates_lengths():
-    t1 = _random_trajectory(_rng(14), 4).as_array()
-    t2 = _random_trajectory(_rng(15), 5).as_array()
+    t1 = pose_array(_random_trajectory(_rng(14), 4))
+    t2 = pose_array(_random_trajectory(_rng(15), 5))
     with pytest.raises(ValueError):
         align_trajectory(t1, t2)
-    single = Trajectory([random_pose(_rng(16))]).as_array()
+    single = pose_array([random_pose(_rng(16))])
     with pytest.raises(ValueError):
         align_trajectory(single, single)
 
 
 def test_gar_identical_trajectories_zero():
     traj = _random_trajectory(_rng(17), 8)
-    rollouts = np.stack([traj.as_array()] * 3)
+    rollouts = np.stack([pose_array(traj)] * 3)
     assert gar_error(rollouts, DIST, aligned=False) == 0.0
     assert gar_error(rollouts, DIST, aligned=True) == 0.0
 
 
 def test_gar_two_rollouts_single_step():
-    a = Trajectory([Pose2(0, 0, 0), Pose2(0, 1, 0)])
-    b = Trajectory([Pose2(0, 0, 0), Pose2(0, 2, 0)])
-    assert gar_error(np.stack([a.as_array(), b.as_array()]), DIST, aligned=False) == \
+    a = [Pose2(0, 0, 0), Pose2(0, 1, 0)]
+    b = [Pose2(0, 0, 0), Pose2(0, 2, 0)]
+    assert gar_error(np.stack([pose_array(a), pose_array(b)]), DIST, aligned=False) == \
         pytest.approx(1.0, abs=1e-15)
 
 
 def test_gar_matches_double_loop_oracle():
     rng = _rng(18)
     trajs = [_random_trajectory(rng, 6) for _ in range(3)]
-    got = gar_error(np.stack([t.as_array() for t in trajs]), DIST, aligned=False)
+    got = gar_error(np.stack([pose_array(t) for t in trajs]), DIST, aligned=False)
     total = 0.0
     pairs = 0
     for i in range(3):
@@ -327,7 +324,7 @@ def test_gar_matches_double_loop_oracle():
 
 
 def test_gar_validation():
-    traj = _random_trajectory(_rng(19), 4).as_array()
+    traj = pose_array(_random_trajectory(_rng(19), 4))
     with pytest.raises(ValueError, match="at least 2 rollouts"):
         gar_error(traj[None], DIST, aligned=False)
     with pytest.raises(ValueError, match="at least one step"):
@@ -371,8 +368,8 @@ def test_gar_alignment_never_adds_error(cfg, seed):
     seqs = _sequences(4, 12, 100 + seed, rot_scale=0.2)
     rng = _rng(seed)
     for start, row in zip(*seqs):
-        trajs = np.stack([rollout(model, Pose2(*start), ActionSegment(row),
-                                  int(rng.integers(0, 2**32))).as_array() for _ in range(4)])
+        trajs = np.stack([rollout(model, Pose2(*start), row, int(rng.integers(0, 2**32)))
+                          for _ in range(4)])
         assert gar_error(trajs, DIST, aligned=True) <= gar_error(trajs, DIST, aligned=False)
 
 

@@ -9,17 +9,16 @@ from gawm.data import read_trajectory_jsonl, write_trajectory_jsonl
 from gawm.models import (
     ExactModel,
     PerturbedModel,
-    Trajectory,
     ViolationConfig,
     exact_step,
     perturbed_step,
     rollout,
 )
 from gawm.se2 import Pose2, se2_compose, se2_identity, state_distance, wrap_angles
-from gawm.segments import ActionIncrement, ActionSegment, ZERO_INCREMENT, make_inverse_segment
+from gawm.segments import ActionIncrement, ZERO_INCREMENT, make_inverse_segment
 
 import oracles
-from oracles import compose_matrix, increment_pose, pose_close, random_pose
+from oracles import compose_matrix, increment_pose, increments, pose_close, pose_list, random_pose
 
 
 def _rng(seed=0):
@@ -27,16 +26,11 @@ def _rng(seed=0):
 
 
 def _random_segment(rng, length, rot_scale=0.3):
-    return ActionSegment(
-        [
-            ActionIncrement(
-                float(rng.uniform(-0.5, 0.5)),
-                float(rng.uniform(-0.5, 0.5)),
-                float(rng.uniform(-rot_scale, rot_scale)),
-            )
-            for _ in range(length)
-        ]
-    )
+    return np.array([
+        [float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.5, 0.5)),
+         float(rng.uniform(-rot_scale, rot_scale))]
+        for _ in range(length)
+    ])
 
 
 def test_exact_step_zero_action_fixes_state():
@@ -64,15 +58,15 @@ def test_exact_model_group_action_conditions():
         s = random_pose(rng)
         length = int(rng.integers(1, 9))
         seg = _random_segment(rng, length)
-        traj = rollout(model, s, seg, 0)
+        traj = pose_list(rollout(model, s, seg, 0))
         composed = s
-        for a in seg:
+        for a in increments(seg):
             composed = se2_compose(composed, increment_pose(a))
         assert pose_close(traj[-1], composed, 1e-9)
     for _ in range(200):
         s = random_pose(rng)
         seg = _random_segment(rng, int(rng.integers(1, 5)), rot_scale=0.0)
-        back = rollout(model, s, make_inverse_segment(seg), 0)
+        back = pose_list(rollout(model, s, make_inverse_segment(seg), 0))
         assert state_distance(back[-1], s) <= 1e-9
 
 
@@ -86,9 +80,9 @@ def test_inverse_cycle_residual_matches_stepwise_oracle():
         s = random_pose(rng)
         seg = _random_segment(rng, 3)
         cycle = make_inverse_segment(seg)
-        end = rollout(model, s, cycle, 0)[-1]
+        end = pose_list(rollout(model, s, cycle, 0))[-1]
         oracle = s
-        for a in cycle:
+        for a in increments(cycle):
             oracle = compose_matrix(oracle, increment_pose(a))
         assert pose_close(end, oracle, 1e-12)
         residuals.append(state_distance(end, s))
@@ -141,7 +135,7 @@ def test_drift_matches_stepwise_simulation_exactly():
     for _ in range(20):
         s = random_pose(rng)
         steps = int(rng.integers(1, 6))
-        traj = rollout(model, s, ActionSegment([ZERO_INCREMENT] * steps), 0)
+        traj = pose_list(rollout(model, s, np.zeros((steps, 3)), 0))
         oracle = s
         for _ in range(steps):
             oracle = oracles.exact_step(oracle, cfg.drift_bias)
@@ -163,17 +157,17 @@ def test_asym_gain_forward_back():
 
 def test_rollout_empty_actions():
     s = Pose2(0.5, 1, 2)
-    traj = rollout(ExactModel(), s, ActionSegment([]), 0)
-    assert len(traj) == 1 and traj[0] == s
+    traj = rollout(ExactModel(), s, np.zeros((0, 3)), 0)
+    assert traj.shape == (1, 3) and pose_list(traj) == [s]
 
 
 def test_rollout_lengths_and_stepwise_consistency():
     rng = _rng(5)
     seg = _random_segment(rng, 8)
     model = ExactModel()
-    traj = rollout(model, Pose2(0, 0, 0), seg, 0)
+    traj = pose_list(rollout(model, Pose2(0, 0, 0), seg, 0))
     assert len(traj) == 9
-    for i, a in enumerate(seg):
+    for i, a in enumerate(increments(seg)):
         assert traj[i + 1] == oracles.exact_step(traj[i], a)
 
 
@@ -183,7 +177,7 @@ def test_zero_noise_rollouts_ignore_seed():
     seg = _random_segment(_rng(6), 10)
     t1 = rollout(model, Pose2(0, 0, 0), seg, 1)
     t2 = rollout(model, Pose2(0, 0, 0), seg, 999)
-    assert all(a == b for a, b in zip(t1, t2))
+    assert np.array_equal(t1, t2)
 
 
 def test_same_seed_bit_identical_trajectories():
@@ -191,9 +185,9 @@ def test_same_seed_bit_identical_trajectories():
     seg = _random_segment(_rng(7), 16)
     t1 = rollout(model, Pose2(0, 0, 0), seg, 1234)
     t2 = rollout(model, Pose2(0, 0, 0), seg, 1234)
-    assert all((a.theta, a.x, a.y) == (b.theta, b.x, b.y) for a, b in zip(t1, t2))
+    assert t1.tobytes() == t2.tobytes()
     t3 = rollout(model, Pose2(0, 0, 0), seg, 1235)
-    assert any(a != b for a, b in zip(t1, t3))
+    assert np.any(t1 != t3)
 
 
 def test_violation_config_validation():
@@ -207,21 +201,16 @@ def test_violation_config_validation():
     assert ViolationConfig(saturation_scale=math.inf).saturation_scale is None
 
 
-def test_trajectory_requires_start():
-    with pytest.raises(ValueError):
-        Trajectory([])
-
-
 def test_trajectory_jsonl_round_trip(tmp_path):
     seg = _random_segment(_rng(8), 5)
     traj = rollout(ExactModel(), Pose2(0.3, -1.0, 2.0), seg, 0)
     path = tmp_path / "traj.jsonl"
-    write_trajectory_jsonl(path, traj.as_array(), seg.array)
+    write_trajectory_jsonl(path, traj, seg)
     poses, actions = read_trajectory_jsonl(path)
-    assert np.array_equal(poses, traj.as_array())
-    assert np.array_equal(actions, seg.array)
-    # one {"theta", "x", "y"} object per line, as Pose2.to_dict writes it
-    assert path.read_text().splitlines()[1] == json.dumps(traj[0].to_dict())
+    assert np.array_equal(poses, traj)
+    assert np.array_equal(actions, seg)
+    # one {"theta", "x", "y"} object per line, the start pose first
+    assert path.read_text().splitlines()[1] == json.dumps({"theta": 0.3, "x": -1.0, "y": 2.0})
 
 
 def _stepwise_headings(starts, dtheta):

@@ -153,8 +153,3 @@ def test_distance_triangle_inequality_by_term():
 def test_distance_params_rejects_negative():
     with pytest.raises(ValueError):
         DistanceParams(-0.1)
-
-
-def test_pose_json_round_trip():
-    p = Pose2(1.1, -2.5, 0.25)
-    assert Pose2.from_dict(p.to_dict()) == p

@@ -1,35 +1,51 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gawm.latent import DynamicsNet, LearnedWorldModel, make_encoder
+from gawm.models import ExactModel, rollout
+from gawm.se2 import Pose2
 from gawm.segments import (
     ActionIncrement,
-    ActionSegment,
     DirichletParams,
     MIN_CONCENTRATION,
-    ZERO_INCREMENT,
     make_compatibility_segment,
-    make_identity_segment,
     make_inverse_segment,
     sample_dirichlet_weights,
 )
 
 component = st.floats(min_value=-0.5, max_value=0.5, allow_nan=False)
 increments = st.builds(ActionIncrement, dx=component, dy=component, dtheta=component)
-segments = st.lists(increments, min_size=1, max_size=6).map(ActionSegment)
+segments = st.lists(increments, min_size=1, max_size=6).map(
+    lambda incs: np.stack([a.as_array() for a in incs]))
 
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _sample_trajectory(rows):
+    model = LearnedWorldModel(make_encoder(8, 1), DynamicsNet(8, 4))
+    return model.sample_trajectory(Pose2(0.0, 0.0, 0.0), rows, None)
+
+
+# every per-pose entry point that takes an (L, 3) action array checks it
+ENTRY_POINTS = {
+    "inverse": make_inverse_segment,
+    "compatibility": lambda rows: make_compatibility_segment(rows, DirichletParams(1.0), _rng(0)),
+    "rollout": lambda rows: rollout(ExactModel(), Pose2(0.0, 0.0, 0.0), rows, 0),
+    "sample_trajectory": _sample_trajectory,
+}
+
+
 def _total(seg):
     """Componentwise sum of a segment's rows, row by row from 0.0."""
     total = np.zeros(3)
-    for row in seg.array:
+    for row in seg:
         total += row
     return total
 
@@ -41,27 +57,15 @@ def test_increment_rejects_non_finite_and_large_rotation():
         ActionIncrement(0, 0, 3.5)
 
 
-def test_identity_segment():
-    seg = make_identity_segment(3)
-    assert list(seg) == [ZERO_INCREMENT] * 3
-    assert np.all(_total(seg) == 0.0)
-    assert list(make_identity_segment(1)) == [ZERO_INCREMENT]
-
-
-def test_identity_segment_rejects_zero_length():
-    with pytest.raises(ValueError):
-        make_identity_segment(0)
-
-
 def test_inverse_segment_single():
-    seg = make_inverse_segment(ActionSegment([ActionIncrement(1, 0, 0)]))
-    assert seg.array.tolist() == [[1, 0, 0], [-1, 0, 0]]
+    seg = make_inverse_segment(np.array([[1.0, 0.0, 0.0]]))
+    assert seg.tolist() == [[1, 0, 0], [-1, 0, 0]]
 
 
 @given(increments, increments)
 def test_inverse_segment_pair(a1, a2):
-    seg = make_inverse_segment(ActionSegment([a1, a2]))
-    assert list(seg) == [a1, a2, -a2, -a1]
+    seg = make_inverse_segment(np.stack([a1.as_array(), a2.as_array()]))
+    assert [ActionIncrement(*row) for row in seg.tolist()] == [a1, a2, -a2, -a1]
 
 
 @given(segments)
@@ -72,13 +76,13 @@ def test_inverse_segment_cancels(u):
 
 
 def test_inverse_segment_cancels_exactly_for_well_scaled_inputs():
-    u = ActionSegment([ActionIncrement(1.0, -0.25, 0.5), ActionIncrement(0.125, 2.0, -0.75)])
+    u = np.array([[1.0, -0.25, 0.5], [0.125, 2.0, -0.75]])
     assert np.all(_total(make_inverse_segment(u)) == 0.0)
 
 
 def test_inverse_segment_rejects_empty():
-    with pytest.raises(ValueError):
-        make_inverse_segment(ActionSegment([]))
+    with pytest.raises(ValueError, match="empty segment"):
+        make_inverse_segment(np.zeros((0, 3)))
 
 
 def test_dirichlet_length_one_is_exact():
@@ -121,13 +125,13 @@ def test_dirichlet_weights_at_the_floor_are_finite():
 
 
 def test_compatibility_length_one_is_exact():
-    u = ActionSegment([ActionIncrement(0.3, -0.1, 0.2)])
+    u = np.array([[0.3, -0.1, 0.2]])
     u_b = make_compatibility_segment(u, DirichletParams(1.0), _rng(3))
-    assert list(u_b) == list(u)
+    assert u_b.tolist() == u.tolist()
 
 
 def test_compatibility_uniform_weights_redistribute_evenly():
-    u = ActionSegment([ActionIncrement(0.4, 0.0, 0.0), ActionIncrement(0.0, 0.2, 0.1)])
+    u = np.array([[0.4, 0.0, 0.0], [0.0, 0.2, 0.1]])
 
     class _Uniform:
         def gamma(self, a, b, size):
@@ -136,7 +140,7 @@ def test_compatibility_uniform_weights_redistribute_evenly():
     u_b = make_compatibility_segment(u, DirichletParams(1.0), _Uniform())
     total = _total(u)
     for a in u_b:
-        assert a.as_array() == pytest.approx(total / 2, abs=1e-15)
+        assert a == pytest.approx(total / 2, abs=1e-15)
 
 
 @settings(max_examples=200)
@@ -148,65 +152,54 @@ def test_compatibility_preserves_cumulative_sum(u, seed):
 
 
 def test_compatibility_rejects_empty():
-    with pytest.raises(ValueError):
-        make_compatibility_segment(ActionSegment([]), DirichletParams(1.0), _rng(0))
+    with pytest.raises(ValueError, match="empty segment"):
+        make_compatibility_segment(np.zeros((0, 3)), DirichletParams(1.0), _rng(0))
 
 
 def test_segment_json_round_trip():
-    u = ActionSegment([ActionIncrement(0.1, -0.2, 0.3), ActionIncrement(0, 0, 0)])
-    assert ActionSegment(json.loads(json.dumps(u.array.tolist()))) == u
+    u = np.array([[0.1, -0.2, 0.3], [0.0, 0.0, 0.0]])
+    assert np.array_equal(make_inverse_segment(json.loads(json.dumps(u.tolist()))),
+                          make_inverse_segment(u))
 
 
-def test_segment_slicing():
-    u = ActionSegment([ActionIncrement(i * 0.1, 0, 0) for i in range(5)])
-    assert isinstance(u[1:3], ActionSegment)
-    assert len(u[1:3]) == 2
-    assert u[2] == ActionIncrement(0.2, 0, 0)
-
-
-def test_segment_holds_one_read_only_array():
+def test_segments_come_back_as_read_only_arrays_of_a_copy():
     rows = np.array([[0.1, -0.2, 0.3], [0.0, 0.0, 0.0], [0.4, 0.1, -0.5]])
-    u = ActionSegment(rows)
-    assert u.array.shape == (3, 3) and u.array.dtype == np.float64
-    rows[0, 0] = 9.0  # the segment holds a copy
-    assert u.array[0, 0] == 0.1
-    with pytest.raises(ValueError):
-        u.array[0, 0] = 1.0
-    assert ActionSegment(list(u)) == u  # increments in, same rows out
-    assert ActionSegment([]).array.shape == (0, 3)
+    for name, entry in ENTRY_POINTS.items():
+        out = entry(rows)
+        assert out.dtype == np.float64 and out.shape[-1] == 3, name
+        assert not np.shares_memory(out, rows), name
+        assert rows.flags.writeable, name  # the caller's array is left as it was
+    cycle = make_inverse_segment(rows)
+    assert cycle.shape == (6, 3) and not cycle.flags.writeable
+    u_b = make_compatibility_segment(rows, DirichletParams(1.0), _rng(0))
+    assert u_b.shape == (3, 3) and not u_b.flags.writeable
+    assert rollout(ExactModel(), Pose2(0.5, 1.0, 2.0), [], 0).tolist() == [[0.5, 1.0, 2.0]]
 
 
-def test_segment_slices_are_views():
-    u = ActionSegment(np.arange(15.0).reshape(5, 3) * 0.1)
-    part = u[1:4]
-    assert np.shares_memory(part.array, u.array)
-    assert part.array.tolist() == u.array[1:4].tolist()
-    assert not part.array.flags.writeable
-
-
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 @pytest.mark.parametrize("row", ([math.nan, 0.0, 0.0], [0.0, math.inf, 0.0],
                                  [0.0, 0.0, 3.5], [0.0, 0.0, -math.inf], [0.0, 0.0, math.nan]))
-def test_segment_rejects_rows_as_increment_does(row):
+def test_segment_rejects_rows_as_increment_does(row, entry):
     with pytest.raises(ValueError) as per_increment:
         ActionIncrement(*row)
     with pytest.raises(ValueError) as got:
-        ActionSegment(np.array([[0.1, 0.0, 0.0], row, [0.0, 0.0, 9.0]]))
+        ENTRY_POINTS[entry](np.array([[0.1, 0.0, 0.0], row, [0.0, 0.0, 9.0]]))
     assert str(got.value) == str(per_increment.value)
 
 
-@pytest.mark.parametrize("shape", ((3,), (2, 4), (2, 2, 3)))
-def test_segment_rejects_other_shapes(shape):
-    with pytest.raises(ValueError, match="an \\(L, 3\\) array"):
-        ActionSegment(np.zeros(shape))
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("shape", ((3,), (2, 4), (2, 2, 3), (2, 0), (0, 0)))
+def test_segment_rejects_other_shapes(shape, entry):
+    with pytest.raises(ValueError, match="^" + re.escape(f"a segment is an (L, 3) array, got shape {shape}")):
+        ENTRY_POINTS[entry](np.zeros(shape))
 
 
-def test_make_functions_take_arrays():
+def test_make_functions_take_arrays_and_lists():
     rows = np.array([[0.2, 0.1, 0.3], [0.1, -0.1, -0.2]])
-    u = ActionSegment(rows)
-    assert make_inverse_segment(rows) == make_inverse_segment(u)
+    assert np.array_equal(make_inverse_segment(rows), make_inverse_segment(rows.tolist()))
     params = DirichletParams(0.5)
-    assert make_compatibility_segment(rows, params, _rng(4)) == \
-        make_compatibility_segment(u, params, _rng(4))
+    assert np.array_equal(make_compatibility_segment(rows, params, _rng(4)),
+                          make_compatibility_segment(rows.tolist(), params, _rng(4)))
 
 
 def test_compatibility_total_is_summed_row_by_row_from_zero():
@@ -222,8 +215,8 @@ def test_compatibility_total_is_summed_row_by_row_from_zero():
         total = [t + v for t, v in zip(total, row)]
     # numpy's pairwise sum of a contiguous column rounds differently
     assert any(np.sum(rows[:, c].copy()) != total[c] for c in range(3))
-    u_b = make_compatibility_segment(ActionSegment(rows), DirichletParams(1.0), _Uniform())
-    assert u_b.array.tolist() == [[0.125 * t for t in total]] * 8
+    u_b = make_compatibility_segment(rows, DirichletParams(1.0), _Uniform())
+    assert u_b.tolist() == [[0.125 * t for t in total]] * 8
     # starting from 0.0, a lone -0.0 sums to +0.0
-    u_b = make_compatibility_segment(ActionSegment([[-0.0, 0.1, 0.0]]), DirichletParams(1.0), _rng(0))
-    assert math.copysign(1.0, u_b.array[0, 0]) == 1.0
+    u_b = make_compatibility_segment([[-0.0, 0.1, 0.0]], DirichletParams(1.0), _rng(0))
+    assert math.copysign(1.0, u_b[0, 0]) == 1.0

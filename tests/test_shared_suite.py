@@ -98,9 +98,9 @@ def _per_window_segments(kind, windows, seed, key, j, dirichlet):
     """A probe stop's branch segments as one ``make_*`` build per window,
     with the weights drawn from the generator the probe walk keys."""
     if kind == KIND_INVERSE:
-        return np.stack([make_inverse_segment(u).array for u in windows])
+        return np.stack([make_inverse_segment(u) for u in windows])
     return np.stack([
-        make_compatibility_segment(u, dirichlet, keyed_rng(seed, *key, s, 1 + 3 * j)).array
+        make_compatibility_segment(u, dirichlet, keyed_rng(seed, *key, s, 1 + 3 * j))
         for s, u in enumerate(windows)
     ])
 
@@ -120,7 +120,7 @@ def _unshared(monkeypatch):
                         lambda *args: sample_sequences(*args)[:2])
     monkeypatch.setattr(metrics, "_dirichlet_weights", _dirichlet_weights.__wrapped__)
     monkeypatch.setattr(metrics, "inverse_cycles",
-                        lambda windows: np.stack([make_inverse_segment(u).array for u in windows]))
+                        lambda windows: np.stack([make_inverse_segment(u) for u in windows]))
     monkeypatch.setattr(metrics, "recompose", lambda windows, weights: np.stack(
         [recompose(u, w) for u, w in zip(windows, weights)]))
 

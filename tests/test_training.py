@@ -16,7 +16,7 @@ from gawm.latent import (
 )
 from gawm.models import ExactModel
 from gawm.se2 import Pose2, pose_array
-from gawm.segments import ActionIncrement, ActionSegment, DirichletParams
+from gawm.segments import ActionIncrement, DirichletParams
 from gawm import training
 from gawm.training import (
     AdamOptimizer,
@@ -43,7 +43,7 @@ from gawm.training import (
     train_step,
 )
 
-from oracles import central_difference, encode, exact_step, rollout, train
+from oracles import central_difference, encode, exact_step, increments, rollout, train
 
 
 def _rng(seed=0):
@@ -241,9 +241,10 @@ def test_teacher_forced_loss_matches_exact_state_oracle(encoder):
     base = np.array([[0.2, 0.05, 0.3], [0.15, -0.05, -0.2]])
     cycle = make_inverse_segment(base)
     state = Pose2(*start)
-    for a in cycle[:-1]:
+    *prefix, last = increments(cycle)
+    for a in prefix:
         state = exact_step(state, a)
-    end = net_step(encoder.projection @ pose_features(pose_array([state])[0]), cycle[-1], net)
+    end = net_step(encoder.projection @ pose_features(pose_array([state])[0]), last, net)
     expected = float(np.sum((end - z_t) ** 2))
 
     cfg = GALossConfig(mode=TEACHER_FORCED)
@@ -266,7 +267,7 @@ def test_teacher_forced_prefix_equals_the_per_pose_exact_rollout(encoder, length
         seg[::2, 2] = -math.pi  # increment_pose wraps it to +pi
         start = np.array([theta, *rng.normal(0.0, 1.0, 2)])
         [(z_in, last)] = training._rollout_plans([seg], TEACHER_FORCED, start, encoder)
-        state = rollout(ExactModel(), Pose2(*start), ActionSegment(seg[:-1]), None)[-1]
+        state = rollout(ExactModel(), Pose2(*start), seg[:-1], None)[-1]
         want = encoder.projection @ pose_features(pose_array([state])[0])
         assert z_in.tobytes() == want.tobytes(), theta
         assert last.tobytes() == seg[-1:].tobytes()
