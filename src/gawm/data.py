@@ -91,8 +91,7 @@ class Dataset:
     Every pose and action is checked once, here: a pose as ``Pose2``
     checks it, its heading wrapped into (-pi, pi] on a copy, and an
     action as ``ActionIncrement`` checks it. ``actions`` is a read-only
-    view, and ``segment`` returns read-only views into it, which need
-    no re-check.
+    view, so whatever is gathered from it needs no re-check.
     """
 
     def __init__(self, poses: np.ndarray, actions: np.ndarray):
@@ -118,12 +117,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.poses)
-
-    def segment(self, i: int, t: int, l: int) -> np.ndarray:
-        """Trajectory i's actions t to t+l-1, as a read-only (l, 3) view."""
-        if t + l > self.length:
-            raise ValueError(f"segment [{t}, {t + l}) exceeds trajectory length {self.length}")
-        return self.actions[i, t : t + l]
 
 
 def generate_records(

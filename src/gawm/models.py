@@ -16,7 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .se2 import Pose2, check_finite_poses, pose_array, wrap_angles
+from .se2 import Pose2, apply_increments, pose_array, wrap_angles
 from .segments import ActionIncrement, ZERO_INCREMENT, check_segment
 
 
@@ -50,66 +50,6 @@ def exact_step(state: Pose2, action: ActionIncrement) -> Pose2:
     return ExactModel().step(state, action, None)
 
 
-def _headings(starts: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
-    """Headings reached from (B,) start headings by (B, T) realized turns,
-    as a (B, T+1) array: ``theta[i+1] = wrap_angles(theta[i] + dtheta[i])``
-    row by row, bit for bit.
-
-    One sequential ``np.add.accumulate`` makes the same adds in the same
-    order as that loop until a row's sum first leaves (-pi, pi]. The rows
-    that leave it then run that loop from the earliest such position:
-    before a row's own first wrap its sums are in range, where
-    ``wrap_angles`` changes nothing. The start heading is kept as given.
-    A non-finite heading runs on to ``check_finite_poses``.
-    """
-    b, t = dtheta.shape
-    theta = np.empty((b, t + 1))
-    theta[:, 0] = starts
-    theta[:, 1:] = dtheta
-    theta = np.add.accumulate(theta, axis=1)
-    outside = ~((theta > -math.pi) & (theta <= math.pi))
-    outside[:, 0] = False  # the start heading is kept as given
-    rows = np.flatnonzero(outside.any(axis=1))
-    if len(rows):
-        wrapping, turns = theta[rows], dtheta[rows]
-        for i in range(outside.any(axis=0).argmax(), t + 1):
-            wrapping[:, i] = wrap_angles(wrapping[:, i - 1] + turns[:, i - 1])
-        theta[rows] = wrapping
-    return theta
-
-
-def _apply_increments(starts: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    """Poses reached from (B, 3) starts by applying (B, T, 3) realized body-frame
-    increments ``[dx, dy, dtheta]`` in turn, as a (B, T+1, 3) array.
-
-    Row by row this is ``exact_step``'s composition of the increment's
-    motion on the right, bit for bit. Headings are running sums wrapped
-    into (-pi, pi] step by step (``_headings``). Each position is the
-    running sum ``(x + c*dx) - s*dy`` (and ``(y + s*dx) + c*dy``), taken
-    by a sequential accumulate over the interleaved terms, which keeps
-    the per-step association.
-    """
-    b, t = increments.shape[:2]
-    theta = _headings(starts[:, 0], increments[:, :, 2])
-    c = np.cos(theta[:, :-1])
-    s = np.sin(theta[:, :-1])
-    dx = increments[:, :, 0]
-    dy = increments[:, :, 1]
-    terms = np.empty((2, b, 2 * t + 1))
-    terms[:, :, 0] = starts[:, 1:].T
-    terms[0, :, 1::2] = c * dx
-    terms[0, :, 2::2] = -(s * dy)
-    terms[1, :, 1::2] = s * dx
-    terms[1, :, 2::2] = c * dy
-    xy = np.add.accumulate(terms, axis=2)[:, :, ::2]
-    poses = np.empty((b, t + 1, 3))
-    poses[:, :, 0] = theta
-    poses[:, :, 1] = xy[0]
-    poses[:, :, 2] = xy[1]
-    check_finite_poses(poses)
-    return poses
-
-
 def row_normals(rngs, sigma: float, shape: tuple[int, ...], what: str) -> np.ndarray:
     """A (B, *shape) block of Gaussian noise of scale ``sigma``, row b drawn
     from ``rngs[b]`` in one call, as a step-by-step rollout draws it. A row
@@ -137,7 +77,7 @@ class _IncrementModel(_BatchModel):
     to the realized increments."""
 
     def rollout_batch(self, starts: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
-        return _apply_increments(starts, self._realize(actions, rngs))
+        return apply_increments(starts, self._realize(actions, rngs))
 
     def step_batch(self, states: np.ndarray, actions: np.ndarray, rngs) -> np.ndarray:
         return self.rollout_batch(states, actions[:, None], rngs)[:, 1]

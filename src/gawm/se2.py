@@ -102,6 +102,69 @@ def se2_compose(g1: Pose2, g2: Pose2) -> Pose2:
     )
 
 
+def _headings(starts: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
+    """Headings reached from (B,) start headings by (B, T) realized turns,
+    as a (B, T+1) array: ``theta[i+1] = wrap_angles(theta[i] + dtheta[i])``
+    row by row, bit for bit.
+
+    One sequential ``np.add.accumulate`` makes the same adds in the same
+    order as that loop until a row's sum first leaves (-pi, pi]. The rows
+    that leave it then run that loop from the earliest such position:
+    before a row's own first wrap its sums are in range, where
+    ``wrap_angles`` changes nothing. The start heading is kept as given.
+    A non-finite heading runs on to ``check_finite_poses``.
+    """
+    b, t = dtheta.shape
+    theta = np.empty((b, t + 1))
+    theta[:, 0] = starts
+    theta[:, 1:] = dtheta
+    theta = np.add.accumulate(theta, axis=1)
+    outside = ~((theta > -math.pi) & (theta <= math.pi))
+    outside[:, 0] = False  # the start heading is kept as given
+    rows = np.flatnonzero(outside.any(axis=1))
+    if len(rows):
+        wrapping, turns = theta[rows], dtheta[rows]
+        for i in range(outside.any(axis=0).argmax(), t + 1):
+            wrapping[:, i] = wrap_angles(wrapping[:, i - 1] + turns[:, i - 1])
+        theta[rows] = wrapping
+    return theta
+
+
+def apply_increments(starts: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """Poses reached from (B, 3) starts by applying (B, T, 3) realized body-frame
+    increments ``[dx, dy, dtheta]`` in turn, as a (B, T+1, 3) array.
+
+    Row by row this folds ``se2_compose`` with the increment's motion
+    ``Pose2(dtheta, dx, dy)`` on the right, bit for bit, when the starts'
+    headings and the turns are in (-pi, pi], as a ``Pose2`` holds them;
+    ``ExactModel`` and teacher-forced training wrap the turns first.
+    Headings are running sums wrapped into (-pi, pi] step by step
+    (``_headings``). Each position is the
+    running sum ``(x + c*dx) - s*dy`` (and ``(y + s*dx) + c*dy``), taken
+    by a sequential accumulate over the interleaved terms, which keeps
+    the per-step association.
+    """
+    b, t = increments.shape[:2]
+    theta = _headings(starts[:, 0], increments[:, :, 2])
+    c = np.cos(theta[:, :-1])
+    s = np.sin(theta[:, :-1])
+    dx = increments[:, :, 0]
+    dy = increments[:, :, 1]
+    terms = np.empty((2, b, 2 * t + 1))
+    terms[:, :, 0] = starts[:, 1:].T
+    terms[0, :, 1::2] = c * dx
+    terms[0, :, 2::2] = -(s * dy)
+    terms[1, :, 1::2] = s * dx
+    terms[1, :, 2::2] = c * dy
+    xy = np.add.accumulate(terms, axis=2)[:, :, ::2]
+    poses = np.empty((b, t + 1, 3))
+    poses[:, :, 0] = theta
+    poses[:, :, 1] = xy[0]
+    poses[:, :, 2] = xy[1]
+    check_finite_poses(poses)
+    return poses
+
+
 def se2_inverse(g: Pose2) -> Pose2:
     """Invert a rigid motion, so that compose(g, inverse(g)) is the identity."""
     c = math.cos(g.theta)

@@ -13,7 +13,13 @@ through time over the unrolled residual MLP. The ``*_graph`` functions
 record the same objective on the autograd tape, as its reference.
 ``train_group`` trains several loss configs that share every random
 draw as one parameter stack, one ``train_step`` per step; a single run
-is its one-config case. Every forward step of the network is one call of
+is its one-config case. What a step reads besides the parameters (its
+batch, observation noise, constraint, segments and teacher-forced
+inputs) is drawn and built ``INPUT_CHUNK_STEPS`` steps at a time, ahead
+of the steps (``_chunk_inputs``): every stream draws in the order the
+steps would draw one at a time, and every product rounds as its
+per-step form, so a step runs only its parameter arithmetic and the
+optimizer update. Every forward step of the network is one call of
 ``latent.residual_step``, the forward pass the learned model is also
 evaluated with: the prediction batch of all rows at once, and the
 rollouts of the rows that share a rollout mode as one stack (a mode's
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +40,7 @@ from .latent import (
     DynamicsNet, FeatureEncoder, block_weights, make_dynamics_net, pose_features, residual_step,
     rollout_endpoint_graph,
 )
-from .se2 import Pose2, se2_compose
+from .se2 import apply_increments, wrap_angles
 from .segments import (
     DirichletParams, inverse_cycles, keyed_rng, keyed_rngs, recompose, sample_dirichlet_weights,
 )
@@ -179,31 +186,24 @@ def make_optimizer(run: TrainRunConfig, shape: int | tuple[int, int]):
     return SgdOptimizer(run.learning_rate)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Transitions for the prediction loss, as (trajectory, time) index arrays
-    into ``dataset``, plus one anchor and the (span, 3) action view after it."""
-
-    dataset: Dataset
-    idx: np.ndarray
-    ts: np.ndarray
-    anchor_i: int
-    anchor_t: int
-    base_segment: np.ndarray
-
-    @property
-    def start_pose(self) -> np.ndarray:
-        """The anchor's ``[theta, x, y]`` pose row."""
-        return self.dataset.poses[self.anchor_i, self.anchor_t]
-
-
-def sample_batch(dataset: Dataset, batch_size: int, max_span: int, rng: np.random.Generator) -> Batch:
-    idx = rng.integers(0, len(dataset), size=batch_size)
-    ts = rng.integers(0, dataset.length, size=batch_size)
-    span = int(rng.integers(1, max_span + 1))
-    anchor_t = int(rng.integers(0, dataset.length - span + 1))
-    anchor_i = int(idx[0])
-    return Batch(dataset, idx, ts, anchor_i, anchor_t, dataset.segment(anchor_i, anchor_t, span))
+def sample_batch(dataset: Dataset, batch_size: int, max_span: int, rng: np.random.Generator,
+                 steps: int):
+    """The batch draws of ``steps`` training steps, in step order. A step
+    draws its B trajectory indices, its B time indices and its anchor's
+    span as one call over those 2B + 1 bounds, then the anchor's time.
+    Returns (steps, B) trajectory and time indices of the prediction
+    batches, and (steps,) anchor trajectories (each step's first
+    trajectory index), anchor times and spans."""
+    b, length = batch_size, dataset.length
+    highs = np.array([len(dataset)] * b + [length] * b + [max_span + 1])
+    lows = np.zeros_like(highs)
+    lows[-1] = 1
+    draws = np.empty((steps, 2 * b + 1), dtype=np.int64)
+    anchor_t = np.empty(steps, dtype=np.int64)
+    for k in range(steps):
+        draws[k] = rng.integers(lows, highs)
+        anchor_t[k] = rng.integers(0, length - draws[k, -1] + 1)
+    return draws[:, :b], draws[:, b:-1], draws[:, 0], anchor_t, draws[:, -1]
 
 
 def _encode_columns(features: np.ndarray, encoder: FeatureEncoder,
@@ -215,14 +215,6 @@ def _encode_columns(features: np.ndarray, encoder: FeatureEncoder,
             raise ValueError("observation noise requires a random generator")
         z = z + rng.normal(0.0, encoder.obs_noise_sigma, size=z.shape)
     return z
-
-
-def batch_columns(batch: Batch, encoder: FeatureEncoder, rng: np.random.Generator | None):
-    """(z_in, actions, z_next) columns of a batch; noise is drawn for z_in, then z_next."""
-    features, actions = batch.dataset.features, batch.dataset.actions
-    z_in = _encode_columns(features[batch.idx, batch.ts].T, encoder, rng)
-    z_next = _encode_columns(features[batch.idx, batch.ts + 1].T, encoder, rng)
-    return z_in, actions[batch.idx, batch.ts].T, z_next
 
 
 def _stack_prediction(weights, z_in: np.ndarray, actions: np.ndarray, z_next: np.ndarray):
@@ -255,50 +247,60 @@ def prediction_loss(net: DynamicsNet, encoder: FeatureEncoder, poses_in: np.ndar
     return float(_stack_prediction(weights, z_in, actions.T, z_next)[0][0])
 
 
-def _constraint_segments(base_segment: np.ndarray, cfg: GALossConfig, active: str,
-                         dirichlet_rng: np.random.Generator) -> list[np.ndarray]:
-    """Rollout segments of the active constraint, as (L, 3) action arrays:
-    one whose endpoint is compared with the anchor (identity, inverse),
-    or two whose endpoints are compared with each other (composition)."""
-    l = len(base_segment)
-    if not 1 <= l <= cfg.max_span:
-        raise ValueError(f"base segment length {l} outside [1, {cfg.max_span}]")
+def _constraint_segments(windows: np.ndarray, active: str,
+                         dirichlet: np.ndarray | None) -> list[np.ndarray]:
+    """Rollout segments of the active constraint for an (m, L, 3) stack of
+    base windows, as (m, L', 3) stacks: one whose endpoints are compared
+    with the anchors (identity, inverse), or two whose endpoints are
+    compared with each other (composition, which recomposes each window
+    with its row of the (m, L) Dirichlet weights)."""
     if active == CONSTRAINT_ID:
-        return [np.zeros((l, 3))]
+        return [np.zeros(windows.shape)]
     if active == CONSTRAINT_INV:
-        return [inverse_cycles(base_segment)]
+        return [inverse_cycles(windows)]
     if active == CONSTRAINT_COMP:
-        weights = sample_dirichlet_weights(l, cfg.dirichlet, dirichlet_rng)
-        return [base_segment, recompose(base_segment, weights)]
+        return [windows, recompose(windows, dirichlet)]
     raise ValueError(f"unknown constraint: {active!r}")
 
 
-def _rollout_plans(segments: list[np.ndarray], mode: str, start_pose: np.ndarray | None,
-                   encoder: FeatureEncoder | None) -> list[tuple[np.ndarray | None, np.ndarray]]:
-    """The network steps each rollout endpoint depends on: (first input, actions).
+def _rollout_chains(segments: list[np.ndarray], mode: str, starts: list[np.ndarray] | None,
+                    encoder: FeatureEncoder | None) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """The network steps each rollout endpoint depends on, for stacks of
+    (m, L, 3) segments from their (m, 3) anchor poses: one (first inputs,
+    actions) chain per stack.
 
-    A first input of None means the anchor latent. Free-running rolls the
+    First inputs of None mean the anchor latents. Free-running rolls the
     whole segment from the anchor. Teacher forcing snaps every later
     step's input to the noiseless encoding of the exact rigid-motion
     state, which stands in for ground-truth context, so only the last
-    step reaches the endpoint.
+    step reaches the endpoint: its (m, d) inputs encode the poses that
+    ``apply_increments`` reaches over the segment's other rows, whose
+    turns are wrapped as the increment's ``Pose2`` wraps them. Every
+    stack's rows fold in one call, padded with zero increments to the
+    longest: a row's poses depend only on the increments before them.
     """
     if mode == FREE_RUNNING:
-        return [(None, seg) for seg in segments]
-    if start_pose is None or encoder is None:
+        return [(None, segment) for segment in segments]
+    if starts is None or encoder is None:
         raise ValueError("teacher-forced mode needs the anchor pose and the encoder")
-    start = Pose2(*start_pose.tolist())
-    plans = []
-    for seg in segments:
-        if len(seg) == 1:
-            plans.append((None, seg))
-            continue
-        state = start  # exact_step's arithmetic on float rows: the array kernel costs more
-        for dx, dy, dtheta in seg[:-1].tolist():
-            state = se2_compose(state, Pose2(dtheta, dx, dy))
-        features = pose_features(np.array([state.theta, state.x, state.y]))
-        plans.append((encoder.projection @ features, seg[-1:]))
-    return plans
+    chains = [(None, segment) for segment in segments]
+    forced = [i for i, segment in enumerate(segments) if segment.shape[1] > 1]
+    if not forced:
+        return chains
+    lengths = [segments[i].shape[1] - 1 for i in forced]
+    counts = [len(segments[i]) for i in forced]
+    prefixes = np.zeros((sum(counts), max(lengths), 3))
+    at = 0
+    for i, l, m in zip(forced, lengths, counts):
+        prefixes[at : at + m, :l] = segments[i][:, :-1]
+        at += m
+    prefixes[..., 2] = wrap_angles(prefixes[..., 2])
+    poses = apply_increments(np.concatenate([starts[i] for i in forced]), prefixes)
+    states = poses[np.arange(len(poses)), np.repeat(lengths, counts)]
+    z_in = np.matmul(encoder.projection, pose_features(states)[:, :, None])[:, :, 0]
+    for i, z in zip(forced, np.split(z_in, np.cumsum(counts)[:-1])):
+        chains[i] = (z, segments[i][:, -1:])
+    return chains
 
 
 def ga_loss_graph(weights, z_t: np.ndarray, base_segment: np.ndarray, cfg: GALossConfig,
@@ -306,13 +308,25 @@ def ga_loss_graph(weights, z_t: np.ndarray, base_segment: np.ndarray, cfg: GALos
                   start_pose: np.ndarray | None = None,
                   encoder: FeatureEncoder | None = None) -> ag.Tensor:
     """Recorded active consistency loss from a detached anchor latent (the
-    gradient reference), for an (L, 3) base segment."""
+    gradient reference), for an (L, 3) base segment; a composition draws
+    its Dirichlet weights from ``dirichlet_rng``."""
+    l = len(base_segment)
+    if not 1 <= l <= cfg.max_span:
+        raise ValueError(f"base segment length {l} outside [1, {cfg.max_span}]")
+    dirichlet = None
+    if active == CONSTRAINT_COMP:
+        dirichlet = sample_dirichlet_weights(l, cfg.dirichlet, dirichlet_rng)[None]
+    segments = _constraint_segments(base_segment[None], active, dirichlet)
+    starts = None
+    if start_pose is not None:
+        start = np.array(start_pose, dtype=np.float64)[None]
+        start[:, 0] = wrap_angles(start[:, 0])  # as Pose2 holds it
+        starts = [start] * len(segments)
     anchor = ag.constant(z_t)
     ends = []
-    segments = _constraint_segments(base_segment, cfg, active, dirichlet_rng)
-    for z_in, steps in _rollout_plans(segments, cfg.mode, start_pose, encoder):
-        z = anchor if z_in is None else ag.constant(z_in)
-        ends.append(rollout_endpoint_graph(z, steps, weights))
+    for z_in, steps in _rollout_chains(segments, cfg.mode, starts, encoder):
+        z = anchor if z_in is None else ag.constant(z_in[0])
+        ends.append(rollout_endpoint_graph(z, steps[0], weights))
     return ag.sumsq(ag.sub(ends[0], ends[1] if len(ends) == 2 else anchor))
 
 
@@ -394,13 +408,12 @@ class ParamStack:
         return tuple(w[rows] for w in self.weights)
 
 
-def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, base_segment: np.ndarray,
-                     active: str, dirichlet_rng: np.random.Generator,
-                     start_pose: np.ndarray | None, encoder: FeatureEncoder | None):
-    """Every row's ``l_pred + lambda_ga * w_active * l_ga`` and its
-    gradient: returns a (3, K) array of (l_pred, l_ga, total) and a (K,)
-    mask of the rows whose losses and pre-activations are all finite. The
-    gradients go into ``stack.grad``.
+def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, active: str,
+                     plans: dict[str, list[tuple[np.ndarray, np.ndarray]]]):
+    """Every row's ``l_pred + lambda_ga * w_active * l_ga`` on one step's
+    inputs (``StepInputs``) and its gradient: returns a (3, K) array of
+    (l_pred, l_ga, total) and a (K,) mask of the rows whose losses and
+    pre-activations are all finite. The gradients go into ``stack.grad``.
 
     Closed-form backpropagation through time: the forward pass caches
     (x, pre, h) for the prediction batch and for every rollout step the
@@ -431,10 +444,6 @@ def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, base_segment: 
     only zeros.
     """
     losses = np.empty((3, len(stack.cfgs)))
-    segments = _constraint_segments(base_segment, stack.cfgs[0], active, dirichlet_rng)
-    plans = {mode: [(z_t if z0 is None else z0, steps)
-                    for z0, steps in _rollout_plans(segments, mode, start_pose, encoder)]
-             for mode in stack.mode_rows}
     weight = stack.active_weights[active].tolist()
     backward = []  # (row, its mode's chains, its row in their caches, its end difference)
     losses[0], diff, (x, pre, h) = _stack_prediction(stack.weights, *columns)
@@ -485,23 +494,109 @@ class TrainStreams:
         return TrainStreams(*keyed_rngs(seed, [(1,), (2,), (3,), (4,)]))
 
 
-def train_step(stack: ParamStack, encoder: FeatureEncoder, batch: Batch, optimizer,
-               streams: TrainStreams) -> tuple[int, np.ndarray, np.ndarray]:
-    """One optimizer update of every row of ``stack`` on the batch.
+class StepInputs(NamedTuple):
+    """What one training step reads besides the parameters: the active
+    constraint's index into CONSTRAINTS, the (z_in, actions, z_next)
+    columns of its prediction batch, each (d, B) or (3, B), its (d,)
+    anchor latent, and each rollout mode's plans, a list of (first input,
+    (L, 3) actions) chains."""
 
-    Draws the step's observation noise, constraint and segment, then
-    computes every row's losses and gradient (``_stack_objective``) and
+    active: int
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray]
+    z_t: np.ndarray
+    plans: dict[str, list[tuple[np.ndarray, np.ndarray]]]
+
+
+# Training builds the step inputs of this many steps at once. At the
+# benchmark's shapes (d = 32, B = 32) a chunk's arrays take about 0.6 MB,
+# most of it the encoded prediction columns, and observation noise adds
+# 0.5 MB while it is drawn.
+INPUT_CHUNK_STEPS = 32
+
+
+def _chunk_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig, modes,
+                  batch_size: int, steps: int, streams: TrainStreams) -> list[StepInputs]:
+    """The ``StepInputs`` of the next ``steps`` training steps, built at once.
+
+    Every stream draws what the steps would draw one at a time, in step
+    order: the batches (``sample_batch``), one constraint per step, the
+    Dirichlet gammas of every composition step whose span is 2 or more,
+    and observation noise for each step's inputs, then its targets. Every
+    product rounds as its per-step form: the prediction columns are one
+    (d, B) matrix product per step, the anchors and the teacher-forced
+    inputs one matrix-vector product each. Segments and teacher-forced
+    inputs are built for all the steps that share a constraint and a
+    span at once (``_constraint_segments``, ``_rollout_chains``), for
+    every rollout mode in ``modes``.
+    """
+    idx, ts, anchor_i, anchor_t, spans = sample_batch(dataset, batch_size, cfg.max_span,
+                                                      streams.batch, steps)
+    active = streams.constraint.integers(0, len(CONSTRAINTS), size=steps)
+    projection, sigma = encoder.projection, encoder.obs_noise_sigma
+    # rows of the flattened (N * (T+1), .) pose and feature arrays
+    features = dataset.features.reshape(-1, 4)
+    at = idx * (dataset.length + 1) + ts
+    anchors = anchor_i * (dataset.length + 1) + anchor_t
+    # (steps, 2, B, 4) input and target features, encoded as (steps, 2, d, B)
+    pairs = features.take(np.stack([at, at + 1], axis=1), axis=0)
+    latents = np.matmul(projection, pairs.transpose(0, 1, 3, 2))
+    if sigma > 0.0:
+        latents += streams.noise.normal(0.0, sigma, size=latents.shape)
+    actions = dataset.actions[idx, ts].transpose(0, 2, 1)
+    z_t = list(np.matmul(projection, features.take(anchors, axis=0)[:, :, None])[:, :, 0])
+    starts = dataset.poses.reshape(-1, 3).take(anchors, axis=0)
+    comp = CONSTRAINTS.index(CONSTRAINT_COMP)
+    drawn = np.where((active == comp) & (spans > 1), spans, 0)  # each step's gamma count
+    if drawn.any():
+        gammas = streams.dirichlet.gamma(cfg.dirichlet.concentration, 1.0, size=drawn.sum())
+        first = np.cumsum(drawn) - drawn
+    groups = []  # (steps, segment stacks) of each (constraint, span)
+    key = active * (cfg.max_span + 1) + spans
+    order = np.argsort(key, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        a, l = int(active[rows[0]]), int(spans[rows[0]])
+        windows = dataset.actions[anchor_i[rows, None], anchor_t[rows, None] + np.arange(l)]
+        dirichlet = None
+        if a == comp:
+            g = gammas[first[rows, None] + np.arange(l)] if l > 1 else np.ones((len(rows), 1))
+            dirichlet = g / g.sum(axis=1, keepdims=True)
+        groups.append((rows, _constraint_segments(windows, CONSTRAINTS[a], dirichlet)))
+    segments = [stack for _, stacks in groups for stack in stacks]
+    segment_starts = [starts[rows] for rows, stacks in groups for _ in stacks]
+    plans: list[dict] = [{} for _ in range(steps)]
+    for mode in modes:
+        chains = iter(_rollout_chains(segments, mode, segment_starts, encoder))
+        for rows, stacks in groups:
+            group = [next(chains) for _ in stacks]
+            for j, k in enumerate(rows.tolist()):
+                plans[k][mode] = [(z_t[k] if z_in is None else z_in[j], seg[j])
+                                  for z_in, seg in group]
+    return [StepInputs(a, step_columns, z, p) for a, step_columns, z, p in
+            zip(active.tolist(), zip(latents[:, 0], actions, latents[:, 1]), z_t, plans)]
+
+
+def _step_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig, modes,
+                 batch_size: int, steps: int, streams: TrainStreams):
+    """Every training step's ``StepInputs``, in step order, built
+    ``INPUT_CHUNK_STEPS`` steps at a time (``_chunk_inputs``)."""
+    for done in range(0, steps, INPUT_CHUNK_STEPS):
+        yield from _chunk_inputs(dataset, encoder, cfg, modes, batch_size,
+                                 min(INPUT_CHUNK_STEPS, steps - done), streams)
+
+
+def train_step(stack: ParamStack, inputs: StepInputs,
+               optimizer) -> tuple[int, np.ndarray, np.ndarray]:
+    """One optimizer update of every row of ``stack`` on one step's inputs.
+
+    Computes every row's losses and gradient (``_stack_objective``) and
     updates every row, a non-finite one too. Returns the active
     constraint's index into CONSTRAINTS, the (3, K) losses and the (K,)
     mask of the rows whose losses stayed finite.
     """
-    columns = batch_columns(batch, encoder, streams.noise)
-    a = int(streams.constraint.integers(0, len(CONSTRAINTS)))
-    z_t = encoder.projection @ batch.dataset.features[batch.anchor_i, batch.anchor_t]
-    losses, ok = _stack_objective(stack, columns, z_t, batch.base_segment, CONSTRAINTS[a],
-                                  streams.dirichlet, batch.start_pose, encoder)
+    losses, ok = _stack_objective(stack, inputs.columns, inputs.z_t, CONSTRAINTS[inputs.active],
+                                  inputs.plans)
     optimizer.update(stack.params, stack.grad)
-    return a, losses, ok
+    return inputs.active, losses, ok
 
 
 LOSS_COLUMNS = ("step", "active_constraint", "l_pred", "l_ga", "total")
@@ -569,11 +664,13 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
     active = np.empty(run.steps, dtype=np.int8)
     curves = np.empty((3, len(cfgs), run.steps))
     results: list[TrainResult | NonFiniteLossError | None] = [None] * len(cfgs)
+    inputs = _step_inputs(dataset, encoder, cfg, list(stack.mode_rows), run.batch_size,
+                          run.steps, streams)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(run.steps):
-            batch = sample_batch(dataset, run.batch_size, cfg.max_span, streams.batch)
-            active[step], curves[:, :, step], ok = train_step(stack, encoder, batch, optimizer,
-                                                              streams)
+            # no name holds a step's inputs past its step, so a chunk's
+            # arrays are freed before the next chunk is built
+            active[step], curves[:, :, step], ok = train_step(stack, next(inputs), optimizer)
             if not ok.all():
                 for i in np.flatnonzero(alive & ~ok):
                     results[i] = NonFiniteLossError(f"non-finite loss at step {step}", step)

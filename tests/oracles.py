@@ -10,14 +10,18 @@ the bit-for-bit reference for its array kernels.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from gawm.latent import HeadingUndefinedError, LearnedWorldModel, net_step, pose_features
 from gawm.models import ExactModel, PerturbedModel
 from gawm.se2 import Pose2, pose_array, se2_compose
-from gawm.segments import ActionIncrement
-from gawm.training import NonFiniteLossError, train_group
+from gawm.segments import ActionIncrement, inverse_cycles, recompose, sample_dirichlet_weights
+from gawm.training import (
+    CONSTRAINT_COMP, CONSTRAINT_ID, CONSTRAINT_INV, CONSTRAINTS, FREE_RUNNING, NonFiniteLossError,
+    StepInputs, train_group,
+)
 
 
 def pose_to_matrix(p: Pose2) -> np.ndarray:
@@ -499,3 +503,108 @@ def per_pose_held_out_loss(model, net, encoder, length, action_dist, seed, start
     x = np.concatenate([z_in, actions], axis=0)
     diff = (z_in + ((w2 @ np.tanh(w1 @ x + b1[:, None])) + b2[:, None])) - z_next
     return float(np.sum(diff * diff) * (1.0 / z_in.shape[1]))
+
+
+# --- per-step reference for training's step inputs ----------------------------
+#
+# What a training step reads besides the parameters, drawn and built one
+# step at a time: a batch of four draws on the batch stream, its encoded
+# columns, one constraint draw, the step's own Dirichlet weights and the
+# teacher-forced inputs from a scalar ``se2_compose`` fold. Training
+# builds them a chunk of steps at a time, and must reproduce these
+# exactly (==).
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Transitions for the prediction loss, as (trajectory, time) index arrays
+    into ``dataset``, plus one anchor and the (span, 3) action view after it."""
+
+    dataset: object
+    idx: np.ndarray
+    ts: np.ndarray
+    anchor_i: int
+    anchor_t: int
+    base_segment: np.ndarray
+
+    @property
+    def start_pose(self) -> np.ndarray:
+        """The anchor's ``[theta, x, y]`` pose row."""
+        return self.dataset.poses[self.anchor_i, self.anchor_t]
+
+
+def sample_batch(dataset, batch_size: int, max_span: int, rng) -> Batch:
+    idx = rng.integers(0, len(dataset), size=batch_size)
+    ts = rng.integers(0, dataset.length, size=batch_size)
+    span = int(rng.integers(1, max_span + 1))
+    anchor_t = int(rng.integers(0, dataset.length - span + 1))
+    anchor_i = int(idx[0])
+    return Batch(dataset, idx, ts, anchor_i, anchor_t,
+                 dataset.actions[anchor_i, anchor_t : anchor_t + span])
+
+
+def encode_columns(features: np.ndarray, encoder, rng) -> np.ndarray:
+    """Encode (4, B) feature columns, plus seeded observation noise."""
+    z = encoder.projection @ features
+    if encoder.obs_noise_sigma > 0.0:
+        if rng is None:
+            raise ValueError("observation noise requires a random generator")
+        z = z + rng.normal(0.0, encoder.obs_noise_sigma, size=z.shape)
+    return z
+
+
+def batch_columns(batch: Batch, encoder, rng):
+    """(z_in, actions, z_next) columns of a batch; noise is drawn for z_in, then z_next."""
+    features, actions = batch.dataset.features, batch.dataset.actions
+    z_in = encode_columns(features[batch.idx, batch.ts].T, encoder, rng)
+    z_next = encode_columns(features[batch.idx, batch.ts + 1].T, encoder, rng)
+    return z_in, actions[batch.idx, batch.ts].T, z_next
+
+
+def constraint_segments(base_segment: np.ndarray, cfg, active: str, dirichlet_rng) -> list:
+    """Rollout segments of the active constraint for one (L, 3) base segment."""
+    l = len(base_segment)
+    if active == CONSTRAINT_ID:
+        return [np.zeros((l, 3))]
+    if active == CONSTRAINT_INV:
+        return [inverse_cycles(base_segment)]
+    assert active == CONSTRAINT_COMP
+    weights = sample_dirichlet_weights(l, cfg.dirichlet, dirichlet_rng)
+    return [base_segment, recompose(base_segment, weights)]
+
+
+def rollout_plans(segments: list, mode: str, z_t: np.ndarray, start_pose: np.ndarray,
+                  encoder) -> list:
+    """(first input, actions) of each rollout chain: free-running from the
+    anchor latent; teacher-forced, the last step from the noiseless encoding
+    of the exact state after the segment's other rows, folded one
+    ``se2_compose`` at a time."""
+    if mode == FREE_RUNNING:
+        return [(z_t, seg) for seg in segments]
+    start = Pose2(*start_pose.tolist())
+    plans = []
+    for seg in segments:
+        if len(seg) == 1:
+            plans.append((z_t, seg))
+            continue
+        state = start
+        for dx, dy, dtheta in seg[:-1].tolist():
+            state = se2_compose(state, Pose2(dtheta, dx, dy))
+        features = pose_features(np.array([state.theta, state.x, state.y]))
+        plans.append((encoder.projection @ features, seg[-1:]))
+    return plans
+
+
+def step_inputs(dataset, encoder, cfg, modes, batch_size: int, steps: int, streams) -> list:
+    """Each step's ``StepInputs``, drawn and built one step at a time."""
+    inputs = []
+    for _ in range(steps):
+        batch = sample_batch(dataset, batch_size, cfg.max_span, streams.batch)
+        columns = batch_columns(batch, encoder, streams.noise)
+        a = int(streams.constraint.integers(0, len(CONSTRAINTS)))
+        z_t = encoder.projection @ dataset.features[batch.anchor_i, batch.anchor_t]
+        segments = constraint_segments(batch.base_segment, cfg, CONSTRAINTS[a], streams.dirichlet)
+        plans = {mode: rollout_plans(segments, mode, z_t, batch.start_pose, encoder)
+                 for mode in modes}
+        inputs.append(StepInputs(a, columns, z_t, plans))
+    return inputs

@@ -15,7 +15,7 @@ from gawm.config import ProbeSuiteConfig, benchmark_config
 from gawm.data import ActionDistribution
 from gawm.data import sample_sequences
 from gawm.harness import cmd_ablate, cmd_gar, cmd_gen_data, cmd_probe, cmd_train
-from gawm.latent import DynamicsNet, make_dynamics_net, make_encoder, pose_features
+from gawm.latent import DynamicsNet, make_dynamics_net, make_encoder
 from gawm.metrics import (
     KIND_COMPOSITION,
     KIND_IDENTITY,
@@ -50,7 +50,6 @@ from gawm.training import (
 
 from oracles import (
     central_difference,
-    compose_matrix,
     increment_pose,
     increments,
     oracle_probe_composition,
@@ -337,7 +336,6 @@ def test_criterion_8_ablation_structure(benchmark_rows):
 
 def test_criterion_9_end_to_end_determinism(tmp_path):
     with criterion(9, "two pipeline runs produce byte-identical metric files", 300.0):
-        from dataclasses import replace
         from gawm.config import DatasetConfig, EncoderConfig, ExperimentConfig, GarSuiteConfig
         from gawm.training import TrainRunConfig
 

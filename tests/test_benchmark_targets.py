@@ -97,26 +97,39 @@ def test_tracer_installs_and_removes_every_wrapper(monkeypatch):
 
 def test_every_training_step_runs_through_train_step(monkeypatch):
     # the tracer's training.train_step_ms_* and train_step_samples time
-    # gawm.training.train_step, one span per step
-    calls = []
-    real_step = training.train_step
+    # gawm.training.train_step, one span per step, and its
+    # training.sample_batch_s times every batch draw: the steps that
+    # training.sample_batch draws for sum to the run's steps
+    calls, drawn = [], []
+    real_step, real_sample = training.train_step, training.sample_batch
 
     def counting_step(*args):
         calls.append(len(args[0].cfgs))
         return real_step(*args)
 
+    def counting_sample(*args):
+        draws = real_sample(*args)
+        drawn.append(len(draws[0]))
+        return draws
+
     monkeypatch.setattr(training, "train_step", counting_step)
+    monkeypatch.setattr(training, "sample_batch", counting_sample)
     dataset = generate_records(ExactModel(), 20, 16, ActionDistribution(), seed=100)
     encoder = make_encoder(8, 200)
-    run = TrainRunConfig(steps=5, batch_size=4, hidden_dim=8)
-    train_group(run, [GALossConfig(), GALossConfig(mode=TEACHER_FORCED)], dataset, encoder, 1)
-    assert calls == [2] * 5
-    calls.clear()
-    train(run, GALossConfig(), dataset, encoder, 1)
-    assert calls == [1] * 5
+    for steps in (5, training.INPUT_CHUNK_STEPS + 1):
+        calls.clear()
+        drawn.clear()
+        run = TrainRunConfig(steps=steps, batch_size=4, hidden_dim=8)
+        train_group(run, [GALossConfig(), GALossConfig(mode=TEACHER_FORCED)], dataset, encoder, 1)
+        assert calls == [2] * steps and sum(drawn) == steps
+        calls.clear()
+        drawn.clear()
+        train(run, GALossConfig(), dataset, encoder, 1)
+        assert calls == [1] * steps and sum(drawn) == steps
 
     # a row whose loss turns non-finite stays in the stack to the end
     calls.clear()
+    drawn.clear()
     run = TrainRunConfig(steps=12, batch_size=4, learning_rate=1e-3, hidden_dim=8,
                          optimizer="sgd")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -124,7 +137,7 @@ def test_every_training_step_runs_through_train_step(monkeypatch):
                                 dataset, encoder, 8)
     assert isinstance(bad, NonFiniteLossError) and 0 < bad.step < run.steps - 1
     assert not isinstance(good, NonFiniteLossError)
-    assert calls == [2] * run.steps
+    assert calls == [2] * run.steps and sum(drawn) == run.steps
 
 
 def test_benchmark_configs_round_trip_through_json(monkeypatch, tmp_path):

@@ -20,7 +20,6 @@ from gawm.latent import (
     make_dynamics_net,
     make_encoder,
     net_step,
-    pose_features,
     residual_step,
     rollout_endpoint_graph,
     save_checkpoint,

@@ -6,7 +6,6 @@ import pytest
 
 from gawm.config import ProbeSuiteConfig
 from gawm.metrics import (
-    GacReport,
     KIND_COMPOSITION,
     KIND_IDENTITY,
     KIND_INVERSE,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gawm import models
+from gawm import se2
 from gawm.data import read_trajectory_jsonl, write_trajectory_jsonl
 from gawm.models import (
     ExactModel,
@@ -14,7 +14,7 @@ from gawm.models import (
     perturbed_step,
     rollout,
 )
-from gawm.se2 import Pose2, se2_compose, se2_identity, state_distance, wrap_angles
+from gawm.se2 import Pose2, se2_compose, state_distance, wrap_angles
 from gawm.segments import ActionIncrement, ZERO_INCREMENT, make_inverse_segment
 
 import oracles
@@ -243,7 +243,7 @@ def _increment_rows(t, sigma, seed):
 @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.5])
 def test_increment_headings_equal_the_stepwise_wrap_loop(t, sigma):
     starts, increments = _increment_rows(t, sigma, seed=t)
-    theta = models._apply_increments(starts, increments)[..., 0]
+    theta = se2.apply_increments(starts, increments)[..., 0]
     want = _stepwise_headings(starts[:, 0], increments[..., 2])
     assert theta.tobytes() == want.tobytes()
     if sigma == 1.5 and t == 80:  # the random walks wrap many times
@@ -256,4 +256,4 @@ def test_a_non_finite_turn_ends_in_the_finite_pose_error(bad, t, step):
     starts, increments = _increment_rows(t, 1.5, seed=3)
     increments[4, step, 2] = bad
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-        models._apply_increments(starts, increments)
+        se2.apply_increments(starts, increments)

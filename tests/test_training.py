@@ -12,7 +12,7 @@ from gawm.config import benchmark_config
 from gawm.data import ActionDistribution, Dataset, generate_records
 from gawm.harness import sweep_points
 from gawm.latent import (
-    DynamicsNet, block_weights, make_decoder, make_dynamics_net, make_encoder, pose_features,
+    DynamicsNet, block_weights, make_dynamics_net, make_encoder, pose_features,
 )
 from gawm.models import ExactModel
 from gawm.se2 import Pose2, pose_array
@@ -20,7 +20,6 @@ from gawm.segments import ActionIncrement, DirichletParams
 from gawm import training
 from gawm.training import (
     AdamOptimizer,
-    Batch,
     CONSTRAINT_COMP,
     CONSTRAINT_ID,
     CONSTRAINT_INV,
@@ -33,17 +32,19 @@ from gawm.training import (
     TEACHER_FORCED,
     TrainRunConfig,
     TrainStreams,
-    batch_columns,
     ga_loss_graph,
     make_optimizer,
     prediction_loss,
     prediction_loss_graph,
-    sample_batch,
     train_group,
     train_step,
 )
 
-from oracles import central_difference, encode, exact_step, increments, rollout, train
+import oracles
+from oracles import (
+    Batch, batch_columns, central_difference, encode, exact_step, increments, rollout,
+    sample_batch, train,
+)
 
 
 def _rng(seed=0):
@@ -55,12 +56,19 @@ def _one_row(net, cfg):
     return ParamStack(net, net.params[None], [cfg])
 
 
+def _plans(modes, z_t, base, cfg, active, dirichlet_rng, start_pose, encoder):
+    """Each mode's rollout plans for one step, as the per-step reference builds them."""
+    segments = oracles.constraint_segments(base, cfg, active, dirichlet_rng)
+    return {mode: oracles.rollout_plans(segments, mode, z_t, start_pose, encoder)
+            for mode in modes}
+
+
 def _objective_grad(net, columns, z_t, base, cfg, active, dirichlet_rng, start_pose=None,
                     encoder=None):
     """(l_pred, l_ga, gradient) of one finite net through the training objective."""
     stack = _one_row(net, cfg)
-    losses, ok = training._stack_objective(stack, columns, z_t, base, active, dirichlet_rng,
-                                           start_pose, encoder)
+    plans = _plans(stack.mode_rows, z_t, base, cfg, active, dirichlet_rng, start_pose, encoder)
+    losses, ok = training._stack_objective(stack, columns, z_t, active, plans)
     assert ok[0]
     return float(losses[0, 0]), float(losses[1, 0]), stack.grad[0]
 
@@ -152,9 +160,9 @@ def test_ga_losses_reports_inactive_as_none(dataset, encoder):
     optimizer = make_optimizer(run, stack.params.shape)
     streams = TrainStreams.from_seed(34)
     seen = set()
-    for _ in range(12):
-        batch = sample_batch(dataset, 4, 4, streams.batch)
-        a, losses, ok = train_step(stack, encoder, batch, optimizer, streams)
+    for inputs in training._step_inputs(dataset, encoder, GALossConfig(), [FREE_RUNNING], 4, 12,
+                                        streams):
+        a, losses, ok = train_step(stack, inputs, optimizer)
         seen.add(CONSTRAINTS[a])
         assert ok[0] and losses[0, 0] > 0.0 and losses[1, 0] >= 0.0
     assert seen == set(CONSTRAINTS)
@@ -258,19 +266,57 @@ def test_teacher_forced_loss_matches_exact_state_oracle(encoder):
 
 @pytest.mark.parametrize("length", range(2, 9))
 def test_teacher_forced_prefix_equals_the_per_pose_exact_rollout(encoder, length):
-    # the prefix folds exact_step's arithmetic over float rows; its state must
-    # be the per-pose rollout's bit for bit, including every heading wrap
+    # the prefixes of a stack of segments fold through the exact array
+    # kernel; each state must be the per-pose rollout's bit for bit,
+    # including every heading wrap
     rng = _rng(70 + length)
-    for theta in (math.pi, -math.pi, math.pi - 1e-12, -math.pi + 1e-12, 0.3):
-        seg = np.column_stack([rng.normal(0.1, 0.05, length), rng.normal(0.0, 0.03, length),
-                               rng.uniform(-math.pi, math.pi, length)])
-        seg[::2, 2] = -math.pi  # increment_pose wraps it to +pi
-        start = np.array([theta, *rng.normal(0.0, 1.0, 2)])
-        [(z_in, last)] = training._rollout_plans([seg], TEACHER_FORCED, start, encoder)
+    thetas = (math.pi, np.nextafter(-math.pi, 0.0), math.pi - 1e-12, -math.pi + 1e-12, 0.3)
+    segs = np.stack([np.column_stack([rng.normal(0.1, 0.05, length),
+                                      rng.normal(0.0, 0.03, length),
+                                      rng.uniform(-math.pi, math.pi, length)])
+                     for _ in thetas])
+    segs[:, ::2, 2] = -math.pi  # increment_pose wraps it to +pi
+    starts = np.column_stack([thetas, rng.normal(0.0, 1.0, (len(thetas), 2))])
+    [(z_in, last)] = training._rollout_chains([segs], TEACHER_FORCED, [starts], encoder)
+    assert last.tobytes() == segs[:, -1:].tobytes()
+    for row, (start, seg) in enumerate(zip(starts, segs)):
         state = rollout(ExactModel(), Pose2(*start), seg[:-1], None)[-1]
         want = encoder.projection @ pose_features(pose_array([state])[0])
-        assert z_in.tobytes() == want.tobytes(), theta
-        assert last.tobytes() == seg[-1:].tobytes()
+        assert z_in[row].tobytes() == want.tobytes(), start[0]
+        [(plan_in, plan_last)] = oracles.rollout_plans([seg], TEACHER_FORCED, None, start,
+                                                        encoder)
+        assert plan_in.tobytes() == want.tobytes() and plan_last.tobytes() == seg[-1:].tobytes()
+
+
+def test_teacher_forced_stacks_of_every_length_fold_in_one_call(encoder):
+    # stacks of 1 to 8 rows fold as one call, padded to the longest; each
+    # stack's inputs equal those of a call on it alone, bit for bit
+    rng = _rng(90)
+    segments = [np.stack([np.column_stack([rng.normal(0.1, 0.05, l), rng.normal(0.0, 0.03, l),
+                                           rng.uniform(-math.pi, math.pi, l)])
+                          for _ in range(3)]) for l in range(1, 9)]
+    starts = [np.column_stack([rng.uniform(-math.pi, math.pi, 3), rng.normal(0.0, 1.0, (3, 2))])
+              for _ in segments]
+    together = training._rollout_chains(segments, TEACHER_FORCED, starts, encoder)
+    for segs, start, (z_in, last) in zip(segments, starts, together):
+        [(alone, alone_last)] = training._rollout_chains([segs], TEACHER_FORCED, [start], encoder)
+        assert last.tobytes() == alone_last.tobytes()
+        if segs.shape[1] == 1:
+            assert z_in is None and alone is None and last is segs
+        else:
+            assert z_in.tobytes() == alone.tobytes()
+
+
+def test_tape_reference_wraps_a_teacher_forced_start_heading(encoder):
+    # a start heading of -pi is the pose at +pi, as Pose2 holds it
+    net = make_dynamics_net(8, 16, 19)
+    base = np.array([[0.2, 0.05, 0.3], [0.15, -0.05, -0.2]])
+    z_t = _rng(3).normal(size=8)
+    cfg = GALossConfig(mode=TEACHER_FORCED)
+    values = [float(ga_loss_graph(net.param_tensors(), z_t, base, cfg, CONSTRAINT_INV, _rng(0),
+                                  start_pose=np.array([theta, 0.5, -0.2]), encoder=encoder).value)
+              for theta in (-math.pi, math.pi)]
+    assert values[0] == values[1]
 
 
 def test_teacher_forced_requires_anchor_pose():
@@ -311,23 +357,22 @@ def test_constraint_sampling_is_uniform_and_weight_independent(dataset, encoder)
     assert all(v > 0 for v in counts.values())
 
 
-def _one_batch(dataset, encoder, seed=0):
+def _first_inputs(dataset, encoder, seed=0):
+    """The first training step's inputs from a batch of 8."""
     streams = TrainStreams.from_seed(seed)
-    return sample_batch(dataset, 8, 4, streams.batch), streams
+    return next(training._step_inputs(dataset, encoder, GALossConfig(), [FREE_RUNNING], 8, 1,
+                                      streams))
 
 
 def test_train_step_lambda_zero_equals_pure_prediction(dataset, encoder):
-    run = TrainRunConfig(steps=1, batch_size=8, learning_rate=0.05, optimizer="sgd")
-    batch, streams = _one_batch(dataset, encoder)
+    inputs = _first_inputs(dataset, encoder)
 
     net_a = make_dynamics_net(8, 8, 30)
-    train_step(_one_row(net_a, GALossConfig(lambda_ga=0.0)), encoder, batch, SgdOptimizer(0.05),
-               streams)
+    train_step(_one_row(net_a, GALossConfig(lambda_ga=0.0)), inputs, SgdOptimizer(0.05))
 
     net_b = make_dynamics_net(8, 8, 30)
     weights = net_b.param_tensors()
-    z_in, acts, z_next = batch_columns(batch, encoder, None)
-    pred = prediction_loss_graph(weights, z_in, acts, z_next)
+    pred = prediction_loss_graph(weights, *inputs.columns)
     ag.backward(pred)
     net_b.params -= 0.05 * net_b.pack_grads(weights)
 
@@ -336,12 +381,11 @@ def test_train_step_lambda_zero_equals_pure_prediction(dataset, encoder):
 
 def test_train_step_zero_learning_rate_reports_but_does_not_move(dataset, encoder):
     run = TrainRunConfig(steps=1, batch_size=8, learning_rate=0.0)
-    batch, streams = _one_batch(dataset, encoder)
     net = make_dynamics_net(8, 8, 31)
     before = net.params.copy()
     stack = _one_row(net, GALossConfig())
-    _, losses, ok = train_step(stack, encoder, batch, make_optimizer(run, stack.params.shape),
-                               streams)
+    _, losses, ok = train_step(stack, _first_inputs(dataset, encoder),
+                               make_optimizer(run, stack.params.shape))
     assert np.array_equal(net.params, before)
     assert ok[0] and losses[0, 0] > 0.0 and losses[1, 0] >= 0.0
 
@@ -371,45 +415,77 @@ def test_train_single_step_equals_one_train_step(dataset, encoder):
     init_ss = np.random.SeedSequence(entropy=44, spawn_key=(0,))
     net = make_net(encoder.latent_dim, run.hidden_dim, init_ss)
     streams = TrainStreams.from_seed(44)
-    batch = sample_batch(dataset, run.batch_size, cfg.max_span, streams.batch)
+    [inputs] = oracles.step_inputs(dataset, encoder, cfg, [cfg.mode], run.batch_size, 1, streams)
     stack = _one_row(net, cfg)
-    train_step(stack, encoder, batch, make_optimizer(run, stack.params.shape), streams)
+    train_step(stack, inputs, make_optimizer(run, stack.params.shape))
     assert np.array_equal(result.net.params, net.params)
 
 
-def test_batch_columns_equal_per_pose_encoding(dataset, encoder):
-    streams = TrainStreams.from_seed(46)
-    for _ in range(5):
-        batch = sample_batch(dataset, 8, 4, streams.batch)
-        z_in, actions, z_next = batch_columns(batch, encoder, None)
-        items = list(zip(batch.idx.tolist(), batch.ts.tolist()))
+def test_step_inputs_equal_per_pose_encoding(dataset, encoder):
+    idx, ts, anchor_i, anchor_t, spans = training.sample_batch(
+        dataset, 8, 4, TrainStreams.from_seed(46).batch, 40)
+    inputs = list(training._step_inputs(dataset, encoder, GALossConfig(), [FREE_RUNNING], 8, 40,
+                                        TrainStreams.from_seed(46)))
+    assert np.array_equal(anchor_i, idx[:, 0])
+    for k, step in enumerate(inputs):
+        z_in, actions, z_next = step.columns
+        items = list(zip(idx[k].tolist(), ts[k].tolist()))
         assert np.array_equal(z_in, encoder.projection @ np.stack(
             [pose_features(dataset.poses[i, t]) for i, t in items], axis=1))
         assert np.array_equal(z_next, encoder.projection @ np.stack(
             [pose_features(dataset.poses[i, t + 1]) for i, t in items], axis=1))
         assert np.array_equal(actions, np.stack([dataset.actions[i, t] for i, t in items], axis=1))
-        assert np.array_equal(encoder.projection @ dataset.features[batch.anchor_i, batch.anchor_t],
-                              encoder.projection @ pose_features(batch.start_pose))
-        assert np.array_equal(batch.base_segment, dataset.segment(
-            batch.anchor_i, batch.anchor_t, len(batch.base_segment)))
+        assert np.array_equal(step.z_t, encoder.projection @ pose_features(
+            dataset.poses[anchor_i[k], anchor_t[k]]))
+        base = dataset.actions[anchor_i[k], anchor_t[k] : anchor_t[k] + spans[k]]
+        segments = [seg for _, seg in step.plans[FREE_RUNNING]]
+        if CONSTRAINTS[step.active] == CONSTRAINT_ID:
+            assert [seg.tolist() for seg in segments] == [np.zeros((spans[k], 3)).tolist()]
+        else:
+            assert np.array_equal(segments[0][:spans[k]], base)
+    assert {CONSTRAINTS[step.active] for step in inputs} == set(CONSTRAINTS)
 
 
-def test_batch_columns_draw_noise_for_inputs_then_targets(dataset):
+def test_step_inputs_draw_noise_for_inputs_then_targets(dataset):
     noisy = make_encoder(8, 200, obs_noise_sigma=0.1)
-    batch = sample_batch(dataset, 8, 4, _rng(47))
-    z_in, _, z_next = batch_columns(batch, noisy, _rng(48))
-    clean_in, _, clean_next = batch_columns(batch, make_encoder(8, 200), None)
-    draws = _rng(48)
-    assert np.array_equal(z_in, clean_in + draws.normal(0.0, 0.1, size=(8, 8)))
-    assert np.array_equal(z_next, clean_next + draws.normal(0.0, 0.1, size=(8, 8)))
-    with pytest.raises(ValueError):
-        batch_columns(batch, noisy, None)
+    clean = make_encoder(8, 200)
+    draws = TrainStreams.from_seed(48).noise
+    for noisy_step, clean_step in zip(
+            training._step_inputs(dataset, noisy, GALossConfig(), [FREE_RUNNING], 8, 40,
+                                  TrainStreams.from_seed(48)),
+            training._step_inputs(dataset, clean, GALossConfig(), [FREE_RUNNING], 8, 40,
+                                  TrainStreams.from_seed(48))):
+        (z_in, _, z_next), (clean_in, _, clean_next) = noisy_step.columns, clean_step.columns
+        assert np.array_equal(z_in, clean_in + draws.normal(0.0, 0.1, size=(8, 8)))
+        assert np.array_equal(z_next, clean_next + draws.normal(0.0, 0.1, size=(8, 8)))
+    with pytest.raises(ValueError, match="requires a random generator"):
+        prediction_loss(DynamicsNet(8, 4), noisy, dataset.poses[0, :3], dataset.actions[0, :3],
+                        dataset.poses[0, 1:4])
 
 
 def test_sample_batch_spans_stay_in_range(dataset):
-    rng = _rng(45)
-    spans = {len(sample_batch(dataset, 2, 4, rng).base_segment) for _ in range(200)}
-    assert spans == {1, 2, 3, 4}
+    idx, ts, anchor_i, anchor_t, spans = training.sample_batch(dataset, 2, 4, _rng(45), 200)
+    assert set(spans.tolist()) == {1, 2, 3, 4}
+    assert idx.min() >= 0 and idx.max() < len(dataset)
+    assert ts.min() >= 0 and ts.max() < dataset.length
+    assert anchor_t.min() >= 0 and (anchor_t + spans).max() <= dataset.length
+
+
+@pytest.mark.parametrize("batch_size, max_span", [(1, 1), (3, 4), (32, 16)])
+def test_sample_batch_draws_as_the_per_step_calls(dataset, batch_size, max_span):
+    # one call over the 2B + 1 bounds, then the anchor time, is the four
+    # per-step calls bit for bit, also where a bound admits one value
+    one = Dataset(dataset.poses[:1, :max_span + 1], dataset.actions[:1, :max_span])
+    for data in (dataset, one):
+        rng, reference = _rng(49), _rng(49)
+        idx, ts, anchor_i, anchor_t, spans = training.sample_batch(data, batch_size, max_span,
+                                                                   rng, 300)
+        for k in range(300):
+            batch = sample_batch(data, batch_size, max_span, reference)
+            assert idx[k].tolist() == batch.idx.tolist() and ts[k].tolist() == batch.ts.tolist()
+            assert (anchor_i[k], anchor_t[k]) == (batch.anchor_i, batch.anchor_t)
+            assert spans[k] == len(batch.base_segment)
+        assert rng.integers(2**62) == reference.integers(2**62)  # both streams end in step
 
 
 def test_lambda_sweep_diverges_at_first_ga_batch(dataset, encoder):
@@ -590,7 +666,7 @@ def test_train_rejects_pre_activation_overflow(far_dataset, monkeypatch, where):
     net.weights()[0][:, 0] = 1e305
     pred_i, anchor_i = (1, 0) if where == "prediction" else (0, 1)
     batch = Batch(far_dataset, np.full(4, pred_i), np.arange(4), anchor_i, 2,
-                  far_dataset.segment(anchor_i, 2, 3))
+                  far_dataset.actions[anchor_i, 2:5])
     cfg = GALossConfig()
     with np.errstate(over="ignore", invalid="ignore"):
         z_t = enc.projection @ pose_features(batch.start_pose)
@@ -602,17 +678,27 @@ def test_train_rejects_pre_activation_overflow(far_dataset, monkeypatch, where):
         with pytest.raises(ag.NonFiniteGraphError):
             ag.backward(total)
 
-        monkeypatch.setattr(training, "sample_batch", lambda *args: batch)
+        monkeypatch.setattr(training, "sample_batch", _fixed_batches(batch))
         run = TrainRunConfig(steps=3, batch_size=4)
         with pytest.raises(NonFiniteLossError, match="step 0"):
             train(run, cfg, far_dataset, enc, 67, initial_net=net)
 
 
+def _fixed_batches(batch):
+    """A stand-in for ``training.sample_batch`` that draws ``batch`` at every step."""
+    def draw(dataset, batch_size, max_span, rng, steps):
+        rows = np.ones((steps, 1), dtype=np.int64)
+        return (rows * batch.idx, rows * batch.ts, np.full(steps, batch.anchor_i),
+                np.full(steps, batch.anchor_t), np.full(steps, len(batch.base_segment)))
+    return draw
+
+
 def _objective(params, net, cfgs, columns, z_t, batch, active, seed, encoder):
     """(losses, ok, grad) of ``_stack_objective`` on a stack of the given rows."""
     stack = ParamStack(net, params.copy(), cfgs)
-    losses, ok = training._stack_objective(stack, columns, z_t, batch.base_segment, active,
-                                           _rng(seed), batch.start_pose, encoder)
+    plans = _plans(stack.mode_rows, z_t, batch.base_segment, cfgs[0], active, _rng(seed),
+                   batch.start_pose, encoder)
+    losses, ok = training._stack_objective(stack, columns, z_t, active, plans)
     return losses, ok, stack.grad
 
 
@@ -624,7 +710,7 @@ def test_stacked_rollout_fails_only_the_overflowing_row(far_dataset, monkeypatch
     net = make_dynamics_net(8, 8, 66)
     params = np.stack([net.params, net.params])
     net.views(params[1])[0][:, 0] = 1e305
-    batch = Batch(far_dataset, np.full(4, 0), np.arange(4), 1, 2, far_dataset.segment(1, 2, 3))
+    batch = Batch(far_dataset, np.full(4, 0), np.arange(4), 1, 2, far_dataset.actions[1, 2:5])
     columns = batch_columns(batch, enc, None)
     z_t = enc.projection @ pose_features(batch.start_pose)
     cfgs = [GALossConfig(), GALossConfig()]
@@ -641,7 +727,7 @@ def test_stacked_rollout_fails_only_the_overflowing_row(far_dataset, monkeypatch
     # train_group silences a failing row's overflow itself: from the huge
     # weight both rows overflow at step 0, and no RuntimeWarning escapes
     net.params[:] = params[1]
-    monkeypatch.setattr(training, "sample_batch", lambda *args: batch)
+    monkeypatch.setattr(training, "sample_batch", _fixed_batches(batch))
     run = TrainRunConfig(steps=3, batch_size=4, hidden_dim=8)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -841,3 +927,99 @@ def test_train_accepts_span_equal_to_the_trajectories(dataset, encoder):
     run = TrainRunConfig(steps=20, batch_size=4, hidden_dim=8)
     result = train(run, GALossConfig(max_span=dataset.length), dataset, encoder, 73)
     assert len(result.total) == run.steps
+
+
+# -- chunked step inputs ---------------------------------------------------------
+
+
+def _same_inputs(got, want) -> None:
+    """Bit-for-bit equality of two steps' ``StepInputs``."""
+    assert got.active == want.active
+    for a, b in zip(got.columns, want.columns):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.z_t.tobytes() == want.z_t.tobytes()
+    assert list(got.plans) == list(want.plans)
+    for mode, chains in got.plans.items():
+        assert len(chains) == len(want.plans[mode])
+        for (z, seg), (want_z, want_seg) in zip(chains, want.plans[mode]):
+            assert z.tobytes() == want_z.tobytes()
+            assert seg.shape == want_seg.shape and seg.tobytes() == want_seg.tobytes()
+
+
+CHUNK = training.INPUT_CHUNK_STEPS
+
+
+@pytest.mark.parametrize("sigma", (0.0, 0.05))
+@pytest.mark.parametrize("modes", ([FREE_RUNNING], [TEACHER_FORCED],
+                                   [TEACHER_FORCED, FREE_RUNNING]))
+@pytest.mark.parametrize("steps", (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3))
+def test_chunked_inputs_equal_the_per_step_reference(dataset, steps, modes, sigma):
+    enc = make_encoder(8, 200, obs_noise_sigma=sigma)
+    cfg = GALossConfig(dirichlet=DirichletParams(0.3))
+    got = list(training._step_inputs(dataset, enc, cfg, modes, 4, steps,
+                                     TrainStreams.from_seed(steps)))
+    want = oracles.step_inputs(dataset, enc, cfg, modes, 4, steps, TrainStreams.from_seed(steps))
+    assert len(got) == steps
+    for step, reference in zip(got, want):
+        _same_inputs(step, reference)
+    if steps > 2 * CHUNK:  # every constraint at every span
+        spans = training.sample_batch(dataset, 4, cfg.max_span, TrainStreams.from_seed(steps).batch,
+                                      steps)[-1]
+        seen = {(step.active, span) for step, span in zip(got, spans.tolist())}
+        assert seen == {(a, span) for a in range(3) for span in range(1, 5)}
+
+
+@pytest.mark.parametrize("max_span", (1, 12))
+def test_chunked_inputs_equal_the_per_step_reference_at_any_span(dataset, max_span):
+    # spans of 8 and more sum their Dirichlet gammas pairwise
+    enc = make_encoder(8, 200, obs_noise_sigma=0.05)
+    cfg = GALossConfig(max_span=max_span)
+    modes = [FREE_RUNNING, TEACHER_FORCED]
+    got = training._step_inputs(dataset, enc, cfg, modes, 4, 3 * CHUNK, TrainStreams.from_seed(5))
+    want = oracles.step_inputs(dataset, enc, cfg, modes, 4, 3 * CHUNK, TrainStreams.from_seed(5))
+    for step, reference in zip(got, want):
+        _same_inputs(step, reference)
+
+
+def _per_step_inputs(dataset, encoder, cfg, modes, batch_size, steps, streams):
+    """``training._step_inputs`` drawn and built one step at a time."""
+    for _ in range(steps):
+        yield from oracles.step_inputs(dataset, encoder, cfg, modes, batch_size, 1, streams)
+
+
+@pytest.mark.parametrize("lambda_ga", (0.5, 1e10))
+def test_training_on_chunked_inputs_equals_the_per_step_reference(dataset, monkeypatch,
+                                                                  lambda_ga):
+    # at 1e10 one row fails in the first chunk and the other in the middle
+    # of the second, where training stops at the reference's step
+    calls = []
+    real_step = training.train_step
+
+    def counting_step(*args):
+        calls.append(len(args[0].cfgs))
+        return real_step(*args)
+
+    monkeypatch.setattr(training, "train_step", counting_step)
+    enc = make_encoder(8, 200, obs_noise_sigma=0.02)
+    run = TrainRunConfig(steps=2 * CHUNK + 3, batch_size=4, learning_rate=1e-3, hidden_dim=8,
+                         optimizer="sgd")
+    cfgs = [GALossConfig(lambda_ga=lambda_ga),
+            GALossConfig(lambda_ga=lambda_ga, lambda_inv=0.0, mode=TEACHER_FORCED)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        chunked = train_group(run, cfgs, dataset, enc, 8)
+        chunked_calls = len(calls)
+        monkeypatch.setattr(training, "_step_inputs", _per_step_inputs)
+        reference = train_group(run, cfgs, dataset, enc, 8)
+    assert len(calls) == 2 * chunked_calls
+    if lambda_ga < 1.0:
+        assert chunked_calls == run.steps
+        for result, want in zip(chunked, reference):
+            _same_run(result, want)
+        return
+    steps = [r.step for r in chunked]
+    assert steps == [r.step for r in reference]
+    assert [str(r) for r in chunked] == [str(r) for r in reference]
+    last = max(steps)
+    assert CHUNK < last < 2 * CHUNK - 1 and last % CHUNK != 0  # mid-chunk
+    assert chunked_calls == last + 1
