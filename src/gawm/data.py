@@ -143,17 +143,31 @@ def write_trajectory_jsonl(path, poses: np.ndarray, actions: np.ndarray) -> None
     write_text(path, "\n".join(lines) + "\n")
 
 
+_decode = json.JSONDecoder().raw_decode  # (value, end) of the JSON value a string starts with
+
+
 def read_trajectory_jsonl(path) -> tuple[np.ndarray, np.ndarray]:
     """A trajectory file's (T+1, 3) poses and its header's (T, 3) actions,
     as written: every value must be a JSON number (``number_array``), and
-    ``Dataset`` checks them. Every error names the file."""
+    ``Dataset`` checks them. Every error names the file.
+
+    Each line must hold one JSON value, as ``json.loads`` requires; the
+    lines are decoded without its per-call checks, which cost more than
+    decoding a line."""
     with open(path) as f:
-        lines = [line for line in f if line.strip()]
+        lines = [line.strip(" \t\n\r") for line in f if line.strip()]  # JSON's whitespace
+    values = []
     try:
-        header, *rows = [json.loads(line) for line in lines] or [{}]
-        poses = number_array([[r["theta"], r["x"], r["y"]] for r in rows])
+        for line in lines:
+            value, end = _decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+            values.append(value)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: a line is not JSON: {err}") from None
+    header, *rows = values or [{}]
+    try:
+        poses = number_array([[r["theta"], r["x"], r["y"]] for r in rows])
     except KeyError as err:
         raise ValueError(f"{path}: a pose line lacks {err}") from None
     except (TypeError, ValueError) as err:

@@ -24,6 +24,15 @@ optimizer update. Every forward step of the network is one call of
 evaluated with: the prediction batch of all rows at once, and the
 rollouts of the rows that share a rollout mode as one stack (a mode's
 only row on its own).
+
+A rollout mode whose rows weight no constraint (loss-only, as a
+pretrain with ``lambda_ga = 0`` is) backpropagates nothing through its
+rollouts; they give only the loss curve's l_ga and its finiteness check.
+So its steps skip them: each step copies the parameters it reads into
+the mode's snapshot, and the chunk's chains roll out together after its
+steps (``_loss_only_rollouts``), bit for bit as per-step rollouts. A
+failure known at a step still stops the run there, after the rollouts
+of the chunk's steps so far.
 """
 
 from __future__ import annotations
@@ -143,7 +152,9 @@ class AdamOptimizer:
 
     ``shape`` is a parameter vector's size, or (K, P) for a stack of K
     vectors. The update is elementwise, so a stack's rows move exactly as
-    K separate optimizers would move them.
+    K separate optimizers would move them. The moments ``m`` and ``v``
+    are the two rows of one buffer, so one decay, one gain product and
+    one sum update both.
     """
 
     def __init__(self, learning_rate: float, shape: int | tuple[int, int], beta1: float = 0.9,
@@ -152,27 +163,30 @@ class AdamOptimizer:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
+        self.moments = np.zeros((2, *np.atleast_1d(shape)))
+        self.m, self.v = self.moments
         self.t = 0
-        self._s1 = np.empty(shape)
-        self._s2 = np.empty(shape)
+        self._scratch = np.empty_like(self.moments)
+        column = (2,) + (1,) * (self.moments.ndim - 1)
+        self._decay = np.array([beta1, beta2]).reshape(column)
+        self._gain = np.array([1.0 - beta1, 1.0 - beta2]).reshape(column)
 
     def update(self, params: np.ndarray, grad: np.ndarray) -> None:
         """In place, in the operation order of
         ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
         ``p -= (lr*m_hat) / (sqrt(v_hat)+eps)``, so results are bit-identical."""
         self.t += 1
-        s1, s2 = self._s1, self._s2
-        self.m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=s1)
-        self.m += s1
-        self.v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=s1)
-        s1 *= grad
-        self.v += s1
-        np.divide(self.m, 1.0 - self.beta1 ** self.t, out=s1)
-        s1 *= self.learning_rate
+        s1, s2 = self._scratch
+        self.moments *= self._decay
+        np.multiply(grad, self._gain, out=self._scratch)
+        s2 *= grad
+        self.moments += self._scratch
+        bias1 = 1.0 - self.beta1 ** self.t
+        if bias1 == 1.0:  # from t = 356 at beta1 = 0.9; m / 1.0 is m
+            np.multiply(self.m, self.learning_rate, out=s1)
+        else:
+            np.divide(self.m, bias1, out=s1)
+            s1 *= self.learning_rate
         np.divide(self.v, 1.0 - self.beta2 ** self.t, out=s2)
         np.sqrt(s2, out=s2)
         s2 += self.eps
@@ -193,8 +207,49 @@ def sample_batch(dataset: Dataset, batch_size: int, max_span: int, rng: np.rando
     span as one call over those 2B + 1 bounds, then the anchor's time.
     Returns (steps, B) trajectory and time indices of the prediction
     batches, and (steps,) anchor trajectories (each step's first
-    trajectory index), anchor times and spans."""
+    trajectory index), anchor times and spans.
+
+    The draws map one block of the generator's raw 64-bit words as
+    ``Generator.integers`` maps its 32-bit draws, by Lemire's
+    bounded-integer rule: a pending 32-bit half first, then each word's
+    low half before its high half. The generator is left in the state the
+    per-step calls leave. Where the rule would reject a draw, or a bound
+    admits one value (which draws nothing), the generator is restored and
+    the steps draw with the per-step calls, as they do on a generator of
+    32-bit words."""
     b, length = batch_size, dataset.length
+    width = 2 * b + 2  # a step's draws: B trajectories, B times, its span and anchor time
+    bits = rng.bit_generator
+    saved = bits.state
+    if "has_uint32" not in saved:  # a generator of 32-bit words, MT19937
+        return _per_step_batches(dataset, b, max_span, rng, steps)
+    pending = saved["has_uint32"]
+    words = bits.random_raw((steps * width - pending + 1) // 2)
+    halves = np.empty(2 * len(words) + pending, dtype=np.uint64)
+    halves[0] = saved["uinteger"]
+    halves[pending::2] = words & 0xFFFFFFFF
+    halves[pending + 1::2] = words >> 32
+    uniform = halves[:steps * width].reshape(steps, width)
+    ranges = np.empty_like(uniform)
+    ranges[:] = [len(dataset)] * b + [length] * b + [max_span, 0]
+    ranges[:, -1] = length - ((uniform[:, -2] * max_span) >> 32)  # length - span + 1
+    draws = uniform * ranges
+    if (((ranges < 2) | (ranges >= 2**32)).any()
+            or ((draws & 0xFFFFFFFF) < (2**32 - ranges) % ranges).any()):
+        bits.state = saved
+        return _per_step_batches(dataset, b, max_span, rng, steps)
+    state = bits.state
+    state.update(has_uint32=len(halves) - draws.size, uinteger=int(halves[-1]))
+    bits.state = state
+    draws = (draws >> 32).astype(np.int64)
+    spans = draws[:, -2] + 1
+    return draws[:, :b], draws[:, b:2 * b], draws[:, 0], draws[:, -1], spans
+
+
+def _per_step_batches(dataset: Dataset, b: int, max_span: int, rng: np.random.Generator,
+                      steps: int):
+    """``sample_batch`` by the per-step calls."""
+    length = dataset.length
     highs = np.array([len(dataset)] * b + [length] * b + [max_span + 1])
     lows = np.zeros_like(highs)
     lows[-1] = 1
@@ -397,6 +452,9 @@ class ParamStack:
         self.mode_rows: dict[str, list[int]] = {}  # each rollout mode's rows
         for k, cfg in enumerate(cfgs):
             self.mode_rows.setdefault(cfg.mode, []).append(k)
+        # whether each mode is loss-only: no row of it ever weights its rollouts
+        self.loss_only = {mode: not any(w[rows].any() for w in self.active_weights.values())
+                          for mode, rows in self.mode_rows.items()}
 
     def mode_weights(self, rows: list[int]):
         """The weights ``_roll_out`` takes for ``rows``: one row's own, or
@@ -441,7 +499,9 @@ def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, active: str,
     out alone, on (d,) vectors, which costs less at n = 1. The rollout
     backward runs per row, over views into the stacked caches, and only
     for rows whose active weight is nonzero; a zero weight would add
-    only zeros.
+    only zeros. A mode that ``plans`` leaves out is loss-only, and its
+    rows read an l_ga of 0.0 here: ``train_group`` rolls such a mode out
+    once per chunk and fills in its l_ga and total.
     """
     losses = np.empty((3, len(stack.cfgs)))
     weight = stack.active_weights[active].tolist()
@@ -449,6 +509,9 @@ def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, active: str,
     losses[0], diff, (x, pre, h) = _stack_prediction(stack.weights, *columns)
     ok = np.isfinite(pre).all(axis=(1, 2))
     for mode, rows in stack.mode_rows.items():
+        if mode not in plans:  # loss-only rollouts that train_group runs after the chunk
+            losses[1, rows] = 0.0
+            continue
         chains, end_diff, finite = _roll_out(plans[mode], z_t, stack.mode_weights(rows), len(rows))
         stacked = len(rows) > 1  # else the one row rolled out as vectors
         at = rows if stacked else rows[0]
@@ -494,29 +557,50 @@ class TrainStreams:
         return TrainStreams(*keyed_rngs(seed, [(1,), (2,), (3,), (4,)]))
 
 
+class LossOnlyChains(NamedTuple):
+    """The GA rollout chains of one loss-only rollout mode over a chunk of
+    steps, longest first, each step's chains side by side: their (m, d)
+    first inputs, (m, L, 3) actions padded with zero rows to the longest
+    chain, and (m,) lengths; each step's first chain, whether it has a
+    second (a composition's), and its (d,) anchor latent."""
+
+    z: np.ndarray
+    actions: np.ndarray
+    lengths: np.ndarray
+    first: np.ndarray
+    paired: np.ndarray
+    z_t: np.ndarray
+
+
 class StepInputs(NamedTuple):
     """What one training step reads besides the parameters: the active
     constraint's index into CONSTRAINTS, the (z_in, actions, z_next)
     columns of its prediction batch, each (d, B) or (3, B), its (d,)
     anchor latent, and each rollout mode's plans, a list of (first input,
-    (L, 3) actions) chains."""
+    (L, 3) actions) chains. A loss-only mode has no plans; ``deferred``
+    maps it to its chunk's ``LossOnlyChains`` and the step's index into
+    them."""
 
     active: int
     columns: tuple[np.ndarray, np.ndarray, np.ndarray]
     z_t: np.ndarray
     plans: dict[str, list[tuple[np.ndarray, np.ndarray]]]
+    deferred: dict[str, tuple[LossOnlyChains, int]] = {}
 
 
 # Training builds the step inputs of this many steps at once. At the
 # benchmark's shapes (d = 32, B = 32) a chunk's arrays take about 0.6 MB,
 # most of it the encoded prediction columns, and observation noise adds
-# 0.5 MB while it is drawn.
+# 0.5 MB while it is drawn. A loss-only mode's snapshot holds one
+# parameter row per chain, about 1.5 MB at h = 64.
 INPUT_CHUNK_STEPS = 32
 
 
-def _chunk_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig, modes,
-                  batch_size: int, steps: int, streams: TrainStreams) -> list[StepInputs]:
-    """The ``StepInputs`` of the next ``steps`` training steps, built at once.
+def _chunk_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig,
+                  modes: dict[str, bool], batch_size: int, steps: int, streams: TrainStreams,
+                  first_step: int = 0) -> list[StepInputs]:
+    """The ``StepInputs`` of the next ``steps`` training steps, the first
+    of them step ``first_step`` of the run, built at once.
 
     Every stream draws what the steps would draw one at a time, in step
     order: the batches (``sample_batch``), one constraint per step, the
@@ -527,7 +611,8 @@ def _chunk_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig, 
     inputs one matrix-vector product each. Segments and teacher-forced
     inputs are built for all the steps that share a constraint and a
     span at once (``_constraint_segments``, ``_rollout_chains``), for
-    every rollout mode in ``modes``.
+    every rollout mode in ``modes``: as per-step plans, or, for a mode
+    that ``modes`` marks loss-only, as the chunk's ``LossOnlyChains``.
     """
     idx, ts, anchor_i, anchor_t, spans = sample_batch(dataset, batch_size, cfg.max_span,
                                                       streams.batch, steps)
@@ -543,45 +628,127 @@ def _chunk_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig, 
     if sigma > 0.0:
         latents += streams.noise.normal(0.0, sigma, size=latents.shape)
     actions = dataset.actions[idx, ts].transpose(0, 2, 1)
-    z_t = list(np.matmul(projection, features.take(anchors, axis=0)[:, :, None])[:, :, 0])
+    z_t = np.matmul(projection, features.take(anchors, axis=0)[:, :, None])[:, :, 0]
     starts = dataset.poses.reshape(-1, 3).take(anchors, axis=0)
     comp = CONSTRAINTS.index(CONSTRAINT_COMP)
     drawn = np.where((active == comp) & (spans > 1), spans, 0)  # each step's gamma count
     if drawn.any():
         gammas = streams.dirichlet.gamma(cfg.dirichlet.concentration, 1.0, size=drawn.sum())
-        first = np.cumsum(drawn) - drawn
+        gamma_at = np.cumsum(drawn) - drawn
     groups = []  # (steps, segment stacks) of each (constraint, span)
+    failed = []  # (step, span) of each composition group's first bad step
     key = active * (cfg.max_span + 1) + spans
     order = np.argsort(key, kind="stable")
     for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
         a, l = int(active[rows[0]]), int(spans[rows[0]])
         windows = dataset.actions[anchor_i[rows, None], anchor_t[rows, None] + np.arange(l)]
-        dirichlet = None
-        if a == comp:
-            g = gammas[first[rows, None] + np.arange(l)] if l > 1 else np.ones((len(rows), 1))
-            dirichlet = g / g.sum(axis=1, keepdims=True)
-        groups.append((rows, _constraint_segments(windows, CONSTRAINTS[a], dirichlet)))
+        if a != comp:
+            groups.append((rows, _constraint_segments(windows, CONSTRAINTS[a], None)))
+            continue
+        g = gammas[gamma_at[rows, None] + np.arange(l)] if l > 1 else np.ones((len(rows), 1))
+        dirichlet = g / g.sum(axis=1, keepdims=True)
+        try:
+            groups.append((rows, _constraint_segments(windows, CONSTRAINT_COMP, dirichlet)))
+        except ValueError:  # a recomposed turn beyond pi: find the group's first such step
+            for j, k in enumerate(rows.tolist()):
+                try:
+                    recompose(windows[j : j + 1], dirichlet[j : j + 1])
+                except ValueError:
+                    failed.append((k, l))
+                    break
+    if failed:
+        k, l = min(failed)
+        raise ValueError(
+            f"training step {first_step + k}: a composition segment recomposes {l} actions into "
+            f"turns beyond pi; lower ga.max_span ({cfg.max_span}) or the dataset's turns "
+            "(action_dist.sigma_dtheta)"
+        )
     segments = [stack for _, stacks in groups for stack in stacks]
     segment_starts = [starts[rows] for rows, stacks in groups for _ in stacks]
     plans: list[dict] = [{} for _ in range(steps)]
-    for mode in modes:
+    deferred: list[dict] = [{} for _ in range(steps)]
+    for mode, loss_only in modes.items():
         chains = iter(_rollout_chains(segments, mode, segment_starts, encoder))
+        if loss_only:
+            block = _loss_only_chains(groups, chains, z_t)
+            for k in range(steps):
+                deferred[k][mode] = (block, k)
+            continue
         for rows, stacks in groups:
             group = [next(chains) for _ in stacks]
             for j, k in enumerate(rows.tolist()):
                 plans[k][mode] = [(z_t[k] if z_in is None else z_in[j], seg[j])
                                   for z_in, seg in group]
-    return [StepInputs(a, step_columns, z, p) for a, step_columns, z, p in
-            zip(active.tolist(), zip(latents[:, 0], actions, latents[:, 1]), z_t, plans)]
+    return [StepInputs(*step) for step in
+            zip(active.tolist(), zip(latents[:, 0], actions, latents[:, 1]), z_t, plans, deferred)]
 
 
-def _step_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig, modes,
-                 batch_size: int, steps: int, streams: TrainStreams):
+def _loss_only_chains(groups, chains, z_t: np.ndarray) -> LossOnlyChains:
+    """A chunk's ``LossOnlyChains`` from its (steps, segment stacks)
+    groups, their (first inputs, actions) chains in group order
+    (``_rollout_chains``) and the (steps, d) anchor latents. The chains of
+    a group are equally long, so the groups are sorted by length, and a
+    composition group's two stacks interleave, each step's pair side by
+    side."""
+    parts = [(rows, [next(chains) for _ in stacks]) for rows, stacks in groups]
+    parts.sort(key=lambda part: -part[1][0][1].shape[1])
+    m = sum(len(rows) * len(pairs) for rows, pairs in parts)
+    z = np.empty((m, z_t.shape[1]))
+    actions = np.zeros((m, parts[0][1][0][1].shape[1], 3))
+    lengths = np.empty(m, dtype=np.int64)
+    first = np.empty(len(z_t), dtype=np.int64)
+    paired = np.zeros(len(z_t), dtype=bool)
+    at = 0
+    for rows, pairs in parts:
+        end, c = at + len(rows) * len(pairs), len(pairs)
+        for s, (z_in, a) in enumerate(pairs):
+            z[at + s : end : c] = z_t[rows] if z_in is None else z_in
+            actions[at + s : end : c, : a.shape[1]] = a
+        lengths[at:end] = pairs[0][1].shape[1]
+        first[rows] = np.arange(at, end, c)
+        paired[rows] = c == 2
+        at = end
+    return LossOnlyChains(z, actions, lengths, first, paired, z_t)
+
+
+def _step_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig,
+                 modes: dict[str, bool], batch_size: int, steps: int, streams: TrainStreams):
     """Every training step's ``StepInputs``, in step order, built
     ``INPUT_CHUNK_STEPS`` steps at a time (``_chunk_inputs``)."""
     for done in range(0, steps, INPUT_CHUNK_STEPS):
         yield from _chunk_inputs(dataset, encoder, cfg, modes, batch_size,
-                                 min(INPUT_CHUNK_STEPS, steps - done), streams)
+                                 min(INPUT_CHUNK_STEPS, steps - done), streams, done)
+
+
+def _loss_only_rollouts(chains: LossOnlyChains, snapshot: np.ndarray, net: DynamicsNet,
+                        steps: int):
+    """The (n, steps) l_ga of the first ``steps`` steps of a chunk's
+    loss-only chains, each chain rolled out on its (n, P) parameter rows
+    in ``snapshot``, and whether each is finite with all its rollouts'
+    pre-activations. The chains roll out as shrinking prefixes of one
+    (m, n, d, 1) stack, one ``residual_step`` per step of the longest;
+    each row of the stack is its own matrix-vector product, so it rounds
+    as the per-step rollout does."""
+    first, paired = chains.first[:steps], chains.paired[:steps]
+    keep = slice(0, len(chains.z))
+    if steps < len(chains.first):  # a run that stops mid-chunk
+        keep = np.sort(np.concatenate([first, first[paired] + 1]))
+        first = np.searchsorted(keep, first)
+    n = snapshot.shape[1]
+    weights = block_weights(net, snapshot[keep])
+    actions, lengths = chains.actions[keep], chains.lengths[keep]
+    z = np.repeat(chains.z[keep][:, None, :, None], n, axis=1)
+    finite = np.ones(z.shape[:2], dtype=bool)
+    for i in range(lengths[0]):
+        m = np.count_nonzero(lengths > i)
+        a = np.broadcast_to(actions[:m, None, i, :, None], (m, n, 3, 1))
+        z[:m], (_, pre, _) = residual_step(z[:m], a, tuple(w[:m] for w in weights))
+        finite[:m] &= np.isfinite(pre).all(axis=(2, 3))
+    ends = z[..., 0]
+    other = np.where(paired[:, None, None], ends[first + paired], chains.z_t[:steps, None])
+    diff = ends[first] - other
+    l_ga = (diff * diff).sum(axis=-1).T
+    return l_ga, finite[first].T & finite[first + paired].T & np.isfinite(l_ga)
 
 
 def train_step(stack: ParamStack, inputs: StepInputs,
@@ -636,7 +803,9 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
     own run raises, at the same step. It stays in the stack, but every
     stacked product and update is per row, so no other row sees its
     values; its overflow warnings are silenced. Training stops once every
-    row has failed. Deterministic given (seed, configs, dataset): ``seed``
+    row's failure is known: at its step, or, for a failure that only a
+    loss-only mode's rollouts show, at the end of that step's chunk.
+    Deterministic given (seed, configs, dataset): ``seed``
     derives the initialization and every random stream
     (``TrainStreams``). With ``initial_net`` every row starts from a copy
     of the given parameters instead of a fresh seeded initialization.
@@ -660,24 +829,51 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
     stack = ParamStack(net, np.tile(net.params, (len(cfgs), 1)), list(cfgs))
     streams = TrainStreams.from_seed(seed)
     optimizer = make_optimizer(run, stack.params.shape)
-    alive = np.ones(len(cfgs), dtype=bool)
+    fail = np.full(len(cfgs), run.steps)  # each row's first non-finite step, or run.steps
     active = np.empty(run.steps, dtype=np.int8)
     curves = np.empty((3, len(cfgs), run.steps))
-    results: list[TrainResult | NonFiniteLossError | None] = [None] * len(cfgs)
-    inputs = _step_inputs(dataset, encoder, cfg, list(stack.mode_rows), run.batch_size,
-                          run.steps, streams)
+    # each loss-only mode's rows (a slice, so a view, where they are
+    # contiguous) and their snapshot for a chunk's chains, at most two a step
+    snapshots = {
+        mode: (slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows,
+               np.empty((2 * INPUT_CHUNK_STEPS, len(rows), stack.params.shape[1])))
+        for mode, rows in stack.mode_rows.items() if stack.loss_only[mode]
+    }
+    inputs = _step_inputs(dataset, encoder, cfg, stack.loss_only, run.batch_size, run.steps,
+                          streams)
+    stopping = False
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(run.steps):
+            step_inputs = next(inputs)
+            deferred = step_inputs.deferred
+            for mode, (chains, k) in deferred.items():
+                rows, snapshot = snapshots[mode]
+                at = chains.first[k]
+                snapshot[at : at + 1 + chains.paired[k]] = stack.params[rows]
+            active[step], curves[:, :, step], ok = train_step(stack, step_inputs, optimizer)
             # no name holds a step's inputs past its step, so a chunk's
             # arrays are freed before the next chunk is built
-            active[step], curves[:, :, step], ok = train_step(stack, next(inputs), optimizer)
+            del step_inputs
             if not ok.all():
-                for i in np.flatnonzero(alive & ~ok):
-                    results[i] = NonFiniteLossError(f"non-finite loss at step {step}", step)
-                alive &= ok
-                if not alive.any():
-                    break
-    for i in np.flatnonzero(alive):
-        trained = DynamicsNet(net.latent_dim, net.hidden_dim, stack.params[i].copy())
-        results[i] = TrainResult(trained, active, *curves[:, i])
+                fail[~ok] = np.minimum(fail[~ok], step)
+                stopping = bool((fail < run.steps).all())
+            for mode, (chains, k) in deferred.items():
+                if stopping or k == len(chains.first) - 1:  # the chunk's steps so far have run
+                    rows, window = stack.mode_rows[mode], slice(step - k, step + 1)
+                    l_ga, ok = _loss_only_rollouts(chains, snapshots[mode][1], net, k + 1)
+                    # the step's total is its l_pred, and a loss-only row's weight is 0.0
+                    curves[1, rows, window] = l_ga
+                    curves[2, rows, window] += 0.0 * l_ga
+                    first_bad = np.where(ok.all(axis=1), run.steps, step - k + ok.argmin(axis=1))
+                    fail[rows] = np.minimum(fail[rows], first_bad)
+                    stopping = bool((fail < run.steps).all())
+            if stopping:
+                break
+    results: list[TrainResult | NonFiniteLossError] = []
+    for i, s in enumerate(fail.tolist()):
+        if s < run.steps:
+            results.append(NonFiniteLossError(f"non-finite loss at step {s}", s))
+        else:
+            trained = DynamicsNet(net.latent_dim, net.hidden_dim, stack.params[i].copy())
+            results.append(TrainResult(trained, active, *curves[:, i]))
     return results

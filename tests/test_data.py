@@ -168,6 +168,14 @@ def test_load_dataset_checks_the_trajectories_against_its_summary(written):
         load_dataset(root)
 
 
+def _split_last_value(text: str) -> str:
+    """The last line split in two where its last comma was. Beside a line
+    of two values it makes up the line count, and joined with commas into
+    one JSON array the lines would parse."""
+    head, tail = text.rsplit(", ", 1)
+    return head + "\n" + tail
+
+
 @pytest.mark.parametrize("name, edit, message", [
     pytest.param("summary.json", lambda text: text[:-2], " is not JSON: ", id="summary-not-json"),
     pytest.param("summary.json", lambda text: json.dumps({"n_trajectories": 3}), " lacks length$",
@@ -176,6 +184,10 @@ def test_load_dataset_checks_the_trajectories_against_its_summary(written):
                  ": n_trajectories and length must be integers$", id="summary-length-a-string"),
     pytest.param("traj_0001.jsonl", lambda text: text + "{oops\n", ": a line is not JSON: ",
                  id="pose-not-json"),
+    pytest.param("traj_0001.jsonl", lambda text: text.replace("}\n{", "}, {", 1),
+                 ": a line is not JSON: ", id="two-values-on-a-line"),
+    pytest.param("traj_0001.jsonl", lambda text: _split_last_value(text.replace("}\n{", "}, {", 1)),
+                 ": a line is not JSON: ", id="two-values-and-a-split-value"),
     pytest.param("traj_0001.jsonl", lambda text: text.replace('"y":', '"z":', 1),
                  ": a pose line lacks 'y'$", id="pose-no-y"),
     pytest.param("traj_0001.jsonl", lambda text: re.sub(r'"x": [^,]+', '"x": "0.15"', text, count=1),

@@ -160,8 +160,8 @@ def test_ga_losses_reports_inactive_as_none(dataset, encoder):
     optimizer = make_optimizer(run, stack.params.shape)
     streams = TrainStreams.from_seed(34)
     seen = set()
-    for inputs in training._step_inputs(dataset, encoder, GALossConfig(), [FREE_RUNNING], 4, 12,
-                                        streams):
+    for inputs in training._step_inputs(dataset, encoder, GALossConfig(), {FREE_RUNNING: False},
+                                        4, 12, streams):
         a, losses, ok = train_step(stack, inputs, optimizer)
         seen.add(CONSTRAINTS[a])
         assert ok[0] and losses[0, 0] > 0.0 and losses[1, 0] >= 0.0
@@ -360,8 +360,8 @@ def test_constraint_sampling_is_uniform_and_weight_independent(dataset, encoder)
 def _first_inputs(dataset, encoder, seed=0):
     """The first training step's inputs from a batch of 8."""
     streams = TrainStreams.from_seed(seed)
-    return next(training._step_inputs(dataset, encoder, GALossConfig(), [FREE_RUNNING], 8, 1,
-                                      streams))
+    return next(training._step_inputs(dataset, encoder, GALossConfig(), {FREE_RUNNING: False},
+                                      8, 1, streams))
 
 
 def test_train_step_lambda_zero_equals_pure_prediction(dataset, encoder):
@@ -424,8 +424,8 @@ def test_train_single_step_equals_one_train_step(dataset, encoder):
 def test_step_inputs_equal_per_pose_encoding(dataset, encoder):
     idx, ts, anchor_i, anchor_t, spans = training.sample_batch(
         dataset, 8, 4, TrainStreams.from_seed(46).batch, 40)
-    inputs = list(training._step_inputs(dataset, encoder, GALossConfig(), [FREE_RUNNING], 8, 40,
-                                        TrainStreams.from_seed(46)))
+    inputs = list(training._step_inputs(dataset, encoder, GALossConfig(), {FREE_RUNNING: False},
+                                        8, 40, TrainStreams.from_seed(46)))
     assert np.array_equal(anchor_i, idx[:, 0])
     for k, step in enumerate(inputs):
         z_in, actions, z_next = step.columns
@@ -451,9 +451,9 @@ def test_step_inputs_draw_noise_for_inputs_then_targets(dataset):
     clean = make_encoder(8, 200)
     draws = TrainStreams.from_seed(48).noise
     for noisy_step, clean_step in zip(
-            training._step_inputs(dataset, noisy, GALossConfig(), [FREE_RUNNING], 8, 40,
+            training._step_inputs(dataset, noisy, GALossConfig(), {FREE_RUNNING: False}, 8, 40,
                                   TrainStreams.from_seed(48)),
-            training._step_inputs(dataset, clean, GALossConfig(), [FREE_RUNNING], 8, 40,
+            training._step_inputs(dataset, clean, GALossConfig(), {FREE_RUNNING: False}, 8, 40,
                                   TrainStreams.from_seed(48))):
         (z_in, _, z_next), (clean_in, _, clean_next) = noisy_step.columns, clean_step.columns
         assert np.array_equal(z_in, clean_in + draws.normal(0.0, 0.1, size=(8, 8)))
@@ -833,9 +833,9 @@ def test_lockstep_non_finite_row_leaves_the_others_untouched(dataset, encoder, b
     _same_run(trained, train(run, good, dataset, encoder, 8))
 
 
-def _failing_run(run, cfg, dataset, encoder, seed) -> NonFiniteLossError:
+def _failing_run(run, cfg, dataset, encoder, seed, initial_net=None) -> NonFiniteLossError:
     with pytest.raises(NonFiniteLossError) as err:
-        train(run, cfg, dataset, encoder, seed)
+        train(run, cfg, dataset, encoder, seed, initial_net)
     return err.value
 
 
@@ -956,7 +956,7 @@ CHUNK = training.INPUT_CHUNK_STEPS
 def test_chunked_inputs_equal_the_per_step_reference(dataset, steps, modes, sigma):
     enc = make_encoder(8, 200, obs_noise_sigma=sigma)
     cfg = GALossConfig(dirichlet=DirichletParams(0.3))
-    got = list(training._step_inputs(dataset, enc, cfg, modes, 4, steps,
+    got = list(training._step_inputs(dataset, enc, cfg, dict.fromkeys(modes, False), 4, steps,
                                      TrainStreams.from_seed(steps)))
     want = oracles.step_inputs(dataset, enc, cfg, modes, 4, steps, TrainStreams.from_seed(steps))
     assert len(got) == steps
@@ -975,7 +975,8 @@ def test_chunked_inputs_equal_the_per_step_reference_at_any_span(dataset, max_sp
     enc = make_encoder(8, 200, obs_noise_sigma=0.05)
     cfg = GALossConfig(max_span=max_span)
     modes = [FREE_RUNNING, TEACHER_FORCED]
-    got = training._step_inputs(dataset, enc, cfg, modes, 4, 3 * CHUNK, TrainStreams.from_seed(5))
+    got = training._step_inputs(dataset, enc, cfg, dict.fromkeys(modes, False), 4, 3 * CHUNK,
+                                TrainStreams.from_seed(5))
     want = oracles.step_inputs(dataset, enc, cfg, modes, 4, 3 * CHUNK, TrainStreams.from_seed(5))
     for step, reference in zip(got, want):
         _same_inputs(step, reference)
@@ -1023,3 +1024,193 @@ def test_training_on_chunked_inputs_equals_the_per_step_reference(dataset, monke
     last = max(steps)
     assert CHUNK < last < 2 * CHUNK - 1 and last % CHUNK != 0  # mid-chunk
     assert chunked_calls == last + 1
+
+
+# -- loss-only rollouts, rolled out once per chunk ---------------------------------
+
+
+def _inline_rollouts(step_inputs):
+    """A stand-in for ``training._step_inputs`` that plans every rollout
+    mode per step, so ``train_step`` rolls each one out inline."""
+    def build(dataset, encoder, cfg, modes, *rest):
+        return step_inputs(dataset, encoder, cfg, dict.fromkeys(modes, False), *rest)
+    return build
+
+
+def _counting_steps(monkeypatch):
+    """Record, per ``train_step`` call, the rollout modes its inputs defer."""
+    calls = []
+    real_step = training.train_step
+
+    def counting_step(stack, inputs, optimizer):
+        calls.append(sorted(inputs.deferred))
+        return real_step(stack, inputs, optimizer)
+
+    monkeypatch.setattr(training, "train_step", counting_step)
+    return calls
+
+
+@pytest.mark.parametrize("mode", (FREE_RUNNING, TEACHER_FORCED))
+@pytest.mark.parametrize("steps", (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3))
+def test_loss_only_run_equals_the_per_step_reference(dataset, monkeypatch, steps, mode):
+    # the one row's rollouts weigh nothing, so they roll out once per
+    # chunk; its l_ga and total equal the per-step reference's bit for bit
+    enc = make_encoder(8, 200, obs_noise_sigma=0.05)
+    cfg = GALossConfig(lambda_ga=0.0, mode=mode, dirichlet=DirichletParams(0.3))
+    run = TrainRunConfig(steps=steps, batch_size=4, learning_rate=3e-3, hidden_dim=8,
+                         init_w1_gain=3.0)
+    calls = _counting_steps(monkeypatch)
+    deferred = train(run, cfg, dataset, enc, steps)
+    assert calls == [[mode]] * steps
+    monkeypatch.setattr(training, "_step_inputs", _per_step_inputs)
+    reference = train(run, cfg, dataset, enc, steps)
+    assert calls[steps:] == [[]] * steps
+    _same_run(deferred, reference)
+    assert (deferred.l_ga > 0.0).any() and np.array_equal(deferred.total, deferred.l_pred)
+
+
+def test_mixed_stack_defers_only_its_loss_only_mode(dataset, monkeypatch):
+    enc = make_encoder(8, 200, obs_noise_sigma=0.02)
+    cfgs = [GALossConfig(lambda_ga=0.0), GALossConfig(lambda_ga=0.5, mode=TEACHER_FORCED),
+            GALossConfig(lambda_id=0.0, lambda_inv=0.0, lambda_comp=0.0)]
+    net = make_dynamics_net(8, 8, 80)
+    stack = ParamStack(net, np.stack([net.params] * 3), cfgs)
+    assert stack.loss_only == {FREE_RUNNING: True, TEACHER_FORCED: False}
+    for step in training._step_inputs(dataset, enc, cfgs[0], stack.loss_only, 4, CHUNK + 2,
+                                      TrainStreams.from_seed(81)):
+        assert list(step.plans) == [TEACHER_FORCED] and list(step.deferred) == [FREE_RUNNING]
+    run = TrainRunConfig(steps=CHUNK + 5, batch_size=4, learning_rate=1e-3, hidden_dim=8)
+    calls = _counting_steps(monkeypatch)
+    results = train_group(run, cfgs, dataset, enc, 82)
+    assert calls == [[FREE_RUNNING]] * run.steps
+    monkeypatch.setattr(training, "_step_inputs", _per_step_inputs)
+    for cfg, result, reference in zip(cfgs, results, train_group(run, cfgs, dataset, enc, 82)):
+        _same_run(result, reference)
+        _same_run(result, train(run, cfg, dataset, enc, 82))
+
+
+def _far_anchors(far_anchor: int, far_batch: int | None):
+    """A stand-in for ``training.sample_batch`` on ``far_dataset``: every
+    step's batch and anchor lie on the near trajectory, except the anchor
+    of step ``far_anchor`` and the batch of step ``far_batch``."""
+    done = []
+
+    def draw(dataset, batch_size, max_span, rng, steps):
+        k = np.arange(len(done), len(done) + steps)
+        done.extend(k)
+        idx = np.repeat((k == far_batch)[:, None], batch_size, axis=1).astype(np.int64)
+        ts = np.tile(np.arange(batch_size) % dataset.length, (steps, 1))
+        spans = 1 + k % max_span
+        return idx, ts, (k == far_anchor).astype(np.int64), np.zeros(steps, np.int64), spans
+    return draw
+
+
+@pytest.mark.parametrize("mode", (FREE_RUNNING, TEACHER_FORCED))
+@pytest.mark.parametrize("far_anchor, far_batch, stop", [
+    (5, None, CHUNK),  # known at the end of its chunk
+    (CHUNK + 3, None, 2 * CHUNK),
+    (CHUNK + 3, CHUNK + 9, CHUNK + 10),  # the batch's failure stops the run first
+    (CHUNK + 3, 2 * CHUNK + 1, 2 * CHUNK),
+])
+def test_loss_only_rollout_failure_raises_at_its_step(far_dataset, monkeypatch, mode, far_anchor,
+                                                      far_batch, stop):
+    # a huge input weight overflows the rollout pre-activations from the far
+    # anchor (and the prediction's on the far batch), while every loss stays finite
+    enc = make_encoder(8, 200)
+    net = make_dynamics_net(8, 8, 66)
+    net.weights()[0][:, 0] = 1e305
+    cfg = GALossConfig(lambda_ga=0.0, max_span=3, mode=mode)
+    run = TrainRunConfig(steps=3 * CHUNK, batch_size=4, optimizer="sgd")
+    calls = _counting_steps(monkeypatch)
+    errors = []
+    for step_inputs in (training._step_inputs, _inline_rollouts(training._step_inputs)):
+        monkeypatch.setattr(training, "_step_inputs", step_inputs)
+        monkeypatch.setattr(training, "sample_batch", _far_anchors(far_anchor, far_batch))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            errors.append(_failing_run(run, cfg, far_dataset, enc, 67, initial_net=net))
+    deferred, inline = errors
+    assert (str(deferred), deferred.step) == (str(inline), inline.step)
+    assert deferred.step == far_anchor
+    assert len(calls) == stop + far_anchor + 1  # the inline run stops at the anchor's step
+
+
+# -- batch draws from raw words ------------------------------------------------------
+
+
+def _per_step_draws(data, batch_size, max_span, rng, steps):
+    """``training.sample_batch``'s arrays, drawn by the per-step reference."""
+    batches = [sample_batch(data, batch_size, max_span, rng) for _ in range(steps)]
+    return (np.stack([b.idx for b in batches]), np.stack([b.ts for b in batches]),
+            np.array([b.anchor_i for b in batches]), np.array([b.anchor_t for b in batches]),
+            np.array([len(b.base_segment) for b in batches]))
+
+
+def _same_draws(got, want) -> None:
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64 and a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("pending", (False, True))
+def test_sample_batch_maps_raw_words_as_the_per_step_calls(dataset, monkeypatch, pending):
+    def no_fallback(*args):
+        raise AssertionError("no draw here is rejected or has one value")
+
+    monkeypatch.setattr(training, "_per_step_batches", no_fallback)
+    rng, reference = _rng(50), _rng(50)
+    if pending:  # a 32-bit draw leaves the word's high half pending
+        rng.integers(0, 7), reference.integers(0, 7)
+    assert rng.bit_generator.state["has_uint32"] == pending
+    for steps in (1, 5, CHUNK):
+        _same_draws(training.sample_batch(dataset, 5, 4, rng, steps),
+                    _per_step_draws(dataset, 5, 4, reference, steps))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_sample_batch_falls_back_to_the_per_step_calls(dataset, monkeypatch):
+    # a pending half of 0 scales to a leftover of 0, which Lemire's rule
+    # rejects for the 20 trajectories: (2**32 - 20) % 20 = 16 > 0
+    assert (2**32 - len(dataset)) % len(dataset) > 0
+    fallbacks = []
+    real_fallback = training._per_step_batches
+
+    def counting_fallback(*args):
+        fallbacks.append(args[-1])
+        return real_fallback(*args)
+
+    monkeypatch.setattr(training, "_per_step_batches", counting_fallback)
+    rng, reference = _rng(51), _rng(51)
+    for generator in (rng, reference):
+        state = generator.bit_generator.state
+        state.update(has_uint32=1, uinteger=0)
+        generator.bit_generator.state = state
+    _same_draws(training.sample_batch(dataset, 3, 4, rng, 6),
+                _per_step_draws(dataset, 3, 4, reference, 6))
+    assert fallbacks == [6] and rng.bit_generator.state == reference.bit_generator.state
+    _same_draws(training.sample_batch(dataset, 3, 4, rng, 6),
+                _per_step_draws(dataset, 3, 4, reference, 6))
+    assert fallbacks == [6]  # the next chunk maps raw words again
+    words32, reference = (np.random.Generator(np.random.MT19937(52)) for _ in range(2))
+    _same_draws(training.sample_batch(dataset, 3, 4, words32, 6),
+                _per_step_draws(dataset, 3, 4, reference, 6))
+    assert fallbacks == [6, 6]
+
+
+# -- composition segments that turn too far ------------------------------------------
+
+
+def test_a_recomposed_turn_beyond_pi_names_its_step_and_max_span():
+    # wide turns: a window's recomposed share of its summed turn can pass pi
+    wide = generate_records(ExactModel(), 10, 16, ActionDistribution(sigma_dtheta=1.5), seed=1)
+    enc = make_encoder(8, 200)
+    cfg = GALossConfig()
+    streams = TrainStreams.from_seed(3)
+    step = 0
+    with pytest.raises(ValueError, match="must be <= pi"):  # the per-step reference's error
+        while True:
+            oracles.step_inputs(wide, enc, cfg, [cfg.mode], 4, 1, streams)
+            step += 1
+    assert step > CHUNK
+    run = TrainRunConfig(steps=2 * step, batch_size=4, hidden_dim=8)
+    with pytest.raises(ValueError, match=f"^training step {step}: .*ga.max_span \\(4\\)"):
+        train(run, cfg, wide, enc, 3)
