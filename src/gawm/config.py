@@ -126,6 +126,14 @@ class EncoderConfig:
             raise ValueError(f"encoder.seed must be >= 0, got {self.seed}")
 
 
+def _check_alpha_rot(alpha_rot: float, section: str) -> None:
+    """Build the stage's ``DistanceParams``, so a bad value fails at load, naming its field."""
+    try:
+        DistanceParams(alpha_rot)
+    except ValueError as err:
+        raise ValueError(f"{section}.{err}") from None
+
+
 @dataclass(frozen=True)
 class ProbeSuiteConfig:
     identity_lengths: tuple[int, ...] = (1, 3, 5)
@@ -145,7 +153,7 @@ class ProbeSuiteConfig:
     def __post_init__(self):
         # Build what the probe stage builds, so a bad value fails at load.
         check_noise_sigma(self.eval_noise_sigma, "eval_noise_sigma")
-        DistanceParams(self.alpha_rot)
+        _check_alpha_rot(self.alpha_rot, "probes")
         DirichletParams(self.dirichlet_concentration)
         for name in ("n_sequences", "sequence_length", "identity_k", "inverse_k"):
             if getattr(self, name) < 1:
@@ -187,7 +195,7 @@ class GarSuiteConfig:
 
     def __post_init__(self):
         check_noise_sigma(self.eval_noise_sigma, "eval_noise_sigma")
-        DistanceParams(self.alpha_rot)
+        _check_alpha_rot(self.alpha_rot, "gar")
         if self.n_sequences < 1:
             raise ValueError(f"gar.n_sequences must be >= 1, got {self.n_sequences}")
         if self.n_rollouts < 2:
@@ -276,9 +284,13 @@ def benchmark_config(out_dir: str = "runs/benchmark", seed: int = 12) -> Experim
 
 
 def load_config(path) -> ExperimentConfig:
-    """The config in the JSON file ``path``; a file that is not JSON raises a
-    ValueError naming it."""
-    return ExperimentConfig.from_dict(read_json(path))
+    """The config in the JSON file ``path``; a file that is not JSON, or a
+    value the config rejects, raises a ValueError naming it."""
+    d = read_json(path)
+    try:
+        return ExperimentConfig.from_dict(d)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:

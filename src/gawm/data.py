@@ -227,4 +227,12 @@ def load_dataset(path) -> Dataset:
     if lengths != {length}:
         raise ValueError(f"{root}: summary.json gives trajectory length {length}, "
                          f"found lengths {sorted(lengths)}")
-    return Dataset(np.stack(poses), np.stack(actions))
+    try:
+        return Dataset(np.stack(poses), np.stack(actions))
+    except ValueError:  # the checks are per value: name the first file that fails them
+        for traj_path, p, a in zip(traj_paths, poses, actions):
+            try:
+                Dataset(p[None], a[None])
+            except ValueError as err:
+                raise ValueError(f"{traj_path}: {err}") from None
+        raise

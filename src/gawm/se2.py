@@ -82,8 +82,12 @@ class DistanceParams:
     alpha_rot: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha_rot) and self.alpha_rot >= 0.0):
-            raise ValueError(f"alpha_rot must be finite and >= 0, got {self.alpha_rot}")
+        # the reports square a distance (a dispersion), so the largest
+        # rotation term, alpha_rot * pi, must square to a finite number
+        rotation = self.alpha_rot * math.pi
+        if not (math.isfinite(rotation * rotation) and self.alpha_rot >= 0.0):
+            raise ValueError(f"alpha_rot must be >= 0 with (alpha_rot * pi)**2 finite, "
+                             f"got {self.alpha_rot}")
 
 
 def se2_identity() -> Pose2:

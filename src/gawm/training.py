@@ -14,9 +14,9 @@ record the same objective on the autograd tape, as its reference.
 ``train_group`` trains several loss configs that share every random
 draw as one parameter stack, one ``train_step`` per step; a single run
 is its one-config case. What a step reads besides the parameters (its
-batch, observation noise, constraint, segments and teacher-forced
-inputs) is drawn and built ``INPUT_CHUNK_STEPS`` steps at a time, ahead
-of the steps (``_chunk_inputs``): every stream draws in the order the
+batch, observation noise, constraint and rollout chains) is drawn and
+built ``INPUT_CHUNK_STEPS`` steps at a time, ahead of the steps, as one
+``Chunk`` record (``_chunk_inputs``): every stream draws in the order the
 steps would draw one at a time, and every product rounds as its
 per-step form, so a step runs only its parameter arithmetic and the
 optimizer update. Every forward step of the network is one call of
@@ -46,8 +46,8 @@ import numpy as np
 from . import autograd as ag
 from .data import Dataset
 from .latent import (
-    DynamicsNet, FeatureEncoder, block_weights, make_dynamics_net, pose_features, residual_step,
-    rollout_endpoint_graph,
+    DynamicsNet, FeatureEncoder, _encode_rows, block_weights, make_dynamics_net, pose_features,
+    residual_step, rollout_endpoint_graph,
 )
 from .se2 import apply_increments, wrap_angles
 from .segments import (
@@ -352,7 +352,7 @@ def _rollout_chains(segments: list[np.ndarray], mode: str, starts: list[np.ndarr
     prefixes[..., 2] = wrap_angles(prefixes[..., 2])
     poses = apply_increments(np.concatenate([starts[i] for i in forced]), prefixes)
     states = poses[np.arange(len(poses)), np.repeat(lengths, counts)]
-    z_in = np.matmul(encoder.projection, pose_features(states)[:, :, None])[:, :, 0]
+    z_in = _encode_rows(states, encoder)
     for i, z in zip(forced, np.split(z_in, np.cumsum(counts)[:-1])):
         chains[i] = (z, segments[i][:, -1:])
     return chains
@@ -406,15 +406,17 @@ def _rollout_vjp(g: np.ndarray, caches, row: int | None, weights, grads) -> None
             g = g + (w1.T @ g_pre)[:d]
 
 
-def _roll_out(plans, z_t: np.ndarray, weights, n: int):
-    """The forward pass of one mode's rollout chains, each a (first input,
-    actions) plan, for n rows: one row as (d,) vectors on its own
-    weights, more as (n, d, 1) blocks on stacked weights
-    (``ParamStack.mode_weights``). Returns each chain's per-step caches,
-    the endpoint differences as (d,) or (n, d), and whether each row's
-    pre-activations are all finite."""
-    chains, ends, pres = [], [], []
-    for z, actions in plans:
+def _roll_out(chains: "ChunkChains", k: int, z_t: np.ndarray, weights, n: int):
+    """The forward pass of step k's one or two rollout chains, read as
+    views of their rows in a chunk's ``ChunkChains``, for n rows: one row
+    as (d,) vectors on its own weights, more as (n, d, 1) blocks on
+    stacked weights (``ParamStack.mode_weights``). Returns each chain's
+    per-step caches, the endpoint differences as (d,) or (n, d), and
+    whether each row's pre-activations are all finite."""
+    caches_of, ends, pres = [], [], []
+    first = chains.first[k]
+    for i in range(first, first + 1 + chains.paired[k]):
+        z, actions = chains.z[i], chains.actions[i, : chains.lengths[i]]
         if n > 1:  # every row starts from the same input and takes the same actions
             z, actions = z[None, :, None].repeat(n, 0), actions[:, None, :, None].repeat(n, 1)
         caches = []
@@ -422,10 +424,10 @@ def _roll_out(plans, z_t: np.ndarray, weights, n: int):
             z, cache = residual_step(z, a, weights)
             caches.append(cache)
             pres.append(cache[1])
-        chains.append(caches)
+        caches_of.append(caches)
         ends.append(z if n == 1 else z[:, :, 0])
     finite = np.isfinite(np.concatenate(pres, axis=-1))
-    return (chains, ends[0] - (ends[1] if len(ends) == 2 else z_t),
+    return (caches_of, ends[0] - (ends[1] if len(ends) == 2 else z_t),
             finite.all() if n == 1 else finite.all(axis=(1, 2)))
 
 
@@ -466,10 +468,9 @@ class ParamStack:
         return tuple(w[rows] for w in self.weights)
 
 
-def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, active: str,
-                     plans: dict[str, list[tuple[np.ndarray, np.ndarray]]]):
-    """Every row's ``l_pred + lambda_ga * w_active * l_ga`` on one step's
-    inputs (``StepInputs``) and its gradient: returns a (3, K) array of
+def _stack_objective(stack: ParamStack, chunk: "Chunk", k: int):
+    """Every row's ``l_pred + lambda_ga * w_active * l_ga`` on step k of
+    ``chunk`` and its gradient: returns a (3, K) array of
     (l_pred, l_ga, total) and a (K,) mask of the rows whose losses and
     pre-activations are all finite. The gradients go into ``stack.grad``.
 
@@ -494,32 +495,36 @@ def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, active: str,
     Every forward step goes through ``residual_step``. The prediction
     batch's input is shared, so its forward and backward passes are
     (K, ., B) products. The rows that share a rollout mode share its
-    rollout plan. Two or more of them roll out as one stack of (n, ., 1)
+    rollout chains. Two or more of them roll out as one stack of (n, ., 1)
     columns, one matrix-vector product per row; a mode's only row rolls
     out alone, on (d,) vectors, which costs less at n = 1. The rollout
     backward runs per row, over views into the stacked caches, and only
     for rows whose active weight is nonzero; a zero weight would add
-    only zeros. A mode that ``plans`` leaves out is loss-only, and its
-    rows read an l_ga of 0.0 here: ``train_group`` rolls such a mode out
-    once per chunk and fills in its l_ga and total.
+    only zeros. A loss-only mode (``ParamStack.loss_only``) rolls out
+    nothing here, and its rows read an l_ga of 0.0: ``train_group`` rolls
+    its chains out once per chunk and fills in its l_ga and total.
     """
     losses = np.empty((3, len(stack.cfgs)))
-    weight = stack.active_weights[active].tolist()
+    active_weight = stack.active_weights[CONSTRAINTS[chunk.active[k]]]
+    weight = active_weight.tolist()
+    z_in, z_next = chunk.latents[k]
+    z_t = chunk.z_t[k]
     backward = []  # (row, its mode's chains, its row in their caches, its end difference)
-    losses[0], diff, (x, pre, h) = _stack_prediction(stack.weights, *columns)
+    losses[0], diff, (x, pre, h) = _stack_prediction(stack.weights, z_in, chunk.actions[k], z_next)
     ok = np.isfinite(pre).all(axis=(1, 2))
     for mode, rows in stack.mode_rows.items():
-        if mode not in plans:  # loss-only rollouts that train_group runs after the chunk
+        if stack.loss_only[mode]:  # rolled out once per chunk by train_group
             losses[1, rows] = 0.0
             continue
-        chains, end_diff, finite = _roll_out(plans[mode], z_t, stack.mode_weights(rows), len(rows))
+        chains, end_diff, finite = _roll_out(chunk.chains[mode], k, z_t,
+                                             stack.mode_weights(rows), len(rows))
         stacked = len(rows) > 1  # else the one row rolled out as vectors
         at = rows if stacked else rows[0]
         ok[at] &= finite
         losses[1, at] = (end_diff * end_diff).sum(axis=-1)
-        backward += [(k, chains, j, end_diff[j]) if stacked else (k, chains, None, end_diff)
-                     for j, k in enumerate(rows) if weight[k]]
-    losses[2] = losses[0] + stack.active_weights[active] * losses[1]
+        backward += [(i, chains, j, end_diff[j]) if stacked else (i, chains, None, end_diff)
+                     for j, i in enumerate(rows) if weight[i]]
+    losses[2] = losses[0] + active_weight * losses[1]
     # Both losses are >= 0, so a non-finite one makes the total non-finite.
     ok &= np.isfinite(losses[2])
 
@@ -530,11 +535,11 @@ def _stack_objective(stack: ParamStack, columns, z_t: np.ndarray, active: str,
     gb1[...] = g_pre.sum(axis=2)
     gw2[...] = np.matmul(g, h.transpose(0, 2, 1))
     gb2[...] = g.sum(axis=2)
-    for k, chains, row, end_diff in backward:
-        g = (2.0 * weight[k]) * end_diff
-        _rollout_vjp(g, chains[0], row, stack.row_weights[k], stack.row_grads[k])
+    for i, chains, row, end_diff in backward:
+        g = (2.0 * weight[i]) * end_diff
+        _rollout_vjp(g, chains[0], row, stack.row_weights[i], stack.row_grads[i])
         if len(chains) == 2:
-            _rollout_vjp(-g, chains[1], row, stack.row_weights[k], stack.row_grads[k])
+            _rollout_vjp(-g, chains[1], row, stack.row_weights[i], stack.row_grads[i])
     return losses, ok
 
 
@@ -557,38 +562,36 @@ class TrainStreams:
         return TrainStreams(*keyed_rngs(seed, [(1,), (2,), (3,), (4,)]))
 
 
-class LossOnlyChains(NamedTuple):
-    """The GA rollout chains of one loss-only rollout mode over a chunk of
-    steps, longest first, each step's chains side by side: their (m, d)
-    first inputs, (m, L, 3) actions padded with zero rows to the longest
-    chain, and (m,) lengths; each step's first chain, whether it has a
-    second (a composition's), and its (d,) anchor latent."""
+class ChunkChains(NamedTuple):
+    """The GA rollout chains of one rollout mode over a chunk of steps,
+    longest first, each step's chains side by side: their (m, d) first
+    inputs, (m, L, 3) actions padded with zero rows to the longest chain,
+    and (m,) lengths; each step's first chain, and whether it has a
+    second (a composition's). Step k's chains are rows ``first[k]`` and,
+    if ``paired[k]``, ``first[k] + 1``."""
 
     z: np.ndarray
     actions: np.ndarray
     lengths: np.ndarray
     first: np.ndarray
     paired: np.ndarray
+
+
+class Chunk(NamedTuple):
+    """What a chunk of training steps reads besides the parameters, step
+    k at index k: the (n,) active constraints' indices into CONSTRAINTS,
+    the (n, 2, d, B) input and target latents and (n, 3, B) actions of the
+    prediction batches, the (n, d) anchor latents, and each rollout
+    mode's ``ChunkChains``."""
+
+    active: np.ndarray
+    latents: np.ndarray
+    actions: np.ndarray
     z_t: np.ndarray
+    chains: dict[str, ChunkChains]
 
 
-class StepInputs(NamedTuple):
-    """What one training step reads besides the parameters: the active
-    constraint's index into CONSTRAINTS, the (z_in, actions, z_next)
-    columns of its prediction batch, each (d, B) or (3, B), its (d,)
-    anchor latent, and each rollout mode's plans, a list of (first input,
-    (L, 3) actions) chains. A loss-only mode has no plans; ``deferred``
-    maps it to its chunk's ``LossOnlyChains`` and the step's index into
-    them."""
-
-    active: int
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray]
-    z_t: np.ndarray
-    plans: dict[str, list[tuple[np.ndarray, np.ndarray]]]
-    deferred: dict[str, tuple[LossOnlyChains, int]] = {}
-
-
-# Training builds the step inputs of this many steps at once. At the
+# Training builds the inputs of this many steps at once. At the
 # benchmark's shapes (d = 32, B = 32) a chunk's arrays take about 0.6 MB,
 # most of it the encoded prediction columns, and observation noise adds
 # 0.5 MB while it is drawn. A loss-only mode's snapshot holds one
@@ -597,10 +600,10 @@ INPUT_CHUNK_STEPS = 32
 
 
 def _chunk_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig,
-                  modes: dict[str, bool], batch_size: int, steps: int, streams: TrainStreams,
-                  first_step: int = 0) -> list[StepInputs]:
-    """The ``StepInputs`` of the next ``steps`` training steps, the first
-    of them step ``first_step`` of the run, built at once.
+                  modes: list[str], batch_size: int, steps: int, streams: TrainStreams,
+                  first_step: int = 0) -> Chunk:
+    """The ``Chunk`` of the next ``steps`` training steps, the first of
+    them step ``first_step`` of the run, built at once.
 
     Every stream draws what the steps would draw one at a time, in step
     order: the batches (``sample_batch``), one constraint per step, the
@@ -610,9 +613,8 @@ def _chunk_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig,
     (d, B) matrix product per step, the anchors and the teacher-forced
     inputs one matrix-vector product each. Segments and teacher-forced
     inputs are built for all the steps that share a constraint and a
-    span at once (``_constraint_segments``, ``_rollout_chains``), for
-    every rollout mode in ``modes``: as per-step plans, or, for a mode
-    that ``modes`` marks loss-only, as the chunk's ``LossOnlyChains``.
+    span at once (``_constraint_segments``, ``_rollout_chains``), as one
+    ``ChunkChains`` for each rollout mode in ``modes``.
     """
     idx, ts, anchor_i, anchor_t, spans = sample_batch(dataset, batch_size, cfg.max_span,
                                                       streams.batch, steps)
@@ -665,31 +667,20 @@ def _chunk_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig,
         )
     segments = [stack for _, stacks in groups for stack in stacks]
     segment_starts = [starts[rows] for rows, stacks in groups for _ in stacks]
-    plans: list[dict] = [{} for _ in range(steps)]
-    deferred: list[dict] = [{} for _ in range(steps)]
-    for mode, loss_only in modes.items():
-        chains = iter(_rollout_chains(segments, mode, segment_starts, encoder))
-        if loss_only:
-            block = _loss_only_chains(groups, chains, z_t)
-            for k in range(steps):
-                deferred[k][mode] = (block, k)
-            continue
-        for rows, stacks in groups:
-            group = [next(chains) for _ in stacks]
-            for j, k in enumerate(rows.tolist()):
-                plans[k][mode] = [(z_t[k] if z_in is None else z_in[j], seg[j])
-                                  for z_in, seg in group]
-    return [StepInputs(*step) for step in
-            zip(active.tolist(), zip(latents[:, 0], actions, latents[:, 1]), z_t, plans, deferred)]
+    chains = {mode: _chunk_chains(groups, _rollout_chains(segments, mode, segment_starts, encoder),
+                                  z_t)
+              for mode in modes}
+    return Chunk(active, latents, actions, z_t, chains)
 
 
-def _loss_only_chains(groups, chains, z_t: np.ndarray) -> LossOnlyChains:
-    """A chunk's ``LossOnlyChains`` from its (steps, segment stacks)
-    groups, their (first inputs, actions) chains in group order
+def _chunk_chains(groups, chains, z_t: np.ndarray) -> ChunkChains:
+    """A chunk's ``ChunkChains`` from its (steps, segment stacks) groups,
+    their (first inputs, actions) chains in group order
     (``_rollout_chains``) and the (steps, d) anchor latents. The chains of
     a group are equally long, so the groups are sorted by length, and a
     composition group's two stacks interleave, each step's pair side by
     side."""
+    chains = iter(chains)
     parts = [(rows, [next(chains) for _ in stacks]) for rows, stacks in groups]
     parts.sort(key=lambda part: -part[1][0][1].shape[1])
     m = sum(len(rows) * len(pairs) for rows, pairs in parts)
@@ -708,62 +699,48 @@ def _loss_only_chains(groups, chains, z_t: np.ndarray) -> LossOnlyChains:
         first[rows] = np.arange(at, end, c)
         paired[rows] = c == 2
         at = end
-    return LossOnlyChains(z, actions, lengths, first, paired, z_t)
+    return ChunkChains(z, actions, lengths, first, paired)
 
 
-def _step_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig,
-                 modes: dict[str, bool], batch_size: int, steps: int, streams: TrainStreams):
-    """Every training step's ``StepInputs``, in step order, built
-    ``INPUT_CHUNK_STEPS`` steps at a time (``_chunk_inputs``)."""
-    for done in range(0, steps, INPUT_CHUNK_STEPS):
-        yield from _chunk_inputs(dataset, encoder, cfg, modes, batch_size,
-                                 min(INPUT_CHUNK_STEPS, steps - done), streams, done)
-
-
-def _loss_only_rollouts(chains: LossOnlyChains, snapshot: np.ndarray, net: DynamicsNet,
+def _loss_only_rollouts(chunk: Chunk, mode: str, snapshot: np.ndarray, net: DynamicsNet,
                         steps: int):
     """The (n, steps) l_ga of the first ``steps`` steps of a chunk's
-    loss-only chains, each chain rolled out on its (n, P) parameter rows
-    in ``snapshot``, and whether each is finite with all its rollouts'
-    pre-activations. The chains roll out as shrinking prefixes of one
-    (m, n, d, 1) stack, one ``residual_step`` per step of the longest;
-    each row of the stack is its own matrix-vector product, so it rounds
-    as the per-step rollout does."""
+    chains of a loss-only ``mode``, each chain rolled out on its (n, P)
+    parameter rows in ``snapshot``, and whether each is finite with all
+    its rollouts' pre-activations. The chains roll out as shrinking
+    prefixes of one (m, n, d, 1) stack, one ``residual_step`` per step of
+    the longest; each row of the stack is its own matrix-vector product,
+    so it rounds as the per-step rollout does. A run that stops mid-chunk
+    rolls the later steps' chains out too, on stale rows, and drops them."""
+    chains = chunk.chains[mode]
     first, paired = chains.first[:steps], chains.paired[:steps]
-    keep = slice(0, len(chains.z))
-    if steps < len(chains.first):  # a run that stops mid-chunk
-        keep = np.sort(np.concatenate([first, first[paired] + 1]))
-        first = np.searchsorted(keep, first)
     n = snapshot.shape[1]
-    weights = block_weights(net, snapshot[keep])
-    actions, lengths = chains.actions[keep], chains.lengths[keep]
-    z = np.repeat(chains.z[keep][:, None, :, None], n, axis=1)
+    weights = block_weights(net, snapshot)
+    z = np.repeat(chains.z[:, None, :, None], n, axis=1)
     finite = np.ones(z.shape[:2], dtype=bool)
-    for i in range(lengths[0]):
-        m = np.count_nonzero(lengths > i)
-        a = np.broadcast_to(actions[:m, None, i, :, None], (m, n, 3, 1))
+    for i in range(chains.lengths[0]):
+        m = np.count_nonzero(chains.lengths > i)
+        a = np.broadcast_to(chains.actions[:m, None, i, :, None], (m, n, 3, 1))
         z[:m], (_, pre, _) = residual_step(z[:m], a, tuple(w[:m] for w in weights))
         finite[:m] &= np.isfinite(pre).all(axis=(2, 3))
     ends = z[..., 0]
-    other = np.where(paired[:, None, None], ends[first + paired], chains.z_t[:steps, None])
+    other = np.where(paired[:, None, None], ends[first + paired], chunk.z_t[:steps, None])
     diff = ends[first] - other
     l_ga = (diff * diff).sum(axis=-1).T
     return l_ga, finite[first].T & finite[first + paired].T & np.isfinite(l_ga)
 
 
-def train_step(stack: ParamStack, inputs: StepInputs,
-               optimizer) -> tuple[int, np.ndarray, np.ndarray]:
-    """One optimizer update of every row of ``stack`` on one step's inputs.
+def train_step(stack: ParamStack, chunk: Chunk, k: int,
+               optimizer) -> tuple[np.ndarray, np.ndarray]:
+    """One optimizer update of every row of ``stack`` on step k of ``chunk``.
 
     Computes every row's losses and gradient (``_stack_objective``) and
-    updates every row, a non-finite one too. Returns the active
-    constraint's index into CONSTRAINTS, the (3, K) losses and the (K,)
-    mask of the rows whose losses stayed finite.
+    updates every row, a non-finite one too. Returns the (3, K) losses
+    and the (K,) mask of the rows whose losses stayed finite.
     """
-    losses, ok = _stack_objective(stack, inputs.columns, inputs.z_t, CONSTRAINTS[inputs.active],
-                                  inputs.plans)
+    losses, ok = _stack_objective(stack, chunk, k)
     optimizer.update(stack.params, stack.grad)
-    return inputs.active, losses, ok
+    return losses, ok
 
 
 LOSS_COLUMNS = ("step", "active_constraint", "l_pred", "l_ga", "total")
@@ -836,38 +813,34 @@ def train_group(run: TrainRunConfig, cfgs: list[GALossConfig], dataset: Dataset,
     # contiguous) and their snapshot for a chunk's chains, at most two a step
     snapshots = {
         mode: (slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows,
-               np.empty((2 * INPUT_CHUNK_STEPS, len(rows), stack.params.shape[1])))
+               np.zeros((2 * INPUT_CHUNK_STEPS, len(rows), stack.params.shape[1])))
         for mode, rows in stack.mode_rows.items() if stack.loss_only[mode]
     }
-    inputs = _step_inputs(dataset, encoder, cfg, stack.loss_only, run.batch_size, run.steps,
-                          streams)
-    stopping = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(run.steps):
-            step_inputs = next(inputs)
-            deferred = step_inputs.deferred
-            for mode, (chains, k) in deferred.items():
-                rows, snapshot = snapshots[mode]
-                at = chains.first[k]
-                snapshot[at : at + 1 + chains.paired[k]] = stack.params[rows]
-            active[step], curves[:, :, step], ok = train_step(stack, step_inputs, optimizer)
-            # no name holds a step's inputs past its step, so a chunk's
-            # arrays are freed before the next chunk is built
-            del step_inputs
-            if not ok.all():
-                fail[~ok] = np.minimum(fail[~ok], step)
-                stopping = bool((fail < run.steps).all())
-            for mode, (chains, k) in deferred.items():
-                if stopping or k == len(chains.first) - 1:  # the chunk's steps so far have run
-                    rows, window = stack.mode_rows[mode], slice(step - k, step + 1)
-                    l_ga, ok = _loss_only_rollouts(chains, snapshots[mode][1], net, k + 1)
-                    # the step's total is its l_pred, and a loss-only row's weight is 0.0
-                    curves[1, rows, window] = l_ga
-                    curves[2, rows, window] += 0.0 * l_ga
-                    first_bad = np.where(ok.all(axis=1), run.steps, step - k + ok.argmin(axis=1))
-                    fail[rows] = np.minimum(fail[rows], first_bad)
-                    stopping = bool((fail < run.steps).all())
-            if stopping:
+        for start in range(0, run.steps, INPUT_CHUNK_STEPS):
+            chunk = _chunk_inputs(dataset, encoder, cfg, list(stack.mode_rows), run.batch_size,
+                                  min(INPUT_CHUNK_STEPS, run.steps - start), streams, start)
+            active[start : start + len(chunk.active)] = chunk.active
+            for k in range(len(chunk.active)):
+                for mode, (rows, snapshot) in snapshots.items():
+                    at = chunk.chains[mode].first[k]
+                    snapshot[at : at + 1 + chunk.chains[mode].paired[k]] = stack.params[rows]
+                curves[:, :, start + k], ok = train_step(stack, chunk, k, optimizer)
+                if not ok.all():
+                    fail[~ok] = np.minimum(fail[~ok], start + k)
+                    if (fail < run.steps).all():
+                        break
+            # the chunk's steps so far have run, so its loss-only chains roll out
+            for mode, (rows, snapshot) in snapshots.items():
+                l_ga, ok = _loss_only_rollouts(chunk, mode, snapshot, net, k + 1)
+                window = slice(start, start + k + 1)
+                # the step's total is its l_pred, and a loss-only row's weight is 0.0
+                curves[1, rows, window] = l_ga
+                curves[2, rows, window] += 0.0 * l_ga
+                first_bad = np.where(ok.all(axis=1), run.steps, start + ok.argmin(axis=1))
+                fail[rows] = np.minimum(fail[rows], first_bad)
+            del chunk  # freed before the next chunk is built
+            if (fail < run.steps).all():
                 break
     results: list[TrainResult | NonFiniteLossError] = []
     for i, s in enumerate(fail.tolist()):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from gawm.models import ExactModel, PerturbedModel
 from gawm.se2 import Pose2, pose_array, se2_compose
 from gawm.segments import ActionIncrement, inverse_cycles, recompose, sample_dirichlet_weights
 from gawm.training import (
-    CONSTRAINT_COMP, CONSTRAINT_ID, CONSTRAINT_INV, CONSTRAINTS, FREE_RUNNING, NonFiniteLossError,
-    StepInputs, train_group,
+    CONSTRAINT_COMP, CONSTRAINT_ID, CONSTRAINT_INV, CONSTRAINTS, FREE_RUNNING, Chunk, ChunkChains,
+    NonFiniteLossError, train_group,
 )
 
 
@@ -511,8 +512,20 @@ def per_pose_held_out_loss(model, net, encoder, length, action_dist, seed, start
 # step at a time: a batch of four draws on the batch stream, its encoded
 # columns, one constraint draw, the step's own Dirichlet weights and the
 # teacher-forced inputs from a scalar ``se2_compose`` fold. Training
-# builds them a chunk of steps at a time, and must reproduce these
-# exactly (==).
+# builds them a chunk of steps at a time, as one ``Chunk`` record, and
+# must reproduce these exactly (==).
+
+
+class StepInputs(NamedTuple):
+    """What one training step reads besides the parameters: the active
+    constraint's index into CONSTRAINTS, the (z_in, actions, z_next)
+    columns of its prediction batch, its (d,) anchor latent, and each
+    rollout mode's (first input, actions) chains."""
+
+    active: int
+    columns: tuple
+    z_t: np.ndarray
+    plans: dict
 
 
 @dataclass(frozen=True)
@@ -608,3 +621,32 @@ def step_inputs(dataset, encoder, cfg, modes, batch_size: int, steps: int, strea
                  for mode in modes}
         inputs.append(StepInputs(a, columns, z_t, plans))
     return inputs
+
+
+def pack_chunk(steps: list) -> Chunk:
+    """Per-step ``StepInputs`` as one training ``Chunk``: each mode's
+    chains in step order, stably sorted longest first, a step's two side
+    by side and each padded with zero actions to the longest."""
+    chains = {}
+    for mode in steps[0].plans:
+        plans = [step.plans[mode] for step in steps]
+        order = sorted(range(len(steps)), key=lambda k: -len(plans[k][0][1]))
+        rows = [chain for k in order for chain in plans[k]]
+        actions = np.zeros((len(rows), len(rows[0][1]), 3))
+        for i, (_, seg) in enumerate(rows):
+            actions[i, : len(seg)] = seg
+        first = np.empty(len(steps), dtype=np.int64)
+        first[order] = np.cumsum([0] + [len(plans[k]) for k in order])[:-1]
+        chains[mode] = ChunkChains(np.array([z for z, _ in rows]), actions,
+                                   np.array([len(seg) for _, seg in rows]), first,
+                                   np.array([len(chain) == 2 for chain in plans]))
+    return Chunk(np.array([step.active for step in steps]),
+                 np.array([[step.columns[0], step.columns[2]] for step in steps]),
+                 np.array([step.columns[1] for step in steps]),
+                 np.array([step.z_t for step in steps]), chains)
+
+
+def chunk_inputs(dataset, encoder, cfg, modes, batch_size: int, steps: int, streams,
+                 first_step: int = 0) -> Chunk:
+    """``training._chunk_inputs`` drawn and built one step at a time."""
+    return pack_chunk(step_inputs(dataset, encoder, cfg, modes, batch_size, steps, streams))

@@ -48,7 +48,8 @@ def test_stage_command_reports_an_invalid_config_value_as_error_json(tmp_path, c
     result = CliRunner().invoke(cli_main, command + ["--config", str(cfg_path)])
     assert result.exit_code == 1
     err = json.loads(result.output.strip().splitlines()[-1])
-    assert err == {"error": "config value seed must be int, got '12'", "type": "ValueError"}
+    assert err == {"error": f"{cfg_path}: config value seed must be int, got '12'",
+                   "type": "ValueError"}
     assert not (tmp_path / "run").exists()
 
 

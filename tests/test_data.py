@@ -120,7 +120,7 @@ def test_load_dataset_rejects_a_non_finite_pose_as_pose2_does(written):
         Pose2(**pose)
     with pytest.raises(ValueError) as got:
         load_dataset(root)
-    assert str(got.value) == str(per_pose.value)
+    assert str(got.value) == f"{root / 'traj_0001.jsonl'}: {per_pose.value}"
 
 
 @pytest.mark.parametrize("dtheta", (3.5, -math.pi - 1e-9, math.inf))
@@ -131,7 +131,7 @@ def test_load_dataset_rejects_a_bad_action_as_increment_does(written, dtheta):
         ActionIncrement(*rows[4])
     with pytest.raises(ValueError) as got:
         load_dataset(root)
-    assert str(got.value) == str(per_pose.value)
+    assert str(got.value) == f"{root / 'traj_0002.jsonl'}: {per_pose.value}"
 
 
 @pytest.mark.parametrize("theta", (1.5 * math.pi, -math.pi, 7.0, -12.25))

@@ -129,7 +129,7 @@ def test_cli_rejects_unknown_config_key_with_typed_error(tmp_path):
     bad = CliRunner().invoke(cli_main, ["gen-data", "--config", str(cfg_path)])
     assert bad.exit_code == 1
     err = json.loads(bad.output.strip().splitlines()[-1])
-    assert err == {"type": "ValueError", "error": "unknown config key: pretrian"}
+    assert err == {"type": "ValueError", "error": f"{cfg_path}: unknown config key: pretrian"}
     assert not (tmp_path / "cli_keys").exists()
 
 
@@ -1036,14 +1036,15 @@ def test_suite_configs_reject_bad_eval_noise(sigma):
     ("gar", "n_rollouts", 1, "^gar.n_rollouts must be >= 2, got 1$"),
     ("gar", "horizons", [], r"^gar.horizons must be one or more lengths >= 1, got \[\]$"),
     ("gar", "horizons", [8, 0], r"^gar.horizons must be one or more lengths >= 1, got \[8, 0\]$"),
-    ("gar", "alpha_rot", math.nan, "^alpha_rot must be finite"),
+    ("gar", "alpha_rot", math.nan, r"^gar.alpha_rot must be >= 0 with \(alpha_rot \* pi\)\*\*2 finite"),
     ("probes", "n_sequences", 0, "^probes.n_sequences must be >= 1, got 0$"),
     ("probes", "identity_lengths", [1, 9],
      r"^probes.identity_lengths: l=9 exceeds the local regime \(<= 8\)$"),
     ("probes", "inverse_k", 0, "^probes.inverse_k must be >= 1, got 0$"),
     ("probes", "composition_lengths", [], "^probes.composition_lengths must not be empty$"),
     ("probes", "sequence_length", 4, "^probes.inverse_lengths: segment length 5 exceeds stream length 4$"),
-    ("probes", "alpha_rot", -1.0, "^alpha_rot must be finite and >= 0, got -1.0$"),
+    ("probes", "alpha_rot", -1.0,
+     r"^probes.alpha_rot must be >= 0 with \(alpha_rot \* pi\)\*\*2 finite, got -1.0$"),
     ("probes", "dirichlet_concentration", 0.0, "^concentration must be > 0, got 0.0$"),
     ("encoder", "obs_noise_sigma", math.nan, "^obs_noise_sigma must be finite and >= 0, got nan$"),
     ("encoder", "latent_dim", 2, "^latent_dim must be >= 4, got 2$"),
@@ -1124,7 +1125,7 @@ def _long_span(cfg: ExperimentConfig) -> dict:
 def test_config_load_rejects_a_span_longer_than_the_trajectories(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_long_span(tiny_config(tmp_path / "run"))))
-    with pytest.raises(ValueError, match=f"^{re.escape(SPAN_ERROR)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {SPAN_ERROR}')}$"):
         load_config(path)
     # a run that trains on a dataset it names is checked when training loads that one
     d = _long_span(tiny_config(tmp_path / "run"))
@@ -1140,8 +1141,8 @@ def test_cli_reports_a_span_longer_than_the_trajectories_before_any_output(tmp_p
     cfg_path.write_text(json.dumps(_long_span(tiny_config(tmp_path / "run"))))
     result = CliRunner().invoke(cli_main, command + ["--config", str(cfg_path)])
     assert result.exit_code == 1
-    assert json.loads(result.output.strip().splitlines()[-1]) == {"error": SPAN_ERROR,
-                                                                  "type": "ValueError"}
+    assert json.loads(result.output.strip().splitlines()[-1]) == {
+        "error": f"{cfg_path}: {SPAN_ERROR}", "type": "ValueError"}
     assert not (tmp_path / "run").exists()
 
 

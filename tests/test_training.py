@@ -56,19 +56,51 @@ def _one_row(net, cfg):
     return ParamStack(net, net.params[None], [cfg])
 
 
-def _plans(modes, z_t, base, cfg, active, dirichlet_rng, start_pose, encoder):
-    """Each mode's rollout plans for one step, as the per-step reference builds them."""
+class _InlineStack(ParamStack):
+    """A ``ParamStack`` that marks no mode loss-only, so ``train_step``
+    rolls every mode out at its own step."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.loss_only = dict.fromkeys(self.loss_only, False)
+
+
+def _one_step_chunk(modes, columns, z_t, base, cfg, active, dirichlet_rng, start_pose, encoder):
+    """A one-step ``Chunk`` of the given inputs, each mode's chains as the
+    per-step reference builds them."""
     segments = oracles.constraint_segments(base, cfg, active, dirichlet_rng)
-    return {mode: oracles.rollout_plans(segments, mode, z_t, start_pose, encoder)
-            for mode in modes}
+    plans = {mode: oracles.rollout_plans(segments, mode, z_t, start_pose, encoder)
+             for mode in modes}
+    return oracles.pack_chunk([oracles.StepInputs(CONSTRAINTS.index(active), columns, z_t, plans)])
+
+
+def _step(chunk, k):
+    """Step k of a ``Chunk`` as the per-step reference's ``StepInputs``,
+    every array a view into the chunk."""
+    plans = {}
+    for mode, chains in chunk.chains.items():
+        rows = range(chains.first[k], chains.first[k] + 1 + chains.paired[k])
+        plans[mode] = [(chains.z[i], chains.actions[i, : chains.lengths[i]]) for i in rows]
+    columns = (chunk.latents[k, 0], chunk.actions[k], chunk.latents[k, 1])
+    return oracles.StepInputs(int(chunk.active[k]), columns, chunk.z_t[k], plans)
+
+
+def _chunked_steps(dataset, encoder, cfg, modes, batch_size, steps, streams):
+    """Every training step's inputs, built ``INPUT_CHUNK_STEPS`` steps at a
+    time as training builds them (``training._chunk_inputs``)."""
+    for done in range(0, steps, training.INPUT_CHUNK_STEPS):
+        chunk = training._chunk_inputs(dataset, encoder, cfg, modes, batch_size,
+                                       min(training.INPUT_CHUNK_STEPS, steps - done), streams, done)
+        yield from (_step(chunk, k) for k in range(len(chunk.active)))
 
 
 def _objective_grad(net, columns, z_t, base, cfg, active, dirichlet_rng, start_pose=None,
                     encoder=None):
     """(l_pred, l_ga, gradient) of one finite net through the training objective."""
     stack = _one_row(net, cfg)
-    plans = _plans(stack.mode_rows, z_t, base, cfg, active, dirichlet_rng, start_pose, encoder)
-    losses, ok = training._stack_objective(stack, columns, z_t, active, plans)
+    chunk = _one_step_chunk(stack.mode_rows, columns, z_t, base, cfg, active, dirichlet_rng,
+                            start_pose, encoder)
+    losses, ok = training._stack_objective(stack, chunk, 0)
     assert ok[0]
     return float(losses[0, 0]), float(losses[1, 0]), stack.grad[0]
 
@@ -160,10 +192,10 @@ def test_ga_losses_reports_inactive_as_none(dataset, encoder):
     optimizer = make_optimizer(run, stack.params.shape)
     streams = TrainStreams.from_seed(34)
     seen = set()
-    for inputs in training._step_inputs(dataset, encoder, GALossConfig(), {FREE_RUNNING: False},
-                                        4, 12, streams):
-        a, losses, ok = train_step(stack, inputs, optimizer)
-        seen.add(CONSTRAINTS[a])
+    chunk = training._chunk_inputs(dataset, encoder, GALossConfig(), [FREE_RUNNING], 4, 12, streams)
+    for k in range(12):
+        losses, ok = train_step(stack, chunk, k, optimizer)
+        seen.add(CONSTRAINTS[chunk.active[k]])
         assert ok[0] and losses[0, 0] > 0.0 and losses[1, 0] >= 0.0
     assert seen == set(CONSTRAINTS)
 
@@ -357,22 +389,21 @@ def test_constraint_sampling_is_uniform_and_weight_independent(dataset, encoder)
     assert all(v > 0 for v in counts.values())
 
 
-def _first_inputs(dataset, encoder, seed=0):
-    """The first training step's inputs from a batch of 8."""
+def _first_chunk(dataset, encoder, seed=0):
+    """The chunk of the first training step alone, from a batch of 8."""
     streams = TrainStreams.from_seed(seed)
-    return next(training._step_inputs(dataset, encoder, GALossConfig(), {FREE_RUNNING: False},
-                                      8, 1, streams))
+    return training._chunk_inputs(dataset, encoder, GALossConfig(), [FREE_RUNNING], 8, 1, streams)
 
 
 def test_train_step_lambda_zero_equals_pure_prediction(dataset, encoder):
-    inputs = _first_inputs(dataset, encoder)
+    chunk = _first_chunk(dataset, encoder)
 
     net_a = make_dynamics_net(8, 8, 30)
-    train_step(_one_row(net_a, GALossConfig(lambda_ga=0.0)), inputs, SgdOptimizer(0.05))
+    train_step(_one_row(net_a, GALossConfig(lambda_ga=0.0)), chunk, 0, SgdOptimizer(0.05))
 
     net_b = make_dynamics_net(8, 8, 30)
     weights = net_b.param_tensors()
-    pred = prediction_loss_graph(weights, *inputs.columns)
+    pred = prediction_loss_graph(weights, *_step(chunk, 0).columns)
     ag.backward(pred)
     net_b.params -= 0.05 * net_b.pack_grads(weights)
 
@@ -384,8 +415,8 @@ def test_train_step_zero_learning_rate_reports_but_does_not_move(dataset, encode
     net = make_dynamics_net(8, 8, 31)
     before = net.params.copy()
     stack = _one_row(net, GALossConfig())
-    _, losses, ok = train_step(stack, _first_inputs(dataset, encoder),
-                               make_optimizer(run, stack.params.shape))
+    losses, ok = train_step(stack, _first_chunk(dataset, encoder), 0,
+                            make_optimizer(run, stack.params.shape))
     assert np.array_equal(net.params, before)
     assert ok[0] and losses[0, 0] > 0.0 and losses[1, 0] >= 0.0
 
@@ -415,17 +446,17 @@ def test_train_single_step_equals_one_train_step(dataset, encoder):
     init_ss = np.random.SeedSequence(entropy=44, spawn_key=(0,))
     net = make_net(encoder.latent_dim, run.hidden_dim, init_ss)
     streams = TrainStreams.from_seed(44)
-    [inputs] = oracles.step_inputs(dataset, encoder, cfg, [cfg.mode], run.batch_size, 1, streams)
+    chunk = oracles.chunk_inputs(dataset, encoder, cfg, [cfg.mode], run.batch_size, 1, streams)
     stack = _one_row(net, cfg)
-    train_step(stack, inputs, make_optimizer(run, stack.params.shape))
+    train_step(stack, chunk, 0, make_optimizer(run, stack.params.shape))
     assert np.array_equal(result.net.params, net.params)
 
 
-def test_step_inputs_equal_per_pose_encoding(dataset, encoder):
+def test_chunk_inputs_equal_per_pose_encoding(dataset, encoder):
     idx, ts, anchor_i, anchor_t, spans = training.sample_batch(
         dataset, 8, 4, TrainStreams.from_seed(46).batch, 40)
-    inputs = list(training._step_inputs(dataset, encoder, GALossConfig(), {FREE_RUNNING: False},
-                                        8, 40, TrainStreams.from_seed(46)))
+    inputs = list(_chunked_steps(dataset, encoder, GALossConfig(), [FREE_RUNNING], 8, 40,
+                                 TrainStreams.from_seed(46)))
     assert np.array_equal(anchor_i, idx[:, 0])
     for k, step in enumerate(inputs):
         z_in, actions, z_next = step.columns
@@ -446,15 +477,15 @@ def test_step_inputs_equal_per_pose_encoding(dataset, encoder):
     assert {CONSTRAINTS[step.active] for step in inputs} == set(CONSTRAINTS)
 
 
-def test_step_inputs_draw_noise_for_inputs_then_targets(dataset):
+def test_chunk_inputs_draw_noise_for_inputs_then_targets(dataset):
     noisy = make_encoder(8, 200, obs_noise_sigma=0.1)
     clean = make_encoder(8, 200)
     draws = TrainStreams.from_seed(48).noise
     for noisy_step, clean_step in zip(
-            training._step_inputs(dataset, noisy, GALossConfig(), {FREE_RUNNING: False}, 8, 40,
-                                  TrainStreams.from_seed(48)),
-            training._step_inputs(dataset, clean, GALossConfig(), {FREE_RUNNING: False}, 8, 40,
-                                  TrainStreams.from_seed(48))):
+            _chunked_steps(dataset, noisy, GALossConfig(), [FREE_RUNNING], 8, 40,
+                           TrainStreams.from_seed(48)),
+            _chunked_steps(dataset, clean, GALossConfig(), [FREE_RUNNING], 8, 40,
+                           TrainStreams.from_seed(48))):
         (z_in, _, z_next), (clean_in, _, clean_next) = noisy_step.columns, clean_step.columns
         assert np.array_equal(z_in, clean_in + draws.normal(0.0, 0.1, size=(8, 8)))
         assert np.array_equal(z_next, clean_next + draws.normal(0.0, 0.1, size=(8, 8)))
@@ -694,11 +725,12 @@ def _fixed_batches(batch):
 
 
 def _objective(params, net, cfgs, columns, z_t, batch, active, seed, encoder):
-    """(losses, ok, grad) of ``_stack_objective`` on a stack of the given rows."""
-    stack = ParamStack(net, params.copy(), cfgs)
-    plans = _plans(stack.mode_rows, z_t, batch.base_segment, cfgs[0], active, _rng(seed),
-                   batch.start_pose, encoder)
-    losses, ok = training._stack_objective(stack, columns, z_t, active, plans)
+    """(losses, ok, grad) of ``_stack_objective`` on a stack of the given
+    rows, with every mode rolled out, a loss-only one too."""
+    stack = _InlineStack(net, params.copy(), cfgs)
+    chunk = _one_step_chunk(stack.mode_rows, columns, z_t, batch.base_segment, cfgs[0], active,
+                            _rng(seed), batch.start_pose, encoder)
+    losses, ok = training._stack_objective(stack, chunk, 0)
     return losses, ok, stack.grad
 
 
@@ -933,7 +965,7 @@ def test_train_accepts_span_equal_to_the_trajectories(dataset, encoder):
 
 
 def _same_inputs(got, want) -> None:
-    """Bit-for-bit equality of two steps' ``StepInputs``."""
+    """Bit-for-bit equality of two steps' inputs (``oracles.StepInputs``)."""
     assert got.active == want.active
     for a, b in zip(got.columns, want.columns):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -956,8 +988,7 @@ CHUNK = training.INPUT_CHUNK_STEPS
 def test_chunked_inputs_equal_the_per_step_reference(dataset, steps, modes, sigma):
     enc = make_encoder(8, 200, obs_noise_sigma=sigma)
     cfg = GALossConfig(dirichlet=DirichletParams(0.3))
-    got = list(training._step_inputs(dataset, enc, cfg, dict.fromkeys(modes, False), 4, steps,
-                                     TrainStreams.from_seed(steps)))
+    got = list(_chunked_steps(dataset, enc, cfg, modes, 4, steps, TrainStreams.from_seed(steps)))
     want = oracles.step_inputs(dataset, enc, cfg, modes, 4, steps, TrainStreams.from_seed(steps))
     assert len(got) == steps
     for step, reference in zip(got, want):
@@ -975,17 +1006,10 @@ def test_chunked_inputs_equal_the_per_step_reference_at_any_span(dataset, max_sp
     enc = make_encoder(8, 200, obs_noise_sigma=0.05)
     cfg = GALossConfig(max_span=max_span)
     modes = [FREE_RUNNING, TEACHER_FORCED]
-    got = training._step_inputs(dataset, enc, cfg, dict.fromkeys(modes, False), 4, 3 * CHUNK,
-                                TrainStreams.from_seed(5))
+    got = _chunked_steps(dataset, enc, cfg, modes, 4, 3 * CHUNK, TrainStreams.from_seed(5))
     want = oracles.step_inputs(dataset, enc, cfg, modes, 4, 3 * CHUNK, TrainStreams.from_seed(5))
     for step, reference in zip(got, want):
         _same_inputs(step, reference)
-
-
-def _per_step_inputs(dataset, encoder, cfg, modes, batch_size, steps, streams):
-    """``training._step_inputs`` drawn and built one step at a time."""
-    for _ in range(steps):
-        yield from oracles.step_inputs(dataset, encoder, cfg, modes, batch_size, 1, streams)
 
 
 @pytest.mark.parametrize("lambda_ga", (0.5, 1e10))
@@ -1010,7 +1034,7 @@ def test_training_on_chunked_inputs_equals_the_per_step_reference(dataset, monke
         warnings.simplefilter("error", RuntimeWarning)
         chunked = train_group(run, cfgs, dataset, enc, 8)
         chunked_calls = len(calls)
-        monkeypatch.setattr(training, "_step_inputs", _per_step_inputs)
+        monkeypatch.setattr(training, "_chunk_inputs", oracles.chunk_inputs)
         reference = train_group(run, cfgs, dataset, enc, 8)
     assert len(calls) == 2 * chunked_calls
     if lambda_ga < 1.0:
@@ -1029,25 +1053,24 @@ def test_training_on_chunked_inputs_equals_the_per_step_reference(dataset, monke
 # -- loss-only rollouts, rolled out once per chunk ---------------------------------
 
 
-def _inline_rollouts(step_inputs):
-    """A stand-in for ``training._step_inputs`` that plans every rollout
-    mode per step, so ``train_step`` rolls each one out inline."""
-    def build(dataset, encoder, cfg, modes, *rest):
-        return step_inputs(dataset, encoder, cfg, dict.fromkeys(modes, False), *rest)
-    return build
-
-
-def _counting_steps(monkeypatch):
-    """Record, per ``train_step`` call, the rollout modes its inputs defer."""
+def _recorded_calls(monkeypatch, name):
+    """The arguments of every call of ``training.<name>``, as it is called."""
     calls = []
-    real_step = training.train_step
+    real = getattr(training, name)
 
-    def counting_step(stack, inputs, optimizer):
-        calls.append(sorted(inputs.deferred))
-        return real_step(stack, inputs, optimizer)
+    def record(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(training, "train_step", counting_step)
+    monkeypatch.setattr(training, name, record)
     return calls
+
+
+def _per_step_reference(monkeypatch):
+    """Training from then on draws its inputs one step at a time and rolls
+    every mode out at its step."""
+    monkeypatch.setattr(training, "_chunk_inputs", oracles.chunk_inputs)
+    monkeypatch.setattr(training, "ParamStack", _InlineStack)
 
 
 @pytest.mark.parametrize("mode", (FREE_RUNNING, TEACHER_FORCED))
@@ -1059,14 +1082,14 @@ def test_loss_only_run_equals_the_per_step_reference(dataset, monkeypatch, steps
     cfg = GALossConfig(lambda_ga=0.0, mode=mode, dirichlet=DirichletParams(0.3))
     run = TrainRunConfig(steps=steps, batch_size=4, learning_rate=3e-3, hidden_dim=8,
                          init_w1_gain=3.0)
-    calls = _counting_steps(monkeypatch)
-    deferred = train(run, cfg, dataset, enc, steps)
-    assert calls == [[mode]] * steps
-    monkeypatch.setattr(training, "_step_inputs", _per_step_inputs)
+    rollouts = _recorded_calls(monkeypatch, "_loss_only_rollouts")
+    chunked = train(run, cfg, dataset, enc, steps)
+    assert [args[1] for args in rollouts] == [mode] * -(-steps // CHUNK)
+    _per_step_reference(monkeypatch)
     reference = train(run, cfg, dataset, enc, steps)
-    assert calls[steps:] == [[]] * steps
-    _same_run(deferred, reference)
-    assert (deferred.l_ga > 0.0).any() and np.array_equal(deferred.total, deferred.l_pred)
+    assert len(rollouts) == -(-steps // CHUNK)
+    _same_run(chunked, reference)
+    assert (chunked.l_ga > 0.0).any() and np.array_equal(chunked.total, chunked.l_pred)
 
 
 def test_mixed_stack_defers_only_its_loss_only_mode(dataset, monkeypatch):
@@ -1076,17 +1099,16 @@ def test_mixed_stack_defers_only_its_loss_only_mode(dataset, monkeypatch):
     net = make_dynamics_net(8, 8, 80)
     stack = ParamStack(net, np.stack([net.params] * 3), cfgs)
     assert stack.loss_only == {FREE_RUNNING: True, TEACHER_FORCED: False}
-    for step in training._step_inputs(dataset, enc, cfgs[0], stack.loss_only, 4, CHUNK + 2,
-                                      TrainStreams.from_seed(81)):
-        assert list(step.plans) == [TEACHER_FORCED] and list(step.deferred) == [FREE_RUNNING]
     run = TrainRunConfig(steps=CHUNK + 5, batch_size=4, learning_rate=1e-3, hidden_dim=8)
-    calls = _counting_steps(monkeypatch)
+    rollouts = _recorded_calls(monkeypatch, "_loss_only_rollouts")
     results = train_group(run, cfgs, dataset, enc, 82)
-    assert calls == [[FREE_RUNNING]] * run.steps
-    monkeypatch.setattr(training, "_step_inputs", _per_step_inputs)
+    assert [args[1] for args in rollouts] == [FREE_RUNNING] * 2
+    assert [list(args[0].chains) for args in rollouts] == [[FREE_RUNNING, TEACHER_FORCED]] * 2
+    _per_step_reference(monkeypatch)
     for cfg, result, reference in zip(cfgs, results, train_group(run, cfgs, dataset, enc, 82)):
         _same_run(result, reference)
         _same_run(result, train(run, cfg, dataset, enc, 82))
+    assert len(rollouts) == 2
 
 
 def _far_anchors(far_anchor: int, far_batch: int | None):
@@ -1121,17 +1143,17 @@ def test_loss_only_rollout_failure_raises_at_its_step(far_dataset, monkeypatch, 
     net.weights()[0][:, 0] = 1e305
     cfg = GALossConfig(lambda_ga=0.0, max_span=3, mode=mode)
     run = TrainRunConfig(steps=3 * CHUNK, batch_size=4, optimizer="sgd")
-    calls = _counting_steps(monkeypatch)
+    calls = _recorded_calls(monkeypatch, "train_step")
     errors = []
-    for step_inputs in (training._step_inputs, _inline_rollouts(training._step_inputs)):
-        monkeypatch.setattr(training, "_step_inputs", step_inputs)
+    for stack_type in (ParamStack, _InlineStack):
+        monkeypatch.setattr(training, "ParamStack", stack_type)
         monkeypatch.setattr(training, "sample_batch", _far_anchors(far_anchor, far_batch))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             errors.append(_failing_run(run, cfg, far_dataset, enc, 67, initial_net=net))
-    deferred, inline = errors
-    assert (str(deferred), deferred.step) == (str(inline), inline.step)
-    assert deferred.step == far_anchor
+    chunked, inline = errors
+    assert (str(chunked), chunked.step) == (str(inline), inline.step)
+    assert chunked.step == far_anchor
     assert len(calls) == stop + far_anchor + 1  # the inline run stops at the anchor's step
 
 
