@@ -214,6 +214,28 @@ def _dirichlet_weights(seed: int, key: tuple[int, ...], j: int, rows: int, l: in
     return weights
 
 
+def _recompose_windows(windows: np.ndarray, weights: np.ndarray, l: int,
+                       position: int) -> np.ndarray:
+    """``recompose`` of a composition probe's (S, l, 3) windows at
+    ``position``. A window whose recomposed rows are no valid increment (a
+    share of its summed turn beyond pi) raises a ValueError that names its
+    sequence and the suite fields that bound it."""
+    try:
+        return recompose(windows, weights)
+    except ValueError:
+        for s in range(len(windows)):
+            try:
+                recompose(windows[s : s + 1], weights[s : s + 1])
+            except ValueError as e:
+                raise ValueError(
+                    f"composition probe l={l}, sequence {s}, window at action {position}: "
+                    f"the recomposed window is no valid increment ({e}); lower "
+                    "probes.composition_lengths or the suite's turns "
+                    "(probes.action_dist.sigma_dtheta)"
+                ) from None
+        raise
+
+
 def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
                 dist: DistanceParams, seed: int, concentration: float = 1.0) -> list[ProbeResult]:
     """Walk every sequence's action stream in lockstep and branch the probes
@@ -296,7 +318,7 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
                     err[:, j] = state_distances(branch_ends(at, key, cycles, 1 + j), at, dist)
                 else:
                     weights = _dirichlet_weights(seed, key, j, len(rows), cfg.l, dirichlet)
-                    recomposed = recompose(windows, weights)
+                    recomposed = _recompose_windows(windows, weights, cfg.l, stop)
                     err[:, j] = state_distances(branch_ends(at, key, windows, 2 + 3 * j),
                                                 branch_ends(at, key, recomposed, 3 + 3 * j), dist)
         for i, stream in enumerate(streams):
@@ -418,7 +440,7 @@ def gar_error(rollouts, dist: DistanceParams, aligned: bool) -> float:
     if rollouts.shape[1] < 2:
         raise ValueError("rollouts must contain at least one step")
     poses = rollouts[None]
-    raw = _pairwise_mean_distance(poses, dist)
+    raw = _mean_pair_distance(_pair_distances(poses, dist), n)
     return float((_aligned_dispersion(poses, dist, raw) if aligned else raw)[0])
 
 
@@ -427,13 +449,7 @@ def _aligned_dispersion(poses: np.ndarray, dist: DistanceParams, raw: np.ndarray
     (n, R, T+1, 3) array whose raw values are ``raw``, as an (n,) array."""
     moved = poses.copy()
     moved[:, 1:] = align_trajectory(poses[:, 1:], poses[:, 0])
-    return np.minimum(_pairwise_mean_distance(moved, dist), raw)
-
-
-def _pairwise_mean_distance(poses: np.ndarray, dist: DistanceParams) -> np.ndarray:
-    """Raw ``gar_error`` of each of n (R, T+1, 3) rollout sets in an
-    (n, R, T+1, 3) array, as an (n,) array."""
-    return _mean_pair_distance(_pair_distances(poses, dist), poses.shape[1])
+    return np.minimum(_mean_pair_distance(_pair_distances(moved, dist), poses.shape[1]), raw)
 
 
 def _pair_distances(poses: np.ndarray, dist: DistanceParams) -> np.ndarray:

@@ -318,46 +318,6 @@ def _constraint_segments(windows: np.ndarray, active: str,
     raise ValueError(f"unknown constraint: {active!r}")
 
 
-def _rollout_chains(segments: list[np.ndarray], mode: str, starts: list[np.ndarray] | None,
-                    encoder: FeatureEncoder | None) -> list[tuple[np.ndarray | None, np.ndarray]]:
-    """The network steps each rollout endpoint depends on, for stacks of
-    (m, L, 3) segments from their (m, 3) anchor poses: one (first inputs,
-    actions) chain per stack.
-
-    First inputs of None mean the anchor latents. Free-running rolls the
-    whole segment from the anchor. Teacher forcing snaps every later
-    step's input to the noiseless encoding of the exact rigid-motion
-    state, which stands in for ground-truth context, so only the last
-    step reaches the endpoint: its (m, d) inputs encode the poses that
-    ``apply_increments`` reaches over the segment's other rows, whose
-    turns are wrapped as the increment's ``Pose2`` wraps them. Every
-    stack's rows fold in one call, padded with zero increments to the
-    longest: a row's poses depend only on the increments before them.
-    """
-    if mode == FREE_RUNNING:
-        return [(None, segment) for segment in segments]
-    if starts is None or encoder is None:
-        raise ValueError("teacher-forced mode needs the anchor pose and the encoder")
-    chains = [(None, segment) for segment in segments]
-    forced = [i for i, segment in enumerate(segments) if segment.shape[1] > 1]
-    if not forced:
-        return chains
-    lengths = [segments[i].shape[1] - 1 for i in forced]
-    counts = [len(segments[i]) for i in forced]
-    prefixes = np.zeros((sum(counts), max(lengths), 3))
-    at = 0
-    for i, l, m in zip(forced, lengths, counts):
-        prefixes[at : at + m, :l] = segments[i][:, :-1]
-        at += m
-    prefixes[..., 2] = wrap_angles(prefixes[..., 2])
-    poses = apply_increments(np.concatenate([starts[i] for i in forced]), prefixes)
-    states = poses[np.arange(len(poses)), np.repeat(lengths, counts)]
-    z_in = _encode_rows(states, encoder)
-    for i, z in zip(forced, np.split(z_in, np.cumsum(counts)[:-1])):
-        chains[i] = (z, segments[i][:, -1:])
-    return chains
-
-
 def ga_loss_graph(weights, z_t: np.ndarray, base_segment: np.ndarray, cfg: GALossConfig,
                   active: str, dirichlet_rng: np.random.Generator, *,
                   start_pose: np.ndarray | None = None,
@@ -372,17 +332,16 @@ def ga_loss_graph(weights, z_t: np.ndarray, base_segment: np.ndarray, cfg: GALos
     if active == CONSTRAINT_COMP:
         dirichlet = sample_dirichlet_weights(l, cfg.dirichlet, dirichlet_rng)[None]
     segments = _constraint_segments(base_segment[None], active, dirichlet)
-    starts = None
-    if start_pose is not None:
+    chains, step = _chunk_chains([(np.arange(1), segments)], z_t[None])
+    if cfg.mode == TEACHER_FORCED:
+        if start_pose is None or encoder is None:
+            raise ValueError("teacher-forced mode needs the anchor pose and the encoder")
         start = np.array(start_pose, dtype=np.float64)[None]
         start[:, 0] = wrap_angles(start[:, 0])  # as Pose2 holds it
-        starts = [start] * len(segments)
-    anchor = ag.constant(z_t)
-    ends = []
-    for z_in, steps in _rollout_chains(segments, cfg.mode, starts, encoder):
-        z = anchor if z_in is None else ag.constant(z_in[0])
-        ends.append(rollout_endpoint_graph(z, steps[0], weights))
-    return ag.sumsq(ag.sub(ends[0], ends[1] if len(ends) == 2 else anchor))
+        chains = _teacher_forced(chains, start[step], encoder)
+    ends = [rollout_endpoint_graph(ag.constant(z), a[:n], weights)
+            for z, a, n in zip(chains.z, chains.actions, chains.lengths)]
+    return ag.sumsq(ag.sub(ends[0], ends[1] if len(ends) == 2 else ag.constant(z_t)))
 
 
 def _rollout_vjp(g: np.ndarray, caches, row: int | None, weights, grads) -> None:
@@ -563,12 +522,12 @@ class TrainStreams:
 
 
 class ChunkChains(NamedTuple):
-    """The GA rollout chains of one rollout mode over a chunk of steps,
-    longest first, each step's chains side by side: their (m, d) first
-    inputs, (m, L, 3) actions padded with zero rows to the longest chain,
-    and (m,) lengths; each step's first chain, and whether it has a
-    second (a composition's). Step k's chains are rows ``first[k]`` and,
-    if ``paired[k]``, ``first[k] + 1``."""
+    """The GA rollout chains of one rollout mode over a chunk of steps, in
+    the free-running order (longest first), each step's chains side by
+    side: their (m, d) first inputs, (m, L, 3) actions padded with zero
+    rows to the longest chain, and (m,) lengths; each step's first chain,
+    and whether it has a second (a composition's). Step k's chains are
+    rows ``first[k]`` and, if ``paired[k]``, ``first[k] + 1``."""
 
     z: np.ndarray
     actions: np.ndarray
@@ -611,10 +570,11 @@ def _chunk_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig,
     and observation noise for each step's inputs, then its targets. Every
     product rounds as its per-step form: the prediction columns are one
     (d, B) matrix product per step, the anchors and the teacher-forced
-    inputs one matrix-vector product each. Segments and teacher-forced
-    inputs are built for all the steps that share a constraint and a
-    span at once (``_constraint_segments``, ``_rollout_chains``), as one
-    ``ChunkChains`` for each rollout mode in ``modes``.
+    inputs one matrix-vector product each. Segments are built for all the
+    steps that share a constraint and a span at once
+    (``_constraint_segments``) and packed once as the free-running
+    ``ChunkChains`` (``_chunk_chains``); a teacher-forced mode in
+    ``modes`` reads them mapped by ``_teacher_forced``.
     """
     idx, ts, anchor_i, anchor_t, spans = sample_batch(dataset, batch_size, cfg.max_span,
                                                       streams.batch, steps)
@@ -665,41 +625,64 @@ def _chunk_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig,
             f"turns beyond pi; lower ga.max_span ({cfg.max_span}) or the dataset's turns "
             "(action_dist.sigma_dtheta)"
         )
-    segments = [stack for _, stacks in groups for stack in stacks]
-    segment_starts = [starts[rows] for rows, stacks in groups for _ in stacks]
-    chains = {mode: _chunk_chains(groups, _rollout_chains(segments, mode, segment_starts, encoder),
-                                  z_t)
+    free, step = _chunk_chains(groups, z_t)
+    chains = {mode: free if mode == FREE_RUNNING else _teacher_forced(free, starts[step], encoder)
               for mode in modes}
     return Chunk(active, latents, actions, z_t, chains)
 
 
-def _chunk_chains(groups, chains, z_t: np.ndarray) -> ChunkChains:
-    """A chunk's ``ChunkChains`` from its (steps, segment stacks) groups,
-    their (first inputs, actions) chains in group order
-    (``_rollout_chains``) and the (steps, d) anchor latents. The chains of
-    a group are equally long, so the groups are sorted by length, and a
+def _chunk_chains(groups, z_t: np.ndarray) -> tuple[ChunkChains, np.ndarray]:
+    """The free-running ``ChunkChains`` of a chunk's (steps, segment
+    stacks) groups, each chain starting from its step's row of the
+    (steps, d) anchor latents, and each chain's step. The stacks of a
+    group are equally long, so the groups are sorted by length, and a
     composition group's two stacks interleave, each step's pair side by
     side."""
-    chains = iter(chains)
-    parts = [(rows, [next(chains) for _ in stacks]) for rows, stacks in groups]
-    parts.sort(key=lambda part: -part[1][0][1].shape[1])
-    m = sum(len(rows) * len(pairs) for rows, pairs in parts)
-    z = np.empty((m, z_t.shape[1]))
-    actions = np.zeros((m, parts[0][1][0][1].shape[1], 3))
+    groups = sorted(groups, key=lambda group: -group[1][0].shape[1])
+    m = sum(len(rows) * len(stacks) for rows, stacks in groups)
+    actions = np.zeros((m, groups[0][1][0].shape[1], 3))
     lengths = np.empty(m, dtype=np.int64)
+    step = np.empty(m, dtype=np.int64)
     first = np.empty(len(z_t), dtype=np.int64)
     paired = np.zeros(len(z_t), dtype=bool)
     at = 0
-    for rows, pairs in parts:
-        end, c = at + len(rows) * len(pairs), len(pairs)
-        for s, (z_in, a) in enumerate(pairs):
-            z[at + s : end : c] = z_t[rows] if z_in is None else z_in
-            actions[at + s : end : c, : a.shape[1]] = a
-        lengths[at:end] = pairs[0][1].shape[1]
+    for rows, stacks in groups:
+        end, c = at + len(rows) * len(stacks), len(stacks)
+        for s, segment in enumerate(stacks):
+            actions[at + s : end : c, : segment.shape[1]] = segment
+            step[at + s : end : c] = rows
+        lengths[at:end] = stacks[0].shape[1]
         first[rows] = np.arange(at, end, c)
         paired[rows] = c == 2
         at = end
-    return ChunkChains(z, actions, lengths, first, paired)
+    return ChunkChains(z_t[step], actions, lengths, first, paired), step
+
+
+def _teacher_forced(chains: ChunkChains, starts: np.ndarray,
+                    encoder: FeatureEncoder) -> ChunkChains:
+    """The teacher-forced form of free-running ``chains`` whose chains
+    start from the (m, 3) poses ``starts``, in the same order, with the
+    same ``first`` and ``paired``.
+
+    Teacher forcing snaps every later step's input to the noiseless
+    encoding of the exact rigid-motion state, which stands in for
+    ground-truth context, so only a chain's last step reaches its
+    endpoint. A chain longer than one action starts from the encoding of
+    the pose that ``apply_increments`` reaches over its other actions,
+    whose turns are wrapped as the increment's ``Pose2`` wraps them; a
+    one-action chain keeps its anchor input. Every chain keeps only its
+    last action. All chains fold in one call over the padded block: a
+    row's poses depend only on the increments before them.
+    """
+    prefixes = chains.actions[:, :-1].copy()
+    prefixes[..., 2] = wrap_angles(prefixes[..., 2])
+    rows, last = np.arange(len(starts)), chains.lengths - 1
+    states = apply_increments(starts, prefixes)[rows, last]
+    forced = last > 0
+    z = chains.z.copy()
+    z[forced] = _encode_rows(states[forced], encoder)
+    return chains._replace(z=z, actions=chains.actions[rows, last][:, None],
+                           lengths=np.ones_like(chains.lengths))
 
 
 def _loss_only_rollouts(chunk: Chunk, mode: str, snapshot: np.ndarray, net: DynamicsNet,

@@ -517,7 +517,8 @@ def test_prefix_mean_dispersion_equals_per_horizon_and_oracle(r):
     for h in range(1, t_max + 1):
         poses = full[:, :, : h + 1]
         got = metrics._mean_pair_distance(per_step[..., :h], r)
-        assert got.tobytes() == metrics._pairwise_mean_distance(poses.copy(), DIST).tobytes()
+        raw = metrics._mean_pair_distance(metrics._pair_distances(poses.copy(), DIST), r)
+        assert got.tobytes() == raw.tobytes()
         assert got.tolist() == [
             reference_gar_error([[Pose2(*row) for row in traj] for traj in rollouts.tolist()],
                                 DIST.alpha_rot, aligned=False)

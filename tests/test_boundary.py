@@ -168,3 +168,21 @@ def test_the_largest_accepted_alpha_rot_writes_finite_reports(tmp_path):
         cmd_gar(cfg, model)
         for name in ("gac_report.json", "gar_report.json"):
             json.loads((tmp_path / "run" / name).read_text(), parse_constant=finite_only)
+
+
+def test_probe_turns_beyond_pi_fail_naming_the_composition_config_and_fields(tmp_path):
+    # the probe stage raised recompose's bare "|dtheta| must be <= pi" and
+    # named no field: a window's recomposed share of its summed turn can
+    # pass pi though each of its turns is within it
+    d = ExperimentConfig(out_dir=str(tmp_path / "run")).to_dict()
+    d["probes"].update(n_sequences=5)
+    d["probes"]["action_dist"].update(sigma_dtheta=1.5)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    cfg = load_config(path)
+    fields = (r"lower probes\.composition_lengths or the suite's turns "
+              r"\(probes\.action_dist\.sigma_dtheta\)$")
+    with pytest.raises(ValueError, match=r"^composition probe l=6, sequence 0, window at action "
+                                         r"13: .*pi.*; " + fields):
+        cmd_probe(cfg, "exact")
+    assert not any((tmp_path / "run").iterdir())

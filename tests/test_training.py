@@ -296,6 +296,22 @@ def test_teacher_forced_loss_matches_exact_state_oracle(encoder):
     assert l_ga == pytest.approx(expected, rel=1e-12)
 
 
+def _teacher_forced_block(groups, z_t, starts, encoder):
+    """The teacher-forced ``ChunkChains`` of (steps, segment stacks)
+    groups, from the steps' (n, d) anchor latents and (n, 3) start poses,
+    as a chunk builds it."""
+    free, step = training._chunk_chains(groups, z_t)
+    return training._teacher_forced(free, starts[step], encoder)
+
+
+def _random_segments(rng, m, length):
+    """(m, length, 3) increments whose turns span (-pi, pi)."""
+    return np.stack([np.column_stack([rng.normal(0.1, 0.05, length),
+                                      rng.normal(0.0, 0.03, length),
+                                      rng.uniform(-math.pi, math.pi, length)])
+                     for _ in range(m)])
+
+
 @pytest.mark.parametrize("length", range(2, 9))
 def test_teacher_forced_prefix_equals_the_per_pose_exact_rollout(encoder, length):
     # the prefixes of a stack of segments fold through the exact array
@@ -303,40 +319,58 @@ def test_teacher_forced_prefix_equals_the_per_pose_exact_rollout(encoder, length
     # including every heading wrap
     rng = _rng(70 + length)
     thetas = (math.pi, np.nextafter(-math.pi, 0.0), math.pi - 1e-12, -math.pi + 1e-12, 0.3)
-    segs = np.stack([np.column_stack([rng.normal(0.1, 0.05, length),
-                                      rng.normal(0.0, 0.03, length),
-                                      rng.uniform(-math.pi, math.pi, length)])
-                     for _ in thetas])
+    segs = _random_segments(rng, len(thetas), length)
     segs[:, ::2, 2] = -math.pi  # increment_pose wraps it to +pi
     starts = np.column_stack([thetas, rng.normal(0.0, 1.0, (len(thetas), 2))])
-    [(z_in, last)] = training._rollout_chains([segs], TEACHER_FORCED, [starts], encoder)
-    assert last.tobytes() == segs[:, -1:].tobytes()
-    for row, (start, seg) in enumerate(zip(starts, segs)):
+    z_t = rng.normal(size=(len(thetas), 8))
+    forced = _teacher_forced_block([(np.arange(len(thetas)), [segs])], z_t, starts, encoder)
+    assert forced.lengths.tolist() == [1] * len(thetas)
+    assert forced.actions.tobytes() == segs[:, -1:].tobytes()
+    for k, (start, seg) in enumerate(zip(starts, segs)):
         state = rollout(ExactModel(), Pose2(*start), seg[:-1], None)[-1]
         want = encoder.projection @ pose_features(pose_array([state])[0])
-        assert z_in[row].tobytes() == want.tobytes(), start[0]
+        assert forced.z[forced.first[k]].tobytes() == want.tobytes(), start[0]
         [(plan_in, plan_last)] = oracles.rollout_plans([seg], TEACHER_FORCED, None, start,
                                                         encoder)
         assert plan_in.tobytes() == want.tobytes() and plan_last.tobytes() == seg[-1:].tobytes()
 
 
 def test_teacher_forced_stacks_of_every_length_fold_in_one_call(encoder):
-    # stacks of 1 to 8 rows fold as one call, padded to the longest; each
-    # stack's inputs equal those of a call on it alone, bit for bit
+    # groups of chains 1 to 8 actions long, a pair of stacks at even
+    # lengths, map as one block padded to the longest; each step's chains
+    # equal those of its group mapped alone, bit for bit, and a one-action
+    # chain keeps its anchor input
     rng = _rng(90)
-    segments = [np.stack([np.column_stack([rng.normal(0.1, 0.05, l), rng.normal(0.0, 0.03, l),
-                                           rng.uniform(-math.pi, math.pi, l)])
-                          for _ in range(3)]) for l in range(1, 9)]
-    starts = [np.column_stack([rng.uniform(-math.pi, math.pi, 3), rng.normal(0.0, 1.0, (3, 2))])
-              for _ in segments]
-    together = training._rollout_chains(segments, TEACHER_FORCED, starts, encoder)
-    for segs, start, (z_in, last) in zip(segments, starts, together):
-        [(alone, alone_last)] = training._rollout_chains([segs], TEACHER_FORCED, [start], encoder)
-        assert last.tobytes() == alone_last.tobytes()
-        if segs.shape[1] == 1:
-            assert z_in is None and alone is None and last is segs
-        else:
-            assert z_in.tobytes() == alone.tobytes()
+    groups = [(rows, [_random_segments(rng, 3, l) for _ in range(1 + (l % 2 == 0))])
+              for l, rows in zip(range(1, 9), np.split(rng.permutation(24), 8))]
+    z_t = rng.normal(size=(24, 8))
+    starts = np.column_stack([rng.uniform(-math.pi, math.pi, 24), rng.normal(0.0, 1.0, (24, 2))])
+    together = _teacher_forced_block(groups, z_t, starts, encoder)
+    assert together.lengths.tolist() == [1] * len(together.lengths)
+    for rows, stacks in groups:
+        alone = _teacher_forced_block([(np.arange(3), stacks)], z_t[rows], starts[rows], encoder)
+        for j, k in enumerate(rows.tolist()):
+            assert together.paired[k] == alone.paired[j] == (len(stacks) == 2)
+            for s, segs in enumerate(stacks):
+                i, i_alone = together.first[k] + s, alone.first[j] + s
+                assert together.actions[i].tobytes() == alone.actions[i_alone].tobytes()
+                assert together.actions[i].tobytes() == segs[j, -1:].tobytes()
+                assert together.z[i].tobytes() == alone.z[i_alone].tobytes()
+                if segs.shape[1] == 1:
+                    assert together.z[i].tobytes() == z_t[k].tobytes()
+
+
+def test_a_two_mode_chunk_maps_one_chain_layout(dataset, encoder):
+    # the teacher-forced block is the free-running block mapped, so both
+    # keep the free-running order: longest chain first
+    modes = [FREE_RUNNING, TEACHER_FORCED]
+    chunk = training._chunk_inputs(dataset, encoder, GALossConfig(), modes, 4,
+                                   training.INPUT_CHUNK_STEPS, TrainStreams.from_seed(7))
+    free, forced = chunk.chains[FREE_RUNNING], chunk.chains[TEACHER_FORCED]
+    assert len(set(free.lengths.tolist())) > 1
+    assert (np.diff(free.lengths) <= 0).all()
+    assert free.first.tobytes() == forced.first.tobytes()
+    assert free.paired.tobytes() == forced.paired.tobytes()
 
 
 def test_tape_reference_wraps_a_teacher_forced_start_heading(encoder):
