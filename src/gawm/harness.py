@@ -526,14 +526,15 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     columns += sorted(k for k in rows[0] if k.startswith("gar"))
     columns += ["eval_prediction_loss", "checkpoint_hash"]
     write_csv(table_path, columns, ([row[k] for k in columns] for row in rows))
-    write_json(out_dir / f"ablation_{axis}_manifest.json", {
+    manifest_path = out_dir / f"ablation_{axis}_manifest.json"
+    write_json(manifest_path, {
         "axis": axis,
         "rows": [
             {"label": r["label"], "checkpoint_hash": r["checkpoint_hash"], "out_dir": r["out_dir"]}
             for r in rows
         ],
     })
-    stage.finish([table_path])
+    stage.finish([table_path, manifest_path])
     return rows
 
 
@@ -548,7 +549,8 @@ def _report_values(path, record, names: tuple[str, ...]) -> list:
 
 
 def cmd_report(out_dir) -> str:
-    """Collect the GAC and GAR reports under a run directory into one text table."""
+    """Collect the GAC and GAR reports under a run directory into one text table;
+    a directory with no metric file raises ``FileNotFoundError``."""
     out = Path(out_dir)
     if not out.is_dir():
         raise FileNotFoundError(f"run directory not found: {out}")
@@ -570,7 +572,7 @@ def cmd_report(out_dir) -> str:
                   for model, horizon, aligned, nonaligned in gars]
     lines += [f"ablation table: {path}" for path in sorted(out.rglob("ablation_*.csv"))]
     if not lines:
-        lines.append(f"no metric files found under {out}")
+        raise FileNotFoundError(f"no metric files found under {out}")
     text = "\n".join(lines) + "\n"
     write_text(out / "report.txt", text)
     return text

@@ -214,28 +214,6 @@ def _dirichlet_weights(seed: int, key: tuple[int, ...], j: int, rows: int, l: in
     return weights
 
 
-def _recompose_windows(windows: np.ndarray, weights: np.ndarray, l: int,
-                       position: int) -> np.ndarray:
-    """``recompose`` of a composition probe's (S, l, 3) windows at
-    ``position``. A window whose recomposed rows are no valid increment (a
-    share of its summed turn beyond pi) raises a ValueError that names its
-    sequence and the suite fields that bound it."""
-    try:
-        return recompose(windows, weights)
-    except ValueError:
-        for s in range(len(windows)):
-            try:
-                recompose(windows[s : s + 1], weights[s : s + 1])
-            except ValueError as e:
-                raise ValueError(
-                    f"composition probe l={l}, sequence {s}, window at action {position}: "
-                    f"the recomposed window is no valid increment ({e}); lower "
-                    "probes.composition_lengths or the suite's turns "
-                    "(probes.action_dist.sigma_dtheta)"
-                ) from None
-        raise
-
-
 def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
                 dist: DistanceParams, seed: int, concentration: float = 1.0) -> list[ProbeResult]:
     """Walk every sequence's action stream in lockstep and branch the probes
@@ -318,7 +296,14 @@ def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
                     err[:, j] = state_distances(branch_ends(at, key, cycles, 1 + j), at, dist)
                 else:
                     weights = _dirichlet_weights(seed, key, j, len(rows), cfg.l, dirichlet)
-                    recomposed = _recompose_windows(windows, weights, cfg.l, stop)
+                    try:
+                        recomposed = recompose(windows, weights)
+                    except ValueError as e:  # a share of a window's summed turn beyond pi
+                        raise ValueError(
+                            f"composition probe l={cfg.l}, sequence {e.row // cfg.l}, window at "
+                            f"action {stop}: the recomposed window is no valid increment ({e}); "
+                            "lower probes.composition_lengths or the suite's turns "
+                            "(probes.action_dist.sigma_dtheta)") from None
                     err[:, j] = state_distances(branch_ends(at, key, windows, 2 + 3 * j),
                                                 branch_ends(at, key, recomposed, 3 + 3 * j), dist)
         for i, stream in enumerate(streams):

@@ -45,12 +45,17 @@ ZERO_INCREMENT = ActionIncrement(0.0, 0.0, 0.0)
 
 def check_increments(rows: np.ndarray) -> None:
     """Check (L, 3) ``[dx, dy, dtheta]`` rows in one pass, as ``ActionIncrement``
-    checks each; a bad row raises its ``ValueError`` (the first in row order)."""
+    checks each; the first bad row raises its ``ValueError``, ``row`` its index."""
     if len(rows):
         max_dx, max_dy, max_dtheta = np.abs(rows).max(axis=0).tolist()  # a NaN propagates
         if not (math.isfinite(max_dx) and math.isfinite(max_dy) and max_dtheta <= math.pi):
-            for row in rows.tolist():
-                ActionIncrement(*row)  # raises at the first bad row
+            bad = ~np.isfinite(rows).all(axis=1) | (np.abs(rows[:, 2]) > math.pi)
+            row = int(bad.argmax())
+            try:
+                ActionIncrement(*rows[row].tolist())
+            except ValueError as e:
+                e.row = row
+                raise
 
 
 def check_segment(rows) -> np.ndarray:

@@ -611,13 +611,8 @@ def _chunk_inputs(dataset: Dataset, encoder: FeatureEncoder, cfg: GALossConfig,
         dirichlet = g / g.sum(axis=1, keepdims=True)
         try:
             groups.append((rows, _constraint_segments(windows, CONSTRAINT_COMP, dirichlet)))
-        except ValueError:  # a recomposed turn beyond pi: find the group's first such step
-            for j, k in enumerate(rows.tolist()):
-                try:
-                    recompose(windows[j : j + 1], dirichlet[j : j + 1])
-                except ValueError:
-                    failed.append((k, l))
-                    break
+        except ValueError as e:  # a recomposed turn beyond pi, first in the group's step order
+            failed.append((int(rows[e.row // l]), l))
     if failed:
         k, l = min(failed)
         raise ValueError(

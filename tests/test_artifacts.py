@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -185,7 +186,9 @@ def test_report_full_text(tmp_path, json_only):
 
 
 def test_report_on_empty_directory(tmp_path):
-    assert cmd_report(tmp_path) == f"no metric files found under {tmp_path}\n"
+    with pytest.raises(FileNotFoundError, match=f"^no metric files found under {re.escape(str(tmp_path))}$"):
+        cmd_report(tmp_path)
+    assert not (tmp_path / "report.txt").exists()
 
 
 _WRITE_MODE_CHARS = set("wax+")

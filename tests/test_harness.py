@@ -601,6 +601,14 @@ def test_ablate_mode_axis_tiny(tmp_path):
     assert rows[0]["checkpoint_hash"] != rows[1]["checkpoint_hash"]
 
 
+def test_ablate_manifest_entry_lists_the_table_and_the_ablation_manifest(tmp_path):
+    cfg = tiny_config(tmp_path / "ablate_entry", steps=2)
+    cmd_ablate(cfg, "mode")
+    out = Path(cfg.out_dir)
+    assert _manifest(cfg)["stages"]["ablate-mode"]["paths"] == sorted(
+        str(out / n) for n in ("ablation_mode.csv", "ablation_mode_manifest.json"))
+
+
 def test_ablate_span_axis_tiny(tmp_path):
     cfg = tiny_config(tmp_path / "span_ablate", steps=6)
     rows = cmd_ablate(cfg, "span")
@@ -942,6 +950,14 @@ def test_cli_report_names_a_missing_run_directory(tmp_path):
     err = json.loads(result.output.strip().splitlines()[-1])
     assert err == {"error": f"run directory not found: {missing}", "type": "FileNotFoundError"}
     assert not missing.exists()
+
+
+def test_cli_report_on_a_directory_without_metric_files_exits_1(tmp_path):
+    result = CliRunner().invoke(cli_main, ["report", "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    err = json.loads(result.output.strip().splitlines()[-1])
+    assert err == {"error": f"no metric files found under {tmp_path}", "type": "FileNotFoundError"}
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_cli_probe_and_errors(tmp_path):

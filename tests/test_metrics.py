@@ -19,6 +19,7 @@ from gawm.metrics import (
     probe_composition,
     probe_identity,
     probe_inverse,
+    probe_positions,
     write_gac_csv,
     write_gac_gnuplot,
     write_gac_json,
@@ -104,6 +105,18 @@ def test_exact_model_composition_probe_translation_only_zero():
     for l in (1, 2, 4, 6):
         r = probe_composition(ExactModel(), *seqs, ProbeConfig(KIND_COMPOSITION, l=l), DIST, 0)
         assert r.mean <= 1e-9
+
+
+def test_composition_probe_names_a_later_sequence_that_recomposes_beyond_pi():
+    # only sequence 2 turns, by pi every action: a recomposed share of its
+    # window's summed turn passes pi unless its weights are all exactly 1/l
+    starts, actions = _sequences(4, 12, 3, rot_scale=0.0)
+    actions[2, :, 2] = math.pi
+    cfg = ProbeConfig(KIND_COMPOSITION, l=4)
+    with pytest.raises(ValueError, match=f"^composition probe l=4, sequence 2, window at action "
+                                         f"{min(probe_positions(cfg, 12))}: the recomposed window "
+                                         r"is no valid increment \(\|dtheta\| must be <= pi"):
+        probe_composition(ExactModel(), starts, actions, cfg, DIST, 0)
 
 
 def test_identity_probe_drift_matches_brute_force():

@@ -13,6 +13,7 @@ from gawm.segments import (
     ActionIncrement,
     DirichletParams,
     MIN_CONCENTRATION,
+    check_increments,
     make_compatibility_segment,
     make_inverse_segment,
     sample_dirichlet_weights,
@@ -185,6 +186,39 @@ def test_segment_rejects_rows_as_increment_does(row, entry):
     with pytest.raises(ValueError) as got:
         ENTRY_POINTS[entry](np.array([[0.1, 0.0, 0.0], row, [0.0, 0.0, 9.0]]))
     assert str(got.value) == str(per_increment.value)
+
+
+# a bad component: non-finite in any column, or a turn just beyond pi
+BAD_COMPONENTS = st.one_of(
+    st.tuples(st.integers(0, 2), st.sampled_from([math.nan, math.inf, -math.inf])),
+    st.tuples(st.just(2), st.sampled_from([1.0, -1.0]).flatmap(
+        lambda sign: st.floats(math.pi, 4.0, exclude_min=True).map(lambda v: sign * v))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid=st.lists(st.tuples(component, component,
+                                st.floats(-math.pi, math.pi, allow_nan=False)),
+                      min_size=1, max_size=12),
+       bad=st.lists(st.tuples(st.integers(0, 11), BAD_COMPONENTS), max_size=4))
+def test_check_increments_raises_the_first_bad_rows_error_with_its_index(valid, bad):
+    rows = np.array(valid)
+    for at, (column, value) in bad:
+        rows[at % len(rows), column] = value
+    first = None
+    for i, row in enumerate(rows.tolist()):
+        try:
+            ActionIncrement(*row)
+        except ValueError as e:
+            first, want = i, str(e)
+            break
+    if first is None:
+        assert check_increments(rows) is None
+        return
+    with pytest.raises(ValueError) as got:
+        check_increments(rows)
+    assert str(got.value) == want
+    assert got.value.row == first
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)

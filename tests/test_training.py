@@ -1270,3 +1270,28 @@ def test_a_recomposed_turn_beyond_pi_names_its_step_and_max_span():
     run = TrainRunConfig(steps=2 * step, batch_size=4, hidden_dim=8)
     with pytest.raises(ValueError, match=f"^training step {step}: .*ga.max_span \\(4\\)"):
         train(run, cfg, wide, enc, 3)
+
+
+def test_a_recomposed_turn_beyond_pi_names_the_first_failing_step_of_its_group():
+    # at this seed an earlier step of the failing step's chunk is a
+    # composition of its span, so the failing step is not its group's first
+    seed = 10
+    wide = generate_records(ExactModel(), 10, 16, ActionDistribution(sigma_dtheta=1.5), seed=1)
+    enc = make_encoder(8, 200)
+    cfg = GALossConfig()
+    streams, step = TrainStreams.from_seed(seed), 0
+    with pytest.raises(ValueError, match="must be <= pi"):  # the per-step reference's error
+        while True:
+            oracles.step_inputs(wide, enc, cfg, [cfg.mode], 4, 1, streams)
+            step += 1
+    draws = TrainStreams.from_seed(seed)
+    for _ in range(step // CHUNK + 1):  # the chunk draws up to the failing step's chunk
+        *_, spans = training.sample_batch(wide, 4, cfg.max_span, draws.batch, CHUNK)
+        active = draws.constraint.integers(0, len(CONSTRAINTS), size=CHUNK)
+    k = step % CHUNK
+    assert CONSTRAINTS[active[k]] == CONSTRAINT_COMP
+    assert ((active[:k] == active[k]) & (spans[:k] == spans[k])).any()
+    run = TrainRunConfig(steps=step + 1, batch_size=4, hidden_dim=8)
+    with pytest.raises(ValueError, match=f"^training step {step}: a composition segment "
+                                         f"recomposes {spans[k]} actions into turns beyond pi"):
+        train(run, cfg, wide, enc, seed)
