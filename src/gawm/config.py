@@ -20,7 +20,8 @@ from pathlib import Path
 
 from .artifacts import read_json, write_json
 from .data import ActionDistribution
-from .latent import check_latent_dim, check_noise_sigma
+from .domains import MAX_SCALE, Checked, FieldError, bounded, domain
+from .latent import LATENT_DIM, FeatureEncoder
 from .metrics import KIND_COMPOSITION, KIND_IDENTITY, KIND_INVERSE, ProbeConfig, probe_positions
 from .se2 import DistanceParams
 from .segments import DirichletParams
@@ -53,7 +54,8 @@ def from_json(cls, value, path: str = ""):
     whose fields are all required may also be an array in field order), a
     ``tuple[...]`` from an array, ``X | None`` also from null. An int must
     be an integer, a float any number (stored as float), a str a string.
-    Any mismatch raises ValueError naming ``path``, the value's dotted path.
+    Any mismatch, or a value outside its field's declared domain, raises
+    ValueError naming ``path``, the value's dotted path.
     """
     def wrong(what: str) -> ValueError:
         return ValueError(f"config value {path or '<root>'} must be {what}, got {value!r}")
@@ -78,7 +80,11 @@ def from_json(cls, value, path: str = ""):
                 raise ValueError(f"unknown config key: {at(key)}")
             if key not in value:
                 raise ValueError(f"config value {at(key)} is missing")
-        return cls(**{key: from_json(hints[key], v, at(key)) for key, v in value.items()})
+        try:
+            return cls(**{key: from_json(hints[key], v, at(key)) for key, v in value.items()})
+        except FieldError as err:  # a value outside its field's declared domain
+            raise ValueError(f"config value {at(err.name)} must be {err.rule}, "
+                             f"got {err.value!r}") from None
     if typing.get_origin(cls) is tuple:
         if not isinstance(value, (list, tuple)):
             raise wrong("an array")
@@ -97,67 +103,40 @@ def from_json(cls, value, path: str = ""):
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    n_trajectories: int = 200
-    length: int = 64
+class DatasetConfig(Checked):
+    n_trajectories: int = bounded(200, 1)
+    length: int = bounded(64, 1)
     model: str = "exact"
     action_dist: ActionDistribution = field(default_factory=ActionDistribution)
-    start_pos_sigma: float = 1.0
-    seed: int | None = None  # None: derived from the master seed
-
-    def __post_init__(self):
-        if self.n_trajectories < 1 or self.length < 1:
-            raise ValueError("dataset needs at least one trajectory of length >= 1")
-        check_noise_sigma(self.start_pos_sigma, "dataset.start_pos_sigma")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"dataset.seed must be >= 0, got {self.seed}")
+    start_pos_sigma: float = bounded(1.0, 0.0, MAX_SCALE)
+    seed: int | None = bounded(None, 0)  # None: derived from the master seed
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
-    latent_dim: int = 16
-    obs_noise_sigma: float = 0.0
-    seed: int | None = None  # None: derived from the master seed
-
-    def __post_init__(self):
-        check_latent_dim(self.latent_dim)
-        check_noise_sigma(self.obs_noise_sigma)
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"encoder.seed must be >= 0, got {self.seed}")
-
-
-def _check_alpha_rot(alpha_rot: float, section: str) -> None:
-    """Build the stage's ``DistanceParams``, so a bad value fails at load, naming its field."""
-    try:
-        DistanceParams(alpha_rot)
-    except ValueError as err:
-        raise ValueError(f"{section}.{err}") from None
+class EncoderConfig(Checked):
+    latent_dim: int = bounded(16, *LATENT_DIM)
+    obs_noise_sigma: float = bounded(0.0, *domain(FeatureEncoder, "obs_noise_sigma"))
+    seed: int | None = bounded(None, 0)  # None: derived from the master seed
 
 
 @dataclass(frozen=True)
-class ProbeSuiteConfig:
+class ProbeSuiteConfig(Checked):
     identity_lengths: tuple[int, ...] = (1, 3, 5)
-    identity_k: int = 1
+    identity_k: int = bounded(1, 1)
     inverse_lengths: tuple[int, ...] = (1, 3, 5)
-    inverse_k: int = 1
+    inverse_k: int = bounded(1, 1)
     composition_lengths: tuple[int, ...] = (2, 4, 6)
-    n_sequences: int = 20
-    sequence_length: int = 32
+    n_sequences: int = bounded(20, 1)
+    sequence_length: int = bounded(32, 1)
     action_dist: ActionDistribution = field(
         default_factory=lambda: ActionDistribution(sigma_dtheta=0.0)
     )
-    eval_noise_sigma: float = 0.0
-    alpha_rot: float = 1.0
-    dirichlet_concentration: float = 1.0
+    eval_noise_sigma: float = bounded(0.0, 0.0, MAX_SCALE)
+    alpha_rot: float = bounded(1.0, *domain(DistanceParams, "alpha_rot"))
+    dirichlet_concentration: float = bounded(1.0, *domain(DirichletParams, "concentration"))
 
     def __post_init__(self):
-        # Build what the probe stage builds, so a bad value fails at load.
-        check_noise_sigma(self.eval_noise_sigma, "eval_noise_sigma")
-        _check_alpha_rot(self.alpha_rot, "probes")
-        DirichletParams(self.dirichlet_concentration)
-        for name in ("n_sequences", "sequence_length", "identity_k", "inverse_k"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"probes.{name} must be >= 1, got {getattr(self, name)}")
+        super().__post_init__()
         for name, kind, k in self._families():
             lengths = getattr(self, name)
             if not lengths:
@@ -183,23 +162,18 @@ class ProbeSuiteConfig:
 
 
 @dataclass(frozen=True)
-class GarSuiteConfig:
-    n_rollouts: int = 5
+class GarSuiteConfig(Checked):
+    n_rollouts: int = bounded(5, 2)
     horizons: tuple[int, ...] = (16, 64)
-    n_sequences: int = 20
+    n_sequences: int = bounded(20, 1)
     action_dist: ActionDistribution = field(
         default_factory=lambda: ActionDistribution(sigma_dtheta=0.0)
     )
-    eval_noise_sigma: float = 0.05
-    alpha_rot: float = 1.0
+    eval_noise_sigma: float = bounded(0.05, 0.0, MAX_SCALE)
+    alpha_rot: float = bounded(1.0, *domain(DistanceParams, "alpha_rot"))
 
     def __post_init__(self):
-        check_noise_sigma(self.eval_noise_sigma, "eval_noise_sigma")
-        _check_alpha_rot(self.alpha_rot, "gar")
-        if self.n_sequences < 1:
-            raise ValueError(f"gar.n_sequences must be >= 1, got {self.n_sequences}")
-        if self.n_rollouts < 2:
-            raise ValueError(f"gar.n_rollouts must be >= 2, got {self.n_rollouts}")
+        super().__post_init__()
         if not self.horizons or min(self.horizons) < 1:
             raise ValueError(f"gar.horizons must be one or more lengths >= 1, got {list(self.horizons)}")
         if len(set(self.horizons)) < len(self.horizons):

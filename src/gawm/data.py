@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import json_fields, number_array, read_json, write_json, write_text
-from .latent import check_noise_sigma, pose_features
+from .domains import MAX_SCALE, Checked, bounded
+from .latent import pose_features
 from .models import WorldModel, fold_steps
 from .se2 import check_finite_poses, wrap_angles
 from .segments import check_increments, keyed_rngs
@@ -32,19 +33,13 @@ EVALUATION_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
-class ActionDistribution:
+class ActionDistribution(Checked):
     """Gaussian increment distribution; dtheta is clipped to the local regime."""
 
-    mean_dx: float = 0.1
-    sigma_dx: float = 0.05
-    sigma_dy: float = 0.03
-    sigma_dtheta: float = 0.1
-
-    def __post_init__(self):
-        if not math.isfinite(self.mean_dx):
-            raise ValueError(f"action_dist.mean_dx must be finite, got {self.mean_dx}")
-        for name in ("sigma_dx", "sigma_dy", "sigma_dtheta"):
-            check_noise_sigma(getattr(self, name), f"action_dist.{name}")
+    mean_dx: float = bounded(0.1, -MAX_SCALE, MAX_SCALE)
+    sigma_dx: float = bounded(0.05, 0.0, MAX_SCALE)
+    sigma_dy: float = bounded(0.03, 0.0, MAX_SCALE)
+    sigma_dtheta: float = bounded(0.1, 0.0)
 
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
         """``length`` increments as a (length, 3) array: dx, then dy, then dtheta draws."""

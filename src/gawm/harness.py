@@ -27,6 +27,7 @@ from .config import (
     STAGE_PROBE,
     STAGE_TRAIN,
     ExperimentConfig,
+    ProbeSuiteConfig,
     TOOL_VERSION,
     from_json,
     save_config,
@@ -39,9 +40,9 @@ from .data import (
     load_dataset,
     write_dataset,
 )
+from .domains import domain
 from .latent import (
     LearnedWorldModel,
-    check_noise_sigma,
     load_checkpoint,
     make_encoder,
     save_checkpoint,
@@ -81,9 +82,9 @@ def parse_model_ref(ref: str, eval_noise_sigma: float = 0.0) -> tuple[WorldModel
     put their value (a list when there are several) in that field. A
     perturbed model's display name is the reference itself. Anything
     ending in .json is loaded as a checkpoint and wrapped with the given
-    evaluation observation noise, which must be finite and >= 0.
+    evaluation observation noise, which must lie in the suites' domain.
     """
-    check_noise_sigma(eval_noise_sigma, "eval_noise_sigma")
+    domain(ProbeSuiteConfig, "eval_noise_sigma").check("eval_noise_sigma", eval_noise_sigma)
     if ref == "exact":
         return ExactModel(), "exact"
     kind, sep, arg = ref.partition(":")

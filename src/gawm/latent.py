@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .artifacts import number_array, write_json
+from .domains import Checked, Domain, bounded
 from .models import _BatchModel, row_normals
 from .se2 import Pose2, check_finite_poses, pose_array, wrap_angles
 from .segments import ActionIncrement, check_segment
@@ -27,6 +28,9 @@ from .segments import ActionIncrement, check_segment
 CHECKPOINT_VERSION = "gawm-checkpoint-1"
 
 MAX_ENCODER_CONDITION = 1e6
+
+# the encoder must be full rank on the four pose features
+LATENT_DIM = Domain(4)
 
 
 class HeadingUndefinedError(ValueError):
@@ -43,28 +47,13 @@ def pose_features(poses: np.ndarray) -> np.ndarray:
     return features
 
 
-def check_noise_sigma(sigma: float, name: str = "obs_noise_sigma") -> None:
-    """Observation noise must be finite and >= 0."""
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
-
-
-def check_latent_dim(latent_dim: int) -> None:
-    """The encoder must be full rank on the four pose features."""
-    if latent_dim < 4:
-        raise ValueError(f"latent_dim must be >= 4, got {latent_dim}")
-
-
 @dataclass(frozen=True)
-class FeatureEncoder:
+class FeatureEncoder(Checked):
     """Fixed linear observation map from pose features into the latent space."""
 
     projection: np.ndarray
     seed: int
-    obs_noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        check_noise_sigma(self.obs_noise_sigma)
+    obs_noise_sigma: float = bounded(0.0, 0.0)
 
     @property
     def latent_dim(self) -> int:
@@ -77,7 +66,7 @@ def make_encoder(latent_dim: int, seed: int, obs_noise_sigma: float = 0.0) -> Fe
     Resamples (continuing the same stream) until the condition number is
     acceptable, so the decoder's left inverse is numerically exact.
     """
-    check_latent_dim(latent_dim)
+    LATENT_DIM.check("latent_dim", latent_dim)
     rng = np.random.Generator(np.random.PCG64(seed))
     while True:
         projection = rng.normal(0.0, 0.5, size=(latent_dim, 4))

@@ -16,6 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .domains import MAX_SCALE, Checked, bounded
 from .se2 import Pose2, apply_increments, pose_array, wrap_angles
 from .segments import ActionIncrement, ZERO_INCREMENT, check_segment
 
@@ -96,7 +97,7 @@ class ExactModel(_IncrementModel):
 
 
 @dataclass(frozen=True)
-class ViolationConfig:
+class ViolationConfig(Checked):
     """Injectors that break each group-action condition in a known way.
 
     drift_bias is added to every realized increment (breaks identity),
@@ -108,21 +109,14 @@ class ViolationConfig:
     """
 
     drift_bias: ActionIncrement = ZERO_INCREMENT
-    saturation_scale: float | None = None
-    asym_gain: tuple[float, float] = (1.0, 1.0)
-    noise_sigma: float = 0.0
+    saturation_scale: float | None = bounded(None, 0.0, strict=True)
+    asym_gain: tuple[float, float] = bounded((1.0, 1.0), 0.0, MAX_SCALE, strict=True)
+    noise_sigma: float = bounded(0.0, 0.0, MAX_SCALE)
 
     def __post_init__(self):
-        if self.saturation_scale is not None:
-            if math.isinf(self.saturation_scale) and self.saturation_scale > 0:
-                object.__setattr__(self, "saturation_scale", None)
-            elif not (math.isfinite(self.saturation_scale) and self.saturation_scale > 0.0):
-                raise ValueError(f"saturation_scale must be > 0 or None, got {self.saturation_scale}")
-        if self.noise_sigma < 0.0 or not math.isfinite(self.noise_sigma):
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        gp, gm = self.asym_gain
-        if not all(math.isfinite(g) and g > 0.0 for g in (gp, gm)):
-            raise ValueError(f"asym_gain components must be finite and > 0, got {self.asym_gain}")
+        if self.saturation_scale == math.inf:
+            object.__setattr__(self, "saturation_scale", None)
+        super().__post_init__()
 
     def is_stochastic(self) -> bool:
         return self.noise_sigma > 0.0

@@ -15,9 +15,12 @@ compute exactly what their per-pose counterparts compute, bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .domains import Checked, bounded
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,18 +79,12 @@ def check_finite_poses(poses: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class DistanceParams:
+class DistanceParams(Checked):
     """Weight balancing the rotation term against the translation term."""
 
-    alpha_rot: float = 1.0
-
-    def __post_init__(self):
-        # the reports square a distance (a dispersion), so the largest
-        # rotation term, alpha_rot * pi, must square to a finite number
-        rotation = self.alpha_rot * math.pi
-        if not (math.isfinite(rotation * rotation) and self.alpha_rot >= 0.0):
-            raise ValueError(f"alpha_rot must be >= 0 with (alpha_rot * pi)**2 finite, "
-                             f"got {self.alpha_rot}")
+    # the reports square a distance (a dispersion), so the largest
+    # rotation term, alpha_rot * pi, must square to a finite number
+    alpha_rot: float = bounded(1.0, 0.0, math.sqrt(sys.float_info.max) / math.pi)
 
 
 def se2_identity() -> Pose2:

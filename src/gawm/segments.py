@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .domains import MAX_SCALE, Checked, bounded
+
 
 @dataclass(frozen=True)
 class ActionIncrement:
@@ -80,17 +82,10 @@ MIN_CONCENTRATION = 0.02
 
 
 @dataclass(frozen=True)
-class DirichletParams:
+class DirichletParams(Checked):
     """Concentration for simplex weight sampling, at least ``MIN_CONCENTRATION``."""
 
-    concentration: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.concentration) and self.concentration > 0.0):
-            raise ValueError(f"concentration must be > 0, got {self.concentration}")
-        if self.concentration < MIN_CONCENTRATION:
-            raise ValueError(f"concentration must be >= {MIN_CONCENTRATION}, or the gamma "
-                             f"variates underflow to 0, got {self.concentration}")
+    concentration: float = bounded(1.0, MIN_CONCENTRATION, MAX_SCALE)
 
 
 def make_inverse_segment(u) -> np.ndarray:

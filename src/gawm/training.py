@@ -37,7 +37,6 @@ of the chunk's steps so far.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -45,6 +44,7 @@ import numpy as np
 
 from . import autograd as ag
 from .data import Dataset
+from .domains import MAX_SCALE, Checked, bounded
 from .latent import (
     DynamicsNet, FeatureEncoder, _encode_rows, block_weights, make_dynamics_net, pose_features,
     residual_step, rollout_endpoint_graph,
@@ -79,22 +79,17 @@ class NonFiniteLossError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GALossConfig:
-    lambda_id: float = 1.0
-    lambda_inv: float = 1.0
-    lambda_comp: float = 1.0
-    lambda_ga: float = 0.5
-    max_span: int = 4
+class GALossConfig(Checked):
+    lambda_id: float = bounded(1.0, 0.0)
+    lambda_inv: float = bounded(1.0, 0.0)
+    lambda_comp: float = bounded(1.0, 0.0)
+    lambda_ga: float = bounded(0.5, 0.0)
+    max_span: int = bounded(4, 1)
     dirichlet: DirichletParams = field(default_factory=DirichletParams)
     mode: str = FREE_RUNNING
 
     def __post_init__(self):
-        for name in ("lambda_id", "lambda_inv", "lambda_comp", "lambda_ga"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if self.max_span < 1:
-            raise ValueError(f"max_span must be >= 1, got {self.max_span}")
+        super().__post_init__()
         if self.mode not in (FREE_RUNNING, TEACHER_FORCED):
             raise ValueError(f"unknown rollout mode: {self.mode!r}")
 
@@ -114,29 +109,20 @@ class GALossConfig:
 
 
 @dataclass(frozen=True)
-class TrainRunConfig:
-    steps: int = 5000
-    batch_size: int = 32
-    learning_rate: float = 1e-3
+class TrainRunConfig(Checked):
+    steps: int = bounded(5000, 1)
+    batch_size: int = bounded(32, 1)
+    learning_rate: float = bounded(1e-3, 0.0)
     optimizer: str = OPTIMIZER_ADAM
     dataset_path: str | None = None
-    hidden_dim: int = 64
+    hidden_dim: int = bounded(64, 1)
     init_checkpoint: str | None = None
-    init_w1_gain: float = 1.0
+    init_w1_gain: float = bounded(1.0, 0.0, MAX_SCALE, strict=True)
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        super().__post_init__()
         if self.optimizer not in (OPTIMIZER_ADAM, OPTIMIZER_SGD):
             raise ValueError(f"unknown optimizer: {self.optimizer!r}")
-        if self.hidden_dim < 1:
-            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if self.init_w1_gain <= 0.0 or not math.isfinite(self.init_w1_gain):
-            raise ValueError(f"init_w1_gain must be > 0, got {self.init_w1_gain}")
 
 
 class SgdOptimizer:

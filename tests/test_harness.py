@@ -2,9 +2,7 @@ import json
 import math
 import re
 import shutil
-import types
-import typing
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from config_fields import config_fields, edited
 from gawm.cli import main as cli_main
 from gawm.config import (
     DatasetConfig,
@@ -1047,40 +1046,57 @@ def test_suite_configs_reject_bad_eval_noise(sigma):
     assert ProbeSuiteConfig(eval_noise_sigma=0.0).eval_noise_sigma == 0.0
 
 
+def _whole(message: str) -> str:
+    """A pattern that matches exactly ``message``."""
+    return f"^{re.escape(message)}$"
+
+
 @pytest.mark.parametrize("section, key, value, message", [
-    ("gar", "n_sequences", 0, "^gar.n_sequences must be >= 1, got 0$"),
-    ("gar", "n_rollouts", 1, "^gar.n_rollouts must be >= 2, got 1$"),
+    ("gar", "n_sequences", 0, _whole("config value gar.n_sequences must be in [1, inf), got 0")),
+    ("gar", "n_rollouts", 1, _whole("config value gar.n_rollouts must be in [2, inf), got 1")),
     ("gar", "horizons", [], r"^gar.horizons must be one or more lengths >= 1, got \[\]$"),
     ("gar", "horizons", [8, 0], r"^gar.horizons must be one or more lengths >= 1, got \[8, 0\]$"),
-    ("gar", "alpha_rot", math.nan, r"^gar.alpha_rot must be >= 0 with \(alpha_rot \* pi\)\*\*2 finite"),
-    ("probes", "n_sequences", 0, "^probes.n_sequences must be >= 1, got 0$"),
+    ("gar", "alpha_rot", math.nan,
+     _whole("config value gar.alpha_rot must be in [0.0, 4.2678378161541536e+153], got nan")),
+    ("probes", "n_sequences", 0, _whole("config value probes.n_sequences must be in [1, inf), got 0")),
     ("probes", "identity_lengths", [1, 9],
      r"^probes.identity_lengths: l=9 exceeds the local regime \(<= 8\)$"),
-    ("probes", "inverse_k", 0, "^probes.inverse_k must be >= 1, got 0$"),
+    ("probes", "inverse_k", 0, _whole("config value probes.inverse_k must be in [1, inf), got 0")),
     ("probes", "composition_lengths", [], "^probes.composition_lengths must not be empty$"),
     ("probes", "sequence_length", 4, "^probes.inverse_lengths: segment length 5 exceeds stream length 4$"),
     ("probes", "alpha_rot", -1.0,
-     r"^probes.alpha_rot must be >= 0 with \(alpha_rot \* pi\)\*\*2 finite, got -1.0$"),
-    ("probes", "dirichlet_concentration", 0.0, "^concentration must be > 0, got 0.0$"),
-    ("encoder", "obs_noise_sigma", math.nan, "^obs_noise_sigma must be finite and >= 0, got nan$"),
-    ("encoder", "latent_dim", 2, "^latent_dim must be >= 4, got 2$"),
-    ("probes.action_dist", "sigma_dx", -1.0, "^action_dist.sigma_dx must be finite and >= 0, got -1.0$"),
-    ("gar.action_dist", "sigma_dtheta", math.nan, "^action_dist.sigma_dtheta must be finite and >= 0, got nan$"),
-    ("dataset.action_dist", "sigma_dy", math.inf, "^action_dist.sigma_dy must be finite and >= 0, got inf$"),
-    ("dataset.action_dist", "mean_dx", -math.inf, "^action_dist.mean_dx must be finite, got -inf$"),
-    ("dataset", "start_pos_sigma", -0.5, "^dataset.start_pos_sigma must be finite and >= 0, got -0.5$"),
-    ("dataset", "start_pos_sigma", math.nan, "^dataset.start_pos_sigma must be finite and >= 0, got nan$"),
-    ("train", "hidden_dim", 0, "^hidden_dim must be >= 1, got 0$"),
-    ("train", "hidden_dim", -2, "^hidden_dim must be >= 1, got -2$"),
+     _whole("config value probes.alpha_rot must be in [0.0, 4.2678378161541536e+153], got -1.0")),
+    ("probes", "dirichlet_concentration", 0.0,
+     _whole("config value probes.dirichlet_concentration must be in [0.02, 1e+100], got 0.0")),
+    ("encoder", "obs_noise_sigma", math.nan,
+     _whole("config value encoder.obs_noise_sigma must be in [0.0, inf), got nan")),
+    ("encoder", "latent_dim", 2, _whole("config value encoder.latent_dim must be in [4, inf), got 2")),
+    ("probes.action_dist", "sigma_dx", -1.0,
+     _whole("config value probes.action_dist.sigma_dx must be in [0.0, 1e+100], got -1.0")),
+    ("gar.action_dist", "sigma_dtheta", math.nan,
+     _whole("config value gar.action_dist.sigma_dtheta must be in [0.0, inf), got nan")),
+    ("dataset.action_dist", "sigma_dy", math.inf,
+     _whole("config value dataset.action_dist.sigma_dy must be in [0.0, 1e+100], got inf")),
+    ("dataset.action_dist", "mean_dx", -math.inf,
+     _whole("config value dataset.action_dist.mean_dx must be in [-1e+100, 1e+100], got -inf")),
+    ("dataset", "start_pos_sigma", -0.5,
+     _whole("config value dataset.start_pos_sigma must be in [0.0, 1e+100], got -0.5")),
+    ("dataset", "start_pos_sigma", math.nan,
+     _whole("config value dataset.start_pos_sigma must be in [0.0, 1e+100], got nan")),
+    ("train", "hidden_dim", 0, _whole("config value train.hidden_dim must be in [1, inf), got 0")),
+    ("train", "hidden_dim", -2, _whole("config value train.hidden_dim must be in [1, inf), got -2")),
     ("gar", "horizons", [8, 8], r"^gar.horizons must not repeat a horizon, got \[8, 8\]$"),
-    ("dataset", "seed", -1, "^dataset.seed must be >= 0, got -1$"),
-    ("encoder", "seed", -1, "^encoder.seed must be >= 0, got -1$"),
-    ("probes", "identity_k", 0, "^probes.identity_k must be >= 1, got 0$"),
+    ("dataset", "seed", -1, _whole("config value dataset.seed must be in [0, inf), got -1")),
+    ("encoder", "seed", -1, _whole("config value encoder.seed must be in [0, inf), got -1")),
+    ("probes", "identity_k", 0, _whole("config value probes.identity_k must be in [1, inf), got 0")),
     ("probes", "composition_lengths", [9],
      r"^probes.composition_lengths: l=9 exceeds the local regime \(<= 8\)$"),
-    ("probes", "sequence_length", 0, "^probes.sequence_length must be >= 1, got 0$"),
-    ("probes", "dirichlet_concentration", 1e-3, "^concentration must be >= 0.02, .* got 0.001$"),
-    ("ga.dirichlet", "concentration", 0.01, "^concentration must be >= 0.02, .* got 0.01$"),
+    ("probes", "sequence_length", 0,
+     _whole("config value probes.sequence_length must be in [1, inf), got 0")),
+    ("probes", "dirichlet_concentration", 1e-3,
+     _whole("config value probes.dirichlet_concentration must be in [0.02, 1e+100], got 0.001")),
+    ("ga.dirichlet", "concentration", 0.01,
+     _whole("config value ga.dirichlet.concentration must be in [0.02, 1e+100], got 0.01")),
     ("probes", "identity_lengths", [1, 1, 5],
      r"^probes.identity_lengths must not repeat a length, got \[1, 1, 5\]$"),
     ("probes", "inverse_lengths", [3, 1, 3],
@@ -1451,22 +1467,6 @@ def test_bad_model_ref_fails_before_the_stage_writes(tmp_path, stage):
     assert not (tmp_path / "fresh").exists()
 
 
-def _config_fields(cls, path=""):
-    """(dotted path, kind) of every field under config class ``cls``, sections
-    included, where kind is a section, an array or a scalar type."""
-    hints = typing.get_type_hints(cls)
-    for f in fields(cls):
-        dotted = f"{path}.{f.name}" if path else f.name
-        tp = hints[f.name]
-        if isinstance(tp, types.UnionType):
-            (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
-        if is_dataclass(tp):
-            yield dotted, "section"
-            yield from _config_fields(tp, dotted)
-        else:
-            yield dotted, "array" if typing.get_origin(tp) is tuple else tp
-
-
 _numbers = st.one_of(st.integers(), st.floats())
 _WRONG_JSON = {
     int: st.one_of(st.floats(), st.booleans()),
@@ -1476,29 +1476,47 @@ _WRONG_JSON = {
     "section": st.lists(_numbers, max_size=3),
 }
 # (section path, key, value, error prefix) for a value of the wrong JSON type
-_mistyped_edits = st.sampled_from(list(_config_fields(ExperimentConfig))).flatmap(
+_mistyped_edits = st.sampled_from(list(config_fields(ExperimentConfig))).flatmap(
     lambda leaf: _WRONG_JSON[leaf[1]].map(
         lambda value: (*leaf[0].rpartition(".")[::2], value, f"config value {leaf[0]} must be ")))
 
 
-def _edited(d: dict, section: str, key: str, value) -> dict:
-    """Config dict ``d`` with ``value`` at dotted ``section`` plus ``key``."""
-    target = d
-    for part in filter(None, section.split(".")):
-        if target.get(part) is None:  # pretrain is null in tiny_config
-            target[part] = {}
-        target = target[part]
-    target[key] = value
-    return d
-
-
 def test_config_rejects_a_wrong_json_type_in_every_field(tmp_path):
-    for dotted, kind in _config_fields(ExperimentConfig):
+    for dotted, kind, _ in config_fields(ExperimentConfig):
         value = {int: 2.0, float: "1", str: 1, "array": 3, "section": []}[kind]
         section, _, key = dotted.rpartition(".")
-        d = _edited(tiny_config(tmp_path / "run").to_dict(), section, key, value)
+        d = edited(tiny_config(tmp_path / "run").to_dict(), section, key, value)
         with pytest.raises(ValueError, match=f"^config value {re.escape(dotted)} must be "):
             ExperimentConfig.from_dict(d)
+
+
+def test_config_rejects_a_value_beyond_each_end_of_every_declared_domain(tmp_path):
+    unbounded = [dotted for dotted, kind, dom in config_fields(ExperimentConfig)
+                 if kind in (int, float) and dom is None]
+    assert unbounded == ["seed"]  # the master seed: any integer hashes to stage seeds
+    for dotted, kind, dom in config_fields(ExperimentConfig):
+        if dom is None:
+            continue
+        below = dom.lo if dom.strict else dom.lo - 1 if kind is int else math.nextafter(dom.lo, -math.inf)
+        # an infinite end is open, so a float field rejects inf; an int field has no int beyond it
+        above = math.nextafter(dom.hi, math.inf) if dom.hi < math.inf else math.inf
+        beyond = [below] + ([above] if kind is float else [])
+        section, _, key = dotted.rpartition(".")
+        for value in beyond:
+            d = edited(tiny_config(tmp_path / "run").to_dict(), section, key, value)
+            message = f"config value {dotted} must be {dom.rule()}, got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ExperimentConfig.from_dict(d)
+
+
+def test_readme_lists_every_declared_domain():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| config field | domain |") + 2
+    rows = [re.fullmatch(r"\| `([\w.]+)` \| `(.+)` \|", line).groups()
+            for line in lines[start:lines.index("", start)]]
+    declared = [(dotted, dom.rule()) for dotted, _, dom in config_fields(ExperimentConfig)
+                if dom is not None and not dotted.startswith("pretrain.")]
+    assert [(name, f"in {cell}") for name, cell in rows] == declared
 
 
 _SECTIONS = {"": ExperimentConfig, "dataset": DatasetConfig, "encoder": EncoderConfig,
@@ -1506,25 +1524,34 @@ _SECTIONS = {"": ExperimentConfig, "dataset": DatasetConfig, "encoder": EncoderC
 _DISTS = ["dataset.action_dist", "probes.action_dist", "gar.action_dist"]
 _bad_sigma = st.one_of(st.floats(max_value=-1e-300, allow_infinity=True),
                        st.sampled_from([math.nan, math.inf]))
+_too_large = st.floats(min_value=1e100, exclude_min=True)
 _gains = st.floats(min_value=0.1, max_value=3.0)
+
+
+def _out_of(rule: str):
+    """(section path, key, value) edits mapped to the whole error of a value outside ``rule``."""
+    return lambda e: e + (f"config value {e[0]}.{e[1]} must be in {rule}, got {e[2]!r}",)
+
+
 # (section path, key, value, a substring of the error message)
 _bad_config_edits = st.one_of(
-    st.tuples(st.sampled_from(_DISTS), st.sampled_from(["sigma_dx", "sigma_dy", "sigma_dtheta"]),
-              _bad_sigma).map(lambda e: e + (f"action_dist.{e[1]} must be finite and >= 0",)),
-    st.tuples(st.sampled_from(_DISTS), st.just("mean_dx"), st.sampled_from([math.nan, -math.inf]),
-              st.just("action_dist.mean_dx must be finite")),
-    st.tuples(st.just("dataset"), st.just("start_pos_sigma"), _bad_sigma,
-              st.just("dataset.start_pos_sigma must be finite and >= 0")),
-    st.tuples(st.just("train"), st.just("hidden_dim"), st.integers(max_value=0),
-              st.just("hidden_dim must be >= 1")),
+    st.tuples(st.sampled_from(_DISTS), st.sampled_from(["sigma_dx", "sigma_dy"]),
+              st.one_of(_bad_sigma, _too_large)).map(_out_of("[0.0, 1e+100]")),
+    st.tuples(st.sampled_from(_DISTS), st.just("sigma_dtheta"), _bad_sigma).map(_out_of("[0.0, inf)")),
+    st.tuples(st.sampled_from(_DISTS), st.just("mean_dx"),
+              st.one_of(st.just(math.nan), _too_large, _too_large.map(lambda x: -x)))
+    .map(_out_of("[-1e+100, 1e+100]")),
+    st.tuples(st.just("dataset"), st.just("start_pos_sigma"),
+              st.one_of(_bad_sigma, _too_large)).map(_out_of("[0.0, 1e+100]")),
+    st.tuples(st.just("train"), st.just("hidden_dim"), st.integers(max_value=0)).map(_out_of("[1, inf)")),
     st.tuples(st.sampled_from(["dataset", "encoder"]), st.just("seed"), st.integers(max_value=-1))
-    .map(lambda e: e + (f"{e[0]}.seed must be >= 0",)),
-    st.tuples(st.sampled_from(["probes", "gar"]), st.just("eval_noise_sigma"), _bad_sigma,
-              st.just("eval_noise_sigma must be finite and >= 0")),
+    .map(_out_of("[0, inf)")),
+    st.tuples(st.sampled_from(["probes", "gar"]), st.just("eval_noise_sigma"),
+              st.one_of(_bad_sigma, _too_large)).map(_out_of("[0.0, 1e+100]")),
     st.tuples(st.just("dataset"), st.just("model"), st.one_of(
         st.lists(_gains, min_size=1, max_size=4).filter(lambda g: len(g) != 2),
         st.tuples(_gains, st.floats(max_value=0.0)),
-    ).map(lambda g: "asym:" + ",".join(map(repr, g))), st.just("asym")),
+    ).map(lambda g: "asym:" + ",".join(map(repr, g))), st.just("config value asym.asym_gain must be ")),
     st.tuples(st.just("dataset"), st.just("model"), st.one_of(
         st.tuples(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=5).filter(lambda d: len(d) != 3),
                   st.just("drift.drift_bias must be an object or an array of 3")),
@@ -1547,7 +1574,7 @@ def test_cli_ablate_rejects_invalid_config_values_before_any_output(edit):
 
     section, key, value, needle = edit
     with tempfile.TemporaryDirectory() as tmp:
-        d = _edited(tiny_config(Path(tmp) / "run").to_dict(), section, key, value)
+        d = edited(tiny_config(Path(tmp) / "run").to_dict(), section, key, value)
         cfg_path = Path(tmp) / "cfg.json"
         cfg_path.write_text(json.dumps(d))
         out = Path(tmp) / "out"

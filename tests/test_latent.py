@@ -318,7 +318,7 @@ def test_checkpoint_version_guard(tmp_path):
     ("obs_noise_sigma", True, "field 'obs_noise_sigma' is not float: True"),
     ("obs_noise_sigma", "0.1", "field 'obs_noise_sigma' is not float: '0.1'"),
     ("obs_noise_sigma", 10**400, "field 'obs_noise_sigma' is not float: "),
-    ("obs_noise_sigma", -0.5, "obs_noise_sigma must be finite and >= 0, got -0.5"),
+    ("obs_noise_sigma", -0.5, "obs_noise_sigma must be in [0.0, inf), got -0.5"),
     ("projection", "x", "field 'projection' is not array: 'x'"),
     ("projection", [[1.0, 0.0, 0.0, True]] * 8, "field 'projection' is not array: "),
     ("params", [[1.0], [2.0, 3.0]], "field 'params' is not array: [[1.0], [2.0, 3.0]]"),
