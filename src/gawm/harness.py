@@ -549,21 +549,42 @@ def _report_values(path, record, names: tuple[str, ...]) -> list:
     return values
 
 
+def _listed_names(run_dir: Path) -> set[str]:
+    """Names of the files that a stage entry of ``run_dir``'s manifest lists
+    in its ``paths``; none if there is no manifest or it cannot be read."""
+    try:
+        stages = read_json(run_dir / "manifest.json")["stages"]
+        return {Path(p).name for entry in stages.values() for p in entry["paths"]}
+    except (FileNotFoundError, ValueError, LookupError, TypeError, AttributeError):
+        return set()
+
+
 def cmd_report(out_dir) -> str:
-    """Collect the GAC and GAR reports under a run directory into one text table;
-    a directory with no metric file raises ``FileNotFoundError``."""
+    """Collect the GAC and GAR reports under a run directory into one text table.
+
+    A metric file is read only if the manifest in its directory lists it
+    (by file name), so a file that a later run left stale is skipped and
+    named. A directory with no listed metric file raises ``FileNotFoundError``.
+    """
     out = Path(out_dir)
     if not out.is_dir():
         raise FileNotFoundError(f"run directory not found: {out}")
+    skipped = []
+
+    def listed(pattern):
+        found = sorted(out.rglob(pattern))
+        skipped.extend(p for p in found if p.name not in _listed_names(p.parent))
+        return [p for p in found if p not in skipped]
+
     lines = []
     gacs = [_report_values(p, read_json(p), ("model", "delta_id", "delta_inv", "delta_comp", "e_gac"))
-            for p in sorted(out.rglob("gac_report.json"))]
+            for p in listed("gac_report.json")]
     if gacs:
         lines.append("consistency (per model): delta_id delta_inv delta_comp e_gac")
         lines += [f"  {model}: {d_id:.4g} {d_inv:.4g} {d_comp:.4g} {e_gac:.4g}"
                   for model, d_id, d_inv, d_comp, e_gac in gacs]
     gars = []
-    for p in sorted(out.rglob("gar_report.json")):
+    for p in listed("gar_report.json"):
         model, entries = json_fields(p, read_json(p), ("model", "entries"))
         gars += [[model, *_report_values(p, e, ("horizon", "aligned_mean", "nonaligned_mean"))]
                  for e in (entries if isinstance(entries, list) else [None])]
@@ -571,9 +592,10 @@ def cmd_report(out_dir) -> str:
         lines.append("dispersion (per model, horizon): aligned nonaligned")
         lines += [f"  {model} T={horizon}: {aligned:.4g} {nonaligned:.4g}"
                   for model, horizon, aligned, nonaligned in gars]
-    lines += [f"ablation table: {path}" for path in sorted(out.rglob("ablation_*.csv"))]
+    lines += [f"ablation table: {path}" for path in listed("ablation_*.csv")]
+    unlisted = [f"skipped, not in its directory's manifest: {path}" for path in skipped]
     if not lines:
-        raise FileNotFoundError(f"no metric files found under {out}")
-    text = "\n".join(lines) + "\n"
+        raise FileNotFoundError("; ".join([f"no metric files found under {out}", *unlisted]))
+    text = "\n".join(lines + unlisted) + "\n"
     write_text(out / "report.txt", text)
     return text

@@ -216,106 +216,86 @@ def _dirichlet_weights(seed: int, key: tuple[int, ...], j: int, rows: int, l: in
 
 def _walk_probe(model: WorldModel, starts, actions, cfgs: list[ProbeConfig],
                 dist: DistanceParams, seed: int, concentration: float = 1.0) -> list[ProbeResult]:
-    """Walk every sequence's action stream in lockstep and branch the probes
-    of each config in ``cfgs`` off it, one result per config, each equal to
-    that config's walk alone.
+    """Walk every sequence's action stream and branch the probes of each
+    config in ``cfgs`` off it, one result per config, each equal to that
+    config's walk alone.
 
-    Row s is sequence s. A stream folds the model's step (``fold_steps``),
-    batched over the rows, and carries its generators and the position it
-    has been folded to. A model that draws no noise (``is_deterministic``)
-    starts one stream that every config reads; any other model starts one
-    per config, whose row s draws from the generator keyed (kind, k, l, s, 0)
-    of its config, built at the stream's first fold. The walk goes from
-    stop to stop: the sorted distinct positions of all configs. At a stop,
-    each stream that a config probes there folds up to it. Once no config
-    that reads a stream has a position left, the stream folds to its last
-    action, as in per-pose evaluation, so an invalid pose anywhere along it
-    raises, and is dropped. An increment model advances each stretch as
-    one rollout. At a config's j-th position
-    (in sorted order) each row branches with that config's generators keyed
-    1 + j (identity, inverse) or 1 + 3j for the Dirichlet weights and
-    2 + 3j, 3 + 3j for the two windows (composition), and every branch
-    segment runs as one batched rollout over the rows. An inverse branch
-    is its windows' ``inverse_cycles``, a composition branch ``recompose``
-    of its windows by ``_dirichlet_weights``. Errors come out in sequence
-    order, then position order.
-
-    An identity pause replaces the state of the stream its config reads.
-    While another config still reads that stream, the config first forks
-    it: from then on it reads its own stream of the same rows, folded in
-    its own ``fold_steps`` calls. A walk of one config never forks, and a
-    stream that no config reads is not folded.
+    Row s is sequence s. A stream folds the model's step (``fold_steps``)
+    over the rows from stop to stop, an increment model's each stretch as
+    one rollout, and each config walks its sorted positions in one loop.
+    A model that draws no noise (``is_deterministic``) first folds one
+    stream, keeping its state at each stop: every non-identity position
+    and every identity config's first pause. It ends at the last action
+    if any config is no identity config, else at the last first pause;
+    each config reads it up to its first identity pause. On any other
+    model each config folds its own stream, row s drawing from the
+    generator keyed (kind, k, l, s, 0) of its config. An identity pause
+    replaces its config's state, which folds on from there. A stream a
+    config folds itself folds to its last action after its last stop, as
+    in per-pose evaluation, so an invalid pose anywhere along a stream
+    raises; the noiseless stream is folded, and so checked, before any
+    branch runs, so its error comes first. At a config's j-th position
+    each row branches with that config's generators keyed 1 + j
+    (identity, inverse) or 1 + 3j for the Dirichlet weights and 2 + 3j,
+    3 + 3j for the two windows (composition), and every branch segment
+    runs as one batched rollout over the rows. An inverse branch is its
+    windows' ``inverse_cycles``, a composition branch ``recompose`` of its
+    windows by ``_dirichlet_weights``. Errors come out in sequence order,
+    then position order.
     """
-    states, actions = _check_sequences(starts, actions)
+    starts, actions = _check_sequences(starts, actions)
     n = actions.shape[1]
     rows = range(len(actions))
     dirichlet = DirichletParams(concentration=concentration)
-    keys = [(_KIND_CODE[cfg.kind], cfg.k, cfg.l) for cfg in cfgs]
     positions = [probe_positions(cfg, n) for cfg in cfgs]
-    errors = [np.empty((len(actions), len(p))) for p in positions]
-    shared = is_deterministic(model)
-    # each stream is [states, generators (None before its first fold), the
-    # position it is folded to, the key of its generators], or None once dropped
-    streams = [[states, None, 0, key] for key in (keys[:1] if shared else keys)]
-    # config i reads streams[reads[i]]
-    reads = [0] * len(cfgs) if shared else list(range(len(cfgs)))
 
-    def fold(stream, stop):
-        at, rngs, t, key = stream
-        if t < stop:
-            if rngs is None:
-                rngs = stream[1] = _generators(model, seed, [(*key, s, 0) for s in rows])
-            # a copy, so that no stream keeps its whole stretch of poses alive
-            stream[0] = fold_steps(model, at, actions[:, t:stop], rngs)[:, -1].copy()
-            stream[2] = stop
+    def fold(at, rngs, t, stop):
+        # a copy, so that no state keeps its whole stretch of poses alive
+        return at if t == stop else fold_steps(model, at, actions[:, t:stop], rngs)[:, -1].copy()
 
     def branch_ends(at, key, segments, slot):
         rngs = _generators(model, seed, [(*key, s, slot) for s in rows])
         return rollout_batch(model, at, segments, rngs)[:, -1]
 
-    for stop in sorted({p for ps in positions for p in ps}):
-        probed = [c for c, ps in enumerate(positions) if stop in ps]
-        for i in sorted({reads[c] for c in probed}):
-            fold(streams[i], stop)
-        for c, (cfg, key, ps, err) in enumerate(zip(cfgs, keys, positions, errors)):
-            for j in [j for j, p in enumerate(sorted(ps)) if p == stop]:
-                stream = streams[reads[c]]
-                at = stream[0]
-                if cfg.kind == KIND_IDENTITY:
-                    end = branch_ends(at, key, np.zeros((len(rows), cfg.l, 3)), 1 + j)
-                    err[:, j] = state_distances(end, at, dist)
-                    if reads.count(reads[c]) > 1:
-                        reads[c] = len(streams)
-                        streams.append([end, stream[1], stop, stream[3]])
-                    else:
-                        stream[0] = end
-                    continue
-                windows = actions[:, stop : stop + cfg.l]
-                if cfg.kind == KIND_INVERSE:
-                    cycles = inverse_cycles(windows)
-                    err[:, j] = state_distances(branch_ends(at, key, cycles, 1 + j), at, dist)
-                else:
-                    weights = _dirichlet_weights(seed, key, j, len(rows), cfg.l, dirichlet)
-                    try:
-                        recomposed = recompose(windows, weights)
-                    except ValueError as e:  # a share of a window's summed turn beyond pi
-                        raise ValueError(
-                            f"composition probe l={cfg.l}, sequence {e.row // cfg.l}, window at "
-                            f"action {stop}: the recomposed window is no valid increment ({e}); "
-                            "lower probes.composition_lengths or the suite's turns "
-                            "(probes.action_dist.sigma_dtheta)") from None
-                    err[:, j] = state_distances(branch_ends(at, key, windows, 2 + 3 * j),
-                                                branch_ends(at, key, recomposed, 3 + 3 * j), dist)
-        for i, stream in enumerate(streams):
-            if stream is not None and all(max(positions[c]) <= stop
-                                          for c, r in enumerate(reads) if r == i):
-                fold(stream, n)
-                streams[i] = None
-    return [
-        ProbeResult(kind=cfg.kind, k=cfg.k, l=cfg.l, mean=float(err.mean()), std=float(err.std()),
-                    n_instances=err.size, start_positions=ps)
-        for cfg, ps, err in zip(cfgs, positions, errors)
-    ]
+    shared = None  # the noiseless stream's state at each of its stops
+    if is_deterministic(model):
+        shared, t = {0: starts}, 0
+        for stop in sorted({p for cfg, ps in zip(cfgs, positions)
+                            for p in (ps[:1] if cfg.kind == KIND_IDENTITY else (*ps, n))}):
+            shared[stop], t = fold(shared[t], [None] * len(rows), t, stop), stop
+    results = []
+    for cfg, ps in zip(cfgs, positions):
+        key = (_KIND_CODE[cfg.kind], cfg.k, cfg.l)
+        rngs = _generators(model, seed, [(*key, s, 0) for s in rows])
+        err = np.empty((len(rows), len(ps)))
+        stream, at, t = shared, starts, 0
+        for j, stop in enumerate(sorted(ps)):
+            at, t = fold(at, rngs, t, stop) if stream is None else stream[stop], stop
+            windows = actions[:, stop : stop + cfg.l]
+            if cfg.kind == KIND_IDENTITY:
+                end = branch_ends(at, key, np.zeros((len(rows), cfg.l, 3)), 1 + j)
+                err[:, j] = state_distances(end, at, dist)
+                stream, at = None, end
+            elif cfg.kind == KIND_INVERSE:
+                cycles = inverse_cycles(windows)
+                err[:, j] = state_distances(branch_ends(at, key, cycles, 1 + j), at, dist)
+            else:
+                weights = _dirichlet_weights(seed, key, j, len(rows), cfg.l, dirichlet)
+                try:
+                    recomposed = recompose(windows, weights)
+                except ValueError as e:  # a share of a window's summed turn beyond pi
+                    raise ValueError(
+                        f"composition probe l={cfg.l}, sequence {e.row // cfg.l}, window at "
+                        f"action {stop}: the recomposed window is no valid increment ({e}); "
+                        "lower probes.composition_lengths or the suite's turns "
+                        "(probes.action_dist.sigma_dtheta)") from None
+                err[:, j] = state_distances(branch_ends(at, key, windows, 2 + 3 * j),
+                                            branch_ends(at, key, recomposed, 3 + 3 * j), dist)
+        if stream is None:
+            fold(at, rngs, t, n)
+        results.append(ProbeResult(kind=cfg.kind, k=cfg.k, l=cfg.l, mean=float(err.mean()),
+                                   std=float(err.std()), n_instances=err.size, start_positions=ps))
+    return results
 
 
 def aggregate_gac(per_config) -> GacReport:

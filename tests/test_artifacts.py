@@ -10,7 +10,7 @@ import pytest
 import gawm
 from gawm import artifacts
 from gawm.artifacts import write_csv, write_json, write_text
-from gawm.harness import cmd_report
+from gawm.harness import _write_manifest, cmd_report
 from gawm.metrics import (
     GacReport,
     GarEntry,
@@ -167,6 +167,11 @@ REPORT_HEAD = (
 )
 
 
+def _vouch(run_dir, stage, *names):
+    """A manifest in ``run_dir`` whose ``stage`` entry lists ``names`` there."""
+    _write_manifest(run_dir, "hand-built", {stage: {"paths": [str(run_dir / n) for n in names]}})
+
+
 @pytest.mark.parametrize("json_only", (False, True))
 def test_report_full_text(tmp_path, json_only):
     for name, sub in (("drift:0.01,0,0.005", "drift"), ("exact", "exact")):
@@ -174,13 +179,44 @@ def test_report_full_text(tmp_path, json_only):
         d.mkdir(parents=True)
         write_gac_json(d / "gac_report.json", GAC, name)
         write_gar_json(d / "gar_report.json", GAR, name)
+        _vouch(d, "eval", "gac_report.json", "gar_report.json")
         if not json_only:
             write_gac_summary_csv(d / "gac_summary.csv", GAC, name)
             write_gar_csv(d / "gar.csv", GAR, name)
     expected = REPORT_HEAD
     if not json_only:
         (tmp_path / "ablation_constraints.csv").write_text("label\n")
+        _vouch(tmp_path, "ablate", "ablation_constraints.csv")
         expected += f"ablation table: {tmp_path / 'ablation_constraints.csv'}\n"
+    assert cmd_report(tmp_path) == expected
+    assert (tmp_path / "report.txt").read_text() == expected
+
+
+def test_report_skips_and_names_the_metric_files_no_manifest_lists(tmp_path):
+    # "listed" is a run directory moved after its run: its manifest lists
+    # the old paths, and a file counts as listed by its name; "stale" has a
+    # later run's manifest, "broken" one that is not JSON, and the table
+    # beside them has none
+    for sub in ("listed", "stale", "broken"):
+        d = tmp_path / sub
+        d.mkdir()
+        write_gac_json(d / "gac_report.json", GAC, sub)
+        write_gar_json(d / "gar_report.json", GAR, sub)
+    _vouch(tmp_path / "listed", "eval", "gac_report.json", "gar_report.json")
+    (tmp_path / "listed").rename(tmp_path / "moved")
+    _vouch(tmp_path / "stale", "gen-data", "dataset")
+    (tmp_path / "broken" / "manifest.json").write_text('{"stages": {"probe": {"paths": [')
+    (tmp_path / "ablation_constraints.csv").write_text("label\n")
+    skipped = [tmp_path / d / f for f in ("gac_report.json", "gar_report.json")
+               for d in ("broken", "stale")] + [tmp_path / "ablation_constraints.csv"]
+    expected = (
+        "consistency (per model): delta_id delta_inv delta_comp e_gac\n"
+        "  listed: 0.15 0.5 0.6667 0.4389\n"
+        "dispersion (per model, horizon): aligned nonaligned\n"
+        "  listed T=4: 0.1 0.3\n"
+        "  listed T=16: 1.25 2.5\n"
+    )
+    expected += "".join(f"skipped, not in its directory's manifest: {p}\n" for p in skipped)
     assert cmd_report(tmp_path) == expected
     assert (tmp_path / "report.txt").read_text() == expected
 

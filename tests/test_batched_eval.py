@@ -230,12 +230,19 @@ def _probe_alone(model, starts, actions, cfg, dist, seed, concentration=1.0):
     return metrics.probe_composition(model, starts, actions, cfg, dist, seed, concentration)
 
 
-def _walk_lengths(cfg, n, stream):
+def _walk_lengths(cfg, n, stream, shared=False):
     """Action counts of the rollouts ``_walk_probe`` runs for one config, in
     call order: with ``stream``, one per stop after 0 for the stretch that
-    reaches it, and after it one per branch at that stop."""
+    reaches it, and after it one per branch at that stop. A ``shared``
+    (noiseless) stream folds all its stretches, to the end, before any
+    branch, unless the config is an identity config: its stream stops at
+    its first pause, and the config folds on from there."""
     positions = metrics.probe_positions(cfg, n)
     branch = {KIND_IDENTITY: [cfg.l], KIND_INVERSE: [2 * cfg.l], KIND_COMPOSITION: [cfg.l] * 2}
+    if shared and cfg.kind != KIND_IDENTITY:
+        stops = sorted({*positions, n})
+        stretches = [b - a for a, b in zip([0, *stops], stops) if b > a]
+        return stretches + branch[cfg.kind] * len(positions)
     lengths, t = [], 0
     for stop in sorted({*positions, n}):
         lengths += [stop - t] if stream and stop > 0 else []
@@ -263,7 +270,7 @@ def test_walk_probe_folds_an_increment_stream_once_per_stop(monkeypatch, name):
     for cfg in GRID:
         lengths.clear()
         _probe_alone(model, *seqs, cfg, DIST, 3, 0.5)
-        assert lengths == _walk_lengths(cfg, 20, stream=True), cfg
+        assert lengths == _walk_lengths(cfg, 20, stream=True, shared=name == "exact"), cfg
     assert any(0 in metrics.probe_positions(cfg, 20) for cfg in GRID)
 
 
@@ -489,6 +496,32 @@ def test_stream_overflow_inside_a_folded_stretch_raises(drift):
             reference_gac(model, starts, actions, grid, DIST, 0)
     with pytest.raises(RuntimeWarning, match="overflow"):
         evaluate_gac(model, starts, actions, grid, DIST, 0)
+
+
+# on 12 straight actions identity k=1 pauses at 6, and the inverse and
+# composition windows of length 2 start at 5: every probe stop and branch
+# lies before the last two actions, whose dx of 1e308 are valid increments
+# that overflow x only on the way to the stream end
+LATE_GRID = [ProbeConfig(KIND_IDENTITY, k=1, l=1), ProbeConfig(KIND_INVERSE, k=1, l=2),
+             ProbeConfig(KIND_COMPOSITION, l=2)]
+LATE_OVERFLOW = {"shared-stream": ("exact", LATE_GRID),
+                 "stream-per-config": ("noise:0.02", LATE_GRID),
+                 "identity-fold-after-its-pause": ("exact", LATE_GRID[:1])}
+
+
+@pytest.mark.parametrize("case", LATE_OVERFLOW)
+def test_a_stream_that_overflows_after_the_last_probe_stop_raises(case):
+    ref, grid = LATE_OVERFLOW[case]
+    model = parse_model_ref(ref)[0]
+    starts, actions = np.zeros((3, 3)), np.tile([0.1, 0.0, 0.0], (3, 12, 1))
+    actions[:, -2:, 0] = 1e308
+    assert max(p + cfg.l for cfg in grid for p in metrics.probe_positions(cfg, 12)) <= 10
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^Pose2 components must be finite"):
+            evaluate_gac(model, starts, actions, grid, DIST, 0)
+        for cfg in grid:
+            with pytest.raises(ValueError, match="^Pose2 components must be finite"):
+                _probe_alone(model, starts, actions, cfg, DIST, 0)
 
 
 @pytest.mark.parametrize("rows", [1, 5, 20, 27])

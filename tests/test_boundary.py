@@ -6,7 +6,8 @@ example mutates one leaf of one of them to a value of another type, 0,
 reads it. The load must succeed or raise ValueError / FileNotFoundError
 naming the file. The last tests hold config values that used to load and
 then fail inside a stage, and hold every config that loads to run a tiny
-gen-data -> train -> probe -> gar chain, or to fail naming a config field.
+gen-data -> train -> probe -> gar chain (an ablation, for a pretrain
+field), or to fail naming a config field.
 """
 
 import json
@@ -27,8 +28,11 @@ from gawm.config import (
 )
 from gawm.data import load_dataset
 from gawm.domains import Domain, domain
-from gawm.harness import cmd_gar, cmd_gen_data, cmd_probe, cmd_report, cmd_train, parse_model_ref
+from gawm.harness import (
+    cmd_ablate, cmd_gar, cmd_gen_data, cmd_probe, cmd_report, cmd_train, parse_model_ref,
+)
 from gawm.latent import load_checkpoint
+from gawm.metrics import MAX_LOCAL_WINDOW
 from gawm.models import ViolationConfig
 from gawm.se2 import DistanceParams
 from gawm.training import NonFiniteLossError, TrainRunConfig
@@ -273,16 +277,62 @@ CENSUS = [(dotted, value) for dotted, kind, dom in config_fields(ExperimentConfi
           for value in _census_values(kind, dom or Domain())]
 
 
+def _runs_or_fails_naming_a_field(dotted: str, d: dict, run=_run_chain) -> None:
+    """Config dict ``d``, whose field ``dotted`` was edited, loads and runs
+    (``run``), raises NonFiniteLossError, or raises a ValueError that names
+    the field or another config field."""
+    try:
+        run(ExperimentConfig.from_dict(d))
+    except NonFiniteLossError:
+        pass
+    except ValueError as err:
+        named = str(err).startswith(f"config value {dotted} must be ")
+        assert named or any(name in str(err) for name in FIELD_NAMES), err
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(CENSUS))
 def test_a_config_that_loads_runs_or_fails_naming_a_field(case):
     dotted, value = case
     with tempfile.TemporaryDirectory() as tmp:
         d = edited(_tiny(Path(tmp) / "run").to_dict(), *dotted.rpartition(".")[::2], value)
-        try:
-            _run_chain(ExperimentConfig.from_dict(d))
-        except NonFiniteLossError:
-            pass
-        except ValueError as err:
-            named = str(err).startswith(f"config value {dotted} must be ")
-            assert named or any(name in str(err) for name in FIELD_NAMES), err
+        _runs_or_fails_naming_a_field(dotted, d)
+
+
+# every numeric leaf of the pretrain, which runs as an ablation's base model
+PRETRAIN_CENSUS = [(dotted, value) for dotted, kind, dom in config_fields(ExperimentConfig)
+                   if kind in (int, float) and dotted.startswith("pretrain.")
+                   for value in _census_values(kind, dom or Domain())]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(PRETRAIN_CENSUS))
+def test_a_pretrain_config_that_loads_runs_an_ablation_or_fails_naming_a_field(case):
+    dotted, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        d = _tiny(Path(tmp) / "run").to_dict()
+        d["pretrain"] = dict(d["train"], steps=2)
+        d = edited(d, *dotted.rpartition(".")[::2], value)
+        _runs_or_fails_naming_a_field(dotted, d, lambda cfg: cmd_ablate(cfg, "mode"))
+
+
+# each element value of every tuple field, alone and appended to the tiny
+# config's tuple: lengths around the local window and the probe sequences'
+# length, and values of other types
+TUPLE_FIELDS = [dotted for dotted, kind, _ in config_fields(ExperimentConfig) if kind == "array"]
+SEQUENCE_LENGTH = _tiny("run").probes.sequence_length
+ELEMENTS = (0, -1, 1, MAX_LOCAL_WINDOW, MAX_LOCAL_WINDOW + 1, SEQUENCE_LENGTH, SEQUENCE_LENGTH + 1,
+            100, math.nan, 1e308, True, 2.5)
+ELEMENT_CENSUS = [(dotted, appended, value) for dotted in TUPLE_FIELDS
+                  for appended in (False, True) for value in ELEMENTS]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ELEMENT_CENSUS))
+def test_a_config_whose_tuple_element_loads_runs_or_fails_naming_a_field(case):
+    dotted, appended, value = case
+    section, _, key = dotted.rpartition(".")
+    with tempfile.TemporaryDirectory() as tmp:
+        d = _tiny(Path(tmp) / "run").to_dict()
+        d = edited(d, section, key, [*d[section][key], value] if appended else [value])
+        _runs_or_fails_naming_a_field(dotted, d)

@@ -28,6 +28,7 @@ from gawm.data import (
 )
 from gawm.harness import (
     UnknownModelRefError,
+    _write_manifest,
     cmd_gar,
     cmd_gen_data,
     cmd_probe,
@@ -929,8 +930,29 @@ def test_report_names_a_metric_file_it_cannot_read(tmp_path, name, text, needle)
     path = tmp_path / "run" / "point" / name
     path.parent.mkdir(parents=True)
     path.write_text(text)
+    _write_manifest(path.parent, "hand-built", {"probe": {"paths": [str(path)]}})
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{needle}"):
         cmd_report(tmp_path / "run")
+
+
+def test_report_skips_the_metric_files_a_later_run_left_stale(tmp_path):
+    # gen-data, train and probe at seed 12, then gen-data at seed 13 in the
+    # same directory: the manifest lists only gen-data, so seed 12's
+    # report is stale and the directory has no metric file to report
+    cfg = replace(tiny_config(tmp_path / "run"), seed=12)
+    cmd_gen_data(cfg)
+    cmd_probe(cfg, str(cmd_train(cfg)))
+    cmd_gen_data(replace(cfg, seed=13))
+    stale = tmp_path / "run" / "gac_report.json"
+    assert stale.exists()
+    want = (f"no metric files found under {tmp_path / 'run'}; "
+            f"skipped, not in its directory's manifest: {stale}")
+    with pytest.raises(FileNotFoundError, match=f"^{re.escape(want)}$"):
+        cmd_report(tmp_path / "run")
+    result = CliRunner().invoke(cli_main, ["report", "--out", str(tmp_path / "run")])
+    assert result.exit_code == 1
+    assert json.loads(result.output.strip().splitlines()[-1])["error"] == want
+    assert not (tmp_path / "run" / "report.txt").exists()
 
 
 def test_report_collects_metrics(tmp_path):
