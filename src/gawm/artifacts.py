@@ -63,9 +63,10 @@ def number_array(value) -> np.ndarray:
         array = np.array(value, dtype=object) if isinstance(value, list) else None
     except ValueError:  # ragged nesting
         array = None
-    if array is None:
+    leaves = set() if array is None else set(map(type, array.flat))
+    if array is None or list in leaves:  # a list leaf: rows of unequal lengths
         raise ValueError(f"not nested lists of one shape: {reprlib.repr(value)}")
-    if not set(map(type, array.flat)) <= {int, float}:
+    if not leaves <= {int, float}:
         leaf = next(leaf for leaf in array.flat if type(leaf) not in (int, float))
         raise ValueError(f"{reprlib.repr(leaf)} is not a number")
     try:

@@ -4,8 +4,8 @@ Actions are drawn from a forward-biased Gaussian increment distribution
 (positive mean forward motion, small lateral and angular components),
 which mimics navigation ego-motion statistics without any external data.
 Trajectories are rolled with a chosen reference model and written one
-file each, as JSON Lines: a header line holding the actions, then one
-pose per line.
+file each, as one JSON object on one line holding the actions and the
+poses.
 
 Poses are ``[theta, x, y]`` rows and actions ``[dx, dy, dtheta]`` rows;
 a dataset is three arrays and nothing else.
@@ -14,14 +14,13 @@ a dataset is three arrays and nothing else.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import json_fields, number_array, read_json, write_json, write_text
+from .artifacts import json_fields, number_array, read_json, write_json
 from .domains import MAX_SCALE, Checked, bounded
 from .latent import pose_features
 from .models import WorldModel, fold_steps
@@ -131,52 +130,28 @@ def generate_records(
 
 
 def write_trajectory_jsonl(path, poses: np.ndarray, actions: np.ndarray) -> None:
-    """A ``{"actions": [[dx, dy, dtheta], ...]}`` header line, then one
-    ``{"theta", "x", "y"}`` object per pose row."""
-    lines = [json.dumps({"actions": actions.tolist()})]
-    lines += [json.dumps({"theta": theta, "x": x, "y": y}) for theta, x, y in poses.tolist()]
-    write_text(path, "\n".join(lines) + "\n")
-
-
-_decode = json.JSONDecoder().raw_decode  # (value, end) of the JSON value a string starts with
+    """One line: ``{"actions": [[dx, dy, dtheta], ...], "poses": [[theta, x, y], ...]}``."""
+    write_json(path, {"actions": actions.tolist(), "poses": poses.tolist()}, indent=None)
 
 
 def read_trajectory_jsonl(path) -> tuple[np.ndarray, np.ndarray]:
-    """A trajectory file's (T+1, 3) poses and its header's (T, 3) actions,
-    as written: every value must be a JSON number (``number_array``), and
-    ``Dataset`` checks them. Every error names the file.
-
-    Each line must hold one JSON value, as ``json.loads`` requires; the
-    lines are decoded without its per-call checks, which cost more than
-    decoding a line."""
-    with open(path) as f:
-        lines = [line.strip(" \t\n\r") for line in f if line.strip()]  # JSON's whitespace
-    values = []
-    try:
-        for line in lines:
-            value, end = _decode(line)
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
-            values.append(value)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: a line is not JSON: {err}") from None
-    header, *rows = values or [{}]
-    try:
-        poses = number_array([[r["theta"], r["x"], r["y"]] for r in rows])
-    except KeyError as err:
-        raise ValueError(f"{path}: a pose line lacks {err}") from None
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}: a pose line is not an object of numbers: {err}") from None
-    (values,) = json_fields(path, header, ("actions",))
-    try:
-        actions = number_array(values)
-    except ValueError as err:
-        raise ValueError(f"{path}: the actions are not an array of numbers: {err}") from None
+    """A trajectory file's (T+1, 3) poses and (T, 3) actions, as written:
+    every value must be a JSON number (``number_array``), and ``Dataset``
+    checks them. Every error names the file."""
+    arrays = []
+    for name, value in zip(("actions", "poses"),
+                           json_fields(path, read_json(path), ("actions", "poses"))):
+        try:
+            arrays.append(number_array(value))
+        except ValueError as err:
+            raise ValueError(f"{path}: the {name} are not an array of numbers: {err}") from None
+    actions, poses = arrays
     if actions.ndim != 2 or actions.shape[1] != 3:
         raise ValueError(f"{path}: the actions must be an (L, 3) array, got shape {actions.shape}")
-    if len(rows) != len(actions) + 1:
-        raise ValueError(f"{path} holds {len(rows)} poses for {len(actions)} actions")
-    return poses.reshape(-1, 3), actions
+    if poses.shape != (len(actions) + 1, 3):
+        raise ValueError(f"{path}: the poses must be a ({len(actions) + 1}, 3) array for "
+                         f"{len(actions)} actions, got shape {poses.shape}")
+    return poses, actions
 
 
 def write_dataset(out_dir, dataset: Dataset, meta: dict) -> dict:

@@ -565,10 +565,13 @@ def cmd_report(out_dir) -> str:
     A metric file is read only if the manifest in its directory lists it
     (by file name), so a file that a later run left stale is skipped and
     named. A directory with no listed metric file raises ``FileNotFoundError``.
+    An earlier ``report.txt`` is removed first, so a report that fails
+    leaves none.
     """
     out = Path(out_dir)
     if not out.is_dir():
         raise FileNotFoundError(f"run directory not found: {out}")
+    (out / "report.txt").unlink(missing_ok=True)
     skipped = []
 
     def listed(pattern):

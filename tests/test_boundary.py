@@ -60,16 +60,14 @@ def _report_on(path):
     return cmd_report(path.parent)
 
 
-# each file: its path in the run, the JSONL line mutated (None: the whole
-# file is one JSON value), and the load that reads it
+# each file, one JSON value: its path in the run and the load that reads it
 FILES = {
-    "config": ("resolved_config.json", None, load_config),
-    "checkpoint": ("checkpoint.json", None, load_checkpoint),
-    "summary": ("dataset/summary.json", None, _load_dataset_of),
-    "trajectory header": ("dataset/traj_0000.jsonl", 0, _load_dataset_of),
-    "pose line": ("dataset/traj_0000.jsonl", 1, _load_dataset_of),
-    "gac report": ("gac_report.json", None, _report_on),
-    "gar report": ("gar_report.json", None, _report_on),
+    "config": ("resolved_config.json", load_config),
+    "checkpoint": ("checkpoint.json", load_checkpoint),
+    "summary": ("dataset/summary.json", _load_dataset_of),
+    "trajectory": ("dataset/traj_0000.jsonl", _load_dataset_of),
+    "gac report": ("gac_report.json", _report_on),
+    "gar report": ("gar_report.json", _report_on),
 }
 
 
@@ -104,17 +102,13 @@ def _with(value, path, new):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_mutated_leaf_loads_or_fails_naming_its_file(run, name, data):
-    rel, line, load = FILES[name]
+    rel, load = FILES[name]
     path = run / rel
     text = path.read_text()
-    lines = text.splitlines()
-    value = json.loads(text if line is None else lines[line])
+    value = json.loads(text)
     leaf = data.draw(st.sampled_from(_leaves(value)), label="leaf")
     new = data.draw(st.sampled_from(VALUES), label="value")
     mutated = json.dumps(_with(value, leaf, new))
-    if line is not None:
-        lines[line] = mutated
-        mutated = "\n".join(lines) + "\n"
     try:
         path.write_text(mutated)
         try:

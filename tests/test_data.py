@@ -81,29 +81,44 @@ def written(tmp_path):
     return root, data
 
 
+POSE_FIELDS = ("theta", "x", "y")
+
+
+def _with(name, edit):
+    """A text edit of a trajectory file that replaces its ``name`` array
+    ("actions" or "poses") by what ``edit`` returns for it."""
+    def text_edit(text):
+        record = json.loads(text)
+        record[name] = edit(record[name])
+        return json.dumps(record) + "\n"
+    return text_edit
+
+
+def _set_pose(t, **fields):
+    """An edit of the pose rows that sets pose t's ``theta``, ``x`` or ``y``."""
+    return lambda rows: [*rows[:t], [fields.get(f, v) for f, v in zip(POSE_FIELDS, rows[t])],
+                         *rows[t + 1:]]
+
+
+def _edit(root, i, name, edit):
+    """Rewrite trajectory i's ``name`` array as ``edit`` returns it; the array as written."""
+    path = root / f"traj_{i:04d}.jsonl"
+    path.write_text(_with(name, edit)(path.read_text()))
+    return json.loads(path.read_text())[name]
+
+
 def _edit_pose(root, i, t, **fields):
-    path = root / f"traj_{i:04d}.jsonl"
-    lines = path.read_text().splitlines()
-    pose = json.loads(lines[1 + t])
-    pose.update(fields)
-    lines[1 + t] = json.dumps(pose)
-    path.write_text("\n".join(lines) + "\n")
-    return pose
+    """Set trajectory i's pose t's fields; the pose as a dict."""
+    return dict(zip(POSE_FIELDS, _edit(root, i, "poses", _set_pose(t, **fields))[t]))
 
 
-def _edit_actions(root, i, edit):
-    """Rewrite trajectory i's header actions as ``edit`` returns them."""
-    path = root / f"traj_{i:04d}.jsonl"
-    lines = path.read_text().splitlines()
-    actions = edit(json.loads(lines[0])["actions"])
-    lines[0] = json.dumps({"actions": actions})
-    path.write_text("\n".join(lines) + "\n")
-    return actions
-
-
-def _with_header(header):
-    """A text edit that replaces a trajectory file's header line by ``header``."""
-    return lambda text: json.dumps(header) + text[text.index("\n"):]
+def _header_and_pose_lines(text: str) -> str:
+    """A trajectory file in the earlier layout: an ``{"actions"}`` header
+    line, then one ``{"theta", "x", "y"}`` object per pose."""
+    record = json.loads(text)
+    lines = [json.dumps({"actions": record["actions"]})]
+    lines += [json.dumps({"theta": theta, "x": x, "y": y}) for theta, x, y in record["poses"]]
+    return "\n".join(lines) + "\n"
 
 
 def test_load_dataset_round_trips_the_arrays(written):
@@ -126,7 +141,7 @@ def test_load_dataset_rejects_a_non_finite_pose_as_pose2_does(written):
 @pytest.mark.parametrize("dtheta", (3.5, -math.pi - 1e-9, math.inf))
 def test_load_dataset_rejects_a_bad_action_as_increment_does(written, dtheta):
     root, _ = written
-    rows = _edit_actions(root, 2, lambda rows: rows[:4] + [rows[4][:2] + [dtheta]] + rows[5:])
+    rows = _edit(root, 2, "actions", lambda rows: rows[:4] + [rows[4][:2] + [dtheta]] + rows[5:])
     with pytest.raises(ValueError) as per_pose:
         ActionIncrement(*rows[4])
     with pytest.raises(ValueError) as got:
@@ -146,9 +161,10 @@ def test_load_dataset_wraps_headings_as_pose2_does(written, theta):
 
 def test_load_dataset_rejects_mismatched_lengths(written):
     root, _ = written
-    _edit_actions(root, 1, lambda rows: rows[:-1])
-    with pytest.raises(ValueError, match=f"^{re.escape(str(root / 'traj_0001.jsonl'))} holds "
-                                         f"7 poses for 5 actions$"):
+    _edit(root, 1, "actions", lambda rows: rows[:-1])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(root / 'traj_0001.jsonl'))}: the poses "
+                                         r"must be a \(6, 3\) array for 5 actions, got shape "
+                                         r"\(7, 3\)$"):
         load_dataset(root)
 
 
@@ -168,53 +184,50 @@ def test_load_dataset_checks_the_trajectories_against_its_summary(written):
         load_dataset(root)
 
 
-def _split_last_value(text: str) -> str:
-    """The last line split in two where its last comma was. Beside a line
-    of two values it makes up the line count, and joined with commas into
-    one JSON array the lines would parse."""
-    head, tail = text.rsplit(", ", 1)
-    return head + "\n" + tail
-
-
 @pytest.mark.parametrize("name, edit, message", [
     pytest.param("summary.json", lambda text: text[:-2], " is not JSON: ", id="summary-not-json"),
     pytest.param("summary.json", lambda text: json.dumps({"n_trajectories": 3}), " lacks length$",
                  id="summary-no-length"),
     pytest.param("summary.json", lambda text: json.dumps({"n_trajectories": 3, "length": "6"}),
                  ": n_trajectories and length must be integers$", id="summary-length-a-string"),
-    pytest.param("traj_0001.jsonl", lambda text: text + "{oops\n", ": a line is not JSON: ",
-                 id="pose-not-json"),
-    pytest.param("traj_0001.jsonl", lambda text: text.replace("}\n{", "}, {", 1),
-                 ": a line is not JSON: ", id="two-values-on-a-line"),
-    pytest.param("traj_0001.jsonl", lambda text: _split_last_value(text.replace("}\n{", "}, {", 1)),
-                 ": a line is not JSON: ", id="two-values-and-a-split-value"),
-    pytest.param("traj_0001.jsonl", lambda text: text.replace('"y":', '"z":', 1),
-                 ": a pose line lacks 'y'$", id="pose-no-y"),
-    pytest.param("traj_0001.jsonl", lambda text: re.sub(r'"x": [^,]+', '"x": "0.15"', text, count=1),
-                 ": a pose line is not an object of numbers: '0.15' is not a number$",
+    pytest.param("traj_0001.jsonl", lambda text: text[:-3], " is not JSON: ",
+                 id="trajectory-truncated"),
+    pytest.param("traj_0001.jsonl", lambda text: text + "{oops\n", " is not JSON: Extra data",
+                 id="trajectory-then-a-second-value"),
+    pytest.param("traj_0001.jsonl", _with("poses", lambda rows: [rows[0][:2], *rows[1:]]),
+                 r": the poses are not an array of numbers: not nested lists of one shape: ",
+                 id="pose-two-numbers"),
+    pytest.param("traj_0001.jsonl", _with("poses", _set_pose(0, x="0.15")),
+                 ": the poses are not an array of numbers: '0.15' is not a number$",
                  id="pose-a-string-number"),
-    pytest.param("traj_0001.jsonl", lambda text: re.sub(r'"x": [^,]+', '"x": true', text, count=1),
-                 ": a pose line is not an object of numbers: True is not a number$",
+    pytest.param("traj_0001.jsonl", _with("poses", _set_pose(0, x=True)),
+                 ": the poses are not an array of numbers: True is not a number$",
                  id="pose-a-bool"),
-    pytest.param("traj_0001.jsonl", _with_header({"actions": 5}),
+    pytest.param("traj_0001.jsonl", _with("actions", lambda rows: 5),
                  ": the actions are not an array of numbers: not nested lists of one shape: 5$",
                  id="actions-an-int"),
-    pytest.param("traj_0002.jsonl", _with_header({"actions": [[0.1, "x", 0.0]]}),
+    pytest.param("traj_0002.jsonl", _with("actions", lambda rows: [[0.1, "x", 0.0]]),
                  ": the actions are not an array of numbers: 'x' is not a number$",
                  id="action-not-a-number"),
-    pytest.param("traj_0002.jsonl", _with_header({"actions": [[0.1, "0.15", 0.0]]}),
+    pytest.param("traj_0002.jsonl", _with("actions", lambda rows: [[0.1, "0.15", 0.0]]),
                  ": the actions are not an array of numbers: '0.15' is not a number$",
                  id="action-a-string-number"),
-    pytest.param("traj_0002.jsonl", _with_header({"actions": [[0.1, True, 0.0]]}),
+    pytest.param("traj_0002.jsonl", _with("actions", lambda rows: [[0.1, True, 0.0]]),
                  ": the actions are not an array of numbers: True is not a number$",
                  id="action-a-bool"),
-    pytest.param("traj_0002.jsonl", _with_header({"actions": [[0.1, 0.0]]}),
+    pytest.param("traj_0002.jsonl", _with("actions", lambda rows: [[0.1, 0.0]]),
                  r": the actions must be an \(L, 3\) array, got shape \(1, 2\)$",
                  id="action-two-columns"),
-    # the earlier layout: the actions in a separate file that the header names
+    pytest.param("traj_0002.jsonl", lambda text: json.dumps({"actions": json.loads(text)["actions"]}),
+                 " lacks poses$", id="no-poses"),
+    # the earlier layouts: a header line, then one pose object per line;
+    # before that, the actions in a separate file that the header named
+    pytest.param("traj_0000.jsonl", _header_and_pose_lines, " is not JSON: Extra data",
+                 id="old-layout"),
     pytest.param("traj_0000.jsonl",
-                 _with_header({"actions_file": "actions_0000.json", "model": "exact", "seed": 4}),
-                 " lacks actions$", id="old-layout"),
+                 lambda text: json.dumps({"actions_file": "actions_0000.json", "model": "exact",
+                                          "seed": 4}),
+                 " lacks actions, poses$", id="actions-file-layout"),
 ])
 def test_load_dataset_names_the_malformed_file(written, name, edit, message):
     root, _ = written

@@ -283,9 +283,10 @@ def test_gen_data_writes_expected_files(tmp_path):
     trajs = sorted(data_dir.glob("traj_*.jsonl"))
     assert sorted(p.name for p in data_dir.iterdir()) == ["summary.json"] + [p.name for p in trajs]
     assert len(trajs) == 10
-    first = trajs[0].read_text().strip().splitlines()
-    assert len(first) == 1 + 33  # header + poses
-    assert len(json.loads(first[0])["actions"]) == 32
+    (first,) = trajs[0].read_text().splitlines()  # one JSON object on one line
+    record = json.loads(first)
+    assert sorted(record) == ["actions", "poses"]
+    assert len(record["actions"]) == 32 and len(record["poses"]) == 33
     assert (Path(cfg.out_dir) / "manifest.json").exists()
 
 
@@ -357,19 +358,19 @@ def test_ablate_regenerates_a_dataset_no_gen_data_entry_vouches_for(tmp_path, mo
 
 
 def test_ablate_over_an_old_layout_dataset_fails_until_it_is_deleted(tmp_path):
-    # the earlier layout kept each trajectory's actions in an actions_NNNN.json
-    # file that the header named; a manifest still vouches for the directory
+    # the earlier layout wrote an {"actions"} header line, then one
+    # {"theta", "x", "y"} line per pose; a manifest still vouches for the directory
     cfg = tiny_config(tmp_path / "run", steps=4)
     cmd_ablate(cfg, "mode")
     data_dir = Path(cfg.out_dir) / "dataset"
     want = load_dataset(data_dir)
-    for i, path in enumerate(sorted(data_dir.glob("traj_*.jsonl"))):
-        header, *poses = path.read_text().splitlines()
-        (data_dir / f"actions_{i:04d}.json").write_text(json.dumps(json.loads(header)["actions"]))
-        header = {"actions_file": f"actions_{i:04d}.json", "model": "exact", "seed": 0}
-        path.write_text("\n".join([json.dumps(header), *poses]) + "\n")
+    for path in data_dir.glob("traj_*.jsonl"):
+        record = json.loads(path.read_text())
+        lines = [json.dumps({"actions": record["actions"]})]
+        lines += [json.dumps({"theta": theta, "x": x, "y": y}) for theta, x, y in record["poses"]]
+        path.write_text("\n".join(lines) + "\n")
     first = data_dir / "traj_0000.jsonl"
-    with pytest.raises(ValueError, match=f"^{re.escape(str(first))} lacks actions$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(first))} is not JSON: Extra data"):
         cmd_ablate(cfg, "mode")
     shutil.rmtree(data_dir)
     cmd_ablate(cfg, "mode")
@@ -931,17 +932,23 @@ def test_report_names_a_metric_file_it_cannot_read(tmp_path, name, text, needle)
     path.parent.mkdir(parents=True)
     path.write_text(text)
     _write_manifest(path.parent, "hand-built", {"probe": {"paths": [str(path)]}})
+    earlier = tmp_path / "run" / "report.txt"
+    earlier.write_text("an earlier report\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{needle}"):
         cmd_report(tmp_path / "run")
+    assert not earlier.exists()  # a failed report leaves no report.txt
 
 
 def test_report_skips_the_metric_files_a_later_run_left_stale(tmp_path):
-    # gen-data, train and probe at seed 12, then gen-data at seed 13 in the
-    # same directory: the manifest lists only gen-data, so seed 12's
-    # report is stale and the directory has no metric file to report
+    # gen-data, train, probe and report at seed 12, then gen-data at seed 13
+    # in the same directory: the manifest lists only gen-data, so seed 12's
+    # report is stale, the directory has no metric file to report, and
+    # seed 12's report.txt must not stay behind
     cfg = replace(tiny_config(tmp_path / "run"), seed=12)
     cmd_gen_data(cfg)
     cmd_probe(cfg, str(cmd_train(cfg)))
+    assert "  checkpoint: " in cmd_report(tmp_path / "run")
+    assert (tmp_path / "run" / "report.txt").exists()
     cmd_gen_data(replace(cfg, seed=13))
     stale = tmp_path / "run" / "gac_report.json"
     assert stale.exists()

@@ -209,8 +209,10 @@ def test_trajectory_jsonl_round_trip(tmp_path):
     poses, actions = read_trajectory_jsonl(path)
     assert np.array_equal(poses, traj)
     assert np.array_equal(actions, seg)
-    # one {"theta", "x", "y"} object per line, the start pose first
-    assert path.read_text().splitlines()[1] == json.dumps({"theta": 0.3, "x": -1.0, "y": 2.0})
+    # one object on one line: the action rows, then the [theta, x, y] pose rows, the start first
+    text = path.read_text()
+    assert text == json.dumps({"actions": seg.tolist(), "poses": traj.tolist()}) + "\n"
+    assert text.count("\n") == 1 and '"poses": [[0.3, -1.0, 2.0], ' in text
 
 
 def _stepwise_headings(starts, dtheta):
