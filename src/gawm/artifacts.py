@@ -3,9 +3,12 @@
 Each write goes to a temp file next to the target and is moved into
 place with ``os.replace``, so a reader sees either the old file or the
 complete new one. A write that fails removes its temp file and leaves
-the target as it was. A JSON file read back that is malformed raises a
-ValueError naming it; so does an array in it that is not all numbers
-(``number_array``).
+the target as it was. A file read back is parsed by ``read_json`` and
+its fields are typed by ``json_fields``, with the one rule
+(``json_value``) that ``config.from_json`` applies to its scalars too.
+Each failure raises a ValueError in one of three forms:
+``<path> is not JSON: ...``, ``<path> lacks a, b`` and
+``<path>: field 'a' is not int: 8.9``.
 """
 
 from __future__ import annotations
@@ -46,33 +49,59 @@ def read_json(path):
         raise ValueError(f"{path} is not JSON: {err}") from None
 
 
-def json_fields(path, record, names: tuple[str, ...]) -> list:
-    """``record``'s values of ``names``; a ValueError names the file if one is missing."""
-    missing = [name for name in names if not isinstance(record, dict) or name not in record]
+def json_fields(path, record, fields: dict) -> list:
+    """``record``'s values of the ``fields``, each typed as its kind by
+    ``json_value``. A ValueError names the file if one is missing, or
+    ``record`` is not an object (``<path> lacks a, b``), or if a value is
+    not of its kind (``<path>: field 'a' is not int: 8.9``)."""
+    missing = [name for name in fields if not isinstance(record, dict) or name not in record]
     if missing:
         raise ValueError(f"{path} lacks {', '.join(missing)}")
-    return [record[name] for name in names]
+    values = []
+    for name, kind in fields.items():
+        try:
+            values.append(json_value(record[name], kind))
+        except ValueError as err:
+            what = {dict: "object", list: "array", np.ndarray: "array"}.get(kind, kind.__name__)
+            raise ValueError(f"{path}: field {name!r} is not {what}: {err}") from None
+    return values
+
+
+def json_value(value, kind):
+    """``value``, as JSON reads it, typed as ``kind``: an int takes only an
+    integer, a float any number (stored as float), neither a bool; a
+    str, dict or list takes only its own type; an ``np.ndarray`` is a
+    ``number_array``. Otherwise a ValueError's message is the repr of
+    the value, for the caller to name the field."""
+    if kind is np.ndarray:
+        return number_array(value)
+    if isinstance(value, (int, float) if kind is float else kind) and type(value) is not bool:
+        try:
+            return float(value) if kind is float else value
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(reprlib.repr(value))
 
 
 def number_array(value) -> np.ndarray:
     """A JSON array as a float64 array. It must be nested lists of one
-    shape whose leaves are numbers as JSON reads them: an int or a float,
-    not a bool and not a str. Otherwise a ValueError says what is wrong,
-    for the caller to name its file."""
+    shape whose leaves are numbers as ``json_value`` reads a float.
+    Otherwise a ValueError's message is the repr of the first leaf that
+    is not a number, or of ``value`` if it is not such nested lists."""
     try:
         array = np.array(value, dtype=object) if isinstance(value, list) else None
     except ValueError:  # ragged nesting
         array = None
     leaves = set() if array is None else set(map(type, array.flat))
     if array is None or list in leaves:  # a list leaf: rows of unequal lengths
-        raise ValueError(f"not nested lists of one shape: {reprlib.repr(value)}")
+        raise ValueError(reprlib.repr(value))
     if not leaves <= {int, float}:
-        leaf = next(leaf for leaf in array.flat if type(leaf) not in (int, float))
-        raise ValueError(f"{reprlib.repr(leaf)} is not a number")
+        raise ValueError(reprlib.repr(next(leaf for leaf in array.flat
+                                           if type(leaf) not in (int, float))))
     try:
         return array.astype(np.float64)
-    except OverflowError as err:  # an integer beyond the float range
-        raise ValueError(str(err)) from None
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(reprlib.repr(value)) from None
 
 
 def write_csv(path, header, rows) -> None:

@@ -18,7 +18,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .artifacts import read_json, write_json
+from .artifacts import json_value, read_json, write_json
 from .data import ActionDistribution
 from .domains import MAX_SCALE, Checked, FieldError, bounded, domain
 from .latent import LATENT_DIM, FeatureEncoder
@@ -44,18 +44,15 @@ def stage_seed(master: int, stage: int) -> int:
     return int.from_bytes(h[:8], "big")
 
 
-_JSON_TYPES = {int: int, float: (int, float), str: str}
-
-
 def from_json(cls, value, path: str = ""):
     """``value``, as parsed from JSON, built into the declared type ``cls``.
 
     A dataclass comes from an object whose keys all name fields (a record
     whose fields are all required may also be an array in field order), a
-    ``tuple[...]`` from an array, ``X | None`` also from null. An int must
-    be an integer, a float any number (stored as float), a str a string.
-    Any mismatch, or a value outside its field's declared domain, raises
-    ValueError naming ``path``, the value's dotted path.
+    ``tuple[...]`` from an array, ``X | None`` also from null, and an int,
+    float or str as ``artifacts.json_value`` types it. Any mismatch, or a
+    value outside its field's declared domain, raises ValueError naming
+    ``path``, the value's dotted path.
     """
     def wrong(what: str) -> ValueError:
         return ValueError(f"config value {path or '<root>'} must be {what}, got {value!r}")
@@ -94,12 +91,10 @@ def from_json(cls, value, path: str = ""):
         elif len(value) != len(args):
             raise wrong(f"an array of {len(args)}")
         return tuple(from_json(arg, v, at(i)) for i, (arg, v) in enumerate(zip(args, value)))
-    if isinstance(value, _JSON_TYPES[cls]) and not isinstance(value, bool):
-        try:
-            return cls(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise wrong(cls.__name__)
+    try:
+        return json_value(value, cls)
+    except ValueError:
+        raise wrong(cls.__name__) from None
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import json_fields, number_array, read_json, write_json
+from .artifacts import json_fields, read_json, write_json
 from .domains import MAX_SCALE, Checked, bounded
 from .latent import pose_features
 from .models import WorldModel, fold_steps
@@ -136,16 +136,9 @@ def write_trajectory_jsonl(path, poses: np.ndarray, actions: np.ndarray) -> None
 
 def read_trajectory_jsonl(path) -> tuple[np.ndarray, np.ndarray]:
     """A trajectory file's (T+1, 3) poses and (T, 3) actions, as written:
-    every value must be a JSON number (``number_array``), and ``Dataset``
-    checks them. Every error names the file."""
-    arrays = []
-    for name, value in zip(("actions", "poses"),
-                           json_fields(path, read_json(path), ("actions", "poses"))):
-        try:
-            arrays.append(number_array(value))
-        except ValueError as err:
-            raise ValueError(f"{path}: the {name} are not an array of numbers: {err}") from None
-    actions, poses = arrays
+    both are typed by ``json_fields`` as arrays of numbers, and
+    ``Dataset`` checks them. Every error names the file."""
+    actions, poses = json_fields(path, read_json(path), {"actions": np.ndarray, "poses": np.ndarray})
     if actions.ndim != 2 or actions.shape[1] != 3:
         raise ValueError(f"{path}: the actions must be an (L, 3) array, got shape {actions.shape}")
     if poses.shape != (len(actions) + 1, 3):
@@ -186,9 +179,7 @@ def load_dataset(path) -> Dataset:
         raise FileNotFoundError(f"no trajectory files in {root}")
     summary_path = root / "summary.json"
     n_trajectories, length = json_fields(summary_path, read_json(summary_path),
-                                         ("n_trajectories", "length"))
-    if not all(type(v) is int for v in (n_trajectories, length)):
-        raise ValueError(f"{summary_path}: n_trajectories and length must be integers")
+                                         {"n_trajectories": int, "length": int})
     if len(traj_paths) != n_trajectories:
         raise ValueError(f"{root}: summary.json counts {n_trajectories} trajectories, "
                          f"found {len(traj_paths)} trajectory files")

@@ -113,16 +113,14 @@ def parse_model_ref(ref: str, eval_noise_sigma: float = 0.0) -> tuple[WorldModel
 def _manifest_stages(out_dir: Path, config_hash: str) -> dict | None:
     """The stages that the manifest of ``out_dir`` records under
     ``config_hash``; None if there is no manifest, another config wrote
-    it, or it cannot be read (not JSON, or not an object with that
-    ``config_hash`` and a ``stages`` object)."""
+    it, or it cannot be read (not JSON, or without a ``config_hash``
+    string and a ``stages`` object)."""
+    path = out_dir / "manifest.json"
     try:
-        payload = read_json(out_dir / "manifest.json")
-    except (FileNotFoundError, ValueError):  # no manifest, or not JSON
+        found, stages = json_fields(path, read_json(path), {"config_hash": str, "stages": dict})
+    except (FileNotFoundError, ValueError):  # no manifest, not JSON, or without those fields
         return None
-    if not isinstance(payload, dict) or payload.get("config_hash") != config_hash \
-            or not isinstance(payload.get("stages"), dict):
-        return None
-    return payload["stages"]
+    return stages if found == config_hash else None
 
 
 def _write_manifest(out_dir: Path, config_hash: str, stages: dict) -> None:
@@ -428,14 +426,16 @@ def _run_group(points: list[tuple[str, ExperimentConfig]], dataset: Dataset) -> 
         ckpt = cmd_train(cfg, label=label, dataset=dataset, group=group)
         gac = cmd_probe(cfg, str(ckpt))
         gar = cmd_gar(cfg, str(ckpt))
-        train_metrics = read_json(Path(cfg.out_dir) / "train_metrics.json")
+        metrics_path = Path(cfg.out_dir) / "train_metrics.json"
+        (eval_loss,) = json_fields(metrics_path, read_json(metrics_path),
+                                   {"eval_prediction_loss": float})
         row = {
             "label": label,
             "delta_id": gac.delta_id,
             "delta_inv": gac.delta_inv,
             "delta_comp": gac.delta_comp,
             "e_gac": gac.e_gac,
-            "eval_prediction_loss": train_metrics["eval_prediction_loss"],
+            "eval_prediction_loss": eval_loss,
             "checkpoint_hash": file_sha256(ckpt),
             "out_dir": cfg.out_dir,
         }
@@ -539,16 +539,6 @@ def cmd_ablate(cfg: ExperimentConfig, axis: str, threads: int = 1) -> list[dict]
     return rows
 
 
-def _report_values(path, record, names: tuple[str, ...]) -> list:
-    """``record``'s values of ``names``, each a number but ``model``; a
-    ValueError names the file if one is missing or not a number."""
-    values = json_fields(path, record, names)
-    for name, value in zip(names, values):
-        if name != "model" and type(value) not in (int, float):
-            raise ValueError(f"{path}: {name} is not a number: {value!r}")
-    return values
-
-
 def _listed_names(run_dir: Path) -> set[str]:
     """Names of the files that a stage entry of ``run_dir``'s manifest lists
     in its ``paths``; none if there is no manifest or it cannot be read."""
@@ -564,7 +554,8 @@ def cmd_report(out_dir) -> str:
 
     A metric file is read only if the manifest in its directory lists it
     (by file name), so a file that a later run left stale is skipped and
-    named. A directory with no listed metric file raises ``FileNotFoundError``.
+    named. Every value it prints is typed by ``json_fields``. A directory
+    with no listed metric file raises ``FileNotFoundError``.
     An earlier ``report.txt`` is removed first, so a report that fails
     leaves none.
     """
@@ -580,17 +571,19 @@ def cmd_report(out_dir) -> str:
         return [p for p in found if p not in skipped]
 
     lines = []
-    gacs = [_report_values(p, read_json(p), ("model", "delta_id", "delta_inv", "delta_comp", "e_gac"))
-            for p in listed("gac_report.json")]
+    gac_fields = {"model": str, "delta_id": float, "delta_inv": float, "delta_comp": float,
+                  "e_gac": float}
+    gacs = [json_fields(p, read_json(p), gac_fields) for p in listed("gac_report.json")]
     if gacs:
         lines.append("consistency (per model): delta_id delta_inv delta_comp e_gac")
         lines += [f"  {model}: {d_id:.4g} {d_inv:.4g} {d_comp:.4g} {e_gac:.4g}"
                   for model, d_id, d_inv, d_comp, e_gac in gacs]
     gars = []
+    entry_fields = {"horizon": int, "aligned_mean": float, "nonaligned_mean": float}
     for p in listed("gar_report.json"):
-        model, entries = json_fields(p, read_json(p), ("model", "entries"))
-        gars += [[model, *_report_values(p, e, ("horizon", "aligned_mean", "nonaligned_mean"))]
-                 for e in (entries if isinstance(entries, list) else [None])]
+        model, entries = json_fields(p, read_json(p), {"model": str, "entries": list})
+        # a report without entries lacks every entry field
+        gars += [[model, *json_fields(p, e, entry_fields)] for e in entries or [None]]
     if gars:
         lines.append("dispersion (per model, horizon): aligned nonaligned")
         lines += [f"  {model} T={horizon}: {aligned:.4g} {nonaligned:.4g}"

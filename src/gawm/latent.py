@@ -11,15 +11,13 @@ identity transition.
 
 from __future__ import annotations
 
-import json
 import math
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
-from .artifacts import number_array, write_json
+from .artifacts import json_fields, read_json, write_json
 from .domains import Checked, Domain, bounded
 from .models import _BatchModel, row_normals
 from .se2 import Pose2, check_finite_poses, pose_array, wrap_angles
@@ -343,51 +341,33 @@ def save_checkpoint(path, net: DynamicsNet, encoder: FeatureEncoder, meta: dict 
 
 
 def load_checkpoint(path) -> tuple[DynamicsNet, FeatureEncoder, dict]:
-    """The net, encoder and meta saved by ``save_checkpoint``. A top level
-    that is not an object, an unknown version, a missing field, a field
-    of the wrong type (as ``config.from_json`` types them: an int takes
-    only an integer, a float any number, neither a bool; arrays are
-    ``number_array``s, ``meta`` an object) or a part whose shape
-    does not fit the dims raises a ValueError naming the file, as does a
-    file that is not JSON."""
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise ValueError(f"checkpoint {path}: not JSON: {err}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"checkpoint {path}: the top level is {type(payload).__name__}, not an object")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint {path}: unsupported version {payload.get('version')!r}")
-
-    def field(name, kind):
-        if name not in payload:
-            raise ValueError(f"checkpoint {path}: field {name!r} is missing")
-        value = payload[name]
-        try:
-            if kind is np.ndarray:
-                return number_array(value)
-            if type(value) in (int, float) and (kind is float or type(value) is int):
-                return kind(value)
-        except (ValueError, OverflowError):  # not an array, an integer beyond the float range
-            pass
-        what = "array" if kind is np.ndarray else kind.__name__
-        raise ValueError(f"checkpoint {path}: field {name!r} is not {what}: {reprlib.repr(value)}")
-
-    latent_dim = field("latent_dim", int)
-    hidden_dim = field("hidden_dim", int)
-    projection = field("projection", np.ndarray)
+    """The net, encoder and meta saved by ``save_checkpoint``, each field
+    typed by ``artifacts.json_fields`` (``meta`` may be absent). An
+    unknown version, parts whose shapes do not fit the dims, a
+    non-finite ``projection`` or ``params`` value and a projection that
+    ``make_decoder`` cannot invert also raise a ValueError naming the
+    file."""
+    payload = read_json(path)
+    version, latent_dim, hidden_dim, seed, sigma, projection, params = json_fields(path, payload, {
+        "version": str, "latent_dim": int, "hidden_dim": int, "encoder_seed": int,
+        "obs_noise_sigma": float, "projection": np.ndarray, "params": np.ndarray})
+    (meta,) = json_fields(path, {"meta": payload.get("meta", {})}, {"meta": dict})
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported version {version!r}")
     if projection.shape != (latent_dim, 4):
-        raise ValueError(f"checkpoint {path}: encoder projection has shape {projection.shape}, "
+        raise ValueError(f"{path}: encoder projection has shape {projection.shape}, "
                          f"but the net's latent_dim {latent_dim} needs ({latent_dim}, 4)")
-    params = field("params", np.ndarray)
-    seed, sigma = field("encoder_seed", int), field("obs_noise_sigma", float)
+    for name, array in (("projection", projection), ("params", params)):
+        if not np.isfinite(array).all():
+            bad = float(array[~np.isfinite(array)][0])
+            raise ValueError(f"{path}: field {name!r} is not finite: {bad}")
     try:
         net = DynamicsNet(latent_dim, hidden_dim, params)
         encoder = FeatureEncoder(projection=projection, seed=seed, obs_noise_sigma=sigma)
     except ValueError as e:
-        raise ValueError(f"checkpoint {path}: {e}") from None
-    meta = payload.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ValueError(f"checkpoint {path}: field 'meta' is not object: {reprlib.repr(meta)}")
+        raise ValueError(f"{path}: {e}") from None
+    try:
+        make_decoder(encoder)
+    except ValueError as e:
+        raise ValueError(f"{path}: field 'projection' is not invertible: {e}") from None
     return net, encoder, meta

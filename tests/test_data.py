@@ -189,31 +189,31 @@ def test_load_dataset_checks_the_trajectories_against_its_summary(written):
     pytest.param("summary.json", lambda text: json.dumps({"n_trajectories": 3}), " lacks length$",
                  id="summary-no-length"),
     pytest.param("summary.json", lambda text: json.dumps({"n_trajectories": 3, "length": "6"}),
-                 ": n_trajectories and length must be integers$", id="summary-length-a-string"),
+                 ": field 'length' is not int: '6'$", id="summary-length-a-string"),
     pytest.param("traj_0001.jsonl", lambda text: text[:-3], " is not JSON: ",
                  id="trajectory-truncated"),
     pytest.param("traj_0001.jsonl", lambda text: text + "{oops\n", " is not JSON: Extra data",
                  id="trajectory-then-a-second-value"),
     pytest.param("traj_0001.jsonl", _with("poses", lambda rows: [rows[0][:2], *rows[1:]]),
-                 r": the poses are not an array of numbers: not nested lists of one shape: ",
+                 r": field 'poses' is not array: \[\[",
                  id="pose-two-numbers"),
     pytest.param("traj_0001.jsonl", _with("poses", _set_pose(0, x="0.15")),
-                 ": the poses are not an array of numbers: '0.15' is not a number$",
+                 ": field 'poses' is not array: '0.15'$",
                  id="pose-a-string-number"),
     pytest.param("traj_0001.jsonl", _with("poses", _set_pose(0, x=True)),
-                 ": the poses are not an array of numbers: True is not a number$",
+                 ": field 'poses' is not array: True$",
                  id="pose-a-bool"),
     pytest.param("traj_0001.jsonl", _with("actions", lambda rows: 5),
-                 ": the actions are not an array of numbers: not nested lists of one shape: 5$",
+                 ": field 'actions' is not array: 5$",
                  id="actions-an-int"),
     pytest.param("traj_0002.jsonl", _with("actions", lambda rows: [[0.1, "x", 0.0]]),
-                 ": the actions are not an array of numbers: 'x' is not a number$",
+                 ": field 'actions' is not array: 'x'$",
                  id="action-not-a-number"),
     pytest.param("traj_0002.jsonl", _with("actions", lambda rows: [[0.1, "0.15", 0.0]]),
-                 ": the actions are not an array of numbers: '0.15' is not a number$",
+                 ": field 'actions' is not array: '0.15'$",
                  id="action-a-string-number"),
     pytest.param("traj_0002.jsonl", _with("actions", lambda rows: [[0.1, True, 0.0]]),
-                 ": the actions are not an array of numbers: True is not a number$",
+                 ": field 'actions' is not array: True$",
                  id="action-a-bool"),
     pytest.param("traj_0002.jsonl", _with("actions", lambda rows: [[0.1, 0.0]]),
                  r": the actions must be an \(L, 3\) array, got shape \(1, 2\)$",

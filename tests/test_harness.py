@@ -896,7 +896,7 @@ def test_truncated_checkpoint_fails_naming_the_file_before_the_stage_writes(tmp_
     save_checkpoint(ckpt, DynamicsNet(8, 16), make_encoder(8, 5))
     ckpt.write_text(ckpt.read_text()[:200])
     cfg = tiny_config(tmp_path / "run")
-    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(ckpt))}: not JSON: "):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))} is not JSON: "):
         cmd_gar(cfg, str(ckpt))
     assert not (tmp_path / "run").exists()
 
@@ -920,13 +920,14 @@ def test_config_that_is_not_json_fails_naming_the_file(tmp_path):
     ("gar_report.json", '{"model": "m"}', " lacks entries$"),
     ("gar_report.json", '{"model": "m", "entries": [{"horizon": 4}]}',
      " lacks aligned_mean, nonaligned_mean$"),
-    ("gar_report.json", '{"model": "m", "entries": 3}', " lacks horizon, aligned_mean, nonaligned_mean$"),
+    ("gar_report.json", '{"model": "m", "entries": 3}', ": field 'entries' is not array: 3$"),
+    ("gar_report.json", '{"model": "m", "entries": []}', " lacks horizon, aligned_mean, nonaligned_mean$"),
     ("gac_report.json", '{"model": "m", "delta_id": "x", "delta_inv": 0, "delta_comp": 0, "e_gac": 0}',
-     ": delta_id is not a number: 'x'$"),
+     ": field 'delta_id' is not float: 'x'$"),
     ("gar_report.json", '{"model": "m", "entries": [{"horizon": 4, "aligned_mean": null, '
-     '"nonaligned_mean": 0.5}]}', ": aligned_mean is not a number: None$"),
+     '"nonaligned_mean": 0.5}]}', ": field 'aligned_mean' is not float: None$"),
 ], ids=["gac-fields", "gac-not-json", "gar-entries", "gar-entry-fields", "gar-entries-not-a-list",
-        "gac-string", "gar-null"])
+        "gar-entries-empty", "gac-string", "gar-null"])
 def test_report_names_a_metric_file_it_cannot_read(tmp_path, name, text, needle):
     path = tmp_path / "run" / "point" / name
     path.parent.mkdir(parents=True)
@@ -1445,20 +1446,26 @@ def test_checkpoint_with_mismatched_parts_fails_before_the_stage_writes(tmp_path
     ckpt = tmp_path / "mismatched.json"
     save_checkpoint(ckpt, DynamicsNet(8, 16), make_encoder(16, 5))
     cfg = tiny_config(tmp_path / "run")
-    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(ckpt))}: encoder projection"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: encoder projection"):
         stage(cfg, str(ckpt))
     assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("edit, needle", [
     (lambda payload: payload.update(params=payload["params"][:-1]),
-     "expected 328 parameters, got shape (327,)"),
-    (lambda payload: payload.pop("obs_noise_sigma"), "field 'obs_noise_sigma' is missing"),
-    (lambda payload: payload.pop("hidden_dim"), "field 'hidden_dim' is missing"),
-    (lambda payload: payload.pop("params"), "field 'params' is missing"),
-    (lambda payload: payload.update(obs_noise_sigma=None), "field 'obs_noise_sigma' is not float: None"),
+     ": expected 328 parameters, got shape (327,)"),
+    (lambda payload: payload.pop("obs_noise_sigma"), " lacks obs_noise_sigma"),
+    (lambda payload: payload.pop("hidden_dim"), " lacks hidden_dim"),
+    (lambda payload: payload.pop("params"), " lacks params"),
+    (lambda payload: payload.update(obs_noise_sigma=None), ": field 'obs_noise_sigma' is not float: None"),
+    # values that load at the parent's type check but cannot be evaluated
+    (lambda payload: payload["params"].__setitem__(5, math.nan), ": field 'params' is not finite: nan"),
+    (lambda payload: payload["projection"][2].__setitem__(1, math.nan),
+     ": field 'projection' is not finite: nan"),
+    (lambda payload: payload.update(projection=[[0.0] * 4] * 8),
+     ": field 'projection' is not invertible: left-inverse residual 1 exceeds 1e-8"),
 ], ids=["params-short", "no-obs-noise-sigma", "no-hidden-dim", "no-params",
-                          "null-obs-noise-sigma"])
+                          "null-obs-noise-sigma", "params-nan", "projection-nan", "projection-zero"])
 def test_edited_checkpoint_fails_naming_the_file_before_the_stage_writes(tmp_path, edit, needle):
     ckpt = tmp_path / "edited.json"
     save_checkpoint(ckpt, DynamicsNet(8, 16), make_encoder(8, 5))
@@ -1466,19 +1473,20 @@ def test_edited_checkpoint_fails_naming_the_file_before_the_stage_writes(tmp_pat
     edit(payload)
     ckpt.write_text(json.dumps(payload))
     cfg = tiny_config(tmp_path / "run")
-    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(ckpt))}: {re.escape(needle)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}{re.escape(needle)}$"):
         cmd_gar(cfg, str(ckpt))
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("text, kind", [("[1]", "list"), ("null", "NoneType"), ('"x"', "str")])
+@pytest.mark.parametrize("text", ["[1]", "null", '"x"'], ids=["[1]-list", "null-NoneType", '"x"-str'])
 def test_checkpoint_that_is_not_an_object_fails_naming_the_file_before_the_stage_writes(
-        tmp_path, text, kind):
+        tmp_path, text):
     ckpt = tmp_path / "edited.json"
     ckpt.write_text(text)
     cfg = tiny_config(tmp_path / "run")
-    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(ckpt))}: "
-                                         f"the top level is {kind}, not an object$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))} lacks version, latent_dim, "
+                                         "hidden_dim, encoder_seed, obs_noise_sigma, projection, "
+                                         "params$"):
         cmd_gar(cfg, str(ckpt))
     assert not (tmp_path / "run").exists()
 

@@ -332,7 +332,7 @@ def test_checkpoint_fields_are_type_checked_naming_the_file(tmp_path, name, valu
     payload = json.loads(path.read_text())
     payload[name] = value
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(path))}: {re.escape(message)}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
         load_checkpoint(path)
 
 
